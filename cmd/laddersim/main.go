@@ -67,7 +67,7 @@ func main() {
 		cacheSize  = flag.Int("cache-size", 64, "completed jobs retained (LRU) in -serve mode")
 		maxInstr   = flag.Uint64("max-instr", 10_000_000, "largest per-core instruction budget a -serve request may ask for")
 
-		stateDir     = flag.String("state-dir", "", "persist -serve job state (journal + completed reports, fsync'd) under this directory and recover it on boot; empty = in-memory only (see docs/SERVICE.md)")
+		stateDir     = flag.String("state-dir", "", "persist -serve job state (one record per job + completed reports, fsync'd) under this directory and recover it on boot; empty = in-memory only (see docs/SERVICE.md)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "wall-clock deadline per -serve job; a job still running at the deadline fails with a structured error (0 disables)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "watchdog stall bound per -serve job: a running job with no progress heartbeat for this long is canceled and fails (0 disables)")
 	)

@@ -3,18 +3,18 @@
 // one atomic load when nothing is armed, and inject errors, panics or
 // delays when a test arms them.
 //
-// A failpoint is a string name at a call site — "service.journal.append",
+// A failpoint is a string name at a call site — "service.state.write",
 // "service.job.run" — hit via Hit (error injection, delays) or Check
 // (pure observation). Tests arm actions against names:
 //
-//	chaos.Arm("service.journal.append", chaos.Action{Err: errDiskFull})
+//	chaos.Arm("service.state.write", chaos.Action{Err: errDiskFull})
 //	defer chaos.Reset()
 //
 // and the next Hit at that site returns errDiskFull instead of nil. An
 // Action can instead Panic (exercising recover paths) or Delay
 // (simulating a stalled dependency so watchdogs fire). Times bounds how
 // many hits trigger before the failpoint disarms itself, so "fail the
-// second append, then heal" scenarios need no test-side choreography.
+// second write, then heal" scenarios need no test-side choreography.
 //
 // The registry is global and process-wide, like the failpoint packages
 // this models (etcd's gofail, FreeBSD's fail(9)): chaos is for tests

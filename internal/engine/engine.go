@@ -75,34 +75,19 @@ func (e *Engine) Add(a Actor) { e.actors = append(e.actors, a) }
 // Schedule requests that cycle t be processed (an external wakeup).
 func (e *Engine) Schedule(t uint64) { e.q.Push(t, nil) }
 
-// SetProgress installs a periodic progress callback: fn fires at the top
-// of every cycle t with (t+1) divisible by every — i.e. once per `every`
-// cycles — before any actor advances, and those cycles are always
-// processed while the simulation has work left. With no callback
-// installed the engine never wakes for progress, so the hook costs
-// nothing when unused.
-func (e *Engine) SetProgress(every uint64, fn func(now uint64)) {
-	e.addHook(every, fn)
-}
-
-// SetObserver installs a second periodic callback with SetProgress's
-// exact semantics, for observer-only instrumentation (the timeline
-// epoch sampler). The separation is deliberate: an observer is NOT an
-// actor — it fires before any actor advances, schedules nothing, and
-// must not mutate simulation state, so installing one cannot change
-// which cycles actors perceive or the order they advance in. Boundary
-// cycles are only forced while a real event is pending, so an observer
-// never keeps an otherwise-finished simulation alive, and the extra
-// processed cycles are dead ones (no actor acts), which the engine
-// contract already makes equivalent to skipping. Multiple hooks may
-// coexist; at a shared boundary they fire in installation order.
-func (e *Engine) SetObserver(every uint64, fn func(now uint64)) {
-	e.addHook(every, fn)
-}
-
-// addHook registers one periodic callback. A zero period or nil
-// callback installs nothing, keeping the unused path free.
-func (e *Engine) addHook(every uint64, fn func(now uint64)) {
+// AddHook installs a periodic callback (a progress reporter, the
+// timeline epoch sampler): fn fires at the top of every cycle t with
+// (t+1) divisible by every — i.e. once per `every` cycles — before any
+// actor advances. A hook is NOT an actor: it schedules nothing and must
+// not mutate simulation state, so installing one cannot change which
+// cycles actors perceive or the order they advance in. Boundary cycles
+// are only forced while a real event is pending, so a hook never keeps
+// an otherwise-finished simulation alive, and the extra processed cycles
+// are dead ones (no actor acts), which the engine contract already makes
+// equivalent to skipping. Multiple hooks may coexist; at a shared
+// boundary they fire in installation order. A zero period or nil
+// callback installs nothing, so an unused hook costs nothing.
+func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 	if every == 0 || fn == nil {
 		return
 	}

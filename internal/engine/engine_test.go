@@ -78,7 +78,7 @@ func TestEngineProgressHook(t *testing.T) {
 	p := &pulseActor{busyUntil: 2500}
 	e.Add(p)
 	var fired []uint64
-	e.SetProgress(1000, func(now uint64) { fired = append(fired, now) })
+	e.AddHook(1000, func(now uint64) { fired = append(fired, now) })
 	for e.Step() {
 	}
 	// Boundaries at 999, 1999 fall in the dead window; the hook must force
@@ -94,8 +94,8 @@ func TestEngineObserverHook(t *testing.T) {
 	p := &pulseActor{busyUntil: 2500}
 	e.Add(p)
 	var progress, observer []uint64
-	e.SetProgress(1000, func(now uint64) { progress = append(progress, now) })
-	e.SetObserver(700, func(now uint64) { observer = append(observer, now) })
+	e.AddHook(1000, func(now uint64) { progress = append(progress, now) })
+	e.AddHook(700, func(now uint64) { observer = append(observer, now) })
 	for e.Step() {
 	}
 	// The observer's boundaries inside the live window: 699, 1399, 2099.
@@ -122,8 +122,8 @@ func TestEngineObserverSharedBoundaryOrder(t *testing.T) {
 	p := &pulseActor{busyUntil: 1200}
 	e.Add(p)
 	var order []string
-	e.SetProgress(500, func(uint64) { order = append(order, "progress") })
-	e.SetObserver(500, func(uint64) { order = append(order, "observer") })
+	e.AddHook(500, func(uint64) { order = append(order, "progress") })
+	e.AddHook(500, func(uint64) { order = append(order, "observer") })
 	for e.Step() {
 	}
 	// Boundaries 499 and 999 fire both hooks, in installation order.
@@ -142,8 +142,8 @@ func TestEngineObserverZeroPeriodDisabled(t *testing.T) {
 	e := New()
 	w := &watcherActor{}
 	e.Add(w)
-	e.SetObserver(0, func(uint64) { t.Fatal("zero-period observer fired") })
-	e.SetObserver(10, nil)
+	e.AddHook(0, func(uint64) { t.Fatal("zero-period observer fired") })
+	e.AddHook(10, nil)
 	for e.Step() {
 	}
 	if len(e.hooks) != 0 {

@@ -267,7 +267,7 @@ type Readiness struct {
 // disk is alive but not ready.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	doc := Readiness{Draining: s.closed, StateDir: s.store.Dir()}
+	doc := Readiness{Draining: s.closed, StateDir: s.cfg.StateDir}
 	s.mu.Unlock()
 	if err := s.store.Err(); err != nil {
 		doc.StoreError = err.Error()

@@ -92,7 +92,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 	stop1()
 
 	// Simulate the crash: a later process died with one job accepted and
-	// another mid-run (journal written the way the service would have).
+	// another mid-run (records written the way the service would have).
 	reqQueued := Request{Workloads: []string{"astar"}, Schemes: []string{"Baseline"}, Instr: 2000, Seed: 8}
 	if err := reqQueued.normalize(0); err != nil {
 		t.Fatal(err)
@@ -105,10 +105,9 @@ func TestServiceCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.Accepted(reqQueued.id(), reqQueued)
-	st2.Accepted(reqCrashed.id(), reqCrashed)
-	st2.Started(reqCrashed.id())
-	st2.Close()
+	st2.Accepted(reqQueued)
+	st2.Accepted(reqCrashed)
+	st2.Started(reqCrashed)
 
 	// Life 2: recover.
 	svc2, err := New(Config{StateDir: dir, Tables: smallTables(t)})
@@ -286,7 +285,7 @@ func TestReadyzDegradesOnStoreFailure(t *testing.T) {
 		t.Fatalf("healthy readyz = %d, want 200", code)
 	}
 
-	chaos.Arm("service.journal.append", chaos.Action{Err: errors.New("disk gone"), Times: 1})
+	chaos.Arm("service.state.write", chaos.Action{Err: errors.New("disk gone"), Times: 1})
 	defer chaos.Reset()
 	_, sub := postJob(t, ts, `{"workloads":["astar"],"schemes":["Baseline"],"instr":2000,"seed":21}`)
 

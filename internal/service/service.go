@@ -21,12 +21,13 @@
 //   - Backpressure. The pending queue is bounded; a submission that
 //     finds it full is rejected with 503 and counted, never silently
 //     dropped or unboundedly buffered.
-//   - Durability. With Config.StateDir set, every job transition lands
-//     in an fsync'd journal and every completed report in a blob store
-//     (see Store). A restarted — or crashed and rebooted — service
-//     replays the journal: completed reports are served byte-identically,
-//     jobs that were queued re-queue, and jobs that died mid-run come
-//     back as failed-by-crash (resubmitting one re-runs it).
+//   - Durability. With Config.StateDir set, every job transition
+//     atomically replaces the job's fsync'd record and every completed
+//     report lands as a blob beside it (see Store). A restarted — or
+//     crashed and rebooted — service recovers them: completed reports are
+//     served byte-identically, jobs that were queued re-queue, and jobs
+//     that died mid-run come back as failed-by-crash (resubmitting one
+//     re-runs it).
 //   - Self-healing. Each job runs under an optional deadline
 //     (Config.JobTimeout) and a watchdog (Config.StallTimeout) that
 //     cancels jobs whose grid stops making progress; a job wedged hard
@@ -91,9 +92,9 @@ type Config struct {
 	// sim.Options.Jobs (0 = one worker per CPU).
 	Jobs int
 	// MaxInstr caps the per-core instruction budget a request may ask
-	// for, bounding the cost of any one job. 0 = 10M; negative values
-	// are not meaningful (validation treats the cap as disabled only if
-	// you set it explicitly high).
+	// for, bounding the cost of any one job. 0 = 10M. There is no
+	// uncapped setting; a deployment that wants none sets a cap above any
+	// budget it expects.
 	MaxInstr uint64
 	// Tables overrides the timing tables every job simulates with
 	// (nil = the full default 512×512 set). Primarily a test seam: the
@@ -107,10 +108,11 @@ type Config struct {
 	// Logger receives job-lifecycle records (submitted, started,
 	// finished). Nil discards them; serve mode wires a JSON logger.
 	Logger *slog.Logger
-	// StateDir, when set, makes the service durable: job transitions
-	// journal to <StateDir>/journal.jsonl and completed reports persist
-	// as blobs, both fsync'd, and New replays them on boot (see Store).
-	// Empty = in-memory only; nothing survives a restart.
+	// StateDir, when set, makes the service durable: each retained job
+	// keeps one record, <StateDir>/<id>.job, replaced on every transition,
+	// completed reports persist beside it as <id>.json, both fsync'd, and
+	// New recovers them on boot (see Store). Empty = in-memory only;
+	// nothing survives a restart.
 	StateDir string
 	// JobTimeout bounds any one job's wall-clock execution; a job still
 	// running at the deadline is canceled and fails with a structured
@@ -178,7 +180,6 @@ type job struct {
 	cancel    context.CancelFunc
 	subs      []chan jobEvent // SSE subscribers
 	submitted time.Time
-	finished  time.Time
 }
 
 // Service is the job queue. Create with New, mount Handler on a
@@ -211,7 +212,7 @@ type Service struct {
 
 // New starts a service: the executor goroutine runs until Close. With
 // Config.StateDir set, the state directory is opened (created if
-// missing) and its journal replayed before the executor starts, so
+// missing) and its jobs recovered before the executor starts, so
 // recovered reports are servable and re-queued jobs execute from the
 // first moment the handler is mounted. Opening the state dir is the
 // only failure mode; an in-memory service (empty StateDir) cannot fail.
@@ -242,59 +243,44 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// restore installs one boot replay's jobs: terminal jobs enter the
-// completed LRU (oldest journal position evicting first), queued jobs
-// re-enter the pending queue. Runs before the executor starts, so no
-// locking subtleties — but it takes s.mu anyway for finishLocked's
-// invariants.
+// restore installs one boot's recovered jobs as they were: terminal jobs
+// enter the completed LRU in recovery order (least recently changed
+// evicting first), queued jobs re-enter the pending queue. Recovery is
+// counted only in its own counters; completed/failed/canceled count this
+// boot's work. Runs before the executor starts, so it needs no lock.
 func (s *Service) restore(rec *Recovery) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var evicted []string
 	for _, rj := range rec.Jobs {
 		j := &job{
-			id: rj.ID, req: rj.Req, state: StateQueued,
-			crashed: rj.Crashed, submitted: time.Now(),
+			id: rj.ID, req: rj.Req, state: rj.State, errMsg: rj.ErrMsg,
+			report: rj.Report, crashed: rj.Crashed, submitted: time.Now(),
 		}
-		if rj.State == StateQueued {
+		if j.state == StateQueued {
 			select {
 			case s.queue <- j:
 			default:
-				// A journal holding more queued jobs than the queue cap
-				// (the cap shrank across the restart): fail the overflow
-				// as crashed so it stays visible and resubmittable.
-				rj.State = StateFailed
-				rj.ErrMsg = "failed by crash: recovered queue overflowed the configured queue depth"
-				j.crashed = true
+				// More recovered queued jobs than the queue holds (the cap
+				// shrank across the restart): fail the overflow as crashed,
+				// on disk too, so it stays visible and resubmittable rather
+				// than silently re-queuing on the next boot.
+				j.state, j.errMsg, j.crashed = StateFailed, "failed by crash: recovered queue overflowed the configured queue depth", true
+				s.store.Finished(j.req, j.state, j.errMsg, nil, true)
 				rec.Requeued--
 				rec.FailedByCrash++
 			}
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
-		if rj.State != StateQueued {
-			ev := s.finishLocked(j, rj.State, rj.ErrMsg, rj.Report, j.crashed)
-			evicted = append(evicted, ev...)
-			j.finished = time.Time{} // not finished by this process
+		if j.state != StateQueued {
+			s.lru = append(s.lru, j.id)
 		}
-		if rj.State == StateDone {
+		if j.state == StateDone {
 			s.reg.Counter("service.recovered.reports").Inc()
 		}
 	}
-	// finishLocked counted the restored terminal states as if this
-	// process produced them; rewind so completed/failed/canceled count
-	// only this boot's work, and track recovery in its own counters.
-	s.reg.SetCounter("service.jobs.completed", 0)
-	s.reg.SetCounter("service.jobs.failed", 0)
-	s.reg.SetCounter("service.jobs.canceled", 0)
+	s.trimLRULocked()
 	s.reg.Counter("service.recovered.requeued").Add(uint64(rec.Requeued))
 	s.reg.Counter("service.recovered.failed_by_crash").Add(uint64(rec.FailedByCrash))
 	s.reg.Counter("service.store.corrupt_records").Add(uint64(rec.CorruptRecords))
-	// The store has its own lock and never takes s.mu, so journaling the
-	// evictions here is safe.
-	for _, id := range evicted {
-		s.store.Evicted(id)
-	}
 	if len(rec.Jobs) > 0 || rec.CorruptRecords > 0 {
 		s.cfg.Logger.Info("state recovered",
 			"dir", s.cfg.StateDir, "jobs", len(rec.Jobs),
@@ -315,7 +301,7 @@ func (s *Service) Routes() []string {
 }
 
 // Close stops the executor and cancels any running job. Queued jobs are
-// marked canceled in memory but deliberately NOT journaled as canceled
+// marked canceled in memory but deliberately NOT recorded as canceled
 // — their accepted records survive, so a durable service re-queues them
 // on the next boot. Close blocks until the executor goroutine exits.
 func (s *Service) Close() {
@@ -329,7 +315,6 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.stop()
 	s.wg.Wait()
-	s.store.Close()
 }
 
 // MetricsSnapshot freezes the service's metrics registry — the
@@ -405,7 +390,7 @@ func (s *Service) StatsSnapshot() Stats {
 		FailedByCrash:      c("service.recovered.failed_by_crash"),
 		StoreWriteErrors:   s.store.WriteErrs(),
 		StoreCorruptRecs:   c("service.store.corrupt_records"),
-		StateDir:           s.store.Dir(),
+		StateDir:           s.cfg.StateDir,
 		DurabilityDegraded: s.store.Err() != nil,
 	}
 }
@@ -463,7 +448,7 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 	s.order = append(s.order, id)
 	s.reg.Counter("service.jobs.submitted").Inc()
 	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
-	s.store.Accepted(id, req)
+	s.store.Accepted(req)
 	s.cfg.Logger.Info("job queued", "job", id, "queue_depth", len(s.queue))
 	return j, outcomeNew
 }
@@ -485,10 +470,9 @@ func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	j.report = nil
 	j.done, j.total = 0, 0
 	j.crashed = false
-	j.finished = time.Time{}
 	j.submitted = time.Now()
 	s.reg.Counter("service.jobs.resubmitted").Inc()
-	s.store.Accepted(j.id, j.req)
+	s.store.Accepted(j.req)
 	s.cfg.Logger.Info("job resubmitted", "job", j.id, "queue_depth", len(s.queue))
 	return j, outcomeResubmitted
 }
@@ -517,14 +501,11 @@ func (s *Service) cancelJob(id string) (ok bool, reason string) {
 	}
 	switch j.state {
 	case StateQueued:
-		evicted := s.finishLocked(j, StateCanceled, "canceled before execution", nil, false)
-		// Journal ordering matters (a canceled record must follow the
-		// accepted one and precede any re-accept), so the store calls stay
-		// under s.mu; the store never takes it, so this cannot deadlock.
-		s.store.Canceled(id, "canceled before execution")
-		for _, ev := range evicted {
-			s.store.Evicted(ev)
-		}
+		// The record must be replaced before a resubmit can re-accept the
+		// job, so the store call stays under s.mu; the store never takes
+		// it, so this cannot deadlock.
+		s.store.Finished(j.req, StateCanceled, "canceled before execution", nil, false)
+		s.finishLocked(j, StateCanceled, "canceled before execution", nil, false)
 		return true, ""
 	case StateRunning:
 		if j.cancel != nil {
@@ -551,19 +532,16 @@ func (s *Service) executor() {
 }
 
 // drainOnClose marks every still-queued job canceled after Close. The
-// cancellations are deliberately not journaled: the jobs' accepted
-// records survive in the journal, so a durable service re-queues them
-// on the next boot instead of making clients resubmit.
+// cancellations are deliberately not recorded: the jobs' accepted
+// records survive, so a durable service re-queues them on the next boot
+// instead of making clients resubmit.
 func (s *Service) drainOnClose() {
 	for {
 		select {
 		case j := <-s.queue:
 			s.mu.Lock()
 			if j.state == StateQueued {
-				evicted := s.finishLocked(j, StateCanceled, "service shut down", nil, false)
-				for _, ev := range evicted {
-					s.store.Evicted(ev)
-				}
+				s.finishLocked(j, StateCanceled, "service shut down", nil, false)
 			}
 			s.mu.Unlock()
 		default:
@@ -616,7 +594,7 @@ func (s *Service) runJob(j *job) {
 	s.reg.Gauge("service.jobs.running").Observe(1)
 	s.broadcastLocked(j)
 	s.mu.Unlock()
-	s.store.Started(j.id)
+	s.store.Started(j.req)
 	s.cfg.Logger.Info("job started", "job", j.id, "cells", j.total)
 
 	// lastBeat is the watchdog's heartbeat: cell completions always beat;
@@ -689,18 +667,8 @@ func (s *Service) runJob(j *job) {
 			s.reg.Counter("service.jobs.deadline_exceeded").Inc()
 		}
 	}
-	evicted := s.finishLocked(j, state, errMsg, report, crashed)
-	switch state {
-	case StateDone:
-		s.store.Done(j.id, report)
-	case StateFailed:
-		s.store.Failed(j.id, errMsg, crashed)
-	case StateCanceled:
-		s.store.Canceled(j.id, errMsg)
-	}
-	for _, ev := range evicted {
-		s.store.Evicted(ev)
-	}
+	s.store.Finished(j.req, state, errMsg, report, crashed)
+	s.finishLocked(j, state, errMsg, report, crashed)
 	s.mu.Unlock()
 }
 
@@ -782,15 +750,13 @@ func classify(ctx context.Context, err error, abandoned bool, deadline time.Dura
 
 // finishLocked moves a job to a terminal state, publishes the terminal
 // event, releases subscribers, and enters the job into the completed
-// LRU (possibly evicting the oldest completed job entirely). It returns
-// the IDs of any evicted jobs so callers can journal the evictions.
-// Callers hold s.mu.
-func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, crashed bool) []string {
+// LRU (possibly evicting the oldest completed job entirely). Callers
+// hold s.mu.
+func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, crashed bool) {
 	j.state = state
 	j.errMsg = errMsg
 	j.report = report
 	j.crashed = crashed
-	j.finished = time.Now()
 	j.cancel = nil
 	switch state {
 	case StateDone:
@@ -802,10 +768,10 @@ func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, cras
 	}
 	if errMsg != "" {
 		s.cfg.Logger.Info("job finished", "job", j.id, "state", state,
-			"elapsed", j.finished.Sub(j.submitted), "error", errMsg)
+			"elapsed", time.Since(j.submitted), "error", errMsg)
 	} else {
 		s.cfg.Logger.Info("job finished", "job", j.id, "state", state,
-			"elapsed", j.finished.Sub(j.submitted))
+			"elapsed", time.Since(j.submitted))
 	}
 	s.broadcastLocked(j)
 	for _, ch := range j.subs {
@@ -813,7 +779,13 @@ func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, cras
 	}
 	j.subs = nil
 	s.lru = append(s.lru, j.id)
-	var evicted []string
+	s.trimLRULocked()
+}
+
+// trimLRULocked forgets the least recently used completed jobs beyond
+// Config.CacheSize, in memory and in the store. The store never takes
+// s.mu, so calling it here cannot deadlock. Callers hold s.mu.
+func (s *Service) trimLRULocked() {
 	for len(s.lru) > s.cfg.CacheSize {
 		evict := s.lru[0]
 		s.lru = s.lru[1:]
@@ -825,9 +797,8 @@ func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, cras
 			}
 		}
 		s.reg.Counter("service.cache.evictions").Inc()
-		evicted = append(evicted, evict)
+		s.store.Evicted(evict)
 	}
-	return evicted
 }
 
 // touchLocked refreshes a completed job's LRU position on a cache hit.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,63 +8,53 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"ladder/internal/chaos"
 )
 
-// The durable job store: an append-only job-lifecycle journal plus
-// fsync'd report blobs under a state directory, replayed on boot so a
-// restarted service serves completed reports byte-identically and
-// either re-queues or fails-by-crash whatever the previous process left
-// unfinished. Layout:
+// The durable job store: one small record per retained job plus the
+// fsync'd report blob of each completed one, under a state directory:
 //
-//	<state-dir>/journal.jsonl     one JSON record per line, fsync'd per append
-//	<state-dir>/reports/<id>.json completed grid reports, exact served bytes
+//	<state-dir>/<id>.job  the job's normalized request and latest state
+//	<state-dir>/<id>.json a done job's report, the exact served bytes
 //
-// The journal is the source of truth for job existence and state; a
-// report blob is only trusted when the journal's done record carries
-// its matching content hash (a crash between blob rename and journal
-// append leaves an orphaned blob that replay ignores). On boot the
-// journal is compacted: replay resolves every job to its current state,
-// then a fresh journal holding exactly those records is atomically
-// swapped in, so journal size is bounded by retained jobs rather than
-// by lifetime job churn.
+// Job IDs are content hashes of the normalized request and reports are
+// deterministic, so a job's latest state is all a restart needs. Every
+// transition replaces the job's record whole (temp file, fsync, rename,
+// directory sync), so a crash leaves either the old record or the new
+// one, never a mix. A report blob lands the same way before the done
+// record that carries its SHA-256, so a done record never vouches for
+// bytes that were not fully written.
 //
 // Store write failures are deliberately non-fatal: the service keeps
 // serving from memory, the first failure is retained (Err) so readiness
 // probes can report degraded durability, and every failure is counted.
 
-// Journal record types. A job's lifecycle appends accepted → started →
-// (done | failed | canceled); evicted marks a completed job whose
-// report the LRU dropped, and replay forgets it entirely.
-const (
-	recAccepted = "accepted"
-	recStarted  = "started"
-	recDone     = "done"
-	recFailed   = "failed"
-	recCanceled = "canceled"
-	recEvicted  = "evicted"
-)
+// stateAccepted is the record state of a job admitted but not yet
+// started. The other record states are the job states running, done,
+// failed and canceled.
+const stateAccepted = "accepted"
 
-// journalRecord is one line of journal.jsonl.
-type journalRecord struct {
-	T   string   `json:"t"`
-	Job string   `json:"job"`
-	Req *Request `json:"req,omitempty"`   // accepted records only
-	Err string   `json:"error,omitempty"` // failed/canceled records
-	// Crash marks a failed record written by crash recovery (the job was
-	// interrupted, not rejected by the simulator), which keeps the job
+// jobRecord is the content of <id>.job.
+type jobRecord struct {
+	Req   Request `json:"req"`
+	State string  `json:"state"`
+	Err   string  `json:"error,omitempty"` // failed/canceled records
+	// Crash marks a failure the process caused (a crash, watchdog
+	// abandonment) rather than the request, which keeps the job
 	// resubmittable across further restarts.
 	Crash bool `json:"crash,omitempty"`
 	// SHA is the hex SHA-256 of the report blob a done record vouches for.
 	SHA string `json:"report_sha256,omitempty"`
 }
 
-// RecoveredJob is one job reconstructed from the journal, in journal
-// order. State is StateQueued for jobs to re-enqueue and a terminal
-// state otherwise; Report is the exact blob bytes for done jobs.
+// RecoveredJob is one job reconstructed from the state directory. State
+// is StateQueued for jobs to re-enqueue and a terminal state otherwise;
+// Report is the exact blob bytes for done jobs.
 type RecoveredJob struct {
 	ID      string
 	Req     Request
@@ -75,9 +64,10 @@ type RecoveredJob struct {
 	Crashed bool
 }
 
-// Recovery summarizes one boot replay.
+// Recovery summarizes one boot's recovery.
 type Recovery struct {
-	// Jobs lists every retained job in journal order.
+	// Jobs lists every retained job, least recently changed first (by
+	// record modification time, ties broken by ID).
 	Jobs []RecoveredJob
 	// Requeued counts jobs returned to the pending queue (accepted but
 	// never started before the previous process exited).
@@ -85,9 +75,11 @@ type Recovery struct {
 	// FailedByCrash counts jobs marked failed because the previous
 	// process died mid-run (or their report blob was lost).
 	FailedByCrash int
-	// CorruptRecords counts journal lines that did not parse — a torn
-	// final append from a crash is the expected case — plus done records
-	// whose report blob was missing or failed its hash check.
+	// CorruptRecords counts job records that did not parse, named an
+	// unknown state or were filed under another job's ID, plus done
+	// records whose report blob was missing or failed its hash check.
+	// Each is counted by the boot that finds it: a bad record is removed
+	// and a done record with a bad blob is rewritten as a crash failure.
 	CorruptRecords int
 }
 
@@ -97,236 +89,200 @@ type Recovery struct {
 type Store struct {
 	dir string
 
+	// mu serializes writes to the state directory and guards the error
+	// state below.
 	mu        sync.Mutex
-	f         *os.File
 	err       error // first write failure, sticky (readiness signal)
 	writeErrs uint64
 }
 
-// OpenStore opens (creating if needed) a state directory, replays its
-// journal, compacts it, and returns the store ready for appends plus
-// what the replay recovered.
+// OpenStore opens (creating if needed) a state directory and recovers
+// the jobs recorded in it. A directory laid out by an older release, with
+// a job journal, is refused rather than half-read.
 func OpenStore(dir string) (*Store, *Recovery, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "reports"), 0o755); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err == nil {
+		return nil, nil, fmt.Errorf("service: state dir %s holds journal.jsonl, the job journal of an older release, which this release does not read; move it and the reports/ directory aside and restart (their jobs re-run when resubmitted)", dir)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("service: creating state dir: %w", err)
 	}
 	st := &Store{dir: dir}
-	rec, err := st.replay()
+	rec, err := st.recover()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := st.compact(rec); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(st.journalPath(), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: opening journal: %w", err)
-	}
-	st.f = f
 	return st, rec, nil
 }
 
-func (st *Store) journalPath() string { return filepath.Join(st.dir, "journal.jsonl") }
+func (st *Store) path(id, ext string) string { return filepath.Join(st.dir, id+ext) }
 
-func (st *Store) reportPath(id string) string {
-	return filepath.Join(st.dir, "reports", id+".json")
-}
-
-// Dir returns the state directory ("" on a nil store).
-func (st *Store) Dir() string {
-	if st == nil {
-		return ""
-	}
-	return st.dir
-}
-
-// replay scans the journal and resolves every job to its latest state.
-func (st *Store) replay() (*Recovery, error) {
-	rec := &Recovery{}
-	f, err := os.Open(st.journalPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return rec, nil
-	}
+// recover lists the state directory once and resolves every job record
+// to its outcome: accepted re-queues, running becomes failed-by-crash,
+// done serves its blob if the blob's hash matches (else failed-by-crash),
+// failed and canceled stay as they are. Crash outcomes are written back,
+// so the next boot finds them as plain failures.
+func (st *Store) recover() (*Recovery, error) {
+	entries, err := os.ReadDir(st.dir)
 	if err != nil {
-		return nil, fmt.Errorf("service: reading journal: %w", err)
+		return nil, fmt.Errorf("service: reading state dir: %w", err)
 	}
-	defer f.Close()
-
-	type replayState struct {
-		req     *Request
-		state   string // last record type seen
-		errMsg  string
-		crashed bool
-		sha     string
-	}
-	byID := make(map[string]*replayState)
-	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	mtime := make(map[string]time.Time)
+	done := make(map[string]bool)
+	rec := &Recovery{}
+	for _, e := range entries {
+		name := e.Name()
+		path := filepath.Join(st.dir, name)
+		if strings.HasSuffix(name, ".tmp") {
+			// An interrupted replace; the file it was to replace is intact.
+			os.Remove(path) //nolint:errcheck // best-effort cleanup
 			continue
 		}
-		var r journalRecord
-		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Job == "" || r.T == "" {
-			// A torn trailing append (crash mid-write) is expected; any
-			// unparseable line is counted and skipped, never fatal.
-			rec.CorruptRecords++
-			continue
-		}
-		js := byID[r.Job]
-		if js == nil {
-			js = &replayState{}
-			byID[r.Job] = js
-			order = append(order, r.Job)
-		}
-		switch r.T {
-		case recAccepted:
-			if r.Req != nil {
-				js.req = r.Req
+		if id, ok := strings.CutSuffix(name, ".json"); ok {
+			// ReadDir lists by name, so <id>.job was resolved before
+			// <id>.json. A blob no done record vouches for was written
+			// before a crash lost its done record, or outlived an
+			// interrupted eviction.
+			if !done[id] {
+				os.Remove(path) //nolint:errcheck // best-effort cleanup
 			}
-			js.state = recAccepted
-			// A re-accept (resubmit after cancel) resets the terminal info.
-			js.errMsg, js.crashed, js.sha = "", false, ""
-		case recStarted, recDone, recFailed, recCanceled, recEvicted:
-			js.state = r.T
-			js.errMsg, js.crashed, js.sha = r.Err, r.Crash, r.SHA
-		default:
-			rec.CorruptRecords++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: scanning journal: %w", err)
-	}
-
-	for _, id := range order {
-		js := byID[id]
-		if js.state == recEvicted {
-			os.Remove(st.reportPath(id)) //nolint:errcheck // best-effort cleanup
 			continue
 		}
-		if js.req == nil {
-			// No surviving accepted record: nothing to rebuild the job from.
-			rec.CorruptRecords++
+		id, ok := strings.CutSuffix(name, ".job")
+		if !ok {
 			continue
 		}
-		j := RecoveredJob{ID: id, Req: *js.req, ErrMsg: js.errMsg, Crashed: js.crashed}
-		switch js.state {
-		case recAccepted:
+		info, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("service: reading job record: %w", err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("service: reading job record: %w", err)
+		}
+		r, ok := decodeRecord(b, id)
+		if !ok {
+			rec.CorruptRecords++
+			os.Remove(path) //nolint:errcheck // best-effort cleanup
+			continue
+		}
+		j := RecoveredJob{ID: id, Req: r.Req, State: r.State, ErrMsg: r.Err, Crashed: r.Crash}
+		switch r.State {
+		case stateAccepted:
 			j.State = StateQueued
 			rec.Requeued++
-		case recStarted:
-			j.State = StateFailed
-			j.ErrMsg = "failed by crash: the previous service process exited mid-run"
-			j.Crashed = true
+		case StateRunning:
+			st.failByCrash(&j, "failed by crash: the previous service process exited mid-run")
 			rec.FailedByCrash++
-		case recDone:
-			report, err := st.loadReport(id, js.sha)
-			if err != nil {
-				j.State = StateFailed
-				j.ErrMsg = fmt.Sprintf("failed by crash: completed report lost (%v)", err)
-				j.Crashed = true
+		case StateDone:
+			if j.Report, err = st.loadReport(id, r.SHA); err != nil {
+				st.failByCrash(&j, fmt.Sprintf("failed by crash: completed report lost (%v)", err))
 				rec.FailedByCrash++
 				rec.CorruptRecords++
 			} else {
-				j.State = StateDone
-				j.Report = report
+				done[id] = true
 			}
-		case recFailed:
-			j.State = StateFailed
-		case recCanceled:
-			j.State = StateCanceled
 		}
 		rec.Jobs = append(rec.Jobs, j)
+		mtime[id] = info.ModTime()
 	}
+	// Entries are in ID order, so a stable sort breaks mtime ties by ID.
+	slices.SortStableFunc(rec.Jobs, func(a, b RecoveredJob) int { return mtime[a.ID].Compare(mtime[b.ID]) })
 	return rec, nil
 }
 
-// loadReport reads a done job's blob and checks it against the hash the
-// journal recorded for it.
+// decodeRecord parses a job record and checks that the store could have
+// written it as <id>.job: a known state, and a request hashing to id.
+func decodeRecord(b []byte, id string) (jobRecord, bool) {
+	var r jobRecord
+	if err := json.Unmarshal(b, &r); err != nil || r.Req.id() != id {
+		return r, false
+	}
+	switch r.State {
+	case stateAccepted, StateRunning, StateDone, StateFailed, StateCanceled:
+		return r, true
+	}
+	return r, false
+}
+
+// failByCrash turns a recovered job into a crash failure and rewrites its
+// record to match, so a later boot recovers the same failure without
+// counting it again.
+func (st *Store) failByCrash(j *RecoveredJob, errMsg string) {
+	j.State, j.ErrMsg, j.Crashed, j.Report = StateFailed, errMsg, true, nil
+	st.Finished(j.Req, StateFailed, errMsg, nil, true)
+}
+
+// loadReport reads a done job's blob and checks it against the hash its
+// record vouches for.
 func (st *Store) loadReport(id, wantSHA string) ([]byte, error) {
-	b, err := os.ReadFile(st.reportPath(id))
+	b, err := os.ReadFile(st.path(id, ".json"))
 	if err != nil {
 		return nil, err
 	}
 	if got := sha256Hex(b); got != wantSHA {
-		return nil, fmt.Errorf("report blob hash mismatch (have %.8s, journal says %.8s)", got, wantSHA)
+		return nil, fmt.Errorf("report blob hash mismatch (have %.8s, record says %.8s)", got, wantSHA)
 	}
 	return b, nil
 }
 
-// compact atomically rewrites the journal to exactly the replayed
-// state: one accepted record per retained job, plus its terminal record
-// if it has one. Run before the journal reopens for appends, so a
-// journal's size is bounded by retained jobs, not lifetime churn.
-func (st *Store) compact(rec *Recovery) error {
-	tmp := st.journalPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	writeRec := func(r journalRecord) {
-		b, _ := json.Marshal(r) //nolint:errcheck // plain data, cannot fail
-		w.Write(b)              //nolint:errcheck // checked via Flush below
-		w.WriteByte('\n')       //nolint:errcheck
-	}
-	for _, j := range rec.Jobs {
-		req := j.Req
-		writeRec(journalRecord{T: recAccepted, Job: j.ID, Req: &req})
-		switch j.State {
-		case StateDone:
-			writeRec(journalRecord{T: recDone, Job: j.ID, SHA: sha256Hex(j.Report)})
-		case StateFailed:
-			writeRec(journalRecord{T: recFailed, Job: j.ID, Err: j.ErrMsg, Crash: j.Crashed})
-		case StateCanceled:
-			writeRec(journalRecord{T: recCanceled, Job: j.ID, Err: j.ErrMsg})
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	if err := os.Rename(tmp, st.journalPath()); err != nil {
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	syncDir(st.dir)
-	return nil
+// Accepted records a job's admission (or re-admission on resubmit after
+// cancel) with its normalized request.
+func (st *Store) Accepted(req Request) { st.write(jobRecord{Req: req, State: stateAccepted}, nil) }
+
+// Started records the queued→running transition. A job still running at
+// the next boot is failed-by-crash.
+func (st *Store) Started(req Request) { st.write(jobRecord{Req: req, State: StateRunning}, nil) }
+
+// Finished records a job's terminal state (done, failed or canceled);
+// crash marks failures the process caused, which stay resubmittable. A
+// done job's report blob lands first: a crash before its record is
+// replaced leaves the job running on disk, failed-by-crash at the next
+// boot.
+func (st *Store) Finished(req Request, state, errMsg string, report []byte, crash bool) {
+	st.write(jobRecord{Req: req, State: state, Err: errMsg, Crash: crash}, report)
 }
 
-// append journals one record: marshal, write, fsync. Failures are
-// sticky and counted, never fatal — the service degrades to in-memory
-// operation and readiness reports it.
-func (st *Store) append(r journalRecord) {
+// write replaces a job's record, after landing the report blob of a done
+// one. Failures are sticky and counted, never fatal: the service degrades
+// to in-memory operation and readiness reports it.
+func (st *Store) write(r jobRecord, report []byte) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := chaos.Hit("service.journal.append"); err != nil {
-		st.noteErrLocked(fmt.Errorf("journal append: %w", err))
-		return
+	id := r.Req.id()
+	if r.State == StateDone {
+		if err := writeFileAtomic("service.report.write", st.path(id, ".json"), report); err != nil {
+			st.noteErrLocked(fmt.Errorf("report write: %w", err))
+			return
+		}
+		r.SHA = sha256Hex(report)
 	}
 	b, err := json.Marshal(r)
+	if err == nil {
+		err = writeFileAtomic("service.state.write", st.path(id, ".job"), b)
+	}
 	if err != nil {
-		st.noteErrLocked(fmt.Errorf("journal append: %w", err))
+		st.noteErrLocked(fmt.Errorf("job record write: %w", err))
+	}
+}
+
+// Evicted forgets an LRU-evicted job. The record goes before the blob,
+// so a crash between the two leaves an orphan blob (removed at the next
+// boot), never a done record without its report.
+func (st *Store) Evicted(id string) {
+	if st == nil {
 		return
 	}
-	if _, err := st.f.Write(append(b, '\n')); err != nil {
-		st.noteErrLocked(fmt.Errorf("journal append: %w", err))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := os.Remove(st.path(id, ".job")); err != nil && !errors.Is(err, os.ErrNotExist) {
+		st.noteErrLocked(fmt.Errorf("job record remove: %w", err))
 		return
 	}
-	if err := st.f.Sync(); err != nil {
-		st.noteErrLocked(fmt.Errorf("journal sync: %w", err))
-	}
+	os.Remove(st.path(id, ".json")) //nolint:errcheck // best-effort cleanup
+	syncDir(st.dir)
 }
 
 func (st *Store) noteErrLocked(err error) {
@@ -336,82 +292,30 @@ func (st *Store) noteErrLocked(err error) {
 	}
 }
 
-// Accepted journals a job's admission (or re-admission on resubmit
-// after cancel) with its normalized request.
-func (st *Store) Accepted(id string, req Request) {
-	st.append(journalRecord{T: recAccepted, Job: id, Req: &req})
-}
-
-// Started journals the queued→running transition. A job with a started
-// record but no terminal one is failed-by-crash on the next boot.
-func (st *Store) Started(id string) {
-	st.append(journalRecord{T: recStarted, Job: id})
-}
-
-// Done persists a completed report durably: blob first (temp file,
-// fsync, atomic rename), then the journal record vouching for its hash.
-// A crash between the two leaves an orphaned blob that replay ignores —
-// never a journal record pointing at bytes that were not fully written.
-func (st *Store) Done(id string, report []byte) {
-	if st == nil {
-		return
+// writeFileAtomic lands b at path durably: temp file, fsync, rename,
+// directory sync. failpoint names the chaos site that can fail it.
+func writeFileAtomic(failpoint, path string, b []byte) error {
+	if err := chaos.Hit(failpoint); err != nil {
+		return err
 	}
-	if err := st.writeReport(id, report); err != nil {
-		st.mu.Lock()
-		st.noteErrLocked(err)
-		st.mu.Unlock()
-		return
-	}
-	st.append(journalRecord{T: recDone, Job: id, SHA: sha256Hex(report)})
-}
-
-// Failed journals a terminal failure; crash marks recovery-written
-// failures that stay resubmittable.
-func (st *Store) Failed(id, errMsg string, crash bool) {
-	st.append(journalRecord{T: recFailed, Job: id, Err: errMsg, Crash: crash})
-}
-
-// Canceled journals an explicit cancellation. Shutdown-drained queued
-// jobs are deliberately NOT journaled as canceled: their accepted
-// records survive, so a restart re-queues them.
-func (st *Store) Canceled(id, errMsg string) {
-	st.append(journalRecord{T: recCanceled, Job: id, Err: errMsg})
-}
-
-// Evicted journals an LRU eviction and removes the report blob; replay
-// forgets the job entirely.
-func (st *Store) Evicted(id string) {
-	if st == nil {
-		return
-	}
-	st.append(journalRecord{T: recEvicted, Job: id})
-	os.Remove(st.reportPath(id)) //nolint:errcheck // best-effort cleanup
-}
-
-// writeReport lands a blob durably: temp file, fsync, rename, dir sync.
-func (st *Store) writeReport(id string, report []byte) error {
-	if err := chaos.Hit("service.report.write"); err != nil {
-		return fmt.Errorf("report write: %w", err)
-	}
-	path := st.reportPath(id)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("report write: %w", err)
+		return err
 	}
-	if _, err := f.Write(report); err != nil {
+	if _, err := f.Write(b); err != nil {
 		f.Close()
-		return fmt.Errorf("report write: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("report sync: %w", err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("report close: %w", err)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("report rename: %w", err)
+		return err
 	}
 	syncDir(filepath.Dir(path))
 	return nil
@@ -429,7 +333,7 @@ func (st *Store) Err() error {
 	return st.err
 }
 
-// WriteErrs counts append/blob failures since boot.
+// WriteErrs counts record and blob write failures since boot.
 func (st *Store) WriteErrs() uint64 {
 	if st == nil {
 		return 0
@@ -437,19 +341,6 @@ func (st *Store) WriteErrs() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.writeErrs
-}
-
-// Close closes the journal file.
-func (st *Store) Close() {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.f != nil {
-		st.f.Close() //nolint:errcheck // appends are already fsync'd
-		st.f = nil
-	}
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power
@@ -463,7 +354,7 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// sha256Hex is the journal's content-hash form for report blobs.
+// sha256Hex is the content-hash form a done record carries for its blob.
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

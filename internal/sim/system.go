@@ -354,7 +354,7 @@ func (s *System) buildEngine() {
 		if every == 0 {
 			every = 5_000_000
 		}
-		s.eng.SetProgress(every, p)
+		s.eng.AddHook(every, p)
 	}
 	if s.cfg.TimelineInterval > 0 {
 		s.sampler = timeline.NewSampler(timeline.Config{
@@ -364,7 +364,7 @@ func (s *System) buildEngine() {
 			Probe:    s.timelineScalars,
 			OnEpoch:  s.cfg.TimelineOnEpoch,
 		})
-		s.eng.SetObserver(s.cfg.TimelineInterval, s.sampler.Sample)
+		s.eng.AddHook(s.cfg.TimelineInterval, s.sampler.Sample)
 	}
 }
 
