@@ -214,3 +214,37 @@ func TestSolveWorstBLUsesMaxContent(t *testing.T) {
 		t.Fatalf("SolveWorstBL %v != explicit worst BL %v", worst.MinVd, explicit.MinVd)
 	}
 }
+
+// BenchmarkFastModelSolve times one reduced-model solve of the paper's
+// 512×512 crossbar at the table's worst corner (farthest wordline and
+// bitlines, all-LRS content) and at a mid-table bucket corner.
+func BenchmarkFastModelSolve(b *testing.B) {
+	p := DefaultParams()
+	f, err := NewFastModel(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := func(high int) []int {
+		cs := make([]int, p.SelectedCells)
+		for i := range cs {
+			cs[i] = high - p.SelectedCells + i
+		}
+		return cs
+	}
+	for _, c := range []struct {
+		name string
+		op   FastOp
+	}{
+		{"worst", FastOp{Row: p.N - 1, Cols: cols(p.N), WLLRS: p.N - p.SelectedCells, BLLRS: p.N - 1}},
+		{"mid", FastOp{Row: 255, Cols: cols(256), WLLRS: 255, BLLRS: p.N - 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Solve(c.op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,9 @@ package timing
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ladder/internal/circuit"
 )
@@ -45,7 +48,12 @@ func (t *NTable) Lookup(wl, bl, clrs int) float64 {
 func (t *NTable) StorageBytes() int { return t.B * t.B * t.B }
 
 // GenerateN builds a timing table with `buckets` buckets per dimension,
-// sampling each bucket's worst corner like Generate.
+// sampling each bucket's worst corner (maximum wordline index, maximum
+// bitline index and maximum content count within the bucket), so a lookup
+// is always sufficient for any operating point inside the bucket. The
+// cells are independent circuit solves; they run on GOMAXPROCS workers,
+// each writing its result by index, so the table does not depend on the
+// worker count.
 func GenerateN(p circuit.Params, m Model, buckets int, opts TableOptions) (*NTable, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -61,50 +69,56 @@ func GenerateN(p circuit.Params, m Model, buckets int, opts TableOptions) (*NTab
 	if sel <= 0 || sel > p.N {
 		return nil, fmt.Errorf("timing: selected cells %d out of range 1..%d", sel, p.N)
 	}
+	if opts.Content != WLContent && opts.Content != BLContent {
+		return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
+	}
 	f, err := circuit.NewFastModel(p)
 	if err != nil {
 		return nil, err
 	}
 	t := &NTable{B: buckets, Granularity: gran, Content: opts.Content, LatNs: make([]float64, buckets*buckets*buckets)}
-	for wb := 0; wb < buckets; wb++ {
-		row := (wb+1)*gran - 1
-		for bb := 0; bb < buckets; bb++ {
-			// The selected byte's bitlines end at the bucket's top column;
-			// with buckets finer than a byte the span reaches back across
-			// neighboring buckets.
-			colHigh := (bb + 1) * gran
-			if colHigh < sel {
-				colHigh = sel
-			}
-			cols := make([]int, sel)
-			for i := range cols {
-				cols[i] = colHigh - sel + i
-			}
-			for cb := 0; cb < buckets; cb++ {
-				content := (cb+1)*gran - 1
-				var op circuit.FastOp
-				switch opts.Content {
-				case WLContent:
-					wl := content
-					if wl > p.N-sel {
-						wl = p.N - sel
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: wl, BLLRS: p.N - 1}
-				case BLContent:
-					bl := content
-					if bl > p.N-1 {
-						bl = p.N - 1
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: p.N - sel, BLLRS: bl}
-				default:
-					return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
+	// op returns the circuit operation of a bucket triple.
+	op := func(wb, bb, cb int) circuit.FastOp {
+		// The selected byte's bitlines end at the bucket's top column;
+		// with buckets finer than a byte the span reaches back across
+		// neighboring buckets.
+		colHigh := max((bb+1)*gran, sel)
+		cols := make([]int, sel)
+		for i := range cols {
+			cols[i] = colHigh - sel + i
+		}
+		content := (cb+1)*gran - 1
+		if opts.Content == WLContent {
+			return circuit.FastOp{Row: (wb+1)*gran - 1, Cols: cols, WLLRS: min(content, p.N-sel), BLLRS: p.N - 1}
+		}
+		return circuit.FastOp{Row: (wb+1)*gran - 1, Cols: cols, WLLRS: p.N - sel, BLLRS: min(content, p.N-1)}
+	}
+	errs := make([]error, len(t.LatNs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(t.LatNs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(t.LatNs) {
+					return
 				}
-				res, err := f.Solve(op)
+				wb, bb, cb := idx/(buckets*buckets), idx/buckets%buckets, idx%buckets
+				res, err := f.Solve(op(wb, bb, cb))
 				if err != nil {
-					return nil, fmt.Errorf("generating bucket (%d,%d,%d): %w", wb, bb, cb, err)
+					errs[idx] = fmt.Errorf("generating bucket (%d,%d,%d): %w", wb, bb, cb, err)
+					continue
 				}
-				t.LatNs[t.index(wb, bb, cb)] = m.Latency(res.MinVd)
+				t.LatNs[idx] = m.Latency(res.MinVd)
 			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return t, nil

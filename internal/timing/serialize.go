@@ -1,26 +1,15 @@
 package timing
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 )
 
-// Serialization.
-//
-// Two forms exist:
-//
-//   - The SPD ROM image (Section 6.3): the memory-module manufacturer
-//     programs the write-timing table into a Serial Presence Detect ROM,
-//     one byte per entry (8×8×8 = 512 B), which the host loads at boot.
-//     The byte encoding quantizes latency over [MinNs, MaxNs] and always
-//     rounds up, so a decoded table is never optimistic.
-//
-//   - A full-precision gob stream for caching generated TableSets on
-//     disk (regenerating the 512×512 tables from the circuit model takes
-//     seconds; loading the cache is instant).
+// The SPD ROM image (Section 6.3): the memory-module manufacturer
+// programs the write-timing table into a Serial Presence Detect ROM, one
+// byte per entry (8×8×8 = 512 B), which the host loads at boot. The byte
+// encoding quantizes latency over [MinNs, MaxNs] and always rounds up, so
+// a decoded table is never optimistic.
 
 // SPDBytes is the ROM image size: one byte per table entry.
 const SPDBytes = Buckets * Buckets * Buckets
@@ -67,44 +56,4 @@ func DecodeSPD(spd [SPDBytes]byte, granularity int, content ContentDim) (*Table,
 		}
 	}
 	return t, nil
-}
-
-// Save writes the table set to w in full precision.
-func (ts *TableSet) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(ts)
-}
-
-// LoadTableSet reads a table set saved with Save.
-func LoadTableSet(r io.Reader) (*TableSet, error) {
-	var ts TableSet
-	if err := gob.NewDecoder(r).Decode(&ts); err != nil {
-		return nil, fmt.Errorf("timing: decoding table set: %w", err)
-	}
-	if ts.WL == nil || ts.BL == nil || ts.Half == nil {
-		return nil, fmt.Errorf("timing: decoded table set is incomplete")
-	}
-	return &ts, nil
-}
-
-// SaveFile and LoadTableSetFile are file-path conveniences.
-func (ts *TableSet) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ts.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadTableSetFile reads a table set from a file written by SaveFile.
-func LoadTableSetFile(path string) (*TableSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadTableSet(f)
 }

@@ -1,10 +1,6 @@
 package timing
 
-import (
-	"bytes"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestSPDRoundTripConservative(t *testing.T) {
 	ts, err := NewTableSet(testParams())
@@ -43,53 +39,5 @@ func TestDecodeSPDValidation(t *testing.T) {
 func TestSPDSizeMatchesPaper(t *testing.T) {
 	if SPDBytes != 512 {
 		t.Fatalf("SPD image = %d bytes, want 512 (paper Section 6.3)", SPDBytes)
-	}
-}
-
-func TestTableSetSaveLoadRoundTrip(t *testing.T) {
-	ts, err := NewTableSet(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ts.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTableSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.WorstNs != ts.WorstNs || *got.WL != *ts.WL || *got.BL != *ts.BL || *got.Half != *ts.Half {
-		t.Fatal("round trip mismatch")
-	}
-	if got.Model != ts.Model {
-		t.Fatal("model mismatch")
-	}
-}
-
-func TestTableSetSaveLoadFile(t *testing.T) {
-	ts, err := NewTableSet(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "tables.gob")
-	if err := ts.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTableSetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got.WL != *ts.WL {
-		t.Fatal("file round trip mismatch")
-	}
-	if _, err := LoadTableSetFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Fatal("missing file should fail")
-	}
-}
-
-func TestLoadTableSetRejectsGarbage(t *testing.T) {
-	if _, err := LoadTableSet(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("garbage should fail")
 	}
 }

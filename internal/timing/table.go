@@ -134,17 +134,10 @@ func (t *Table) ShrinkRange(factor float64) *Table {
 	return out
 }
 
-// Generate builds a timing table by sweeping the reduced circuit model
-// over the worst corner of every bucket (maximum wordline index, maximum
-// bitline index and maximum content count within the bucket), so a lookup
-// is always sufficient for any operating point inside the bucket.
+// Generate builds the paper's 8×8×8 timing table: GenerateN at Buckets
+// buckets per dimension, with the selected cells confined to one bucket's
+// bitlines.
 func Generate(p circuit.Params, m Model, opts TableOptions) (*Table, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.N%Buckets != 0 {
-		return nil, fmt.Errorf("timing: crossbar size %d not divisible into %d buckets", p.N, Buckets)
-	}
 	sel := p.SelectedCells
 	if opts.SelectedCells != 0 {
 		sel = opts.SelectedCells
@@ -152,45 +145,15 @@ func Generate(p circuit.Params, m Model, opts TableOptions) (*Table, error) {
 	if sel <= 0 || sel > p.N/Buckets {
 		return nil, fmt.Errorf("timing: selected cells %d out of range 1..%d", sel, p.N/Buckets)
 	}
-	f, err := circuit.NewFastModel(p)
+	nt, err := GenerateN(p, m, Buckets, opts)
 	if err != nil {
 		return nil, err
 	}
-	gran := p.N / Buckets
-	tbl := &Table{Granularity: gran, Content: opts.Content}
-	for wb := 0; wb < Buckets; wb++ {
-		row := (wb+1)*gran - 1
-		for bb := 0; bb < Buckets; bb++ {
-			// Worst bitlines of the bucket: the top `sel` columns.
-			colHigh := (bb + 1) * gran
-			cols := make([]int, sel)
-			for i := range cols {
-				cols[i] = colHigh - sel + i
-			}
-			for cb := 0; cb < Buckets; cb++ {
-				content := (cb+1)*gran - 1
-				var op circuit.FastOp
-				switch opts.Content {
-				case WLContent:
-					wl := content
-					if wl > p.N-sel {
-						wl = p.N - sel
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: wl, BLLRS: p.N - 1}
-				case BLContent:
-					bl := content
-					if bl > p.N-1 {
-						bl = p.N - 1
-					}
-					op = circuit.FastOp{Row: row, Cols: cols, WLLRS: p.N - sel, BLLRS: bl}
-				default:
-					return nil, fmt.Errorf("timing: unknown content dimension %d", opts.Content)
-				}
-				res, err := f.Solve(op)
-				if err != nil {
-					return nil, fmt.Errorf("generating bucket (%d,%d,%d): %w", wb, bb, cb, err)
-				}
-				tbl.LatNs[wb][bb][cb] = m.Latency(res.MinVd)
+	tbl := &Table{Granularity: nt.Granularity, Content: nt.Content}
+	for wb := range tbl.LatNs {
+		for bb := range tbl.LatNs[wb] {
+			for cb := range tbl.LatNs[wb][bb] {
+				tbl.LatNs[wb][bb][cb] = nt.LatNs[nt.index(wb, bb, cb)]
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"os"
 	"sync"
 
 	"ladder/internal/circuit"
@@ -53,24 +52,9 @@ var (
 )
 
 // DefaultTableSet returns the table set for the paper's Table 1 crossbar,
-// generated once per process (generation sweeps the circuit model and
-// takes a moment). When LADDER_TABLE_CACHE names a file path, the set is
-// loaded from it if present and saved to it after generation, so repeated
-// command invocations skip the circuit sweep.
+// generated once per process.
 func DefaultTableSet() (*TableSet, error) {
 	defaultOnce.Do(func() {
-		if path := os.Getenv("LADDER_TABLE_CACHE"); path != "" {
-			if ts, err := LoadTableSetFile(path); err == nil {
-				defaultSet = ts
-				return
-			}
-			defaultSet, defaultErr = NewTableSet(circuit.DefaultParams())
-			if defaultErr == nil {
-				// Best effort: a failed save only costs the next startup.
-				_ = defaultSet.SaveFile(path)
-			}
-			return
-		}
 		defaultSet, defaultErr = NewTableSet(circuit.DefaultParams())
 	})
 	return defaultSet, defaultErr

@@ -272,3 +272,15 @@ func TestDefaultTableSetCachedAndSane(t *testing.T) {
 		t.Fatalf("worst entry %v; expected near %v", a.WorstNs, MaxLatencyNs)
 	}
 }
+
+// BenchmarkNewTableSet times a cold generation of the paper's Table 1
+// table set: calibration plus the three 8×8×8 sweeps, on GOMAXPROCS
+// workers.
+func BenchmarkNewTableSet(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTableSet(circuit.DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
