@@ -1,0 +1,118 @@
+package reram
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"ladder/internal/bits"
+)
+
+var updateResident = flag.Bool("update", false, "rewrite testdata/resident.golden from the current store")
+
+// residentModes are the store configurations that change how a prefilled
+// row is built: the plain path, the shifting schemes' datapath (Est,
+// Hybrid) with unshifted counters, and BLP's per-bitline tracking.
+var residentModes = []string{"plain", "shifted", "columns"}
+
+// residentStore returns a store with resident data at the given level and
+// seed, configured the way a simulation of the named mode configures it.
+func residentStore(t testing.TB, level int, seed uint64, mode string) *Store {
+	t.Helper()
+	s, err := NewStore(DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetResident(level, seed)
+	s.SetColumnTracking(mode == "columns")
+	if mode == "shifted" {
+		s.TrackUnshiftedCounters()
+		s.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
+			return bits.Shifted(l, slot)
+		})
+	}
+	return s
+}
+
+// residentGoldenKeys are the global rows the golden prefills: strided so
+// that several rows share each mat group's column state.
+func residentGoldenKeys() []uint64 {
+	keys := make([]uint64, 256)
+	for i := range keys {
+		keys[i] = uint64(i) * 97
+	}
+	return keys
+}
+
+// goldenResident renders one line per level and mode: SHA-256 digests of
+// the stored data, the per-wordline counters, the unshifted counters and
+// the column state of every golden row.
+func goldenResident(t *testing.T) []byte {
+	var out bytes.Buffer
+	for level := 1; level <= 3; level++ {
+		for _, mode := range residentModes {
+			s := residentStore(t, level, 0x5eed+uint64(level), mode)
+			data, counters, unshifted, cols := sha256.New(), sha256.New(), sha256.New(), sha256.New()
+			for _, key := range residentGoldenKeys() {
+				if err := s.EnsureRow(s.geom.RowBaseLine(key)); err != nil {
+					t.Fatal(err)
+				}
+				r := s.rows[key]
+				for b := range r.data {
+					data.Write(r.data[b][:])
+				}
+				_ = binary.Write(counters, binary.LittleEndian, r.counters)
+				_ = binary.Write(unshifted, binary.LittleEndian, r.unshifted)
+			}
+			groups := make([]uint64, 0, len(s.cols))
+			for g := range s.cols {
+				groups = append(groups, g)
+			}
+			sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
+			for _, g := range groups {
+				_ = binary.Write(cols, binary.LittleEndian, g)
+				_ = binary.Write(cols, binary.LittleEndian, s.cols[g])
+			}
+			fmt.Fprintf(&out, "level=%d mode=%s data=%x counters=%x unshifted=%x cols=%x\n",
+				level, mode, data.Sum(nil), counters.Sum(nil), unshifted.Sum(nil), cols.Sum(nil))
+		}
+	}
+	return out.Bytes()
+}
+
+// TestResidentRowsGolden pins the synthetic resident content and every
+// counter built from it. Resident rows feed each simulation's metadata and
+// write latencies, so prefill may get faster but must not draw a single
+// bit differently. A deliberate change regenerates the file with:
+// go test ./internal/reram -run ResidentRowsGolden -update
+func TestResidentRowsGolden(t *testing.T) {
+	path := filepath.Join("testdata", "resident.golden")
+	got := goldenResident(t)
+	if *updateResident {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Errorf("resident rows differ from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("resident golden has %d lines, want %d", len(gl), len(wl))
+	}
+}
