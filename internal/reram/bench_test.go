@@ -1,0 +1,65 @@
+package reram
+
+import (
+	"math/rand"
+	"testing"
+
+	"ladder/internal/bits"
+)
+
+// BenchmarkStoreEnsureRow times the first touch of one wordline group with
+// level-2 resident data (the simulator's default), per store configuration:
+// plain, the shifting schemes' transform with unshifted counters, and BLP's
+// column tracking. One op is one prefilled row.
+func BenchmarkStoreEnsureRow(b *testing.B) {
+	for _, mode := range residentModes {
+		b.Run(mode, func(b *testing.B) {
+			s := residentStore(b, 2, 1, mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Dropping the row keeps memory flat; the column state
+				// of the 64 mat groups cycled through stays allocated.
+				key := uint64(i) % (64 * uint64(s.geom.MatRows))
+				s.ensure(key)
+				delete(s.rows, key)
+			}
+		})
+	}
+}
+
+// BenchmarkStoreWrite times one block write into already-resident rows,
+// per store configuration. One op is one Write call.
+func BenchmarkStoreWrite(b *testing.B) {
+	const rows = 64
+	rng := rand.New(rand.NewSource(1))
+	data := make([]bits.Line, 1024)
+	for i := range data {
+		for j := range data[i] {
+			// About 0.25 ones density: a byte ANDs two uniform draws.
+			data[i][j] = byte(rng.Intn(256) & rng.Intn(256))
+		}
+	}
+	lines := make([]uint64, len(data))
+	for i := range lines {
+		lines[i] = uint64(rng.Intn(rows * BlocksPerRow))
+	}
+	for _, mode := range residentModes {
+		b.Run(mode, func(b *testing.B) {
+			s := residentStore(b, 2, 1, mode)
+			for r := uint64(0); r < rows; r++ {
+				if err := s.EnsureRow(r * BlocksPerRow); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(data)
+				if _, err := s.Write(lines[j], data[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -411,6 +411,53 @@ func TestResidentPrefillDensityAndCounters(t *testing.T) {
 	}
 }
 
+// TestResidentPrefillShiftedCounters checks the counters a prefill under
+// the shifting schemes' transform builds beside the wordline counters: the
+// tracked unshifted maximum equals the untracked 64-block reverse-shift
+// scan, and the per-bitline column state equals a recount from the data.
+func TestResidentPrefillShiftedCounters(t *testing.T) {
+	for level := 1; level <= 3; level++ {
+		s := residentStore(t, level, 11, "shifted")
+		s.SetColumnTracking(true)
+		// Rows 0..15 share mat group 0, so its columns sum 16 rows.
+		for key := uint64(0); key < 16; key++ {
+			line := s.geom.RowBaseLine(key)
+			if err := s.EnsureRow(line); err != nil {
+				t.Fatal(err)
+			}
+			tracked, err := s.MaxRowCounterUnshifted(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.trackUnshifted = false
+			scanned, err := s.MaxRowCounterUnshifted(line)
+			s.trackUnshifted = true
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tracked != scanned || tracked == 0 {
+				t.Fatalf("level %d row %d: tracked unshifted max %d, scan %d", level, key, tracked, scanned)
+			}
+		}
+		var recount colState
+		for key, r := range s.rows {
+			if key/uint64(s.geom.MatRows) != 0 {
+				continue
+			}
+			for b := range r.data {
+				for m, c := range r.data[b] {
+					for k := 0; k < 8; k++ {
+						recount[m][b*8+k] += uint16(c >> k & 1)
+					}
+				}
+			}
+		}
+		if cs := s.cols[0]; cs == nil || *cs != recount {
+			t.Fatalf("level %d: column state diverges from a recount of the data", level)
+		}
+	}
+}
+
 func TestResidentPrefillIncrementalAfterOverwrite(t *testing.T) {
 	s, err := NewStore(DefaultGeometry())
 	if err != nil {

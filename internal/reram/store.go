@@ -1,6 +1,7 @@
 package reram
 
 import (
+	"encoding/binary"
 	"fmt"
 	mbits "math/bits"
 
@@ -119,8 +120,9 @@ func (s *Store) SetResidentTransform(f func(slot int, l bits.Line) bits.Line) {
 	s.residentTransform = f
 }
 
-// residentHotCold returns the per-level bit statistics: hotMask builds a
-// hot byte by ANDing/ORing rng draws, coldShift sets the zero-byte odds.
+// residentParams returns the per-level bit statistics: hotDraws is the
+// number of rng draws ANDed/ORed into a hot byte, coldOdds the odds (a
+// power of two) that a cold byte is nonzero.
 func residentParams(level int) (hotDraws int, coldOdds uint64) {
 	switch {
 	case level <= 1:
@@ -132,16 +134,59 @@ func residentParams(level int) (hotDraws int, coldOdds uint64) {
 	}
 }
 
-// residentHotByte synthesizes one dense byte for the given level.
-func residentHotByte(rng *splitmixState, hotDraws int) byte {
+// splitmixGamma is the splitmix64 state increment.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmix64 advances a splitmix64 state by one draw, returning the new
+// state and the draw. Resident synthesis keeps the state in a local
+// variable, so a draw costs no memory traffic.
+func splitmix64(x uint64) (state, out uint64) {
+	x += splitmixGamma
+	z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return x, z ^ (z >> 31)
+}
+
+// residentHotByte synthesizes one dense byte for the given level, returning
+// the advanced state and the byte in the low 8 bits.
+func residentHotByte(x uint64, hotDraws int) (state, hot uint64) {
+	var a, b, c uint64
 	switch hotDraws {
 	case 1:
-		return byte(rng.next())
+		x, a = splitmix64(x)
+		return x, a & 0xff
 	case 2:
-		a, b, c := rng.next(), rng.next(), rng.next()
-		return byte((a | b) & c) // p = 0.375
+		x, a = splitmix64(x)
+		x, b = splitmix64(x)
+		x, c = splitmix64(x)
+		return x, (a | b) & c & 0xff // p = 0.375
 	default:
-		return byte(rng.next() & rng.next()) // p = 0.25
+		x, a = splitmix64(x)
+		x, b = splitmix64(x)
+		return x, a & b & 0xff // p = 0.25
+	}
+}
+
+// perBytePop returns the popcount of every byte of x in the corresponding
+// byte lane of the result (each lane holds 0..8).
+func perBytePop(x uint64) uint64 {
+	x -= (x >> 1) & 0x5555555555555555
+	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
+	return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
+}
+
+// laneFlushBlocks is how many blocks of perBytePop lanes a byte lane can
+// sum before it could pass 255 (8 per block).
+const laneFlushBlocks = 31
+
+// flushLanes adds the byte lanes of acc (lane k of word w counts wordline
+// w*8+k) to the counters and clears acc.
+func flushLanes(dst *[BlockSize]uint16, acc *[BlockSize / 8]uint64) {
+	for w, lanes := range acc {
+		for k := 0; k < 8; k++ {
+			dst[w*8+k] += uint16(lanes >> (8 * k) & 0xff)
+		}
+		acc[w] = 0
 	}
 }
 
@@ -153,93 +198,105 @@ func (s *Store) EnsureRow(line uint64) error {
 	if err != nil {
 		return err
 	}
-	s.ensure(s.geom.GlobalRow(loc), loc)
+	s.ensure(s.geom.GlobalRow(loc))
 	return nil
 }
 
 // ensure returns the row state, allocating and prefilling on first touch.
-func (s *Store) ensure(key uint64, loc Location) *rowState {
+func (s *Store) ensure(key uint64) *rowState {
 	if r := s.rows[key]; r != nil {
 		return r
 	}
 	r := &rowState{}
 	s.rows[key] = r
-	if s.residentLevel <= 0 {
-		return r
-	}
-	// Fill every block with resident data and build the counters.
-	var cs *colState
-	if s.trackCols {
-		matGroup := key / uint64(s.geom.MatRows)
-		cs = s.cols[matGroup]
-		if cs == nil {
-			cs = &colState{}
-			s.cols[matGroup] = cs
+	if s.residentLevel > 0 {
+		var cs *colState
+		if s.trackCols {
+			cs = s.colsOf(key)
 		}
-	}
-	rng := splitmix(s.residentSeed ^ key*0x9e3779b97f4a7c15)
-	hotDraws, coldOdds := residentParams(s.residentLevel)
-	// coldOdds is always a power of two, so the cold-byte draw reduces to a
-	// mask test (identical on the same rng stream).
-	coldMask := coldOdds - 1
-	// One dense byte position per 8-byte word position, fixed per row and
-	// aligned across blocks (the page-repetitive pattern real data shows).
-	var hotPos [BlockSize / 8]int
-	for w := range hotPos {
-		hotPos[w] = w*8 + int(rng.next()&7)
-	}
-	for b := 0; b < BlocksPerRow; b++ {
-		for w := 0; w < BlockSize/8; w++ {
-			for k := 0; k < 8; k++ {
-				pos := w*8 + k
-				var v byte
-				if pos == hotPos[w] {
-					v = residentHotByte(rng, hotDraws)
-				} else if rng.next()&coldMask == 0 {
-					v = 1 << (rng.next() & 7)
-				}
-				r.data[b][pos] = v
-			}
-		}
-		if s.residentTransform != nil {
-			r.data[b] = s.residentTransform(b, r.data[b])
-		}
-		base := b * 8
-		for m := 0; m < BlockSize; m++ {
-			c := r.data[b][m]
-			if c == 0 {
-				continue
-			}
-			r.counters[m] += uint16(onesOf(c))
-			if cs != nil {
-				for v := c; v != 0; v &= v - 1 {
-					cs[m][base+mbits.TrailingZeros8(v)]++
-				}
-			}
-		}
-		if s.trackUnshifted {
-			raw := bits.Unshifted(r.data[b], b)
-			for m := 0; m < BlockSize; m++ {
-				if raw[m] != 0 {
-					r.unshifted[m] += uint16(onesOf(raw[m]))
-				}
-			}
-		}
+		s.prefill(r, cs, key)
 	}
 	return r
 }
 
-// splitmix is a tiny deterministic PRNG for resident-data synthesis.
-type splitmixState struct{ x uint64 }
+// colsOf returns the column state of the row's mat group, allocating it on
+// first use.
+func (s *Store) colsOf(key uint64) *colState {
+	matGroup := key / uint64(s.geom.MatRows)
+	cs := s.cols[matGroup]
+	if cs == nil {
+		cs = &colState{}
+		s.cols[matGroup] = cs
+	}
+	return cs
+}
 
-func splitmix(seed uint64) *splitmixState { return &splitmixState{x: seed} }
-
-func (s *splitmixState) next() uint64 {
-	s.x += 0x9e3779b97f4a7c15
-	z := s.x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// prefill fills a fresh row with resident data and adds it to the row's
+// counters (and to cs, the mat group's column state, when non-nil). Each
+// row draws from its own splitmix64 stream: first one dense byte position
+// per 8-byte word position, fixed per row and aligned across blocks (the
+// page-repetitive pattern real data shows); then, block by block and byte
+// by byte, either the dense byte's draws or a cold-byte draw followed, when
+// the cold byte is nonzero, by a bit-position draw. It returns the final
+// stream state, so tests can tell a changed draw count.
+func (s *Store) prefill(r *rowState, cs *colState, key uint64) uint64 {
+	x := s.residentSeed ^ key*splitmixGamma
+	var v uint64
+	hotDraws, coldOdds := residentParams(s.residentLevel)
+	coldMask := coldOdds - 1
+	var hotK [BlockSize / 8]int
+	for w := range hotK {
+		x, v = splitmix64(x)
+		hotK[w] = int(v & 7)
+	}
+	// Per-byte popcounts of the stored (and unshifted) words accumulate in
+	// byte lanes, flushed to the uint16 counters before a lane can carry.
+	var acc, accRaw [BlockSize / 8]uint64
+	for b := 0; b < BlocksPerRow; b++ {
+		blk := &r.data[b]
+		for w := 0; w < BlockSize/8; w++ {
+			var word uint64
+			for k := 0; k < 8; k++ {
+				var c uint64
+				if k == hotK[w] {
+					x, c = residentHotByte(x, hotDraws)
+				} else if x, v = splitmix64(x); v&coldMask == 0 {
+					x, v = splitmix64(x)
+					c = 1 << (v & 7)
+				}
+				word |= c << (8 * k)
+			}
+			binary.LittleEndian.PutUint64(blk[w*8:], word)
+		}
+		if s.residentTransform != nil {
+			*blk = s.residentTransform(b, *blk)
+		}
+		var raw bits.Line
+		if s.trackUnshifted {
+			raw = bits.Unshifted(*blk, b)
+		}
+		base := b * 8
+		for w := 0; w < BlockSize/8; w++ {
+			word := binary.LittleEndian.Uint64(blk[w*8:])
+			acc[w] += perBytePop(word)
+			if s.trackUnshifted {
+				accRaw[w] += perBytePop(binary.LittleEndian.Uint64(raw[w*8:]))
+			}
+			if cs != nil {
+				for ; word != 0; word &= word - 1 {
+					i := mbits.TrailingZeros64(word)
+					cs[w*8+i>>3][base+i&7]++
+				}
+			}
+		}
+		if (b+1)%laneFlushBlocks == 0 || b == BlocksPerRow-1 {
+			flushLanes(&r.counters, &acc)
+			if s.trackUnshifted {
+				flushLanes(&r.unshifted, &accRaw)
+			}
+		}
+	}
+	return x
 }
 
 // Geometry returns the store's geometry.
@@ -269,23 +326,18 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 		return bits.Line{}, err
 	}
 	key := s.geom.GlobalRow(loc)
-	r := s.ensure(key, loc)
+	r := s.ensure(key)
 	old = r.data[loc.Slot]
 	for m := 0; m < BlockSize; m++ {
 		if old[m] == data[m] {
 			continue
 		}
-		delta := int(onesOf(data[m])) - int(onesOf(old[m]))
+		delta := mbits.OnesCount8(data[m]) - mbits.OnesCount8(old[m])
 		r.counters[m] = uint16(int(r.counters[m]) + delta)
 	}
 	if s.trackCols {
 		// Update per-bitline counters for the changed bits.
-		matGroup := key / uint64(s.geom.MatRows)
-		cs := s.cols[matGroup]
-		if cs == nil {
-			cs = &colState{}
-			s.cols[matGroup] = cs
-		}
+		cs := s.colsOf(key)
 		base := loc.Slot * 8
 		for m := 0; m < BlockSize; m++ {
 			changed := old[m] ^ data[m]
@@ -306,7 +358,7 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 			if rawOld[m] == rawNew[m] {
 				continue
 			}
-			delta := int(onesOf(rawNew[m])) - int(onesOf(rawOld[m]))
+			delta := mbits.OnesCount8(rawNew[m]) - mbits.OnesCount8(rawOld[m])
 			r.unshifted[m] = uint16(int(r.unshifted[m]) + delta)
 		}
 	}
@@ -367,7 +419,7 @@ func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
 	for b := 0; b < BlocksPerRow; b++ {
 		raw := bits.Unshifted(r.data[b], b)
 		for m := 0; m < BlockSize; m++ {
-			counters[m] += int(onesOf(raw[m]))
+			counters[m] += mbits.OnesCount8(raw[m])
 		}
 	}
 	max := 0
@@ -425,7 +477,7 @@ func (s *Store) RecountRow(line uint64) ([BlockSize]uint16, error) {
 	for m := 0; m < BlockSize; m++ {
 		total := 0
 		for b := 0; b < BlocksPerRow; b++ {
-			total += int(onesOf(r.data[b][m]))
+			total += mbits.OnesCount8(r.data[b][m])
 		}
 		out[m] = uint16(total)
 	}
@@ -473,18 +525,3 @@ func (s *Store) MaxRowWrites() uint64 {
 func (s *Store) String() string {
 	return fmt.Sprintf("reram.Store{rows: %d, writes: %d}", len(s.rows), s.totalWrites)
 }
-
-var onesTable [256]uint8
-
-func init() {
-	for i := range onesTable {
-		v, n := i, 0
-		for v != 0 {
-			v &= v - 1
-			n++
-		}
-		onesTable[i] = uint8(n)
-	}
-}
-
-func onesOf(b byte) uint8 { return onesTable[b] }

@@ -155,11 +155,15 @@ func (g *Generator) synthesize(page uint64) bits.Line {
 		if hot[j] {
 			density = dHot
 		}
+		// Branch-free Bernoulli draws: a taken/not-taken branch on each
+		// bit would mispredict on a density-sized share of the 512 bits.
 		var b byte
 		for k := 0; k < 8; k++ {
+			var one byte
 			if g.rng.Float64() < density {
-				b |= 1 << uint(k)
+				one = 1
 			}
+			b |= one << k
 		}
 		l[j] = b
 	}
