@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"ladder"
+	"ladder/internal/core"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
@@ -231,6 +232,7 @@ func main() {
 	for i, ipc := range res.PerCoreIPC {
 		fmt.Printf("core %d IPC          %.4f\n", i, ipc)
 	}
+	rep := ladder.NewReport(res)
 	st := res.Stats
 	fmt.Printf("data reads          %d\n", st.DataReads)
 	fmt.Printf("data writes         %d\n", st.DataWrites)
@@ -240,8 +242,8 @@ func main() {
 	fmt.Printf("extra reads         %.1f%%\n", 100*st.ExtraReadFraction())
 	fmt.Printf("extra writes        %.1f%%\n", 100*st.ExtraWriteFraction())
 	fmt.Printf("avg write service   %.1f ns\n", st.AvgWriteServiceNs())
-	fmt.Printf("avg read latency    %.1f ns (p50 ≤ %.0f, p99 ≤ %.0f)\n",
-		st.AvgReadLatencyNs(), st.ReadLatencyPercentile(0.5), st.ReadLatencyPercentile(0.99))
+	rd := rep.Metrics.Histograms[core.MetricReadLatencyNs]
+	fmt.Printf("avg read latency    %.1f ns (p50 %.0f, p99 %.0f)\n", st.AvgReadLatencyNs(), rd.P50, rd.P99)
 	if st.CounterDiffN > 0 {
 		fmt.Printf("avg counter gap     %.1f (estimated - accurate C_lrs)\n", st.AvgCounterDiff())
 	}
@@ -251,14 +253,10 @@ func main() {
 			100*float64(st.FNWCanceled)/float64(st.FNWUnits))
 	}
 	fmt.Printf("dynamic energy      read %.1f nJ, write %.1f nJ\n", res.ReadNJ, res.WriteNJ)
-	if res.GapMoves > 0 {
-		fmt.Printf("VWL gap moves       %d\n", res.GapMoves)
-	}
 	if *verify {
 		fmt.Println("verification        PASS (all written lines decode to their logical content)")
 	}
 
-	rep := ladder.NewReport(res)
 	rl := rep.ResetLatency
 	fmt.Printf("RESET latency       n=%d mean %.1f p50 %.1f p95 %.1f p99 %.1f max %.1f ns\n",
 		rl.Count, rl.MeanNs, rl.P50Ns, rl.P95Ns, rl.P99Ns, rl.MaxNs)

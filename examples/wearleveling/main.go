@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("(paper: LADDER-Hybrid retains 97.1%% with ~3%% extra writes)\n")
 
 	fmt.Printf("\nwith Start-Gap VWL enabled:\n")
-	fmt.Printf("gap moves                %d\n", leveled.GapMoves)
+	fmt.Printf("gap moves                %d\n", leveled.Remap.GapMoves)
 	fmt.Printf("IPC without VWL          %.4f\n", hybrid.AvgIPC())
 	fmt.Printf("IPC with VWL             %.4f (%.1f%% of unleveled)\n",
 		leveled.AvgIPC(), 100*leveled.AvgIPC()/hybrid.AvgIPC())

@@ -63,7 +63,7 @@ func (s *Basic) keys(req *WriteRequest) []uint64 {
 func (s *Basic) Enqueue(req *WriteRequest) ([]AuxRead, []MetaWriteback) {
 	req.Payload = payloadFor(req.Data, req.Loc.Slot, false)
 	req.WaitSMB = true
-	s.env.Stats.SMBReads++
+	s.run.SMBReads.Inc()
 	aux := []AuxRead{{Kind: AuxSMB, Key: req.Line, Loc: req.Loc}}
 	metaAux, wbs := s.acquire(req, s.keys(req))
 	return append(aux, metaAux...), wbs

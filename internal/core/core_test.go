@@ -7,6 +7,7 @@ import (
 
 	"ladder/internal/bits"
 	"ladder/internal/circuit"
+	"ladder/internal/metrics"
 	"ladder/internal/reram"
 	"ladder/internal/timing"
 )
@@ -42,8 +43,11 @@ func testEnv(t *testing.T) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Env{Geom: testGeometry(), Store: store, Tables: testTables, Stats: &Stats{}}
+	return &Env{Geom: testGeometry(), Store: store, Tables: testTables, Metrics: metrics.NewRegistry()}
 }
+
+// envStats reads the env's run-level counts out of its registry.
+func envStats(env *Env) Stats { return StatsFrom(env.Metrics.Snapshot()) }
 
 func newReq(t *testing.T, env *Env, line uint64, data bits.Line) *WriteRequest {
 	t.Helper()
@@ -433,8 +437,8 @@ func TestBasicLifecycle(t *testing.T) {
 	if got != want {
 		t.Fatalf("cached max counter %d != store %d", got, want)
 	}
-	if env.Stats.SMBReads != 1 || env.Stats.MetaReads != 2 {
-		t.Fatalf("stats: smb=%d meta=%d", env.Stats.SMBReads, env.Stats.MetaReads)
+	if st := envStats(env); st.SMBReads != 1 || st.MetaReads != 2 {
+		t.Fatalf("stats: smb=%d meta=%d", st.SMBReads, st.MetaReads)
 	}
 }
 
@@ -462,7 +466,7 @@ func TestBasicSecondWriteHitsCache(t *testing.T) {
 			t.Fatal("second write in the page should hit the metadata cache")
 		}
 	}
-	if env.Stats.MetaCacheHits == 0 {
+	if envStats(env).MetaCacheHits == 0 {
 		t.Fatal("expected a metadata cache hit")
 	}
 }
@@ -480,7 +484,7 @@ func TestEstLifecycleAndEstimateSound(t *testing.T) {
 	if len(aux) != 1 || aux[0].Kind != AuxMeta {
 		t.Fatalf("est should issue exactly one metadata read, got %v", aux)
 	}
-	if env.Stats.SMBReads != 0 {
+	if envStats(env).SMBReads != 0 {
 		t.Fatal("est must not read SMBs")
 	}
 	s.MetaArrived(aux[0].Key)
@@ -680,8 +684,8 @@ func TestSpillAndRetry(t *testing.T) {
 	if s.SpillDepth() != 1 {
 		t.Fatalf("spill depth = %d", s.SpillDepth())
 	}
-	if env.Stats.SpillParks != 1 {
-		t.Fatalf("spill parks = %d", env.Stats.SpillParks)
+	if n := envStats(env).SpillParks; n != 1 {
+		t.Fatalf("spill parks = %d", n)
 	}
 	// Retry before reqA completes: still blocked.
 	if aux, _ := s.RetrySpill(); len(aux) != 0 {
@@ -727,33 +731,47 @@ func TestTable4Entries(t *testing.T) {
 	}
 }
 
-// --- stats histogram ---
+// --- read-latency histogram ---
 
 func TestReadLatencyPercentiles(t *testing.T) {
-	var s Stats
+	reg := metrics.NewRegistry()
+	h := NewInstruments(reg).ReadLatencyNs
 	for i := 0; i < 90; i++ {
-		s.RecordReadLatency(30) // bucket [16,32)
+		h.Observe(30) // bucket (16,32]
 	}
 	for i := 0; i < 10; i++ {
-		s.RecordReadLatency(5000) // tail
+		h.Observe(5000) // tail
 	}
+	snap := reg.Snapshot()
+	s := StatsFrom(snap)
 	if got := s.AvgReadLatencyNs(); got < 500 || got > 600 {
 		t.Fatalf("avg = %v", got)
 	}
-	p50 := s.ReadLatencyPercentile(0.5)
+	rd := snap.Histograms[MetricReadLatencyNs]
+	p50 := rd.Quantile(0.5)
 	if p50 > 64 {
-		t.Fatalf("p50 bound = %v, want <= 64", p50)
+		t.Fatalf("p50 = %v, want <= 64", p50)
 	}
-	p99 := s.ReadLatencyPercentile(0.99)
+	p99 := rd.Quantile(0.99)
 	if p99 < 4096 {
-		t.Fatalf("p99 bound = %v, want >= 4096", p99)
+		t.Fatalf("p99 = %v, want >= 4096", p99)
 	}
 	// Degenerate inputs are clamped.
-	if s.ReadLatencyPercentile(-1) == 0 || s.ReadLatencyPercentile(2) == 0 {
+	if rd.Quantile(-1) == 0 || rd.Quantile(2) == 0 {
 		t.Fatal("clamped percentiles should be positive")
 	}
-	var empty Stats
-	if empty.ReadLatencyPercentile(0.5) != 0 {
-		t.Fatal("empty stats should report 0")
+	empty := metrics.NewRegistry().Snapshot()
+	if empty.Histograms[MetricReadLatencyNs].Quantile(0.5) != 0 || StatsFrom(empty) != (Stats{}) {
+		t.Fatal("an empty registry should report 0")
+	}
+}
+
+// TestNewSchemeRequiresRegistry pins that a scheme cannot be built
+// without the registry that holds its traffic counts.
+func TestNewSchemeRequiresRegistry(t *testing.T) {
+	env := testEnv(t)
+	env.Metrics = nil
+	if _, err := NewScheme(SchemeHybrid, env, DefaultMetaCacheConfig()); err == nil {
+		t.Fatal("NewScheme accepted an env without a metrics registry")
 	}
 }

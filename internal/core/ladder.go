@@ -24,6 +24,7 @@ type ladderBase struct {
 	// the steady-state enqueue path allocation-free.
 	auxScratch []AuxRead
 	wbScratch  []MetaWriteback
+	run        Instruments // run-level counts, shared by every channel
 	// Estimator-accuracy instruments (nil when the run is not
 	// instrumented): whether the scheme's C^w_lrs at dispatch over-,
 	// under- or exactly predicted the accurate counter. Over-predictions
@@ -43,6 +44,7 @@ func newLadderBase(env *Env, cacheCfg MetaCacheConfig) (*ladderBase, error) {
 		layout:  NewLayout(env.Geom),
 		cache:   cache,
 		waiting: make(map[uint64][]*WriteRequest),
+		run:     NewInstruments(env.Metrics),
 		// A nil env.Metrics hands out nil counters, whose Inc() no-ops.
 		mOverPredict:  env.Metrics.Counter("core.est.over_predictions"),
 		mUnderPredict: env.Metrics.Counter("core.est.under_predictions"),
@@ -85,18 +87,18 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 			req.Spilled = true
 			req.WaitMeta = true
 			b.spill = append(b.spill, req)
-			b.env.Stats.SpillParks++
+			b.run.SpillParks.Inc()
 			b.wbScratch = wbs
 			return nil, wbs
 		}
 		if wb != nil {
 			wbs = append(wbs, *wb)
-			b.env.Stats.MetaWrites++
+			b.run.MetaWrites.Inc()
 		}
 		b.waiting[key] = append(b.waiting[key], req)
 		req.MetaPending++
-		b.env.Stats.MetaReads++
-		b.env.Stats.MetaCacheMisses++
+		b.run.MetaReads.Inc()
+		b.run.MetaCacheMisses.Inc()
 		aux = append(aux, AuxRead{Kind: AuxMeta, Key: key, Loc: loc})
 	}
 	b.auxScratch = aux
@@ -104,7 +106,7 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 	if req.MetaPending > 0 {
 		req.WaitMeta = true
 	} else {
-		b.env.Stats.MetaCacheHits++
+		b.run.MetaCacheHits.Inc()
 	}
 	return aux, wbs
 }
@@ -244,8 +246,7 @@ func (b *ladderBase) recordCounterDiff(req *WriteRequest, estimated int, shifted
 	if err != nil {
 		return
 	}
-	b.env.Stats.CounterDiffSum += float64(estimated - accurate)
-	b.env.Stats.CounterDiffN++
+	b.run.CounterGap.Observe(float64(estimated - accurate))
 	switch {
 	case estimated > accurate:
 		b.mOverPredict.Inc()

@@ -58,8 +58,12 @@ func RegisterScheme(name string, factory SchemeFactory) {
 // controller needs its own instance (schemes own private metadata
 // caches), so callers invoke this once per channel. Lookup is exact
 // first, then case-insensitive, so CLI spellings like "ladder-hybrid"
-// resolve to the registered figure label.
+// resolve to the registered figure label. It rejects an env without a
+// metrics registry, which holds every count the scheme makes.
 func NewScheme(name string, env *Env, cache MetaCacheConfig) (Scheme, error) {
+	if env.Metrics == nil {
+		return nil, fmt.Errorf("core: scheme %q needs a metrics registry (Env.Metrics is nil)", name)
+	}
 	schemeRegistry.RLock()
 	factory := schemeRegistry.factories[name]
 	if factory == nil {

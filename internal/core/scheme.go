@@ -11,10 +11,11 @@
 // delivers auxiliary read completions, asks Ready/Latency at dispatch, and
 // calls Complete when the device finishes.
 //
-// Schemes share an Env — geometry, content store, timing tables, the
-// Stats accumulator, and an optional metrics.Registry through which the
-// estimator and metadata cache publish their accuracy and hit-rate
-// instruments (Sections 4.1/4.3; catalog in docs/METRICS.md).
+// Schemes share an Env — geometry, content store, timing tables and the
+// run's metrics.Registry, which holds every traffic, latency and FNW
+// count (Instruments; StatsFrom reads them back) as well as the
+// estimator and metadata-cache instruments (Sections 4.1/4.3; catalog
+// in docs/METRICS.md).
 //
 // Schemes are constructed by name through a registry (RegisterScheme /
 // NewScheme): the built-ins register at init in the paper's evaluation
@@ -114,10 +115,10 @@ type Env struct {
 	Geom   reram.Geometry
 	Store  *reram.Store
 	Tables *timing.TableSet
-	Stats  *Stats
+	// Deprecated: ignored; counts live in Metrics.
+	Stats *Stats
 	// Metrics is the run's instrument registry (see docs/METRICS.md).
-	// May be nil: layers fetch nil instruments, whose observation methods
-	// no-op, so un-instrumented embeddings pay one branch per event.
+	// Required: NewScheme and memctrl.NewController reject a nil one.
 	Metrics *metrics.Registry
 }
 
@@ -158,7 +159,61 @@ type Scheme interface {
 	UseConstrainedFNW() bool
 }
 
-// Stats accumulates the per-run measurements the evaluation reports.
+// Run-level instrument names. The run's registry is the only place these
+// counts live: the controller and the schemes count into the instruments
+// NewInstruments fetches, and StatsFrom reads them back out of a snapshot.
+const (
+	MetricDataReads       = "core.traffic.data_reads"
+	MetricDataWrites      = "core.traffic.data_writes"
+	MetricSMBReads        = "core.traffic.smb_reads"
+	MetricMetaReads       = "core.traffic.meta_reads"
+	MetricMetaWrites      = "core.traffic.meta_writes"
+	MetricMetaCacheHits   = "core.meta_cache.hits"
+	MetricMetaCacheMisses = "core.meta_cache.misses"
+	MetricSpillParks      = "core.meta_cache.spill_parks"
+	MetricFNWFlips        = "core.fnw.flips"
+	MetricFNWCanceled     = "core.fnw.canceled"
+	MetricFNWUnits        = "core.fnw.units"
+	MetricBitChanges      = "core.bit_changes"
+	MetricWriteServiceNs  = "core.write_service_ns"
+	MetricReadLatencyNs   = "core.read_latency_ns"
+	MetricCounterGap      = "core.est.counter_gap"
+)
+
+// Instruments holds the run-level instruments behind Stats (meanings in
+// docs/METRICS.md). Holders built from one registry share them, so every
+// channel adds into one count, and one float sum in event order.
+type Instruments struct {
+	DataReads, DataWrites, SMBReads, MetaReads, MetaWrites *metrics.Counter
+	MetaCacheHits, MetaCacheMisses, SpillParks             *metrics.Counter
+	FNWFlips, FNWCanceled, FNWUnits, BitChanges            *metrics.Counter
+	WriteServiceNs, ReadLatencyNs, CounterGap              *metrics.Histogram
+}
+
+// NewInstruments fetches (creating on first use) the run-level
+// instruments from reg.
+func NewInstruments(reg *metrics.Registry) Instruments {
+	return Instruments{
+		DataReads:       reg.Counter(MetricDataReads),
+		DataWrites:      reg.Counter(MetricDataWrites),
+		SMBReads:        reg.Counter(MetricSMBReads),
+		MetaReads:       reg.Counter(MetricMetaReads),
+		MetaWrites:      reg.Counter(MetricMetaWrites),
+		MetaCacheHits:   reg.Counter(MetricMetaCacheHits),
+		MetaCacheMisses: reg.Counter(MetricMetaCacheMisses),
+		SpillParks:      reg.Counter(MetricSpillParks),
+		FNWFlips:        reg.Counter(MetricFNWFlips),
+		FNWCanceled:     reg.Counter(MetricFNWCanceled),
+		FNWUnits:        reg.Counter(MetricFNWUnits),
+		BitChanges:      reg.Counter(MetricBitChanges),
+		WriteServiceNs:  reg.Histogram(MetricWriteServiceNs, metrics.LinearBounds(32, 32, 24)),
+		ReadLatencyNs:   reg.Histogram(MetricReadLatencyNs, metrics.ExponentialBounds(1, 2, 24)),
+		CounterGap:      reg.Histogram(MetricCounterGap, metrics.LinearBounds(-512, 64, 17)),
+	}
+}
+
+// Stats is the per-run accounting the evaluation reports, read out of a
+// registry snapshot by StatsFrom.
 type Stats struct {
 	// Traffic counters.
 	DataReads, DataWrites          uint64
@@ -176,92 +231,59 @@ type Stats struct {
 	CounterDiffN   uint64
 	// FNW accounting.
 	FNWFlips, FNWCanceled, FNWUnits uint64
-	// Energy accumulators (arbitrary joule-scaled units; see package
-	// energy).
-	ReadEnergy, WriteEnergy float64
 	// BitChanges counts cell switches across all writes.
 	BitChanges uint64
-	// ReadLatencyHist is a power-of-two histogram of demand-read
-	// latencies: bucket i counts reads with latency in [2^i, 2^(i+1)) ns.
-	ReadLatencyHist [24]uint64
 }
 
-// RecordReadLatency adds one demand read to the latency accumulators.
-func (s *Stats) RecordReadLatency(ns float64) {
-	s.ReadLatencyNs += ns
-	s.ReadsTimed++
-	b := 0
-	for v := uint64(ns); v > 1 && b < len(s.ReadLatencyHist)-1; v >>= 1 {
-		b++
+// StatsFrom maps a snapshot of the run-level instruments onto Stats.
+func StatsFrom(s metrics.Snapshot) Stats {
+	c, h := s.Counters, s.Histograms
+	svc, rd, gap := h[MetricWriteServiceNs], h[MetricReadLatencyNs], h[MetricCounterGap]
+	return Stats{
+		DataReads:       c[MetricDataReads],
+		DataWrites:      c[MetricDataWrites],
+		SMBReads:        c[MetricSMBReads],
+		MetaReads:       c[MetricMetaReads],
+		MetaWrites:      c[MetricMetaWrites],
+		SpillParks:      c[MetricSpillParks],
+		MetaCacheHits:   c[MetricMetaCacheHits],
+		MetaCacheMisses: c[MetricMetaCacheMisses],
+		WriteServiceNs:  svc.Sum,
+		ReadLatencyNs:   rd.Sum,
+		ReadsTimed:      rd.Count,
+		CounterDiffSum:  gap.Sum,
+		CounterDiffN:    gap.Count,
+		FNWFlips:        c[MetricFNWFlips],
+		FNWCanceled:     c[MetricFNWCanceled],
+		FNWUnits:        c[MetricFNWUnits],
+		BitChanges:      c[MetricBitChanges],
 	}
-	s.ReadLatencyHist[b]++
 }
 
-// ReadLatencyPercentile returns an upper bound on the given percentile
-// (0..1) of demand-read latency, at power-of-two resolution.
-func (s *Stats) ReadLatencyPercentile(p float64) float64 {
-	if s.ReadsTimed == 0 {
+// ratio returns num/den, or 0 when nothing was counted.
+func ratio(num float64, den uint64) float64 {
+	if den == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := uint64(p * float64(s.ReadsTimed))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range s.ReadLatencyHist {
-		cum += n
-		if cum >= target {
-			return float64(uint64(1) << uint(i+1))
-		}
-	}
-	return float64(uint64(1) << uint(len(s.ReadLatencyHist)))
+	return num / float64(den)
 }
 
 // ExtraReadFraction returns the metadata+SMB read overhead relative to
 // data reads (Figure 14a's metric).
-func (s *Stats) ExtraReadFraction() float64 {
-	if s.DataReads == 0 {
-		return 0
-	}
-	return float64(s.SMBReads+s.MetaReads) / float64(s.DataReads)
+func (s Stats) ExtraReadFraction() float64 {
+	return ratio(float64(s.SMBReads+s.MetaReads), s.DataReads)
 }
 
 // ExtraWriteFraction returns the metadata write overhead relative to data
 // writes (Figure 14b's metric).
-func (s *Stats) ExtraWriteFraction() float64 {
-	if s.DataWrites == 0 {
-		return 0
-	}
-	return float64(s.MetaWrites) / float64(s.DataWrites)
-}
+func (s Stats) ExtraWriteFraction() float64 { return ratio(float64(s.MetaWrites), s.DataWrites) }
 
 // AvgWriteServiceNs returns the mean data-write service time.
-func (s *Stats) AvgWriteServiceNs() float64 {
-	if s.DataWrites == 0 {
-		return 0
-	}
-	return s.WriteServiceNs / float64(s.DataWrites)
-}
+func (s Stats) AvgWriteServiceNs() float64 { return ratio(s.WriteServiceNs, s.DataWrites) }
 
 // AvgReadLatencyNs returns the mean processor read latency (queuing +
 // service).
-func (s *Stats) AvgReadLatencyNs() float64 {
-	if s.ReadsTimed == 0 {
-		return 0
-	}
-	return s.ReadLatencyNs / float64(s.ReadsTimed)
-}
+func (s Stats) AvgReadLatencyNs() float64 { return ratio(s.ReadLatencyNs, s.ReadsTimed) }
 
 // AvgCounterDiff returns the mean (estimated − accurate) LRS-counter gap.
-func (s *Stats) AvgCounterDiff() float64 {
-	if s.CounterDiffN == 0 {
-		return 0
-	}
-	return s.CounterDiffSum / float64(s.CounterDiffN)
-}
+func (s Stats) AvgCounterDiff() float64 { return ratio(s.CounterDiffSum, s.CounterDiffN) }

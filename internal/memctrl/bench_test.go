@@ -1,0 +1,85 @@
+package memctrl
+
+import (
+	"testing"
+
+	"ladder/internal/circuit"
+	"ladder/internal/core"
+	"ladder/internal/energy"
+	"ladder/internal/metrics"
+	"ladder/internal/reram"
+	"ladder/internal/timing"
+	"ladder/internal/trace"
+)
+
+// BenchmarkControllerTick times one Controller.Tick on the paper's
+// geometry and timing tables with a real LADDER-Hybrid scheme, its write
+// queue kept saturated by lbm's write stream: every tick first offers
+// the next write, so the controller stays in drain mode and the
+// per-write datapath (scheme latency, FNW, store write, run-level
+// counts) dominates.
+func BenchmarkControllerTick(b *testing.B) {
+	tables, err := timing.NewTableSet(circuit.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	geom := reram.DefaultGeometry()
+	store, err := reram.NewStore(geom)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store.SetResident(2, 1)
+	env := &core.Env{Geom: geom, Store: store, Tables: tables, Metrics: metrics.NewRegistry()}
+	scheme, err := core.NewScheme(core.SchemeHybrid, env, core.DefaultMetaCacheConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	meter, err := energy.NewMeter(energy.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctrl, err := NewController(DefaultConfig(), env, scheme, meter, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := trace.Lookup("lbm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(prof, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nextWrite := func() trace.Access {
+		for {
+			if a := gen.Next(); a.Write {
+				return a
+			}
+		}
+	}
+	next := nextWrite()
+	var now uint64
+	tick := func() {
+		if ctrl.EnqueueWrite(next.Line, next.Data, now) {
+			next = nextWrite()
+		}
+		ctrl.Tick(now)
+		now++
+	}
+	// Warm the metadata cache and the touched rows past the cold start.
+	for i := 0; i < 1<<18; i++ {
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+	b.StopTimer()
+	if err := ctrl.Err(); err != nil {
+		b.Fatal(err)
+	}
+	if ctrl.WriteQueueLen() < DefaultConfig().WRQSize/2 {
+		b.Fatalf("write queue not saturated: %d entries", ctrl.WriteQueueLen())
+	}
+}

@@ -5,10 +5,11 @@
 // core.Scheme to obtain per-write RESET latencies and to maintain the
 // LRS-metadata machinery.
 //
-// A controller optionally attaches to a metrics.Registry (Instrument):
-// queue-occupancy gauges, drain-mode counters, and a per-RESET latency
-// histogram attributed to timing-table cells — the observable form of the
-// paper's Figure 11 latency surface. See docs/METRICS.md for the catalog.
+// A controller counts the run's traffic, latency and FNW accounting into
+// the env's metrics.Registry; Instrument adds queue-occupancy gauges,
+// drain-mode counters, and a per-RESET latency histogram attributed to
+// timing-table cells — the observable form of the paper's Figure 11
+// latency surface. See docs/METRICS.md for the catalog.
 package memctrl
 
 import (
@@ -166,10 +167,11 @@ type Controller struct {
 	faultErr error
 
 	banksPerRank int
+	run          core.Instruments // run-level counts, shared by every channel
 
-	// Observability instruments (nil until Instrument is called; every
-	// observation method is nil-safe). See docs/METRICS.md for the
-	// catalog.
+	// Per-channel observability instruments (nil until Instrument is
+	// called; every observation method is nil-safe). See docs/METRICS.md
+	// for the catalog.
 	instrumented bool
 	mRDQOcc      *metrics.Gauge     // sampled read-queue occupancy
 	mWRQOcc      *metrics.Gauge     // sampled write-queue occupancy
@@ -201,14 +203,11 @@ const occupancySampleMask = 255
 // for shrunk-range or custom-crossbar runs that exceed it.
 func ResetLatencyBounds() []float64 { return metrics.LinearBounds(32, 32, 21) }
 
-// Instrument attaches the controller to a run's metric registry as
-// channel `channel`, creating its per-channel instruments. Call once,
-// before the first Tick; a controller never instrumented records
-// nothing.
-func (c *Controller) Instrument(reg *metrics.Registry, channel int) {
-	if reg == nil {
-		return
-	}
+// Instrument creates the controller's per-channel instruments in the
+// env's registry as channel `channel`. Call once, before the first Tick;
+// a controller never instrumented records only the run-level counts.
+func (c *Controller) Instrument(channel int) {
+	reg := c.env.Metrics
 	p := fmt.Sprintf("memctrl.ch%d.", channel)
 	c.instrumented = true
 	c.mRDQOcc = reg.Gauge(p + "rdq_occupancy")
@@ -281,12 +280,15 @@ func (c *Controller) EnqueueMaintenance(loc reram.Location, now uint64) {
 	c.wbPending = append(c.wbPending, req)
 }
 
-// NewController builds a controller over the shared environment. The
-// scheme instance must be dedicated to this controller (it owns a private
-// metadata cache).
+// NewController builds a controller over the shared environment, which
+// must carry the run's metrics registry. The scheme instance must be
+// dedicated to this controller (it owns a private metadata cache).
 func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.Meter, onReadDone ReadDoneFunc) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if env.Metrics == nil {
+		return nil, fmt.Errorf("memctrl: controller needs a metrics registry (Env.Metrics is nil)")
 	}
 	nBanks := env.Geom.RanksPerChannel * env.Geom.BanksPerRank
 	return &Controller{
@@ -298,6 +300,7 @@ func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.
 		onReadDone:   onReadDone,
 		flips:        make(map[uint64]uint8),
 		banksPerRank: env.Geom.BanksPerRank,
+		run:          core.NewInstruments(env.Metrics),
 	}, nil
 }
 
@@ -358,7 +361,7 @@ func (c *Controller) EnqueueRead(coreID int, line uint64, now uint64) bool {
 		r.TraceRef = c.tr.Begin(tracing.KindDataRead, c.trChannel, c.bankOf(loc), coreID, line, now)
 	}
 	c.rdq = append(c.rdq, r)
-	c.env.Stats.DataReads++
+	c.run.DataReads.Inc()
 	return true
 }
 
@@ -384,7 +387,7 @@ func (c *Controller) EnqueueWrite(line uint64, data bits.Line, now uint64) bool 
 	}
 	aux, wbs := c.scheme.Enqueue(req)
 	c.wrq = append(c.wrq, req)
-	c.env.Stats.DataWrites++
+	c.run.DataWrites.Inc()
 	c.routeAux(aux, now)
 	c.routeWritebacks(wbs, now)
 	return true
@@ -525,7 +528,7 @@ func (c *Controller) finishRead(r *ReadReq, now uint64) {
 	c.meter.Read()
 	switch r.Kind {
 	case ReadData:
-		c.env.Stats.RecordReadLatency(float64(now-r.EnqueueTick) / TicksPerNs)
+		c.run.ReadLatencyNs.Observe(float64(now-r.EnqueueTick) / TicksPerNs)
 		if c.onReadDone != nil {
 			c.onReadDone(r, now)
 		}
@@ -584,12 +587,11 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 	if _, err := c.env.Store.Write(req.Line, enc); err != nil {
 		return true
 	}
-	st := c.env.Stats
-	st.BitChanges += uint64(res.BitChanges)
-	st.FNWFlips += uint64(mathbits.OnesCount8(res.Flips))
-	st.FNWCanceled += uint64(res.Canceled)
-	st.FNWUnits += bits.FNWUnits
-	st.WriteServiceNs += float64(now-req.DispatchCycle) / TicksPerNs
+	c.run.BitChanges.Add(uint64(res.BitChanges))
+	c.run.FNWFlips.Add(uint64(mathbits.OnesCount8(res.Flips)))
+	c.run.FNWCanceled.Add(uint64(res.Canceled))
+	c.run.FNWUnits.Add(bits.FNWUnits)
+	c.run.WriteServiceNs.Observe(float64(now-req.DispatchCycle) / TicksPerNs)
 	c.meter.Write(op.latNs, res.BitChanges)
 	// Wear-limit-triggered proactive retirement: once a row's effective
 	// write count reaches the decoder's limit, move it to a spare before

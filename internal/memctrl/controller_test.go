@@ -9,6 +9,7 @@ import (
 	"ladder/internal/circuit"
 	"ladder/internal/core"
 	"ladder/internal/energy"
+	"ladder/internal/metrics"
 	"ladder/internal/remap"
 	"ladder/internal/reram"
 	"ladder/internal/timing"
@@ -44,8 +45,11 @@ func testEnv(t *testing.T) *core.Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &core.Env{Geom: testGeometry(), Store: store, Tables: testTables, Stats: &core.Stats{}}
+	return &core.Env{Geom: testGeometry(), Store: store, Tables: testTables, Metrics: metrics.NewRegistry()}
 }
+
+// envStats reads the env's run-level counts out of its registry.
+func envStats(env *core.Env) core.Stats { return core.StatsFrom(env.Metrics.Snapshot()) }
 
 type harness struct {
 	env   *core.Env
@@ -131,7 +135,7 @@ func TestReadCompletesWithFixedLatency(t *testing.T) {
 	}
 	// Unloaded read latency: tRCD + tCL + tBURST = 130 ticks = 32.5 ns.
 	want := 32.5
-	if got := h.env.Stats.AvgReadLatencyNs(); got < want || got > want+1 {
+	if got := envStats(h.env).AvgReadLatencyNs(); got < want || got > want+1 {
 		t.Fatalf("read latency = %v ns, want ≈%v", got, want)
 	}
 }
@@ -144,7 +148,7 @@ func TestBaselineWriteTakesWorstCase(t *testing.T) {
 	h.runUntilIdle(t, 100_000)
 	// Service = tRCD + tWR(worst) + tBURST.
 	want := h.env.Tables.WorstNs + float64(DefaultConfig().TRCD+DefaultConfig().TBurst)/TicksPerNs
-	got := h.env.Stats.AvgWriteServiceNs()
+	got := envStats(h.env).AvgWriteServiceNs()
 	if got < want-1 || got > want+1 {
 		t.Fatalf("write service = %v ns, want ≈%v", got, want)
 	}
@@ -165,7 +169,7 @@ func TestWriteAppliesFNWAndPersists(t *testing.T) {
 	if got != data {
 		t.Fatal("logical read-back mismatch after FNW")
 	}
-	if h.env.Stats.FNWUnits == 0 {
+	if envStats(h.env).FNWUnits == 0 {
 		t.Fatal("FNW accounting missing")
 	}
 }
@@ -178,12 +182,12 @@ func TestFNWReducesSecondWriteChanges(t *testing.T) {
 	}
 	h.ctrl.EnqueueWrite(0, dense, h.now)
 	h.runUntilIdle(t, 100_000)
-	first := h.env.Stats.BitChanges
+	first := envStats(h.env).BitChanges
 	// Writing the complement: classic FNW should flip every unit and pay
 	// only the flip bits.
 	h.ctrl.EnqueueWrite(0, bits.Line{}, h.now)
 	h.runUntilIdle(t, 100_000)
-	second := h.env.Stats.BitChanges - first
+	second := envStats(h.env).BitChanges - first
 	if second > bits.FNWUnits {
 		t.Fatalf("second write changed %d bits; FNW should cap at %d", second, bits.FNWUnits)
 	}
@@ -203,7 +207,7 @@ func TestBankSerializesOperations(t *testing.T) {
 		t.Fatalf("reads done = %d", len(h.done))
 	}
 	perRead := 32.5
-	if got := h.env.Stats.ReadLatencyNs; got < 3*perRead-1 {
+	if got := envStats(h.env).ReadLatencyNs; got < 3*perRead-1 {
 		t.Fatalf("total latency %v suggests no serialization (want ≈%v)", got, 3*perRead)
 	}
 }
@@ -217,7 +221,7 @@ func TestParallelBanksOverlap(t *testing.T) {
 	h.ctrl.EnqueueRead(0, 2*reram.BlocksPerRow, h.now)
 	h.runUntilIdle(t, 10_000)
 	perRead := 32.5
-	got := h.env.Stats.ReadLatencyNs
+	got := envStats(h.env).ReadLatencyNs
 	if got > 2*perRead+2 {
 		t.Fatalf("total latency %v suggests serialization across distinct banks", got)
 	}
@@ -291,10 +295,10 @@ func TestEstEndToEndThroughController(t *testing.T) {
 		t.Fatal("enqueue failed")
 	}
 	h.runUntilIdle(t, 1_000_000)
-	if h.env.Stats.MetaReads != 1 {
-		t.Fatalf("metadata reads = %d, want 1", h.env.Stats.MetaReads)
+	if envStats(h.env).MetaReads != 1 {
+		t.Fatalf("metadata reads = %d, want 1", envStats(h.env).MetaReads)
 	}
-	if h.env.Stats.SMBReads != 0 {
+	if envStats(h.env).SMBReads != 0 {
 		t.Fatal("est must not issue SMB reads")
 	}
 	// The stored payload is shifted; the logical read path must recover
@@ -311,10 +315,10 @@ func TestEstEndToEndThroughController(t *testing.T) {
 		t.Fatal("enqueue failed")
 	}
 	h.runUntilIdle(t, 1_000_000)
-	if h.env.Stats.MetaReads != 1 {
-		t.Fatalf("second write should not refetch metadata (reads = %d)", h.env.Stats.MetaReads)
+	if envStats(h.env).MetaReads != 1 {
+		t.Fatalf("second write should not refetch metadata (reads = %d)", envStats(h.env).MetaReads)
 	}
-	if h.env.Stats.MetaCacheHits == 0 {
+	if envStats(h.env).MetaCacheHits == 0 {
 		t.Fatal("expected metadata cache hit")
 	}
 }
@@ -328,7 +332,7 @@ func TestEstFasterThanBaselineOnSparseData(t *testing.T) {
 			h.ctrl.EnqueueWrite(uint64(i), sparse, h.now)
 			h.runUntilIdle(t, 1_000_000)
 		}
-		return h.env.Stats.AvgWriteServiceNs()
+		return envStats(h.env).AvgWriteServiceNs()
 	}
 	base := runOne(baselineScheme)
 	est := runOne(estScheme(t))
@@ -358,7 +362,7 @@ func TestMetaWritebackTravelsThroughWriteQueue(t *testing.T) {
 		h.now++
 	}
 	h.runUntilIdle(t, 20_000_000)
-	if h.env.Stats.MetaWrites == 0 {
+	if envStats(h.env).MetaWrites == 0 {
 		t.Fatal("expected dirty metadata evictions")
 	}
 }
@@ -389,7 +393,7 @@ func TestEnqueueMaintenanceOccupiesBank(t *testing.T) {
 	h.runUntilIdle(t, 100_000)
 	// Maintenance writes are metered as array writes but are not data
 	// writes.
-	if h.env.Stats.DataWrites != 0 {
+	if envStats(h.env).DataWrites != 0 {
 		t.Fatal("maintenance must not count as a data write")
 	}
 	if h.meter.Writes != 1 {
@@ -435,7 +439,7 @@ func TestDecoderGapShiftChangesTiming(t *testing.T) {
 		for i := uint64(0); !ctrl.Idle(); i++ {
 			ctrl.Tick(i)
 		}
-		return env.Stats.AvgWriteServiceNs()
+		return envStats(env).AvgWriteServiceNs()
 	}
 	near := runOne(0)
 	far := runOne(63)
@@ -478,7 +482,7 @@ func TestDecoderSparePenaltyChargedAtDispatch(t *testing.T) {
 				t.Fatal("remapped write charged no penalty ticks")
 			}
 		}
-		return h.env.Stats.AvgWriteServiceNs()
+		return envStats(h.env).AvgWriteServiceNs()
 	}
 	base := runOne(false)
 	remapped := runOne(true)
@@ -493,7 +497,7 @@ func TestReadLatencyPercentilesPopulated(t *testing.T) {
 		h.ctrl.EnqueueRead(0, i*64, h.now)
 	}
 	h.runUntilIdle(t, 100_000)
-	if p := h.env.Stats.ReadLatencyPercentile(0.99); p <= 0 {
+	if p := h.env.Metrics.Snapshot().Histograms[core.MetricReadLatencyNs].P99; p <= 0 {
 		t.Fatalf("p99 = %v", p)
 	}
 }
@@ -573,5 +577,16 @@ func TestControllerFuzzInvariants(t *testing.T) {
 				t.Fatal("row counters diverged from recount after fuzz")
 			}
 		})
+	}
+}
+
+// TestNewControllerRequiresRegistry pins that a controller cannot be
+// built without the registry that holds its traffic counts.
+func TestNewControllerRequiresRegistry(t *testing.T) {
+	env := testEnv(t)
+	scheme := core.NewBaseline(env)
+	env.Metrics = nil
+	if _, err := NewController(DefaultConfig(), env, scheme, nil, nil); err == nil {
+		t.Fatal("NewController accepted an env without a metrics registry")
 	}
 }

@@ -31,11 +31,10 @@ func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
 	h.ctrl.SetFaults(inj)
 	h.ctrl.SetDecoder(dec)
-	h.ctrl.Instrument(reg, 0)
-	return h, inj, reg
+	h.ctrl.Instrument(0)
+	return h, inj, h.env.Metrics
 }
 
 func basicScheme(t *testing.T) func(*core.Env) core.Scheme {

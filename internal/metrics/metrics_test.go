@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -401,5 +402,42 @@ func TestRegistryMergeNil(t *testing.T) {
 	var n *Registry
 	if err := n.Merge(r); err == nil {
 		t.Fatal("merging into a nil registry should fail")
+	}
+}
+
+// TestSnapshotSub pins the snapshot difference: counters and histograms
+// subtract exactly, instruments new since prev count from zero, and a
+// histogram with no new observations diffs to the zero value.
+func TestSnapshotSub(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a").Add(3)
+	quiet := r.Histogram("quiet", []float64{10, 20})
+	quiet.Observe(5)
+	busy := r.Histogram("busy", []float64{10, 20, 30})
+	busy.Observe(5)
+	prev := r.Snapshot()
+
+	r.Counter("a").Add(4)
+	r.Counter("b").Inc()
+	busy.Observe(15)
+	busy.Observe(25)
+	d := r.Snapshot().Sub(prev)
+
+	if d.Counters["a"] != 4 || d.Counters["b"] != 1 {
+		t.Fatalf("counter deltas = %v, want a=4 b=1", d.Counters)
+	}
+	if q := d.Histograms["quiet"]; q.Count != 0 || q.Sum != 0 {
+		t.Fatalf("unchanged histogram diffed to %+v", q)
+	}
+	b := d.Histograms["busy"]
+	if b.Count != 2 || b.Sum != 40 || b.Mean != 20 {
+		t.Fatalf("busy delta count=%d sum=%v mean=%v, want 2/40/20", b.Count, b.Sum, b.Mean)
+	}
+	if got, want := fmt.Sprint(b.Counts), "[0 1 1 0]"; got != want {
+		t.Fatalf("busy delta buckets = %s, want %s", got, want)
+	}
+	// The delta's extremes are its outermost nonzero bucket edges.
+	if b.Min != 10 || b.Max != 30 || b.P50 < 10 || b.P99 > 30 {
+		t.Fatalf("busy delta min=%v max=%v p50=%v p99=%v", b.Min, b.Max, b.P50, b.P99)
 	}
 }

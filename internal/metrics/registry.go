@@ -223,6 +223,24 @@ type Snapshot struct {
 	Grids      map[string]GridSnapshot      `json:"grids"`
 }
 
+// Sub returns the activity between prev and s, two snapshots of one
+// registry with prev taken first: every counter and histogram in s minus
+// its value in prev (an instrument absent from prev counts from zero).
+// Gauges and grids are not differenced; their maps stay nil.
+func (s Snapshot) Sub(prev Snapshot) Snapshot {
+	d := Snapshot{
+		Counters:   make(map[string]uint64, len(s.Counters)),
+		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
+	}
+	for name, v := range s.Counters {
+		d.Counters[name] = v - prev.Counters[name]
+	}
+	for name, h := range s.Histograms {
+		d.Histograms[name] = h.Sub(prev.Histograms[name])
+	}
+	return d
+}
+
 // GaugeSnapshot is a frozen Gauge: the sample moments of an instantaneous
 // quantity.
 type GaugeSnapshot struct {
@@ -282,6 +300,50 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 		return lo + (hi-lo)*frac
 	}
 	return s.Max
+}
+
+// Sub returns the distribution observed between prev and s, two
+// snapshots of one histogram with prev taken first (prev may be the zero
+// value). Counts, Count and Sum are exact; the delta's Min/Max are the
+// edges of its outermost nonzero buckets (s's own Min/Max for the first
+// and overflow buckets), so its quantiles interpolate inside those
+// buckets. No new observations give the zero value.
+func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
+	if s.Count == prev.Count {
+		return HistogramSnapshot{}
+	}
+	d := HistogramSnapshot{
+		Bounds: s.Bounds,
+		Counts: make([]uint64, len(s.Counts)),
+		Count:  s.Count - prev.Count,
+		Sum:    s.Sum - prev.Sum,
+	}
+	first, last := -1, -1
+	for i := range s.Counts {
+		var p uint64
+		if i < len(prev.Counts) {
+			p = prev.Counts[i]
+		}
+		d.Counts[i] = s.Counts[i] - p
+		if d.Counts[i] > 0 {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	d.Min = s.Min
+	if first > 0 {
+		d.Min = s.Bounds[first-1]
+	}
+	if last >= 0 && last < len(s.Bounds) {
+		d.Max = s.Bounds[last]
+	} else {
+		d.Max = s.Max
+	}
+	d.Mean = d.Sum / float64(d.Count)
+	d.P50, d.P95, d.P99 = d.Quantile(0.50), d.Quantile(0.95), d.Quantile(0.99)
+	return d
 }
 
 // NonzeroBuckets counts buckets holding at least one observation.

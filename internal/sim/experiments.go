@@ -780,7 +780,7 @@ func WearLevelingImpact(opts Options, scheme string) ([]Row, error) {
 		}
 		out = append(out, Row{Workload: w, Values: map[string]float64{
 			"ipc-ratio": ratio,
-			"gap-moves": float64(wl.GapMoves),
+			"gap-moves": float64(wl.Remap.GapMoves),
 		}})
 	}
 	return out, nil

@@ -104,7 +104,7 @@ func TestGoldenVWLDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := goldenKey(res) + fmt.Sprintf(" gap=%d", res.GapMoves); got != g.want {
+			if got := goldenKey(res) + fmt.Sprintf(" gap=%d", res.Remap.GapMoves); got != g.want {
 				t.Errorf("VWL run diverged from the pre-decoder pinned result\n got: %s\nwant: %s", got, g.want)
 			}
 		})

@@ -15,13 +15,13 @@ import (
 
 // ReportSchema versions the run-report JSON layout. Consumers should
 // reject reports whose schema string they do not recognize.
-const ReportSchema = "ladder.run-report/v1"
+const ReportSchema = "ladder.run-report/v2"
 
 // BenchSchema versions the perf-snapshot (BENCH_*.json) layout.
 const BenchSchema = "ladder.bench/v1"
 
 // GridReportSchema versions the multi-run grid-report layout.
-const GridReportSchema = "ladder.grid-report/v1"
+const GridReportSchema = "ladder.grid-report/v2"
 
 // LifetimeReportSchema versions the lifetime-sweep report layout
 // (see LifetimeSweep in experiments.go).
@@ -51,7 +51,7 @@ type ResetLatencySummary struct {
 // Report is the structured, serializable record of one simulation run:
 // identity, headline summary numbers, and the full metrics snapshot.
 // WriteJSON emits the stable machine-readable form (schema
-// "ladder.run-report/v1"); WriteText renders the same data for humans.
+// "ladder.run-report/v2"); WriteText renders the same data for humans.
 type Report struct {
 	Schema   string `json:"schema"`
 	Workload string `json:"workload"`
@@ -129,7 +129,6 @@ func NewReport(res *Result) *Report {
 		AvgReadLatencyNs:    res.Stats.AvgReadLatencyNs(),
 		ReadNJ:              res.ReadNJ,
 		WriteNJ:             res.WriteNJ,
-		GapMoves:            res.GapMoves,
 		Metrics:             snap,
 	}
 	r.ResetLatency = summarizeResetLatency(snap)
@@ -146,6 +145,7 @@ func NewReport(res *Result) *Report {
 	if res.Remap != nil {
 		st := *res.Remap
 		r.Remap = &st
+		r.GapMoves = st.GapMoves
 	}
 	r.Timeline = res.Timeline
 	return r

@@ -3,6 +3,7 @@ package sim
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -264,6 +265,43 @@ func TestCrashRecoveryConservativeThenReadapts(t *testing.T) {
 	}
 }
 
+// TestCrashSplitSumsToTotals pins the crash split as a snapshot diff:
+// for every Stats field, the pre-crash and post-crash parts add up to
+// the whole run. Latency sums are multiples of a quarter nanosecond and
+// counter gaps are integers, so the float fields add up exactly too.
+func TestCrashSplitSumsToTotals(t *testing.T) {
+	cfg := testConfig(t, "lbm", SchemeEst)
+	cfg.InstrPerCore = 80_000
+	cfg.CrashAtInstr = 40_000
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PreCrashStats == nil || res.PostCrashStats == nil {
+		t.Fatal("crash stats missing")
+	}
+	pre := reflect.ValueOf(*res.PreCrashStats)
+	post := reflect.ValueOf(*res.PostCrashStats)
+	total := reflect.ValueOf(res.Stats)
+	for i := 0; i < total.NumField(); i++ {
+		name := total.Type().Field(i).Name
+		switch total.Field(i).Kind() {
+		case reflect.Uint64:
+			a, b, want := pre.Field(i).Uint(), post.Field(i).Uint(), total.Field(i).Uint()
+			if a+b != want {
+				t.Errorf("%s: pre %d + post %d != run total %d", name, a, b, want)
+			}
+		case reflect.Float64:
+			a, b, want := pre.Field(i).Float(), post.Field(i).Float(), total.Field(i).Float()
+			if a+b != want {
+				t.Errorf("%s: pre %g + post %g != run total %g", name, a, b, want)
+			}
+		default:
+			t.Fatalf("%s: unhandled field kind %s", name, total.Field(i).Kind())
+		}
+	}
+}
+
 func TestLineVWLDegradesMetadataLocality(t *testing.T) {
 	// Section 6.4: line-granularity wear leveling scatters a page's
 	// blocks across wordline groups, hurting LRS-metadata locality
@@ -303,7 +341,7 @@ func TestWearLevelingRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GapMoves == 0 {
+	if res.Remap.GapMoves == 0 {
 		t.Fatal("expected VWL gap moves on a write-heavy run")
 	}
 	// Wear leveling costs a little performance but must not change

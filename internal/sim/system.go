@@ -37,7 +37,6 @@ type System struct {
 	cfg     Config
 	tables  *timing.TableSet
 	store   *reram.Store
-	stats   *core.Stats
 	reg     *metrics.Registry
 	env     *core.Env
 	meter   *energy.Meter
@@ -69,14 +68,15 @@ type System struct {
 
 	running      int
 	crashPending bool
-	preCrash     *core.Stats
+	// preCrash is the registry snapshot taken at crash recovery.
+	preCrash *metrics.Snapshot
 	// err carries a failure raised inside an actor (actors cannot return
 	// errors through the engine) out to the execute phase.
 	err error
 }
 
 // newSystem is the build phase: it constructs every component — store,
-// stats, metrics registry, energy meter, cores, per-channel controllers
+// metrics registry, energy meter, cores, per-channel controllers
 // with their private scheme instances, optional wear leveling — and the
 // event engine that will drive them, without simulating a single cycle.
 func newSystem(cfg Config) (*System, error) {
@@ -107,11 +107,10 @@ func newSystem(cfg Config) (*System, error) {
 	// Per-bitline LRS profiling feeds only the BLP baseline's readout;
 	// every other scheme skips that per-changed-bit bookkeeping.
 	s.store.SetColumnTracking(cfg.Scheme == SchemeBLP)
-	s.stats = &core.Stats{}
 	// Each run owns a private registry; RunGrid merges them afterward, so
 	// the observe paths stay lock-free (a run is single-goroutine).
 	s.reg = metrics.NewRegistry()
-	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Stats: s.stats, Metrics: s.reg}
+	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Metrics: s.reg}
 	s.meter, err = energy.NewMeter(cfg.Energy)
 	if err != nil {
 		return nil, err
@@ -227,7 +226,7 @@ func (s *System) buildControllers() error {
 		}
 		s.ctrls[ch].SetFaults(s.inj)
 		s.ctrls[ch].SetDecoder(s.dec)
-		s.ctrls[ch].Instrument(s.reg, ch)
+		s.ctrls[ch].Instrument(ch)
 		if s.tr != nil {
 			s.ctrls[ch].Trace(s.tr, ch)
 		}
@@ -624,7 +623,6 @@ func (s *System) collect() (*Result, error) {
 		Scheme:           s.cfg.Scheme,
 		PerCoreIPC:       make([]float64, len(s.cores)),
 		Ticks:            s.clock.Now(),
-		Stats:            *s.stats,
 		ReadNJ:           s.meter.ReadNJ,
 		WriteNJ:          s.meter.WriteNJ,
 		TotalStoreWrites: s.store.TotalWrites(),
@@ -634,15 +632,10 @@ func (s *System) collect() (*Result, error) {
 	if s.dec != nil {
 		st := s.dec.Stats()
 		res.Remap = &st
-		res.GapMoves = st.GapMoves
 	}
 	if s.inj != nil {
 		st := s.inj.Stats()
 		res.Faults = &st
-	}
-	if s.preCrash != nil {
-		res.PreCrashStats = s.preCrash
-		res.PostCrashStats = subtractStats(s.stats, s.preCrash)
 	}
 	for i := range s.cores {
 		res.PerCoreIPC[i] = float64(s.cfg.InstrPerCore) / float64(s.finish[i])
@@ -656,6 +649,12 @@ func (s *System) collect() (*Result, error) {
 	// with end-of-run absolutes, which must never appear as epoch deltas.
 	s.sampler.Finalize(s.clock.Now())
 	res.Timeline = s.sampler.Timeline()
+	final := s.reg.Snapshot()
+	res.Stats = core.StatsFrom(final)
+	if s.preCrash != nil {
+		pre, post := core.StatsFrom(*s.preCrash), core.StatsFrom(final.Sub(*s.preCrash))
+		res.PreCrashStats, res.PostCrashStats = &pre, &post
+	}
 	exportRunMetrics(s.reg, res, s.cfg.Geom, s.store, s.schemes)
 	return res, nil
 }
@@ -797,7 +796,7 @@ func (a *crashActor) Advance(now uint64) bool {
 			cr.CrashRecover()
 		}
 	}
-	snap := *s.stats
+	snap := s.reg.Snapshot()
 	s.preCrash = &snap
 	// The cores were frozen while the controllers drained: resume them at
 	// the post-drain cycle with no skipped span to account for.

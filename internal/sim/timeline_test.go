@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ladder/internal/core"
 	"ladder/internal/timeline"
 )
 
@@ -32,7 +33,11 @@ func TestTimelineDeltasSumToAggregates(t *testing.T) {
 	var instr, writes, retries, gaps, remaps uint64
 	var readNJ, writeNJ float64
 	counters := map[string]uint64{}
+	observed := map[string]uint64{}
 	for _, e := range tl.Epochs {
+		for name, q := range e.Quantiles {
+			observed[name] += q.Count
+		}
 		instr += e.Instructions
 		writes += e.StoreWrites
 		retries += e.Retries
@@ -68,18 +73,32 @@ func TestTimelineDeltasSumToAggregates(t *testing.T) {
 	if readNJ != res.ReadNJ || writeNJ != res.WriteNJ {
 		t.Errorf("epoch energy sums = %g/%g nJ, meter read %g/%g", readNJ, writeNJ, res.ReadNJ, res.WriteNJ)
 	}
-	// Every counter the epochs name must sum to its end-of-run registry
-	// value. exportRunMetrics's absolute overwrites happen after the
-	// sampler finalizes, so export-only names never appear in epochs and
-	// hot-path names are untouched by the export.
+	// Every counter and histogram the epochs name must sum to its
+	// end-of-run registry value. The run's traffic, latency and FNW
+	// counts live in the registry from the first event, so they advance
+	// epoch by epoch; exportRunMetrics only sets end-of-run scalars from
+	// other layers, after the sampler finalizes, so those names never
+	// appear in epochs. The run stays under the timeline capacity, so no
+	// epoch merge has dropped its quantile counts.
 	final := res.Metrics.Snapshot()
-	if len(counters) == 0 {
-		t.Fatal("no registry counters appeared in any epoch")
+	if counters[core.MetricDataWrites] == 0 {
+		t.Errorf("%s never advanced in an epoch", core.MetricDataWrites)
+	}
+	if observed[core.MetricWriteServiceNs] == 0 {
+		t.Errorf("%s never observed in an epoch", core.MetricWriteServiceNs)
 	}
 	for name, sum := range counters {
 		if got := final.Counters[name]; got != sum {
 			t.Errorf("counter %s: epoch deltas sum to %d, final registry has %d", name, sum, got)
 		}
+	}
+	for name, n := range observed {
+		if got := final.Histograms[name].Count; got != n {
+			t.Errorf("histogram %s: epoch counts sum to %d, final registry has %d", name, n, got)
+		}
+	}
+	if counters[core.MetricDataWrites] != res.Stats.DataWrites {
+		t.Errorf("epoch data writes sum to %d, Result.Stats has %d", counters[core.MetricDataWrites], res.Stats.DataWrites)
 	}
 }
 

@@ -137,23 +137,23 @@ func (s *Sampler) close(now uint64) {
 		WriteQueue:   append([]int(nil), sc.WriteQueue...),
 	}
 	ep.IPC = float64(ep.Instructions) / float64(now-s.start)
-	for name, v := range snap.Counters {
-		if d := v - s.prevSnap.Counters[name]; d != 0 {
+	d := snap.Sub(s.prevSnap)
+	for name, v := range d.Counters {
+		if v != 0 {
 			if ep.Counters == nil {
 				ep.Counters = make(map[string]uint64)
 			}
-			ep.Counters[name] = d
+			ep.Counters[name] = v
 		}
 	}
-	for name, h := range snap.Histograms {
-		d, changed := diffHistogram(s.prevSnap.Histograms[name], h)
-		if !changed {
+	for name, h := range d.Histograms {
+		if h.Count == 0 {
 			continue
 		}
 		if ep.Quantiles == nil {
 			ep.Quantiles = make(map[string]HistStat)
 		}
-		ep.Quantiles[name] = HistStat{Count: d.Count, P50: d.Quantile(0.50), P99: d.Quantile(0.99)}
+		ep.Quantiles[name] = HistStat{Count: h.Count, P50: h.P50, P99: h.P99}
 	}
 	s.prevSnap, s.prevSc, s.start = snap, sc, now
 	if s.cfg.OnEpoch != nil {

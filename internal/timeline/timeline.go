@@ -16,11 +16,7 @@
 // determinism tests in internal/sim). See docs/TIMELINE.md.
 package timeline
 
-import (
-	"fmt"
-
-	"ladder/internal/metrics"
-)
+import "fmt"
 
 // Schema versions the timeline JSON layout (the "timeline" section of
 // run and grid reports, and the -timeline-out JSON export). Consumers
@@ -239,44 +235,4 @@ func overlayEpochs(a, b Epoch) Epoch {
 		out.IPC = float64(out.Instructions) / float64(span)
 	}
 	return out
-}
-
-// diffHistogram returns the delta distribution between two snapshots of
-// the same histogram (prev may be the zero value for a histogram that
-// appeared mid-run) and whether it received any observations. The delta
-// min/max are approximated by the edges of the outermost nonzero delta
-// buckets — exact counts, interpolated quantiles.
-func diffHistogram(prev, cur metrics.HistogramSnapshot) (metrics.HistogramSnapshot, bool) {
-	if cur.Count == prev.Count {
-		return metrics.HistogramSnapshot{}, false
-	}
-	d := metrics.HistogramSnapshot{
-		Bounds: cur.Bounds,
-		Counts: make([]uint64, len(cur.Counts)),
-		Count:  cur.Count - prev.Count,
-		Sum:    cur.Sum - prev.Sum,
-	}
-	first, last := -1, -1
-	for i := range cur.Counts {
-		var p uint64
-		if i < len(prev.Counts) {
-			p = prev.Counts[i]
-		}
-		d.Counts[i] = cur.Counts[i] - p
-		if d.Counts[i] > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	if first > 0 {
-		d.Min = cur.Bounds[first-1]
-	}
-	if last >= 0 && last < len(cur.Bounds) {
-		d.Max = cur.Bounds[last]
-	} else {
-		d.Max = cur.Max
-	}
-	return d, true
 }
