@@ -10,21 +10,41 @@ import (
 // BenchmarkStoreEnsureRow times the first touch of one wordline group with
 // level-2 resident data (the simulator's default), per store configuration:
 // plain, the shifting schemes' transform with unshifted counters, and BLP's
-// column tracking. One op is one prefilled row.
+// column tracking. One op is one prefilled row. The plain, shifted and
+// columns cases draw every row (a solo run); the -shared cases copy rows
+// a shared Resident already holds (a grid cell after the seed's first
+// cell drew them), so the gap between the two is what sharing saves.
 func BenchmarkStoreEnsureRow(b *testing.B) {
 	for _, mode := range residentModes {
-		b.Run(mode, func(b *testing.B) {
-			s := residentStore(b, 2, 1, mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Dropping the row keeps memory flat; the column state
-				// of the 64 mat groups cycled through stays allocated.
-				key := uint64(i) % (64 * uint64(s.geom.MatRows))
-				s.ensure(key)
-				delete(s.rows, key)
+		for _, shared := range []bool{false, true} {
+			name := mode
+			if shared {
+				name += "-shared"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				s := residentStore(b, 2, 1, mode)
+				// Keys cycle through 64 mat groups: the column state of
+				// those groups stays allocated.
+				keys := 64 * uint64(s.geom.MatRows)
+				if shared {
+					// 256 retained rows (1 MB) are reused from cache.
+					keys = 256
+					r := NewResident(2, 1)
+					for k := uint64(0); k < keys; k++ {
+						r.row(k)
+					}
+					s.UseResident(r)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Dropping the row keeps memory flat.
+					key := uint64(i) % keys
+					s.ensure(key)
+					delete(s.rows, key)
+				}
+			})
+		}
 	}
 }
 

@@ -52,12 +52,13 @@ func residentGoldenKeys() []uint64 {
 
 // goldenResident renders one line per level and mode: SHA-256 digests of
 // the stored data, the per-wordline counters, the unshifted counters and
-// the column state of every golden row.
-func goldenResident(t *testing.T) []byte {
+// the column state of every golden row. newStore builds the store of each
+// level and mode.
+func goldenResident(t *testing.T, newStore func(level int, mode string) *Store) []byte {
 	var out bytes.Buffer
 	for level := 1; level <= 3; level++ {
 		for _, mode := range residentModes {
-			s := residentStore(t, level, 0x5eed+uint64(level), mode)
+			s := newStore(level, mode)
 			data, counters, unshifted, cols := sha256.New(), sha256.New(), sha256.New(), sha256.New()
 			for _, key := range residentGoldenKeys() {
 				if err := s.EnsureRow(s.geom.RowBaseLine(key)); err != nil {
@@ -86,33 +87,54 @@ func goldenResident(t *testing.T) []byte {
 	return out.Bytes()
 }
 
+// residentGoldenSeed is the resident seed of a golden level.
+func residentGoldenSeed(level int) uint64 { return 0x5eed + uint64(level) }
+
+// privateGoldenStore builds a golden store that draws its rows privately.
+func privateGoldenStore(t *testing.T) func(level int, mode string) *Store {
+	return func(level int, mode string) *Store {
+		return residentStore(t, level, residentGoldenSeed(level), mode)
+	}
+}
+
+// readResidentGolden returns the committed golden.
+func readResidentGolden(t *testing.T) []byte {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "resident.golden"))
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	return want
+}
+
+// compareResidentGolden reports every line where got differs from want.
+func compareResidentGolden(t *testing.T, got, want []byte) {
+	t.Helper()
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Errorf("resident rows differ from the golden at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("resident golden has %d lines, want %d", len(gl), len(wl))
+	}
+}
+
 // TestResidentRowsGolden pins the synthetic resident content and every
 // counter built from it. Resident rows feed each simulation's metadata and
 // write latencies, so prefill may get faster but must not draw a single
 // bit differently. A deliberate change regenerates the file with:
 // go test ./internal/reram -run ResidentRowsGolden -update
 func TestResidentRowsGolden(t *testing.T) {
-	path := filepath.Join("testdata", "resident.golden")
-	got := goldenResident(t)
+	got := goldenResident(t, privateGoldenStore(t))
 	if *updateResident {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "resident.golden"), got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (regenerate with -update): %v", err)
-	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Errorf("resident rows differ from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-		}
-	}
-	if len(gl) != len(wl) {
-		t.Errorf("resident golden has %d lines, want %d", len(gl), len(wl))
-	}
+	compareResidentGolden(t, got, readResidentGolden(t))
 }

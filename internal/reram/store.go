@@ -46,14 +46,15 @@ type Store struct {
 	cols map[uint64]*colState
 	// totalWrites counts all block writes for wear statistics.
 	totalWrites uint64
+	// writtenRows counts rows with at least one block write.
+	writtenRows int
 	// bankWrites counts block writes per bank (dense index as in
 	// Geometry.GlobalRow: ((channel*ranks)+rank)*banks + bank), feeding
 	// the per-bank wear view of the run report.
 	bankWrites []uint64
-	// residentLevel/residentSeed configure synthetic resident data
-	// (SetResident); level 0 means a fresh all-HRS device.
-	residentLevel int
-	residentSeed  uint64
+	// resident supplies synthetic resident rows (SetResident,
+	// UseResident); nil means a fresh all-HRS device.
+	resident *Resident
 	// residentTransform stores resident blocks through the scheme's
 	// datapath (SetResidentTransform).
 	residentTransform func(slot int, l bits.Line) bits.Line
@@ -106,10 +107,20 @@ func (s *Store) TrackUnshiftedCounters() { s.trackUnshifted = true }
 // bytes), aligned across the row's blocks, with the remaining bytes
 // mostly zero. Level selects overall density: 1 ≈ dense (FP-heavy), 2 ≈
 // typical, 3 ≈ sparse (integer/pointer-heavy). Level 0 disables prefill.
+//
+// The store draws each row privately; UseResident shares rows drawn once
+// across stores instead.
 func (s *Store) SetResident(level int, seed uint64) {
-	s.residentLevel = level
-	s.residentSeed = seed
+	s.resident = nil
+	if level > 0 {
+		s.resident = &Resident{level: level, seed: seed}
+	}
 }
+
+// UseResident takes resident data from a shared Resident (see NewResident):
+// the store copies each row it touches from r, so stores of one (level,
+// seed) draw every row once between them. A nil r disables prefill.
+func (s *Store) UseResident(r *Resident) { s.resident = r }
 
 // SetResidentTransform installs the controller datapath's storage
 // transform (e.g. LADDER-Est's intra-line bit shifting): under a scheme
@@ -118,53 +129,6 @@ func (s *Store) SetResident(level int, seed uint64) {
 // The transform receives the block's slot within its wordline group.
 func (s *Store) SetResidentTransform(f func(slot int, l bits.Line) bits.Line) {
 	s.residentTransform = f
-}
-
-// residentParams returns the per-level bit statistics: hotDraws is the
-// number of rng draws ANDed/ORed into a hot byte, coldOdds the odds (a
-// power of two) that a cold byte is nonzero.
-func residentParams(level int) (hotDraws int, coldOdds uint64) {
-	switch {
-	case level <= 1:
-		return 1, 4 // hot p=0.5, cold byte nonzero 1 in 4
-	case level == 2:
-		return 2, 8 // hot p≈0.375, cold 1 in 8
-	default:
-		return 3, 16 // hot p=0.25, cold 1 in 16
-	}
-}
-
-// splitmixGamma is the splitmix64 state increment.
-const splitmixGamma = 0x9e3779b97f4a7c15
-
-// splitmix64 advances a splitmix64 state by one draw, returning the new
-// state and the draw. Resident synthesis keeps the state in a local
-// variable, so a draw costs no memory traffic.
-func splitmix64(x uint64) (state, out uint64) {
-	x += splitmixGamma
-	z := (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return x, z ^ (z >> 31)
-}
-
-// residentHotByte synthesizes one dense byte for the given level, returning
-// the advanced state and the byte in the low 8 bits.
-func residentHotByte(x uint64, hotDraws int) (state, hot uint64) {
-	var a, b, c uint64
-	switch hotDraws {
-	case 1:
-		x, a = splitmix64(x)
-		return x, a & 0xff
-	case 2:
-		x, a = splitmix64(x)
-		x, b = splitmix64(x)
-		x, c = splitmix64(x)
-		return x, (a | b) & c & 0xff // p = 0.375
-	default:
-		x, a = splitmix64(x)
-		x, b = splitmix64(x)
-		return x, a & b & 0xff // p = 0.25
-	}
 }
 
 // perBytePop returns the popcount of every byte of x in the corresponding
@@ -190,7 +154,7 @@ func flushLanes(dst *[BlockSize]uint16, acc *[BlockSize / 8]uint64) {
 	}
 }
 
-// EnsureRow allocates (and prefils, when resident data is enabled) the
+// EnsureRow allocates (and prefills, when resident data is enabled) the
 // wordline group containing the line. The memory controller calls this on
 // first reference so metadata initialization observes resident content.
 func (s *Store) EnsureRow(line uint64) error {
@@ -209,12 +173,13 @@ func (s *Store) ensure(key uint64) *rowState {
 	}
 	r := &rowState{}
 	s.rows[key] = r
-	if s.residentLevel > 0 {
+	if s.resident != nil {
+		s.resident.fill(&r.data, key)
 		var cs *colState
 		if s.trackCols {
 			cs = s.colsOf(key)
 		}
-		s.prefill(r, cs, key)
+		s.account(r, cs)
 	}
 	return r
 }
@@ -231,43 +196,15 @@ func (s *Store) colsOf(key uint64) *colState {
 	return cs
 }
 
-// prefill fills a fresh row with resident data and adds it to the row's
-// counters (and to cs, the mat group's column state, when non-nil). Each
-// row draws from its own splitmix64 stream: first one dense byte position
-// per 8-byte word position, fixed per row and aligned across blocks (the
-// page-repetitive pattern real data shows); then, block by block and byte
-// by byte, either the dense byte's draws or a cold-byte draw followed, when
-// the cold byte is nonzero, by a bit-position draw. It returns the final
-// stream state, so tests can tell a changed draw count.
-func (s *Store) prefill(r *rowState, cs *colState, key uint64) uint64 {
-	x := s.residentSeed ^ key*splitmixGamma
-	var v uint64
-	hotDraws, coldOdds := residentParams(s.residentLevel)
-	coldMask := coldOdds - 1
-	var hotK [BlockSize / 8]int
-	for w := range hotK {
-		x, v = splitmix64(x)
-		hotK[w] = int(v & 7)
-	}
+// account stores a freshly drawn row through the datapath transform and
+// adds it to the row's counters (and to cs, the mat group's column state,
+// when non-nil).
+func (s *Store) account(r *rowState, cs *colState) {
 	// Per-byte popcounts of the stored (and unshifted) words accumulate in
 	// byte lanes, flushed to the uint16 counters before a lane can carry.
 	var acc, accRaw [BlockSize / 8]uint64
 	for b := 0; b < BlocksPerRow; b++ {
 		blk := &r.data[b]
-		for w := 0; w < BlockSize/8; w++ {
-			var word uint64
-			for k := 0; k < 8; k++ {
-				var c uint64
-				if k == hotK[w] {
-					x, c = residentHotByte(x, hotDraws)
-				} else if x, v = splitmix64(x); v&coldMask == 0 {
-					x, v = splitmix64(x)
-					c = 1 << (v & 7)
-				}
-				word |= c << (8 * k)
-			}
-			binary.LittleEndian.PutUint64(blk[w*8:], word)
-		}
 		if s.residentTransform != nil {
 			*blk = s.residentTransform(b, *blk)
 		}
@@ -296,7 +233,6 @@ func (s *Store) prefill(r *rowState, cs *colState, key uint64) uint64 {
 			}
 		}
 	}
-	return x
 }
 
 // Geometry returns the store's geometry.
@@ -363,6 +299,9 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 		}
 	}
 	r.data[loc.Slot] = data
+	if r.writes == 0 {
+		s.writtenRows++
+	}
 	r.writes++
 	s.totalWrites++
 	s.bankWrites[(loc.Channel*s.geom.RanksPerChannel+loc.Rank)*s.geom.BanksPerRank+loc.Bank]++
@@ -506,8 +445,10 @@ func (s *Store) TotalWrites() uint64 { return s.totalWrites }
 // these as the per-bank wear distribution.
 func (s *Store) BankWrites() []uint64 { return append([]uint64(nil), s.bankWrites...) }
 
-// TouchedRows returns the number of allocated (written) wordline groups.
-func (s *Store) TouchedRows() int { return len(s.rows) }
+// TouchedRows returns the number of wordline groups written at least once.
+// Rows only materialized for reading (resident prefill reached through
+// EnsureRow, e.g. metadata initialization) do not count.
+func (s *Store) TouchedRows() int { return s.writtenRows }
 
 // MaxRowWrites returns the largest per-row write count, the quantity the
 // worst-cell lifetime model keys on.

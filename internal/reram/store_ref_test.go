@@ -35,12 +35,13 @@ func refHotByte(rng *refSplitmix, hotDraws int) byte {
 
 // referencePrefill is resident prefill written the plain way: one byte at
 // a time, each stored byte read back and counted bit by bit into the
-// wordline, unshifted and column counters. Store.prefill assembles words
-// and counts them with SWAR popcounts; it must agree with this bit for bit
-// and leave the generator in the same state. It returns that state.
+// wordline, unshifted and column counters. drawRow assembles words and
+// Store.account counts them with SWAR popcounts; together they must agree
+// with this bit for bit and leave the generator in the same state. It
+// returns that state.
 func referencePrefill(s *Store, r *rowState, cs *colState, key uint64) uint64 {
-	rng := &refSplitmix{x: s.residentSeed ^ key*0x9e3779b97f4a7c15}
-	hotDraws, coldOdds := residentParams(s.residentLevel)
+	rng := &refSplitmix{x: s.resident.seed ^ key*0x9e3779b97f4a7c15}
+	hotDraws, coldOdds := residentParams(s.resident.level)
 	coldMask := coldOdds - 1
 	var hotPos [BlockSize / 8]int
 	for w := range hotPos {
@@ -82,10 +83,10 @@ func referencePrefill(s *Store, r *rowState, cs *colState, key uint64) uint64 {
 	return rng.x
 }
 
-// TestPrefillMatchesReference prefills the same rows with Store.prefill and
-// referencePrefill at every resident level and store configuration, and
-// compares data, counters, column state and the generator state left
-// behind, row by row.
+// TestPrefillMatchesReference prefills the same rows with drawRow followed
+// by Store.account and with referencePrefill, at every resident level and
+// store configuration, and compares data, counters, column state and the
+// generator state left behind, row by row.
 func TestPrefillMatchesReference(t *testing.T) {
 	for level := 1; level <= 4; level++ {
 		for _, mode := range residentModes {
@@ -100,7 +101,8 @@ func TestPrefillMatchesReference(t *testing.T) {
 					if mode == "columns" {
 						fc, rc = &fastCols, &refCols
 					}
-					fx := fast.prefill(&fr, fc, key)
+					fx := drawRow(&fr.data, level, 0xc0ffee, key)
+					fast.account(&fr, fc)
 					rx := referencePrefill(ref, &rr, rc, key)
 					if fr != rr {
 						t.Fatalf("row %d: prefill differs from the reference", key)

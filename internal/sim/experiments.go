@@ -140,7 +140,10 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 // Determinism: each cell runs with its own metrics registry and memory
 // image, and Grid/report iteration follows the Workloads×Schemes order
 // regardless of completion order, so the resulting Grid is independent
-// of Options.Jobs and of scheduling. User callbacks (Options.Progress,
+// of Options.Jobs and of scheduling. Cells copy their resident rows from
+// one read-only set drawn once per grid; a row's content depends only on
+// the resident level, the seed and the row, so every cell's result is
+// bit-identical to its solo Run. User callbacks (Options.Progress,
 // Options.CellProgress) are serialized under one mutex and never run
 // concurrently with each other.
 func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
@@ -158,6 +161,9 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 		}
 		opts.Tables = ts
 	}
+	// Cells share resident rows for the grid's lifetime: each row is
+	// drawn once, not once per cell.
+	residents := &residentPool{}
 	type cell struct{ w, s string }
 	cells := make([]cell, 0, len(g.Workloads)*len(schemes))
 	for _, w := range g.Workloads {
@@ -188,6 +194,7 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 		go func(c cell) {
 			defer func() { <-sem; wg.Done() }()
 			cfg := opts.config(c.w, c.s)
+			cfg.residents = residents
 			if opts.CellProgress != nil {
 				cfg.ProgressEvery = opts.ProgressEvery
 				cfg.Progress = func(p ProgressInfo) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -131,4 +132,66 @@ func TestRunGridCtxCanceled(t *testing.T) {
 	if !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("error does not mention cancellation: %v", err)
 	}
+}
+
+// TestRunGridMatchesSoloRuns: a grid's cells share resident rows drawn
+// once per grid, which must change nothing. Across every figure scheme —
+// the shifting schemes' resident transform, BLP's column state and
+// Hybrid's metadata fills all read the shared rows — the grid report is
+// byte-equal to one assembled from independent solo runs. Under -race it
+// also checks the sharing.
+func TestRunGridMatchesSoloRuns(t *testing.T) {
+	opts := Options{
+		Instr:     4_000,
+		Seed:      11,
+		Tables:    smallTables(t),
+		Workloads: []string{"lbm", "mcf", "mix-3"},
+		Jobs:      4,
+	}
+	schemes := FigureSchemes()
+	grid, err := RunGrid(opts, schemes)
+	if err != nil {
+		t.Fatalf("RunGrid: %v", err)
+	}
+	solo := &Grid{Workloads: opts.Workloads, Schemes: schemes, Results: map[string]map[string]*Result{}}
+	for _, w := range opts.Workloads {
+		solo.Results[w] = map[string]*Result{}
+		for _, s := range schemes {
+			res, err := Run(opts.config(w, s))
+			if err != nil {
+				t.Fatalf("Run(%s/%s): %v", w, s, err)
+			}
+			solo.Results[w][s] = res
+			g := grid.Results[w][s]
+			if got, want := cellKey(g), cellKey(res); got != want {
+				t.Errorf("%s/%s: grid cell differs from its solo run:\n  grid: %s\n  solo: %s", w, s, got, want)
+			}
+		}
+	}
+	encode := func(g *Grid) []byte {
+		rep, err := NewGridReport(g)
+		if err != nil {
+			t.Fatalf("NewGridReport: %v", err)
+		}
+		b, err := json.MarshalIndent(rep.StripVolatile(), "", "  ")
+		if err != nil {
+			t.Fatalf("marshaling grid report: %v", err)
+		}
+		return b
+	}
+	got, want := encode(grid), encode(solo)
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("grid and solo reports diverge at line %d:\n  grid: %s\n  solo: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("reports differ in length: grid %d bytes, solo %d bytes", len(got), len(want))
+	}
+}
+
+// cellKey is a cell's deterministic results, store wear included.
+func cellKey(r *Result) string {
+	return fmt.Sprintf("%s store=%d maxrow=%d touched=%d", goldenKey(r), r.TotalStoreWrites, r.MaxRowWrites, r.TouchedRows)
 }

@@ -223,6 +223,10 @@ type Config struct {
 	// deadlines and watchdogs stop a running simulation at cycle
 	// granularity. Nil — the default — is never polled and costs nothing.
 	Interrupt func() error `json:"-"`
+
+	// residents shares synthesized resident rows among the cells of one
+	// grid (RunGridCtx); nil, as in a solo Run, draws rows privately.
+	residents *residentPool
 }
 
 func (c *Config) applyDefaults() error {
@@ -286,7 +290,8 @@ type Result struct {
 	// model (metadata writes persist through the cache backing, so the
 	// store counts data writes only; metadata traffic is in
 	// Stats.MetaWrites). TouchedRows is the number of distinct wordline
-	// groups ever written.
+	// groups written at least once; rows only read, such as those
+	// LADDER-Hybrid's metadata initialization prefills, do not count.
 	TotalStoreWrites uint64
 	MaxRowWrites     uint64
 	TouchedRows      int

@@ -511,3 +511,37 @@ func TestCacheSizeSweepAndLowRows(t *testing.T) {
 		t.Fatalf("low-precision rows = %+v", lp)
 	}
 }
+
+// TestTouchedRowsCountsWrittenRows: TouchedRows counts wordline groups
+// written at least once. LADDER-Hybrid's metadata initialization
+// prefills every row of a low-precision group to read its content, and
+// those rows must not count unless a write lands in them.
+func TestTouchedRowsCountsWrittenRows(t *testing.T) {
+	for _, w := range []string{"lbm", "mcf", "mix-3"} {
+		sys, err := newSystem(Config{Workload: w, Scheme: SchemeHybrid, InstrPerCore: 20_000, Seed: 3,
+			Tables: smallTables(t), Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []func() error{sys.warm, sys.execute, sys.drainRemaining} {
+			if err := phase(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sys.collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := map[uint64]bool{}
+		for line := range sys.expected {
+			loc, err := sys.cfg.Geom.Decode(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written[sys.cfg.Geom.GlobalRow(loc)] = true
+		}
+		if res.TouchedRows != len(written) {
+			t.Errorf("%s: TouchedRows = %d, want the %d rows the run wrote", w, res.TouchedRows, len(written))
+		}
+	}
+}

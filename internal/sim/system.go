@@ -4,6 +4,7 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"os"
+	"sync"
 	"time"
 
 	"ladder/internal/bits"
@@ -450,15 +451,22 @@ func printProgress(p ProgressInfo) {
 	fmt.Printf(" | wall=%.1fs %.0f instr/s\n", p.Wall.Seconds(), p.InstrRate)
 }
 
-// warm is the warm phase: it prefills resident data into the store so
-// touched wordline groups carry realistic ones-density before the first
-// write arrives.
+// warm is the warm phase: it configures resident data, which the store
+// prefills into each wordline group on first touch, so touched groups
+// carry realistic ones-density before the first write arrives. A grid
+// cell takes its rows from the grid's shared pool (drawn once per grid);
+// a solo run draws them privately.
 func (s *System) warm() error {
 	cfg := s.cfg
 	if cfg.ResidentLevel <= 0 {
 		return nil
 	}
-	s.store.SetResident(cfg.ResidentLevel, uint64(cfg.Seed)+0x5eed)
+	seed := uint64(cfg.Seed) + 0x5eed
+	if cfg.residents != nil {
+		s.store.UseResident(cfg.residents.get(cfg.ResidentLevel, seed))
+	} else {
+		s.store.SetResident(cfg.ResidentLevel, seed)
+	}
 	// Under a shifting scheme, data resident from before the simulation
 	// window was stored through the same datapath.
 	switch cfg.Scheme {
@@ -468,6 +476,38 @@ func (s *System) warm() error {
 		})
 	}
 	return nil
+}
+
+// residentPool holds the shared resident rows of one grid: one
+// reram.Resident per effective (level, seed) among its cells. Resident
+// content does not depend on workload or scheme, so every cell of a seed
+// copies the same rows instead of drawing them again. The zero value is
+// an empty pool.
+type residentPool struct {
+	mu  sync.Mutex
+	set map[residentKey]*reram.Resident
+}
+
+type residentKey struct {
+	level int
+	seed  uint64
+}
+
+// get returns the pool's Resident for (level, seed), creating it on first
+// use.
+func (p *residentPool) get(level int, seed uint64) *reram.Resident {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := residentKey{level, seed}
+	r := p.set[k]
+	if r == nil {
+		if p.set == nil {
+			p.set = make(map[residentKey]*reram.Resident)
+		}
+		r = reram.NewResident(level, seed)
+		p.set[k] = r
+	}
+	return r
 }
 
 // issue hands one access from a core to its channel's controller,

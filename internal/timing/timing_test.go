@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ladder/internal/circuit"
@@ -282,5 +283,33 @@ func BenchmarkNewTableSet(b *testing.B) {
 		if _, err := NewTableSet(circuit.DefaultParams()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// lookupSink keeps BenchmarkTableLookup's result live.
+var lookupSink float64
+
+// BenchmarkTableLookup times one Table.Lookup at random operating points
+// of a 512×512 crossbar, the query every content-aware write makes. The
+// entries are synthetic: lookup cost does not depend on their values.
+func BenchmarkTableLookup(b *testing.B) {
+	tbl := &Table{Granularity: 512 / Buckets}
+	for i := 0; i < Buckets; i++ {
+		for j := 0; j < Buckets; j++ {
+			for k := 0; k < Buckets; k++ {
+				tbl.LatNs[i][j][k] = float64(i*100 + j*10 + k)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	args := make([][3]int, 4096)
+	for i := range args {
+		args[i] = [3]int{rng.Intn(512), rng.Intn(512), rng.Intn(512)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := args[i&4095]
+		lookupSink += tbl.Lookup(a[0], a[1], a[2])
 	}
 }
