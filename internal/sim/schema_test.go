@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the schema golden fixtures under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under testdata/")
 
 // collapsedMaps lists JSON object paths whose keys are instrument names
 // rather than schema: their (many, geometry-dependent) entries collapse
