@@ -10,6 +10,7 @@
 package ladder_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -289,7 +290,7 @@ func BenchmarkSection64Lifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		life = grid.RelativeLifetime()
 		var err error
-		wearRows, err = ladder.WearLevelingImpact(ladder.Options{
+		wearRows, err = ladder.WearLevelingImpact(context.Background(), ladder.Options{
 			Instr: benchInstr(), Seed: 42,
 			Workloads: []string{"lbm", "mcf", "mix-7"},
 		}, ladder.SchemeHybrid)
@@ -311,7 +312,7 @@ func BenchmarkSection7RangeAblation(b *testing.B) {
 	var rows []ladder.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = ladder.RangeAblation(ladder.Options{
+		rows, err = ladder.RangeAblation(context.Background(), ladder.Options{
 			Instr: benchInstr(), Seed: 42,
 			Workloads: []string{"lbm", "libq", "mcf", "mix-7"},
 		}, ladder.SchemeEst, 2)

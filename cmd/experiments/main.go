@@ -8,11 +8,12 @@
 //	experiments                 # everything (several minutes)
 //	experiments -exp fig12      # one experiment
 //	experiments -instr 100000   # cheaper runs
-//	experiments -jobs 1         # sequential grid cells (default: one per CPU)
+//	experiments -jobs 1         # sequential cells (default: one per CPU)
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"ladder"
+	"ladder/internal/cliflag"
 	"ladder/internal/core"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
@@ -34,8 +36,8 @@ import (
 )
 
 // runCtx is canceled on SIGINT/SIGTERM: in-flight simulations finish,
-// but no further grid cell starts, and the run exits with an error
-// instead of printing figures from a partial grid.
+// but no further grid or study cell starts, and the run exits with an
+// error instead of printing figures from a partial grid.
 var runCtx context.Context
 
 func main() {
@@ -46,7 +48,7 @@ func main() {
 		exp    = flag.String("exp", "all", "experiment: fig2 fig4 fig11 fig12 fig13 fig14 fig15 fig16 fig17 table4 storage lifetime ablation wear vwlmode crash cachesize lowrows fnw reliability all")
 		instr  = flag.Uint64("instr", 150_000, "instructions per core per run")
 		seed   = flag.Int64("seed", 42, "simulation seed")
-		jobs   = flag.Int("jobs", 0, "grid cells simulated concurrently (0 = one worker per CPU; 1 = sequential)")
+		jobs   = flag.Int("jobs", 0, "grid and study cells simulated concurrently (0 = one worker per CPU; 1 = sequential)")
 		report = flag.String("report", "", "write a structured JSON grid report (per-cell summaries + merged metrics) to this file")
 		http   = flag.String("http", "", "serve live introspection (pprof + grid progress) on this address, e.g. :6060")
 
@@ -69,17 +71,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	switch {
-	case *faultRate < 0 || *faultRate >= 1:
-		fail(fmt.Errorf("-fault-rate must be in [0, 1), got %g", *faultRate))
-	case *retryMax < 0:
-		fail(fmt.Errorf("-retry-max must be >= 0 (0 disables reissues), got %d", *retryMax))
-	case *spareRows < 0:
-		fail(fmt.Errorf("-spare-rows must be >= 0 (0 disables remapping), got %d", *spareRows))
-	case *jobs < 0:
-		fail(fmt.Errorf("-jobs must be >= 0 (0 = one worker per CPU), got %d", *jobs))
-	case *timelineOut != "" && *timelineInterval == 0:
-		fail(fmt.Errorf("-timeline-out requires -timeline-interval > 0 (no epochs are recorded otherwise)"))
+	if err := errors.Join(cliflag.Faults(*faultRate, *retryMax, *spareRows), cliflag.Jobs(*jobs),
+		cliflag.Timeline(*timelineInterval, *timelineOut)); err != nil {
+		fail(err)
 	}
 	periods, err := intList(*gapPeriods)
 	if err != nil {
@@ -90,6 +84,7 @@ func main() {
 		fail(fmt.Errorf("-spare-grid: %w", err))
 	}
 
+	var progress func(ladder.GridProgress) // publishes each finished cell under -http
 	if *http != "" {
 		srv, err := introspect.New(*http)
 		if err != nil {
@@ -103,10 +98,13 @@ func main() {
 			_ = srv.Shutdown(sctx)
 		}()
 		fmt.Printf("introspection: http://%s/ (pprof under /debug/pprof/)\n", srv.Addr())
-		gridProgress = func(p ladder.GridProgress) { srv.Publish("grid", p) }
+		progress = func(p ladder.GridProgress) { srv.Publish("grid", p) }
 	}
 
-	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval}
+	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval, Progress: progress}
+	// sub is the three-workload subset the costlier sweeps run on.
+	sub := opts
+	sub.Workloads = []string{"lbm", "mcf", "mix-7"}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	// Cheap analytic experiments first.
@@ -121,8 +119,9 @@ func main() {
 	}
 
 	if want("fig2") {
-		grid := mustGrid(ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval, Workloads: ladder.SingleWorkloads()},
-			[]string{ladder.SchemeBaseline, ladder.SchemeLocAware, ladder.SchemeOracle})
+		singles := opts
+		singles.Workloads = ladder.SingleWorkloads()
+		grid := mustGrid(singles, []string{ladder.SchemeBaseline, ladder.SchemeLocAware, ladder.SchemeOracle})
 		printRows("Figure 2 — normalized IPC (worst-case vs location-aware vs data/location-aware)",
 			grid.Speedup(), grid.Schemes)
 	}
@@ -161,28 +160,20 @@ func main() {
 			grid.CounterDiffs(), []string{"without-shift", "with-shift"})
 	}
 
+	// The studies run their cells on the grid pool under runCtx, so they
+	// honour -jobs, Ctrl-C and -http progress like the grids above.
 	if want("ablation") {
-		rows, err := ladder.RangeAblation(opts, ladder.SchemeEst, 2)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 7 — benefit retained with 2x shrunk latency range (paper ≈85%)",
-			rows, []string{"gain-full", "gain-shrunk", "retained"})
+			mustRows(ladder.RangeAblation(runCtx, opts, ladder.SchemeEst, 2)), []string{"gain-full", "gain-shrunk", "retained"})
 	}
 
 	if want("wear") {
-		rows, err := ladder.WearLevelingImpact(opts, ladder.SchemeHybrid)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.4 — IPC with VWL enabled relative to without (paper ≈99%)",
-			rows, []string{"ipc-ratio", "gap-moves"})
+			mustRows(ladder.WearLevelingImpact(runCtx, opts, ladder.SchemeHybrid)), []string{"ipc-ratio", "gap-moves"})
 	}
 
 	if want("lifetime") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		study, err := ladder.LifetimeSweep(sub, ladder.SchemeHybrid, periods, spares)
+		study, err := ladder.LifetimeSweep(runCtx, sub, ladder.SchemeHybrid, periods, spares)
 		if err != nil {
 			fail(err)
 		}
@@ -192,47 +183,32 @@ func main() {
 	}
 
 	if want("vwlmode") {
-		rows, err := ladder.VWLModeComparison(opts, ladder.SchemeEst)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.4 — segment vs line VWL (metadata reads per data write, IPC)",
-			rows, []string{"segment-metareads", "line-metareads", "segment-ipc", "line-ipc"})
+			mustRows(ladder.VWLModeComparison(runCtx, opts, ladder.SchemeEst)),
+			[]string{"segment-metareads", "line-metareads", "segment-ipc", "line-ipc"})
 	}
 
 	if want("crash") {
-		rows, err := ladder.CrashRecoveryStudy(opts, ladder.SchemeEst)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 7 — crash recovery with lazy conservative correction",
-			rows, []string{"pre-service-ns", "post-service-ns", "post-counter-gap"})
+			mustRows(ladder.CrashRecoveryStudy(runCtx, opts, ladder.SchemeEst)),
+			[]string{"pre-service-ns", "post-service-ns", "post-counter-gap"})
 	}
 
 	if want("cachesize") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		rows, err := ladder.CacheSizeSweep(sub, ladder.SchemeHybrid, nil)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 6.3 — metadata cache size ablation (IPC vs default 64KB; paper <2% gain)",
-			rows, []string{"16KB", "32KB", "64KB", "128KB", "256KB"})
+			mustRows(ladder.CacheSizeSweep(runCtx, sub, ladder.SchemeHybrid, nil)),
+			[]string{"16KB", "32KB", "64KB", "128KB", "256KB"})
 	}
 
 	if want("reliability") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			FaultSeed: *faultSeed, RetryMax: *retryMax, SpareRows: *spareRows,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
+		// The flags take 0 as "off"; Options takes 0 as "default".
+		rel := sub
+		rel.FaultSeed, rel.RetryMax, rel.SpareRows = *faultSeed, cliflag.Count(*retryMax), cliflag.Count(*spareRows)
 		rates := []float64{0.001, 0.01}
 		if *faultRate > 0 {
 			rates = []float64{*faultRate}
 		}
 		schemes := []string{ladder.SchemeBasic, ladder.SchemeEst, ladder.SchemeHybrid}
-		rows, err := ladder.ReliabilitySweep(sub, schemes, rates)
-		if err != nil {
-			fail(err)
-		}
 		series := make([]string, 0, len(schemes)*len(rates))
 		for _, s := range schemes {
 			for _, r := range rates {
@@ -240,18 +216,13 @@ func main() {
 			}
 		}
 		printRows("Reliability — program-and-verify retries per 1000 data writes (stale-margin effect; see docs/FAULTS.md)",
-			rows, series)
+			mustRows(ladder.ReliabilitySweep(runCtx, rel, schemes, rates)), series)
 	}
 
 	if want("lowrows") {
-		sub := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval,
-			Workloads: []string{"lbm", "mcf", "mix-7"}}
-		rows, err := ladder.LowPrecisionSweep(sub, nil)
-		if err != nil {
-			fail(err)
-		}
 		printRows("Section 4.2 — Hybrid precision-register ablation (avg write service ns)",
-			rows, []string{"rows=0 svc", "rows=64 svc", "rows=128 svc", "rows=256 svc", "rows=512 svc"})
+			mustRows(ladder.LowPrecisionSweep(runCtx, sub, nil)),
+			[]string{"rows=0 svc", "rows=64 svc", "rows=128 svc", "rows=256 svc", "rows=512 svc"})
 	}
 
 	if *report != "" {
@@ -352,18 +323,21 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// gridProgress, when -http is set, publishes each finished grid cell to
-// the introspection server; mustGrid attaches it to every grid run.
-var gridProgress func(ladder.GridProgress)
-
 func mustGrid(opts ladder.Options, schemes []string) *ladder.Grid {
-	opts.Progress = gridProgress
 	grid, err := ladder.RunGridCtx(runCtx, opts, schemes)
 	if err != nil {
 		fail(err)
 	}
 	reportGrid = grid
 	return grid
+}
+
+// mustRows returns a study's rows, or fails the run on its error.
+func mustRows(rows []sim.Row, err error) []sim.Row {
+	if err != nil {
+		fail(err)
+	}
+	return rows
 }
 
 func printRows(title string, rows []sim.Row, series []string) {

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"ladder/internal/cliflag"
 )
+
+// The validators live in internal/cliflag, shared with cmd/experiments;
+// these tables pin them over laddersim's full flag surface.
 
 func TestValidateFlags(t *testing.T) {
 	type in struct {
@@ -23,7 +29,7 @@ func TestValidateFlags(t *testing.T) {
 		{"typical injection", in{1, 5, 0.01, 3, 32, 2}, ""},
 		{"rate just below one", in{1, 0, 0.999, 1, 1, 2}, ""},
 		// Zero is an explicit "off", not an unset default: each of these
-		// must validate so the sentinel mapping in flagCount/flagNs can
+		// must validate so the sentinel mapping in cliflag.Count/Ns can
 		// carry the distinction into the simulator config.
 		{"zero retries disables reissues", in{1, 0, 0.01, 0, 32, 2}, ""},
 		{"zero spares disables remapping", in{1, 0, 0.01, 3, 0, 2}, ""},
@@ -39,7 +45,8 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.in.sample, c.in.slowest, c.in.rate, c.in.retry, c.in.spares, c.in.penalty)
+			err := errors.Join(cliflag.Trace(c.in.sample, c.in.slowest), cliflag.Faults(c.in.rate, c.in.retry, c.in.spares),
+				cliflag.RemapPenalty(c.in.penalty))
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -61,31 +68,31 @@ func TestValidateFlags(t *testing.T) {
 // (0 = default, negative = off): an explicit flag zero must reach the
 // simulator as "disabled", never as "use the default".
 func TestFlagSentinelMapping(t *testing.T) {
-	if got := flagCount(0); got != -1 {
-		t.Errorf("flagCount(0) = %d, want -1 (disabled)", got)
+	if got := cliflag.Count(0); got != -1 {
+		t.Errorf("cliflag.Count(0) = %d, want -1 (disabled)", got)
 	}
-	if got := flagCount(3); got != 3 {
-		t.Errorf("flagCount(3) = %d, want 3", got)
+	if got := cliflag.Count(3); got != 3 {
+		t.Errorf("cliflag.Count(3) = %d, want 3", got)
 	}
-	if got := flagNs(0); got != -1 {
-		t.Errorf("flagNs(0) = %v, want -1 (free)", got)
+	if got := cliflag.Ns(0); got != -1 {
+		t.Errorf("cliflag.Ns(0) = %v, want -1 (free)", got)
 	}
-	if got := flagNs(2.5); got != 2.5 {
-		t.Errorf("flagNs(2.5) = %v, want 2.5", got)
+	if got := cliflag.Ns(2.5); got != 2.5 {
+		t.Errorf("cliflag.Ns(2.5) = %v, want 2.5", got)
 	}
 }
 
 func TestValidateTimelineFlags(t *testing.T) {
-	if err := validateTimelineFlags(0, ""); err != nil {
+	if err := cliflag.Timeline(0, ""); err != nil {
 		t.Errorf("both off: unexpected error %v", err)
 	}
-	if err := validateTimelineFlags(10_000, "tl.csv"); err != nil {
+	if err := cliflag.Timeline(10_000, "tl.csv"); err != nil {
 		t.Errorf("interval with output: unexpected error %v", err)
 	}
-	if err := validateTimelineFlags(10_000, ""); err != nil {
+	if err := cliflag.Timeline(10_000, ""); err != nil {
 		t.Errorf("interval without output: unexpected error %v", err)
 	}
-	if err := validateTimelineFlags(0, "tl.json"); err == nil || !strings.Contains(err.Error(), "-timeline-interval") {
+	if err := cliflag.Timeline(0, "tl.json"); err == nil || !strings.Contains(err.Error(), "-timeline-interval") {
 		t.Errorf("output without interval: error %v does not name -timeline-interval", err)
 	}
 }
@@ -109,7 +116,7 @@ func TestValidateServeFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateServeFlags(c.jobs, c.queueDepth, c.cacheSize, c.jobTimeout, c.stallTimeout)
+			err := errors.Join(cliflag.Jobs(c.jobs), cliflag.Serve(c.queueDepth, c.cacheSize, c.jobTimeout, c.stallTimeout))
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

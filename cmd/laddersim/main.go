@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"ladder"
+	"ladder/internal/cliflag"
 	"ladder/internal/core"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
@@ -84,15 +86,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "laddersim:", err)
 		os.Exit(2)
 	}
-	if err := validateFlags(*traceSample, *traceSlowest, *faultRate, *retryMax, *spareRows, *remapPenalty); err != nil {
-		lg.Error("invalid flags", "err", err)
-		os.Exit(2)
-	}
-	if err := validateTimelineFlags(*timelineInterval, *timelineOut); err != nil {
-		lg.Error("invalid flags", "err", err)
-		os.Exit(2)
-	}
-	if err := validateServeFlags(*jobs, *queueDepth, *cacheSize, *jobTimeout, *stallTimeout); err != nil {
+	if err := errors.Join(
+		cliflag.Trace(*traceSample, *traceSlowest),
+		cliflag.Faults(*faultRate, *retryMax, *spareRows),
+		cliflag.RemapPenalty(*remapPenalty),
+		cliflag.Timeline(*timelineInterval, *timelineOut),
+		cliflag.Jobs(*jobs),
+		cliflag.Serve(*queueDepth, *cacheSize, *jobTimeout, *stallTimeout),
+	); err != nil {
 		lg.Error("invalid flags", "err", err)
 		os.Exit(2)
 	}
@@ -134,10 +135,10 @@ func main() {
 		TraceFile:    *traceIn,
 		FaultRate:    *faultRate,
 		FaultSeed:    *faultSeed,
-		RetryMax:     flagCount(*retryMax),
-		SpareRows:    flagCount(*spareRows),
+		RetryMax:     cliflag.Count(*retryMax),
+		SpareRows:    cliflag.Count(*spareRows),
 
-		RemapPenaltyNs:     flagNs(*remapPenalty),
+		RemapPenaltyNs:     cliflag.Ns(*remapPenalty),
 		ProactiveWearLimit: *proactiveWear,
 
 		TimelineInterval: *timelineInterval,

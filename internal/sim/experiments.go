@@ -24,20 +24,20 @@ type Options struct {
 	Tables *timing.TableSet
 	// Workloads restricts the workload list (nil = all sixteen).
 	Workloads []string
-	// Jobs bounds how many grid cells simulate concurrently
-	// (0 = runtime.NumCPU()). Each cell is an independent run with its
-	// own store, Env and metrics registry, so any Jobs value produces
-	// the same Grid; reports derived from it are byte-identical across
-	// Jobs settings once volatile wall-clock fields are stripped
-	// (GridReport.StripVolatile). Jobs=1 recovers fully sequential
-	// execution.
+	// Jobs bounds how many cells simulate concurrently, where a cell is
+	// one run of a grid or study (0 = runtime.NumCPU()). Each cell is an
+	// independent run with its own store, Env and metrics registry, so
+	// any Jobs value produces the same Grid or study rows; reports
+	// derived from a Grid are byte-identical across Jobs settings once
+	// volatile wall-clock fields are stripped (GridReport.StripVolatile).
+	// Jobs=1 recovers fully sequential execution.
 	Jobs int
-	// Progress, when set, is invoked after each grid cell finishes
-	// (successfully or not). Invocations are serialized under the grid's
-	// callback mutex — the callback is never entered concurrently, so
-	// printProgress-style consumers need no locking of their own — but it
-	// runs on worker goroutines and must stay cheap; a slow callback
-	// stalls cell completion.
+	// Progress, when set, is invoked after each cell of a grid or study
+	// finishes (successfully or not). Invocations are serialized under
+	// the runner's callback mutex — the callback is never entered
+	// concurrently, so printProgress-style consumers need no locking of
+	// their own — but it runs on worker goroutines and must stay cheap; a
+	// slow callback stalls cell completion.
 	Progress func(GridProgress)
 	// CellProgress, when set, receives each running cell's periodic
 	// ProgressInfo (see Config.Progress) tagged with the cell identity.
@@ -66,7 +66,8 @@ type Options struct {
 	TimelineCapacity int
 }
 
-// GridProgress reports one finished cell of a running experiment grid.
+// GridProgress reports one finished cell of a running grid or study. A
+// study that runs in stages (LifetimeSweep) counts each stage from zero.
 // Delivery is serialized (see Options.Progress): consumers never observe
 // two callbacks at once, and Done is monotonically increasing across
 // callbacks — though with Jobs > 1 the (Workload, Scheme) completion
@@ -111,14 +112,6 @@ type Grid struct {
 	Results map[string]map[string]*Result
 }
 
-// jobs resolves the worker-pool width.
-func (o Options) jobs() int {
-	if o.Jobs > 0 {
-		return o.Jobs
-	}
-	return runtime.NumCPU()
-}
-
 // RunGrid simulates every workload under every scheme. Runs are
 // independent (each builds its own memory image), so they execute on a
 // worker pool sized by Options.Jobs (default: one worker per CPU).
@@ -126,32 +119,70 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 	return RunGridCtx(context.Background(), opts, schemes)
 }
 
-// RunGridCtx is RunGrid under a context: once ctx is canceled — or any
-// cell fails — no further cell is dispatched, already-running cells
-// abort at their next engine step (see RunCtx; a cell never stops
-// mid-cycle), and every failure is reported via errors.Join alongside
-// the context's error. A canceled grid is returned as an error, never
-// as a silently partial result.
+// RunGridCtx is RunGrid under a context, with runCells' cancellation,
+// failure, panic-isolation and determinism guarantees: a canceled or
+// failed grid is returned as an error, never as a silently partial
+// result.
+func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
+	ws := opts.workloads()
+	variants := make([]cell, len(schemes))
+	for i, s := range schemes {
+		variants[i].scheme = s
+	}
+	res, err := runCells(ctx, opts, new(residentPool), crossCells(ws, variants))
+	if err != nil {
+		return nil, err
+	}
+	g := &Grid{Workloads: ws, Schemes: schemes, Results: make(map[string]map[string]*Result, len(ws))}
+	for i, w := range ws {
+		g.Results[w] = make(map[string]*Result, len(schemes))
+		for j, s := range schemes {
+			g.Results[w][s] = res[i*len(schemes)+j]
+		}
+	}
+	return g, nil
+}
+
+// cell is one simulation of a grid or study: a workload under a scheme,
+// with an optional edit of the Config that Options derives for it.
+type cell struct {
+	workload, scheme string
+	edit             func(*Config)
+}
+
+// crossCells lays out every workload under every variant (a cell whose
+// workload is ignored), workload-major.
+func crossCells(workloads []string, variants []cell) []cell {
+	cells := make([]cell, 0, len(workloads)*len(variants))
+	for _, w := range workloads {
+		for _, v := range variants {
+			v.workload = w
+			cells = append(cells, v)
+		}
+	}
+	return cells
+}
+
+// runCells is the one way experiments simulate: it runs cells on a
+// worker pool sized by Options.Jobs and returns their results in cell
+// order. Once ctx is canceled — or any cell fails — no further cell is
+// dispatched, already-running cells abort at their next engine step (see
+// RunCtx; a cell never stops mid-cycle), and every failure is reported
+// via errors.Join alongside the context's error.
 //
 // Workers are panic-isolated: a panicking scheme or workload converts
 // to that cell's error (a *PanicError carrying the stack) and joins the
 // other failures instead of crashing the process.
 //
 // Determinism: each cell runs with its own metrics registry and memory
-// image, and Grid/report iteration follows the Workloads×Schemes order
-// regardless of completion order, so the resulting Grid is independent
-// of Options.Jobs and of scheduling. Cells copy their resident rows from
-// one read-only set drawn once per grid; a row's content depends only on
-// the resident level, the seed and the row, so every cell's result is
-// bit-identical to its solo Run. User callbacks (Options.Progress,
-// Options.CellProgress) are serialized under one mutex and never run
-// concurrently with each other.
-func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
-	g := &Grid{
-		Workloads: opts.workloads(),
-		Schemes:   schemes,
-		Results:   make(map[string]map[string]*Result),
-	}
+// image, and results follow cell order regardless of completion order,
+// so they are independent of Options.Jobs and of scheduling. Cells copy
+// their resident rows from residents, drawn once per pool; a row's
+// content depends only on the resident level, the seed and the row, so
+// every cell's result is bit-identical to its solo Run. User callbacks
+// (Options.Progress, Options.CellProgress) are serialized under one
+// mutex and never run concurrently with each other.
+func runCells(ctx context.Context, opts Options, residents *residentPool, cells []cell) ([]*Result, error) {
 	// Resolve the shared timing tables up front so workers do not race on
 	// the lazy default-table generation.
 	if opts.Tables == nil {
@@ -161,49 +192,46 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 		}
 		opts.Tables = ts
 	}
-	// Cells share resident rows for the grid's lifetime: each row is
-	// drawn once, not once per cell.
-	residents := &residentPool{}
-	type cell struct{ w, s string }
-	cells := make([]cell, 0, len(g.Workloads)*len(schemes))
-	for _, w := range g.Workloads {
-		g.Results[w] = make(map[string]*Result)
-		for _, s := range schemes {
-			cells = append(cells, cell{w, s})
-		}
-	}
+	results := make([]*Result, len(cells))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
 	// caller's ctx flows through, so external cancellation behaves the
 	// same way.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu         sync.Mutex // guards results, errs, done
+		mu         sync.Mutex // guards runErrs, done
 		progressMu sync.Mutex // serializes user callbacks (Progress, CellProgress)
 		runErrs    []error
 		done       int
 		wg         sync.WaitGroup
 	)
-	sem := make(chan struct{}, opts.jobs())
-	for _, c := range cells {
+	if opts.Jobs <= 0 {
+		opts.Jobs = runtime.NumCPU()
+	}
+	sem := make(chan struct{}, opts.Jobs)
+	for i, c := range cells {
 		if runCtx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(c cell) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			cfg := opts.config(c.w, c.s)
+			cfg := opts.config(c.workload, c.scheme)
+			if c.edit != nil {
+				c.edit(&cfg)
+			}
 			cfg.residents = residents
 			if opts.CellProgress != nil {
 				cfg.ProgressEvery = opts.ProgressEvery
 				cfg.Progress = func(p ProgressInfo) {
 					progressMu.Lock()
 					defer progressMu.Unlock()
-					opts.CellProgress(c.w, c.s, p)
+					opts.CellProgress(c.workload, c.scheme, p)
 				}
 			}
 			res, err := runCell(runCtx, cfg)
+			results[i] = res // each worker owns its slot; wg.Wait publishes it
 			mu.Lock()
 			done++
 			n := done
@@ -212,27 +240,25 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 				// one bad workload name should not mask another's error);
 				// errors.Join reports them all. The cancel stops queued
 				// cells from dispatching after the first failure.
-				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", c.w, c.s, err))
+				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", c.workload, c.scheme, err))
 				cancel()
-			} else {
-				g.Results[c.w][c.s] = res
 			}
 			mu.Unlock()
 			if opts.Progress != nil {
 				progressMu.Lock()
-				opts.Progress(GridProgress{Done: n, Total: len(cells), Workload: c.w, Scheme: c.s, Failed: err != nil})
+				opts.Progress(GridProgress{Done: n, Total: len(cells), Workload: c.workload, Scheme: c.scheme, Failed: err != nil})
 				progressMu.Unlock()
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	if ctx.Err() != nil {
-		runErrs = append(runErrs, fmt.Errorf("experiment grid canceled: %w", ctx.Err()))
+		runErrs = append(runErrs, fmt.Errorf("experiment canceled: %w", ctx.Err()))
 	}
 	if err := errors.Join(runErrs...); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return results, nil
 }
 
 // Baseline returns a workload's baseline result; RunGrid callers must
@@ -392,42 +418,37 @@ func (g *Grid) FNWCancellation() []Row {
 	}, false)
 }
 
+// studyRows runs every workload under each variant on one runCells pool
+// and reduces each workload's results, in variant order, to its Row.
+func studyRows(ctx context.Context, opts Options, variants []cell, reduce func(r []*Result) map[string]float64) ([]Row, error) {
+	ws := opts.workloads()
+	res, err := runCells(ctx, opts, new(residentPool), crossCells(ws, variants))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Row, 0, len(ws))
+	for i, w := range ws {
+		out = append(out, Row{Workload: w, Values: reduce(res[i*len(variants) : (i+1)*len(variants)])})
+	}
+	return out, nil
+}
+
 // RangeAblation runs Section 7's process-variation study: it reports the
 // fraction of a scheme's speedup retained when the timing tables' dynamic
 // range shrinks by `factor` (the paper: 2× shrink retains ~85% on
 // average).
-func RangeAblation(opts Options, scheme string, factor float64) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		full := map[string]*Result{}
-		shr := map[string]*Result{}
-		for _, s := range []string{SchemeBaseline, scheme} {
-			r, err := Run(opts.config(w, s))
-			if err != nil {
-				return nil, err
-			}
-			full[s] = r
-			cfg := opts.config(w, s)
-			cfg.ShrinkRange = factor
-			r2, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			shr[s] = r2
-		}
-		gainFull := full[scheme].WeightedSpeedup(full[SchemeBaseline]) - 1
-		gainShr := shr[scheme].WeightedSpeedup(shr[SchemeBaseline]) - 1
+func RangeAblation(ctx context.Context, opts Options, scheme string, factor float64) ([]Row, error) {
+	shrink := func(c *Config) { c.ShrinkRange = factor }
+	variants := []cell{{scheme: SchemeBaseline}, {scheme: scheme}, {scheme: SchemeBaseline, edit: shrink}, {scheme: scheme, edit: shrink}}
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
+		gainFull := r[1].WeightedSpeedup(r[0]) - 1
+		gainShr := r[3].WeightedSpeedup(r[2]) - 1
 		retained := 0.0
 		if gainFull > 0 {
 			retained = gainShr / gainFull
 		}
-		out = append(out, Row{Workload: w, Values: map[string]float64{
-			"gain-full":   gainFull,
-			"gain-shrunk": gainShr,
-			"retained":    retained,
-		}})
-	}
-	return out, nil
+		return map[string]float64{"gain-full": gainFull, "gain-shrunk": gainShr, "retained": retained}
+	})
 }
 
 // CrashRecoveryStudy runs Section 7's crash-consistency scenario: a power
@@ -436,116 +457,99 @@ func RangeAblation(opts Options, scheme string, factor float64) ([]Row, error) {
 // execution resumes. Reported per workload: average write service before
 // and after the crash, and the post-crash counter gap (how conservative
 // the corrected metadata still is on average).
-func CrashRecoveryStudy(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		cfg := opts.config(w, scheme)
-		cfg.CrashAtInstr = cfg.InstrPerCore / 2
-		if cfg.CrashAtInstr == 0 {
-			cfg.CrashAtInstr = 100_000
+func CrashRecoveryStudy(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	crash := func(c *Config) {
+		c.CrashAtInstr = c.InstrPerCore / 2
+		if c.CrashAtInstr == 0 {
+			c.CrashAtInstr = 100_000
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := Row{Workload: w, Values: map[string]float64{}}
-		if res.PreCrashStats != nil && res.PostCrashStats != nil {
-			r.Values["pre-service-ns"] = res.PreCrashStats.AvgWriteServiceNs()
-			r.Values["post-service-ns"] = res.PostCrashStats.AvgWriteServiceNs()
-			r.Values["post-counter-gap"] = res.PostCrashStats.AvgCounterDiff()
-		}
-		out = append(out, r)
 	}
-	return out, nil
+	return studyRows(ctx, opts, []cell{{scheme: scheme, edit: crash}}, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		if pre, post := r[0].PreCrashStats, r[0].PostCrashStats; pre != nil && post != nil {
+			v["pre-service-ns"] = pre.AvgWriteServiceNs()
+			v["post-service-ns"] = post.AvgWriteServiceNs()
+			v["post-counter-gap"] = post.AvgCounterDiff()
+		}
+		return v
+	})
 }
 
 // VWLModeComparison contrasts segment-based and line-based vertical wear
 // leveling under a LADDER scheme (Section 6.4's locality argument):
 // line-granularity scatter breaks the page→metadata-line association, so
 // metadata reads per data write rise and IPC falls.
-func VWLModeComparison(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, mode := range []string{"segment", "line"} {
-			cfg := opts.config(w, scheme)
-			cfg.WearLeveling = true
-			cfg.VWLMode = mode
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			metaPerWrite := 0.0
-			if res.Stats.DataWrites > 0 {
-				metaPerWrite = float64(res.Stats.MetaReads) / float64(res.Stats.DataWrites)
-			}
-			r.Values[mode+"-ipc"] = res.AvgIPC()
-			r.Values[mode+"-metareads"] = metaPerWrite
-		}
-		out = append(out, r)
+func VWLModeComparison(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	modes := []string{"segment", "line"}
+	variants := make([]cell, len(modes))
+	for i, mode := range modes {
+		variants[i] = cell{scheme: scheme, edit: func(c *Config) { c.WearLeveling, c.VWLMode = true, mode }}
 	}
-	return out, nil
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for i, mode := range modes {
+			metaPerWrite := 0.0
+			if r[i].Stats.DataWrites > 0 {
+				metaPerWrite = float64(r[i].Stats.MetaReads) / float64(r[i].Stats.DataWrites)
+			}
+			v[mode+"-ipc"] = r[i].AvgIPC()
+			v[mode+"-metareads"] = metaPerWrite
+		}
+		return v
+	})
 }
 
 // CacheSizeSweep runs the metadata-cache ablation the paper mentions in
 // Section 6.3 ("marginal system performance gain when increasing cache
 // size (<2%)"): the scheme runs with a range of LRS-metadata cache sizes
 // and reports IPC relative to the default 64 KB configuration.
-func CacheSizeSweep(opts Options, scheme string, sizesKB []int) ([]Row, error) {
+func CacheSizeSweep(ctx context.Context, opts Options, scheme string, sizesKB []int) ([]Row, error) {
 	if len(sizesKB) == 0 {
 		sizesKB = []int{16, 32, 64, 128, 256}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		base, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, err
-		}
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, kb := range sizesKB {
-			cfg := opts.config(w, scheme)
-			cfg.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			rel := 0.0
-			if base.AvgIPC() > 0 {
-				rel = res.AvgIPC() / base.AvgIPC()
-			}
-			r.Values[fmt.Sprintf("%dKB", kb)] = rel
-		}
-		out = append(out, r)
+	variants := []cell{{scheme: scheme}}
+	for _, kb := range sizesKB {
+		variants = append(variants, cell{scheme: scheme, edit: func(c *Config) {
+			c.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
+		}})
 	}
-	return out, nil
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for i, kb := range sizesKB {
+			rel := 0.0
+			if r[0].AvgIPC() > 0 {
+				rel = r[i+1].AvgIPC() / r[0].AvgIPC()
+			}
+			v[fmt.Sprintf("%dKB", kb)] = rel
+		}
+		return v
+	})
 }
 
 // LowPrecisionSweep ablates LADDER-Hybrid's precision control register:
 // how many driver-near rows use 1-bit counters. 0 degenerates to
 // LADDER-Est; MatRows makes everything low-precision. Reported: average
 // write service time (ns) and metadata reads per data write.
-func LowPrecisionSweep(opts Options, rows []int) ([]Row, error) {
+func LowPrecisionSweep(ctx context.Context, opts Options, rows []int) ([]Row, error) {
 	if len(rows) == 0 {
 		rows = []int{0, 64, 128, 256, 512}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, n := range rows {
-			cfg := opts.config(w, SchemeHybrid)
-			cfg.HybridLowRows = n
+	variants := make([]cell, len(rows))
+	for i, n := range rows {
+		variants[i] = cell{scheme: SchemeHybrid, edit: func(c *Config) {
+			c.HybridLowRows = n
 			if n == 0 {
-				cfg.HybridLowRows = -1
+				c.HybridLowRows = -1
 			}
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r.Values[fmt.Sprintf("rows=%d svc", n)] = res.Stats.AvgWriteServiceNs()
-		}
-		out = append(out, r)
+		}}
 	}
-	return out, nil
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for i, n := range rows {
+			v[fmt.Sprintf("rows=%d svc", n)] = r[i].Stats.AvgWriteServiceNs()
+		}
+		return v
+	})
 }
 
 // ReliabilitySweep runs the write-fault reliability study: every
@@ -556,34 +560,31 @@ func LowPrecisionSweep(opts Options, rows []int) ([]Row, error) {
 // program surplus latency margin, whose over-RESET stress draws more
 // verify failures than LADDER-Basic's exact zero-margin counters (see
 // docs/FAULTS.md). Nil schemes/rates select the defaults.
-func ReliabilitySweep(opts Options, schemes []string, rates []float64) ([]Row, error) {
+func ReliabilitySweep(ctx context.Context, opts Options, schemes []string, rates []float64) ([]Row, error) {
 	if len(schemes) == 0 {
 		schemes = []string{SchemeBasic, SchemeEst, SchemeHybrid}
 	}
 	if len(rates) == 0 {
 		rates = []float64{0.001, 0.01}
 	}
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		r := Row{Workload: w, Values: map[string]float64{}}
-		for _, s := range schemes {
-			for _, rate := range rates {
-				cfg := opts.config(w, s)
-				cfg.FaultRate = rate
-				res, err := Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("reliability %s/%s@%g: %w", w, s, rate, err)
-				}
-				v := 0.0
-				if res.Faults != nil && res.Stats.DataWrites > 0 {
-					v = 1000 * float64(res.Faults.Retries) / float64(res.Stats.DataWrites)
-				}
-				r.Values[fmt.Sprintf("%s@%g", s, rate)] = v
+	var variants []cell
+	var keys []string
+	for _, s := range schemes {
+		for _, rate := range rates {
+			variants = append(variants, cell{scheme: s, edit: func(c *Config) { c.FaultRate = rate }})
+			keys = append(keys, fmt.Sprintf("%s@%g", s, rate))
+		}
+	}
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
+		v := map[string]float64{}
+		for i, k := range keys {
+			v[k] = 0
+			if r[i].Faults != nil && r[i].Stats.DataWrites > 0 {
+				v[k] = 1000 * float64(r[i].Faults.Retries) / float64(r[i].Stats.DataWrites)
 			}
 		}
-		out = append(out, r)
-	}
-	return out, nil
+		return v
+	})
 }
 
 // LifetimeCell is one (gap-move period, spare-pool size) combination's
@@ -634,21 +635,15 @@ type LifetimeStudy struct {
 // row capacity the device fails over to, so the reported ratio is
 //
 //	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
-func relativeLifetime(base, res *Result, cfg *Config, spares int) float64 {
+func relativeLifetime(base, res *Result, spares int) float64 {
 	touched := float64(res.TouchedRows)
 	total := float64(res.TotalStoreWrites)
 	if touched == 0 || total == 0 {
 		return 1
 	}
-	geom := cfg.Geom
-	if geom == (reram.Geometry{}) {
-		geom = reram.DefaultGeometry()
-	}
-	segRows := cfg.VWLSegmentRows
-	if segRows == 0 {
-		segRows = 256
-	}
-	segments := float64(geom.Rows()/uint64(segRows)) + 1
+	// Study runs use the default geometry and 256-row VWL segments.
+	geom := reram.DefaultGeometry()
+	segments := float64(geom.Rows()/256) + 1
 	gapMoves := 0.0
 	if res.Remap != nil {
 		gapMoves = float64(res.Remap.GapMoves)
@@ -673,8 +668,10 @@ func relativeLifetime(base, res *Result, cfg *Config, spares int) float64 {
 // short runs still exercise the retirement path. Reported per cell:
 // modeled relative lifetime and measured IPC ratio (the trade the paper
 // prices at ~3% write overhead), averaged across workloads. Nil period
-// and spare lists select the defaults.
-func LifetimeSweep(opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
+// and spare lists select the defaults. The leveled runs depend on the
+// baselines, so the study runs in two runCells stages that share one
+// resident pool.
+func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
 	if len(periods) == 0 {
 		periods = []int{64, 128, 256}
 	}
@@ -687,44 +684,50 @@ func LifetimeSweep(opts Options, scheme string, periods, spares []int) (*Lifetim
 		GapPeriods: periods,
 		SpareRows:  spares,
 	}
-	bases := make(map[string]*Result, len(study.Workloads))
-	for _, w := range study.Workloads {
-		res, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, fmt.Errorf("lifetime baseline %s/%s: %w", w, scheme, err)
-		}
-		bases[w] = res
+	residents := new(residentPool)
+	bases, err := runCells(ctx, opts, residents, crossCells(study.Workloads, []cell{{scheme: scheme}}))
+	if err != nil {
+		return nil, err
 	}
+	var cells []cell
+	for _, p := range periods {
+		for _, sp := range spares {
+			for i, w := range study.Workloads {
+				limit := bases[i].MaxRowWrites/2 + 1
+				cells = append(cells, cell{workload: w, scheme: scheme, edit: func(c *Config) {
+					c.WearLeveling, c.VWLPeriod, c.ProactiveWearLimit = true, p, limit
+					c.SpareRows = sp
+					if sp == 0 {
+						c.SpareRows = -1 // explicit "no spares", not the default pool
+					}
+				}})
+			}
+		}
+	}
+	res, err := runCells(ctx, opts, residents, cells)
+	if err != nil {
+		return nil, err
+	}
+	k := 0
 	for _, p := range periods {
 		for _, sp := range spares {
 			cell := LifetimeCell{GapPeriod: p, SpareRows: sp}
-			for _, w := range study.Workloads {
-				base := bases[w]
-				cfg := opts.config(w, scheme)
-				cfg.WearLeveling = true
-				cfg.VWLPeriod = p
-				cfg.SpareRows = sp
-				if sp == 0 {
-					cfg.SpareRows = -1 // explicit "no spares", not the default pool
-				}
-				cfg.ProactiveWearLimit = base.MaxRowWrites/2 + 1
-				res, err := Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("lifetime %s gap=%d spares=%d: %w", w, p, sp, err)
-				}
+			for _, base := range bases {
+				r := res[k]
+				k++
 				var st remap.Stats
-				if res.Remap != nil {
-					st = *res.Remap
+				if r.Remap != nil {
+					st = *r.Remap
 				}
 				study.Remap.Merge(st)
 				cell.GapMoves += st.GapMoves
 				cell.SpareRemaps += st.SpareRemaps
-				cell.RelativeLifetime += relativeLifetime(base, res, &cfg, sp)
+				cell.RelativeLifetime += relativeLifetime(base, r, sp)
 				if base.AvgIPC() > 0 {
-					cell.IPCRatio += res.AvgIPC() / base.AvgIPC()
+					cell.IPCRatio += r.AvgIPC() / base.AvgIPC()
 				}
 			}
-			n := float64(len(study.Workloads))
+			n := float64(len(bases))
 			cell.RelativeLifetime /= n
 			cell.IPCRatio /= n
 			study.Cells = append(study.Cells, cell)
@@ -749,15 +752,11 @@ func (s *LifetimeStudy) Series() []string {
 // Rows renders the study for the experiment text printer: one row per
 // gap period, columns per Series.
 func (s *LifetimeStudy) Rows() []Row {
-	byKey := make(map[[2]int]LifetimeCell, len(s.Cells))
-	for _, c := range s.Cells {
-		byKey[[2]int{c.GapPeriod, c.SpareRows}] = c
-	}
 	out := make([]Row, 0, len(s.GapPeriods))
-	for _, p := range s.GapPeriods {
+	for i, p := range s.GapPeriods {
 		r := Row{Workload: fmt.Sprintf("gap=%d", p), Values: make(map[string]float64)}
-		for _, sp := range s.SpareRows {
-			c := byKey[[2]int{p, sp}]
+		for j, sp := range s.SpareRows {
+			c := s.Cells[i*len(s.SpareRows)+j]
 			r.Values[fmt.Sprintf("spares=%d life", sp)] = c.RelativeLifetime
 			r.Values[fmt.Sprintf("spares=%d ipc", sp)] = c.IPCRatio
 		}
@@ -768,27 +767,13 @@ func (s *LifetimeStudy) Rows() []Row {
 
 // WearLevelingImpact runs Section 6.4's performance check: the IPC cost
 // of enabling segment-based VWL under a LADDER scheme.
-func WearLevelingImpact(opts Options, scheme string) ([]Row, error) {
-	out := make([]Row, 0, len(opts.workloads()))
-	for _, w := range opts.workloads() {
-		plain, err := Run(opts.config(w, scheme))
-		if err != nil {
-			return nil, err
-		}
-		cfg := opts.config(w, scheme)
-		cfg.WearLeveling = true
-		wl, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
+func WearLevelingImpact(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	variants := []cell{{scheme: scheme}, {scheme: scheme, edit: func(c *Config) { c.WearLeveling = true }}}
+	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
 		ratio := 0.0
-		if plain.AvgIPC() > 0 {
-			ratio = wl.AvgIPC() / plain.AvgIPC()
+		if r[0].AvgIPC() > 0 {
+			ratio = r[1].AvgIPC() / r[0].AvgIPC()
 		}
-		out = append(out, Row{Workload: w, Values: map[string]float64{
-			"ipc-ratio": ratio,
-			"gap-moves": float64(wl.Remap.GapMoves),
-		}})
-	}
-	return out, nil
+		return map[string]float64{"ipc-ratio": ratio, "gap-moves": float64(r[1].Remap.GapMoves)}
+	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -459,7 +460,7 @@ func TestTraceReplayRejectsOversizedTrace(t *testing.T) {
 
 func TestLifetimeSweep(t *testing.T) {
 	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
-	study, err := LifetimeSweep(opts, SchemeHybrid, []int{16, 64}, []int{0, 16})
+	study, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, []int{16, 64}, []int{0, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,14 +497,14 @@ func TestCacheSizeSweepAndLowRows(t *testing.T) {
 	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
 	// Inject the small geometry through config? Options builds default
 	// geometry; use the tables' scale anyway via the public path.
-	rows, err := CacheSizeSweep(opts, SchemeHybrid, []int{16, 64})
+	rows, err := CacheSizeSweep(context.Background(), opts, SchemeHybrid, []int{16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 1 || rows[0].Values["64KB"] <= 0 {
 		t.Fatalf("cache sweep rows = %+v", rows)
 	}
-	lp, err := LowPrecisionSweep(opts, []int{0, 128})
+	lp, err := LowPrecisionSweep(context.Background(), opts, []int{0, 128})
 	if err != nil {
 		t.Fatal(err)
 	}

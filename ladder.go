@@ -148,52 +148,57 @@ func Workloads() []string { return trace.AllWorkloads() }
 // SingleWorkloads lists the eight single-programmed workloads.
 func SingleWorkloads() []string { return append([]string(nil), trace.SingleWorkloads...) }
 
+// The studies below run their simulations the way RunGridCtx does: each
+// is a cell of a grid or study on one worker pool, so Options.Jobs,
+// Options.Progress and ctx cancellation apply, and a panicking cell
+// returns a *PanicError. Results do not depend on Options.Jobs.
+
 // RangeAblation runs the Section 7 dynamic-range study.
-func RangeAblation(opts Options, scheme string, factor float64) ([]Row, error) {
-	return sim.RangeAblation(opts, scheme, factor)
+func RangeAblation(ctx context.Context, opts Options, scheme string, factor float64) ([]Row, error) {
+	return sim.RangeAblation(ctx, opts, scheme, factor)
 }
 
 // WearLevelingImpact runs the Section 6.4 wear-leveling study.
-func WearLevelingImpact(opts Options, scheme string) ([]Row, error) {
-	return sim.WearLevelingImpact(opts, scheme)
+func WearLevelingImpact(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	return sim.WearLevelingImpact(ctx, opts, scheme)
 }
 
 // LifetimeSweep runs the decoder lifetime study: relative lifetime and
 // IPC overhead across a gap-move period × spare-pool grid. Pass nil for
 // the default grids. See docs/REMAP.md.
-func LifetimeSweep(opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
-	return sim.LifetimeSweep(opts, scheme, periods, spares)
+func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
+	return sim.LifetimeSweep(ctx, opts, scheme, periods, spares)
 }
 
 // CrashRecoveryStudy runs the Section 7 crash-consistency scenario.
-func CrashRecoveryStudy(opts Options, scheme string) ([]Row, error) {
-	return sim.CrashRecoveryStudy(opts, scheme)
+func CrashRecoveryStudy(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	return sim.CrashRecoveryStudy(ctx, opts, scheme)
 }
 
 // VWLModeComparison contrasts segment- and line-based wear leveling
 // (Section 6.4's metadata-locality argument).
-func VWLModeComparison(opts Options, scheme string) ([]Row, error) {
-	return sim.VWLModeComparison(opts, scheme)
+func VWLModeComparison(ctx context.Context, opts Options, scheme string) ([]Row, error) {
+	return sim.VWLModeComparison(ctx, opts, scheme)
 }
 
 // ReliabilitySweep runs the write-fault reliability study: retries per
 // 1000 data writes for each scheme × base fault rate, keyed
 // "scheme@rate". Pass nil for the default schemes and rates. See
 // docs/FAULTS.md.
-func ReliabilitySweep(opts Options, schemes []string, rates []float64) ([]Row, error) {
-	return sim.ReliabilitySweep(opts, schemes, rates)
+func ReliabilitySweep(ctx context.Context, opts Options, schemes []string, rates []float64) ([]Row, error) {
+	return sim.ReliabilitySweep(ctx, opts, schemes, rates)
 }
 
 // CacheSizeSweep ablates the LRS-metadata cache size (Section 6.3's
 // "<2% gain beyond 64 KB" observation). Pass nil for the default sizes.
-func CacheSizeSweep(opts Options, scheme string, sizesKB []int) ([]Row, error) {
-	return sim.CacheSizeSweep(opts, scheme, sizesKB)
+func CacheSizeSweep(ctx context.Context, opts Options, scheme string, sizesKB []int) ([]Row, error) {
+	return sim.CacheSizeSweep(ctx, opts, scheme, sizesKB)
 }
 
 // LowPrecisionSweep ablates LADDER-Hybrid's precision control register.
 // Pass nil for the default row counts.
-func LowPrecisionSweep(opts Options, rows []int) ([]Row, error) {
-	return sim.LowPrecisionSweep(opts, rows)
+func LowPrecisionSweep(ctx context.Context, opts Options, rows []int) ([]Row, error) {
+	return sim.LowPrecisionSweep(ctx, opts, rows)
 }
 
 // Timing-model surface.
