@@ -20,6 +20,8 @@ package fault
 
 import (
 	"fmt"
+
+	"ladder/internal/metrics"
 )
 
 // UseDefault is the sentinel distinguishing "unset, use the default"
@@ -111,6 +113,15 @@ func (v Verdict) String() string {
 	return "unknown"
 }
 
+// Counter names: Instrument fetches them, StatsFrom reads them back.
+const (
+	MetricChecked   = "fault.checked"
+	MetricTransient = "fault.transient"
+	MetricPermanent = "fault.permanent"
+	MetricRetries   = "fault.retries"
+	MetricExhausted = "fault.exhausted"
+)
+
 // Stats is the injector's cumulative accounting, embedded in run results
 // and the report's faults section.
 type Stats struct {
@@ -125,6 +136,19 @@ type Stats struct {
 	Retries uint64 `json:"retries"`
 	// Exhausted counts writes whose transient retries hit the cap.
 	Exhausted uint64 `json:"exhausted"`
+}
+
+// StatsFrom maps a snapshot of the injector's counters onto Stats.
+func StatsFrom(s metrics.Snapshot) Stats {
+	c := s.Counters
+	return Stats{
+		Checked:   c[MetricChecked],
+		Injected:  c[MetricTransient] + c[MetricPermanent],
+		Transient: c[MetricTransient],
+		Permanent: c[MetricPermanent],
+		Retries:   c[MetricRetries],
+		Exhausted: c[MetricExhausted],
+	}
 }
 
 // splitmixState is the splitmix64 PRNG (same recurrence the store uses
@@ -148,9 +172,10 @@ func (s *splitmixState) float() float64 {
 // simulation that drives it; a nil *Injector means fault injection is
 // disabled and is safe to pass around (consumers nil-check).
 type Injector struct {
-	cfg   Config
-	rng   splitmixState
-	stats Stats
+	cfg Config
+	rng splitmixState
+	// Counters fetched by Instrument; nil (counting nothing) until then.
+	checked, transient, permanent, retries, exhausted *metrics.Counter
 }
 
 // NewInjector builds an injector, applying defaults then validating.
@@ -168,20 +193,22 @@ func NewInjector(cfg Config) (*Injector, error) {
 // RetryMax returns the program-and-verify reissue cap.
 func (in *Injector) RetryMax() int { return in.cfg.RetryMax }
 
-// Rate returns the configured base transient rate.
-func (in *Injector) Rate() float64 { return in.cfg.Rate }
-
 // WearLimit returns the effective per-row write count at which writes
 // fail permanently.
 func (in *Injector) WearLimit() uint64 { return in.cfg.WearLimit }
 
-// Stats returns a copy of the cumulative accounting. Safe on nil
-// (zero value).
-func (in *Injector) Stats() Stats {
+// Instrument fetches (creating on first use) the injector's counters
+// from reg. Call before the first CheckWrite; an injector never
+// instrumented counts nothing. Safe on nil (registers nothing).
+func (in *Injector) Instrument(reg *metrics.Registry) {
 	if in == nil {
-		return Stats{}
+		return
 	}
-	return in.stats
+	in.checked = reg.Counter(MetricChecked)
+	in.transient = reg.Counter(MetricTransient)
+	in.permanent = reg.Counter(MetricPermanent)
+	in.retries = reg.Counter(MetricRetries)
+	in.exhausted = reg.Counter(MetricExhausted)
 }
 
 // probability maps a pulse's latency margin to its failure probability.
@@ -228,22 +255,20 @@ func (in *Injector) probability(latNs, needNs float64) float64 {
 // fresh spare counts from zero. Exactly one PRNG draw is consumed per
 // transient check, keeping the stream aligned across reruns.
 func (in *Injector) CheckWrite(latNs, needNs float64, rowWrites uint64) Verdict {
-	in.stats.Checked++
+	in.checked.Inc()
 	if rowWrites >= in.cfg.WearLimit {
-		in.stats.Injected++
-		in.stats.Permanent++
+		in.permanent.Inc()
 		return Permanent
 	}
 	if in.rng.float() < in.probability(latNs, needNs) {
-		in.stats.Injected++
-		in.stats.Transient++
+		in.transient.Inc()
 		return Transient
 	}
 	return OK
 }
 
 // NoteRetry records one program-and-verify reissue.
-func (in *Injector) NoteRetry() { in.stats.Retries++ }
+func (in *Injector) NoteRetry() { in.retries.Inc() }
 
 // NoteExhausted records one write whose transient retries hit the cap.
-func (in *Injector) NoteExhausted() { in.stats.Exhausted++ }
+func (in *Injector) NoteExhausted() { in.exhausted.Inc() }

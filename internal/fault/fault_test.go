@@ -3,6 +3,8 @@ package fault
 import (
 	"math"
 	"testing"
+
+	"ladder/internal/metrics"
 )
 
 func mustInjector(t *testing.T, cfg Config) *Injector {
@@ -12,6 +14,15 @@ func mustInjector(t *testing.T, cfg Config) *Injector {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// instrumented returns an injector counting into a fresh registry.
+func instrumented(t *testing.T, cfg Config) (*Injector, *metrics.Registry) {
+	t.Helper()
+	in := mustInjector(t, cfg)
+	reg := metrics.NewRegistry()
+	in.Instrument(reg)
+	return in, reg
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -61,7 +72,7 @@ func TestSeededRateWithinTolerance(t *testing.T) {
 		rate   = 0.02
 		trials = 200_000
 	)
-	in := mustInjector(t, Config{Rate: rate, Seed: 42})
+	in, reg := instrumented(t, Config{Rate: rate, Seed: 42})
 	faults := 0
 	for i := 0; i < trials; i++ {
 		// Zero margin: programmed latency equals the requirement.
@@ -74,7 +85,7 @@ func TestSeededRateWithinTolerance(t *testing.T) {
 	if tol := 0.002; math.Abs(got-rate) > tol {
 		t.Errorf("observed rate %.5f outside %v ± %v", got, rate, tol)
 	}
-	st := in.Stats()
+	st := StatsFrom(reg.Snapshot())
 	if st.Checked != trials || st.Injected != uint64(faults) || st.Transient != uint64(faults) {
 		t.Errorf("stats mismatch: %+v (faults %d)", st, faults)
 	}
@@ -128,22 +139,71 @@ func TestDeterministicReplay(t *testing.T) {
 // write count the caller supplies (the decoder subtracts its remap
 // baseline before calling, so a fresh spare counts from zero).
 func TestWearPermanent(t *testing.T) {
-	in := mustInjector(t, Config{Rate: 0.001, Seed: 3, WearLimit: 100})
+	in, reg := instrumented(t, Config{Rate: 0.001, Seed: 3, WearLimit: 100})
 	if v := in.CheckWrite(100, 100, 99); v != OK && v != Transient {
 		t.Fatalf("pre-limit write got %v", v)
 	}
 	if v := in.CheckWrite(1e6, 100, 100); v != Permanent {
 		t.Fatalf("at-limit write got %v, want Permanent (margin must not matter)", v)
 	}
-	st := in.Stats()
-	if st.Permanent != 1 {
+	st := StatsFrom(reg.Snapshot())
+	if st.Permanent != 1 || st.Injected != st.Transient+st.Permanent {
 		t.Errorf("stats = %+v, want exactly 1 permanent fault", st)
 	}
 }
 
+// TestNilInjectorSafe pins the disabled state: instrumenting a nil
+// injector registers nothing, so fault-free runs carry no fault.* names.
 func TestNilInjectorSafe(t *testing.T) {
 	var in *Injector
-	if st := in.Stats(); st != (Stats{}) {
+	reg := metrics.NewRegistry()
+	in.Instrument(reg)
+	snap := reg.Snapshot()
+	if len(snap.Counters) != 0 {
+		t.Fatalf("nil injector registered %v", snap.Counters)
+	}
+	if st := StatsFrom(snap); st != (Stats{}) {
 		t.Fatalf("nil injector stats = %+v, want zero value", st)
+	}
+}
+
+// TestCountsLiveInRegistry pins the single count: every verdict and
+// note lands in its named counter, and an uninstrumented injector
+// issues the same verdicts while counting nothing.
+func TestCountsLiveInRegistry(t *testing.T) {
+	cfg := Config{Rate: 0.3, Seed: 5, WearLimit: 10}
+	in, reg := instrumented(t, cfg)
+	plain := mustInjector(t, cfg)
+	var want Stats
+	for i := 0; i < 1000; i++ {
+		rowWrites := uint64(i % 12)
+		v := in.CheckWrite(100, 100, rowWrites)
+		if pv := plain.CheckWrite(100, 100, rowWrites); pv != v {
+			t.Fatalf("check %d: instrumented verdict %v, plain %v", i, v, pv)
+		}
+		want.Checked++
+		switch v {
+		case Transient:
+			want.Transient++
+			in.NoteRetry()
+			want.Retries++
+		case Permanent:
+			want.Permanent++
+			in.NoteExhausted()
+			want.Exhausted++
+		}
+	}
+	want.Injected = want.Transient + want.Permanent
+	if got := StatsFrom(reg.Snapshot()); got != want {
+		t.Fatalf("registry stats = %+v, want %+v", got, want)
+	}
+	if want.Transient == 0 || want.Permanent == 0 {
+		t.Fatalf("test drew no mix of verdicts: %+v", want)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{MetricChecked, MetricTransient, MetricPermanent, MetricRetries, MetricExhausted} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %s not registered", name)
+		}
 	}
 }

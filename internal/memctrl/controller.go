@@ -179,10 +179,6 @@ type Controller struct {
 	mResetHist   *metrics.Histogram // per-data-RESET latency (ns)
 	mResetCells  *metrics.Grid      // RESETs per timing-table (WL,BL) cell
 	mMetaIssued  *metrics.Counter   // metadata/maintenance writes issued
-	mFaults      *metrics.Counter   // injected write faults (transient + permanent)
-	mRetries     *metrics.Counter   // program-and-verify reissues
-	mRemaps      *metrics.Counter   // rows remapped to the spare pool
-	mExhausted   *metrics.Counter   // writes whose retry budget ran out
 	mRetryHist   *metrics.Histogram // escalated reissue-pulse latency (ns)
 
 	// tr, when set, records sampled transaction-lifecycle spans (see
@@ -217,22 +213,14 @@ func (c *Controller) Instrument(channel int) {
 	c.mResetCells = reg.Grid(p+"reset_table_cells", timing.Buckets, timing.Buckets)
 	c.mMetaIssued = reg.Counter(p + "meta_writes_issued")
 	if c.inj != nil {
-		c.mFaults = reg.Counter(p + "write_faults")
-		c.mRetries = reg.Counter(p + "write_retries")
-		c.mRemaps = reg.Counter(p + "row_remaps")
-		c.mExhausted = reg.Counter(p + "retry_exhausted")
 		c.mRetryHist = reg.Histogram(p+"retry_latency_ns", ResetLatencyBounds())
-	} else if c.dec.ProactiveEnabled() {
-		// Proactive retirement remaps rows without an injector; attach
-		// the decoder hook (SetDecoder) before Instrument, like SetFaults.
-		c.mRemaps = reg.Counter(p + "row_remaps")
 	}
 }
 
 // SetFaults attaches a write-fault injector; call before Instrument so
-// the fault instruments are created. Nil (the default) disables
-// injection entirely and leaves the write datapath cycle-identical to a
-// fault-free build.
+// the retry-latency histogram is created (the injector counts its own
+// verdicts and retries). Nil (the default) disables injection entirely
+// and leaves the write datapath cycle-identical to a fault-free build.
 func (c *Controller) SetFaults(inj *fault.Injector) { c.inj = inj }
 
 // Err returns the first unrecoverable fault error (spare-row pool
@@ -599,9 +587,7 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 	// an empty pool is not an error here.
 	if c.dec.ProactiveEnabled() {
 		if rowWrites, err := c.env.Store.RowWrites(req.Line); err == nil {
-			if c.dec.MaybeRetire(c.bankOf(req.Loc), c.env.Geom.GlobalRow(req.Loc), rowWrites) {
-				c.mRemaps.Inc()
-			}
+			c.dec.MaybeRetire(c.bankOf(req.Loc), c.env.Geom.GlobalRow(req.Loc), rowWrites)
 		}
 	}
 	c.routeWritebacks(c.scheme.Complete(req, old, enc), now)
@@ -638,7 +624,6 @@ func (c *Controller) verifyWrite(op busyOp, now uint64) bool {
 	if verdict == fault.OK {
 		return true
 	}
-	c.mFaults.Inc()
 	// The failed pulse still ran: charge its energy, zero cells switched.
 	c.meter.Write(op.latNs, 0)
 	if verdict == fault.Transient && req.Retries < c.inj.RetryMax() {
@@ -650,15 +635,10 @@ func (c *Controller) verifyWrite(op busyOp, now uint64) bool {
 	// the spare starts fresh, so no re-verification is modeled.
 	if verdict == fault.Transient {
 		c.inj.NoteExhausted()
-		c.mExhausted.Inc()
 	}
-	if err := c.dec.RemapSpare(c.bankOf(req.Loc), globalRow, rowWrites); err != nil {
-		if c.faultErr == nil {
-			c.faultErr = err
-		}
-		return true
+	if err := c.dec.RemapSpare(c.bankOf(req.Loc), globalRow, rowWrites); err != nil && c.faultErr == nil {
+		c.faultErr = err
 	}
-	c.mRemaps.Inc()
 	return true
 }
 
@@ -671,7 +651,6 @@ func (c *Controller) reissueWrite(op busyOp, now uint64) {
 	req := op.write
 	req.Retries++
 	c.inj.NoteRetry()
-	c.mRetries.Inc()
 	if ra, ok := c.scheme.(core.RetryAware); ok {
 		ra.WriteRetry(req, req.Retries)
 	}
@@ -695,13 +674,6 @@ func (c *Controller) reissueWrite(op busyOp, now uint64) {
 	}
 	c.mRetryHist.Observe(lat)
 	c.reissue = append(c.reissue, busyOp{finish: now + dur, write: req, latNs: lat, retryRef: ref})
-}
-
-// remapPenalty returns the extra bank ticks a spare-row indirection adds
-// to an access whose row was retired to the spare pool. The decoder is
-// the single accounting point; a nil decoder charges nothing.
-func (c *Controller) remapPenalty(loc reram.Location) uint64 {
-	return c.dec.PenaltyTicks(loc)
 }
 
 // retrySpill lets the scheme re-attempt deferred metadata acquisitions.
@@ -778,7 +750,7 @@ func (c *Controller) issueReads(now uint64, auxOnly bool) bool {
 			i++
 			continue
 		}
-		dur := uint64(c.cfg.TRCD+c.cfg.TCL+c.cfg.TBurst) + c.remapPenalty(r.Loc)
+		dur := uint64(c.cfg.TRCD+c.cfg.TCL+c.cfg.TBurst) + c.dec.PenaltyTicks(r.Loc)
 		c.bankBusy[bank] = now + dur
 		if c.tr != nil && r.TraceRef != 0 {
 			c.tr.Dispatch(r.TraceRef, now, float64(dur)/TicksPerNs, -1, -1, -1, c.writeMode)
@@ -822,7 +794,7 @@ func (c *Controller) issueWrites(now uint64) bool {
 				c.mResetCells.Inc(t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh))
 			}
 		}
-		dur := uint64(c.cfg.TRCD+c.cfg.TBurst) + uint64(math.Ceil(latNs*TicksPerNs)) + c.remapPenalty(req.Loc)
+		dur := uint64(c.cfg.TRCD+c.cfg.TBurst) + uint64(math.Ceil(latNs*TicksPerNs)) + c.dec.PenaltyTicks(req.Loc)
 		req.DispatchCycle = now
 		if c.tr != nil && req.TraceRef != 0 {
 			t := c.env.Tables.WL

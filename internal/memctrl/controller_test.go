@@ -465,6 +465,7 @@ func TestDecoderSparePenaltyChargedAtDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dec.Instrument(h.env.Metrics)
 		h.ctrl.SetDecoder(dec)
 		if doRemap {
 			loc, err := h.env.Geom.Decode(0)
@@ -478,7 +479,7 @@ func TestDecoderSparePenaltyChargedAtDispatch(t *testing.T) {
 		h.ctrl.EnqueueWrite(0, bits.Line{}, h.now)
 		h.runUntilIdle(t, 100_000)
 		if doRemap {
-			if st := dec.Stats(); st.PenaltyTicks == 0 {
+			if st := remap.StatsFrom(h.env.Metrics.Snapshot()); st.PenaltyTicks == 0 {
 				t.Fatal("remapped write charged no penalty ticks")
 			}
 		}

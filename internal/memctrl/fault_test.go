@@ -12,11 +12,12 @@ import (
 	"ladder/internal/reram"
 )
 
-// newFaultHarness wires an injector, an address decoder with the given
-// per-bank spare pool, and a metrics registry into a fresh controller
-// harness, mirroring the sim package's build order (faults and decoder
-// before instrumentation, so the fault counters register).
-func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Config, spareRows int) (*harness, *fault.Injector, *metrics.Registry) {
+// newFaultHarness wires an injector and an address decoder with the
+// given per-bank spare pool, both counting into the harness's metrics
+// registry, into a fresh controller harness, mirroring the sim package's
+// build order (faults and decoder before instrumentation, so the retry
+// histogram registers).
+func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Config, spareRows int) (*harness, *metrics.Registry) {
 	t.Helper()
 	h := newHarness(t, mk)
 	inj, err := fault.NewInjector(cfg)
@@ -31,10 +32,24 @@ func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Con
 	if err != nil {
 		t.Fatal(err)
 	}
+	inj.Instrument(h.env.Metrics)
+	dec.Instrument(h.env.Metrics)
 	h.ctrl.SetFaults(inj)
 	h.ctrl.SetDecoder(dec)
 	h.ctrl.Instrument(0)
-	return h, inj, h.env.Metrics
+	return h, h.env.Metrics
+}
+
+// retryLatencyCount sums the per-channel retry-latency histogram counts:
+// one observation per reissued pulse, so it must equal fault.retries.
+func retryLatencyCount(snap metrics.Snapshot) uint64 {
+	var n uint64
+	for name, h := range snap.Histograms {
+		if strings.HasPrefix(name, "memctrl.ch") && strings.HasSuffix(name, ".retry_latency_ns") {
+			n += h.Count
+		}
+	}
+	return n
 }
 
 func basicScheme(t *testing.T) func(*core.Env) core.Scheme {
@@ -51,7 +66,7 @@ func basicScheme(t *testing.T) func(*core.Env) core.Scheme {
 // program-and-verify loop under a high fault rate: the failed pulses are
 // metered, the reissues counted, and the data still lands.
 func TestVerifyFailureReissuesAndPersists(t *testing.T) {
-	h, inj, reg := newFaultHarness(t, estScheme(t),
+	h, reg := newFaultHarness(t, estScheme(t),
 		fault.Config{Rate: 0.9, Seed: 1, RetryMax: fault.UseDefault}, remap.UseDefault)
 	var data bits.Line
 	for i := range data {
@@ -61,7 +76,7 @@ func TestVerifyFailureReissuesAndPersists(t *testing.T) {
 		t.Fatal("enqueue failed")
 	}
 	h.runUntilIdle(t, 5_000_000)
-	st := inj.Stats()
+	st := fault.StatsFrom(reg.Snapshot())
 	if st.Retries == 0 {
 		t.Fatalf("expected verify retries at rate 0.9, stats %+v", st)
 	}
@@ -76,12 +91,8 @@ func TestVerifyFailureReissuesAndPersists(t *testing.T) {
 	if got != data {
 		t.Fatal("write lost through the retry path")
 	}
-	snap := reg.Snapshot()
-	if c := snap.Counters["memctrl.ch0.write_retries"]; c != st.Retries {
-		t.Fatalf("write_retries counter %d != injector retries %d", c, st.Retries)
-	}
-	if n := snap.Histograms["memctrl.ch0.retry_latency_ns"].Count; n != st.Retries {
-		t.Fatalf("retry latency histogram count %d != retries %d", n, st.Retries)
+	if n := retryLatencyCount(reg.Snapshot()); n != st.Retries {
+		t.Fatalf("retry latency histogram counts sum to %d, %s is %d", n, fault.MetricRetries, st.Retries)
 	}
 }
 
@@ -90,7 +101,7 @@ func TestVerifyFailureReissuesAndPersists(t *testing.T) {
 // reissues must climb the timing table toward worst case rather than
 // re-fail at the same margin.
 func TestRetryEscalatesPulseLatency(t *testing.T) {
-	h, inj, reg := newFaultHarness(t, basicScheme(t),
+	h, reg := newFaultHarness(t, basicScheme(t),
 		fault.Config{Rate: 0.99, Seed: 2, RetryMax: fault.UseDefault}, remap.UseDefault)
 	var sparse bits.Line
 	sparse[0] = 1
@@ -98,7 +109,7 @@ func TestRetryEscalatesPulseLatency(t *testing.T) {
 		t.Fatal("enqueue failed")
 	}
 	h.runUntilIdle(t, 5_000_000)
-	st := inj.Stats()
+	st := fault.StatsFrom(reg.Snapshot())
 	if st.Retries < 2 {
 		t.Fatalf("expected at least two reissues at rate 0.99, stats %+v", st)
 	}
@@ -115,7 +126,7 @@ func TestRetryEscalatesPulseLatency(t *testing.T) {
 // state: once a bank's single spare is consumed, the next unrecoverable
 // row must surface through Controller.Err instead of looping forever.
 func TestSparePoolExhaustionSurfacesError(t *testing.T) {
-	h, inj, _ := newFaultHarness(t, estScheme(t),
+	h, reg := newFaultHarness(t, estScheme(t),
 		fault.Config{Rate: 0.99, Seed: 3, RetryMax: 1}, 1)
 	var data bits.Line
 	data[0] = 0xff
@@ -127,7 +138,7 @@ func TestSparePoolExhaustionSurfacesError(t *testing.T) {
 	}
 	h.runUntilIdle(t, 50_000_000)
 	if h.ctrl.Err() == nil {
-		t.Fatalf("expected spare-pool exhaustion error, stats %+v", inj.Stats())
+		t.Fatalf("expected spare-pool exhaustion error, stats %+v", fault.StatsFrom(reg.Snapshot()))
 	}
 	if !strings.Contains(h.ctrl.Err().Error(), "spare-row pool exhausted") {
 		t.Fatalf("unexpected error: %v", h.ctrl.Err())

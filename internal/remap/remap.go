@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 
+	"ladder/internal/metrics"
 	"ladder/internal/reram"
 	"ladder/internal/wear"
 )
@@ -108,6 +109,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Counter names: Instrument fetches them, StatsFrom reads them back.
+const (
+	MetricGapMoves     = "remap.gap_moves"
+	MetricSpareRemaps  = "remap.spare_remaps"
+	MetricLookups      = "remap.decoder_lookups"
+	MetricPenaltyTicks = "remap.penalty_ticks"
+)
+
 // Stats is the decoder's cumulative accounting, embedded in run results
 // and the report's remap section. All counters are mergeable by
 // addition across grid cells.
@@ -115,8 +124,8 @@ type Stats struct {
 	// GapMoves counts start-gap rotations performed.
 	GapMoves uint64 `json:"gap_moves"`
 	// SpareRemaps counts rows relocated to a spare (fault-driven and
-	// proactive); SparesUsed counts pool slots consumed (equal unless a
-	// remapped row wears out its spare too).
+	// proactive). Each relocation takes one pool slot, so SparesUsed
+	// equals SpareRemaps.
 	SpareRemaps uint64 `json:"spare_remaps"`
 	SparesUsed  uint64 `json:"spares_used"`
 	// Lookups counts Resolve calls — one per enqueued data access.
@@ -124,6 +133,18 @@ type Stats struct {
 	// PenaltyTicks accumulates the indirection ticks actually charged
 	// at dispatch on remapped-row accesses.
 	PenaltyTicks uint64 `json:"penalty_ticks"`
+}
+
+// StatsFrom maps a snapshot of the decoder's counters onto Stats.
+func StatsFrom(s metrics.Snapshot) Stats {
+	c := s.Counters
+	return Stats{
+		GapMoves:     c[MetricGapMoves],
+		SpareRemaps:  c[MetricSpareRemaps],
+		SparesUsed:   c[MetricSpareRemaps],
+		Lookups:      c[MetricLookups],
+		PenaltyTicks: c[MetricPenaltyTicks],
+	}
 }
 
 // Merge adds o's counters into s (grid-cell aggregation).
@@ -158,7 +179,8 @@ type Decoder struct {
 	remapped map[uint64]spareEntry
 	// spareUsed counts consumed pool slots per bank key.
 	spareUsed map[int]int
-	stats     Stats
+	// Counters fetched by Instrument; nil (counting nothing) until then.
+	mGapMoves, mSpareRemaps, mLookups, mPenalty *metrics.Counter
 }
 
 // NewDecoder builds a decoder, resolving sentinels then validating.
@@ -189,6 +211,19 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	return d, nil
 }
 
+// Instrument fetches (creating on first use) the decoder's counters
+// from reg. Call before the first Resolve; a decoder never instrumented
+// counts nothing. Safe on nil (registers nothing).
+func (d *Decoder) Instrument(reg *metrics.Registry) {
+	if d == nil {
+		return
+	}
+	d.mGapMoves = reg.Counter(MetricGapMoves)
+	d.mSpareRemaps = reg.Counter(MetricSpareRemaps)
+	d.mLookups = reg.Counter(MetricLookups)
+	d.mPenalty = reg.Counter(MetricPenaltyTicks)
+}
+
 // Resolve maps a decoded logical location to its current physical
 // location and returns the indirection penalty (in ticks) an access to
 // it would pay right now. The start-gap rotation shifts the wordline
@@ -199,7 +234,7 @@ func (d *Decoder) Resolve(loc reram.Location) (reram.Location, uint64) {
 	if d == nil {
 		return loc, 0
 	}
-	d.stats.Lookups++
+	d.mLookups.Inc()
 	if d.gap != nil {
 		seg := int(d.geom.GlobalRow(loc) / d.segRows)
 		if phys, err := d.gap.Phys(seg % d.gap.Segments()); err == nil {
@@ -231,7 +266,7 @@ func (d *Decoder) PenaltyTicks(loc reram.Location) uint64 {
 		return 0
 	}
 	p := d.lookupPenalty(loc)
-	d.stats.PenaltyTicks += p
+	d.mPenalty.Add(p)
 	return p
 }
 
@@ -246,7 +281,7 @@ func (d *Decoder) RecordWrite() bool {
 	if !d.gap.RecordWrite() {
 		return false
 	}
-	d.stats.GapMoves++
+	d.mGapMoves.Inc()
 	return true
 }
 
@@ -266,8 +301,7 @@ func (d *Decoder) RemapSpare(bank int, globalRow uint64, rowWrites uint64) error
 	}
 	d.spareUsed[bank]++
 	d.remapped[globalRow] = spareEntry{baseWrites: rowWrites}
-	d.stats.SpareRemaps++
-	d.stats.SparesUsed++
+	d.mSpareRemaps.Inc()
 	return nil
 }
 
@@ -316,17 +350,8 @@ func (d *Decoder) MaybeRetire(bank int, globalRow uint64, rowWrites uint64) bool
 	}
 	d.spareUsed[bank]++
 	d.remapped[globalRow] = spareEntry{baseWrites: rowWrites}
-	d.stats.SpareRemaps++
-	d.stats.SparesUsed++
+	d.mSpareRemaps.Inc()
 	return true
-}
-
-// GapMoves returns the number of start-gap rotations performed.
-func (d *Decoder) GapMoves() uint64 {
-	if d == nil {
-		return 0
-	}
-	return d.stats.GapMoves
 }
 
 // SpareCapacity returns the per-bank spare pool size.
@@ -335,13 +360,4 @@ func (d *Decoder) SpareCapacity() int {
 		return 0
 	}
 	return d.spareCap
-}
-
-// Stats returns a copy of the cumulative accounting. Safe on nil
-// (zero value).
-func (d *Decoder) Stats() Stats {
-	if d == nil {
-		return Stats{}
-	}
-	return d.stats
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ladder/internal/metrics"
 	"ladder/internal/reram"
 	"ladder/internal/wear"
 )
@@ -25,6 +26,15 @@ func mustDecoder(t *testing.T, cfg Config) *Decoder {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// instrumented returns a decoder counting into a fresh registry.
+func instrumented(t *testing.T, cfg Config) (*Decoder, *metrics.Registry) {
+	t.Helper()
+	d := mustDecoder(t, cfg)
+	reg := metrics.NewRegistry()
+	d.Instrument(reg)
+	return d, reg
 }
 
 func baseConfig() Config {
@@ -101,7 +111,7 @@ func TestResolveMatchesStartGap(t *testing.T) {
 	cfg := baseConfig()
 	cfg.GapSegmentRows = segRows
 	cfg.GapPeriod = 1
-	d := mustDecoder(t, cfg)
+	d, reg := instrumented(t, cfg)
 
 	segments := int(geom.Rows()/segRows) + 1
 	ref, err := wear.NewStartGap(segments, 1)
@@ -144,15 +154,15 @@ func TestResolveMatchesStartGap(t *testing.T) {
 		}
 	}
 	check()
-	if d.GapMoves() != ref.Moves() {
-		t.Fatalf("GapMoves = %d, want %d", d.GapMoves(), ref.Moves())
+	if got := StatsFrom(reg.Snapshot()).GapMoves; got != ref.Moves() {
+		t.Fatalf("GapMoves = %d, want %d", got, ref.Moves())
 	}
 }
 
 func TestSparePoolExhaustion(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = 2
-	d := mustDecoder(t, cfg)
+	d, reg := instrumented(t, cfg)
 	if err := d.RemapSpare(4, 10, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +180,7 @@ func TestSparePoolExhaustion(t *testing.T) {
 	if err := d.RemapSpare(5, 13, 0); err != nil {
 		t.Fatalf("other bank's pool should be untouched: %v", err)
 	}
-	st := d.Stats()
+	st := StatsFrom(reg.Snapshot())
 	if st.SpareRemaps != 3 || st.SparesUsed != 3 {
 		t.Errorf("stats = %+v, want 3 remaps / 3 spares used", st)
 	}
@@ -182,7 +192,7 @@ func TestSparePoolExhaustion(t *testing.T) {
 func TestSpareBaseWrites(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = 2
-	d := mustDecoder(t, cfg)
+	d, reg := instrumented(t, cfg)
 	const row = 7
 	if d.SpareBaseWrites(row) != 0 || d.IsRemapped(row) {
 		t.Fatal("fresh row should carry no baseline")
@@ -203,7 +213,7 @@ func TestSpareBaseWrites(t *testing.T) {
 	if got := d.SpareBaseWrites(row); got != 200 {
 		t.Fatalf("baseline after re-remap = %d, want 200", got)
 	}
-	st := d.Stats()
+	st := StatsFrom(reg.Snapshot())
 	if st.SpareRemaps != 2 || st.SparesUsed != 2 {
 		t.Errorf("stats = %+v, want 2 remaps / 2 slots", st)
 	}
@@ -217,7 +227,7 @@ func TestPenaltyAccounting(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = 1
 	cfg.PenaltyNs = 3 // 12 ticks at 4 ticks/ns
-	d := mustDecoder(t, cfg)
+	d, reg := instrumented(t, cfg)
 	loc, err := geom.Decode(0)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +241,7 @@ func TestPenaltyAccounting(t *testing.T) {
 	if _, p := d.Resolve(loc); p != 12 {
 		t.Fatalf("enqueue-time penalty = %d, want 12", p)
 	}
-	if st := d.Stats(); st.PenaltyTicks != 0 {
+	if st := StatsFrom(reg.Snapshot()); st.PenaltyTicks != 0 {
 		t.Fatalf("Resolve must not record the charge; PenaltyTicks stat = %d", st.PenaltyTicks)
 	}
 	if p := d.PenaltyTicks(loc); p != 12 {
@@ -240,8 +250,8 @@ func TestPenaltyAccounting(t *testing.T) {
 	if p := d.PenaltyTicks(loc); p != 12 {
 		t.Fatalf("second dispatch penalty = %d, want 12", p)
 	}
-	if st := d.Stats(); st.PenaltyTicks != 24 {
-		t.Fatalf("accumulated penalty = %d ticks, want 24", st.PenaltyTicks)
+	if st := StatsFrom(reg.Snapshot()); st.PenaltyTicks != 24 || st.Lookups != 2 {
+		t.Fatalf("accumulated penalty = %d ticks over %d lookups, want 24 over 2", st.PenaltyTicks, st.Lookups)
 	}
 }
 
@@ -249,7 +259,7 @@ func TestMaybeRetire(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = 1
 	cfg.ProactiveWearLimit = 50
-	d := mustDecoder(t, cfg)
+	d, reg := instrumented(t, cfg)
 	if !d.ProactiveEnabled() {
 		t.Fatal("proactive retirement should be enabled")
 	}
@@ -270,7 +280,7 @@ func TestMaybeRetire(t *testing.T) {
 	if d.MaybeRetire(0, 10, 99) {
 		t.Fatal("retirement from an empty pool should be skipped")
 	}
-	st := d.Stats()
+	st := StatsFrom(reg.Snapshot())
 	if st.SpareRemaps != 1 || st.SparesUsed != 1 {
 		t.Errorf("stats = %+v, want exactly one retirement", st)
 	}
@@ -288,14 +298,18 @@ func TestNilDecoderSafe(t *testing.T) {
 	}
 	if d.PenaltyTicks(loc) != 0 || d.RecordWrite() || d.IsRemapped(0) ||
 		d.SpareBaseWrites(0) != 0 || d.ProactiveEnabled() || d.MaybeRetire(0, 0, 1<<62) ||
-		d.GapMoves() != 0 || d.SpareCapacity() != 0 {
+		d.SpareCapacity() != 0 {
 		t.Fatal("nil decoder must be inert")
 	}
 	if err := d.RemapSpare(0, 0, 0); err == nil {
 		t.Fatal("nil decoder cannot grant spares")
 	}
-	if st := d.Stats(); st != (Stats{}) {
-		t.Fatalf("nil decoder stats = %+v, want zero value", st)
+	// Instrumenting a nil decoder registers nothing, so decoder-free runs
+	// carry no remap.* names.
+	reg := metrics.NewRegistry()
+	d.Instrument(reg)
+	if snap := reg.Snapshot(); len(snap.Counters) != 0 {
+		t.Fatalf("nil decoder registered %v", snap.Counters)
 	}
 }
 

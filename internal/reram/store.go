@@ -6,6 +6,7 @@ import (
 	mbits "math/bits"
 
 	"ladder/internal/bits"
+	"ladder/internal/metrics"
 )
 
 // rowState holds the stored content of one wordline group plus exact
@@ -50,8 +51,9 @@ type Store struct {
 	writtenRows int
 	// bankWrites counts block writes per bank (dense index as in
 	// Geometry.GlobalRow: ((channel*ranks)+rank)*banks + bank), feeding
-	// the per-bank wear view of the run report.
-	bankWrites []uint64
+	// the per-bank wear view of the run report. Entries are nil
+	// (counting nothing) until Instrument.
+	bankWrites []*metrics.Counter
 	// resident supplies synthetic resident rows (SetResident,
 	// UseResident); nil means a fresh all-HRS device.
 	resident *Resident
@@ -77,9 +79,22 @@ func NewStore(g Geometry) (*Store, error) {
 		geom:       g,
 		rows:       make(map[uint64]*rowState),
 		cols:       make(map[uint64]*colState),
-		bankWrites: make([]uint64, g.Banks()),
+		bankWrites: make([]*metrics.Counter, g.Banks()),
 		trackCols:  true,
 	}, nil
+}
+
+// Instrument fetches (creating on first use) the per-bank write counters
+// reram.chC.rankR.bankB.writes from reg. Call before the first write; a
+// store never instrumented keeps only TotalWrites.
+func (s *Store) Instrument(reg *metrics.Registry) {
+	g := s.geom
+	for i := range s.bankWrites {
+		bank := i % g.BanksPerRank
+		rank := (i / g.BanksPerRank) % g.RanksPerChannel
+		ch := i / (g.BanksPerRank * g.RanksPerChannel)
+		s.bankWrites[i] = reg.Counter(fmt.Sprintf("reram.ch%d.rank%d.bank%d.writes", ch, rank, bank))
+	}
 }
 
 // SetColumnTracking switches per-bitline LRS maintenance on or off. It
@@ -304,7 +319,7 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 	}
 	r.writes++
 	s.totalWrites++
-	s.bankWrites[(loc.Channel*s.geom.RanksPerChannel+loc.Rank)*s.geom.BanksPerRank+loc.Bank]++
+	s.bankWrites[(loc.Channel*s.geom.RanksPerChannel+loc.Rank)*s.geom.BanksPerRank+loc.Bank].Inc()
 	return old, nil
 }
 
@@ -439,11 +454,6 @@ func (s *Store) RowWrites(line uint64) (uint64, error) {
 
 // TotalWrites returns the total number of block writes served.
 func (s *Store) TotalWrites() uint64 { return s.totalWrites }
-
-// BankWrites returns a copy of the per-bank block-write counts, indexed
-// densely as ((channel*ranks)+rank)*banks + bank. The run report exports
-// these as the per-bank wear distribution.
-func (s *Store) BankWrites() []uint64 { return append([]uint64(nil), s.bankWrites...) }
 
 // TouchedRows returns the number of wordline groups written at least once.
 // Rows only materialized for reading (resident prefill reached through

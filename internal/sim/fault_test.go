@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ladder/internal/fault"
+	"ladder/internal/remap"
 )
 
 func faultConfig(t *testing.T, workload, scheme string, rate float64) Config {
@@ -116,16 +119,44 @@ func TestSparePoolExhaustionFailsRun(t *testing.T) {
 }
 
 // TestFaultMetricsExported checks the registry carries the fault
-// counters a report or scrape consumer reads.
+// counters a report or scrape consumer reads, each event counted once:
+// Result.Faults is read from the same counters, every channel's retry
+// histogram observes one pulse per counted retry, and no per-channel
+// or derived duplicate is registered.
 func TestFaultMetricsExported(t *testing.T) {
 	res, err := Run(faultConfig(t, "lbm", SchemeEst, 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := res.Metrics.Snapshot()
-	for _, name := range []string{"fault.checked", "fault.injected", "fault.retries"} {
+	for _, name := range []string{fault.MetricChecked, fault.MetricTransient, fault.MetricRetries} {
 		if snap.Counters[name] == 0 {
 			t.Fatalf("counter %s missing or zero", name)
+		}
+	}
+	for _, name := range []string{fault.MetricPermanent, fault.MetricExhausted, remap.MetricSpareRemaps} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %s not registered", name)
+		}
+	}
+	if got := fault.StatsFrom(snap); res.Faults == nil || *res.Faults != got {
+		t.Errorf("Result.Faults = %+v, registry says %+v", res.Faults, got)
+	}
+	var retryPulses uint64
+	for name, h := range snap.Histograms {
+		if strings.HasSuffix(name, ".retry_latency_ns") {
+			retryPulses += h.Count
+		}
+	}
+	if retryPulses != snap.Counters[fault.MetricRetries] {
+		t.Errorf("retry_latency_ns counts sum to %d, %s is %d", retryPulses, fault.MetricRetries, snap.Counters[fault.MetricRetries])
+	}
+	for name := range snap.Counters {
+		for _, dup := range []string{"fault.injected", "remap.spares_used",
+			".write_faults", ".write_retries", ".row_remaps", ".retry_exhausted"} {
+			if strings.HasSuffix(name, dup) {
+				t.Errorf("duplicate counter %s registered", name)
+			}
 		}
 	}
 }

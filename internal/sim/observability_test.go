@@ -137,3 +137,48 @@ func TestGridProgress(t *testing.T) {
 		t.Errorf("Done values %v, want {1, 2}", seen)
 	}
 }
+
+// TestProgressAgreesWithTimeline pins the progress view to the timeline:
+// at every cycle both observe, the retired count ProgressInfo reports
+// equals the timeline's cumulative instructions, and observing progress
+// leaves the run's cycles untouched.
+func TestProgressAgreesWithTimeline(t *testing.T) {
+	cfg := testConfig(t, "astar", SchemeBaseline)
+	off, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ProgressEvery = 10_000
+	cfg.TimelineInterval = 10_000
+	progress := map[uint64]uint64{}
+	cfg.Progress = func(p ProgressInfo) {
+		var n uint64
+		for _, c := range p.Cores {
+			n += c.Retired
+		}
+		progress[p.Cycle] = n
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ko, kn := goldenKey(off), goldenKey(res); ko != kn {
+		t.Errorf("progress run diverged from the plain run\n off: %s\n  on: %s", ko, kn)
+	}
+	var cum uint64
+	shared := 0
+	for _, e := range res.Timeline.Epochs {
+		cum += e.Instructions
+		n, ok := progress[e.End]
+		if !ok {
+			continue
+		}
+		shared++
+		if n != cum {
+			t.Errorf("cycle %d: progress reports %d retired, timeline %d", e.End, n, cum)
+		}
+	}
+	if shared < 2 {
+		t.Fatalf("only %d shared progress/timeline boundaries", shared)
+	}
+}

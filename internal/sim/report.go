@@ -15,13 +15,13 @@ import (
 
 // ReportSchema versions the run-report JSON layout. Consumers should
 // reject reports whose schema string they do not recognize.
-const ReportSchema = "ladder.run-report/v2"
+const ReportSchema = "ladder.run-report/v3"
 
 // BenchSchema versions the perf-snapshot (BENCH_*.json) layout.
 const BenchSchema = "ladder.bench/v1"
 
 // GridReportSchema versions the multi-run grid-report layout.
-const GridReportSchema = "ladder.grid-report/v2"
+const GridReportSchema = "ladder.grid-report/v3"
 
 // LifetimeReportSchema versions the lifetime-sweep report layout
 // (see LifetimeSweep in experiments.go).
@@ -51,7 +51,7 @@ type ResetLatencySummary struct {
 // Report is the structured, serializable record of one simulation run:
 // identity, headline summary numbers, and the full metrics snapshot.
 // WriteJSON emits the stable machine-readable form (schema
-// "ladder.run-report/v2"); WriteText renders the same data for humans.
+// "ladder.run-report/v3"); WriteText renders the same data for humans.
 type Report struct {
 	Schema   string `json:"schema"`
 	Workload string `json:"workload"`

@@ -314,11 +314,13 @@ type Result struct {
 	// Summary, and the Chrome trace is written separately
 	// (Trace.WriteChromeTrace).
 	Trace *tracing.Collector `json:"-"`
-	// Faults holds the fault-injection accounting, non-nil only when
+	// Faults holds the fault-injection accounting, read from the final
+	// metrics snapshot (fault.StatsFrom); non-nil only when
 	// Config.FaultRate > 0.
 	Faults *fault.Stats
 	// Remap holds the address decoder's accounting (gap moves, spare
-	// remaps, lookups, penalty ticks), non-nil whenever the decoder was
+	// remaps, lookups, penalty ticks), read from the final metrics
+	// snapshot (remap.StatsFrom); non-nil whenever the decoder was
 	// active — wear leveling, fault injection or proactive retirement.
 	Remap *remap.Stats
 	// Timeline is the run's per-epoch series, non-nil only when
@@ -399,13 +401,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return Run(cfg)
 }
 
-// exportRunMetrics publishes the end-of-run scalars that other layers
-// account for (the engine, the store, the fault injector, the address
-// decoder) as registry counters, so a single Snapshot carries the whole
-// run. Only these absolute overwrites happen here; traffic, latency and
-// FNW counts are counted into the registry on the hot path. Every name
-// is cataloged in docs/METRICS.md.
-func exportRunMetrics(reg *metrics.Registry, res *Result, geom reram.Geometry, store *reram.Store, schemes []core.Scheme) {
+// exportRunMetrics publishes the engine's, cores' and metadata caches'
+// end-of-run scalars as registry counters, so a single Snapshot carries
+// the whole run; every other count lives in the registry from its first
+// event. Every name is cataloged in docs/METRICS.md.
+func exportRunMetrics(reg *metrics.Registry, res *Result, schemes []core.Scheme) {
 	reg.SetCounter("sim.ticks", res.Ticks)
 	reg.SetCounter("sim.instructions_retired", res.InstructionsRetired)
 	reg.SetCounter("sim.wall_clock_us", uint64(res.WallClock.Microseconds()))
@@ -416,23 +416,4 @@ func exportRunMetrics(reg *metrics.Registry, res *Result, geom reram.Geometry, s
 		}
 	}
 	reg.SetCounter("core.meta_cache.evictions", evictions)
-	if res.Faults != nil {
-		reg.SetCounter("fault.checked", res.Faults.Checked)
-		reg.SetCounter("fault.injected", res.Faults.Injected)
-		reg.SetCounter("fault.retries", res.Faults.Retries)
-		reg.SetCounter("fault.exhausted", res.Faults.Exhausted)
-	}
-	if res.Remap != nil {
-		reg.SetCounter("remap.gap_moves", res.Remap.GapMoves)
-		reg.SetCounter("remap.spare_remaps", res.Remap.SpareRemaps)
-		reg.SetCounter("remap.spares_used", res.Remap.SparesUsed)
-		reg.SetCounter("remap.decoder_lookups", res.Remap.Lookups)
-		reg.SetCounter("remap.penalty_ticks", res.Remap.PenaltyTicks)
-	}
-	for i, w := range store.BankWrites() {
-		bank := i % geom.BanksPerRank
-		rank := (i / geom.BanksPerRank) % geom.RanksPerChannel
-		ch := i / (geom.BanksPerRank * geom.RanksPerChannel)
-		reg.SetCounter(fmt.Sprintf("reram.ch%d.rank%d.bank%d.writes", ch, rank, bank), w)
-	}
 }

@@ -111,6 +111,7 @@ func newSystem(cfg Config) (*System, error) {
 	// Each run owns a private registry; RunGrid merges them afterward, so
 	// the observe paths stay lock-free (a run is single-goroutine).
 	s.reg = metrics.NewRegistry()
+	s.store.Instrument(s.reg)
 	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Metrics: s.reg}
 	s.meter, err = energy.NewMeter(cfg.Energy)
 	if err != nil {
@@ -136,6 +137,7 @@ func newSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.inj.Instrument(s.reg)
 	}
 
 	if err := s.buildCores(profiles); err != nil {
@@ -301,6 +303,7 @@ func (s *System) buildDecoder() error {
 	if err != nil {
 		return err
 	}
+	dec.Instrument(s.reg)
 	s.dec = dec
 	return nil
 }
@@ -368,35 +371,34 @@ func (s *System) buildEngine() {
 	}
 }
 
-// timelineScalars is the sampler's probe: the run's live cumulative
-// headline quantities at an epoch boundary. Cores catch up their skipped
-// cycles first (idempotent, same as crashActor.total) so the retirement
-// count matches what the classic loop would have seen at the top of this
-// cycle; everything else is plain accounting reads.
-func (s *System) timelineScalars() timeline.Scalars {
-	now := s.clock.Now()
-	sc := timeline.Scalars{
-		StoreWrites: s.store.TotalWrites(),
-		ReadNJ:      s.meter.ReadNJ,
-		WriteNJ:     s.meter.WriteNJ,
-		ReadQueue:   make([]int, len(s.ctrls)),
-		WriteQueue:  make([]int, len(s.ctrls)),
-	}
+// retired returns the instructions retired across cores as of the top
+// of cycle now. Cores catch up lazily; to observe the count the classic
+// loop would have seen, their skipped cycles are applied first. This is
+// idempotent with the cores' own catch-up, so observers (the crash
+// monitor, the timeline probe, the progress hook) stay cycle-neutral.
+func (s *System) retired(now uint64) uint64 {
+	var total uint64
 	for i, c := range s.cores {
 		s.coreActs[i].catchUp(now)
-		sc.Instructions += c.Retired()
+		total += c.Retired()
+	}
+	return total
+}
+
+// timelineScalars is the sampler's probe: the run's live cumulative
+// quantities that are not registry counters, at an epoch boundary.
+func (s *System) timelineScalars() timeline.Scalars {
+	sc := timeline.Scalars{
+		Instructions: s.retired(s.clock.Now()),
+		StoreWrites:  s.store.TotalWrites(),
+		ReadNJ:       s.meter.ReadNJ,
+		WriteNJ:      s.meter.WriteNJ,
+		ReadQueue:    make([]int, len(s.ctrls)),
+		WriteQueue:   make([]int, len(s.ctrls)),
 	}
 	for ch, c := range s.ctrls {
 		sc.ReadQueue[ch] = c.ReadQueueLen()
 		sc.WriteQueue[ch] = c.WriteQueueLen()
-	}
-	if s.inj != nil {
-		sc.Retries = s.inj.Stats().Retries
-	}
-	if s.dec != nil {
-		st := s.dec.Stats()
-		sc.GapMoves = st.GapMoves
-		sc.SpareRemaps = st.SpareRemaps
 	}
 	return sc
 }
@@ -414,10 +416,9 @@ func (s *System) progressHook() func(uint64) {
 	}
 	return func(now uint64) {
 		info := ProgressInfo{Cycle: now, Cores: make([]CoreProgress, len(s.cores)), Channels: make([]ChannelProgress, len(s.ctrls))}
-		var retired uint64
+		retired := s.retired(now)
 		for i, c := range s.cores {
 			info.Cores[i] = CoreProgress{Retired: c.Retired(), Outstanding: c.Outstanding()}
-			retired += c.Retired()
 		}
 		for ch, c := range s.ctrls {
 			info.Channels[ch] = ChannelProgress{ReadQueue: c.ReadQueueLen(), WriteQueue: c.WriteQueueLen(), WriteMode: c.InWriteMode()}
@@ -669,14 +670,6 @@ func (s *System) collect() (*Result, error) {
 		MaxRowWrites:     s.store.MaxRowWrites(),
 		TouchedRows:      s.store.TouchedRows(),
 	}
-	if s.dec != nil {
-		st := s.dec.Stats()
-		res.Remap = &st
-	}
-	if s.inj != nil {
-		st := s.inj.Stats()
-		res.Faults = &st
-	}
 	for i := range s.cores {
 		res.PerCoreIPC[i] = float64(s.cfg.InstrPerCore) / float64(s.finish[i])
 		res.InstructionsRetired += s.cores[i].Retired()
@@ -695,7 +688,15 @@ func (s *System) collect() (*Result, error) {
 		pre, post := core.StatsFrom(*s.preCrash), core.StatsFrom(final.Sub(*s.preCrash))
 		res.PreCrashStats, res.PostCrashStats = &pre, &post
 	}
-	exportRunMetrics(s.reg, res, s.cfg.Geom, s.store, s.schemes)
+	if s.inj != nil {
+		st := fault.StatsFrom(final)
+		res.Faults = &st
+	}
+	if s.dec != nil {
+		st := remap.StatsFrom(final)
+		res.Remap = &st
+	}
+	exportRunMetrics(s.reg, res, s.schemes)
 	return res, nil
 }
 
@@ -803,24 +804,12 @@ type crashActor struct {
 	sys *System
 }
 
-func (a *crashActor) total(now uint64) uint64 {
-	// Cores catch up lazily; to observe the retirement count the classic
-	// loop would have seen at the top of this cycle, apply their skipped
-	// cycles first. This is idempotent with the cores' own catch-up.
-	var total uint64
-	for i, c := range a.sys.cores {
-		a.sys.coreActs[i].catchUp(now)
-		total += c.Retired()
-	}
-	return total
-}
-
 func (a *crashActor) Advance(now uint64) bool {
 	s := a.sys
 	if !s.crashPending {
 		return false
 	}
-	if a.total(now) < s.cfg.CrashAtInstr {
+	if s.retired(now) < s.cfg.CrashAtInstr {
 		return false
 	}
 	s.crashPending = false
@@ -852,7 +841,7 @@ func (a *crashActor) NextEventAt(now uint64) uint64 {
 	if !s.crashPending {
 		return engine.Horizon
 	}
-	total := a.total(now)
+	total := s.retired(now)
 	if total >= s.cfg.CrashAtInstr {
 		return now + 1
 	}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"ladder/internal/core"
+	"ladder/internal/fault"
+	"ladder/internal/remap"
 	"ladder/internal/timeline"
 )
 
@@ -74,15 +77,33 @@ func TestTimelineDeltasSumToAggregates(t *testing.T) {
 		t.Errorf("epoch energy sums = %g/%g nJ, meter read %g/%g", readNJ, writeNJ, res.ReadNJ, res.WriteNJ)
 	}
 	// Every counter and histogram the epochs name must sum to its
-	// end-of-run registry value. The run's traffic, latency and FNW
-	// counts live in the registry from the first event, so they advance
-	// epoch by epoch; exportRunMetrics only sets end-of-run scalars from
-	// other layers, after the sampler finalizes, so those names never
-	// appear in epochs. The run stays under the timeline capacity, so no
-	// epoch merge has dropped its quantile counts.
+	// end-of-run registry value. The run's traffic, latency, FNW, fault,
+	// remap and per-bank write counts live in the registry from the first
+	// event, so they advance epoch by epoch; exportRunMetrics only sets
+	// the sim.* and eviction scalars, after the sampler finalizes, so
+	// those names never appear in epochs. The run stays under the
+	// timeline capacity, so no epoch merge has dropped its quantile
+	// counts.
 	final := res.Metrics.Snapshot()
-	if counters[core.MetricDataWrites] == 0 {
-		t.Errorf("%s never advanced in an epoch", core.MetricDataWrites)
+	for _, name := range []string{core.MetricDataWrites, fault.MetricChecked, fault.MetricRetries,
+		remap.MetricGapMoves, remap.MetricLookups} {
+		if counters[name] == 0 {
+			t.Errorf("%s never advanced in an epoch", name)
+		}
+	}
+	var bankWrites uint64
+	for name, v := range final.Counters {
+		live := strings.HasPrefix(name, "fault.") || strings.HasPrefix(name, "remap.") ||
+			strings.HasPrefix(name, "reram.") && strings.HasSuffix(name, ".writes")
+		if live && counters[name] != v {
+			t.Errorf("counter %s: epoch deltas sum to %d, final registry has %d", name, counters[name], v)
+		}
+		if strings.HasPrefix(name, "reram.") {
+			bankWrites += counters[name]
+		}
+	}
+	if bankWrites != res.TotalStoreWrites {
+		t.Errorf("epoch per-bank writes sum to %d, store counted %d", bankWrites, res.TotalStoreWrites)
 	}
 	if observed[core.MetricWriteServiceNs] == 0 {
 		t.Errorf("%s never observed in an epoch", core.MetricWriteServiceNs)

@@ -1,17 +1,18 @@
 package timeline
 
-import "ladder/internal/metrics"
+import (
+	"ladder/internal/fault"
+	"ladder/internal/metrics"
+	"ladder/internal/remap"
+)
 
 // Scalars is the probe's view of the run's cumulative headline
-// quantities, read live at an epoch boundary. Everything except the
-// queue depths is a monotone running total; the sampler diffs
-// consecutive probes into per-epoch deltas.
+// quantities that live outside the registry, read live at an epoch
+// boundary. Everything except the queue depths is a monotone running
+// total; the sampler diffs consecutive probes into per-epoch deltas.
 type Scalars struct {
 	Instructions uint64
 	StoreWrites  uint64
-	Retries      uint64
-	GapMoves     uint64
-	SpareRemaps  uint64
 	ReadNJ       float64
 	WriteNJ      float64
 	// ReadQueue/WriteQueue are instantaneous per-channel depths at the
@@ -123,21 +124,21 @@ func (s *Sampler) close(now uint64) {
 	if s.cfg.Probe != nil {
 		sc = s.cfg.Probe()
 	}
+	d := snap.Sub(s.prevSnap)
 	ep := Epoch{
 		Start:        s.start,
 		End:          now,
 		Instructions: sc.Instructions - s.prevSc.Instructions,
 		StoreWrites:  sc.StoreWrites - s.prevSc.StoreWrites,
-		Retries:      sc.Retries - s.prevSc.Retries,
-		GapMoves:     sc.GapMoves - s.prevSc.GapMoves,
-		SpareRemaps:  sc.SpareRemaps - s.prevSc.SpareRemaps,
+		Retries:      d.Counters[fault.MetricRetries],
+		GapMoves:     d.Counters[remap.MetricGapMoves],
+		SpareRemaps:  d.Counters[remap.MetricSpareRemaps],
 		ReadNJ:       sc.ReadNJ - s.prevSc.ReadNJ,
 		WriteNJ:      sc.WriteNJ - s.prevSc.WriteNJ,
 		ReadQueue:    append([]int(nil), sc.ReadQueue...),
 		WriteQueue:   append([]int(nil), sc.WriteQueue...),
 	}
 	ep.IPC = float64(ep.Instructions) / float64(now-s.start)
-	d := snap.Sub(s.prevSnap)
 	for name, v := range d.Counters {
 		if v != 0 {
 			if ep.Counters == nil {

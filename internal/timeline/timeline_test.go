@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"ladder/internal/fault"
 	"ladder/internal/metrics"
+	"ladder/internal/remap"
 )
 
 // sampleAt drives the sampler through the boundary cycles interval-1,
@@ -43,6 +45,28 @@ func TestCounterUnchangedBetweenEpochs(t *testing.T) {
 	}
 	if _, ok := e1.Counters["b"]; ok {
 		t.Errorf("epoch 1 carries unchanged counter b: %v", e1.Counters)
+	}
+}
+
+// TestEpochScalarsFromRegistry pins where the fault and decoder epoch
+// fields come from: each is its registry counter's delta over the window,
+// so no probe has to re-read the injector or the decoder.
+func TestEpochScalarsFromRegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := NewSampler(Config{Interval: 100, Registry: reg})
+	reg.Counter(fault.MetricRetries).Add(4)
+	reg.Counter(remap.MetricGapMoves).Add(2)
+	s.Sample(99)
+	reg.Counter(fault.MetricRetries).Add(1)
+	reg.Counter(remap.MetricSpareRemaps).Add(3)
+	s.Sample(199)
+	tl := s.Timeline()
+	got := [][3]uint64{}
+	for _, e := range tl.Epochs {
+		got = append(got, [3]uint64{e.Retries, e.GapMoves, e.SpareRemaps})
+	}
+	if want := [][3]uint64{{4, 2, 0}, {1, 0, 3}}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("epoch retries/gap moves/spare remaps = %v, want %v", got, want)
 	}
 }
 

@@ -41,3 +41,31 @@ func TestSPDSizeMatchesPaper(t *testing.T) {
 		t.Fatalf("SPD image = %d bytes, want 512 (paper Section 6.3)", SPDBytes)
 	}
 }
+
+// FuzzSPDRoundTrip pins the ROM encoding as a fixed point: decoding any
+// 512-byte image and re-encoding the table reproduces the image byte for
+// byte, so a round trip never inflates an entry.
+func FuzzSPDRoundTrip(f *testing.F) {
+	var lo, hi [SPDBytes]byte
+	for i := range lo {
+		lo[i] = byte(i)
+		hi[i] = byte(255 - i)
+	}
+	f.Add(lo[:])
+	f.Add(hi[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spd [SPDBytes]byte
+		copy(spd[:], data)
+		dec, err := DecodeSPD(spd, 1, WLContent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dec.EncodeSPD(); got != spd {
+			for i := range got {
+				if got[i] != spd[i] {
+					t.Fatalf("entry %d: code %d re-encodes as %d", i, spd[i], got[i])
+				}
+			}
+		}
+	})
+}
