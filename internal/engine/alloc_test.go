@@ -4,36 +4,39 @@ package engine
 
 import "testing"
 
-// TestEventQueueAllocFree pins the steady-state contract the min-push
-// Step depends on: once the heap's backing array has grown to the
-// simulation's working depth, push/pop churn allocates nothing. The race
-// detector instruments allocations, so the file is excluded under -race.
+// TestEventQueueAllocFree pins the steady-state contract of the
+// pending-cycle Step on a busier engine than TestEngineStepAllocFree:
+// several actors and two hooks (progress and timeline) allocate nothing
+// per processed cycle. The race detector instruments allocations, so the
+// file is excluded under -race.
 func TestEventQueueAllocFree(t *testing.T) {
-	var q EventQueue
-	// Warm-up: grow the backing array past any depth the measured loop
-	// reaches.
-	for i := 0; i < 64; i++ {
-		q.Push(uint64(i), nil)
+	e := New()
+	for i := 0; i < 4; i++ {
+		e.Add(&tickActor{limit: 1 << 30})
 	}
-	for q.Len() > 0 {
-		q.Pop()
-	}
-	now := uint64(0)
-	if n := testing.AllocsPerRun(200, func() {
-		q.Push(now+3, nil)
-		q.Push(now+1, nil)
-		q.Push(now+2, nil)
-		for q.Len() > 0 {
-			q.Pop()
+	e.Add(&watcherActor{})
+	var fired int
+	e.AddHook(3, func(uint64) { fired++ })
+	e.AddHook(7, func(uint64) { fired++ })
+	for i := 0; i < 16; i++ {
+		if !e.Step() {
+			t.Fatal("engine stalled during warm-up")
 		}
-		now += 4
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !e.Step() {
+			t.Fatal("engine stalled")
+		}
 	}); n != 0 {
-		t.Fatalf("queue push/pop allocates %.0f per cycle, want 0", n)
+		t.Fatalf("Step with hooks allocates %.0f per cycle, want 0", n)
+	}
+	if fired == 0 {
+		t.Fatal("hooks never fired")
 	}
 }
 
 // TestEngineStepAllocFree covers the full Step path with a trivial
-// actor: one heap push per processed cycle, no per-actor garbage.
+// actor: no per-cycle or per-actor garbage.
 func TestEngineStepAllocFree(t *testing.T) {
 	e := New()
 	a := &tickActor{limit: 1 << 30}

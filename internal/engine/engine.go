@@ -1,4 +1,32 @@
+// Package engine is the discrete-event core of the simulator: a
+// simulation Clock and an Engine that advances a fixed, ordered set of
+// Actors only at cycles where something observable can happen —
+// skipping the dead cycles a naive tick loop would burn inside
+// multi-hundred-cycle RESET pulses.
+//
+// The contract that makes skipping sound (see docs/ARCHITECTURE.md,
+// "Engine"):
+//
+//   - Advance(now) processes exactly one cycle and reports whether the
+//     actor changed state in a way that may affect *other* actors
+//     (completions, dispatches). Self-contained evolution (a core
+//     retiring gap instructions) is not activity.
+//   - NextEventAt(now) is the earliest cycle strictly after now at which
+//     the actor's Advance would not be a no-op, assuming no other actor
+//     acts first; Horizon means "nothing until someone wakes me".
+//   - After any cycle with activity, the engine always processes the
+//     next cycle too, so an actor blocked on another (a core stalled on
+//     a full write queue) re-evaluates exactly when the blocker's state
+//     has changed.
+//
+// Under that contract every cycle the engine skips is provably a no-op
+// for every actor, so the event-driven run is cycle-identical to the
+// seed tick loop (pinned by the golden test in internal/sim).
 package engine
+
+// Horizon is the "nothing pending" sentinel: a cycle later than any a
+// simulation can reach.
+const Horizon = ^uint64(0)
 
 // Clock is the simulation's monotonic time source, in CPU cycles.
 type Clock struct {
@@ -33,14 +61,15 @@ type Actor interface {
 // Engine drives an ordered set of actors through simulated time. Every
 // processed cycle advances *all* actors in registration order — the
 // ordering guarantee the cycle-identical refactor depends on — and the
-// event queue decides which cycles need processing at all.
+// pending cycle, the minimum of the actors' NextEventAt answers, decides
+// which cycles need processing at all.
 type Engine struct {
 	clock  Clock
 	actors []Actor
-	q      EventQueue
-
-	processed bool   // at least one cycle has been processed
-	last      uint64 // last processed cycle (valid when processed)
+	// next is the pending cycle: 0 after New, Horizon when nothing is
+	// pending. Every step recomputes it from the actors' fresh answers,
+	// each strictly after the processed cycle, so it never lies in the past.
+	next uint64
 
 	// hooks are the installed periodic callbacks (progress, observers),
 	// fired in installation order at the top of their boundary cycles.
@@ -56,24 +85,17 @@ type periodicHook struct {
 	next  uint64
 }
 
-// New returns an engine with its first cycle (0) scheduled.
-func New() *Engine {
-	e := &Engine{}
-	e.q.Push(0, nil)
-	return e
-}
+// New returns an engine with its first cycle (0) pending.
+func New() *Engine { return &Engine{} }
 
 // Clock exposes the engine's clock. Actors may advance it mid-cycle
 // (e.g. an embedded drain loop); the engine re-reads it between actor
-// advances and discards events scheduled into the skipped-over past.
+// advances, and the next pending cycle lies after the new time.
 func (e *Engine) Clock() *Clock { return &e.clock }
 
 // Add appends an actor. Registration order is advance order within each
 // processed cycle.
 func (e *Engine) Add(a Actor) { e.actors = append(e.actors, a) }
-
-// Schedule requests that cycle t be processed (an external wakeup).
-func (e *Engine) Schedule(t uint64) { e.q.Push(t, nil) }
 
 // AddHook installs a periodic callback (a progress reporter, the
 // timeline epoch sampler): fn fires at the top of every cycle t with
@@ -81,11 +103,11 @@ func (e *Engine) Schedule(t uint64) { e.q.Push(t, nil) }
 // actor advances. A hook is NOT an actor: it schedules nothing and must
 // not mutate simulation state, so installing one cannot change which
 // cycles actors perceive or the order they advance in. Boundary cycles
-// are only forced while a real event is pending, so a hook never keeps
-// an otherwise-finished simulation alive, and the extra processed cycles
-// are dead ones (no actor acts), which the engine contract already makes
-// equivalent to skipping. Multiple hooks may coexist; at a shared
-// boundary they fire in installation order. A zero period or nil
+// are only forced while an actor's cycle is pending, so a hook never
+// keeps an otherwise-finished simulation alive, and the extra processed
+// cycles are dead ones (no actor acts), which the engine contract
+// already makes equivalent to skipping. Multiple hooks may coexist; at a
+// shared boundary they fire in installation order. A zero period or nil
 // callback installs nothing, so an unused hook costs nothing.
 func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 	if every == 0 || fn == nil {
@@ -94,58 +116,22 @@ func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 	e.hooks = append(e.hooks, periodicHook{every: every, fn: fn, next: every - 1})
 }
 
-// nextHookAt returns the earliest pending hook boundary (Horizon when
-// no hooks are installed).
-func (e *Engine) nextHookAt() uint64 {
-	next := Horizon
-	for i := range e.hooks {
-		if e.hooks[i].next < next {
-			next = e.hooks[i].next
-		}
-	}
-	return next
-}
-
-// nextTime pops the earliest useful scheduled time: duplicates and
-// events at or before the last processed cycle (satisfied by a clock
-// jump) are discarded. A pending hook boundary (progress, observer)
-// earlier than the next real event is processed first (without
-// consuming the event), so hooks keep firing through long dead windows
-// but never keep an otherwise-finished simulation alive.
-func (e *Engine) nextTime() (uint64, bool) {
-	for {
-		t, ok := e.q.Peek()
-		if !ok {
-			return 0, false
-		}
-		if e.processed && t <= e.last {
-			e.q.Pop()
-			continue
-		}
-		if h := e.nextHookAt(); h < t {
-			return h, true
-		}
-		// Coalesce every entry for this cycle.
-		for {
-			e.q.Pop()
-			nt, ok := e.q.Peek()
-			if !ok || nt != t {
-				break
-			}
-		}
-		return t, true
-	}
-}
-
-// Step advances simulated time to the next scheduled cycle and processes
-// it: periodic hooks fire, then every actor advances in order, then
-// each actor's next event is re-scheduled. Returns false when no events
-// remain — with live actors that means the simulation is deadlocked, as
+// Step processes the next cycle: the pending cycle, or an earlier hook
+// boundary (which leaves the pending cycle in place, so hooks keep
+// firing through long dead windows). Periodic hooks fire, then every
+// actor advances in order, then the pending cycle becomes the minimum of
+// the actors' fresh NextEventAt answers. Returns false when nothing is
+// pending — with live actors that means the simulation is deadlocked, as
 // a healthy system always has a next event.
 func (e *Engine) Step() bool {
-	t, ok := e.nextTime()
-	if !ok {
+	t := e.next
+	if t == Horizon {
 		return false
+	}
+	for i := range e.hooks {
+		if e.hooks[i].next < t {
+			t = e.hooks[i].next
+		}
 	}
 	e.clock.AdvanceTo(t)
 	for i := range e.hooks {
@@ -162,12 +148,6 @@ func (e *Engine) Step() bool {
 		}
 	}
 	now := e.clock.Now()
-	e.processed = true
-	e.last = now
-	// Every actor just advanced, so each fresh NextEventAt subsumes any
-	// event it scheduled earlier: pushing only the minimum keeps the heap
-	// at O(1) churn per step instead of one push per actor. Stale entries
-	// from external Schedule calls still pop first if earlier.
 	next := Horizon
 	for _, a := range e.actors {
 		if n := a.NextEventAt(now); n < next {
@@ -177,9 +157,7 @@ func (e *Engine) Step() bool {
 	if active && now+1 < next {
 		next = now + 1
 	}
-	if next != Horizon {
-		e.q.Push(next, nil)
-	}
+	e.next = next
 	for i := range e.hooks {
 		if h := &e.hooks[i]; h.next <= now {
 			h.next = ((now+1)/h.every+1)*h.every - 1

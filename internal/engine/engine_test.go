@@ -151,29 +151,66 @@ func TestEngineObserverZeroPeriodDisabled(t *testing.T) {
 	}
 }
 
+// jumpActor moves the clock forward mid-cycle once, at cycle at, the way
+// the crash actor's embedded drain does, and reports activity.
+type jumpActor struct {
+	clock  *Clock
+	at, to uint64
+}
+
+func (j *jumpActor) NextEventAt(now uint64) uint64 {
+	if now < j.at {
+		return j.at
+	}
+	return Horizon
+}
+
+func (j *jumpActor) Advance(now uint64) bool {
+	if now != j.at {
+		return false
+	}
+	j.clock.AdvanceTo(j.to)
+	return true
+}
+
+// TestEngineExternalScheduleAndStaleDiscard pins a mid-cycle clock jump:
+// actors after the jumper see the new time in the same cycle, actors
+// before it are asked for their next event at the new time, and no cycle
+// at or before the jump is processed afterwards: the completion the jump
+// skipped over (due at 50) lands on the first cycle after it, 101, and
+// is never replayed at 50.
 func TestEngineExternalScheduleAndStaleDiscard(t *testing.T) {
 	e := New()
-	w := &watcherActor{}
-	e.Add(w)
-	e.Schedule(5)
-	e.Schedule(5) // duplicate: coalesced
-	e.Schedule(3)
+	before := &pulseActor{busyUntil: 50}
+	after := &pulseActor{busyUntil: 60}
+	e.Add(before)
+	e.Add(&jumpActor{clock: e.Clock(), at: 10, to: 100})
+	e.Add(after)
 	for e.Step() {
 	}
-	want := []uint64{0, 3, 5}
-	if len(w.advanced) != len(want) {
-		t.Fatalf("advanced %v, want %v", w.advanced, want)
+	want := []uint64{0, 10, 101, 102}
+	if !equalCycles(before.advanced, want) {
+		t.Fatalf("actor before the jump advanced at %v, want %v", before.advanced, want)
+	}
+	want = []uint64{0, 100, 101, 102}
+	if !equalCycles(after.advanced, want) {
+		t.Fatalf("actor after the jump advanced at %v, want %v", after.advanced, want)
+	}
+	if e.Clock().Now() != 102 {
+		t.Fatalf("clock = %d, want 102", e.Clock().Now())
+	}
+}
+
+func equalCycles(got, want []uint64) bool {
+	if len(got) != len(want) {
+		return false
 	}
 	for i := range want {
-		if w.advanced[i] != want[i] {
-			t.Fatalf("advanced %v, want %v", w.advanced, want)
+		if got[i] != want[i] {
+			return false
 		}
 	}
-	// Scheduling into the processed past is discarded, not replayed.
-	e.Schedule(2)
-	if e.Step() {
-		t.Fatal("stale event should be discarded")
-	}
+	return true
 }
 
 func TestClockMonotonic(t *testing.T) {

@@ -59,11 +59,10 @@ type Options struct {
 	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
 	// free; see sim.Config).
 	RemapPenaltyNs float64
-	// TimelineInterval and TimelineCapacity forward the timeline sampler
-	// configuration to every cell (see Config.TimelineInterval); the grid
-	// report merges the per-cell series into one grid-level timeline.
+	// TimelineInterval forwards the timeline sampler interval to every
+	// cell (see Config.TimelineInterval); the grid report merges the
+	// per-cell series into one grid-level timeline.
 	TimelineInterval uint64
-	TimelineCapacity int
 }
 
 // GridProgress reports one finished cell of a running grid or study. A
@@ -100,7 +99,6 @@ func (o Options) config(workload, scheme string) Config {
 		SpareRows:        o.SpareRows,
 		RemapPenaltyNs:   o.RemapPenaltyNs,
 		TimelineInterval: o.TimelineInterval,
-		TimelineCapacity: o.TimelineCapacity,
 	}
 }
 

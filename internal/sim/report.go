@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"ladder/internal/fault"
@@ -158,16 +159,22 @@ func summarizeResetLatency(snap metrics.Snapshot) ResetLatencySummary {
 }
 
 // summarizeLatency merges every per-channel memctrl histogram with the
-// given name suffix. All channels share ResetLatencyBounds(), so the
-// merge cannot fail on bounds; a foreign snapshot with mismatched bounds
-// yields the partial merge accumulated so far.
+// given name suffix, in sorted-name order so the float sums, and with
+// them the mean, are the same on every call. All channels share
+// ResetLatencyBounds(), so the merge cannot fail on bounds; a foreign
+// snapshot with mismatched bounds yields the partial merge accumulated
+// so far.
 func summarizeLatency(snap metrics.Snapshot, suffix string) ResetLatencySummary {
-	var merged metrics.HistogramSnapshot
-	for name, h := range snap.Histograms {
-		if !strings.HasPrefix(name, "memctrl.") || !strings.HasSuffix(name, suffix) {
-			continue
+	var names []string
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "memctrl.") && strings.HasSuffix(name, suffix) {
+			names = append(names, name)
 		}
-		if m, err := merged.Merge(h); err == nil {
+	}
+	sort.Strings(names)
+	var merged metrics.HistogramSnapshot
+	for _, name := range names {
+		if m, err := merged.Merge(snap.Histograms[name]); err == nil {
 			merged = m
 		}
 	}

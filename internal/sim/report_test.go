@@ -3,8 +3,13 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"ladder/internal/fault"
+	"ladder/internal/memctrl"
+	"ladder/internal/metrics"
 )
 
 // TestReportEndToEnd runs a short simulation and checks the structured
@@ -200,6 +205,36 @@ func TestRunGridJoinsAllErrors(t *testing.T) {
 	for _, want := range []string{"bogus-one", "bogus-two"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("aggregated error missing %q: %v", want, err)
+		}
+	}
+}
+
+// TestReportLatencyDeterministicAcrossChannels pins "a fixed seed gives
+// a byte-identical report" beyond the default two channels: the merged
+// RESET and retry latency summaries add one float sum per channel, and
+// with three channels the result depends on the order of the additions,
+// so the merge must not follow map iteration order.
+func TestReportLatencyDeterministicAcrossChannels(t *testing.T) {
+	reg := metrics.NewRegistry()
+	for ch, ns := range []float64{0.1, 0.2, 0.3} {
+		for _, suffix := range []string{resetLatencySuffix, retryLatencySuffix} {
+			name := fmt.Sprintf("memctrl.ch%d%s", ch, suffix)
+			reg.Histogram(name, memctrl.ResetLatencyBounds()).Observe(ns)
+		}
+	}
+	res := &Result{Workload: "lbm", Scheme: SchemeHybrid, Metrics: reg, Faults: &fault.Stats{}}
+	var first []byte
+	for i := 0; i < 200; i++ {
+		var buf bytes.Buffer
+		if err := NewReport(res).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("report %d differs from report 0 on the same three-channel result", i)
 		}
 	}
 }

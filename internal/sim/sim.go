@@ -208,21 +208,10 @@ type Config struct {
 	// it is observer-only and must not perturb simulated cycles either
 	// (pinned by the golden determinism tests).
 	TimelineInterval uint64
-	// TimelineCapacity bounds retained epochs (0 = timeline.DefaultCapacity).
-	// Reaching it merges adjacent epochs and doubles the effective width.
-	TimelineCapacity int
 	// TimelineOnEpoch, when set, receives each epoch as it closes — the
 	// live-streaming hook behind the introspection server's /timeline
 	// feed. Runs on the simulation goroutine, like Progress.
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
-	// Interrupt, when set, is polled periodically during the execute and
-	// drain phases (every few thousand engine steps — far below any
-	// human-visible latency, far above per-cycle cost); a non-nil return
-	// aborts the run with that error wrapped. RunCtx wires a context's
-	// cancellation cause through this hook, which is how service-mode
-	// deadlines and watchdogs stop a running simulation at cycle
-	// granularity. Nil — the default — is never polled and costs nothing.
-	Interrupt func() error `json:"-"`
 
 	// residents shares synthesized resident rows among the cells of one
 	// grid (RunGridCtx); nil, as in a solo Run, draws rows privately.
@@ -368,12 +357,25 @@ func shrunk(ts *timing.TableSet, factor float64) *timing.TableSet {
 	return out
 }
 
-// Run executes one simulation to completion and returns its measurements:
-// it builds a System and drives it through its phases.
-func Run(cfg Config) (*Result, error) {
+// Run executes one simulation to completion and returns its
+// measurements: RunCtx under a context that is never canceled.
+func Run(cfg Config) (*Result, error) { return RunCtx(context.Background(), cfg) }
+
+// RunCtx builds a System and drives it through its phases under ctx: the
+// execute and drain phases poll ctx every interruptCheckEvery steps and
+// abort with the context's cancellation cause once it is canceled or its
+// deadline passes. The poll happens at step granularity — a run stops
+// within milliseconds of cancellation, never mid-cycle, so an aborted
+// run leaves no partial-cycle state behind (it returns no Result at
+// all). This is how service-mode deadlines and watchdogs stop a running
+// simulation.
+func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if ctx != nil {
+		sys.ctx = ctx
 	}
 	for _, phase := range []func() error{sys.warm, sys.execute, sys.drainRemaining} {
 		if err := phase(); err != nil {
@@ -381,24 +383,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return sys.collect()
-}
-
-// RunCtx is Run under a context: the run polls ctx between engine steps
-// and aborts with the context's cancellation cause once it is canceled
-// or its deadline passes. The poll happens at step granularity — a run
-// stops within microseconds of cancellation, never mid-cycle, so an
-// aborted run leaves no partial-cycle state behind (it returns no
-// Result at all). An explicit Config.Interrupt takes precedence.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Interrupt == nil && ctx != nil {
-		cfg.Interrupt = func() error {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			return nil
-		}
-	}
-	return Run(cfg)
 }
 
 // exportRunMetrics publishes the engine's, cores' and metadata caches'

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	mathbits "math/bits"
 	"os"
@@ -74,6 +75,10 @@ type System struct {
 	// err carries a failure raised inside an actor (actors cannot return
 	// errors through the engine) out to the execute phase.
 	err error
+	// ctx is the run's context, polled by interrupted; polls counts the
+	// calls since the last poll.
+	ctx   context.Context
+	polls int
 }
 
 // newSystem is the build phase: it constructs every component — store,
@@ -84,7 +89,7 @@ func newSystem(cfg Config) (*System, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, started: time.Now()}
+	s := &System{cfg: cfg, ctx: context.Background(), started: time.Now()}
 
 	var profiles []trace.Profile
 	if cfg.TraceFile != "" {
@@ -362,7 +367,6 @@ func (s *System) buildEngine() {
 	if s.cfg.TimelineInterval > 0 {
 		s.sampler = timeline.NewSampler(timeline.Config{
 			Interval: s.cfg.TimelineInterval,
-			Capacity: s.cfg.TimelineCapacity,
 			Registry: s.reg,
 			Probe:    s.timelineScalars,
 			OnEpoch:  s.cfg.TimelineOnEpoch,
@@ -541,10 +545,23 @@ func (s *System) issue(coreID int, a trace.Access) bool {
 }
 
 // interruptCheckEvery is how many engine steps (execute) or drain
-// iterations pass between Config.Interrupt polls. Steps are
+// iterations pass between polls of the run's context. Steps are
 // microsecond-scale, so a canceled run stops within milliseconds while
 // the per-step overhead stays one counter increment.
 const interruptCheckEvery = 1024
+
+// interrupted polls the run's context once every interruptCheckEvery
+// calls and returns its cancellation cause once it is done.
+func (s *System) interrupted() error {
+	if s.polls++; s.polls < interruptCheckEvery {
+		return nil
+	}
+	s.polls = 0
+	if s.ctx.Err() != nil {
+		return context.Cause(s.ctx)
+	}
+	return nil
+}
 
 // execute is the execute phase: the engine steps from event to event
 // until every core exhausts its instruction budget. Cycles in which no
@@ -552,7 +569,6 @@ const interruptCheckEvery = 1024
 // event-driven engine — while processed cycles replay the classic loop's
 // exact evaluation order.
 func (s *System) execute() error {
-	sinceCheck := 0
 	for s.running > 0 {
 		if !s.eng.Step() {
 			return fmt.Errorf("sim: simulation deadlock: %d cores blocked with no pending events", s.running)
@@ -560,13 +576,8 @@ func (s *System) execute() error {
 		if s.err != nil {
 			return s.err
 		}
-		if s.cfg.Interrupt != nil {
-			if sinceCheck++; sinceCheck >= interruptCheckEvery {
-				sinceCheck = 0
-				if err := s.cfg.Interrupt(); err != nil {
-					return fmt.Errorf("sim: run interrupted: %w", err)
-				}
-			}
+		if err := s.interrupted(); err != nil {
+			return fmt.Errorf("sim: run interrupted: %w", err)
 		}
 	}
 	return nil
@@ -592,18 +603,12 @@ func (s *System) drainRemaining() error {
 func (s *System) drain() error {
 	start := s.clock.Now()
 	now := start
-	sinceCheck := 0
 	for {
 		if now-start >= drainCap {
 			return fmt.Errorf("sim: controllers failed to drain within %d cycles (read/write queues wedged)", drainCap)
 		}
-		if s.cfg.Interrupt != nil {
-			if sinceCheck++; sinceCheck >= interruptCheckEvery {
-				sinceCheck = 0
-				if err := s.cfg.Interrupt(); err != nil {
-					return fmt.Errorf("sim: drain interrupted: %w", err)
-				}
-			}
+		if err := s.interrupted(); err != nil {
+			return fmt.Errorf("sim: drain interrupted: %w", err)
 		}
 		idle := true
 		active := false

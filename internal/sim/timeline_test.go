@@ -171,12 +171,12 @@ func TestTimelineObserverNeutral(t *testing.T) {
 }
 
 // TestTimelineCapacityBoundsEpochs pins source decimation end-to-end:
-// a tiny capacity forces repeated widening, the retained epoch count
-// stays bounded, and the sums still reconcile.
+// an interval far below the run's length forces repeated widening at
+// the default capacity, the retained epoch count stays bounded, and the
+// sums still reconcile.
 func TestTimelineCapacityBoundsEpochs(t *testing.T) {
 	cfg := testConfig(t, "astar", SchemeBaseline)
-	cfg.TimelineInterval = 2_000
-	cfg.TimelineCapacity = 4
+	cfg.TimelineInterval = 20
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +185,8 @@ func TestTimelineCapacityBoundsEpochs(t *testing.T) {
 	if tl == nil {
 		t.Fatal("no timeline")
 	}
-	if len(tl.Epochs) > 4 {
-		t.Errorf("capacity 4 retained %d epochs", len(tl.Epochs))
+	if len(tl.Epochs) > timeline.DefaultCapacity {
+		t.Errorf("capacity %d retained %d epochs", timeline.DefaultCapacity, len(tl.Epochs))
 	}
 	if tl.EffectiveInterval <= tl.Interval {
 		t.Errorf("effective interval %d never widened past %d over a %d-tick run",

@@ -25,10 +25,6 @@ type Scalars struct {
 type Config struct {
 	// Interval is the sampling period in simulated cycles (required).
 	Interval uint64
-	// Capacity bounds the retained epochs (0 = DefaultCapacity, minimum
-	// 2, rounded up to even). Reaching it merges adjacent epoch pairs
-	// and doubles the effective epoch width.
-	Capacity int
 	// Registry is the run's instrument registry; its counters and
 	// histograms are diffed per epoch. May be nil (scalars only).
 	Registry *metrics.Registry
@@ -45,8 +41,7 @@ type Config struct {
 // and is strictly an observer: it reads registry snapshots and probe
 // scalars, never simulation state it could perturb.
 type Sampler struct {
-	cfg      Config
-	capacity int
+	cfg Config
 	// factor is the decimation factor: epochs close every factor-th
 	// Sample call, so post-decimation epochs widen at the source instead
 	// of being merged after the fact.
@@ -64,17 +59,7 @@ func NewSampler(cfg Config) *Sampler {
 	if cfg.Interval == 0 {
 		return nil
 	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	if capacity < 2 {
-		capacity = 2
-	}
-	if capacity%2 == 1 {
-		capacity++
-	}
-	return &Sampler{cfg: cfg, capacity: capacity, factor: 1}
+	return &Sampler{cfg: cfg, factor: 1}
 }
 
 // Interval returns the configured sampling period (0 on a nil sampler).
@@ -161,7 +146,7 @@ func (s *Sampler) close(now uint64) {
 		s.cfg.OnEpoch(cloneEpoch(ep))
 	}
 	s.epochs = append(s.epochs, ep)
-	if len(s.epochs) >= s.capacity {
+	if len(s.epochs) >= DefaultCapacity {
 		s.epochs = decimate(s.epochs)
 		s.factor *= 2
 		s.fires = 0

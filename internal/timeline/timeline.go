@@ -23,8 +23,8 @@ import "fmt"
 // should reject documents whose schema string they do not recognize.
 const Schema = "ladder.timeline/v1"
 
-// DefaultCapacity is the default bound on retained epochs. It is even
-// so capacity-triggered decimation always merges clean pairs.
+// DefaultCapacity is the bound on retained epochs. It is even so
+// capacity-triggered decimation always merges clean pairs.
 const DefaultCapacity = 512
 
 // Epoch is one closed sampling window [Start, End) in simulated cycles.

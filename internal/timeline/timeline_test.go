@@ -147,19 +147,19 @@ func TestDecimationPreservesSums(t *testing.T) {
 	probe := Scalars{}
 	s := NewSampler(Config{
 		Interval: 10,
-		Capacity: 4,
 		Registry: reg,
 		Probe:    func() Scalars { return probe },
 	})
-	const boundaries = 32
+	// Three times the capacity: the series decimates twice.
+	const boundaries = 3 * DefaultCapacity
 	for i := 1; i <= boundaries; i++ {
 		reg.Counter("writes").Add(uint64(i))
 		probe.Instructions += 100
 		s.Sample(uint64(i) * 10)
 	}
 	tl := s.Timeline()
-	if len(tl.Epochs) >= 4 {
-		t.Errorf("epochs = %d, want < capacity 4", len(tl.Epochs))
+	if len(tl.Epochs) >= DefaultCapacity {
+		t.Errorf("epochs = %d, want < capacity %d", len(tl.Epochs), DefaultCapacity)
 	}
 	if tl.EffectiveInterval <= tl.Interval {
 		t.Errorf("effective interval %d did not widen past %d", tl.EffectiveInterval, tl.Interval)
