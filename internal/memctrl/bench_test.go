@@ -12,13 +12,37 @@ import (
 	"ladder/internal/trace"
 )
 
+// sparseWriteEvery is the sparse benchmark's write interval in ticks
+// (256 ns): slower than lbm's writes drain, so the queue stays short.
+const sparseWriteEvery = 1024
+
 // BenchmarkControllerTick times one Controller.Tick on the paper's
-// geometry and timing tables with a real LADDER-Hybrid scheme, its write
-// queue kept saturated by lbm's write stream: every tick first offers
-// the next write, so the controller stays in drain mode and the
-// per-write datapath (scheme latency, FNW, store write, run-level
-// counts) dominates.
+// geometry and timing tables with a real LADDER-Hybrid scheme fed by
+// lbm's write stream.
+//
+//   - saturated: every tick first offers the next write, so the write
+//     queue stays full, the controller stays in drain mode and the
+//     per-write datapath (scheme latency, FNW, store write, run-level
+//     counts) dominates.
+//   - sparse: one write every sparseWriteEvery ticks, so most ticks
+//     fall between an enqueue and the next pulse finish and are dormant.
 func BenchmarkControllerTick(b *testing.B) {
+	b.Run("saturated", func(b *testing.B) {
+		if n := benchControllerTick(b, 1); n < DefaultConfig().WRQSize/2 {
+			b.Fatalf("write queue not saturated: %d entries", n)
+		}
+	})
+	b.Run("sparse", func(b *testing.B) {
+		if n := benchControllerTick(b, sparseWriteEvery); n >= DefaultConfig().WRQSize/2 {
+			b.Fatalf("write queue built up: %d entries", n)
+		}
+	})
+}
+
+// benchControllerTick times ticks that offer a write every writeEvery
+// ticks (retrying a refused one on the next offer) and returns the
+// final write-queue length.
+func benchControllerTick(b *testing.B, writeEvery uint64) int {
 	tables, err := timing.NewTableSet(circuit.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
@@ -60,7 +84,7 @@ func BenchmarkControllerTick(b *testing.B) {
 	next := nextWrite()
 	var now uint64
 	tick := func() {
-		if ctrl.EnqueueWrite(next.Line, next.Data, now) {
+		if now%writeEvery == 0 && ctrl.EnqueueWrite(next.Line, next.Data, now) {
 			next = nextWrite()
 		}
 		ctrl.Tick(now)
@@ -79,7 +103,5 @@ func BenchmarkControllerTick(b *testing.B) {
 	if err := ctrl.Err(); err != nil {
 		b.Fatal(err)
 	}
-	if ctrl.WriteQueueLen() < DefaultConfig().WRQSize/2 {
-		b.Fatalf("write queue not saturated: %d entries", ctrl.WriteQueueLen())
-	}
+	return ctrl.WriteQueueLen()
 }

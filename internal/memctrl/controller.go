@@ -136,6 +136,15 @@ type Controller struct {
 	writeMode  bool
 	onReadDone ReadDoneFunc
 
+	// nextFinish is the earliest in-flight finish (Horizon with nothing
+	// in flight), recomputed at the end of every full tick, the only
+	// place inflight changes.
+	nextFinish uint64
+	// quiet marks a controller whose last full tick completed, moved
+	// and dispatched nothing. Until an enqueue clears it or nextFinish
+	// arrives, every tick would repeat that no-op, so Tick skips it.
+	quiet bool
+
 	// flips is the device-side FNW bridge state: the stored flip mask per
 	// line address.
 	flips map[uint64]uint8
@@ -266,6 +275,7 @@ func (c *Controller) EnqueueMaintenance(loc reram.Location, now uint64) {
 		req.TraceRef = c.tr.Begin(tracing.KindMetaWrite, c.trChannel, c.bankOf(loc), -1, 0, now)
 	}
 	c.wbPending = append(c.wbPending, req)
+	c.quiet = false
 }
 
 // NewController builds a controller over the shared environment, which
@@ -285,6 +295,7 @@ func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.
 		scheme:       scheme,
 		meter:        meter,
 		bankBusy:     make([]uint64, nBanks),
+		nextFinish:   engine.Horizon,
 		onReadDone:   onReadDone,
 		flips:        make(map[uint64]uint8),
 		banksPerRank: env.Geom.BanksPerRank,
@@ -349,6 +360,7 @@ func (c *Controller) EnqueueRead(coreID int, line uint64, now uint64) bool {
 		r.TraceRef = c.tr.Begin(tracing.KindDataRead, c.trChannel, c.bankOf(loc), coreID, line, now)
 	}
 	c.rdq = append(c.rdq, r)
+	c.quiet = false
 	c.run.DataReads.Inc()
 	return true
 }
@@ -375,6 +387,7 @@ func (c *Controller) EnqueueWrite(line uint64, data bits.Line, now uint64) bool 
 	}
 	aux, wbs := c.scheme.Enqueue(req)
 	c.wrq = append(c.wrq, req)
+	c.quiet = false
 	c.run.DataWrites.Inc()
 	c.routeAux(aux, now)
 	c.routeWritebacks(wbs, now)
@@ -441,22 +454,39 @@ func (c *Controller) routeWritebacks(wbs []core.MetaWriteback, now uint64) {
 // always processes the cycle after an active one; a tick that reports
 // false leaves every externally visible invariant untouched and the
 // controller provably dormant until its next scheduled event.
+//
+// A dormant tick costs O(1): after a tick that completed, moved and
+// dispatched nothing, the queues, the mode, the scheme's readiness
+// verdicts and the set of free banks all stay put until an enqueue or
+// the next in-flight finish, so the ticks in between return right after
+// the occupancy sampling.
 func (c *Controller) Tick(now uint64) bool {
 	if c.instrumented && now&occupancySampleMask == 0 {
 		c.mRDQOcc.Observe(float64(len(c.rdq)))
 		c.mWRQOcc.Observe(float64(len(c.wrq)))
 	}
-	completed := c.completeFinished(now)
+	if c.quiet && now < c.nextFinish {
+		return false
+	}
+	completed := now >= c.nextFinish && c.completeFinished(now)
 	c.updateMode(now)
-	c.drainPending()
+	// A moved writeback can lift the queue over the high watermark after
+	// updateMode looked, so the mode flips on the next tick: not quiet.
+	moved := c.drainPending()
 	issued := c.issue(now)
+	c.nextFinish = engine.Horizon
+	for _, op := range c.inflight {
+		c.nextFinish = min(c.nextFinish, op.finish)
+	}
+	c.quiet = !completed && !moved && !issued
 	return completed || issued
 }
 
 // NextEventAt returns the next cycle strictly after now at which this
 // controller's Tick can do something a no-op tick would not: the
-// earliest in-flight completion (bank-free times coincide with
-// completions, so dispatch opportunities appear there too). A non-idle
+// earliest in-flight completion, as the last full tick cached it
+// (bank-free times coincide with completions, so dispatch
+// opportunities appear there too). A non-idle
 // controller with nothing in flight asks for the very next cycle — the
 // conservative answer for queue states that only resolve through
 // repeated issue attempts. Idle controllers sleep until an enqueue wakes
@@ -468,16 +498,10 @@ func (c *Controller) NextEventAt(now uint64) uint64 {
 		}
 		return now + 1
 	}
-	next := engine.Horizon
-	for _, op := range c.inflight {
-		if op.finish < next {
-			next = op.finish
-		}
-	}
-	if next <= now {
+	if c.nextFinish <= now {
 		return now + 1
 	}
-	return next
+	return c.nextFinish
 }
 
 // completeFinished retires operations whose bank time elapsed, reporting
@@ -698,16 +722,20 @@ func (c *Controller) updateMode(now uint64) {
 }
 
 // drainPending moves deferred aux reads and metadata writebacks into the
-// queues as space opens.
-func (c *Controller) drainPending() {
+// queues as space opens, reporting whether it moved any.
+func (c *Controller) drainPending() bool {
+	moved := false
 	for len(c.auxPending) > 0 && len(c.rdq) < c.cfg.RDQSize {
 		c.rdq = append(c.rdq, c.auxPending[0])
 		c.auxPending = c.auxPending[1:]
+		moved = true
 	}
 	for len(c.wbPending) > 0 && len(c.wrq) < c.cfg.WRQSize {
 		c.wrq = append(c.wrq, c.wbPending[0])
 		c.wbPending = c.wbPending[1:]
+		moved = true
 	}
+	return moved
 }
 
 // issue starts operations on free banks, reporting whether any
