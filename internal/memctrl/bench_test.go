@@ -21,9 +21,9 @@ const sparseWriteEvery = 1024
 // lbm's write stream.
 //
 //   - saturated: every tick first offers the next write, so the write
-//     queue stays full, the controller stays in drain mode and the
-//     per-write datapath (scheme latency, FNW, store write, run-level
-//     counts) dominates.
+//     queue stays full and the controller stays in drain mode. The time
+//     goes to the per-write datapath (scheme latency, FNW, store write,
+//     run-level counts) and to the refused offers between completions.
 //   - sparse: one write every sparseWriteEvery ticks, so most ticks
 //     fall between an enqueue and the next pulse finish and are dormant.
 func BenchmarkControllerTick(b *testing.B) {

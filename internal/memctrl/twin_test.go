@@ -83,11 +83,12 @@ func (tw *twin) write(line uint64, data bits.Line, now uint64) bool {
 // drive the write queue past the drain watermark and in sparse stretches
 // that leave the controller dormant between completions. Writes span
 // the whole memory, so the metadata cache evicts and writes back, and a
-// 5% fault rate forces verify reissues. Before every tick the reference twin's quiet flag is
-// cleared, so it always runs the full tick; the other twin takes the
-// dormant shortcut. The two must agree on every Tick return, every
-// NextEventAt, the queue lengths and the mode on every processed cycle,
-// and on every count, delivered read and energy total at the end.
+// 5% fault rate forces verify reissues. Before every tick the reference
+// twin's quiet flag is cleared, so it always runs the full tick; the
+// other twin takes the dormant shortcut. The two must agree on every
+// Tick return, every NextEventAt, the queue lengths and the mode on
+// every processed cycle, and on every count, delivered read and energy
+// total at the end.
 func TestDormantTicksMatchFullTicks(t *testing.T) {
 	// A 4 KB cache makes Est and Hybrid evict dirty metadata.
 	// LADDER-Basic keeps the paper's cache: with two metadata lines per
