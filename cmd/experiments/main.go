@@ -101,7 +101,8 @@ func main() {
 		progress = func(p ladder.GridProgress) { srv.Publish("grid", p) }
 	}
 
-	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, TimelineInterval: *timelineInterval, Progress: progress}
+	opts := ladder.Options{Instr: *instr, Seed: *seed, Jobs: *jobs, Progress: progress,
+		Base: ladder.Config{TimelineInterval: *timelineInterval}}
 	// sub is the three-workload subset the costlier sweeps run on.
 	sub := opts
 	sub.Workloads = []string{"lbm", "mcf", "mix-7"}
@@ -201,9 +202,9 @@ func main() {
 	}
 
 	if want("reliability") {
-		// The flags take 0 as "off"; Options takes 0 as "default".
+		// The flags take 0 as "off"; Config takes 0 as "default".
 		rel := sub
-		rel.FaultSeed, rel.RetryMax, rel.SpareRows = *faultSeed, cliflag.Count(*retryMax), cliflag.Count(*spareRows)
+		rel.Base.FaultSeed, rel.Base.RetryMax, rel.Base.SpareRows = *faultSeed, cliflag.Count(*retryMax), cliflag.Count(*spareRows)
 		rates := []float64{0.001, 0.01}
 		if *faultRate > 0 {
 			rates = []float64{*faultRate}

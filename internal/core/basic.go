@@ -16,13 +16,8 @@ type Basic struct {
 	*ladderBase
 }
 
-// NewBasic builds the scheme with the default metadata cache.
-func NewBasic(env *Env) (*Basic, error) {
-	return NewBasicCache(env, DefaultMetaCacheConfig())
-}
-
-// NewBasicCache builds the scheme with an explicit cache configuration
-// (cache-size ablations).
+// NewBasicCache builds the scheme over a metadata cache of the given
+// configuration (DefaultMetaCacheConfig is the paper's).
 func NewBasicCache(env *Env, cacheCfg MetaCacheConfig) (*Basic, error) {
 	b, err := newLadderBase(env, cacheCfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -374,7 +375,7 @@ func TestBLPTracksBitlineContent(t *testing.T) {
 
 func TestBasicLifecycle(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewBasic(env)
+	s, err := NewBasicCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestBasicLifecycle(t *testing.T) {
 
 func TestBasicSecondWriteHitsCache(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewBasic(env)
+	s, err := NewBasicCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestBasicSecondWriteHitsCache(t *testing.T) {
 
 func TestEstLifecycleAndEstimateSound(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +508,7 @@ func TestEstLifecycleAndEstimateSound(t *testing.T) {
 
 func TestEstDecodeReadRoundTrip(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +528,7 @@ func TestEstDecodeReadRoundTrip(t *testing.T) {
 
 func TestEstNoShiftOption(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEstOpts(env, false)
+	s, err := NewEstCache(env, false, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,9 +544,9 @@ func TestEstNoShiftOption(t *testing.T) {
 
 func TestEstShiftingLowersEstimates(t *testing.T) {
 	env := testEnv(t)
-	withShift, _ := NewEst(env)
+	withShift, _ := NewEstCache(env, true, DefaultMetaCacheConfig())
 	env2 := testEnv(t)
-	noShift, _ := NewEstOpts(env2, false)
+	noShift, _ := NewEstCache(env2, false, DefaultMetaCacheConfig())
 	// Clustered line: one dense byte per chip group.
 	var clustered bits.Line
 	for g := 0; g < bits.ChipGroups; g++ {
@@ -568,7 +569,7 @@ func TestEstShiftingLowersEstimates(t *testing.T) {
 
 func TestHybridLowPrecisionPath(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewHybrid(env)
+	s, err := NewHybridCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +610,7 @@ func TestHybridLowPrecisionPath(t *testing.T) {
 
 func TestHybridSharedLineAcrossPages(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewHybrid(env)
+	s, err := NewHybridCache(env, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +661,7 @@ func TestLowSlotBits(t *testing.T) {
 
 func TestSpillAndRetry(t *testing.T) {
 	env := testEnv(t)
-	s, err := NewEst(env)
+	s, err := NewEstCache(env, true, DefaultMetaCacheConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,5 +774,32 @@ func TestNewSchemeRequiresRegistry(t *testing.T) {
 	env.Metrics = nil
 	if _, err := NewScheme(SchemeHybrid, env, DefaultMetaCacheConfig()); err == nil {
 		t.Fatal("NewScheme accepted an env without a metrics registry")
+	}
+}
+
+// TestRegisterSchemeRejectsCaseCollision: names resolve ignoring case,
+// so a second name equal to a registered one up to case would make the
+// resolution ambiguous. Registering it panics, and every spelling
+// resolves to the first registration.
+func TestRegisterSchemeRejectsCaseCollision(t *testing.T) {
+	factory := func(env *Env, _ MetaCacheConfig) (Scheme, error) { return NewBaseline(env), nil }
+	if _, err := SchemeName("x-scheme"); err != nil {
+		RegisterScheme("x-scheme", factory)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error(`RegisterScheme("X-SCHEME") did not panic after "x-scheme"`)
+			}
+		}()
+		RegisterScheme("X-SCHEME", factory)
+	}()
+	for _, spelling := range []string{"x-scheme", "X-SCHEME", "X-Scheme"} {
+		if got, err := SchemeName(spelling); err != nil || got != "x-scheme" {
+			t.Errorf("SchemeName(%q) = %q, %v; want \"x-scheme\"", spelling, got, err)
+		}
+	}
+	if _, err := SchemeName("no-such-scheme"); err == nil || !strings.Contains(err.Error(), `"no-such-scheme"`) {
+		t.Errorf("SchemeName of an unknown name: err = %v, want one naming it", err)
 	}
 }

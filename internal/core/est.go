@@ -17,19 +17,9 @@ type Est struct {
 	shifting bool
 }
 
-// NewEst builds the scheme with the default metadata cache and shifting
-// enabled.
-func NewEst(env *Env) (*Est, error) {
-	return NewEstOpts(env, true)
-}
-
-// NewEstOpts builds the scheme with explicit shifting control.
-func NewEstOpts(env *Env, shifting bool) (*Est, error) {
-	return NewEstCache(env, shifting, DefaultMetaCacheConfig())
-}
-
-// NewEstCache builds the scheme with an explicit cache configuration
-// (cache-size ablations).
+// NewEstCache builds the scheme over a metadata cache of the given
+// configuration (DefaultMetaCacheConfig is the paper's), with or without
+// intra-line shifting.
 func NewEstCache(env *Env, shifting bool, cacheCfg MetaCacheConfig) (*Est, error) {
 	b, err := newLadderBase(env, cacheCfg)
 	if err != nil {

@@ -17,13 +17,8 @@ type Hybrid struct {
 	shifting bool
 }
 
-// NewHybrid builds the scheme with the default metadata cache.
-func NewHybrid(env *Env) (*Hybrid, error) {
-	return NewHybridCache(env, DefaultMetaCacheConfig())
-}
-
-// NewHybridCache builds the scheme with an explicit cache configuration
-// (cache-size ablations).
+// NewHybridCache builds the scheme over a metadata cache of the given
+// configuration (DefaultMetaCacheConfig is the paper's).
 func NewHybridCache(env *Env, cacheCfg MetaCacheConfig) (*Hybrid, error) {
 	b, err := newLadderBase(env, cacheCfg)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -28,59 +27,84 @@ const (
 // variants that own one; factories for cacheless schemes ignore it.
 type SchemeFactory func(env *Env, cache MetaCacheConfig) (Scheme, error)
 
-// schemeRegistry maps scheme names to factories, preserving registration
-// order so listings stay in evaluation order.
-var schemeRegistry = struct {
+// registeredScheme is one registry entry.
+type registeredScheme struct {
+	name    string
+	factory SchemeFactory
+}
+
+// schemeRegistry holds the registered schemes in registration order, so
+// listings stay in evaluation order.
+var schemeRegistry struct {
 	sync.RWMutex
-	factories map[string]SchemeFactory
-	order     []string
-}{factories: make(map[string]SchemeFactory)}
+	schemes []registeredScheme
+}
 
 // RegisterScheme adds a write scheme to the registry under its figure
 // label. The simulator, laddersim and experiments all resolve schemes
 // through this registry, so a registered scheme is immediately runnable
-// by name. Registering a duplicate name panics: silently shadowing a
-// policy would corrupt cross-scheme comparisons.
+// by name. Names resolve case-insensitively, so registering a name that
+// equals a registered one up to case panics: silently shadowing a policy
+// would corrupt cross-scheme comparisons.
 func RegisterScheme(name string, factory SchemeFactory) {
 	if name == "" || factory == nil {
 		panic("core: RegisterScheme requires a name and a factory")
 	}
 	schemeRegistry.Lock()
 	defer schemeRegistry.Unlock()
-	if _, dup := schemeRegistry.factories[name]; dup {
-		panic(fmt.Sprintf("core: scheme %q registered twice", name))
+	if reg, dup := lookupScheme(name); dup {
+		panic(fmt.Sprintf("core: scheme %q registered twice (as %q)", name, reg.name))
 	}
-	schemeRegistry.factories[name] = factory
-	schemeRegistry.order = append(schemeRegistry.order, name)
+	schemeRegistry.schemes = append(schemeRegistry.schemes, registeredScheme{name, factory})
 }
 
-// NewScheme instantiates a registered scheme by name. Each memory
-// controller needs its own instance (schemes own private metadata
-// caches), so callers invoke this once per channel. Lookup is exact
-// first, then case-insensitive, so CLI spellings like "ladder-hybrid"
-// resolve to the registered figure label. It rejects an env without a
-// metrics registry, which holds every count the scheme makes.
+// lookupScheme is the one scheme-name resolver: the registered scheme
+// whose name equals name up to case. RegisterScheme keeps names unique
+// up to case, so at most one matches. The caller holds schemeRegistry's
+// lock.
+func lookupScheme(name string) (registeredScheme, bool) {
+	for _, reg := range schemeRegistry.schemes {
+		if strings.EqualFold(reg.name, name) {
+			return reg, true
+		}
+	}
+	return registeredScheme{}, false
+}
+
+// resolveScheme returns the registered scheme name resolves to, or an
+// error listing the registered names.
+func resolveScheme(name string) (registeredScheme, error) {
+	schemeRegistry.RLock()
+	reg, ok := lookupScheme(name)
+	schemeRegistry.RUnlock()
+	if !ok {
+		return reg, fmt.Errorf("unknown scheme %q (registered: %s)", name, strings.Join(RegisteredSchemes(), " "))
+	}
+	return reg, nil
+}
+
+// SchemeName resolves a scheme name to its registered spelling, so CLI
+// and request spellings like "ladder-hybrid" map to the figure label
+// "LADDER-Hybrid". It fails for a name no scheme is registered under.
+func SchemeName(name string) (string, error) {
+	reg, err := resolveScheme(name)
+	return reg.name, err
+}
+
+// NewScheme instantiates a registered scheme by name (resolved as
+// SchemeName does). Each memory controller needs its own instance
+// (schemes own private metadata caches), so callers invoke this once per
+// channel. It rejects an env without a metrics registry, which holds
+// every count the scheme makes.
 func NewScheme(name string, env *Env, cache MetaCacheConfig) (Scheme, error) {
 	if env.Metrics == nil {
 		return nil, fmt.Errorf("core: scheme %q needs a metrics registry (Env.Metrics is nil)", name)
 	}
-	schemeRegistry.RLock()
-	factory := schemeRegistry.factories[name]
-	if factory == nil {
-		for reg, f := range schemeRegistry.factories {
-			if strings.EqualFold(reg, name) {
-				factory = f
-				break
-			}
-		}
+	reg, err := resolveScheme(name)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	schemeRegistry.RUnlock()
-	if factory == nil {
-		known := RegisteredSchemes()
-		sort.Strings(known)
-		return nil, fmt.Errorf("core: unknown scheme %q (registered: %v)", name, known)
-	}
-	return factory(env, cache)
+	return reg.factory(env, cache)
 }
 
 // RegisteredSchemes lists every registered scheme in registration order
@@ -88,23 +112,11 @@ func NewScheme(name string, env *Env, cache MetaCacheConfig) (Scheme, error) {
 func RegisteredSchemes() []string {
 	schemeRegistry.RLock()
 	defer schemeRegistry.RUnlock()
-	return append([]string(nil), schemeRegistry.order...)
-}
-
-// SchemeRegistered reports whether a name resolves in the registry
-// (under the same exact-then-case-insensitive rule as NewScheme).
-func SchemeRegistered(name string) bool {
-	schemeRegistry.RLock()
-	defer schemeRegistry.RUnlock()
-	if _, ok := schemeRegistry.factories[name]; ok {
-		return true
+	names := make([]string, len(schemeRegistry.schemes))
+	for i, reg := range schemeRegistry.schemes {
+		names[i] = reg.name
 	}
-	for reg := range schemeRegistry.factories {
-		if strings.EqualFold(reg, name) {
-			return true
-		}
-	}
-	return false
+	return names
 }
 
 // The built-in schemes register at init time, in evaluation order.

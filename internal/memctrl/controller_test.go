@@ -100,7 +100,7 @@ func baselineScheme(env *core.Env) core.Scheme { return core.NewBaseline(env) }
 
 func estScheme(t *testing.T) func(*core.Env) core.Scheme {
 	return func(env *core.Env) core.Scheme {
-		s, err := core.NewEst(env)
+		s, err := core.NewEstCache(env, true, core.DefaultMetaCacheConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,14 +512,14 @@ func TestControllerFuzzInvariants(t *testing.T) {
 		"baseline": baselineScheme,
 		"est":      estScheme(t),
 		"basic": func(env *core.Env) core.Scheme {
-			s, err := core.NewBasic(env)
+			s, err := core.NewBasicCache(env, core.DefaultMetaCacheConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		},
 		"hybrid": func(env *core.Env) core.Scheme {
-			s, err := core.NewHybrid(env)
+			s, err := core.NewHybridCache(env, core.DefaultMetaCacheConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

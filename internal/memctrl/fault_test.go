@@ -54,7 +54,7 @@ func retryLatencyCount(snap metrics.Snapshot) uint64 {
 
 func basicScheme(t *testing.T) func(*core.Env) core.Scheme {
 	return func(env *core.Env) core.Scheme {
-		s, err := core.NewBasic(env)
+		s, err := core.NewBasicCache(env, core.DefaultMetaCacheConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

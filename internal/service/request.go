@@ -20,7 +20,9 @@ const DefaultInstr = 200_000
 // the JSON-resolved form of sim.Options plus the scheme list. A single
 // run is a 1×1 grid. Zero-valued fields select the simulator's defaults,
 // and normalization makes those defaults explicit before hashing, so
-// "instr": 200000 and an absent "instr" dedupe onto the same job.
+// "instr": 200000 and an absent "instr" dedupe onto the same job. A
+// request runs the default machine configuration: it sets no fault,
+// wear-leveling or timeline knob.
 type Request struct {
 	// Workloads lists the benchmark/mix names to simulate (required).
 	Workloads []string `json:"workloads"`
@@ -33,11 +35,6 @@ type Request struct {
 	// Seed makes the grid deterministic (identical seed + configuration
 	// ⇒ byte-identical report).
 	Seed int64 `json:"seed,omitempty"`
-	// FaultSeed, RetryMax and SpareRows parameterize fault-injection
-	// cells; see sim.Options.
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-	RetryMax  int   `json:"retry_max,omitempty"`
-	SpareRows int   `json:"spare_rows,omitempty"`
 }
 
 // normalize validates the request and rewrites it into canonical form:
@@ -56,7 +53,7 @@ func (r *Request) normalize(maxInstr uint64) error {
 		}
 	}
 	for i, s := range r.Schemes {
-		canon, err := canonicalScheme(s)
+		canon, err := core.SchemeName(s)
 		if err != nil {
 			return err
 		}
@@ -68,28 +65,7 @@ func (r *Request) normalize(maxInstr uint64) error {
 	if maxInstr > 0 && r.Instr > maxInstr {
 		return fmt.Errorf("instr %d exceeds this server's per-core budget cap %d", r.Instr, maxInstr)
 	}
-	if r.RetryMax < 0 || r.SpareRows < 0 {
-		return fmt.Errorf("retry_max and spare_rows must be >= 0")
-	}
 	return nil
-}
-
-// canonicalScheme resolves a scheme name to its registered spelling
-// under the registry's exact-then-case-insensitive rule, so requests
-// spelling "ladder-hybrid" and "LADDER-Hybrid" content-hash identically.
-func canonicalScheme(name string) (string, error) {
-	registered := core.RegisteredSchemes()
-	for _, reg := range registered {
-		if reg == name {
-			return reg, nil
-		}
-	}
-	for _, reg := range registered {
-		if strings.EqualFold(reg, name) {
-			return reg, nil
-		}
-	}
-	return "", fmt.Errorf("unknown scheme %q (registered: %s)", name, strings.Join(registered, " "))
 }
 
 // id content-hashes the normalized request: the job identifier, and the
@@ -111,8 +87,5 @@ func (r *Request) options() (sim.Options, []string) {
 		Instr:     r.Instr,
 		Seed:      r.Seed,
 		Workloads: r.Workloads,
-		FaultSeed: r.FaultSeed,
-		RetryMax:  r.RetryMax,
-		SpareRows: r.SpareRows,
 	}, r.Schemes
 }

@@ -27,7 +27,7 @@ func (c *svcChaosScheme) Enqueue(req *core.WriteRequest) ([]core.AuxRead, []core
 const svcChaosSchemeName = "test-service-chaos"
 
 func registerSvcChaosScheme() {
-	if core.SchemeRegistered(svcChaosSchemeName) {
+	if _, err := core.SchemeName(svcChaosSchemeName); err == nil {
 		return
 	}
 	core.RegisterScheme(svcChaosSchemeName, func(env *core.Env, _ core.MetaCacheConfig) (core.Scheme, error) {

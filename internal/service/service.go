@@ -615,8 +615,9 @@ func (s *Service) runJob(j *job) {
 		s.mu.Unlock()
 	}
 	if s.cfg.StallTimeout > 0 {
-		opts.ProgressEvery = heartbeatCycles
-		opts.CellProgress = func(_, _ string, _ sim.ProgressInfo) {
+		// Every cell beats into the same atomic, concurrently.
+		opts.Base.ProgressEvery = heartbeatCycles
+		opts.Base.Progress = func(sim.ProgressInfo) {
 			lastBeat.Store(time.Now().UnixNano())
 		}
 	}

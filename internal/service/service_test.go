@@ -109,7 +109,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", `{"workloads":["nope"],"schemes":["Baseline"]}`, `unknown workload "nope"`},
 		{"unknown scheme", `{"workloads":["astar"],"schemes":["nope"]}`, `unknown scheme "nope"`},
 		{"instr over cap", `{"workloads":["astar"],"schemes":["Baseline"],"instr":20000}`, "budget cap"},
-		{"negative retry_max", `{"workloads":["astar"],"schemes":["Baseline"],"retry_max":-1}`, "retry_max"},
+		{"removed fault field", `{"workloads":["astar"],"schemes":["Baseline"],"retry_max":3}`, "retry_max"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"ladder/internal/core"
@@ -35,34 +36,19 @@ type Options struct {
 	// Progress, when set, is invoked after each cell of a grid or study
 	// finishes (successfully or not). Invocations are serialized under
 	// the runner's callback mutex — the callback is never entered
-	// concurrently, so printProgress-style consumers need no locking of
-	// their own — but it runs on worker goroutines and must stay cheap; a
-	// slow callback stalls cell completion.
+	// concurrently, so consumers need no locking of their own — but it
+	// runs on worker goroutines and must stay cheap; a slow callback
+	// stalls cell completion.
 	Progress func(GridProgress)
-	// CellProgress, when set, receives each running cell's periodic
-	// ProgressInfo (see Config.Progress) tagged with the cell identity.
-	// Like Progress, invocations from all workers are serialized under
-	// one mutex, so the callback needs no synchronization of its own.
-	// The cadence is governed by ProgressEvery.
-	CellProgress func(workload, scheme string, info ProgressInfo)
-	// ProgressEvery is the per-cell progress period in cycles forwarded
-	// to each run's Config.ProgressEvery (0 = the run default). Only
-	// meaningful with CellProgress set.
-	ProgressEvery uint64
-	// FaultSeed, RetryMax and SpareRows parameterize fault-injection
-	// cells (ReliabilitySweep); runs without a fault rate ignore them.
-	// Zero values select the defaults (see sim.Config).
-	FaultSeed int64
-	RetryMax  int
-	SpareRows int
-	// RemapPenaltyNs is the address-decoder indirection latency charged
-	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
-	// free; see sim.Config).
-	RemapPenaltyNs float64
-	// TimelineInterval forwards the timeline sampler interval to every
-	// cell (see Config.TimelineInterval); the grid report merges the
-	// per-cell series into one grid-level timeline.
-	TimelineInterval uint64
+	// Base is the configuration every cell starts from: a cell is Base
+	// with the cell's workload and scheme, the grid's Instr, Seed and
+	// Tables, and the study's edit applied. Those five identity fields
+	// belong to the grid, so a Base that sets any of them is rejected.
+	// Base's own hooks (Progress, TimelineOnEpoch) are shared by every
+	// cell and are not serialized: with Jobs > 1, cells call them
+	// concurrently. A grid with Base.TimelineInterval set reports one
+	// timeline merged from its cells' series.
+	Base Config
 }
 
 // GridProgress reports one finished cell of a running grid or study. A
@@ -87,19 +73,35 @@ func (o Options) workloads() []string {
 	return trace.AllWorkloads()
 }
 
+// config is a cell's configuration before its study edit.
 func (o Options) config(workload, scheme string) Config {
-	return Config{
-		Workload:         workload,
-		Scheme:           scheme,
-		InstrPerCore:     o.Instr,
-		Seed:             o.Seed,
-		Tables:           o.Tables,
-		FaultSeed:        o.FaultSeed,
-		RetryMax:         o.RetryMax,
-		SpareRows:        o.SpareRows,
-		RemapPenaltyNs:   o.RemapPenaltyNs,
-		TimelineInterval: o.TimelineInterval,
+	cfg := o.Base
+	cfg.Workload, cfg.Scheme = workload, scheme
+	cfg.InstrPerCore, cfg.Seed, cfg.Tables = o.Instr, o.Seed, o.Tables
+	return cfg
+}
+
+// checkBase rejects a Base that sets a field the grid sets per cell.
+func (o Options) checkBase() error {
+	var set []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Workload", o.Base.Workload != ""},
+		{"Scheme", o.Base.Scheme != ""},
+		{"InstrPerCore", o.Base.InstrPerCore != 0},
+		{"Seed", o.Base.Seed != 0},
+		{"Tables", o.Base.Tables != nil},
+	} {
+		if f.set {
+			set = append(set, f.name)
+		}
 	}
+	if len(set) > 0 {
+		return fmt.Errorf("sim: Options.Base sets %s; a grid sets these per cell (see Options)", strings.Join(set, ", "))
+	}
+	return nil
 }
 
 // Grid holds results for every (workload, scheme) pair of an experiment.
@@ -177,10 +179,12 @@ func crossCells(workloads []string, variants []cell) []cell {
 // so they are independent of Options.Jobs and of scheduling. Cells copy
 // their resident rows from residents, drawn once per pool; a row's
 // content depends only on the resident level, the seed and the row, so
-// every cell's result is bit-identical to its solo Run. User callbacks
-// (Options.Progress, Options.CellProgress) are serialized under one
-// mutex and never run concurrently with each other.
+// every cell's result is bit-identical to its solo Run. Options.Progress
+// calls are serialized under one mutex.
 func runCells(ctx context.Context, opts Options, residents *residentPool, cells []cell) ([]*Result, error) {
+	if err := opts.checkBase(); err != nil {
+		return nil, err
+	}
 	// Resolve the shared timing tables up front so workers do not race on
 	// the lazy default-table generation.
 	if opts.Tables == nil {
@@ -198,7 +202,7 @@ func runCells(ctx context.Context, opts Options, residents *residentPool, cells 
 	defer cancel()
 	var (
 		mu         sync.Mutex // guards runErrs, done
-		progressMu sync.Mutex // serializes user callbacks (Progress, CellProgress)
+		progressMu sync.Mutex // serializes opts.Progress
 		runErrs    []error
 		done       int
 		wg         sync.WaitGroup
@@ -220,14 +224,6 @@ func runCells(ctx context.Context, opts Options, residents *residentPool, cells 
 				c.edit(&cfg)
 			}
 			cfg.residents = residents
-			if opts.CellProgress != nil {
-				cfg.ProgressEvery = opts.ProgressEvery
-				cfg.Progress = func(p ProgressInfo) {
-					progressMu.Lock()
-					defer progressMu.Unlock()
-					opts.CellProgress(c.workload, c.scheme, p)
-				}
-			}
 			res, err := runCell(runCtx, cfg)
 			results[i] = res // each worker owns its slot; wg.Wait publishes it
 			mu.Lock()
@@ -633,15 +629,16 @@ type LifetimeStudy struct {
 // row capacity the device fails over to, so the reported ratio is
 //
 //	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
-func relativeLifetime(base, res *Result, spares int) float64 {
+//
+// geom is the cells' geometry; segments count the decoder's start-gap
+// rotation units over it.
+func relativeLifetime(geom reram.Geometry, base, res *Result, spares int) float64 {
 	touched := float64(res.TouchedRows)
 	total := float64(res.TotalStoreWrites)
 	if touched == 0 || total == 0 {
 		return 1
 	}
-	// Study runs use the default geometry and 256-row VWL segments.
-	geom := reram.DefaultGeometry()
-	segments := float64(geom.Rows()/256) + 1
+	segments := float64(geom.Rows()/vwlSegmentRows) + 1
 	gapMoves := 0.0
 	if res.Remap != nil {
 		gapMoves = float64(res.Remap.GapMoves)
@@ -682,6 +679,7 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 		GapPeriods: periods,
 		SpareRows:  spares,
 	}
+	geom := opts.Base.geometry()
 	residents := new(residentPool)
 	bases, err := runCells(ctx, opts, residents, crossCells(study.Workloads, []cell{{scheme: scheme}}))
 	if err != nil {
@@ -720,7 +718,7 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 				study.Remap.Merge(st)
 				cell.GapMoves += st.GapMoves
 				cell.SpareRemaps += st.SpareRemaps
-				cell.RelativeLifetime += relativeLifetime(base, r, sp)
+				cell.RelativeLifetime += relativeLifetime(geom, base, r, sp)
 				if base.AvgIPC() > 0 {
 					cell.IPCRatio += r.AvgIPC() / base.AvgIPC()
 				}

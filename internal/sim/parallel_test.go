@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,30 +59,27 @@ func TestRunGridByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestRunGridProgressSerialized runs a parallel grid with both callback
-// hooks mutating unsynchronized state: the grid's callback mutex is the
-// only thing keeping that safe, so the race detector fails this test if
+// TestRunGridProgressSerialized runs a parallel grid whose Options.Progress
+// mutates unsynchronized state: the grid's callback mutex is the only
+// thing keeping that safe, so the race detector fails this test if
 // serialization ever regresses. It also checks the Done counter is
-// monotonically increasing and complete.
+// monotonically increasing and complete, and that the per-run hook in
+// Base reaches every cell (it is shared across cells, so it counts
+// atomically).
 func TestRunGridProgressSerialized(t *testing.T) {
 	opts := parallelGridOptions(t)
 	opts.Jobs = 4
-	opts.ProgressEvery = 1_000
 	var (
 		dones     []int // plain slice: appended from worker goroutines, safe only under the callback mutex
-		cellTicks int   // likewise
-		lastTotal int   //
+		lastTotal int   // likewise
+		cellTicks atomic.Int64
 	)
 	opts.Progress = func(p GridProgress) {
 		dones = append(dones, p.Done)
 		lastTotal = p.Total
 	}
-	opts.CellProgress = func(workload, scheme string, info ProgressInfo) {
-		if workload == "" || scheme == "" {
-			t.Errorf("cell progress without identity: %q/%q", workload, scheme)
-		}
-		cellTicks++
-	}
+	opts.Base.ProgressEvery = 1_000
+	opts.Base.Progress = func(ProgressInfo) { cellTicks.Add(1) }
 	g, err := RunGrid(opts, []string{SchemeBaseline, SchemeHybrid})
 	if err != nil {
 		t.Fatalf("RunGrid: %v", err)
@@ -94,14 +92,37 @@ func TestRunGridProgressSerialized(t *testing.T) {
 			t.Fatalf("Done not monotonically increasing: %v", dones)
 		}
 	}
-	if cellTicks == 0 {
-		t.Fatal("CellProgress never fired despite ProgressEvery being set")
+	if cellTicks.Load() == 0 {
+		t.Fatal("Base.Progress never fired despite Base.ProgressEvery being set")
 	}
 	for _, w := range g.Workloads {
 		for _, s := range g.Schemes {
 			if g.Results[w][s] == nil {
 				t.Fatalf("missing result for %s/%s", w, s)
 			}
+		}
+	}
+}
+
+// TestRunGridRejectsBaseIdentity: the grid owns each cell's workload,
+// scheme, budget, seed and tables, so a Base that sets any of them is an
+// error, not a silently overridden field.
+func TestRunGridRejectsBaseIdentity(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"Workload", func(c *Config) { c.Workload = "lbm" }},
+		{"Scheme", func(c *Config) { c.Scheme = SchemeHybrid }},
+		{"InstrPerCore", func(c *Config) { c.InstrPerCore = 1_000 }},
+		{"Seed", func(c *Config) { c.Seed = 3 }},
+		{"Tables", func(c *Config) { c.Tables = smallTables(t) }},
+	} {
+		opts := parallelGridOptions(t)
+		c.edit(&opts.Base)
+		_, err := RunGridCtx(context.Background(), opts, []string{SchemeBaseline})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Base.%s set: err = %v, want a rejection naming the field", c.field, err)
 		}
 	}
 }
@@ -138,17 +159,54 @@ func TestRunGridCtxCanceled(t *testing.T) {
 // once per grid, which must change nothing. Across every figure scheme —
 // the shifting schemes' resident transform, BLP's column state and
 // Hybrid's metadata fills all read the shared rows — the grid report is
-// byte-equal to one assembled from independent solo runs. Under -race it
-// also checks the sharing.
+// byte-equal to one assembled from independent solo runs. A degraded
+// Base (faults, wear leveling, timeline) must reach every cell the same
+// way at any Jobs. Under -race it also checks the sharing.
 func TestRunGridMatchesSoloRuns(t *testing.T) {
-	opts := Options{
-		Instr:     4_000,
-		Seed:      11,
-		Tables:    smallTables(t),
-		Workloads: []string{"lbm", "mcf", "mix-3"},
-		Jobs:      4,
+	degraded := Config{FaultRate: 0.01, WearLeveling: true, VWLPeriod: 16, TimelineInterval: 5_000}
+	for _, tc := range []struct {
+		name string
+		base Config
+		jobs int
+	}{
+		{"default", Config{}, 4},
+		{"degraded-jobs=1", degraded, 1},
+		{"degraded-jobs=4", degraded, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{
+				Instr:     4_000,
+				Seed:      11,
+				Tables:    smallTables(t),
+				Workloads: []string{"lbm", "mcf", "mix-3"},
+				Jobs:      tc.jobs,
+				Base:      tc.base,
+			}
+			grid := checkGridMatchesSolo(t, opts, FigureSchemes())
+			if tc.base.FaultRate == 0 {
+				return
+			}
+			var retries, gapMoves uint64
+			for _, w := range grid.Workloads {
+				for _, s := range grid.Schemes {
+					r := grid.Results[w][s]
+					if r.Faults == nil || r.Remap == nil || r.Timeline == nil {
+						t.Fatalf("%s/%s: degraded Base did not reach the cell", w, s)
+					}
+					retries += r.Faults.Retries
+					gapMoves += r.Remap.GapMoves
+				}
+			}
+			if retries == 0 || gapMoves == 0 {
+				t.Fatalf("degraded grid made %d retries and %d gap moves; want both non-zero", retries, gapMoves)
+			}
+		})
 	}
-	schemes := FigureSchemes()
+}
+
+// checkGridMatchesSolo runs opts as a grid and each cell as a solo Run,
+// requires equal cells and byte-equal grid reports, and returns the grid.
+func checkGridMatchesSolo(t *testing.T, opts Options, schemes []string) *Grid {
 	grid, err := RunGrid(opts, schemes)
 	if err != nil {
 		t.Fatalf("RunGrid: %v", err)
@@ -189,6 +247,7 @@ func TestRunGridMatchesSoloRuns(t *testing.T) {
 		}
 		t.Fatalf("reports differ in length: grid %d bytes, solo %d bytes", len(got), len(want))
 	}
+	return grid
 }
 
 // cellKey is a cell's deterministic results, store wear included.

@@ -14,7 +14,7 @@ import (
 // reproduces the baseline's results exactly.
 func TestCustomSchemeViaRegistry(t *testing.T) {
 	const name = "test-registered-baseline"
-	if !core.SchemeRegistered(name) {
+	if _, err := core.SchemeName(name); err != nil {
 		core.RegisterScheme(name, func(env *core.Env, _ core.MetaCacheConfig) (core.Scheme, error) {
 			return core.NewBaseline(env), nil
 		})

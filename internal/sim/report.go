@@ -344,7 +344,7 @@ type GridReport struct {
 	Metrics   metrics.Snapshot `json:"metrics"`
 	// Timeline is the union of every cell's per-epoch series (deltas add
 	// across cells, epochs aligned by index; see timeline.Merge). Present
-	// only when the grid ran with Options.TimelineInterval > 0.
+	// only when the grid ran with Options.Base.TimelineInterval > 0.
 	Timeline *timeline.Timeline `json:"timeline,omitempty"`
 }
 

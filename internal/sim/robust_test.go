@@ -25,7 +25,7 @@ func (c *chaosScheme) Enqueue(req *core.WriteRequest) ([]core.AuxRead, []core.Me
 const chaosSchemeName = "test-chaos-baseline"
 
 func registerChaosScheme() {
-	if core.SchemeRegistered(chaosSchemeName) {
+	if _, err := core.SchemeName(chaosSchemeName); err == nil {
 		return
 	}
 	core.RegisterScheme(chaosSchemeName, func(env *core.Env, _ core.MetaCacheConfig) (core.Scheme, error) {

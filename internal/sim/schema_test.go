@@ -133,8 +133,8 @@ func TestReportSchemaGolden(t *testing.T) {
 func TestGridReportSchemaGolden(t *testing.T) {
 	grid, err := RunGrid(Options{
 		Instr: 10_000, Seed: 7, Tables: smallTables(t),
-		Workloads:        []string{"astar"},
-		TimelineInterval: 10_000,
+		Workloads: []string{"astar"},
+		Base:      Config{TimelineInterval: 10_000},
 	}, []string{SchemeBaseline})
 	if err != nil {
 		t.Fatal(err)

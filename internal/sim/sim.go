@@ -16,10 +16,7 @@ import (
 	"time"
 
 	"ladder/internal/core"
-	"ladder/internal/cpu"
-	"ladder/internal/energy"
 	"ladder/internal/fault"
-	"ladder/internal/memctrl"
 	"ladder/internal/metrics"
 	"ladder/internal/remap"
 	"ladder/internal/reram"
@@ -69,7 +66,7 @@ type ChannelProgress struct {
 }
 
 // ProgressInfo is the periodic progress snapshot delivered to
-// Config.Progress (or printed when LADDER_DEBUG is set).
+// Config.Progress.
 type ProgressInfo struct {
 	// Cycle is the simulated cycle the snapshot was taken at.
 	Cycle    uint64
@@ -99,17 +96,11 @@ type Config struct {
 	InstrPerCore uint64
 	// Seed makes the run deterministic.
 	Seed int64
-	// MLP bounds outstanding demand reads per core (0 = default 8).
-	MLP int
 	// Geom is the memory geometry (zero value = paper default).
 	Geom reram.Geometry
-	// Ctrl is the controller configuration (zero value = paper default).
-	Ctrl memctrl.Config
 	// Tables supplies the timing tables; nil loads the default 512×512
 	// set (generated once per process).
 	Tables *timing.TableSet
-	// Energy supplies the energy coefficients (zero value = default).
-	Energy energy.Params
 	// ShrinkRange > 1 compresses the timing tables' dynamic range
 	// (Section 7's process-variation ablation).
 	ShrinkRange float64
@@ -121,9 +112,6 @@ type Config struct {
 	// which distributes a page's blocks over different wordline groups —
 	// the case Section 6.4 warns deteriorates LRS-metadata locality).
 	VWLMode string
-	// VWLSegmentRows is the segment size in wordline groups (default 256
-	// = 1 MB).
-	VWLSegmentRows int
 	// VWLPeriod is the number of writes between gap moves (default 128).
 	VWLPeriod int
 	// ResidentLevel controls the synthetic resident-data density 2^-level
@@ -153,12 +141,10 @@ type Config struct {
 	TraceFile string
 	// Progress, when set, receives a periodic snapshot of run state every
 	// ProgressEvery cycles (long-run liveness without any printf in the
-	// hot loop). When nil, setting the LADDER_DEBUG environment variable
-	// wires a default printer to the same hook. The callback always runs
-	// on the run's single simulation goroutine, so it needs no internal
-	// locking against the run itself; under RunGridCtx each concurrent
-	// cell is its own run, and the grid-level hooks (Options.Progress,
-	// Options.CellProgress) add cross-cell serialization on top.
+	// hot loop). The callback runs on the run's single simulation
+	// goroutine, so it needs no locking against the run itself. As
+	// Options.Base.Progress it is shared by every cell of a grid, and
+	// with Options.Jobs > 1 cells call it concurrently.
 	Progress func(ProgressInfo) `json:"-"`
 	// ProgressEvery is the progress-callback period in cycles (0 = every
 	// 5M cycles, i.e. 1.25 simulated milliseconds).
@@ -228,27 +214,13 @@ func (c *Config) applyDefaults() error {
 	if c.InstrPerCore == 0 {
 		c.InstrPerCore = 200_000
 	}
-	if c.MLP == 0 {
-		c.MLP = cpu.DefaultMLP
-	}
-	if c.Geom == (reram.Geometry{}) {
-		c.Geom = reram.DefaultGeometry()
-	}
-	if c.Ctrl == (memctrl.Config{}) {
-		c.Ctrl = memctrl.DefaultConfig()
-	}
+	c.Geom = c.geometry()
 	if c.Tables == nil {
 		ts, err := timing.DefaultTableSet()
 		if err != nil {
 			return fmt.Errorf("sim: loading default tables: %w", err)
 		}
 		c.Tables = ts
-	}
-	if c.Energy == (energy.Params{}) {
-		c.Energy = energy.DefaultParams()
-	}
-	if c.VWLSegmentRows == 0 {
-		c.VWLSegmentRows = 256
 	}
 	if c.VWLPeriod == 0 {
 		c.VWLPeriod = 128
@@ -261,6 +233,20 @@ func (c *Config) applyDefaults() error {
 	}
 	return nil
 }
+
+// geometry is the run's memory geometry: Geom, or the paper default when
+// Geom is unset.
+func (c *Config) geometry() reram.Geometry {
+	if c.Geom == (reram.Geometry{}) {
+		return reram.DefaultGeometry()
+	}
+	return c.Geom
+}
+
+// vwlSegmentRows is the segment-mode wear leveler's rotation unit: 256
+// wordline groups (1 MB) move together, so a page keeps its metadata
+// line (Figure 18b).
+const vwlSegmentRows = 256
 
 // Result reports one run's measurements.
 type Result struct {

@@ -493,6 +493,40 @@ func TestLifetimeSweep(t *testing.T) {
 	}
 }
 
+// TestLifetimeSweepUsesCellGeometry: the lifetime model counts start-gap
+// segments over the geometry the cells ran on, so a small Base.Geom must
+// reach it. The study's value is recomputed from solo runs of the same
+// two cells and must differ from the default-geometry reading.
+func TestLifetimeSweepUsesCellGeometry(t *testing.T) {
+	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"},
+		Base: Config{Geom: smallGeometry()}}
+	const period, spares = 16, 16
+	study, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, []int{period}, []int{spares})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Run(opts.config("astar", SchemeHybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opts.config("astar", SchemeHybrid)
+	cfg.WearLeveling, cfg.VWLPeriod, cfg.ProactiveWearLimit, cfg.SpareRows = true, period, base.MaxRowWrites/2+1, spares
+	leveled, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leveled.Remap == nil || leveled.Remap.GapMoves == 0 {
+		t.Fatal("leveled run made no gap moves; the geometry would not matter")
+	}
+	got := study.Cells[0].RelativeLifetime
+	if want := relativeLifetime(smallGeometry(), base, leveled, spares); got != want {
+		t.Errorf("relative lifetime = %v, want %v from the cells' geometry", got, want)
+	}
+	if def := relativeLifetime(reram.DefaultGeometry(), base, leveled, spares); got == def {
+		t.Errorf("relative lifetime %v equals the default-geometry reading", got)
+	}
+}
+
 func TestCacheSizeSweepAndLowRows(t *testing.T) {
 	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
 	// Inject the small geometry through config? Options builds default

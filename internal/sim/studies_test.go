@@ -139,7 +139,7 @@ const panicSchemeName = "test-panic-on-build"
 // a canceled context surfaces as an error with no rows, and a panicking
 // scheme becomes a *PanicError instead of crashing the process.
 func TestStudiesCancelAndPanic(t *testing.T) {
-	if !core.SchemeRegistered(panicSchemeName) {
+	if _, err := core.SchemeName(panicSchemeName); err != nil {
 		core.RegisterScheme(panicSchemeName, func(*core.Env, core.MetaCacheConfig) (core.Scheme, error) {
 			panic("injected scheme bug")
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
-	"os"
 	"sync"
 	"time"
 
@@ -118,7 +117,7 @@ func newSystem(cfg Config) (*System, error) {
 	s.reg = metrics.NewRegistry()
 	s.store.Instrument(s.reg)
 	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Metrics: s.reg}
-	s.meter, err = energy.NewMeter(cfg.Energy)
+	s.meter, err = energy.NewMeter(energy.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +174,7 @@ func (s *System) buildCores(profiles []trace.Profile) error {
 		if rep.MaxLine() >= cfg.Geom.Lines() {
 			return fmt.Errorf("sim: trace address %d exceeds the configured memory (%d lines)", rep.MaxLine(), cfg.Geom.Lines())
 		}
-		c, err := cpu.NewCore(0, rep, cfg.MLP)
+		c, err := cpu.NewCore(0, rep, cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -196,7 +195,7 @@ func (s *System) buildCores(profiles []trace.Profile) error {
 		if err != nil {
 			return err
 		}
-		s.cores[i], err = cpu.NewCore(i, gen, cfg.MLP)
+		s.cores[i], err = cpu.NewCore(i, gen, cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -228,7 +227,7 @@ func (s *System) buildControllers() error {
 			h.SetLowPrecisionRows(n)
 		}
 		s.schemes[ch] = scheme
-		s.ctrls[ch], err = memctrl.NewController(cfg.Ctrl, s.env, scheme, s.meter, onReadDone)
+		s.ctrls[ch], err = memctrl.NewController(memctrl.DefaultConfig(), s.env, scheme, s.meter, onReadDone)
 		if err != nil {
 			return err
 		}
@@ -301,7 +300,7 @@ func (s *System) buildDecoder() error {
 		ProactiveWearLimit: cfg.ProactiveWearLimit,
 	}
 	if needGap {
-		rc.GapSegmentRows = cfg.VWLSegmentRows
+		rc.GapSegmentRows = vwlSegmentRows
 		rc.GapPeriod = cfg.VWLPeriod
 	}
 	dec, err := remap.NewDecoder(rc)
@@ -407,16 +406,12 @@ func (s *System) timelineScalars() timeline.Scalars {
 	return sc
 }
 
-// progressHook resolves the periodic-progress callback: an explicit
-// Config.Progress wins; otherwise LADDER_DEBUG installs the stderr-free
-// diagnostic printer the environment variable has always meant.
+// progressHook adapts Config.Progress to the engine's cycle hook, or
+// returns nil when no callback is set.
 func (s *System) progressHook() func(uint64) {
 	emit := s.cfg.Progress
 	if emit == nil {
-		if os.Getenv("LADDER_DEBUG") == "" {
-			return nil
-		}
-		emit = printProgress
+		return nil
 	}
 	return func(now uint64) {
 		info := ProgressInfo{Cycle: now, Cores: make([]CoreProgress, len(s.cores)), Channels: make([]ChannelProgress, len(s.ctrls))}
@@ -443,18 +438,6 @@ func (s *System) progressHook() func(uint64) {
 // progressSpanCount bounds the recent-span slice a detailed progress
 // snapshot carries (the introspection server's /spans document).
 const progressSpanCount = 64
-
-// printProgress is the LADDER_DEBUG default progress sink.
-func printProgress(p ProgressInfo) {
-	fmt.Printf("tick %d:", p.Cycle)
-	for i, c := range p.Cores {
-		fmt.Printf(" core%d ret=%d out=%d", i, c.Retired, c.Outstanding)
-	}
-	for ch, c := range p.Channels {
-		fmt.Printf(" | ch%d rdq=%d wrq=%d wm=%v", ch, c.ReadQueue, c.WriteQueue, c.WriteMode)
-	}
-	fmt.Printf(" | wall=%.1fs %.0f instr/s\n", p.Wall.Seconds(), p.InstrRate)
-}
 
 // warm is the warm phase: it configures resident data, which the store
 // prefills into each wordline group on first touch, so touched groups

@@ -232,8 +232,8 @@ func TestTimelineOnEpochStreams(t *testing.T) {
 func TestGridTimelineMerge(t *testing.T) {
 	grid, err := RunGrid(Options{
 		Instr: 10_000, Seed: 7, Tables: smallTables(t),
-		Workloads:        []string{"astar", "lbm"},
-		TimelineInterval: 10_000,
+		Workloads: []string{"astar", "lbm"},
+		Base:      Config{TimelineInterval: 10_000},
 	}, []string{SchemeBaseline})
 	if err != nil {
 		t.Fatal(err)

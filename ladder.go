@@ -21,6 +21,13 @@
 //	    ladder.FigureSchemes())
 //	for _, row := range grid.WriteServiceTime() { ... } // Figure 12
 //
+// Every cell of a grid starts from Options.Base, so one knob degrades a
+// whole grid:
+//
+//	grid, err = ladder.RunGrid(ladder.Options{Instr: 200_000,
+//	    Base: ladder.Config{FaultRate: 0.01, WearLeveling: true}},
+//	    ladder.FigureSchemes())
+//
 // The heavier machinery (circuit solvers, timing tables, schemes,
 // controller) lives in the internal packages; this package re-exports the
 // surface a downstream user needs. See DESIGN.md for the system map and
@@ -47,7 +54,10 @@ type (
 	Config = sim.Config
 	// Result carries one run's measurements.
 	Result = sim.Result
-	// Options scopes a multi-run experiment.
+	// Options scopes a multi-run experiment: the grid's instruction
+	// budget, seed, tables, workloads and parallelism, plus Base, the
+	// Config every cell starts from. A knob such as FaultRate or
+	// TimelineInterval applies to a whole grid through Base.
 	Options = sim.Options
 	// Grid holds per-(workload, scheme) results with figure derivations.
 	Grid = sim.Grid
