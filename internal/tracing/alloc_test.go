@@ -2,7 +2,10 @@
 
 package tracing
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // TestSpanEmissionAllocFree pins the collector's hot-path contract from
 // the package comment: after construction, Begin/Dispatch/End allocate
@@ -40,5 +43,18 @@ func TestStallSpanAllocFree(t *testing.T) {
 		now += 8
 	}); n != 0 {
 		t.Fatalf("stall span emission allocates %.0f per episode, want 0", n)
+	}
+}
+
+// TestChromeTraceAllocs pins the export's allocations to a constant per
+// export, independent of the number of spans.
+func TestChromeTraceAllocs(t *testing.T) {
+	small := NewCollector(Config{Capacity: 64})
+	lifecycle(small, KindDataWrite, 1, 2, 3)
+	big := degradedRing()
+	a := testing.AllocsPerRun(5, func() { _ = small.WriteChromeTrace(io.Discard) })
+	b := testing.AllocsPerRun(5, func() { _ = big.WriteChromeTrace(io.Discard) })
+	if b > a+8 {
+		t.Errorf("export allocates %.0f times for a full ring, %.0f for one span; want a constant per export", b, a)
 	}
 }

@@ -1,40 +1,26 @@
 package tracing
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 )
 
 // ticksPerUs converts engine cycles to the microseconds Chrome trace
 // timestamps use: the simulation clock runs at 4 GHz (4 ticks per
 // nanosecond, memctrl.TicksPerNs), so one microsecond is 4000 ticks.
-const ticksPerUs = 4000.0
+const ticksPerUs = 4000
 
 // corePID offsets core tracks away from channel tracks in the trace's
 // process-ID space (channels are pid 0..N, cores pid 1000+i).
 const corePID = 1000
 
-// chromeEvent is one trace-event object. The field set follows the
-// Chrome trace-event format's "X" (complete) and "M" (metadata) phases,
-// the subset Perfetto and chrome://tracing both accept.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	Cat   string         `json:"cat,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the JSON-object container form of a trace file.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// chromeChunk is how many buffered bytes the Chrome export collects
+// before handing them to the writer.
+const chromeChunk = 32 << 10
 
 // track maps a span onto its (pid, tid) track: one process per channel
 // with one thread per bank, and one process per core for stall spans.
@@ -45,6 +31,16 @@ func (s *Span) track() (pid, tid int) {
 	return int(s.Channel), int(s.Bank)
 }
 
+// trackKey is one (pid, tid) track of the Chrome trace.
+type trackKey struct{ pid, tid int }
+
+func compareTracks(a, b trackKey) int {
+	if a.pid != b.pid {
+		return cmp.Compare(a.pid, b.pid)
+	}
+	return cmp.Compare(a.tid, b.tid)
+}
+
 // WriteChromeTrace exports every completed resident span as Chrome
 // trace-event JSON. Each memory transaction renders as up to two
 // complete slices on its channel/bank track — "queued" covering queue
@@ -52,80 +48,218 @@ func (s *Span) track() (pid, tid int) {
 // resolved timing-table cell, programmed latency and drain flag as args
 // — and each stall episode as one slice on its core track. Open spans
 // are skipped: an export mid-run shows only finished work.
+//
+// The document is appended into one buffer that is written out in
+// chunks, with no per-event allocation, and it is exactly what encoding/json would make of the
+// same events: the field order name, ph, cat, pid, tid, ts, dur, args;
+// cat and a zero dur omitted; args keys sorted; floats in
+// encoding/json's format; one trailing newline. A write latency that
+// JSON cannot represent (NaN or ±Inf) fails the export before anything
+// is written; otherwise the first write error is returned.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	doc := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ns"}
-	if c == nil {
-		return json.NewEncoder(w).Encode(doc)
+	e := chromeEncoder{w: w, buf: make([]byte, 0, chromeChunk+512)}
+	e.buf = append(e.buf, `{"traceEvents":[`...)
+	if c != nil {
+		tracks, err := c.chromeTracks()
+		if err != nil {
+			return err
+		}
+		e.metadata(tracks)
+		c.eachDone(e.span)
 	}
+	e.buf = append(e.buf, "],\"displayTimeUnit\":\"ns\"}\n"...)
+	e.flush()
+	return e.err
+}
 
-	type trackKey struct{ pid, tid int }
-	tracks := map[trackKey]bool{}
+// chromeTracks returns the tracks of the resident completed spans in
+// (pid, tid) order, or an error for a write latency JSON cannot encode.
+func (c *Collector) chromeTracks() ([]trackKey, error) {
+	var tracks []trackKey
+	var err error
 	c.eachDone(func(s *Span) {
+		if err == nil && s.IsWrite() && (math.IsNaN(s.LatNs) || math.IsInf(s.LatNs, 0)) {
+			err = fmt.Errorf("tracing: span %d: lat_ns %v has no JSON encoding", s.ID, s.LatNs)
+		}
 		pid, tid := s.track()
-		tracks[trackKey{pid, tid}] = true
-		ts := float64(s.Enqueue) / ticksPerUs
-		if q := s.QueueTicks(); q > 0 && s.Kind != KindCoreStall {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "queued", Phase: "X", Cat: "queue",
-				PID: pid, TID: tid, TS: ts, Dur: float64(q) / ticksPerUs,
-				Args: map[string]any{"line": s.Line, "span": s.ID},
-			})
+		k := trackKey{pid, tid}
+		if i, found := slices.BinarySearchFunc(tracks, k, compareTracks); !found {
+			tracks = slices.Insert(tracks, i, k)
 		}
-		args := map[string]any{"line": s.Line, "span": s.ID}
-		if s.IsWrite() {
-			args["lat_ns"] = s.LatNs
-			args["wl_bucket"] = s.WLBucket
-			args["bl_bucket"] = s.BLBucket
-			args["clrs_bucket"] = s.ClrsBucket
-			args["drain"] = s.Drain
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: s.Kind.String(), Phase: "X", Cat: "service",
-			PID: pid, TID: tid,
-			TS:   float64(s.Dispatch) / ticksPerUs,
-			Dur:  float64(s.ServiceTicks()) / ticksPerUs,
-			Args: args,
-		})
 	})
+	return tracks, err
+}
 
-	// Name the tracks so Perfetto shows "channel 0 / bank 3" instead of
-	// bare pids. Metadata order is irrelevant to viewers but sorted here
-	// so exports are byte-stable.
-	keys := make([]trackKey, 0, len(tracks))
-	for k := range tracks {
-		keys = append(keys, k)
+// chromeEncoder appends trace events to one buffer and hands it to the
+// writer whenever it passes chromeChunk bytes. After the first write
+// error it writes nothing more and keeps that error.
+type chromeEncoder struct {
+	w      io.Writer
+	buf    []byte
+	events int
+	err    error
+}
+
+func (e *chromeEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pid != keys[j].pid {
-			return keys[i].pid < keys[j].pid
-		}
-		return keys[i].tid < keys[j].tid
-	})
-	meta := make([]chromeEvent, 0, 2*len(keys))
-	seenPID := map[int]bool{}
-	for _, k := range keys {
-		if !seenPID[k.pid] {
-			seenPID[k.pid] = true
-			name := fmt.Sprintf("channel %d", k.pid)
+	e.buf = e.buf[:0]
+}
+
+// begin opens one event, up to and including its args object's opening
+// brace; ts and dur are in ticks. Names, phases and categories are
+// fixed ASCII labels that JSON needs no escapes for.
+func (e *chromeEncoder) begin(name, ph, cat string, pid, tid int, ts, dur uint64) {
+	b := e.buf
+	if e.events > 0 {
+		b = append(b, ',')
+	}
+	e.events++
+	b = append(b, `{"name":"`...)
+	b = append(b, name...)
+	b = append(b, `","ph":"`...)
+	b = append(b, ph...)
+	b = append(b, '"')
+	if cat != "" {
+		b = append(b, `,"cat":"`...)
+		b = append(b, cat...)
+		b = append(b, '"')
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = appendTicksUs(b, ts)
+	if dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendTicksUs(b, dur)
+	}
+	e.buf = append(b, `,"args":{`...)
+}
+
+// end closes the args object and the event, and writes out a full
+// chunk.
+func (e *chromeEncoder) end() {
+	e.buf = append(e.buf, "}}"...)
+	if len(e.buf) >= chromeChunk {
+		e.flush()
+	}
+}
+
+// metadata names the tracks so Perfetto shows "channel 0 / bank 3"
+// instead of bare pids: a process_name event for each pid, then a
+// thread_name event for each track. Viewers ignore their order; it
+// follows the sorted tracks so exports are byte-stable.
+func (e *chromeEncoder) metadata(tracks []trackKey) {
+	for i, k := range tracks {
+		if i == 0 || tracks[i-1].pid != k.pid {
+			e.begin("process_name", "M", "", k.pid, 0, 0, 0)
 			if k.pid >= corePID {
-				name = fmt.Sprintf("core %d", k.pid-corePID)
+				e.buf = append(e.buf, `"name":"core `...)
+				e.buf = strconv.AppendInt(e.buf, int64(k.pid-corePID), 10)
+			} else {
+				e.buf = append(e.buf, `"name":"channel `...)
+				e.buf = strconv.AppendInt(e.buf, int64(k.pid), 10)
 			}
-			meta = append(meta, chromeEvent{
-				Name: "process_name", Phase: "M", PID: k.pid,
-				Args: map[string]any{"name": name},
-			})
+			e.buf = append(e.buf, '"')
+			e.end()
 		}
-		name := fmt.Sprintf("bank %d", k.tid)
+		e.begin("thread_name", "M", "", k.pid, k.tid, 0, 0)
 		if k.pid >= corePID {
-			name = "stalls"
+			e.buf = append(e.buf, `"name":"stalls"`...)
+		} else {
+			e.buf = append(e.buf, `"name":"bank `...)
+			e.buf = strconv.AppendInt(e.buf, int64(k.tid), 10)
+			e.buf = append(e.buf, '"')
 		}
-		meta = append(meta, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: k.pid, TID: k.tid,
-			Args: map[string]any{"name": name},
-		})
+		e.end()
 	}
-	doc.TraceEvents = append(meta, doc.TraceEvents...)
-	return json.NewEncoder(w).Encode(doc)
+}
+
+// span appends one completed span's slices. Args keys go in
+// encoding/json's sorted order.
+func (e *chromeEncoder) span(s *Span) {
+	if e.err != nil {
+		return
+	}
+	pid, tid := s.track()
+	if q := s.QueueTicks(); q > 0 && s.Kind != KindCoreStall {
+		e.begin("queued", "X", "queue", pid, tid, s.Enqueue, q)
+		e.lineSpan(s)
+		e.end()
+	}
+	e.begin(s.Kind.String(), "X", "service", pid, tid, s.Dispatch, s.ServiceTicks())
+	if s.IsWrite() {
+		b := append(e.buf, `"bl_bucket":`...)
+		b = strconv.AppendInt(b, int64(s.BLBucket), 10)
+		b = append(b, `,"clrs_bucket":`...)
+		b = strconv.AppendInt(b, int64(s.ClrsBucket), 10)
+		b = append(b, `,"drain":`...)
+		b = strconv.AppendBool(b, s.Drain)
+		b = append(b, `,"lat_ns":`...)
+		b = appendJSONFloat(b, s.LatNs)
+		e.buf = append(b, ',')
+		e.lineSpan(s)
+		e.buf = append(e.buf, `,"wl_bucket":`...)
+		e.buf = strconv.AppendInt(e.buf, int64(s.WLBucket), 10)
+	} else {
+		e.lineSpan(s)
+	}
+	e.end()
+}
+
+// lineSpan appends the line and span args every slice carries.
+func (e *chromeEncoder) lineSpan(s *Span) {
+	b := append(e.buf, `"line":`...)
+	b = strconv.AppendUint(b, s.Line, 10)
+	b = append(b, `,"span":`...)
+	e.buf = strconv.AppendUint(b, s.ID, 10)
+}
+
+// appendTicksUs appends ticks converted to microseconds, exactly as
+// appendJSONFloat(b, float64(ticks)/ticksPerUs) would. Below 4e13 ticks
+// the quotient is a decimal of at most 15 significant digits (10 before
+// the point, 5 after). float64 keeps every such decimal apart, so it is
+// the shortest decimal that rounds to the float64 quotient, which is
+// what strconv prints; it is written here from integer arithmetic.
+func appendTicksUs(b []byte, ticks uint64) []byte {
+	if ticks >= 4e13 {
+		return appendJSONFloat(b, float64(ticks)/ticksPerUs)
+	}
+	b = strconv.AppendUint(b, ticks/ticksPerUs, 10)
+	frac := ticks % ticksPerUs * 25 // hundred-thousandths of a microsecond
+	if frac == 0 {
+		return b
+	}
+	d := [6]byte{'.'}
+	for i := 5; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(d)
+	for d[n-1] == '0' {
+		n--
+	}
+	return append(b, d[:n]...)
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: the
+// shortest decimal in 'f' form, or in 'e' form below 1e-6 and from 1e21
+// up, with a one-digit negative exponent unpadded (1e-07 becomes 1e-7).
+// f must be finite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // WriteSlowestDigest renders the slowest traced writes for humans: the
