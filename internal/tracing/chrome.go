@@ -31,6 +31,12 @@ func (s *Span) track() (pid, tid int) {
 	return int(s.Channel), int(s.Bank)
 }
 
+// priced reports whether a span's service slice carries the write's
+// pricing args (lat_ns, the three buckets and drain): data and metadata
+// writes, and the verify retries the controller stamps with the
+// escalated pulse and its timing-table cell.
+func (s *Span) priced() bool { return s.IsWrite() || s.Kind == KindWriteRetry }
+
 // trackKey is one (pid, tid) track of the Chrome trace.
 type trackKey struct{ pid, tid int }
 
@@ -78,7 +84,7 @@ func (c *Collector) chromeTracks() ([]trackKey, error) {
 	var tracks []trackKey
 	var err error
 	c.eachDone(func(s *Span) {
-		if err == nil && s.IsWrite() && (math.IsNaN(s.LatNs) || math.IsInf(s.LatNs, 0)) {
+		if err == nil && s.priced() && (math.IsNaN(s.LatNs) || math.IsInf(s.LatNs, 0)) {
 			err = fmt.Errorf("tracing: span %d: lat_ns %v has no JSON encoding", s.ID, s.LatNs)
 		}
 		pid, tid := s.track()
@@ -191,7 +197,7 @@ func (e *chromeEncoder) span(s *Span) {
 		e.end()
 	}
 	e.begin(s.Kind.String(), "X", "service", pid, tid, s.Dispatch, s.ServiceTicks())
-	if s.IsWrite() {
+	if s.priced() {
 		b := append(e.buf, `"bl_bucket":`...)
 		b = strconv.AppendInt(b, int64(s.BLBucket), 10)
 		b = append(b, `,"clrs_bucket":`...)

@@ -52,7 +52,7 @@ func chromeTraceReference(c *Collector, w io.Writer) error {
 			})
 		}
 		args := map[string]any{"line": s.Line, "span": s.ID}
-		if s.IsWrite() {
+		if s.IsWrite() || s.Kind == KindWriteRetry {
 			args["lat_ns"] = s.LatNs
 			args["wl_bucket"] = s.WLBucket
 			args["bl_bucket"] = s.BLBucket

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -168,4 +169,38 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	w.writes++
 	w.bytes += len(p)
 	return len(p), nil
+}
+
+// TestRetrySliceCarriesPricing checks that a verify retry's slice
+// carries the escalated pulse and the table cell that priced it, as a
+// first attempt's slice does.
+func TestRetrySliceCarriesPricing(t *testing.T) {
+	c := NewCollector(Config{Capacity: 8})
+	record(c, KindWriteRetry, 1, 4, -1, 4000, 4000, 6800, 171.5, 6, 2, 5, true)
+	var out strings.Builder
+	if err := c.WriteChromeTrace(&out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"lat_ns": 171.5, "wl_bucket": 6.0, "bl_bucket": 2.0, "clrs_bucket": 5.0, "drain": true}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "write-retry" {
+			continue
+		}
+		for k, v := range want {
+			if ev.Args[k] != v {
+				t.Errorf("write-retry arg %s = %v, want %v", k, ev.Args[k], v)
+			}
+		}
+		return
+	}
+	t.Fatalf("no write-retry slice in %s", out.String())
 }
