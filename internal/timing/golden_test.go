@@ -6,48 +6,36 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ladder/internal/circuit"
 )
 
-var updateTables = flag.Bool("update", false, "rewrite testdata/tableset_default.golden from the current generator")
+var updateTables = flag.Bool("update", false, "rewrite tableset_default.txt from the current generator")
 
-// goldenTableSet renders every number of a table set as the hex of its
-// IEEE-754 bits, one labelled value a line, so any bit change in any
-// entry shows up as a diff.
+// goldenTableSet renders every number of a table set in the form
+// defaultTables embeds: the hex of its IEEE-754 bits, one labelled value
+// a line, so any bit change in any entry shows up as a diff.
 func goldenTableSet(ts *TableSet) []byte {
 	var b bytes.Buffer
-	put := func(label string, v float64) {
-		fmt.Fprintf(&b, "%s %016x\n", label, math.Float64bits(v))
-	}
-	put("Model.C", ts.Model.C)
-	put("Model.K", ts.Model.K)
-	put("WorstNs", ts.WorstNs)
-	for _, tb := range []struct {
-		name string
-		t    *Table
-	}{{"WL", ts.WL}, {"BL", ts.BL}, {"Half", ts.Half}} {
-		for wb := range tb.t.LatNs {
-			for bb := range tb.t.LatNs[wb] {
-				for cb, v := range tb.t.LatNs[wb][bb] {
-					put(fmt.Sprintf("%s[%d][%d][%d]", tb.name, wb, bb, cb), v)
-				}
-			}
-		}
+	labels, vals := tableSetFields(ts)
+	for i, l := range labels {
+		fmt.Fprintf(&b, "%s %016x\n", l, math.Float64bits(*vals[i]))
 	}
 	return b.Bytes()
 }
 
 // TestTableSetGolden pins the paper's Table 1 table set bit for bit, at
-// one and at several worker goroutines: the tables feed every
-// cycle-identical simulation golden, so the generator may get faster but
-// must not change a single bit. A deliberate change regenerates the file
-// with: go test ./internal/timing -run TableSetGolden -update
+// one and at several worker goroutines: the generator must reproduce the
+// embedded tables every run loads (DefaultTableSet), which feed every
+// cycle-identical simulation golden. It may get faster but must not
+// change a single bit. A deliberate change regenerates the file with:
+// go test ./internal/timing -run TableSetGolden -update
 func TestTableSetGolden(t *testing.T) {
-	path := filepath.Join("testdata", "tableset_default.golden")
+	const path = "tableset_default.txt"
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -57,17 +45,12 @@ func TestTableSetGolden(t *testing.T) {
 			}
 			got := goldenTableSet(ts)
 			if *updateTables {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
+				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update): %v", err)
-			}
+			want := []byte(defaultTables)
 			if bytes.Equal(got, want) {
 				return
 			}
@@ -79,5 +62,44 @@ func TestTableSetGolden(t *testing.T) {
 			}
 			t.Fatalf("table set differs from %s: %d lines, want %d", path, len(gl), len(wl))
 		})
+	}
+}
+
+// TestDefaultTableSetIsGenerated requires the decoded default tables to
+// equal a fresh generation in every field, including those the text
+// form leaves out (the model's clamps, each table's granularity and
+// content axis).
+func TestDefaultTableSetIsGenerated(t *testing.T) {
+	got, err := DefaultTableSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewTableSet(circuit.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultTableSet differs from NewTableSet(circuit.DefaultParams()):\n got: %+v\nwant: %+v", *got, *want)
+	}
+}
+
+// TestDecodeTableSetRejectsDamage checks that a truncated, relabelled or
+// corrupted text fails to decode instead of yielding a partial set.
+func TestDecodeTableSetRejectsDamage(t *testing.T) {
+	n := circuit.DefaultParams().N
+	if _, err := decodeTableSet(defaultTables, n); err != nil {
+		t.Fatalf("embedded tables do not decode: %v", err)
+	}
+	lines := strings.SplitAfter(defaultTables, "\n")
+	for name, text := range map[string]string{
+		"empty":     "",
+		"truncated": strings.Join(lines[:len(lines)-2], ""),
+		"relabel":   strings.Replace(defaultTables, "BL[0][0][0]", "WL[0][0][0]", 1),
+		"bad hex":   strings.Replace(defaultTables, "Model.K 4", "Model.K z", 1),
+		"no value":  strings.Replace(defaultTables, "WorstNs ", "WorstNs", 1),
+	} {
+		if _, err := decodeTableSet(text, n); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

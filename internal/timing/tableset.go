@@ -1,6 +1,11 @@
 package timing
 
 import (
+	_ "embed"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 
 	"ladder/internal/circuit"
@@ -45,19 +50,81 @@ func NewTableSet(p circuit.Params) (*TableSet, error) {
 	return &TableSet{Model: m, WL: wl, BL: bl, Half: half, WorstNs: wl.WorstCase()}, nil
 }
 
+// defaultTables is NewTableSet(circuit.DefaultParams()) as data: one
+// labelled value a line in tableSetFields order, each number the hex of
+// its IEEE-754 bits. Like the SPD ROM of Section 6.3, it
+// ships the paper's tables with the simulator instead of computing them
+// at start; internal/timing's TestTableSetGolden regenerates it and
+// requires every bit to match.
+//
+//go:embed tableset_default.txt
+var defaultTables string
+
 var (
 	defaultOnce sync.Once
 	defaultSet  *TableSet
 	defaultErr  error
 )
 
-// DefaultTableSet returns the table set for the paper's Table 1 crossbar,
-// generated once per process.
+// DefaultTableSet returns the table set for the paper's Table 1
+// crossbar, decoded once per process from the embedded tables.
 func DefaultTableSet() (*TableSet, error) {
 	defaultOnce.Do(func() {
-		defaultSet, defaultErr = NewTableSet(circuit.DefaultParams())
+		defaultSet, defaultErr = decodeTableSet(defaultTables, circuit.DefaultParams().N)
 	})
 	return defaultSet, defaultErr
+}
+
+// tableSetFields lists every number of a table set with its label, in
+// the order the text form holds them: the model's C and K, the worst
+// case, then each table's entries by WL, BL and content bucket.
+func tableSetFields(ts *TableSet) (labels []string, vals []*float64) {
+	labels = []string{"Model.C", "Model.K", "WorstNs"}
+	vals = []*float64{&ts.Model.C, &ts.Model.K, &ts.WorstNs}
+	for _, tb := range []struct {
+		name string
+		t    *Table
+	}{{"WL", ts.WL}, {"BL", ts.BL}, {"Half", ts.Half}} {
+		for wb := range tb.t.LatNs {
+			for bb := range tb.t.LatNs[wb] {
+				for cb := range tb.t.LatNs[wb][bb] {
+					labels = append(labels, fmt.Sprintf("%s[%d][%d][%d]", tb.name, wb, bb, cb))
+					vals = append(vals, &tb.t.LatNs[wb][bb][cb])
+				}
+			}
+		}
+	}
+	return labels, vals
+}
+
+// decodeTableSet parses defaultTables' form for an n×n crossbar. The
+// model's clamps are the calibration constants and the tables' layout
+// is NewTableSet's: n/Buckets cells a bucket, and content keyed on the
+// wordline except in the BL table.
+func decodeTableSet(text string, n int) (*TableSet, error) {
+	ts := &TableSet{
+		Model: Model{MinNs: MinLatencyNs, MaxNs: MaxLatencyNs},
+		WL:    &Table{Granularity: n / Buckets, Content: WLContent},
+		BL:    &Table{Granularity: n / Buckets, Content: BLContent},
+		Half:  &Table{Granularity: n / Buckets, Content: WLContent},
+	}
+	labels, vals := tableSetFields(ts)
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if len(lines) != len(labels) {
+		return nil, fmt.Errorf("timing: table set has %d lines, want %d", len(lines), len(labels))
+	}
+	for i, line := range lines {
+		label, hex, _ := strings.Cut(line, " ")
+		if label != labels[i] {
+			return nil, fmt.Errorf("timing: table set line %d is %q, want label %s", i+1, line, labels[i])
+		}
+		bits, err := strconv.ParseUint(hex, 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("timing: table set line %d: %w", i+1, err)
+		}
+		*vals[i] = math.Float64frombits(bits)
+	}
+	return ts, nil
 }
 
 // ContentCurve returns RESET latency as a function of wordline LRS count

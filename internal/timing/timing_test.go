@@ -247,9 +247,6 @@ func TestSurfaceExtremes(t *testing.T) {
 }
 
 func TestDefaultTableSetCachedAndSane(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 512x512 table generation is slow")
-	}
 	a, err := DefaultTableSet()
 	if err != nil {
 		t.Fatal(err)
