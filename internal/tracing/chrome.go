@@ -193,12 +193,13 @@ func (e *chromeEncoder) span(s *Span) {
 	pid, tid := s.track()
 	if q := s.QueueTicks(); q > 0 && s.Kind != KindCoreStall {
 		e.begin("queued", "X", "queue", pid, tid, s.Enqueue, q)
-		e.lineSpan(s)
+		e.buf = appendLineSpan(e.buf, s)
 		e.end()
 	}
 	e.begin(s.Kind.String(), "X", "service", pid, tid, s.Dispatch, s.ServiceTicks())
+	b := e.buf
 	if s.priced() {
-		b := append(e.buf, `"bl_bucket":`...)
+		b = append(b, `"bl_bucket":`...)
 		b = strconv.AppendInt(b, int64(s.BLBucket), 10)
 		b = append(b, `,"clrs_bucket":`...)
 		b = strconv.AppendInt(b, int64(s.ClrsBucket), 10)
@@ -206,22 +207,22 @@ func (e *chromeEncoder) span(s *Span) {
 		b = strconv.AppendBool(b, s.Drain)
 		b = append(b, `,"lat_ns":`...)
 		b = appendJSONFloat(b, s.LatNs)
-		e.buf = append(b, ',')
-		e.lineSpan(s)
-		e.buf = append(e.buf, `,"wl_bucket":`...)
-		e.buf = strconv.AppendInt(e.buf, int64(s.WLBucket), 10)
+		b = appendLineSpan(append(b, ','), s)
+		b = append(b, `,"wl_bucket":`...)
+		b = strconv.AppendInt(b, int64(s.WLBucket), 10)
 	} else {
-		e.lineSpan(s)
+		b = appendLineSpan(b, s)
 	}
+	e.buf = b
 	e.end()
 }
 
-// lineSpan appends the line and span args every slice carries.
-func (e *chromeEncoder) lineSpan(s *Span) {
-	b := append(e.buf, `"line":`...)
+// appendLineSpan appends the line and span args every slice carries.
+func appendLineSpan(b []byte, s *Span) []byte {
+	b = append(b, `"line":`...)
 	b = strconv.AppendUint(b, s.Line, 10)
 	b = append(b, `,"span":`...)
-	e.buf = strconv.AppendUint(b, s.ID, 10)
+	return strconv.AppendUint(b, s.ID, 10)
 }
 
 // appendTicksUs appends ticks converted to microseconds, exactly as
