@@ -52,10 +52,9 @@ func NewTableSet(p circuit.Params) (*TableSet, error) {
 
 // defaultTables is NewTableSet(circuit.DefaultParams()) as data: one
 // labelled value a line in tableSetFields order, each number the hex of
-// its IEEE-754 bits. Like the SPD ROM of Section 6.3, it
-// ships the paper's tables with the simulator instead of computing them
-// at start; internal/timing's TestTableSetGolden regenerates it and
-// requires every bit to match.
+// its IEEE-754 bits. Like the SPD ROM of Section 6.3, it ships the
+// paper's tables with the simulator instead of computing them at start;
+// TestTableSetGolden regenerates them and requires every bit to match.
 //
 //go:embed tableset_default.txt
 var defaultTables string

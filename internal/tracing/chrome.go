@@ -41,10 +41,7 @@ func (s *Span) priced() bool { return s.IsWrite() || s.Kind == KindWriteRetry }
 type trackKey struct{ pid, tid int }
 
 func compareTracks(a, b trackKey) int {
-	if a.pid != b.pid {
-		return cmp.Compare(a.pid, b.pid)
-	}
-	return cmp.Compare(a.tid, b.tid)
+	return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid))
 }
 
 // WriteChromeTrace exports every completed resident span as Chrome

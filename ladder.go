@@ -223,7 +223,8 @@ type (
 func DefaultCrossbarParams() CrossbarParams { return circuit.DefaultParams() }
 
 // DefaultTables returns the timing tables for the default crossbar,
-// generated once per process (the generation sweeps the circuit model).
+// decoded once per process from embedded data that is bit for bit what
+// NewTables(DefaultCrossbarParams()) generates from the circuit model.
 func DefaultTables() (*TableSet, error) { return timing.DefaultTableSet() }
 
 // NewTables calibrates and generates timing tables for a custom crossbar.
