@@ -44,12 +44,9 @@ func NewBasicCache(env *Env, cacheCfg MetaCacheConfig) (*Basic, error) {
 	return s, nil
 }
 
-// Name implements Scheme.
-func (s *Basic) Name() string { return "LADDER-Basic" }
-
 func (s *Basic) keys(req *WriteRequest) []uint64 {
 	ks := s.layout.BasicKeys(s.env.Geom.GlobalRow(req.Loc))
-	// See Est.keys: reuse the request's MetaKeys backing.
+	// See Hybrid.keys: reuse the request's MetaKeys backing.
 	return append(req.MetaKeys[:0], ks[0], ks[1])
 }
 
@@ -69,9 +66,6 @@ func (s *Basic) SMBArrived(req *WriteRequest, stale bits.Line) {
 	req.Stale = stale
 	req.WaitSMB = false
 }
-
-// MetaArrived implements Scheme.
-func (s *Basic) MetaArrived(key uint64) { s.metaArrived(key) }
 
 // RetrySpill implements Scheme.
 func (s *Basic) RetrySpill() ([]AuxRead, []MetaWriteback) {
@@ -145,10 +139,3 @@ func (s *Basic) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteba
 
 // DecodeRead implements Scheme (Basic stores lines unshifted).
 func (s *Basic) DecodeRead(_ uint64, payload bits.Line) bits.Line { return payload }
-
-// UseConstrainedFNW implements Scheme: all LADDER variants require the
-// ones-bounded FNW so counting stays sound.
-func (s *Basic) UseConstrainedFNW() bool { return true }
-
-// CrashRecover implements CrashRecoverable.
-func (s *Basic) CrashRecover() { s.crashRecover() }

@@ -216,7 +216,10 @@ func TestLayoutKeysDistinct(t *testing.T) {
 	if b0[0] == b0[1] || b0[1] == b1[0] {
 		t.Fatal("basic keys collide")
 	}
-	if l.EstKey(7) == l.EstKey(8) {
+	// High rows (the whole Est layout) key by wordline group.
+	k7, low7 := l.HybridKey(0, 7, l.LowPrecisionRows)
+	k8, _ := l.HybridKey(0, 8, l.LowPrecisionRows)
+	if low7 || k7 == k8 {
 		t.Fatal("est keys collide")
 	}
 	// Low-precision grouping: four address-adjacent same-channel pages
@@ -537,8 +540,55 @@ func TestEstNoShiftOption(t *testing.T) {
 	if req.Payload != req.Data {
 		t.Fatal("noshift est must store the raw line")
 	}
-	if s.Name() != "LADDER-Est(noshift)" {
-		t.Fatalf("name = %q", s.Name())
+}
+
+// TestShiftingSchemeStoresResidentShifted checks that a shifting scheme
+// routes resident data through its own datapath: the stored blocks are
+// the shifted form of what the no-shift arm stores, and DecodeRead
+// recovers the logical content.
+func TestShiftingSchemeStoresResidentShifted(t *testing.T) {
+	shiftEnv, rawEnv := testEnv(t), testEnv(t)
+	shiftEnv.Store.SetResident(2, 7)
+	rawEnv.Store.SetResident(2, 7)
+	withShift, err := NewEstCache(shiftEnv, true, DefaultMetaCacheConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEstCache(rawEnv, false, DefaultMetaCacheConfig()); err != nil {
+		t.Fatal(err)
+	}
+	resident := 0
+	for line := uint64(0); line < 4*reram.BlocksPerRow; line++ {
+		loc, err := shiftEnv.Geom.Decode(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shiftEnv.Store.EnsureRow(line); err != nil {
+			t.Fatal(err)
+		}
+		if err := rawEnv.Store.EnsureRow(line); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := shiftEnv.Store.Read(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := rawEnv.Store.Read(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw != (bits.Line{}) {
+			resident++
+		}
+		if stored != bits.Shifted(raw, loc.Slot) {
+			t.Errorf("line %d: resident block not stored through the shift", line)
+		}
+		if got := withShift.DecodeRead(line, stored); got != raw {
+			t.Errorf("line %d: DecodeRead does not recover the resident content", line)
+		}
+	}
+	if resident == 0 {
+		t.Fatal("no resident data was prefilled")
 	}
 }
 

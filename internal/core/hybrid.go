@@ -5,40 +5,85 @@ import (
 	"ladder/internal/reram"
 )
 
-// Hybrid is the LADDER-Hybrid scheme (Section 4.2): multi-granularity
-// counters. Wordline groups whose crossbar row sits near the write driver
-// (low IR drop, hence latency-insensitive to content) keep only two 1-bit
-// partial counters per block; four such pages share one metadata block,
-// improving metadata locality and cutting maintenance traffic. Remaining
-// rows use the Est layout. An 8-bit precision control register (modeled
-// by Layout.LowPrecisionRows) selects the low-precision region.
+// Hybrid is the partial-counter scheme behind LADDER-Est (Section 4.1)
+// and LADDER-Hybrid (Section 4.2). The stale-memory-block read is
+// eliminated by bounding C^w_lrs with packed partial counters: per data
+// block, four 2-bit codes of the worst byte in each mat subgroup, one
+// metadata block per 4 KB page. Intra-line bit-level shifting (on unless
+// disabled for Figure 15a's no-shift arm) spreads clustered hot bytes
+// across the mats of each chip before the counters are taken.
+//
+// Hybrid adds multi-granularity counters: wordline groups whose crossbar
+// row sits near the write driver (low IR drop, hence latency-insensitive
+// to content) keep only two 1-bit partial counters per block, and four
+// such pages share one metadata block, improving metadata locality and
+// cutting maintenance traffic. An 8-bit precision control register
+// (Layout.LowPrecisionRows) selects the low-precision region; with the
+// register at 0 every row keeps the Est layout, which is LADDER-Est.
 type Hybrid struct {
 	*ladderBase
 	shifting bool
 }
 
-// NewHybridCache builds the scheme over a metadata cache of the given
-// configuration (DefaultMetaCacheConfig is the paper's).
+// NewHybridCache builds LADDER-Hybrid (the paper's 128 low-precision
+// rows, shifting on) over a metadata cache of the given configuration
+// (DefaultMetaCacheConfig is the paper's).
 func NewHybridCache(env *Env, cacheCfg MetaCacheConfig) (*Hybrid, error) {
+	return newHybrid(env, DefaultLowPrecisionRows, true, cacheCfg)
+}
+
+// NewEstCache builds LADDER-Est, Hybrid with no low-precision rows, with
+// or without intra-line shifting.
+func NewEstCache(env *Env, shifting bool, cacheCfg MetaCacheConfig) (*Hybrid, error) {
+	return newHybrid(env, 0, shifting, cacheCfg)
+}
+
+func newHybrid(env *Env, lowRows int, shifting bool, cacheCfg MetaCacheConfig) (*Hybrid, error) {
 	b, err := newLadderBase(env, cacheCfg)
 	if err != nil {
 		return nil, err
 	}
-	// Boot-time metadata: Est layout for high rows; packed 1-bit counters
-	// for the four pages sharing a low-precision line.
-	layout := NewLayout(env.Geom)
+	b.layout.LowPrecisionRows = lowRows
+	// Boot-time metadata: partial counters of the resident blocks the key
+	// covers, at whichever precision it selects.
 	b.cache.SetInitializer(func(key uint64) MetaLine {
-		return hybridInitLine(env, layout, key)
+		return hybridInitLine(env, b.layout, key)
 	})
-	// Hybrid always shifts; see the matching call in NewEstCache.
-	env.Store.TrackUnshiftedCounters()
-	return &Hybrid{ladderBase: b, shifting: true}, nil
+	if shifting {
+		// Every dispatch samples the unshifted-layout C^w_lrs (Figure 15);
+		// incremental counters keep that a max instead of a 64-block scan.
+		env.Store.TrackUnshiftedCounters()
+		// Data resident from before the simulation window was stored
+		// through the same shifting datapath.
+		env.Store.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
+			return bits.Shifted(l, slot)
+		})
+	}
+	return &Hybrid{ladderBase: b, shifting: shifting}, nil
 }
 
-// hybridInitLine synthesizes a Hybrid-layout metadata line from stored
-// content: Est layout for high-precision keys, packed 1-bit counters of
-// the four covered pages for low-precision keys. Used at boot-time
-// initialization and to reconcile after a verify failure.
+// estInitLine synthesizes an Est-layout metadata line from the stored
+// content of the wordline group.
+func estInitLine(env *Env, globalRow uint64) MetaLine {
+	var ml MetaLine
+	base := env.Geom.RowBaseLine(globalRow)
+	if err := env.Store.EnsureRow(base); err != nil {
+		return ml
+	}
+	for slot := 0; slot < reram.BlocksPerRow; slot++ {
+		stored, err := env.Store.Read(base + uint64(slot))
+		if err != nil {
+			return ml
+		}
+		ml[slot] = bits.EncodePartial(&stored)
+	}
+	return ml
+}
+
+// hybridInitLine synthesizes a metadata line from stored content: Est
+// layout for high-precision keys, packed 1-bit counters of the four
+// covered pages for low-precision keys. Used at boot-time initialization
+// and to reconcile after a verify failure.
 func hybridInitLine(env *Env, layout Layout, key uint64) MetaLine {
 	if key&hybridLowKeyBit == 0 {
 		return estInitLine(env, key)
@@ -63,16 +108,14 @@ func hybridInitLine(env *Env, layout Layout, key uint64) MetaLine {
 	return ml
 }
 
-// Name implements Scheme.
-func (s *Hybrid) Name() string { return "LADDER-Hybrid" }
-
 // SetLowPrecisionRows overrides the precision control register (the
 // number of driver-near rows using 1-bit counters).
 func (s *Hybrid) SetLowPrecisionRows(n int) { s.layout.LowPrecisionRows = n }
 
 func (s *Hybrid) keys(req *WriteRequest) []uint64 {
 	key, _ := s.layout.HybridKey(req.Line, s.env.Geom.GlobalRow(req.Loc), req.Loc.WL)
-	// See Est.keys: reuse the request's MetaKeys backing.
+	// Reuse the request's MetaKeys backing: with pooled requests the
+	// per-enqueue key derivation allocates nothing.
 	return append(req.MetaKeys[:0], key)
 }
 
@@ -80,7 +123,9 @@ func (s *Hybrid) lowPrecision(req *WriteRequest) bool {
 	return req.Loc.WL < s.layout.LowPrecisionRows
 }
 
-// Enqueue implements Scheme.
+// Enqueue implements Scheme: shift, take partial counters, acquire the
+// metadata line. No SMB read is needed: the new partial counters replace
+// the old ones outright.
 func (s *Hybrid) Enqueue(req *WriteRequest) ([]AuxRead, []MetaWriteback) {
 	req.Payload = payloadFor(req.Data, req.Loc.Slot, s.shifting)
 	if s.lowPrecision(req) {
@@ -91,11 +136,8 @@ func (s *Hybrid) Enqueue(req *WriteRequest) ([]AuxRead, []MetaWriteback) {
 	return s.acquire(req, s.keys(req))
 }
 
-// SMBArrived implements Scheme (Hybrid never requests SMBs).
+// SMBArrived implements Scheme (partial counters never need SMBs).
 func (s *Hybrid) SMBArrived(*WriteRequest, bits.Line) {}
-
-// MetaArrived implements Scheme.
-func (s *Hybrid) MetaArrived(key uint64) { s.metaArrived(key) }
 
 // RetrySpill implements Scheme.
 func (s *Hybrid) RetrySpill() ([]AuxRead, []MetaWriteback) { return s.retrySpill(s.keys) }
@@ -111,20 +153,22 @@ func lowSlotBits(quarter, slot int) (byteIdx int, shift uint) {
 	return bit / 8, uint(bit % 8)
 }
 
-// estimate derives the C^w_lrs bound for the request's wordline group.
+// estimate derives the C^w_lrs bound for the request's wordline group
+// from the cached metadata line, substituting the in-flight request's
+// fresh counters for its own slot (the write changes that block's
+// contribution).
 func (s *Hybrid) estimate(req *WriteRequest) (int, bool) {
 	line := s.cache.Data(req.MetaKeys[0])
 	if line == nil {
 		return 0, false
 	}
+	var packed [reram.BlocksPerRow]uint8
 	if !s.lowPrecision(req) {
-		var packed [reram.BlocksPerRow]uint8
 		copy(packed[:], line[:])
 		packed[req.Loc.Slot] = req.Partial
 		return bits.EstimateCwLRS(packed[:]), true
 	}
 	quarter := s.layout.LowGroupIndex(req.Line)
-	var packed [reram.BlocksPerRow]uint8
 	for slot := 0; slot < reram.BlocksPerRow; slot++ {
 		b, sh := lowSlotBits(quarter, slot)
 		packed[slot] = (line[b] >> sh) & 3
@@ -144,7 +188,8 @@ func (s *Hybrid) Latency(req *WriteRequest) float64 {
 	return s.env.Tables.WL.Lookup(req.Loc.WL, req.Loc.BLHigh, c)
 }
 
-// Complete implements Scheme.
+// Complete implements Scheme: store the block's fresh partial counters in
+// the metadata line.
 func (s *Hybrid) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteback {
 	if line := s.cache.Data(req.MetaKeys[0]); line != nil {
 		if s.lowPrecision(req) {
@@ -160,7 +205,8 @@ func (s *Hybrid) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteb
 	return nil
 }
 
-// DecodeRead implements Scheme.
+// DecodeRead implements Scheme: reverse the bit shifting on processor
+// reads.
 func (s *Hybrid) DecodeRead(line uint64, payload bits.Line) bits.Line {
 	if !s.shifting {
 		return payload
@@ -172,16 +218,12 @@ func (s *Hybrid) DecodeRead(line uint64, payload bits.Line) bits.Line {
 	return bits.Unshifted(payload, loc.Slot)
 }
 
-// UseConstrainedFNW implements Scheme.
-func (s *Hybrid) UseConstrainedFNW() bool { return true }
-
-// CrashRecover implements CrashRecoverable.
-func (s *Hybrid) CrashRecover() { s.crashRecover() }
-
-// WriteRetry implements RetryAware: as with Est, a verify failure means
-// the cached counters mis-margined the row, so the metadata line is
-// re-synthesized from stored content at whichever precision the key
-// selects.
+// WriteRetry implements RetryAware: a verify failure means the cached
+// partial counters mis-margined the row (stale or over-conservative
+// bounds), so the metadata line is re-synthesized from the stored bits
+// the verify read exposed, at whichever precision the key selects.
+// Subsequent estimates for the row then carry the tightest bound the
+// encoding can express.
 func (s *Hybrid) WriteRetry(req *WriteRequest, attempt int) {
 	key := req.MetaKeys[0]
 	if line := s.cache.Data(key); line != nil {

@@ -5,9 +5,10 @@ import (
 	"ladder/internal/metrics"
 )
 
-// ladderBase carries the machinery shared by the three LADDER variants:
-// the metadata cache, the spill buffer, and the bookkeeping that connects
-// write queue entries to in-flight metadata fills.
+// ladderBase carries the machinery shared by the LADDER schemes (Basic,
+// and Hybrid, which also serves Est): the metadata cache, the spill
+// buffer, and the bookkeeping that connects write queue entries to
+// in-flight metadata fills.
 type ladderBase struct {
 	env    *Env
 	layout Layout
@@ -128,8 +129,9 @@ func (b *ladderBase) unwait(req *WriteRequest) {
 	}
 }
 
-// metaArrived completes a fill and unblocks waiters.
-func (b *ladderBase) metaArrived(key uint64) {
+// MetaArrived implements Scheme: it completes a fill and unblocks
+// waiters.
+func (b *ladderBase) MetaArrived(key uint64) {
 	b.cache.Fill(key)
 	for _, req := range b.waiting[key] {
 		req.MetaPending--
@@ -207,16 +209,21 @@ func maxMetaLine() MetaLine {
 	return ml
 }
 
-// crashRecover drops the cache and applies the conservative correction.
-// The spill buffer and fill waiting lists must already be empty (the
-// controller drains before a modeled crash).
-func (b *ladderBase) crashRecover() {
+// CrashRecover implements CrashRecoverable: it drops the cache and
+// applies the conservative correction. The spill buffer and fill waiting
+// lists must already be empty (the controller drains before a modeled
+// crash).
+func (b *ladderBase) CrashRecover() {
 	if len(b.spill) != 0 || len(b.waiting) != 0 {
 		panic("core: crash with queued metadata work; drain the controller first")
 	}
 	b.cache.Crash()
 	b.cache.RecoverConservative(maxMetaLine())
 }
+
+// UseConstrainedFNW implements Scheme: every LADDER scheme requires the
+// ones-bounded FNW so counting stays sound.
+func (b *ladderBase) UseConstrainedFNW() bool { return true }
 
 // SpillDepth returns the current number of parked requests.
 func (b *ladderBase) SpillDepth() int { return len(b.spill) }

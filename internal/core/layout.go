@@ -7,15 +7,16 @@ import (
 // Metadata layout (Sections 3.3, 4.1, 4.2).
 //
 // The LRS-metadata lives in a reserved region of main memory that the host
-// carves out at boot and hides from the OS. Three layouts exist:
+// carves out at boot and hides from the OS. Two layouts exist:
 //
 //   - Basic: one LRS-counter group per wordline group — 64 counters of 10
 //     bits ≈ 80 B, spanning two 64 B metadata blocks (3.12% of capacity).
-//   - Est: one packed partial-counter byte per data block — 64 B per 4 KB
-//     page, a single metadata block (1.56%).
-//   - Hybrid: rows near the write driver (low wordline index) keep two
-//     1-bit counters per block — 16 B per page, so one metadata block
-//     covers four pages; other rows use the Est layout.
+//   - Hybrid: rows near the write driver (wordline index below the
+//     precision control register, LowPrecisionRows) keep two 1-bit
+//     counters per block — 16 B per page, so one metadata block covers
+//     four pages. Other rows keep one packed partial-counter byte per data
+//     block — 64 B per 4 KB page, a single metadata block (1.56%). Est is
+//     this layout with the register at 0: every row keeps packed bytes.
 
 // MetaLineSize is the metadata block size (one memory line).
 const MetaLineSize = 64
@@ -30,7 +31,7 @@ const DefaultLowPrecisionRows = 128
 type Layout struct {
 	Geom reram.Geometry
 	// LowPrecisionRows is the WL-index threshold below which Hybrid uses
-	// 1-bit counters.
+	// 1-bit counters (0 for Est).
 	LowPrecisionRows int
 }
 
@@ -48,10 +49,6 @@ const hybridLowKeyBit = uint64(1) << 62
 func (l Layout) BasicKeys(globalRow uint64) [2]uint64 {
 	return [2]uint64{globalRow * 2, globalRow*2 + 1}
 }
-
-// EstKey returns the single metadata line key of a wordline group under
-// the Est layout.
-func (l Layout) EstKey(globalRow uint64) uint64 { return globalRow }
 
 // HybridKey returns the metadata key for a data block under the Hybrid
 // layout and whether the low-precision (1-bit) encoding applies. Four

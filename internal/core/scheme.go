@@ -4,7 +4,8 @@
 // and the three LADDER variants — Basic (accurate LRS counters with stale
 // memory block reads, Section 3.3), Est (partial-counter estimation with
 // intra-line bit shifting, Section 4.1) and Hybrid (multi-granularity
-// counters, Section 4.2).
+// counters, Section 4.2). Est and Hybrid are one type: Est is Hybrid with
+// no low-precision rows.
 //
 // A Scheme plugs into the memory controller (package memctrl): the
 // controller calls Enqueue when a data write enters the write queue,
@@ -124,8 +125,6 @@ type Env struct {
 
 // Scheme is the per-write-policy the memory controller drives.
 type Scheme interface {
-	// Name returns the scheme's figure label (e.g. "LADDER-Est").
-	Name() string
 	// Enqueue prepares a freshly queued data write (encodes the payload,
 	// computes partial counters) and returns the auxiliary reads to issue
 	// plus any dirty metadata evictions displaced by cache reservations.

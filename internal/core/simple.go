@@ -12,14 +12,13 @@ import (
 // in the memory device, hence free content knowledge).
 type simpleScheme struct {
 	env     *Env
-	name    string
 	latency func(*Env, *WriteRequest) float64
 }
 
 // NewBaseline returns the baseline scheme: every write uses the
 // pessimistic fixed worst-case RESET latency.
 func NewBaseline(env *Env) Scheme {
-	return &simpleScheme{env: env, name: "baseline", latency: func(e *Env, _ *WriteRequest) float64 {
+	return &simpleScheme{env: env, latency: func(e *Env, _ *WriteRequest) float64 {
 		return e.Tables.WorstNs
 	}}
 }
@@ -27,7 +26,7 @@ func NewBaseline(env *Env) Scheme {
 // NewLocationAware returns the idealized location-only scheme of Figure 2:
 // latency keyed on (WL, BL) with worst-case content assumed.
 func NewLocationAware(env *Env) Scheme {
-	return &simpleScheme{env: env, name: "location-aware", latency: func(e *Env, req *WriteRequest) float64 {
+	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
 		return e.Tables.WL.LocationOnly(req.Loc.WL, req.Loc.BLHigh)
 	}}
 }
@@ -36,7 +35,7 @@ func NewLocationAware(env *Env) Scheme {
 // exact worst-wordline LRS count, bounding what any realizable
 // content-aware mechanism can achieve.
 func NewOracle(env *Env) Scheme {
-	return &simpleScheme{env: env, name: "Oracle", latency: func(e *Env, req *WriteRequest) float64 {
+	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
 		c, err := e.Store.MaxRowCounter(req.Line)
 		if err != nil {
 			return e.Tables.WorstNs
@@ -52,7 +51,7 @@ func NewOracle(env *Env) Scheme {
 // sequential phases. Content is unknown, so each phase uses the
 // location-dependent worst-content latency of the 4-cell table.
 func NewSplitReset(env *Env) Scheme {
-	return &simpleScheme{env: env, name: "Split-reset", latency: func(e *Env, req *WriteRequest) float64 {
+	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
 		phase := e.Tables.Half.LocationOnly(req.Loc.WL, req.Loc.BLHigh)
 		if compress.Compressible(req.Payload[:]) {
 			return phase
@@ -71,7 +70,7 @@ func NewSplitReset(env *Env) Scheme {
 // back to the worst case. (LADDER's contribution is precisely the finer,
 // 8-level content model.)
 func NewBLP(env *Env) Scheme {
-	return &simpleScheme{env: env, name: "BLP", latency: func(e *Env, req *WriteRequest) float64 {
+	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
 		c, err := e.Store.MaxSelectedColCount(req.Line)
 		if err != nil {
 			return e.Tables.WorstNs
@@ -87,8 +86,6 @@ func NewBLP(env *Env) Scheme {
 		return e.Tables.BL.LocationOnly(req.Loc.WL, req.Loc.BLHigh)
 	}}
 }
-
-func (s *simpleScheme) Name() string { return s.name }
 
 func (s *simpleScheme) Enqueue(req *WriteRequest) ([]AuxRead, []MetaWriteback) {
 	req.Payload = req.Data

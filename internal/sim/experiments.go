@@ -185,15 +185,6 @@ func runCells(ctx context.Context, opts Options, residents *residentPool, cells 
 	if err := opts.checkBase(); err != nil {
 		return nil, err
 	}
-	// Resolve the shared timing tables up front so workers do not race on
-	// the lazy default-table generation.
-	if opts.Tables == nil {
-		ts, err := timing.DefaultTableSet()
-		if err != nil {
-			return nil, err
-		}
-		opts.Tables = ts
-	}
 	results := make([]*Result, len(cells))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
 	// caller's ctx flows through, so external cancellation behaves the

@@ -99,7 +99,7 @@ type Config struct {
 	// Geom is the memory geometry (zero value = paper default).
 	Geom reram.Geometry
 	// Tables supplies the timing tables; nil loads the default 512×512
-	// set (generated once per process).
+	// set (embedded data, decoded once per process).
 	Tables *timing.TableSet
 	// ShrinkRange > 1 compresses the timing tables' dynamic range
 	// (Section 7's process-variation ablation).
@@ -211,6 +211,16 @@ func (c *Config) applyDefaults() error {
 	if c.Scheme == "" {
 		c.Scheme = SchemeBaseline
 	}
+	// Every later scheme comparison, and Result.Scheme, sees the
+	// registered spelling.
+	scheme, err := core.SchemeName(c.Scheme)
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	c.Scheme = scheme
+	if err := c.validateKnobs(); err != nil {
+		return err
+	}
 	if c.InstrPerCore == 0 {
 		c.InstrPerCore = 200_000
 	}
@@ -232,6 +242,28 @@ func (c *Config) applyDefaults() error {
 		c.MetaCache = core.DefaultMetaCacheConfig()
 	}
 	return nil
+}
+
+// validateKnobs rejects knob values outside each knob's documented
+// range (NaN included). Without it a negative FaultRate or TraceSample,
+// a ShrinkRange below 1 or an unknown VWLMode would run with the feature
+// silently off, and a HybridLowRows below -1 would act as -1.
+func (c *Config) validateKnobs() error {
+	switch {
+	case !(c.FaultRate >= 0):
+		return fmt.Errorf("sim: FaultRate must be >= 0 (0 disables injection), got %g", c.FaultRate)
+	case c.TraceSample < 0:
+		return fmt.Errorf("sim: TraceSample must be >= 0 (0 disables tracing), got %d", c.TraceSample)
+	case !(c.ShrinkRange == 0 || c.ShrinkRange >= 1):
+		return fmt.Errorf("sim: ShrinkRange must be 0 (off) or >= 1, got %g", c.ShrinkRange)
+	case c.HybridLowRows < -1:
+		return fmt.Errorf("sim: HybridLowRows must be >= -1 (-1 disables the low-precision region), got %d", c.HybridLowRows)
+	}
+	switch c.VWLMode {
+	case "", "segment", "line":
+		return nil
+	}
+	return fmt.Errorf("sim: unknown VWLMode %q (want segment or line)", c.VWLMode)
 }
 
 // geometry is the run's memory geometry: Geom, or the paper default when

@@ -219,12 +219,8 @@ func (s *System) buildControllers() error {
 		if err != nil {
 			return err
 		}
-		if h, ok := scheme.(*core.Hybrid); ok && cfg.HybridLowRows != 0 {
-			n := cfg.HybridLowRows
-			if n < 0 {
-				n = 0
-			}
-			h.SetLowPrecisionRows(n)
+		if cfg.Scheme == SchemeHybrid && cfg.HybridLowRows != 0 {
+			scheme.(*core.Hybrid).SetLowPrecisionRows(max(cfg.HybridLowRows, 0))
 		}
 		s.schemes[ch] = scheme
 		s.ctrls[ch], err = memctrl.NewController(memctrl.DefaultConfig(), s.env, scheme, s.meter, onReadDone)
@@ -284,8 +280,6 @@ func (s *System) buildDecoder() error {
 			if err := s.buildLineVWL(); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("sim: unknown VWLMode %q", cfg.VWLMode)
 		}
 	}
 	needSpares := cfg.FaultRate > 0 || cfg.ProactiveWearLimit > 0
@@ -454,14 +448,6 @@ func (s *System) warm() error {
 		s.store.UseResident(cfg.residents.get(cfg.ResidentLevel, seed))
 	} else {
 		s.store.SetResident(cfg.ResidentLevel, seed)
-	}
-	// Under a shifting scheme, data resident from before the simulation
-	// window was stored through the same datapath.
-	switch cfg.Scheme {
-	case SchemeEst, SchemeHybrid:
-		s.store.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
-			return bits.Shifted(l, slot)
-		})
 	}
 	return nil
 }
