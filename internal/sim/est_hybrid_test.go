@@ -40,21 +40,16 @@ func strippedReportJSON(t *testing.T, cfg Config) []byte {
 }
 
 // estHybridRuns calls check for every (workload, configuration) pair
-// with a fresh config of the given scheme, edited by the configuration.
-func estHybridRuns(t *testing.T, check func(t *testing.T, cfg func(scheme string) Config)) {
+// with that pair's config; check sets the scheme.
+func estHybridRuns(t *testing.T, check func(t *testing.T, base Config)) {
 	for _, w := range []string{"lbm", "mcf", "mix-1"} {
 		for _, cc := range estHybridConfigs {
-			w, cc := w, cc
-			t.Run(w+"/"+cc.name, func(t *testing.T) {
-				check(t, func(scheme string) Config {
-					cfg := testConfig(t, w, scheme)
-					cfg.InstrPerCore = 20_000
-					if cc.edit != nil {
-						cc.edit(&cfg)
-					}
-					return cfg
-				})
-			})
+			base := testConfig(t, w, "")
+			base.InstrPerCore = 20_000
+			if cc.edit != nil {
+				cc.edit(&base)
+			}
+			t.Run(w+"/"+cc.name, func(t *testing.T) { check(t, base) })
 		}
 	}
 }
@@ -63,12 +58,13 @@ func estHybridRuns(t *testing.T, check func(t *testing.T, cfg func(scheme string
 // Hybrid is LADDER-Est plus a precision control register, so with the
 // register at 0 (no low-precision rows) it is LADDER-Est, run for run.
 func TestEstIsHybridWithoutLowRows(t *testing.T) {
-	estHybridRuns(t, func(t *testing.T, cfg func(string) Config) {
-		est := strippedReportJSON(t, cfg(SchemeEst))
-		h := cfg(SchemeHybrid)
-		h.HybridLowRows = -1
-		if hybrid := strippedReportJSON(t, h); string(est) != string(hybrid) {
-			t.Errorf("LADDER-Est and LADDER-Hybrid without low rows diverge:\n est:    %.300s\n hybrid: %.300s", est, hybrid)
+	estHybridRuns(t, func(t *testing.T, base Config) {
+		est, hybrid := base, base
+		est.Scheme = SchemeEst
+		hybrid.Scheme, hybrid.HybridLowRows = SchemeHybrid, -1
+		e, h := strippedReportJSON(t, est), strippedReportJSON(t, hybrid)
+		if string(e) != string(h) {
+			t.Errorf("LADDER-Est and LADDER-Hybrid without low rows diverge:\n est:    %.300s\n hybrid: %.300s", e, h)
 		}
 	})
 }
@@ -80,10 +76,11 @@ func TestHybridLowRowsIgnoredByEst(t *testing.T) {
 	for _, scheme := range []string{SchemeEst, SchemeEstNoShift} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			estHybridRuns(t, func(t *testing.T, cfg func(string) Config) {
-				plain := strippedReportJSON(t, cfg(scheme))
+			estHybridRuns(t, func(t *testing.T, base Config) {
+				base.Scheme = scheme
+				plain := strippedReportJSON(t, base)
 				for _, rows := range []int{-1, 32, 128} {
-					c := cfg(scheme)
+					c := base
 					c.HybridLowRows = rows
 					if got := strippedReportJSON(t, c); string(got) != string(plain) {
 						t.Errorf("HybridLowRows=%d changed a %s run", rows, scheme)

@@ -102,7 +102,7 @@ type Config struct {
 	// set (embedded data, decoded once per process).
 	Tables *timing.TableSet
 	// ShrinkRange > 1 compresses the timing tables' dynamic range
-	// (Section 7's process-variation ablation).
+	// (Section 7's process-variation ablation); 0 and 1 leave it as is.
 	ShrinkRange float64
 	// WearLeveling enables vertical wear leveling.
 	WearLeveling bool
@@ -133,7 +133,8 @@ type Config struct {
 	MetaCache core.MetaCacheConfig
 	// HybridLowRows overrides LADDER-Hybrid's precision control register:
 	// the number of driver-near rows using 1-bit counters. 0 keeps the
-	// paper's 128; -1 disables the low-precision region entirely.
+	// paper's 128; -1 disables the low-precision region entirely, which
+	// makes the run LADDER-Est's. Other schemes ignore it.
 	HybridLowRows int
 	// TraceFile replays a recorded access trace (see cmd/tracegen) on a
 	// single core instead of synthesizing the workload; Workload becomes a
