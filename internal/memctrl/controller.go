@@ -791,17 +791,21 @@ func (c *Controller) issueReads(now uint64, auxOnly bool) bool {
 }
 
 // issueWrites dispatches ready writes in queue order to free banks,
-// reporting whether any did.
+// reporting whether any did. The walk stops once every bank is busy,
+// and it asks the scheme whether a write is ready only when the write's
+// bank is free (both tests are pure, so their order does not matter).
 func (c *Controller) issueWrites(now uint64) bool {
 	issued := false
-	for i := 0; i < len(c.wrq); {
-		req := c.wrq[i]
-		if !req.IsMeta && !c.scheme.Ready(req) {
-			i++
-			continue
+	free := 0
+	for _, busy := range c.bankBusy {
+		if busy <= now {
+			free++
 		}
+	}
+	for i := 0; i < len(c.wrq) && free > 0; {
+		req := c.wrq[i]
 		bank := c.bankOf(req.Loc)
-		if c.bankBusy[bank] > now {
+		if c.bankBusy[bank] > now || !req.IsMeta && !c.scheme.Ready(req) {
 			i++
 			continue
 		}
@@ -834,6 +838,7 @@ func (c *Controller) issueWrites(now uint64) bool {
 				t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh), clrs, c.writeMode)
 		}
 		c.bankBusy[bank] = now + dur
+		free--
 		c.inflight = append(c.inflight, busyOp{finish: now + dur, write: req, latNs: latNs})
 		c.wrq = append(c.wrq[:i], c.wrq[i+1:]...)
 		issued = true

@@ -53,7 +53,7 @@ func cellsGoldenText(t *testing.T, schemes []string) []byte {
 			variants = append(variants, cell{scheme: s, edit: cc.edit})
 		}
 		cells := crossCells(opts.workloads(), variants)
-		res, err := runCells(context.Background(), opts, new(residentPool), cells)
+		res, err := runCells(context.Background(), opts, new(inputPool), cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)
 		}

@@ -51,7 +51,11 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 	}{
 		{"negative fault rate", func(c *Config) { c.FaultRate = -0.01 }, "FaultRate"},
 		{"NaN fault rate", func(c *Config) { c.FaultRate = math.NaN() }, "FaultRate"},
+		{"fault rate of 1", func(c *Config) { c.FaultRate = 1 }, "FaultRate"},
+		{"infinite fault rate", func(c *Config) { c.FaultRate = math.Inf(1) }, "FaultRate"},
 		{"negative trace sample", func(c *Config) { c.TraceSample = -1 }, "TraceSample"},
+		{"negative trace capacity", func(c *Config) { c.TraceCapacity = -1 }, "TraceCapacity"},
+		{"negative trace capacity, tracing off", func(c *Config) { c.TraceCapacity, c.TraceSample = -1, 0 }, "TraceCapacity"},
 		{"shrink below 1", func(c *Config) { c.ShrinkRange = 0.5 }, "ShrinkRange"},
 		{"negative shrink", func(c *Config) { c.ShrinkRange = -2 }, "ShrinkRange"},
 		{"low rows below -1", func(c *Config) { c.HybridLowRows = -2 }, "HybridLowRows"},
@@ -59,6 +63,7 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"unknown VWL mode, leveling on", func(c *Config) { c.VWLMode, c.WearLeveling = "diagonal", true }, "VWLMode"},
 		{"zero knobs", func(c *Config) {}, ""},
 		{"shrink of 1", func(c *Config) { c.ShrinkRange = 1 }, ""},
+		{"fault rate just below 1", func(c *Config) { c.FaultRate = math.Nextafter(1, 0) }, ""},
 		{"low rows -1", func(c *Config) { c.HybridLowRows = -1 }, ""},
 		{"line VWL mode, leveling off", func(c *Config) { c.VWLMode = "line" }, ""},
 	}

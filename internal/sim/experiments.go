@@ -123,13 +123,22 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 // failure, panic-isolation and determinism guarantees: a canceled or
 // failed grid is returned as an error, never as a silently partial
 // result.
+//
+// Scheme names resolve as Config.Scheme does (core.SchemeName), and the
+// Grid is keyed by the registered spellings, so the normalized views
+// find SchemeBaseline however the caller spelled it. An unknown name,
+// or two names of one scheme, fails the grid before any cell runs.
 func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
 	ws := opts.workloads()
+	schemes, err := canonicalSchemes(schemes)
+	if err != nil {
+		return nil, err
+	}
 	variants := make([]cell, len(schemes))
 	for i, s := range schemes {
 		variants[i].scheme = s
 	}
-	res, err := runCells(ctx, opts, new(residentPool), crossCells(ws, variants))
+	res, err := runCells(ctx, opts, new(inputPool), crossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +150,25 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 		}
 	}
 	return g, nil
+}
+
+// canonicalSchemes resolves each name to its registered spelling,
+// rejecting unknown names and repeats of one scheme.
+func canonicalSchemes(names []string) ([]string, error) {
+	out := make([]string, len(names))
+	for i, n := range names {
+		name, err := core.SchemeName(n)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		for j := range i {
+			if out[j] == name {
+				return nil, fmt.Errorf("sim: schemes %q and %q both name %s", names[j], n, name)
+			}
+		}
+		out[i] = name
+	}
+	return out, nil
 }
 
 // cell is one simulation of a grid or study: a workload under a scheme,
@@ -170,20 +198,47 @@ func crossCells(workloads []string, variants []cell) []cell {
 // RunCtx; a cell never stops mid-cycle), and every failure is reported
 // via errors.Join alongside the context's error.
 //
+// A cell whose workload does not resolve fails the call before any cell
+// runs, and the error names every such cell.
+//
 // Workers are panic-isolated: a panicking scheme or workload converts
 // to that cell's error (a *PanicError carrying the stack) and joins the
 // other failures instead of crashing the process.
 //
 // Determinism: each cell runs with its own metrics registry and memory
 // image, and results follow cell order regardless of completion order,
-// so they are independent of Options.Jobs and of scheduling. Cells copy
-// their resident rows from residents, drawn once per pool; a row's
-// content depends only on the resident level, the seed and the row, so
-// every cell's result is bit-identical to its solo Run. Options.Progress
-// calls are serialized under one mutex.
-func runCells(ctx context.Context, opts Options, residents *residentPool, cells []cell) ([]*Result, error) {
+// so they are independent of Options.Jobs and of scheduling. Cells read
+// their resident rows and access streams from inputs, each drawn once
+// per pool: a row's content depends only on the resident level, the
+// seed and the row, and a stream's only on its streamKey, so every
+// cell's result is bit-identical to its solo Run. Each stream's readers
+// are counted before the first cell runs, and its tape is released when
+// the last of them finishes. Options.Progress calls are serialized under
+// one mutex.
+func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell) ([]*Result, error) {
 	if err := opts.checkBase(); err != nil {
 		return nil, err
+	}
+	cfgs := make([]Config, len(cells))
+	streams := make([][]streamKey, len(cells))
+	var layoutErrs []error
+	for i, c := range cells {
+		cfg := opts.config(c.workload, c.scheme)
+		if c.edit != nil {
+			c.edit(&cfg)
+		}
+		cfg.inputs = inputs
+		cfgs[i] = cfg
+		var err error
+		if streams[i], err = coreStreams(&cfg); err != nil {
+			layoutErrs = append(layoutErrs, fmt.Errorf("running %s/%s: %w", c.workload, c.scheme, err))
+		}
+	}
+	if err := errors.Join(layoutErrs...); err != nil {
+		return nil, err
+	}
+	for _, st := range streams {
+		inputs.expect(st)
 	}
 	results := make([]*Result, len(cells))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
@@ -210,12 +265,8 @@ func runCells(ctx context.Context, opts Options, residents *residentPool, cells 
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			cfg := opts.config(c.workload, c.scheme)
-			if c.edit != nil {
-				c.edit(&cfg)
-			}
-			cfg.residents = residents
-			res, err := runCell(runCtx, cfg)
+			res, err := runCell(runCtx, cfgs[i])
+			inputs.release(streams[i])
 			results[i] = res // each worker owns its slot; wg.Wait publishes it
 			mu.Lock()
 			done++
@@ -407,7 +458,7 @@ func (g *Grid) FNWCancellation() []Row {
 // and reduces each workload's results, in variant order, to its Row.
 func studyRows(ctx context.Context, opts Options, variants []cell, reduce func(r []*Result) map[string]float64) ([]Row, error) {
 	ws := opts.workloads()
-	res, err := runCells(ctx, opts, new(residentPool), crossCells(ws, variants))
+	res, err := runCells(ctx, opts, new(inputPool), crossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -656,7 +707,7 @@ func relativeLifetime(geom reram.Geometry, base, res *Result, spares int) float6
 // prices at ~3% write overhead), averaged across workloads. Nil period
 // and spare lists select the defaults. The leveled runs depend on the
 // baselines, so the study runs in two runCells stages that share one
-// resident pool.
+// input pool.
 func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
 	if len(periods) == 0 {
 		periods = []int{64, 128, 256}
@@ -671,8 +722,8 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 		SpareRows:  spares,
 	}
 	geom := opts.Base.geometry()
-	residents := new(residentPool)
-	bases, err := runCells(ctx, opts, residents, crossCells(study.Workloads, []cell{{scheme: scheme}}))
+	inputs := new(inputPool)
+	bases, err := runCells(ctx, opts, inputs, crossCells(study.Workloads, []cell{{scheme: scheme}}))
 	if err != nil {
 		return nil, err
 	}
@@ -691,7 +742,7 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 			}
 		}
 	}
-	res, err := runCells(ctx, opts, residents, cells)
+	res, err := runCells(ctx, opts, inputs, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -200,9 +200,10 @@ type Config struct {
 	// feed. Runs on the simulation goroutine, like Progress.
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
 
-	// residents shares synthesized resident rows among the cells of one
-	// grid (RunGridCtx); nil, as in a solo Run, draws rows privately.
-	residents *residentPool
+	// inputs shares resident rows and access streams among the cells of
+	// one grid or study (runCells); nil, as in a solo Run, draws both
+	// privately.
+	inputs *inputPool
 }
 
 func (c *Config) applyDefaults() error {
@@ -248,13 +249,16 @@ func (c *Config) applyDefaults() error {
 // validateKnobs rejects knob values outside each knob's documented
 // range (NaN included). Without it a negative FaultRate or TraceSample,
 // a ShrinkRange below 1 or an unknown VWLMode would run with the feature
-// silently off, and a HybridLowRows below -1 would act as -1.
+// silently off, a negative TraceCapacity would run the default ring, and
+// a HybridLowRows below -1 would act as -1.
 func (c *Config) validateKnobs() error {
 	switch {
-	case !(c.FaultRate >= 0):
-		return fmt.Errorf("sim: FaultRate must be >= 0 (0 disables injection), got %g", c.FaultRate)
+	case !(c.FaultRate >= 0 && c.FaultRate < 1):
+		return fmt.Errorf("sim: FaultRate must be in [0, 1) (0 disables injection), got %g", c.FaultRate)
 	case c.TraceSample < 0:
 		return fmt.Errorf("sim: TraceSample must be >= 0 (0 disables tracing), got %d", c.TraceSample)
+	case c.TraceCapacity < 0:
+		return fmt.Errorf("sim: TraceCapacity must be >= 0 (0 selects the default ring), got %d", c.TraceCapacity)
 	case !(c.ShrinkRange == 0 || c.ShrinkRange >= 1):
 		return fmt.Errorf("sim: ShrinkRange must be 0 (off) or >= 1, got %g", c.ShrinkRange)
 	case c.HybridLowRows < -1:

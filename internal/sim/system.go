@@ -90,21 +90,14 @@ func newSystem(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, ctx: context.Background(), started: time.Now()}
 
-	var profiles []trace.Profile
-	if cfg.TraceFile != "" {
-		profiles = make([]trace.Profile, 1)
-	} else {
-		var err error
-		profiles, err = trace.MixProfiles(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
+	streams, err := coreStreams(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	s.tables = cfg.Tables
 	if cfg.ShrinkRange > 1 {
 		s.tables = shrunk(s.tables, cfg.ShrinkRange)
 	}
-	var err error
 	s.store, err = reram.NewStore(cfg.Geom)
 	if err != nil {
 		return nil, err
@@ -144,7 +137,7 @@ func newSystem(cfg Config) (*System, error) {
 		s.inj.Instrument(s.reg)
 	}
 
-	if err := s.buildCores(profiles); err != nil {
+	if err := s.buildCores(streams); err != nil {
 		return nil, err
 	}
 	// The decoder is built before the controllers so Instrument sees it
@@ -162,9 +155,44 @@ func newSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// buildCores creates one core per profile in disjoint address regions
-// (or a single core replaying a recorded trace).
-func (s *System) buildCores(profiles []trace.Profile) error {
+// streamKey is the exact argument set of one core's trace.Generator:
+// two cores with equal keys draw identical access streams.
+type streamKey struct {
+	prof     trace.Profile
+	seed     int64
+	basePage uint64
+}
+
+// coreStreams derives the generator arguments of each core cfg builds:
+// one per profile of the workload, each in its own region of the memory
+// with its footprint clamped to the region so every generated address
+// decodes (small test geometries compress footprints). A TraceFile run
+// has no generated streams. It reads only Workload, Seed, Geom and
+// TraceFile, so it gives the same keys before and after applyDefaults;
+// runCells counts a grid's stream readers with it.
+func coreStreams(cfg *Config) ([]streamKey, error) {
+	if cfg.TraceFile != "" {
+		return nil, nil
+	}
+	profiles, err := trace.MixProfiles(cfg.Workload)
+	if err != nil {
+		return nil, err
+	}
+	regionPages := cfg.geometry().Lines() / reram.BlocksPerRow / uint64(len(profiles)+1)
+	keys := make([]streamKey, len(profiles))
+	for i, p := range profiles {
+		if uint64(p.WorkingSetPages) > regionPages {
+			p.WorkingSetPages = int(regionPages)
+		}
+		keys[i] = streamKey{prof: p, seed: cfg.Seed + int64(i)*7919 + 1, basePage: uint64(i) * regionPages}
+	}
+	return keys, nil
+}
+
+// buildCores creates one core per stream (or a single core replaying a
+// recorded trace). A grid cell's cores replay the grid's shared tapes; a
+// solo run's cores draw from private generators.
+func (s *System) buildCores(streams []streamKey) error {
 	cfg := s.cfg
 	if cfg.TraceFile != "" {
 		rep, err := trace.LoadFile(cfg.TraceFile)
@@ -182,20 +210,25 @@ func (s *System) buildCores(profiles []trace.Profile) error {
 		s.finish = make([]uint64, 1)
 		return nil
 	}
-	s.cores = make([]*cpu.Core, len(profiles))
-	s.finish = make([]uint64, len(profiles))
-	regionPages := cfg.Geom.Lines() / reram.BlocksPerRow / uint64(len(profiles)+1)
-	for i, p := range profiles {
-		// Clamp the footprint to the core's region so every generated
-		// address decodes (small test geometries compress footprints).
-		if uint64(p.WorkingSetPages) > regionPages {
-			p.WorkingSetPages = int(regionPages)
+	s.cores = make([]*cpu.Core, len(streams))
+	s.finish = make([]uint64, len(streams))
+	for i, k := range streams {
+		var src trace.Source
+		if cfg.inputs != nil {
+			tape, err := cfg.inputs.tape(k)
+			if err != nil {
+				return err
+			}
+			src = tape.Cursor()
+		} else {
+			gen, err := trace.NewGenerator(k.prof, k.seed, k.basePage)
+			if err != nil {
+				return err
+			}
+			src = gen
 		}
-		gen, err := trace.NewGenerator(p, cfg.Seed+int64(i)*7919+1, uint64(i)*regionPages)
-		if err != nil {
-			return err
-		}
-		s.cores[i], err = cpu.NewCore(i, gen, cpu.DefaultMLP)
+		var err error
+		s.cores[i], err = cpu.NewCore(i, src, cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -444,22 +477,30 @@ func (s *System) warm() error {
 		return nil
 	}
 	seed := uint64(cfg.Seed) + 0x5eed
-	if cfg.residents != nil {
-		s.store.UseResident(cfg.residents.get(cfg.ResidentLevel, seed))
+	if cfg.inputs != nil {
+		s.store.UseResident(cfg.inputs.resident(cfg.ResidentLevel, seed))
 	} else {
 		s.store.SetResident(cfg.ResidentLevel, seed)
 	}
 	return nil
 }
 
-// residentPool holds the shared resident rows of one grid: one
-// reram.Resident per effective (level, seed) among its cells. Resident
-// content does not depend on workload or scheme, so every cell of a seed
-// copies the same rows instead of drawing them again. The zero value is
-// an empty pool.
-type residentPool struct {
-	mu  sync.Mutex
-	set map[residentKey]*reram.Resident
+// inputPool holds the pure inputs the cells of one grid or study share:
+// resident rows and access streams. Neither depends on the scheme or on
+// any knob a study edits except the ones in its key, so every cell reads
+// the same rows and streams its solo Run would draw, drawn once. The
+// zero value is an empty pool.
+//
+// Resident rows (one reram.Resident per effective level and seed) live
+// as long as the pool. Tapes (one trace.Tape per streamKey) are
+// reference-counted: runCells counts each stream's readers when it lays
+// out its cells and releases a tape when its last reader finishes, so
+// the pool retains the streams of the cells in flight, not of the whole
+// grid.
+type inputPool struct {
+	mu        sync.Mutex
+	residents map[residentKey]*reram.Resident
+	tapes     map[streamKey]*sharedTape
 }
 
 type residentKey struct {
@@ -467,21 +508,80 @@ type residentKey struct {
 	seed  uint64
 }
 
-// get returns the pool's Resident for (level, seed), creating it on first
-// use.
-func (p *residentPool) get(level int, seed uint64) *reram.Resident {
+// sharedTape is one pooled stream and the number of laid-out cells yet
+// to finish reading it.
+type sharedTape struct {
+	tape    *trace.Tape
+	readers int
+}
+
+// resident returns the pool's Resident for (level, seed), creating it on
+// first use.
+func (p *inputPool) resident(level int, seed uint64) *reram.Resident {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	k := residentKey{level, seed}
-	r := p.set[k]
+	r := p.residents[k]
 	if r == nil {
-		if p.set == nil {
-			p.set = make(map[residentKey]*reram.Resident)
+		if p.residents == nil {
+			p.residents = make(map[residentKey]*reram.Resident)
 		}
 		r = reram.NewResident(level, seed)
-		p.set[k] = r
+		p.residents[k] = r
 	}
 	return r
+}
+
+// entry returns k's pool entry, creating it on first use. The caller
+// holds p.mu.
+func (p *inputPool) entry(k streamKey) *sharedTape {
+	st := p.tapes[k]
+	if st == nil {
+		if p.tapes == nil {
+			p.tapes = make(map[streamKey]*sharedTape)
+		}
+		st = new(sharedTape)
+		p.tapes[k] = st
+	}
+	return st
+}
+
+// expect registers one more reader of each stream.
+func (p *inputPool) expect(streams []streamKey) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range streams {
+		p.entry(k).readers++
+	}
+}
+
+// tape returns the pool's tape for k, creating it on first use.
+func (p *inputPool) tape(k streamKey) (*trace.Tape, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.entry(k)
+	if st.tape == nil {
+		t, err := trace.NewTape(k.prof, k.seed, k.basePage)
+		if err != nil {
+			return nil, err
+		}
+		st.tape = t
+	}
+	return st.tape, nil
+}
+
+// release drops one reader of each stream and frees each tape whose
+// last reader has finished.
+func (p *inputPool) release(streams []streamKey) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range streams {
+		if st := p.tapes[k]; st != nil {
+			if st.readers--; st.readers <= 0 {
+				delete(p.tapes, k)
+			}
+		}
+	}
 }
 
 // issue hands one access from a core to its channel's controller,

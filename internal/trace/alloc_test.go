@@ -16,3 +16,21 @@ func TestGeneratorNextAllocFree(t *testing.T) {
 		t.Errorf("Next allocates %.0f per call, want 0", n)
 	}
 }
+
+// TestTapeCursorAllocFree pins a cursor's Next over an already generated
+// stretch of its tape — every cell of a grid after the first replays
+// its streams that way — at zero allocations.
+func TestTapeCursorAllocFree(t *testing.T) {
+	tape, err := NewTape(Profiles["lbm"], 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := tape.Cursor()
+	for i := 0; i < 2000; i++ {
+		lead.Next()
+	}
+	c := tape.Cursor()
+	if n := testing.AllocsPerRun(1000, func() { benchAccess = c.Next() }); n != 0 {
+		t.Errorf("Cursor.Next allocates %.0f per call, want 0", n)
+	}
+}
