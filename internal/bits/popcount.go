@@ -38,15 +38,24 @@ func perBytePop(x uint64) uint64 {
 	return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
 }
 
-// worstLane returns the maximum byte-lane value of a perBytePop result.
+// laneHigh has the high bit of every byte lane set.
+const laneHigh = 0x8080808080808080
+
+// laneMax returns the lane-wise maximum of two words whose byte lanes
+// each hold 0..127. Per lane, (a|0x80) - b keeps its high bit exactly
+// when a >= b and never borrows from the next lane.
+func laneMax(a, b uint64) uint64 {
+	ge := ((a | laneHigh) - b) & laneHigh // high bit set in lanes where a >= b
+	ge = (ge >> 7) * 0xff                 // widened to the whole lane
+	return a&ge | b&^ge
+}
+
+// worstLane returns the maximum byte-lane value of a word whose lanes
+// each hold 0..127, such as a perBytePop result or a laneMax of them.
 func worstLane(lanes uint64) int {
-	m := 0
-	for ; lanes != 0; lanes >>= 8 {
-		if c := int(lanes & 0xff); c > m {
-			m = c
-		}
-	}
-	return m
+	lanes = laneMax(lanes, lanes>>32)
+	lanes = laneMax(lanes, lanes>>16)
+	return int(laneMax(lanes, lanes>>8) & 0xff)
 }
 
 // Ones returns the total number of '1' bits (LRS cells) in the line.
@@ -75,13 +84,12 @@ func CountOnes(p []byte) int {
 // paper's notation: the number of ones in the worst byte of the block.
 // It returns 0 for an empty slice.
 func WorstByte(p []byte) int {
-	m := 0
+	var lanes uint64
 	for len(p) >= 8 {
-		if c := worstLane(perBytePop(binary.LittleEndian.Uint64(p))); c > m {
-			m = c
-		}
+		lanes = laneMax(lanes, perBytePop(binary.LittleEndian.Uint64(p)))
 		p = p[8:]
 	}
+	m := worstLane(lanes)
 	for _, b := range p {
 		if c := bits.OnesCount8(b); c > m {
 			m = c

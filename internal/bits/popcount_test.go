@@ -1,6 +1,7 @@
 package bits
 
 import (
+	mbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,52 @@ func TestWorstByteExact(t *testing.T) {
 	p := []byte{0x00, 0x0f, 0xf3, 0x80}
 	if got := WorstByte(p); got != 6 {
 		t.Fatalf("WorstByte = %d, want 6", got)
+	}
+}
+
+// TestWorstByteMatchesByteScan compares WorstByte's lane-parallel
+// maximum against a byte-by-byte scan: every single hot byte at every
+// position and length, then random slices of mixed density.
+func TestWorstByteMatchesByteScan(t *testing.T) {
+	scan := func(p []byte) int {
+		m := 0
+		for _, b := range p {
+			if c := mbits.OnesCount8(b); c > m {
+				m = c
+			}
+		}
+		return m
+	}
+	check := func(p []byte) {
+		t.Helper()
+		if got, want := WorstByte(p), scan(p); got != want {
+			t.Fatalf("WorstByte(%x) = %d, byte scan %d", p, got, want)
+		}
+	}
+	for n := 1; n <= 24; n++ {
+		for i := 0; i < n; i++ {
+			for _, v := range []byte{0x01, 0x03, 0x07, 0x0f, 0x1f, 0x3f, 0x7f, 0xff} {
+				p := make([]byte, n)
+				for j := range p {
+					p[j] = 0x10 // background of one LRS cell per byte
+				}
+				p[i] = v
+				check(p)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20000; trial++ {
+		p := make([]byte, r.Intn(LineSize+8))
+		ands := r.Intn(4)
+		for j := range p {
+			b := byte(r.Intn(256))
+			for k := 0; k < ands; k++ {
+				b &= byte(r.Intn(256))
+			}
+			p[j] = b
+		}
+		check(p)
 	}
 }
 

@@ -50,14 +50,10 @@ func newHybrid(env *Env, lowRows int, shifting bool, cacheCfg MetaCacheConfig) (
 		return hybridInitLine(env, b.layout, key)
 	})
 	if shifting {
-		// Every dispatch samples the unshifted-layout C^w_lrs (Figure 15);
-		// incremental counters keep that a max instead of a 64-block scan.
-		env.Store.TrackUnshiftedCounters()
 		// Data resident from before the simulation window was stored
-		// through the same shifting datapath.
-		env.Store.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
-			return bits.Shifted(l, slot)
-		})
+		// through the same shifting datapath, and every dispatch samples
+		// the unshifted-layout C^w_lrs (Figure 15).
+		env.Store.UseShiftedDatapath()
 	}
 	return &Hybrid{ladderBase: b, shifting: shifting}, nil
 }
@@ -66,17 +62,11 @@ func newHybrid(env *Env, lowRows int, shifting bool, cacheCfg MetaCacheConfig) (
 // content of the wordline group.
 func estInitLine(env *Env, globalRow uint64) MetaLine {
 	var ml MetaLine
-	base := env.Geom.RowBaseLine(globalRow)
-	if err := env.Store.EnsureRow(base); err != nil {
+	codes, err := env.Store.RowCodes(env.Geom.RowBaseLine(globalRow), false)
+	if err != nil {
 		return ml
 	}
-	for slot := 0; slot < reram.BlocksPerRow; slot++ {
-		stored, err := env.Store.Read(base + uint64(slot))
-		if err != nil {
-			return ml
-		}
-		ml[slot] = bits.EncodePartial(&stored)
-	}
+	copy(ml[:], codes[:])
 	return ml
 }
 
@@ -93,16 +83,13 @@ func hybridInitLine(env *Env, layout Layout, key uint64) MetaLine {
 		if base >= env.Geom.Lines() {
 			continue
 		}
-		if err := env.Store.EnsureRow(base); err != nil {
+		codes, err := env.Store.RowCodes(base, true)
+		if err != nil {
 			return ml
 		}
-		for slot := 0; slot < reram.BlocksPerRow; slot++ {
-			stored, err := env.Store.Read(base + uint64(slot))
-			if err != nil {
-				return ml
-			}
+		for slot, c := range codes {
 			bi, sh := lowSlotBits(q, slot)
-			ml[bi] |= (bits.EncodeLowPrecision(&stored) & 3) << sh
+			ml[bi] |= (c & 3) << sh
 		}
 	}
 	return ml

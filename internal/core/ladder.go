@@ -83,7 +83,7 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 			for _, h := range keys[:i] {
 				b.cache.Release(h)
 			}
-			b.unwait(req)
+			b.unwait(req, keys[:i])
 			req.MetaPending = 0
 			req.Spilled = true
 			req.WaitMeta = true
@@ -112,9 +112,14 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 	return aux, wbs
 }
 
-// unwait removes req from every fill waiting list.
-func (b *ladderBase) unwait(req *WriteRequest) {
-	for key, list := range b.waiting {
+// unwait removes req from the fill waiting lists of keys, the keys its
+// current acquisition has passed: a request waits on no other list.
+func (b *ladderBase) unwait(req *WriteRequest, keys []uint64) {
+	for _, key := range keys {
+		list, ok := b.waiting[key]
+		if !ok {
+			continue
+		}
 		out := list[:0]
 		for _, r := range list {
 			if r != req {

@@ -9,11 +9,12 @@ import (
 
 // BenchmarkStoreEnsureRow times the first touch of one wordline group with
 // level-2 resident data (the simulator's default), per store configuration:
-// plain, the shifting schemes' transform with unshifted counters, and BLP's
-// column tracking. One op is one prefilled row. The plain, shifted and
-// columns cases draw every row (a solo run); the -shared cases copy rows
-// a shared Resident already holds (a grid cell after the seed's first
-// cell drew them), so the gap between the two is what sharing saves.
+// plain, the shifting schemes' datapath with unshifted counters, and BLP's
+// column tracking. One op is one materialized row. The plain, shifted and
+// columns cases build every row's image (a solo run); the -shared cases
+// view images a shared Resident already holds (a grid cell after the
+// seed's first cell built them), so the gap between the two is what
+// sharing saves.
 func BenchmarkStoreEnsureRow(b *testing.B) {
 	for _, mode := range residentModes {
 		for _, shared := range []bool{false, true} {
@@ -27,21 +28,25 @@ func BenchmarkStoreEnsureRow(b *testing.B) {
 				// those groups stays allocated.
 				keys := 64 * uint64(s.geom.MatRows)
 				if shared {
-					// 256 retained rows (1 MB) are reused from cache.
+					// 256 retained images (1 MB) are reused from cache.
 					keys = 256
 					r := NewResident(2, 1)
 					for k := uint64(0); k < keys; k++ {
-						r.row(k)
+						r.image(k, mode == "shifted")
 					}
 					s.UseResident(r)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// Dropping the row keeps memory flat.
+					// Dropping the row, and its entry in its mat group's
+					// row list, keeps memory flat.
 					key := uint64(i) % keys
 					s.ensure(key)
 					delete(s.rows, key)
+					if g := s.cols[key/uint64(s.geom.MatRows)]; g != nil {
+						g.rows = g.rows[:0]
+					}
 				}
 			})
 		}

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-
-	"ladder/internal/bits"
 )
 
 var updateResident = flag.Bool("update", false, "rewrite testdata/resident.golden from the current store")
@@ -32,12 +30,27 @@ func residentStore(t testing.TB, level int, seed uint64, mode string) *Store {
 	s.SetResident(level, seed)
 	s.SetColumnTracking(mode == "columns")
 	if mode == "shifted" {
-		s.TrackUnshiftedCounters()
-		s.SetResidentTransform(func(slot int, l bits.Line) bits.Line {
-			return bits.Shifted(l, slot)
-		})
+		s.UseShiftedDatapath()
 	}
 	return s
+}
+
+// colState is a mat group's full per-bitline LRS state: 64 mats × 512
+// bitlines, bitline slot*8+k holding bit k of every block in the slot.
+type colState [BlockSize][BlocksPerRow * 8]uint16
+
+// groupCols reads a mat group's full column state through its per-slot
+// counts.
+func groupCols(g *colGroup) *colState {
+	var cs colState
+	for slot := 0; slot < BlocksPerRow; slot++ {
+		for mat, ks := range g.slot(slot) {
+			for k, c := range ks {
+				cs[mat][slot*8+k] = c
+			}
+		}
+	}
+	return &cs
 }
 
 // residentGoldenKeys are the global rows the golden prefills: strided so
@@ -65,8 +78,8 @@ func goldenResident(t *testing.T, newStore func(level int, mode string) *Store) 
 					t.Fatal(err)
 				}
 				r := s.rows[key]
-				for b := range r.data {
-					data.Write(r.data[b][:])
+				for b := 0; b < BlocksPerRow; b++ {
+					data.Write(r.block(b)[:])
 				}
 				_ = binary.Write(counters, binary.LittleEndian, r.counters)
 				_ = binary.Write(unshifted, binary.LittleEndian, r.unshifted)
@@ -78,7 +91,7 @@ func goldenResident(t *testing.T, newStore func(level int, mode string) *Store) 
 			sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
 			for _, g := range groups {
 				_ = binary.Write(cols, binary.LittleEndian, g)
-				_ = binary.Write(cols, binary.LittleEndian, s.cols[g])
+				_ = binary.Write(cols, binary.LittleEndian, groupCols(s.cols[g]))
 			}
 			fmt.Fprintf(&out, "level=%d mode=%s data=%x counters=%x unshifted=%x cols=%x\n",
 				level, mode, data.Sum(nil), counters.Sum(nil), unshifted.Sum(nil), cols.Sum(nil))

@@ -429,13 +429,7 @@ func TestResidentPrefillShiftedCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.trackUnshifted = false
-			scanned, err := s.MaxRowCounterUnshifted(line)
-			s.trackUnshifted = true
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tracked != scanned || tracked == 0 {
+			if scanned := scanUnshifted(s.rows[key]); tracked != scanned || tracked == 0 {
 				t.Fatalf("level %d row %d: tracked unshifted max %d, scan %d", level, key, tracked, scanned)
 			}
 		}
@@ -444,15 +438,15 @@ func TestResidentPrefillShiftedCounters(t *testing.T) {
 			if key/uint64(s.geom.MatRows) != 0 {
 				continue
 			}
-			for b := range r.data {
-				for m, c := range r.data[b] {
+			for b := 0; b < BlocksPerRow; b++ {
+				for m, c := range r.block(b) {
 					for k := 0; k < 8; k++ {
 						recount[m][b*8+k] += uint16(c >> k & 1)
 					}
 				}
 			}
 		}
-		if cs := s.cols[0]; cs == nil || *cs != recount {
+		if g := s.cols[0]; g == nil || *groupCols(g) != recount {
 			t.Fatalf("level %d: column state diverges from a recount of the data", level)
 		}
 	}

@@ -8,23 +8,77 @@ import (
 )
 
 // Resident supplies the synthetic resident content of one (level, seed):
-// the raw data every wordline group holds before the simulation window,
-// before any scheme's datapath transform. A row's content is a pure
-// function of (level, seed, row key), so stores simulating the same
-// machine under different schemes can share one Resident and draw each
-// row once; each store still applies its own transform and builds its
-// own counters from a private copy.
+// the data every wordline group holds before the simulation window. A
+// row's content is a pure function of (level, seed, row key), so stores
+// simulating the same machine under different schemes can share one
+// Resident and build each row once.
 //
-// A shared Resident (NewResident) retains every row it draws and is safe
-// for concurrent use; the rows it retains are never written. The private
-// Resident behind Store.SetResident retains nothing and draws each row
-// straight into its store.
+// A Resident hands rows out as images: one row in one stored form (raw,
+// or through the shifting datapath), drawn and counted once. Stores never
+// write an image: a store reads it through a row view that holds only
+// the blocks the store wrote (see rowState).
+//
+// A shared Resident (NewResident) retains every image it builds and is
+// safe for concurrent use. The private Resident behind Store.SetResident
+// retains nothing: it builds a fresh image for each row its store
+// touches.
 type Resident struct {
 	level int
 	seed  uint64
 	mu    sync.Mutex
-	// rows holds the drawn rows by key; nil for a private Resident.
-	rows map[uint64]*[BlocksPerRow]bits.Line
+	// images holds the retained images; nil for a private Resident.
+	images map[imageKey]*imageEntry
+}
+
+// imageEntry is a retained image, built once by its first requester while
+// later requesters wait.
+type imageEntry struct {
+	once sync.Once
+	img  *image
+}
+
+// imageKey names one row in one stored form.
+type imageKey struct {
+	row     uint64
+	shifted bool
+}
+
+// image is one wordline group's resident content in one stored form,
+// with everything a store derives from content alone: the per-wordline
+// LRS counters and every block's partial-counter codes. It is never
+// written once built, apart from encoding its codes on first request.
+type image struct {
+	data [BlocksPerRow]bits.Line
+	// counters[m] counts the LRS cells of wordline m over data.
+	counters [BlockSize]uint16
+	// unshifted holds, in a shifted image, the counters of the raw image
+	// it was derived from: the counters the row would hold if every block
+	// were reverse-shifted. It is zero in a raw image.
+	unshifted [BlockSize]uint16
+	// codes and lowCodes hold each block's bits.EncodePartial and
+	// bits.EncodeLowPrecision codes, encoded on first request
+	// (blockCodes): only Est and Hybrid read them, so most raw images
+	// never pay for them.
+	encode          sync.Once
+	codes, lowCodes [BlocksPerRow]uint8
+}
+
+// zeroImage is the content of a fresh all-HRS row, in either form.
+var zeroImage = new(image)
+
+// blockCodes returns every block's bits.EncodeLowPrecision codes when low
+// is set, its bits.EncodePartial codes otherwise.
+func (img *image) blockCodes(low bool) *[BlocksPerRow]uint8 {
+	img.encode.Do(func() {
+		for b := range img.data {
+			img.codes[b] = bits.EncodePartial(&img.data[b])
+			img.lowCodes[b] = bits.EncodeLowPrecision(&img.data[b])
+		}
+	})
+	if low {
+		return &img.lowCodes
+	}
+	return &img.codes
 }
 
 // NewResident returns a shared Resident for the given level and seed (see
@@ -34,38 +88,43 @@ func NewResident(level int, seed uint64) *Resident {
 	if level <= 0 {
 		return nil
 	}
-	return &Resident{level: level, seed: seed, rows: make(map[uint64]*[BlocksPerRow]bits.Line)}
+	return &Resident{level: level, seed: seed, images: make(map[imageKey]*imageEntry)}
 }
 
-// row returns the retained content of a row, drawing it on first request.
-// The draw runs outside the lock; when two goroutines draw the same key at
-// once, the first insert wins and both copies are identical.
-func (r *Resident) row(key uint64) *[BlocksPerRow]bits.Line {
-	r.mu.Lock()
-	d := r.rows[key]
-	r.mu.Unlock()
-	if d != nil {
-		return d
+// image returns the row's image in the given form. A raw image is drawn;
+// a shifted image is derived from the raw one, which a shared Resident
+// then retains too. A shared Resident builds each image once: concurrent
+// requesters of an image in construction wait for it.
+func (r *Resident) image(row uint64, shifted bool) *image {
+	if r.images == nil {
+		return r.build(row, shifted)
 	}
-	d = new([BlocksPerRow]bits.Line)
-	drawRow(d, r.level, r.seed, key)
+	k := imageKey{row, shifted}
 	r.mu.Lock()
-	if prev := r.rows[key]; prev != nil {
-		d = prev
+	e := r.images[k]
+	if e == nil {
+		e = new(imageEntry)
+		r.images[k] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() { e.img = r.build(row, shifted) })
+	return e.img
+}
+
+// build draws and accounts a row's image in the given form.
+func (r *Resident) build(row uint64, shifted bool) *image {
+	img := new(image)
+	if shifted {
+		raw := r.image(row, false)
+		for b := range img.data {
+			img.data[b] = bits.Shifted(raw.data[b], b)
+		}
+		img.unshifted = raw.counters
 	} else {
-		r.rows[key] = d
+		drawRow(&img.data, r.level, r.seed, row)
 	}
-	r.mu.Unlock()
-	return d
-}
-
-// fill copies the row's resident content into dst.
-func (r *Resident) fill(dst *[BlocksPerRow]bits.Line, key uint64) {
-	if r.rows == nil {
-		drawRow(dst, r.level, r.seed, key)
-		return
-	}
-	*dst = *r.row(key)
+	img.counters = countRow(&img.data)
+	return img
 }
 
 // residentParams returns the per-level bit statistics: hotDraws is the

@@ -9,42 +9,103 @@ import (
 	"ladder/internal/metrics"
 )
 
-// rowState holds the stored content of one wordline group plus exact
-// per-wordline LRS counters, maintained incrementally. Wordline m of the
-// group stores byte m of every block mapped to the group, so
-// counters[m] = Σ_blocks popcount(block[m]).
+// rowState is one store's view of a wordline group: the resident image
+// it was materialized from, the blocks this store wrote since, and exact
+// per-wordline LRS counters over the combination, maintained
+// incrementally. Wordline m of the group stores byte m of every block
+// mapped to the group, so counters[m] = Σ_blocks popcount(block[m]).
 type rowState struct {
-	data [BlocksPerRow]bits.Line
+	img *image
+	// own holds the blocks this store wrote; a nil slot reads img's block.
+	own [BlocksPerRow]*bits.Line
 	// counters[m] counts the LRS cells on wordline m of the group (range
 	// 0..512 for 64 blocks × 8 bits).
 	counters [BlockSize]uint16
 	// unshifted[m] counts the LRS cells wordline m would hold if every
-	// block were reverse-shifted into the raw bit layout — maintained
-	// incrementally only when the store tracks unshifted counters, so
-	// MaxRowCounterUnshifted (called on every Est/Hybrid dispatch) avoids
-	// re-deriving 64 reverse shifts per call.
+	// block were reverse-shifted into the raw bit layout — maintained only
+	// in a shifted store, so MaxRowCounterUnshifted (called on every
+	// Est/Hybrid dispatch) avoids re-deriving 64 reverse shifts per call.
 	unshifted [BlockSize]uint16
 	// writes counts block writes landing in this row (wear tracking).
 	writes uint64
 }
 
-// matCols is the number of bitlines per mat.
-const matCols = 512
+// block returns the stored content of a slot.
+func (r *rowState) block(slot int) *bits.Line {
+	if b := r.own[slot]; b != nil {
+		return b
+	}
+	return &r.img.data[slot]
+}
 
-// colState tracks exact per-bitline LRS counts for one mat group: 64 mats
-// × 512 bitlines, counting over the MatRows wordlines of the group. The
-// BLP baseline's profiling circuitry exposes these for free.
-type colState [BlockSize][matCols]uint16
+// slotCols counts the LRS cells on the 8 bitlines one block slot selects
+// in each of a mat group's 64 mats: slotCols[mat][k] covers bitline
+// slot*8+k, over the MatRows wordlines of the group.
+type slotCols [BlockSize][8]uint16
 
-// Store is a sparse model of the ReRAM content: rows are allocated on
-// first write. Untouched memory reads as zero (all HRS), which matches a
-// freshly initialized device.
+// colGroup is the per-bitline LRS state of one mat group, which the BLP
+// baseline's profiling circuitry exposes for free. It lists the group's
+// materialized rows and counts a slot's bitlines only once a readout
+// selects them, so a run pays for the bitlines BLP reads rather than for
+// all 64 × 512 of every group it touches.
+type colGroup struct {
+	rows  []*rowState
+	slots [BlocksPerRow]*slotCols
+}
+
+// addBlock adds a block's LRS cells to the counts of its slot's bitlines.
+func (sc *slotCols) addBlock(blk *bits.Line) {
+	for w := 0; w < BlockSize/8; w++ {
+		for word := binary.LittleEndian.Uint64(blk[w*8:]); word != 0; word &= word - 1 {
+			i := mbits.TrailingZeros64(word)
+			sc[w*8+i>>3][i&7]++
+		}
+	}
+}
+
+// add lists a newly materialized row, counting it into every slot
+// already counted.
+func (g *colGroup) add(r *rowState) {
+	g.rows = append(g.rows, r)
+	for slot, sc := range g.slots {
+		if sc != nil {
+			sc.addBlock(r.block(slot))
+		}
+	}
+}
+
+// counted returns the counts of a slot's bitlines, nil while no readout
+// has selected them (or, for a nil group, when tracking is off).
+func (g *colGroup) counted(slot int) *slotCols {
+	if g == nil {
+		return nil
+	}
+	return g.slots[slot]
+}
+
+// slot returns the counts of a slot's bitlines, counting the group's rows
+// on first use.
+func (g *colGroup) slot(slot int) *slotCols {
+	sc := g.slots[slot]
+	if sc == nil {
+		sc = new(slotCols)
+		for _, r := range g.rows {
+			sc.addBlock(r.block(slot))
+		}
+		g.slots[slot] = sc
+	}
+	return sc
+}
+
+// Store is a sparse model of the ReRAM content: rows are materialized on
+// first touch. Untouched memory reads as zero (all HRS), which matches a
+// freshly initialized device, unless resident data is configured.
 type Store struct {
 	geom Geometry
 	rows map[uint64]*rowState
 	// cols tracks per-bitline LRS counts, keyed by mat-group id
 	// (globalRow / MatRows), allocated lazily.
-	cols map[uint64]*colState
+	cols map[uint64]*colGroup
 	// totalWrites counts all block writes for wear statistics.
 	totalWrites uint64
 	// writtenRows counts rows with at least one block write.
@@ -54,20 +115,17 @@ type Store struct {
 	// the per-bank wear view of the run report. Entries are nil
 	// (counting nothing) until Instrument.
 	bankWrites []*metrics.Counter
-	// resident supplies synthetic resident rows (SetResident,
+	// resident supplies the images of resident rows (SetResident,
 	// UseResident); nil means a fresh all-HRS device.
 	resident *Resident
-	// residentTransform stores resident blocks through the scheme's
-	// datapath (SetResidentTransform).
-	residentTransform func(slot int, l bits.Line) bits.Line
+	// shifted marks a store behind the shifting datapath
+	// (UseShiftedDatapath).
+	shifted bool
 	// trackCols enables per-bitline LRS maintenance. Only the BLP
 	// baseline's profiling readout (MaxSelectedColCount) consumes it, and
 	// the bookkeeping touches every changed bit of every write, so runs of
 	// other schemes switch it off.
 	trackCols bool
-	// trackUnshifted enables incremental unshifted per-wordline counters
-	// (see rowState.unshifted).
-	trackUnshifted bool
 }
 
 // NewStore returns an empty content store over the given geometry.
@@ -78,7 +136,7 @@ func NewStore(g Geometry) (*Store, error) {
 	return &Store{
 		geom:       g,
 		rows:       make(map[uint64]*rowState),
-		cols:       make(map[uint64]*colState),
+		cols:       make(map[uint64]*colGroup),
 		bankWrites: make([]*metrics.Counter, g.Banks()),
 		trackCols:  true,
 	}, nil
@@ -98,17 +156,20 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 }
 
 // SetColumnTracking switches per-bitline LRS maintenance on or off. It
-// must be called before the first write: counts accumulated while
-// tracking was off are not reconstructed. Tracking defaults to on;
-// simulation runs disable it for every scheme but BLP.
+// must be called before the first touch: rows materialized while
+// tracking was off are not counted. Tracking defaults to on; simulation
+// runs disable it for every scheme but BLP.
 func (s *Store) SetColumnTracking(on bool) { s.trackCols = on }
 
-// TrackUnshiftedCounters enables incremental per-wordline counters over
-// the reverse-shifted bit layout, turning MaxRowCounterUnshifted from a
-// 64-block reverse-shift scan into a counter max. Like SetColumnTracking
-// it must be enabled before the first write; shifting schemes (Est,
-// Hybrid) enable it at construction.
-func (s *Store) TrackUnshiftedCounters() { s.trackUnshifted = true }
+// UseShiftedDatapath puts the store behind LADDER-Est's intra-line bit
+// shifting datapath (Est and Hybrid call it at construction). Resident
+// data written before the simulation window was stored through the same
+// datapath, so resident rows are stored shifted. The store also keeps
+// per-wordline counters over the reverse-shifted bit layout, turning
+// MaxRowCounterUnshifted from a 64-block reverse-shift scan into a
+// counter max. Like SetColumnTracking it must be called before the first
+// touch.
+func (s *Store) UseShiftedDatapath() { s.shifted = true }
 
 // SetResident enables synthetic resident data: when a wordline group is
 // first touched, every block is filled with structured pseudo-random
@@ -123,8 +184,8 @@ func (s *Store) TrackUnshiftedCounters() { s.trackUnshifted = true }
 // mostly zero. Level selects overall density: 1 ≈ dense (FP-heavy), 2 ≈
 // typical, 3 ≈ sparse (integer/pointer-heavy). Level 0 disables prefill.
 //
-// The store draws each row privately; UseResident shares rows drawn once
-// across stores instead.
+// The store builds each row privately and retains it only in its own
+// view; UseResident shares rows built once across stores instead.
 func (s *Store) SetResident(level int, seed uint64) {
 	s.resident = nil
 	if level > 0 {
@@ -133,18 +194,10 @@ func (s *Store) SetResident(level int, seed uint64) {
 }
 
 // UseResident takes resident data from a shared Resident (see NewResident):
-// the store copies each row it touches from r, so stores of one (level,
-// seed) draw every row once between them. A nil r disables prefill.
+// the store reads each row it touches through a view of r's image, so
+// stores of one (level, seed) build every row once between them. A nil r
+// disables prefill.
 func (s *Store) UseResident(r *Resident) { s.resident = r }
-
-// SetResidentTransform installs the controller datapath's storage
-// transform (e.g. LADDER-Est's intra-line bit shifting): under a scheme
-// that transforms lines before storing them, resident data written before
-// the simulation window would have been stored in transformed form too.
-// The transform receives the block's slot within its wordline group.
-func (s *Store) SetResidentTransform(f func(slot int, l bits.Line) bits.Line) {
-	s.residentTransform = f
-}
 
 // perBytePop returns the popcount of every byte of x in the corresponding
 // byte lane of the result (each lane holds 0..8).
@@ -169,9 +222,27 @@ func flushLanes(dst *[BlockSize]uint16, acc *[BlockSize / 8]uint64) {
 	}
 }
 
-// EnsureRow allocates (and prefills, when resident data is enabled) the
-// wordline group containing the line. The memory controller calls this on
-// first reference so metadata initialization observes resident content.
+// countRow returns the per-wordline LRS counters of a row's blocks.
+// Per-byte popcounts accumulate in byte lanes, flushed to the uint16
+// counters before a lane can carry.
+func countRow(data *[BlocksPerRow]bits.Line) [BlockSize]uint16 {
+	var counters [BlockSize]uint16
+	var acc [BlockSize / 8]uint64
+	for b := range data {
+		for w := 0; w < BlockSize/8; w++ {
+			acc[w] += perBytePop(binary.LittleEndian.Uint64(data[b][w*8:]))
+		}
+		if (b+1)%laneFlushBlocks == 0 || b == BlocksPerRow-1 {
+			flushLanes(&counters, &acc)
+		}
+	}
+	return counters
+}
+
+// EnsureRow materializes (with its resident content, when resident data
+// is enabled) the wordline group containing the line. The memory
+// controller calls this on first reference so metadata initialization
+// observes resident content.
 func (s *Store) EnsureRow(line uint64) error {
 	loc, err := s.geom.Decode(line)
 	if err != nil {
@@ -181,74 +252,31 @@ func (s *Store) EnsureRow(line uint64) error {
 	return nil
 }
 
-// ensure returns the row state, allocating and prefilling on first touch.
+// ensure returns the row's view, materializing it on first touch: the
+// view starts from the row's image and its counters.
 func (s *Store) ensure(key uint64) *rowState {
 	if r := s.rows[key]; r != nil {
 		return r
 	}
-	r := &rowState{}
-	s.rows[key] = r
+	img := zeroImage
 	if s.resident != nil {
-		s.resident.fill(&r.data, key)
-		var cs *colState
-		if s.trackCols {
-			cs = s.colsOf(key)
+		img = s.resident.image(key, s.shifted)
+	}
+	r := &rowState{img: img, counters: img.counters, unshifted: img.unshifted}
+	s.rows[key] = r
+	if s.trackCols {
+		g := s.cols[s.matGroup(key)]
+		if g == nil {
+			g = new(colGroup)
+			s.cols[s.matGroup(key)] = g
 		}
-		s.account(r, cs)
+		g.add(r)
 	}
 	return r
 }
 
-// colsOf returns the column state of the row's mat group, allocating it on
-// first use.
-func (s *Store) colsOf(key uint64) *colState {
-	matGroup := key / uint64(s.geom.MatRows)
-	cs := s.cols[matGroup]
-	if cs == nil {
-		cs = &colState{}
-		s.cols[matGroup] = cs
-	}
-	return cs
-}
-
-// account stores a freshly drawn row through the datapath transform and
-// adds it to the row's counters (and to cs, the mat group's column state,
-// when non-nil).
-func (s *Store) account(r *rowState, cs *colState) {
-	// Per-byte popcounts of the stored (and unshifted) words accumulate in
-	// byte lanes, flushed to the uint16 counters before a lane can carry.
-	var acc, accRaw [BlockSize / 8]uint64
-	for b := 0; b < BlocksPerRow; b++ {
-		blk := &r.data[b]
-		if s.residentTransform != nil {
-			*blk = s.residentTransform(b, *blk)
-		}
-		var raw bits.Line
-		if s.trackUnshifted {
-			raw = bits.Unshifted(*blk, b)
-		}
-		base := b * 8
-		for w := 0; w < BlockSize/8; w++ {
-			word := binary.LittleEndian.Uint64(blk[w*8:])
-			acc[w] += perBytePop(word)
-			if s.trackUnshifted {
-				accRaw[w] += perBytePop(binary.LittleEndian.Uint64(raw[w*8:]))
-			}
-			if cs != nil {
-				for ; word != 0; word &= word - 1 {
-					i := mbits.TrailingZeros64(word)
-					cs[w*8+i>>3][base+i&7]++
-				}
-			}
-		}
-		if (b+1)%laneFlushBlocks == 0 || b == BlocksPerRow-1 {
-			flushLanes(&r.counters, &acc)
-			if s.trackUnshifted {
-				flushLanes(&r.unshifted, &accRaw)
-			}
-		}
-	}
-}
+// matGroup returns the mat group of a global row.
+func (s *Store) matGroup(key uint64) uint64 { return key / uint64(s.geom.MatRows) }
 
 // Geometry returns the store's geometry.
 func (s *Store) Geometry() Geometry { return s.geom }
@@ -266,7 +294,7 @@ func (s *Store) Read(line uint64) (bits.Line, error) {
 	if r == nil {
 		return bits.Line{}, nil
 	}
-	return r.data[loc.Slot], nil
+	return *r.block(loc.Slot), nil
 }
 
 // Write stores new content at the line address and returns the previous
@@ -278,7 +306,7 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 	}
 	key := s.geom.GlobalRow(loc)
 	r := s.ensure(key)
-	old = r.data[loc.Slot]
+	old = *r.block(loc.Slot)
 	for m := 0; m < BlockSize; m++ {
 		if old[m] == data[m] {
 			continue
@@ -287,22 +315,23 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 		r.counters[m] = uint16(int(r.counters[m]) + delta)
 	}
 	if s.trackCols {
-		// Update per-bitline counters for the changed bits.
-		cs := s.colsOf(key)
-		base := loc.Slot * 8
-		for m := 0; m < BlockSize; m++ {
-			changed := old[m] ^ data[m]
-			for v := changed; v != 0; v &= v - 1 {
-				k := mbits.TrailingZeros8(v)
-				if data[m]&(1<<uint(k)) != 0 {
-					cs[m][base+k]++
-				} else {
-					cs[m][base+k]--
+		// Update the selected bitlines' counts for the changed bits, once
+		// a readout has counted them.
+		if sc := s.cols[s.matGroup(key)].counted(loc.Slot); sc != nil {
+			for m := 0; m < BlockSize; m++ {
+				changed := old[m] ^ data[m]
+				for v := changed; v != 0; v &= v - 1 {
+					k := mbits.TrailingZeros8(v)
+					if data[m]&(1<<uint(k)) != 0 {
+						sc[m][k]++
+					} else {
+						sc[m][k]--
+					}
 				}
 			}
 		}
 	}
-	if s.trackUnshifted {
+	if s.shifted {
 		rawOld := bits.Unshifted(old, loc.Slot)
 		rawNew := bits.Unshifted(data, loc.Slot)
 		for m := 0; m < BlockSize; m++ {
@@ -313,7 +342,11 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 			r.unshifted[m] = uint16(int(r.unshifted[m]) + delta)
 		}
 	}
-	r.data[loc.Slot] = data
+	if r.own[loc.Slot] == nil {
+		// The block's first write: the view stops reading the image.
+		r.own[loc.Slot] = new(bits.Line)
+	}
+	*r.own[loc.Slot] = data
 	if r.writes == 0 {
 		s.writtenRows++
 	}
@@ -331,15 +364,14 @@ func (s *Store) MaxSelectedColCount(line uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cs := s.cols[s.geom.GlobalRow(loc)/uint64(s.geom.MatRows)]
-	if cs == nil {
+	g := s.cols[s.matGroup(s.geom.GlobalRow(loc))]
+	if g == nil {
 		return 0, nil
 	}
-	base := loc.Slot * 8
 	m := uint16(0)
-	for mat := 0; mat < BlockSize; mat++ {
-		for k := 0; k < 8; k++ {
-			if c := cs[mat][base+k]; c > m {
+	for _, mat := range g.slot(loc.Slot) {
+		for _, c := range mat {
+			if c > m {
 				m = c
 			}
 		}
@@ -360,7 +392,7 @@ func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
 	if r == nil {
 		return 0, nil
 	}
-	if s.trackUnshifted {
+	if s.shifted {
 		m := uint16(0)
 		for _, c := range r.unshifted {
 			if c > m {
@@ -369,9 +401,15 @@ func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
 		}
 		return int(m), nil
 	}
+	return scanUnshifted(r), nil
+}
+
+// scanUnshifted derives the row's maximum unshifted-layout wordline
+// count by reverse-shifting every block.
+func scanUnshifted(r *rowState) int {
 	var counters [BlockSize]int
 	for b := 0; b < BlocksPerRow; b++ {
-		raw := bits.Unshifted(r.data[b], b)
+		raw := bits.Unshifted(*r.block(b), b)
 		for m := 0; m < BlockSize; m++ {
 			counters[m] += mbits.OnesCount8(raw[m])
 		}
@@ -382,7 +420,7 @@ func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
 			max = c
 		}
 	}
-	return max, nil
+	return max
 }
 
 // RowCounters returns a copy of the exact per-wordline LRS counters of the
@@ -397,6 +435,31 @@ func (s *Store) RowCounters(line uint64) ([BlockSize]uint16, error) {
 		return [BlockSize]uint16{}, nil
 	}
 	return r.counters, nil
+}
+
+// RowCodes returns the partial-counter code of every block of the
+// wordline group containing the line, materializing the group as
+// EnsureRow does: bits.EncodeLowPrecision codes when low is set,
+// bits.EncodePartial codes otherwise. Blocks the store has not written
+// take their image's precomputed codes; written blocks are encoded.
+// LADDER-Est and LADDER-Hybrid build their boot-time metadata from these.
+func (s *Store) RowCodes(line uint64, low bool) ([BlocksPerRow]uint8, error) {
+	loc, err := s.geom.Decode(line)
+	if err != nil {
+		return [BlocksPerRow]uint8{}, err
+	}
+	r := s.ensure(s.geom.GlobalRow(loc))
+	codes := *r.img.blockCodes(low)
+	for slot, blk := range r.own {
+		switch {
+		case blk == nil:
+		case low:
+			codes[slot] = bits.EncodeLowPrecision(blk)
+		default:
+			codes[slot] = bits.EncodePartial(blk)
+		}
+	}
+	return codes, nil
 }
 
 // MaxRowCounter returns the exact worst-wordline LRS count C^w_lrs of the
@@ -428,12 +491,10 @@ func (s *Store) RecountRow(line uint64) ([BlockSize]uint16, error) {
 	if r == nil {
 		return out, nil
 	}
-	for m := 0; m < BlockSize; m++ {
-		total := 0
-		for b := 0; b < BlocksPerRow; b++ {
-			total += mbits.OnesCount8(r.data[b][m])
+	for b := 0; b < BlocksPerRow; b++ {
+		for m, c := range r.block(b) {
+			out[m] += uint16(mbits.OnesCount8(c))
 		}
-		out[m] = uint16(total)
 	}
 	return out, nil
 }

@@ -33,15 +33,25 @@ func refHotByte(rng *refSplitmix, hotDraws int) byte {
 	}
 }
 
+// refRow is a reference prefill's result: the stored blocks and their
+// wordline and unshifted counters.
+type refRow struct {
+	data                [BlocksPerRow]bits.Line
+	counters, unshifted [BlockSize]uint16
+}
+
 // referencePrefill is resident prefill written the plain way: one byte at
-// a time, each stored byte read back and counted bit by bit into the
-// wordline, unshifted and column counters. drawRow assembles words and
-// Store.account counts them with SWAR popcounts; together they must agree
-// with this bit for bit and leave the generator in the same state. It
-// returns that state.
-func referencePrefill(s *Store, r *rowState, cs *colState, key uint64) uint64 {
-	rng := &refSplitmix{x: s.resident.seed ^ key*0x9e3779b97f4a7c15}
-	hotDraws, coldOdds := residentParams(s.resident.level)
+// a time, each stored byte (shifted first for a shifted store) read back
+// and counted bit by bit into the wordline, unshifted and column
+// counters. drawRow assembles words, and a Resident's images count them
+// with SWAR popcounts and derive the shifted form from the raw one; a
+// store's view of an image must agree with this bit for bit, and drawRow
+// must leave the generator in the same state. referencePrefill returns
+// the row and that state, adding the row's bits to cs when non-nil.
+func referencePrefill(level int, seed, key uint64, shifted bool, cs *colState) (refRow, uint64) {
+	var r refRow
+	rng := &refSplitmix{x: seed ^ key*0x9e3779b97f4a7c15}
+	hotDraws, coldOdds := residentParams(level)
 	coldMask := coldOdds - 1
 	var hotPos [BlockSize / 8]int
 	for w := range hotPos {
@@ -60,8 +70,8 @@ func referencePrefill(s *Store, r *rowState, cs *colState, key uint64) uint64 {
 				r.data[b][pos] = v
 			}
 		}
-		if s.residentTransform != nil {
-			r.data[b] = s.residentTransform(b, r.data[b])
+		if shifted {
+			r.data[b] = bits.Shifted(r.data[b], b)
 		}
 		base := b * 8
 		for m := 0; m < BlockSize; m++ {
@@ -73,46 +83,60 @@ func referencePrefill(s *Store, r *rowState, cs *colState, key uint64) uint64 {
 				}
 			}
 		}
-		if s.trackUnshifted {
+		if shifted {
 			raw := bits.Unshifted(r.data[b], b)
 			for m := 0; m < BlockSize; m++ {
 				r.unshifted[m] += uint16(mbits.OnesCount8(raw[m]))
 			}
 		}
 	}
-	return rng.x
+	return r, rng.x
 }
 
-// TestPrefillMatchesReference prefills the same rows with drawRow followed
-// by Store.account and with referencePrefill, at every resident level and
-// store configuration, and compares data, counters, column state and the
-// generator state left behind, row by row.
+// TestPrefillMatchesReference materializes the same rows through a
+// store's view of resident images and with referencePrefill, at every
+// resident level and store configuration, and compares data, counters,
+// column state and the generator state drawRow leaves behind, row by
+// row.
 func TestPrefillMatchesReference(t *testing.T) {
+	const seed = 0xc0ffee
 	for level := 1; level <= 4; level++ {
 		for _, mode := range residentModes {
 			t.Run(fmt.Sprintf("level=%d/%s", level, mode), func(t *testing.T) {
-				fast := residentStore(t, level, 0xc0ffee, mode)
-				ref := residentStore(t, level, 0xc0ffee, mode)
-				var fastCols, refCols colState
+				s := residentStore(t, level, seed, mode)
+				refCols := map[uint64]*colState{}
 				for i := uint64(0); i < 64; i++ {
 					key := i*i*7919 + i
-					var fr, rr rowState
-					var fc, rc *colState
+					var cs *colState
 					if mode == "columns" {
-						fc, rc = &fastCols, &refCols
+						g := key / uint64(s.geom.MatRows)
+						if refCols[g] == nil {
+							refCols[g] = new(colState)
+						}
+						cs = refCols[g]
 					}
-					fx := drawRow(&fr.data, level, 0xc0ffee, key)
-					fast.account(&fr, fc)
-					rx := referencePrefill(ref, &rr, rc, key)
-					if fr != rr {
+					want, rx := referencePrefill(level, seed, key, mode == "shifted", cs)
+					r := s.ensure(key)
+					var got refRow
+					for b := range got.data {
+						got.data[b] = *r.block(b)
+					}
+					got.counters, got.unshifted = r.counters, r.unshifted
+					if got != want {
 						t.Fatalf("row %d: prefill differs from the reference", key)
 					}
-					if fx != rx {
+					var drawn [BlocksPerRow]bits.Line
+					if fx := drawRow(&drawn, level, seed, key); fx != rx {
 						t.Fatalf("row %d: generator state %#x after prefill, reference %#x (draw count changed)", key, fx, rx)
 					}
 				}
-				if fastCols != refCols {
-					t.Fatal("column state differs from the reference")
+				if len(s.cols) != len(refCols) {
+					t.Fatalf("%d mat groups hold column state, reference %d", len(s.cols), len(refCols))
+				}
+				for g, want := range refCols {
+					if *groupCols(s.cols[g]) != *want {
+						t.Fatalf("mat group %d: column state differs from the reference", g)
+					}
 				}
 			})
 		}

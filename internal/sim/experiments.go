@@ -297,8 +297,9 @@ func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell
 	return results, nil
 }
 
-// Baseline returns a workload's baseline result; RunGrid callers must
-// include SchemeBaseline for the normalized views to work.
+// baseline returns a workload's baseline result, nil when the grid did
+// not run SchemeBaseline. The views normalized to it (WriteServiceTime,
+// ReadLatency, Speedup, DynamicEnergy) then report 0 for every cell.
 func (g *Grid) baseline(workload string) *Result {
 	return g.Results[workload][SchemeBaseline]
 }
@@ -310,18 +311,25 @@ type Row struct {
 }
 
 // rows applies a per-result metric, normalized by the baseline metric
-// when norm is set.
+// when norm is set (0 for every cell of a workload without a baseline).
 func (g *Grid) rows(metric func(*Result) float64, norm bool) []Row {
 	out := make([]Row, 0, len(g.Workloads))
 	for _, w := range g.Workloads {
 		r := Row{Workload: w, Values: make(map[string]float64)}
-		base := 1.0
+		base, noBase := 1.0, false
 		if norm {
-			base = metric(g.baseline(w))
+			b := g.baseline(w)
+			noBase = b == nil
+			if !noBase {
+				base = metric(b)
+			}
 		}
 		for _, s := range g.Schemes {
 			v := metric(g.Results[w][s])
-			if norm && base > 0 {
+			switch {
+			case noBase:
+				v = 0
+			case norm && base > 0:
 				v /= base
 			}
 			r.Values[s] = v
@@ -397,8 +405,10 @@ type EnergySplit struct {
 func (g *Grid) DynamicEnergy() []EnergySplit {
 	out := make([]EnergySplit, 0, len(g.Workloads))
 	for _, w := range g.Workloads {
-		base := g.baseline(w)
-		total := base.ReadNJ + base.WriteNJ
+		total := 0.0
+		if base := g.baseline(w); base != nil {
+			total = base.ReadNJ + base.WriteNJ
+		}
 		es := EnergySplit{Workload: w, Read: map[string]float64{}, Write: map[string]float64{}}
 		for _, s := range g.Schemes {
 			r := g.Results[w][s]

@@ -115,6 +115,54 @@ func TestStudyGeometryEditGetsOwnTapes(t *testing.T) {
 	}
 }
 
+// TestGridViewsWithoutBaseline calls every Grid view on a grid run
+// without SchemeBaseline: the views normalized to the baseline report 0
+// for every cell, and the others report the scheme's own values.
+func TestGridViewsWithoutBaseline(t *testing.T) {
+	opts := parallelGridOptions(t)
+	opts.Workloads = []string{"astar"}
+	opts.Jobs = 1
+	g, err := RunGrid(opts, []string{SchemeHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalized := map[string]func() []Row{
+		"WriteServiceTime": g.WriteServiceTime,
+		"ReadLatency":      g.ReadLatency,
+		"Speedup":          g.Speedup,
+	}
+	for name, view := range normalized {
+		for _, r := range view() {
+			if v, ok := r.Values[SchemeHybrid]; !ok || v != 0 {
+				t.Errorf("%s without a baseline: %s = %v (present %v), want 0", name, r.Workload, v, ok)
+			}
+		}
+	}
+	for _, es := range g.DynamicEnergy() {
+		if es.Read[SchemeHybrid] != 0 || es.Write[SchemeHybrid] != 0 {
+			t.Errorf("DynamicEnergy without a baseline: %s = %v / %v, want 0", es.Workload, es.Read, es.Write)
+		}
+	}
+	own := map[string]func() []Row{
+		"ExtraReads":       g.ExtraReads,
+		"ExtraWrites":      g.ExtraWrites,
+		"CounterDiffs":     g.CounterDiffs,
+		"RelativeLifetime": g.RelativeLifetime,
+		"FNWCancellation":  g.FNWCancellation,
+	}
+	for name, view := range own {
+		if rows := view(); len(rows) != 1 {
+			t.Errorf("%s: %d rows, want 1", name, len(rows))
+		}
+	}
+	if rl := g.RelativeLifetime()[0].Values[SchemeHybrid]; rl <= 0 {
+		t.Errorf("RelativeLifetime without a baseline = %v, want the scheme's own value", rl)
+	}
+	if _, err := NewGridReport(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunGridCanonicalizesSchemeNames checks that a grid keys its
 // results by the registered scheme names, so the normalized views find
 // the baseline however the caller spelled it, and that it rejects an

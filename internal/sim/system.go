@@ -469,8 +469,8 @@ const progressSpanCount = 64
 // warm is the warm phase: it configures resident data, which the store
 // prefills into each wordline group on first touch, so touched groups
 // carry realistic ones-density before the first write arrives. A grid
-// cell takes its rows from the grid's shared pool (drawn once per grid);
-// a solo run draws them privately.
+// cell views row images from the grid's shared pool (built once per
+// grid); a solo run builds them privately.
 func (s *System) warm() error {
 	cfg := s.cfg
 	if cfg.ResidentLevel <= 0 {
