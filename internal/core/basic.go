@@ -27,15 +27,9 @@ func NewBasicCache(env *Env, cacheCfg MetaCacheConfig) (*Basic, error) {
 	// Boot-time metadata: exact counters of the covered wordline group.
 	b.cache.SetInitializer(func(key uint64) MetaLine {
 		globalRow, half := key/2, int(key%2)
-		base := env.Geom.RowBaseLine(globalRow)
+		env.Store.EnsureRow(globalRow)
+		counters := env.Store.RowCounters(globalRow)
 		var ml MetaLine
-		if err := env.Store.EnsureRow(base); err != nil {
-			return ml
-		}
-		counters, err := env.Store.RowCounters(base)
-		if err != nil {
-			return ml
-		}
 		for i := 0; i < 32; i++ {
 			binary.LittleEndian.PutUint16(ml[i*2:], counters[half*32+i])
 		}
@@ -120,22 +114,20 @@ func (s *Basic) Latency(req *WriteRequest) float64 {
 // the cached counter group is updated to the device's true per-wordline
 // counts.
 func (s *Basic) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteback {
-	counters, err := s.env.Store.RowCounters(req.Line)
-	if err == nil {
-		for half := 0; half < 2; half++ {
-			line := s.cache.Data(req.MetaKeys[half])
-			if line == nil {
-				continue
-			}
-			for i := 0; i < 32; i++ {
-				binary.LittleEndian.PutUint16(line[i*2:], counters[half*32+i])
-			}
-			s.cache.MarkDirty(req.MetaKeys[half])
+	counters := s.env.Store.RowCounters(s.env.Geom.GlobalRow(req.Loc))
+	for half := 0; half < 2; half++ {
+		line := s.cache.Data(req.MetaKeys[half])
+		if line == nil {
+			continue
 		}
+		for i := 0; i < 32; i++ {
+			binary.LittleEndian.PutUint16(line[i*2:], counters[half*32+i])
+		}
+		s.cache.MarkDirty(req.MetaKeys[half])
 	}
 	s.release(req)
 	return nil
 }
 
 // DecodeRead implements Scheme (Basic stores lines unshifted).
-func (s *Basic) DecodeRead(_ uint64, payload bits.Line) bits.Line { return payload }
+func (s *Basic) DecodeRead(_ reram.Location, payload bits.Line) bits.Line { return payload }

@@ -427,7 +427,7 @@ func TestBasicLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Complete(req, old, req.Payload)
-	counters, _ := env.Store.RowCounters(req.Line)
+	counters := env.Store.RowCounters(env.Geom.GlobalRow(req.Loc))
 	got, ok := s.maxCounter(req.MetaKeys)
 	if !ok {
 		t.Fatal("metadata lines should still be cached")
@@ -503,7 +503,7 @@ func TestEstLifecycleAndEstimateSound(t *testing.T) {
 	if _, err := env.Store.Write(req.Line, req.Payload); err != nil {
 		t.Fatal(err)
 	}
-	truth, _ := env.Store.MaxRowCounter(req.Line)
+	truth := env.Store.MaxRowCounter(env.Geom.GlobalRow(req.Loc))
 	if est < truth {
 		t.Fatalf("estimate %d below truth %d", est, truth)
 	}
@@ -524,7 +524,7 @@ func TestEstDecodeReadRoundTrip(t *testing.T) {
 	if req.Payload == data {
 		t.Fatal("est should shift the payload")
 	}
-	if got := s.DecodeRead(req.Line, req.Payload); got != data {
+	if got := s.DecodeRead(req.Loc, req.Payload); got != data {
 		t.Fatal("DecodeRead failed to invert the shift")
 	}
 }
@@ -563,27 +563,16 @@ func TestShiftingSchemeStoresResidentShifted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := shiftEnv.Store.EnsureRow(line); err != nil {
-			t.Fatal(err)
-		}
-		if err := rawEnv.Store.EnsureRow(line); err != nil {
-			t.Fatal(err)
-		}
-		stored, err := shiftEnv.Store.Read(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := rawEnv.Store.Read(line)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shiftEnv.Store.EnsureRow(shiftEnv.Geom.GlobalRow(loc))
+		rawEnv.Store.EnsureRow(rawEnv.Geom.GlobalRow(loc))
+		stored, raw := shiftEnv.Store.Read(loc), rawEnv.Store.Read(loc)
 		if raw != (bits.Line{}) {
 			resident++
 		}
 		if stored != bits.Shifted(raw, loc.Slot) {
 			t.Errorf("line %d: resident block not stored through the shift", line)
 		}
-		if got := withShift.DecodeRead(line, stored); got != raw {
+		if got := withShift.DecodeRead(loc, stored); got != raw {
 			t.Errorf("line %d: DecodeRead does not recover the resident content", line)
 		}
 	}
@@ -640,7 +629,7 @@ func TestHybridLowPrecisionPath(t *testing.T) {
 	if _, err := env.Store.Write(lowReq.Line, lowReq.Payload); err != nil {
 		t.Fatal(err)
 	}
-	truth, _ := env.Store.MaxRowCounter(lowReq.Line)
+	truth := env.Store.MaxRowCounter(env.Geom.GlobalRow(lowReq.Loc))
 	if est < truth {
 		t.Fatalf("low-precision estimate %d below truth %d", est, truth)
 	}

@@ -62,10 +62,7 @@ func newHybrid(env *Env, lowRows int, shifting bool, cacheCfg MetaCacheConfig) (
 // content of the wordline group.
 func estInitLine(env *Env, globalRow uint64) MetaLine {
 	var ml MetaLine
-	codes, err := env.Store.RowCodes(env.Geom.RowBaseLine(globalRow), false)
-	if err != nil {
-		return ml
-	}
+	codes := env.Store.RowCodes(globalRow, false)
 	copy(ml[:], codes[:])
 	return ml
 }
@@ -80,14 +77,11 @@ func hybridInitLine(env *Env, layout Layout, key uint64) MetaLine {
 	}
 	var ml MetaLine
 	for q, base := range layout.LowGroupLines(key) {
-		if base >= env.Geom.Lines() {
-			continue
-		}
-		codes, err := env.Store.RowCodes(base, true)
+		loc, err := env.Geom.Decode(base)
 		if err != nil {
-			return ml
+			continue // a group past the end of memory
 		}
-		for slot, c := range codes {
+		for slot, c := range env.Store.RowCodes(env.Geom.GlobalRow(loc), true) {
 			bi, sh := lowSlotBits(q, slot)
 			ml[bi] |= (c & 3) << sh
 		}
@@ -194,12 +188,8 @@ func (s *Hybrid) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteb
 
 // DecodeRead implements Scheme: reverse the bit shifting on processor
 // reads.
-func (s *Hybrid) DecodeRead(line uint64, payload bits.Line) bits.Line {
+func (s *Hybrid) DecodeRead(loc reram.Location, payload bits.Line) bits.Line {
 	if !s.shifting {
-		return payload
-	}
-	loc, err := s.env.Geom.Decode(line)
-	if err != nil {
 		return payload
 	}
 	return bits.Unshifted(payload, loc.Slot)

@@ -248,15 +248,12 @@ func payloadFor(data bits.Line, slot int, shifting bool) bits.Line {
 // stored pattern carries fewer worst-wordline ones than the raw layout
 // therefore records a negative difference, as in the paper's Figure 15b.
 func (b *ladderBase) recordCounterDiff(req *WriteRequest, estimated int, shifted bool) {
+	row := b.env.Geom.GlobalRow(req.Loc)
 	var accurate int
-	var err error
 	if shifted {
-		accurate, err = b.env.Store.MaxRowCounterUnshifted(req.Line)
+		accurate = b.env.Store.MaxRowCounterUnshifted(row)
 	} else {
-		accurate, err = b.env.Store.MaxRowCounter(req.Line)
-	}
-	if err != nil {
-		return
+		accurate = b.env.Store.MaxRowCounter(row)
 	}
 	b.run.CounterGap.Observe(float64(estimated - accurate))
 	switch {

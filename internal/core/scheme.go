@@ -150,9 +150,9 @@ type Scheme interface {
 	// (post-FNW content) over `old`. Schemes update their metadata here
 	// and return dirty evictions to enqueue as metadata writes.
 	Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteback
-	// DecodeRead converts a stored payload back to logical data (inverse
-	// of the controller datapath, used on processor reads).
-	DecodeRead(line uint64, payload bits.Line) bits.Line
+	// DecodeRead converts the payload stored at loc back to logical data
+	// (inverse of the controller datapath, used on processor reads).
+	DecodeRead(loc reram.Location, payload bits.Line) bits.Line
 	// UseConstrainedFNW reports whether the device must apply LADDER's
 	// ones-bounded FNW variant instead of classic FNW.
 	UseConstrainedFNW() bool

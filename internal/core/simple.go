@@ -3,6 +3,7 @@ package core
 import (
 	"ladder/internal/bits"
 	"ladder/internal/compress"
+	"ladder/internal/reram"
 )
 
 // simpleScheme covers every policy that needs no controller-side metadata
@@ -36,10 +37,7 @@ func NewLocationAware(env *Env) Scheme {
 // content-aware mechanism can achieve.
 func NewOracle(env *Env) Scheme {
 	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
-		c, err := e.Store.MaxRowCounter(req.Line)
-		if err != nil {
-			return e.Tables.WorstNs
-		}
+		c := e.Store.MaxRowCounter(e.Geom.GlobalRow(req.Loc))
 		req.Clrs = c
 		return e.Tables.WL.Lookup(req.Loc.WL, req.Loc.BLHigh, c)
 	}}
@@ -65,16 +63,13 @@ func NewSplitReset(env *Env) Scheme {
 // patterns, free of metadata traffic but requiring ReRAM chip changes —
 // the cost LADDER avoids. Following the original proposal, writes are
 // classified into a fast and a slow speed grade: when every selected
-// bitline's LRS count is at or below the half-full threshold, the write
+// bitline's LRS count is at or below the 3/4-full threshold, the write
 // uses the latency that is safe for that threshold; otherwise it falls
 // back to the worst case. (LADDER's contribution is precisely the finer,
 // 8-level content model.)
 func NewBLP(env *Env) Scheme {
 	return &simpleScheme{env: env, latency: func(e *Env, req *WriteRequest) float64 {
-		c, err := e.Store.MaxSelectedColCount(req.Line)
-		if err != nil {
-			return e.Tables.WorstNs
-		}
+		c := e.Store.MaxSelectedColCount(req.Loc)
 		// The fast grade must be safe for any pattern up to the
 		// classification threshold (3/4 full): profiling counts have to
 		// cover writes queued behind them, so the published design keeps
@@ -104,6 +99,6 @@ func (s *simpleScheme) Latency(req *WriteRequest) float64 { return s.latency(s.e
 
 func (s *simpleScheme) Complete(*WriteRequest, bits.Line, bits.Line) []MetaWriteback { return nil }
 
-func (s *simpleScheme) DecodeRead(_ uint64, payload bits.Line) bits.Line { return payload }
+func (s *simpleScheme) DecodeRead(_ reram.Location, payload bits.Line) bits.Line { return payload }
 
 func (s *simpleScheme) UseConstrainedFNW() bool { return false }

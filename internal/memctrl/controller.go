@@ -251,6 +251,8 @@ func (c *Controller) Trace(tr *tracing.Collector, channel int) {
 func (c *Controller) SetDecoder(d *remap.Decoder) { c.dec = d }
 
 // decode resolves a line address through the optional address decoder.
+// It runs once per request, at enqueue; every later step (the scheme,
+// the store, completion and verify) uses the Location it returns.
 func (c *Controller) decode(line uint64) (reram.Location, error) {
 	loc, err := c.env.Geom.Decode(line)
 	if err != nil {
@@ -377,9 +379,7 @@ func (c *Controller) EnqueueWrite(line uint64, data bits.Line, now uint64) bool 
 	}
 	// Materialize the wordline group (resident prefill) before the scheme
 	// inspects content or initializes metadata.
-	if err := c.env.Store.EnsureRow(line); err != nil {
-		return false
-	}
+	c.env.Store.EnsureRow(c.env.Geom.GlobalRow(loc))
 	req := c.newWriteReq()
 	req.Line, req.Loc, req.Data, req.EnqueueCycle, req.Clrs = line, loc, data, now, -1
 	if c.tr != nil {
@@ -546,11 +546,9 @@ func (c *Controller) finishRead(r *ReadReq, now uint64) {
 		}
 	case ReadSMB:
 		if r.Target != nil {
-			stored, err := c.env.Store.Read(r.Line)
-			if err == nil {
-				bits.FNWDecode(&stored, c.flips[r.Line])
-				c.scheme.SMBArrived(r.Target, stored)
-			}
+			stored := c.env.Store.Read(r.Loc)
+			bits.FNWDecode(&stored, c.flips[r.Line])
+			c.scheme.SMBArrived(r.Target, stored)
 		}
 	case ReadMeta:
 		c.scheme.MetaArrived(r.Line)
@@ -584,10 +582,7 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 	if c.tr != nil && req.TraceRef != 0 {
 		c.tr.End(req.TraceRef, now)
 	}
-	old, err := c.env.Store.Read(req.Line)
-	if err != nil {
-		return true
-	}
+	old := c.env.Store.Read(req.Loc)
 	enc := req.Payload
 	var res bits.FNWResult
 	if c.scheme.UseConstrainedFNW() {
@@ -596,9 +591,7 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 		res = bits.ClassicFNW(&old, &enc)
 	}
 	c.flips[req.Line] = res.Flips
-	if _, err := c.env.Store.Write(req.Line, enc); err != nil {
-		return true
-	}
+	c.env.Store.WriteAt(req.Loc, enc)
 	c.run.BitChanges.Add(uint64(res.BitChanges))
 	c.run.FNWFlips.Add(uint64(mathbits.OnesCount8(res.Flips)))
 	c.run.FNWCanceled.Add(uint64(res.Canceled))
@@ -610,9 +603,8 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 	// the fault model ever declares it permanently failed. Best-effort —
 	// an empty pool is not an error here.
 	if c.dec.ProactiveEnabled() {
-		if rowWrites, err := c.env.Store.RowWrites(req.Line); err == nil {
-			c.dec.MaybeRetire(c.bankOf(req.Loc), c.env.Geom.GlobalRow(req.Loc), rowWrites)
-		}
+		globalRow := c.env.Geom.GlobalRow(req.Loc)
+		c.dec.MaybeRetire(c.bankOf(req.Loc), globalRow, c.env.Store.RowWrites(globalRow))
 	}
 	c.routeWritebacks(c.scheme.Complete(req, old, enc), now)
 	c.retrySpill(now)
@@ -631,16 +623,9 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 // fails verify more often than LADDER-Basic's exact counters.
 func (c *Controller) verifyWrite(op busyOp, now uint64) bool {
 	req := op.write
-	needC, err := c.env.Store.MaxRowCounter(req.Line)
-	if err != nil {
-		return true
-	}
-	needNs := c.env.Tables.WL.Lookup(req.Loc.WL, req.Loc.BLHigh, needC)
-	rowWrites, err := c.env.Store.RowWrites(req.Line)
-	if err != nil {
-		return true
-	}
 	globalRow := c.env.Geom.GlobalRow(req.Loc)
+	needNs := c.env.Tables.WL.Lookup(req.Loc.WL, req.Loc.BLHigh, c.env.Store.MaxRowCounter(globalRow))
+	rowWrites := c.env.Store.RowWrites(globalRow)
 	// Wear on a remapped row's fresh spare counts from the remap point:
 	// the decoder owns the baseline, the injector only sees effective
 	// writes.
@@ -848,12 +833,15 @@ func (c *Controller) issueWrites(now uint64) bool {
 
 // ReadLineLogical performs an immediate functional read (no timing):
 // stored bits through the FNW bridge and the scheme's datapath decode.
-// Used by verification paths and examples.
+// Used by verification paths and examples. It decodes the line without
+// the address decoder: the store keys on the global row and slot, which
+// the decoder's wordline rotation leaves unchanged (docs/REMAP.md).
 func (c *Controller) ReadLineLogical(line uint64) (bits.Line, error) {
-	stored, err := c.env.Store.Read(line)
+	loc, err := c.env.Geom.Decode(line)
 	if err != nil {
 		return bits.Line{}, err
 	}
+	stored := c.env.Store.Read(loc)
 	bits.FNWDecode(&stored, c.flips[line])
-	return c.scheme.DecodeRead(line, stored), nil
+	return c.scheme.DecodeRead(loc, stored), nil
 }

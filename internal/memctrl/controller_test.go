@@ -2,6 +2,8 @@ package memctrl
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -566,16 +568,57 @@ func TestControllerFuzzInvariants(t *testing.T) {
 				}
 			}
 			// The incremental LRS counters must still agree with a recount.
-			inc, err := h.env.Store.RowCounters(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, err := h.env.Store.RecountRow(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inc != rec {
+			if h.env.Store.RowCounters(0) != h.env.Store.RecountRow(0) {
 				t.Fatal("row counters diverged from recount after fuzz")
+			}
+		})
+	}
+}
+
+// TestEnqueueRejectsOutOfRangeLine: the controller's enqueue is where a
+// line address is decoded, so an address past capacity is turned away
+// there, before it reaches a queue, a traffic counter or the store.
+func TestEnqueueRejectsOutOfRangeLine(t *testing.T) {
+	schemes := map[string]func(*core.Env) core.Scheme{
+		"baseline":     baselineScheme,
+		"LADDER-Est":   estScheme(t),
+		"LADDER-Basic": basicScheme(t),
+	}
+	for name, scheme := range schemes {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, scheme)
+			// Serve some valid traffic first, so the counters and the
+			// store hold state the rejects could disturb.
+			if !h.ctrl.EnqueueWrite(3, bits.Line{1}, h.now) || !h.ctrl.EnqueueRead(0, 70, h.now) {
+				t.Fatal("valid enqueue refused")
+			}
+			h.runUntilIdle(t, 1_000_000)
+			traffic := func() map[string]uint64 {
+				out := map[string]uint64{}
+				for k, v := range h.env.Metrics.Snapshot().Counters {
+					if strings.HasPrefix(k, "core.traffic.") {
+						out[k] = v
+					}
+				}
+				return out
+			}
+			rdq, wrq, counts, touched := h.ctrl.ReadQueueLen(), h.ctrl.WriteQueueLen(), traffic(), h.env.Store.TouchedRows()
+			bad := h.env.Geom.Lines()
+			if h.ctrl.EnqueueWrite(bad, bits.Line{0xff}, h.now) {
+				t.Fatal("EnqueueWrite accepted a line past capacity")
+			}
+			if h.ctrl.EnqueueRead(0, bad, h.now) {
+				t.Fatal("EnqueueRead accepted a line past capacity")
+			}
+			if h.ctrl.ReadQueueLen() != rdq || h.ctrl.WriteQueueLen() != wrq || !h.ctrl.Idle() {
+				t.Fatal("a rejected request reached a queue")
+			}
+			h.run(1000)
+			if got := traffic(); !reflect.DeepEqual(got, counts) {
+				t.Fatalf("traffic counters moved: %v -> %v", counts, got)
+			}
+			if got := h.env.Store.TouchedRows(); got != touched {
+				t.Fatalf("touched rows %d -> %d", touched, got)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package remap
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -156,6 +157,64 @@ func TestResolveMatchesStartGap(t *testing.T) {
 	check()
 	if got := StatsFrom(reg.Snapshot()).GapMoves; got != ref.Moves() {
 		t.Fatalf("GapMoves = %d, want %d", got, ref.Moves())
+	}
+}
+
+// TestResolveMovesOnlyWordline pins the invariant the content store's
+// keying rests on: whatever gap moves and spare remaps happened, Resolve
+// changes a location's wordline and nothing else, so the resolved
+// location names the same global row, slot and bank as the logical one.
+func TestResolveMovesOnlyWordline(t *testing.T) {
+	geom := testGeometry()
+	cfg := baseConfig()
+	cfg.GapSegmentRows = 48 // not a multiple of MatRows: shifts vary per segment
+	cfg.GapPeriod = 3
+	cfg.SpareRows = UseDefault
+	d, reg := instrumented(t, cfg)
+	rng := rand.New(rand.NewSource(26))
+	locs := make([]reram.Location, 256)
+	for i := range locs {
+		var err error
+		if locs[i], err = geom.Decode(uint64(rng.Int63n(int64(geom.Lines())))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 40
+	shifted := 0
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 50; i++ {
+			d.RecordWrite()
+		}
+		if round%8 == 0 {
+			// Remap the row of a random location to a spare.
+			loc := locs[rng.Intn(len(locs))]
+			bank := (loc.Channel*geom.RanksPerChannel+loc.Rank)*geom.BanksPerRank + loc.Bank
+			if err := d.RemapSpare(bank, geom.GlobalRow(loc), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, loc := range locs {
+			got, _ := d.Resolve(loc)
+			if got.WL < 0 || got.WL >= geom.MatRows {
+				t.Fatalf("round %d: %+v resolves to WL %d, outside the crossbar", round, loc, got.WL)
+			}
+			if got.WL != loc.WL {
+				shifted++
+			}
+			want := loc
+			want.WL = got.WL
+			if got != want {
+				t.Fatalf("round %d: Resolve(%+v) = %+v moved more than the wordline", round, loc, got)
+			}
+			if geom.GlobalRow(got) != geom.GlobalRow(loc) {
+				t.Fatalf("round %d: Resolve(%+v) changed the global row", round, loc)
+			}
+		}
+	}
+	st := StatsFrom(reg.Snapshot())
+	if st.GapMoves < 100 || st.SpareRemaps != rounds/8 || shifted == 0 {
+		t.Fatalf("exercised %d gap moves, %d spare remaps and %d shifted wordlines, want >= 100, %d and > 0",
+			st.GapMoves, st.SpareRemaps, shifted, rounds/8)
 	}
 }
 

@@ -21,14 +21,10 @@ func TestStoreViewAllocs(t *testing.T) {
 			s := residentStore(t, 2, 1, mode)
 			s.UseResident(NewResident(2, 1))
 			const key = 3
-			line := s.geom.RowBaseLine(key)
+			loc := s.geom.RowLocation(key)
 			// Warm up: build the image, the rows map and the mat group.
-			if err := s.EnsureRow(line); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.MaxSelectedColCount(line); err != nil {
-				t.Fatal(err)
-			}
+			s.EnsureRow(key)
+			s.MaxSelectedColCount(loc)
 			drop := func() {
 				delete(s.rows, key)
 				if g := s.cols[key/uint64(s.geom.MatRows)]; g != nil {
@@ -37,9 +33,7 @@ func TestStoreViewAllocs(t *testing.T) {
 			}
 			drop()
 			if n := testing.AllocsPerRun(100, func() {
-				if err := s.EnsureRow(line); err != nil {
-					t.Fatal(err)
-				}
+				s.EnsureRow(key)
 				drop()
 			}); n != 1 {
 				t.Errorf("EnsureRow of an imaged row allocates %.0f per call, want 1 (the view)", n)
@@ -47,23 +41,17 @@ func TestStoreViewAllocs(t *testing.T) {
 
 			var data bits.Line
 			data[0] = 0x5a
-			if err := s.EnsureRow(line); err != nil {
-				t.Fatal(err)
-			}
+			s.EnsureRow(key)
 			r := s.rows[key]
 			if n := testing.AllocsPerRun(100, func() {
-				if _, err := s.Write(line, data); err != nil {
-					t.Fatal(err)
-				}
+				s.WriteAt(loc, data)
 				r.own[0] = nil
 			}); n != 1 {
 				t.Errorf("a block's first write allocates %.0f per call, want 1 (the block)", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				data[1]++
-				if _, err := s.Write(line, data); err != nil {
-					t.Fatal(err)
-				}
+				s.WriteAt(loc, data)
 			}); n != 0 {
 				t.Errorf("rewriting a written block allocates %.0f per call, want 0", n)
 			}

@@ -65,25 +65,25 @@ func BenchmarkStoreWrite(b *testing.B) {
 			data[i][j] = byte(rng.Intn(256) & rng.Intn(256))
 		}
 	}
-	lines := make([]uint64, len(data))
-	for i := range lines {
-		lines[i] = uint64(rng.Intn(rows * BlocksPerRow))
+	geom := DefaultGeometry()
+	locs := make([]Location, len(data))
+	for i := range locs {
+		var err error
+		if locs[i], err = geom.Decode(uint64(rng.Intn(rows * BlocksPerRow))); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, mode := range residentModes {
 		b.Run(mode, func(b *testing.B) {
 			s := residentStore(b, 2, 1, mode)
-			for r := uint64(0); r < rows; r++ {
-				if err := s.EnsureRow(r * BlocksPerRow); err != nil {
-					b.Fatal(err)
-				}
+			for _, loc := range locs {
+				s.EnsureRow(geom.GlobalRow(loc))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				j := i % len(data)
-				if _, err := s.Write(lines[j], data[j]); err != nil {
-					b.Fatal(err)
-				}
+				s.WriteAt(locs[j], data[j])
 			}
 		})
 	}

@@ -143,12 +143,6 @@ func (g Geometry) Encode(loc Location) uint64 {
 	return row*BlocksPerRow + uint64(loc.Slot)
 }
 
-// RowBase returns the line address of slot 0 in the same wordline group as
-// the given line address.
-func (g Geometry) RowBase(line uint64) uint64 {
-	return line - line%BlocksPerRow
-}
-
 // RowLocation inverts GlobalRow: the Location of slot 0 of the given
 // global wordline group.
 func (g Geometry) RowLocation(globalRow uint64) Location {
@@ -164,10 +158,4 @@ func (g Geometry) RowLocation(globalRow uint64) Location {
 		BLHigh:  7,
 	}
 	return loc
-}
-
-// RowBaseLine returns the line address of slot 0 of a global wordline
-// group.
-func (g Geometry) RowBaseLine(globalRow uint64) uint64 {
-	return g.Encode(g.RowLocation(globalRow))
 }

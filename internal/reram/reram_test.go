@@ -110,16 +110,6 @@ func TestConsecutiveLinesShareRow(t *testing.T) {
 	}
 }
 
-func TestRowBase(t *testing.T) {
-	g := DefaultGeometry()
-	if got := g.RowBase(67); got != 64 {
-		t.Fatalf("RowBase(67) = %d, want 64", got)
-	}
-	if got := g.RowBase(64); got != 64 {
-		t.Fatalf("RowBase(64) = %d, want 64", got)
-	}
-}
-
 func TestGlobalRowDistinctAcrossBanks(t *testing.T) {
 	g := DefaultGeometry()
 	seen := make(map[uint64]bool)
@@ -136,16 +126,22 @@ func TestGlobalRowDistinctAcrossBanks(t *testing.T) {
 	}
 }
 
+// decodeLine decodes a line address the test knows to be in range.
+func decodeLine(t testing.TB, g Geometry, line uint64) Location {
+	t.Helper()
+	loc, err := g.Decode(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loc
+}
+
 func TestStoreReadUnwritten(t *testing.T) {
 	s, err := NewStore(DefaultGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Read(12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != (bits.Line{}) {
+	if s.Read(decodeLine(t, s.geom, 12345)) != (bits.Line{}) {
 		t.Fatal("unwritten line should read as zero")
 	}
 }
@@ -164,11 +160,7 @@ func TestStoreWriteReadBack(t *testing.T) {
 	if old != (bits.Line{}) {
 		t.Fatal("first write should return zero old content")
 	}
-	got, err := s.Read(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != l {
+	if s.Read(decodeLine(t, s.geom, 100)) != l {
 		t.Fatal("read-back mismatch")
 	}
 }
@@ -183,11 +175,7 @@ func TestStoreWriteReturnsOld(t *testing.T) {
 	if _, err := s.Write(7, a); err != nil {
 		t.Fatal(err)
 	}
-	old, err := s.Write(7, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != a {
+	if old := s.WriteAt(decodeLine(t, s.geom, 7), b); old != a {
 		t.Fatal("second write should return first content")
 	}
 }
@@ -210,16 +198,9 @@ func TestIncrementalCountersMatchRecount(t *testing.T) {
 		}
 	}
 	for _, probe := range []uint64{0, 64, 128, 192} {
-		inc, err := s.RowCounters(probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := s.RecountRow(probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc != rec {
-			t.Fatalf("row %d: incremental counters diverge from recount", probe)
+		row := s.geom.GlobalRow(decodeLine(t, s.geom, probe))
+		if s.RowCounters(row) != s.RecountRow(row) {
+			t.Fatalf("row %d: incremental counters diverge from recount", row)
 		}
 	}
 }
@@ -240,11 +221,7 @@ func TestMaxRowCounterTracksDensity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.MaxRowCounter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 80 {
+	if got := s.MaxRowCounter(0); got != 80 {
 		t.Fatalf("MaxRowCounter = %d, want 80", got)
 	}
 }
@@ -263,7 +240,7 @@ func TestStoreWearTracking(t *testing.T) {
 	if _, err := s.Write(64, l); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.RowWrites(3); got != 5 {
+	if got := s.RowWrites(s.geom.GlobalRow(decodeLine(t, s.geom, 3))); got != 5 {
 		t.Fatalf("row writes = %d, want 5 (same row as line 0)", got)
 	}
 	if got := s.TotalWrites(); got != 6 {
@@ -282,13 +259,14 @@ func TestMaxSelectedColCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := s.Geometry()
+	slot0, slot5 := decodeLine(t, g, 0), decodeLine(t, g, 5)
 	// Unwritten memory: zero.
-	if got, _ := s.MaxSelectedColCount(0); got != 0 {
+	if got := s.MaxSelectedColCount(slot0); got != 0 {
 		t.Fatalf("cold count = %d, want 0", got)
 	}
 	// Write bit 0 of byte 0 at slot 0 of many rows in the same bank (and
 	// hence the same mat group): column (mat 0, bitline 0) accumulates.
-	g := s.Geometry()
 	var l bits.Line
 	l[0] = 0x01
 	const rows = 12
@@ -300,21 +278,13 @@ func TestMaxSelectedColCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.MaxSelectedColCount(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != rows {
+	if got := s.MaxSelectedColCount(slot0); got != rows {
 		t.Fatalf("col count = %d, want %d", got, rows)
 	}
 	// A write to a different slot selects other bitlines: count 0... the
 	// write itself lands there though, so write-free probe: slot 5 line in
 	// the same row.
-	got, err = s.MaxSelectedColCount(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
+	if got := s.MaxSelectedColCount(slot5); got != 0 {
 		t.Fatalf("unrelated slot col count = %d, want 0", got)
 	}
 	// Overwriting with zero clears the column.
@@ -324,7 +294,7 @@ func TestMaxSelectedColCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, _ = s.MaxSelectedColCount(0); got != 0 {
+	if got := s.MaxSelectedColCount(slot0); got != 0 {
 		t.Fatalf("cleared col count = %d, want 0", got)
 	}
 }
@@ -341,15 +311,12 @@ func TestRowLocationInvertsGlobalRow(t *testing.T) {
 	}
 }
 
-func TestRowBaseLineDecodesBack(t *testing.T) {
+func TestRowLocationDecodesBack(t *testing.T) {
 	g := DefaultGeometry()
 	for _, gr := range []uint64{0, 1, 12345, g.Rows() - 1} {
-		line := g.RowBaseLine(gr)
-		loc, err := g.Decode(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.GlobalRow(loc) != gr || loc.Slot != 0 {
+		line := g.Encode(g.RowLocation(gr))
+		loc := decodeLine(t, g, line)
+		if loc != g.RowLocation(gr) {
 			t.Fatalf("row %d: line %d decodes to row %d slot %d", gr, line, g.GlobalRow(loc), loc.Slot)
 		}
 	}
@@ -361,16 +328,12 @@ func TestResidentPrefillDensityAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetResident(2, 7) // density 0.25
-	if err := s.EnsureRow(0); err != nil {
-		t.Fatal(err)
-	}
+	s.EnsureRow(0)
 	// Every block of the row now has content near density 0.25.
 	ones := 0
-	for slot := uint64(0); slot < BlocksPerRow; slot++ {
-		l, err := s.Read(slot)
-		if err != nil {
-			t.Fatal(err)
-		}
+	loc := s.geom.RowLocation(0)
+	for loc.Slot = 0; loc.Slot < BlocksPerRow; loc.Slot++ {
+		l := s.Read(loc)
 		ones += bits.CountOnes(l[:])
 	}
 	// Structured level-2 resident data: one dense byte (p≈0.375) per
@@ -380,33 +343,18 @@ func TestResidentPrefillDensityAndCounters(t *testing.T) {
 		t.Fatalf("resident density = %v, want ≈0.06", density)
 	}
 	// Counters must match a recount.
-	inc, err := s.RowCounters(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.RecountRow(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc != rec {
+	if s.RowCounters(0) != s.RecountRow(0) {
 		t.Fatal("prefill counters diverge from recount")
 	}
 	// And the worst wordline holds roughly density*512 LRS cells.
-	max, err := s.MaxRowCounter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	max := s.MaxRowCounter(0)
 	// The hot wordlines aggregate one dense byte from each of 64 blocks:
 	// C ≈ 64 × 3 = 192 give or take.
 	if max < 120 || max > 280 {
 		t.Fatalf("max row counter = %d, want around 190", max)
 	}
 	// Bitline counts see the resident fill too.
-	col, err := s.MaxSelectedColCount(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col == 0 {
+	if s.MaxSelectedColCount(s.geom.RowLocation(0)) == 0 {
 		t.Fatal("column counters ignored resident data")
 	}
 }
@@ -421,14 +369,8 @@ func TestResidentPrefillShiftedCounters(t *testing.T) {
 		s.SetColumnTracking(true)
 		// Rows 0..15 share mat group 0, so its columns sum 16 rows.
 		for key := uint64(0); key < 16; key++ {
-			line := s.geom.RowBaseLine(key)
-			if err := s.EnsureRow(line); err != nil {
-				t.Fatal(err)
-			}
-			tracked, err := s.MaxRowCounterUnshifted(line)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s.EnsureRow(key)
+			tracked := s.MaxRowCounterUnshifted(key)
 			if scanned := scanUnshifted(s.rows[key]); tracked != scanned || tracked == 0 {
 				t.Fatalf("level %d row %d: tracked unshifted max %d, scan %d", level, key, tracked, scanned)
 			}
@@ -460,25 +402,13 @@ func TestResidentPrefillIncrementalAfterOverwrite(t *testing.T) {
 	s.SetResident(2, 9)
 	var sparse bits.Line
 	sparse[0] = 0x01
-	if _, err := s.Write(5, sparse); err != nil {
-		t.Fatal(err)
-	}
-	inc, err := s.RowCounters(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.RecountRow(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc != rec {
+	loc := decodeLine(t, s.geom, 5)
+	s.WriteAt(loc, sparse)
+	row := s.geom.GlobalRow(loc)
+	if s.RowCounters(row) != s.RecountRow(row) {
 		t.Fatal("counters diverge after overwriting resident data")
 	}
-	got, err := s.Read(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != sparse {
+	if s.Read(loc) != sparse {
 		t.Fatal("overwrite lost")
 	}
 }
@@ -488,31 +418,26 @@ func TestResidentDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnsureRow(0); err != nil {
-		t.Fatal(err)
-	}
-	l, err := s.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != (bits.Line{}) {
+	s.EnsureRow(0)
+	if s.Read(s.geom.RowLocation(0)) != (bits.Line{}) {
 		t.Fatal("fresh device should stay all-HRS without SetResident")
 	}
 }
 
+// TestStoreErrorsOnBadAddress checks the store's one line-keyed entry
+// point: the other methods take a decoded location or global row, so an
+// out-of-range line is rejected where it is decoded.
 func TestStoreErrorsOnBadAddress(t *testing.T) {
 	s, err := NewStore(DefaultGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := s.Geometry().Lines() + 1
-	if _, err := s.Read(big); err == nil {
-		t.Fatal("Read beyond capacity should fail")
+	for _, line := range []uint64{s.Geometry().Lines(), s.Geometry().Lines() + 1} {
+		if _, err := s.Write(line, bits.Line{}); err == nil {
+			t.Fatalf("Write at line %d, beyond capacity, should fail", line)
+		}
 	}
-	if _, err := s.Write(big, bits.Line{}); err == nil {
-		t.Fatal("Write beyond capacity should fail")
-	}
-	if _, err := s.RowCounters(big); err == nil {
-		t.Fatal("RowCounters beyond capacity should fail")
+	if s.TotalWrites() != 0 || s.TouchedRows() != 0 {
+		t.Fatal("a rejected write reached the store")
 	}
 }

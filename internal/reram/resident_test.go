@@ -95,9 +95,7 @@ func TestSharedResidentRowsImmutable(t *testing.T) {
 				loc := s.geom.RowLocation(key)
 				for slot := 0; slot < BlocksPerRow; slot++ {
 					loc.Slot = slot
-					if _, err := s.Write(s.geom.Encode(loc), ones); err != nil {
-						t.Fatal(err)
-					}
+					s.WriteAt(loc, ones)
 				}
 			}
 		}
@@ -159,9 +157,7 @@ func TestResidentRowConcurrent(t *testing.T) {
 // each row for its own view and retains nothing beside it.
 func TestSetResidentIsPrivate(t *testing.T) {
 	s := residentStore(t, 2, 7, "plain")
-	if err := s.EnsureRow(0); err != nil {
-		t.Fatal(err)
-	}
+	s.EnsureRow(0)
 	if s.resident.images != nil {
 		t.Fatal("SetResident built a retaining Resident")
 	}

@@ -240,17 +240,10 @@ func countRow(data *[BlocksPerRow]bits.Line) [BlockSize]uint16 {
 }
 
 // EnsureRow materializes (with its resident content, when resident data
-// is enabled) the wordline group containing the line. The memory
+// is enabled) a global wordline group (Geometry.GlobalRow). The memory
 // controller calls this on first reference so metadata initialization
 // observes resident content.
-func (s *Store) EnsureRow(line uint64) error {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return err
-	}
-	s.ensure(s.geom.GlobalRow(loc))
-	return nil
-}
+func (s *Store) EnsureRow(globalRow uint64) { s.ensure(globalRow) }
 
 // ensure returns the row's view, materializing it on first touch: the
 // view starts from the row's image and its counters.
@@ -284,26 +277,28 @@ func (s *Store) Geometry() Geometry { return s.geom }
 // row fetches (without allocating) the state of a global row.
 func (s *Store) row(globalRow uint64) *rowState { return s.rows[globalRow] }
 
-// Read returns the stored content of the block at the given line address.
-func (s *Store) Read(line uint64) (bits.Line, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return bits.Line{}, err
-	}
+// Read returns the stored content of the block at loc.
+func (s *Store) Read(loc Location) bits.Line {
 	r := s.row(s.geom.GlobalRow(loc))
 	if r == nil {
-		return bits.Line{}, nil
+		return bits.Line{}
 	}
-	return *r.block(loc.Slot), nil
+	return *r.block(loc.Slot)
 }
 
-// Write stores new content at the line address and returns the previous
-// content. Per-wordline counters are updated incrementally.
-func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
+// Write stores new content at a line address and returns the previous
+// content: it decodes the address and delegates to WriteAt.
+func (s *Store) Write(line uint64, data bits.Line) (bits.Line, error) {
 	loc, err := s.geom.Decode(line)
 	if err != nil {
 		return bits.Line{}, err
 	}
+	return s.WriteAt(loc, data), nil
+}
+
+// WriteAt stores new content at loc and returns the previous content.
+// Per-wordline counters are updated incrementally.
+func (s *Store) WriteAt(loc Location, data bits.Line) (old bits.Line) {
 	key := s.geom.GlobalRow(loc)
 	r := s.ensure(key)
 	old = *r.block(loc.Slot)
@@ -353,20 +348,16 @@ func (s *Store) Write(line uint64, data bits.Line) (old bits.Line, err error) {
 	r.writes++
 	s.totalWrites++
 	s.bankWrites[(loc.Channel*s.geom.RanksPerChannel+loc.Rank)*s.geom.BanksPerRank+loc.Bank].Inc()
-	return old, nil
+	return old
 }
 
 // MaxSelectedColCount returns the worst per-bitline LRS count among the
-// bitlines a write to the given line would select (8 bitlines in each of
-// the 64 mats). This models the BLP baseline's bitline profiling readout.
-func (s *Store) MaxSelectedColCount(line uint64) (int, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return 0, err
-	}
+// bitlines a write to loc would select (8 bitlines in each of the 64
+// mats). This models the BLP baseline's bitline profiling readout.
+func (s *Store) MaxSelectedColCount(loc Location) int {
 	g := s.cols[s.matGroup(s.geom.GlobalRow(loc))]
 	if g == nil {
-		return 0, nil
+		return 0
 	}
 	m := uint16(0)
 	for _, mat := range g.slot(loc.Slot) {
@@ -376,32 +367,34 @@ func (s *Store) MaxSelectedColCount(line uint64) (int, error) {
 			}
 		}
 	}
-	return int(m), nil
+	return int(m)
 }
 
-// MaxRowCounterUnshifted returns C^w_lrs as it would be if every stored
-// block were reverse-shifted into LADDER-Basic's raw bit layout. The
-// Figure 15 estimation-accuracy study compares LADDER-Est's estimates
-// (taken over shifted data) against exactly this quantity.
-func (s *Store) MaxRowCounterUnshifted(line uint64) (int, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return 0, err
-	}
-	r := s.row(s.geom.GlobalRow(loc))
-	if r == nil {
-		return 0, nil
-	}
-	if s.shifted {
-		m := uint16(0)
-		for _, c := range r.unshifted {
-			if c > m {
-				m = c
-			}
+// maxOf returns the largest of a row's per-wordline counters.
+func maxOf(cs *[BlockSize]uint16) int {
+	m := uint16(0)
+	for _, c := range cs {
+		if c > m {
+			m = c
 		}
-		return int(m), nil
 	}
-	return scanUnshifted(r), nil
+	return int(m)
+}
+
+// MaxRowCounterUnshifted returns C^w_lrs of a global wordline group as it
+// would be if every stored block were reverse-shifted into
+// LADDER-Basic's raw bit layout. The Figure 15 estimation-accuracy study
+// compares LADDER-Est's estimates (taken over shifted data) against
+// exactly this quantity.
+func (s *Store) MaxRowCounterUnshifted(globalRow uint64) int {
+	r := s.row(globalRow)
+	switch {
+	case r == nil:
+		return 0
+	case s.shifted:
+		return maxOf(&r.unshifted)
+	}
+	return scanUnshifted(r)
 }
 
 // scanUnshifted derives the row's maximum unshifted-layout wordline
@@ -423,32 +416,24 @@ func scanUnshifted(r *rowState) int {
 	return max
 }
 
-// RowCounters returns a copy of the exact per-wordline LRS counters of the
-// wordline group containing the given line address.
-func (s *Store) RowCounters(line uint64) ([BlockSize]uint16, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return [BlockSize]uint16{}, err
-	}
-	r := s.row(s.geom.GlobalRow(loc))
+// RowCounters returns a copy of the exact per-wordline LRS counters of a
+// global wordline group.
+func (s *Store) RowCounters(globalRow uint64) [BlockSize]uint16 {
+	r := s.row(globalRow)
 	if r == nil {
-		return [BlockSize]uint16{}, nil
+		return [BlockSize]uint16{}
 	}
-	return r.counters, nil
+	return r.counters
 }
 
-// RowCodes returns the partial-counter code of every block of the
-// wordline group containing the line, materializing the group as
-// EnsureRow does: bits.EncodeLowPrecision codes when low is set,
-// bits.EncodePartial codes otherwise. Blocks the store has not written
-// take their image's precomputed codes; written blocks are encoded.
-// LADDER-Est and LADDER-Hybrid build their boot-time metadata from these.
-func (s *Store) RowCodes(line uint64, low bool) ([BlocksPerRow]uint8, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return [BlocksPerRow]uint8{}, err
-	}
-	r := s.ensure(s.geom.GlobalRow(loc))
+// RowCodes returns the partial-counter code of every block of a global
+// wordline group, materializing the group as EnsureRow does:
+// bits.EncodeLowPrecision codes when low is set, bits.EncodePartial codes
+// otherwise. Blocks the store has not written take their image's
+// precomputed codes; written blocks are encoded. LADDER-Est and
+// LADDER-Hybrid build their boot-time metadata from these.
+func (s *Store) RowCodes(globalRow uint64, low bool) [BlocksPerRow]uint8 {
+	r := s.ensure(globalRow)
 	codes := *r.img.blockCodes(low)
 	for slot, blk := range r.own {
 		switch {
@@ -459,58 +444,44 @@ func (s *Store) RowCodes(line uint64, low bool) ([BlocksPerRow]uint8, error) {
 			codes[slot] = bits.EncodePartial(blk)
 		}
 	}
-	return codes, nil
+	return codes
 }
 
-// MaxRowCounter returns the exact worst-wordline LRS count C^w_lrs of the
-// wordline group containing the line — the quantity the Oracle scheme is
-// allowed to read for free and LADDER must estimate.
-func (s *Store) MaxRowCounter(line uint64) (int, error) {
-	cs, err := s.RowCounters(line)
-	if err != nil {
-		return 0, err
-	}
-	m := uint16(0)
-	for _, c := range cs {
-		if c > m {
-			m = c
-		}
-	}
-	return int(m), nil
-}
-
-// RecountRow recomputes the row counters from the stored data, for
-// validation against the incremental ones.
-func (s *Store) RecountRow(line uint64) ([BlockSize]uint16, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return [BlockSize]uint16{}, err
-	}
-	var out [BlockSize]uint16
-	r := s.row(s.geom.GlobalRow(loc))
+// MaxRowCounter returns the exact worst-wordline LRS count C^w_lrs of a
+// global wordline group — the quantity the Oracle scheme is allowed to
+// read for free and LADDER must estimate.
+func (s *Store) MaxRowCounter(globalRow uint64) int {
+	r := s.row(globalRow)
 	if r == nil {
-		return out, nil
+		return 0
+	}
+	return maxOf(&r.counters)
+}
+
+// RecountRow recomputes a global wordline group's counters from the
+// stored data, for validation against the incremental ones.
+func (s *Store) RecountRow(globalRow uint64) [BlockSize]uint16 {
+	var out [BlockSize]uint16
+	r := s.row(globalRow)
+	if r == nil {
+		return out
 	}
 	for b := 0; b < BlocksPerRow; b++ {
 		for m, c := range r.block(b) {
 			out[m] += uint16(mbits.OnesCount8(c))
 		}
 	}
-	return out, nil
+	return out
 }
 
-// RowWrites returns how many block writes landed in the row containing
-// the line address.
-func (s *Store) RowWrites(line uint64) (uint64, error) {
-	loc, err := s.geom.Decode(line)
-	if err != nil {
-		return 0, err
-	}
-	r := s.row(s.geom.GlobalRow(loc))
+// RowWrites returns how many block writes landed in a global wordline
+// group.
+func (s *Store) RowWrites(globalRow uint64) uint64 {
+	r := s.row(globalRow)
 	if r == nil {
-		return 0, nil
+		return 0
 	}
-	return r.writes, nil
+	return r.writes
 }
 
 // TotalWrites returns the total number of block writes served.

@@ -137,33 +137,28 @@ func (f *fullStore) codes(key uint64, low bool) [BlocksPerRow]uint8 {
 func compareReads(s *Store, f *fullStore, key uint64, slot int) error {
 	loc := s.geom.RowLocation(key)
 	loc.Slot = slot
-	line := s.geom.Encode(loc)
 	var want bits.Line
 	if r := f.rows[key]; r != nil {
 		want = r.data[slot]
 	}
-	got, err := s.Read(line)
-	if err != nil {
-		return err
-	}
-	if got != want {
+	if s.Read(loc) != want {
 		return fmt.Errorf("Read(row %d slot %d) differs", key, slot)
 	}
 	wantCounters := f.counters(key, false)
-	if c, _ := s.RowCounters(line); c != wantCounters {
+	if s.RowCounters(key) != wantCounters {
 		return fmt.Errorf("RowCounters(row %d) differs", key)
 	}
-	if c, _ := s.RecountRow(line); c != wantCounters {
+	if s.RecountRow(key) != wantCounters {
 		return fmt.Errorf("RecountRow(row %d) differs", key)
 	}
-	if m, _ := s.MaxRowCounter(line); m != maxCounter(wantCounters) {
+	if m := s.MaxRowCounter(key); m != maxCounter(wantCounters) {
 		return fmt.Errorf("MaxRowCounter(row %d) = %d, want %d", key, m, maxCounter(wantCounters))
 	}
-	mu, _ := s.MaxRowCounterUnshifted(line)
+	mu := s.MaxRowCounterUnshifted(key)
 	if want := maxCounter(f.counters(key, true)); mu != want {
 		return fmt.Errorf("MaxRowCounterUnshifted(row %d) = %d, want %d", key, mu, want)
 	}
-	mc, _ := s.MaxSelectedColCount(line)
+	mc := s.MaxSelectedColCount(loc)
 	if want := f.maxSelectedCol(key, slot); mc != want {
 		return fmt.Errorf("MaxSelectedColCount(row %d slot %d) = %d, want %d", key, slot, mc, want)
 	}
@@ -171,7 +166,7 @@ func compareReads(s *Store, f *fullStore, key uint64, slot int) error {
 	if r := f.rows[key]; r != nil {
 		wantWrites = r.writes
 	}
-	if w, _ := s.RowWrites(line); w != wantWrites {
+	if w := s.RowWrites(key); w != wantWrites {
 		return fmt.Errorf("RowWrites(row %d) = %d, want %d", key, w, wantWrites)
 	}
 	return nil
@@ -204,35 +199,34 @@ func runViewDifferential(s *Store, f *fullStore, keys []uint64, seed int64, step
 		}
 		loc := s.geom.RowLocation(key)
 		loc.Slot = slot
-		line := s.geom.Encode(loc)
 		switch op := rng.Intn(10); {
 		case op < 5:
 			data := randLine()
 			if rng.Intn(4) == 0 {
 				// Rewrite the stored block unchanged, or with one bit
 				// flipped.
-				data, _ = s.Read(line)
+				data = s.Read(loc)
 				data[rng.Intn(BlockSize)] ^= byte(rng.Intn(2)) << rng.Intn(8)
 			}
-			old, err := s.Write(line, data)
-			if err != nil {
-				return err
+			var old bits.Line
+			if rng.Intn(2) == 0 {
+				old = s.WriteAt(loc, data)
+			} else {
+				// The line-keyed adapter must be the same write.
+				var err error
+				if old, err = s.Write(s.geom.Encode(loc), data); err != nil {
+					return err
+				}
 			}
 			if want := f.write(key, slot, data); old != want {
 				return fmt.Errorf("step %d: Write(row %d slot %d) returned a different old block", step, key, slot)
 			}
 		case op < 6:
-			if err := s.EnsureRow(line); err != nil {
-				return err
-			}
+			s.EnsureRow(key)
 			f.ensure(key)
 		case op < 7:
 			low := rng.Intn(2) == 0
-			got, err := s.RowCodes(line, low)
-			if err != nil {
-				return err
-			}
-			if got != f.codes(key, low) {
+			if s.RowCodes(key, low) != f.codes(key, low) {
 				return fmt.Errorf("step %d: RowCodes(row %d, low=%v) differs", step, key, low)
 			}
 		default:

@@ -61,11 +61,15 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"low rows below -1", func(c *Config) { c.HybridLowRows = -2 }, "HybridLowRows"},
 		{"unknown VWL mode, leveling off", func(c *Config) { c.VWLMode = "diagonal" }, "VWLMode"},
 		{"unknown VWL mode, leveling on", func(c *Config) { c.VWLMode, c.WearLeveling = "diagonal", true }, "VWLMode"},
+		{"NaN remap penalty", func(c *Config) { c.RemapPenaltyNs = math.NaN() }, "RemapPenaltyNs"},
+		{"infinite remap penalty", func(c *Config) { c.RemapPenaltyNs = math.Inf(1) }, "RemapPenaltyNs"},
+		{"negative infinite remap penalty", func(c *Config) { c.RemapPenaltyNs = math.Inf(-1) }, "RemapPenaltyNs"},
 		{"zero knobs", func(c *Config) {}, ""},
 		{"shrink of 1", func(c *Config) { c.ShrinkRange = 1 }, ""},
 		{"fault rate just below 1", func(c *Config) { c.FaultRate = math.Nextafter(1, 0) }, ""},
 		{"low rows -1", func(c *Config) { c.HybridLowRows = -1 }, ""},
 		{"line VWL mode, leveling off", func(c *Config) { c.VWLMode = "line" }, ""},
+		{"negative remap penalty", func(c *Config) { c.RemapPenaltyNs = -1 }, ""},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -13,6 +13,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"ladder/internal/core"
@@ -249,8 +250,10 @@ func (c *Config) applyDefaults() error {
 // validateKnobs rejects knob values outside each knob's documented
 // range (NaN included). Without it a negative FaultRate or TraceSample,
 // a ShrinkRange below 1 or an unknown VWLMode would run with the feature
-// silently off, a negative TraceCapacity would run the default ring, and
-// a HybridLowRows below -1 would act as -1.
+// silently off, a negative TraceCapacity would run the default ring, a
+// HybridLowRows below -1 would act as -1, and a NaN or infinite
+// RemapPenaltyNs would charge every remapped access a meaningless tick
+// count.
 func (c *Config) validateKnobs() error {
 	switch {
 	case !(c.FaultRate >= 0 && c.FaultRate < 1):
@@ -263,6 +266,8 @@ func (c *Config) validateKnobs() error {
 		return fmt.Errorf("sim: ShrinkRange must be 0 (off) or >= 1, got %g", c.ShrinkRange)
 	case c.HybridLowRows < -1:
 		return fmt.Errorf("sim: HybridLowRows must be >= -1 (-1 disables the low-precision region), got %d", c.HybridLowRows)
+	case math.IsNaN(c.RemapPenaltyNs) || math.IsInf(c.RemapPenaltyNs, 0):
+		return fmt.Errorf("sim: RemapPenaltyNs must be finite (0 selects the default, negative makes indirection free), got %g", c.RemapPenaltyNs)
 	}
 	switch c.VWLMode {
 	case "", "segment", "line":
