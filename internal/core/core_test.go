@@ -74,8 +74,8 @@ func TestMetaCacheGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.numSets != 256 {
-		t.Fatalf("sets = %d, want 256 (64KB / 64B / 4 ways)", c.numSets)
+	if len(c.sets) != 256 {
+		t.Fatalf("sets = %d, want 256 (64KB / 64B / 4 ways)", len(c.sets))
 	}
 	if c.SpillCapacity() != 16 {
 		t.Fatalf("spill capacity = %d, want 16", c.SpillCapacity())

@@ -56,12 +56,12 @@ type metaEntry struct {
 // image (the reserved region's persisted contents).
 type MetaCache struct {
 	cfg MetaCacheConfig
-	// entries is one flat slab of numSets×Ways ways; set s occupies
-	// entries[s*Ways : (s+1)*Ways]. One allocation instead of one per set
-	// — a cache is built per channel per run, and grid sweeps build many.
-	entries []metaEntry
-	numSets int
-	tick    uint64
+	// sets holds each set's ways, built on the set's first Reserve: a
+	// cache is built per scheme instance and grid sweeps build many, most
+	// of whose sets a short run never touches. A nil set has no valid or
+	// filling way.
+	sets [][]metaEntry
+	tick uint64
 	// backing is the metadata region content as persisted in main
 	// memory; entries absent are synthesized by init (boot-time
 	// initialization from resident memory content) or read as zero.
@@ -86,18 +86,17 @@ func NewMetaCache(cfg MetaCacheConfig) (*MetaCache, error) {
 	if cfg.SpillSize <= 0 {
 		return nil, fmt.Errorf("core: spill buffer size must be positive")
 	}
-	numSets := lines / cfg.Ways
-	return &MetaCache{cfg: cfg, entries: make([]metaEntry, numSets*cfg.Ways), numSets: numSets, backing: make(map[uint64]MetaLine)}, nil
+	return &MetaCache{cfg: cfg, sets: make([][]metaEntry, lines/cfg.Ways), backing: make(map[uint64]MetaLine)}, nil
 }
 
-func (c *MetaCache) setOf(key uint64) []metaEntry {
-	s := int(mix64(key) % uint64(c.numSets))
-	return c.entries[s*c.cfg.Ways : (s+1)*c.cfg.Ways]
+// setOf returns key's set index.
+func (c *MetaCache) setOf(key uint64) int {
+	return int(mix64(key) % uint64(len(c.sets)))
 }
 
 // find returns the way holding key, or nil.
 func (c *MetaCache) find(key uint64) *metaEntry {
-	set := c.setOf(key)
+	set := c.sets[c.setOf(key)]
 	for i := range set {
 		if set[i].state != entryInvalid && set[i].key == key {
 			return &set[i]
@@ -142,7 +141,11 @@ func (c *MetaCache) Release(key uint64) {
 // enqueue a metadata write. ok is false when every way has sharers (the
 // caller must spill).
 func (c *MetaCache) Reserve(key uint64, loc reram.Location) (wb *MetaWriteback, ok bool) {
-	set := c.setOf(key)
+	s := c.setOf(key)
+	if c.sets[s] == nil {
+		c.sets[s] = make([]metaEntry, c.cfg.Ways)
+	}
+	set := c.sets[s]
 	var victim *metaEntry
 	for i := range set {
 		e := &set[i]
@@ -228,11 +231,13 @@ func (c *MetaCache) SpillCapacity() int { return c.cfg.SpillSize }
 // losing a line out from under an in-flight write is a simulator bug, not
 // a device behavior.
 func (c *MetaCache) Crash() {
-	for i := range c.entries {
-		if c.entries[i].state != entryInvalid && c.entries[i].sharers > 0 {
-			panic("core: crash with in-flight sharers; drain the controller first")
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].state != entryInvalid && set[i].sharers > 0 {
+				panic("core: crash with in-flight sharers; drain the controller first")
+			}
+			set[i] = metaEntry{}
 		}
-		c.entries[i] = metaEntry{}
 	}
 }
 

@@ -33,7 +33,7 @@ type event struct {
 
 // Broker fans published events out to Server-Sent-Events subscribers:
 // the live half of the timeline endpoint (each closed epoch streams to
-// every watcher) and anything else that wants a push feed.
+// every watcher) and each service job's status stream.
 //
 // Delivery is hardened against slow consumers in both directions:
 // Publish never blocks — a subscriber whose buffer fills is dropped
@@ -49,6 +49,7 @@ type Broker struct {
 	subs   map[chan event]struct{}
 	hist   []event // ring of the last historySize events, oldest first
 	nextID uint64  // next event ID to assign (IDs start at 1)
+	closed bool
 }
 
 // NewBroker returns a broker sending keepalive comments at the given
@@ -66,13 +67,16 @@ func NewBroker(keepalive time.Duration) *Broker {
 // client can neither block the publisher nor accumulate unbounded
 // backlog. The event enters the replay ring regardless, so the dropped
 // client recovers it by reconnecting with Last-Event-ID. Safe on a nil
-// broker and from any goroutine.
+// broker and from any goroutine; a no-op after Close.
 func (b *Broker) Publish(body []byte) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
 	b.nextID++
 	ev := event{id: b.nextID, body: body}
 	b.hist = append(b.hist, ev)
@@ -86,6 +90,27 @@ func (b *Broker) Publish(body []byte) {
 			delete(b.subs, ch)
 			close(ch)
 		}
+	}
+}
+
+// Close ends the feed at its last published event. Every live stream
+// ends once it has delivered that event, the ring keeps only it, and
+// any later client is sent it alone, whatever its Last-Event-ID, before
+// its stream ends: a finished feed's stream is its final state. Safe on
+// a nil broker.
+func (b *Broker) Close() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	if n := len(b.hist); n > 0 {
+		b.hist = []event{b.hist[n-1]}
+	}
+	for ch := range b.subs {
+		delete(b.subs, ch)
+		close(ch)
 	}
 }
 
@@ -112,11 +137,17 @@ func (b *Broker) LastEventID() uint64 {
 
 // subscribe registers a subscriber and atomically computes its replay:
 // every retained event with ID greater than after, so a resuming client
-// misses nothing between its last-seen event and the live stream.
+// misses nothing between its last-seen event and the live stream. On a
+// closed broker the replay is the final event and the channel is
+// already closed.
 func (b *Broker) subscribe(after uint64) (chan event, []event) {
 	ch := make(chan event, subBuffer)
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		close(ch)
+		return ch, b.hist
+	}
 	b.subs[ch] = struct{}{}
 	var replay []event
 	for _, ev := range b.hist {
@@ -128,8 +159,9 @@ func (b *Broker) subscribe(after uint64) (chan event, []event) {
 }
 
 // unsubscribe removes a subscriber that is going away on its own. The
-// channel is left to the garbage collector: only Publish closes
-// channels (to signal a drop), so there is no double-close race.
+// channel is left to the garbage collector: only Publish (to signal a
+// drop) and Close close channels, each after removing the subscriber
+// under the lock, so there is no double-close race.
 func (b *Broker) unsubscribe(ch chan event) {
 	b.mu.Lock()
 	delete(b.subs, ch)
@@ -138,20 +170,34 @@ func (b *Broker) unsubscribe(ch chan event) {
 
 // ServeHTTP streams the broker's events as text/event-stream: one
 // "id:" + "data:" frame per published body, a ": keepalive" comment on
-// every idle keepalive period, until the client disconnects or falls
-// far enough behind to be dropped. A request carrying the standard
-// Last-Event-ID header resumes after that event, replaying missed
-// events from the history ring first.
-func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// every idle keepalive period, until the client disconnects, falls far
+// enough behind to be dropped, or the broker closes. A request carrying
+// the standard Last-Event-ID header resumes after that event, replaying
+// missed events from the history ring first; one without it (or with a
+// malformed one) replays the whole ring.
+func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) { b.serve(w, r, false) }
+
+// ServeLatest is ServeHTTP for a feed whose newest event is its current
+// state, such as a job's status: a client without a Last-Event-ID, or
+// with one this broker never issued (say, from before a restart),
+// starts at the newest event instead of the whole ring.
+func (b *Broker) ServeLatest(w http.ResponseWriter, r *http.Request) { b.serve(w, r, true) }
+
+func (b *Broker) serve(w http.ResponseWriter, r *http.Request, latest bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	var after uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		// A malformed ID is treated as absent: the client starts live.
-		after, _ = strconv.ParseUint(v, 10, 64)
+	after, err := strconv.ParseUint(r.Header.Get("Last-Event-ID"), 10, 64)
+	if err != nil {
+		after = 0
+	}
+	if latest {
+		if last := b.LastEventID(); err != nil || after > last {
+			// Events published after last are replayed too: none is skipped.
+			after = max(last, 1) - 1
+		}
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -180,8 +226,8 @@ func (b *Broker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		case ev, open := <-ch:
 			if !open {
-				// Dropped for falling behind: end the stream so the client
-				// reconnects with Last-Event-ID and replays the gap.
+				// Closed, or dropped for falling behind: end the stream so
+				// the client reconnects with Last-Event-ID and replays the gap.
 				return
 			}
 			writeSSE(w, ev)

@@ -95,16 +95,16 @@ func (c Config) Validate() error {
 	switch {
 	case c.Geom.Rows() == 0:
 		return fmt.Errorf("remap: geometry has no rows")
-	case c.TicksPerNs <= 0:
-		return fmt.Errorf("remap: ticks-per-ns %v must be positive", c.TicksPerNs)
+	case !(c.TicksPerNs > 0) || math.IsInf(c.TicksPerNs, 1):
+		return fmt.Errorf("remap: ticks-per-ns %v must be positive and finite", c.TicksPerNs)
 	case c.GapSegmentRows < 0:
 		return fmt.Errorf("remap: gap segment rows %d must be non-negative", c.GapSegmentRows)
 	case c.GapSegmentRows > 0 && c.GapPeriod <= 0:
 		return fmt.Errorf("remap: gap-move period %d must be positive", c.GapPeriod)
 	case c.SpareRows < 0:
 		return fmt.Errorf("remap: spare-row pool %d must be non-negative", c.SpareRows)
-	case c.PenaltyNs < 0:
-		return fmt.Errorf("remap: penalty %v ns must be non-negative", c.PenaltyNs)
+	case !(c.PenaltyNs >= 0) || math.IsInf(c.PenaltyNs, 1):
+		return fmt.Errorf("remap: penalty %v ns must be non-negative and finite", c.PenaltyNs)
 	}
 	return nil
 }

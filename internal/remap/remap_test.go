@@ -1,6 +1,7 @@
 package remap
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,6 +59,10 @@ func TestConfigValidate(t *testing.T) {
 		{"gap without period", func(c *Config) { c.GapSegmentRows = 64 }, false},
 		{"spares below sentinel", func(c *Config) { c.SpareRows = -2 }, false},
 		{"penalty below sentinel", func(c *Config) { c.PenaltyNs = -2 }, false},
+		{"NaN penalty", func(c *Config) { c.PenaltyNs = math.NaN() }, false},
+		{"infinite penalty", func(c *Config) { c.PenaltyNs = math.Inf(1) }, false},
+		{"NaN ticks per ns", func(c *Config) { c.TicksPerNs = math.NaN() }, false},
+		{"infinite ticks per ns", func(c *Config) { c.TicksPerNs = math.Inf(1) }, false},
 	}
 	for _, c := range cases {
 		cfg := baseConfig()

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
+	"ladder/internal/introspect"
 	"ladder/internal/metrics"
 )
 
@@ -23,7 +23,7 @@ func (s *Service) routes() {
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics/prom", s.handleProm)
+	s.mux.Handle("GET /metrics/prom", introspect.PromHandler(s.promSource))
 }
 
 // writeJSON emits one API response document.
@@ -167,74 +167,24 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents implements GET /jobs/{id}/events: a Server-Sent Events
-// stream of Status documents — the current state immediately, then one
-// event per grid-cell completion and state transition, ending with the
-// terminal event. Every frame carries an "id:" field (the job's event
-// sequence); a client reconnecting with the standard Last-Event-ID
-// header skips the initial frame if it already saw it. Slow consumers
-// may miss intermediate progress events (the per-subscriber buffer is
-// bounded) but always see the terminal state.
+// stream of Status documents from the job's event stream (see
+// docs/SERVICE.md). A fresh client, or one whose Last-Event-ID the job
+// never issued, starts at the current status; a resuming one replays
+// what it missed. A finished job's stream is its terminal status.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ch, cur, ok := s.subscribe(id)
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	var events *introspect.Broker
+	if ok {
+		events = j.events
+	}
+	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	var after uint64
-	resuming := false
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		// A malformed ID is treated as absent: the client starts fresh.
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			after, resuming = n, true
-		}
-	}
-	fl, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	send := func(ev jobEvent) {
-		fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.id, ev.body)
-		if canFlush {
-			fl.Flush()
-		}
-	}
-	if !resuming || cur.id > after {
-		// Fresh clients always get the current snapshot; a resuming client
-		// skips it if its Last-Event-ID shows it already saw this state.
-		send(cur)
-	} else if canFlush {
-		// Nothing new yet: commit the stream headers so the client knows
-		// the resume was accepted.
-		fl.Flush()
-	}
-	if ch == nil { // already terminal: the current event was the last
-		return
-	}
-	// Keepalive comments hold the connection open through idle stretches
-	// (a queued job can sit silent for minutes; proxies reap quiet
-	// streams). Comment frames are invisible to EventSource clients.
-	var keep <-chan time.Time
-	if s.cfg.SSEKeepalive > 0 {
-		t := time.NewTicker(s.cfg.SSEKeepalive)
-		defer t.Stop()
-		keep = t.C
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			send(ev)
-		case <-keep:
-			fmt.Fprint(w, ": keepalive\n\n")
-			if canFlush {
-				fl.Flush()
-			}
-		}
-	}
+	events.ServeLatest(w, r)
 }
 
 // handleStats implements GET /stats.
@@ -280,15 +230,14 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, doc)
 }
 
-// handleProm implements GET /metrics/prom: the service's registry in
-// the Prometheus text exposition format, plus one labeled progress
-// series per retained job (the job ID is the label, so a scraper can
-// chart each sweep's cell completion individually).
-func (s *Service) handleProm(w http.ResponseWriter, r *http.Request) {
+// promSource is the GET /metrics/prom scrape: the service's registry
+// plus one labeled progress series per retained job (the job ID is the
+// label, so a scraper can chart each sweep's cell completion
+// individually).
+func (s *Service) promSource() (metrics.Snapshot, []metrics.PromLabel, []metrics.PromSample) {
 	s.mu.Lock()
-	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
-	s.reg.Gauge("service.jobs.running").Observe(float64(s.running))
-	snap := s.reg.Snapshot()
+	defer s.mu.Unlock()
+	snap := s.snapshotLocked()
 	var extra []metrics.PromSample
 	for _, id := range s.order {
 		j, ok := s.jobs[id]
@@ -313,8 +262,5 @@ func (s *Service) handleProm(w http.ResponseWriter, r *http.Request) {
 				},
 			})
 	}
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	//nolint:errcheck // best-effort response body
-	metrics.WritePrometheus(w, snap, nil, extra...)
+	return snap, nil, extra
 }

@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"ladder/internal/chaos"
+	"ladder/internal/introspect"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
 	"ladder/internal/sim"
@@ -102,8 +103,9 @@ type Config struct {
 	Tables *timing.TableSet
 	// SSEKeepalive is the comment-frame cadence on idle event streams —
 	// proxies reap silent connections, so a queued job's subscribers get
-	// ": keepalive" comments while nothing happens. 0 = 15s; negative
-	// disables keepalives (test seam).
+	// keepalive comments while nothing happens. 0 = 15s
+	// (introspect.DefaultSSEKeepalive); negative disables keepalives
+	// (test seam).
 	SSEKeepalive time.Duration
 	// Logger receives job-lifecycle records (submitted, started,
 	// finished). Nil discards them; serve mode wires a JSON logger.
@@ -147,19 +149,9 @@ func (c *Config) applyDefaults() {
 	if c.MaxInstr == 0 {
 		c.MaxInstr = 10_000_000
 	}
-	if c.SSEKeepalive == 0 {
-		c.SSEKeepalive = 15 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = logging.Discard()
 	}
-}
-
-// jobEvent is one SSE status event with its per-job sequence ID, so a
-// reconnecting subscriber can resume with Last-Event-ID.
-type jobEvent struct {
-	id   uint64
-	body []byte
 }
 
 // job is the service-side record of one submitted configuration.
@@ -175,10 +167,12 @@ type job struct {
 	// crashed marks a failure caused by the process (crash, watchdog
 	// abandonment) rather than the request: resubmitting re-runs it
 	// instead of serving the cached failure.
-	crashed   bool
-	seq       uint64 // SSE event sequence, monotonically increasing
-	cancel    context.CancelFunc
-	subs      []chan jobEvent // SSE subscribers
+	crashed bool
+	cancel  context.CancelFunc
+	// events streams the job's status documents; its event IDs are the
+	// job's event sequence. It closes at the terminal status, and a
+	// resubmit opens a fresh one.
+	events    *introspect.Broker
 	submitted time.Time
 }
 
@@ -268,9 +262,11 @@ func (s *Service) restore(rec *Recovery) {
 				rec.FailedByCrash++
 			}
 		}
+		s.openEventsLocked(j)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if j.state != StateQueued {
+			j.events.Close()
 			s.lru = append(s.lru, j.id)
 		}
 		if j.state == StateDone {
@@ -324,6 +320,12 @@ func (s *Service) Close() {
 func (s *Service) MetricsSnapshot() metrics.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked refreshes the queue and running gauges and freezes the
+// registry. Callers hold s.mu.
+func (s *Service) snapshotLocked() metrics.Snapshot {
 	s.reg.Gauge("service.queue.depth").Observe(float64(len(s.queue)))
 	s.reg.Gauge("service.jobs.running").Observe(float64(s.running))
 	return s.reg.Snapshot()
@@ -425,6 +427,7 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 		switch {
 		case j.state == StateQueued || j.state == StateRunning:
 			j.dedups++
+			j.publishLocked()
 			s.reg.Counter("service.jobs.deduped").Inc()
 			return j, outcomeDeduped
 		case j.state == StateCanceled || (j.state == StateFailed && j.crashed):
@@ -444,6 +447,7 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 		s.reg.Counter("service.jobs.rejected").Inc()
 		return nil, outcomeRejected
 	}
+	s.openEventsLocked(j)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.reg.Counter("service.jobs.submitted").Inc()
@@ -454,9 +458,10 @@ func (s *Service) submit(req Request) (*job, submitOutcome) {
 }
 
 // resubmitLocked returns a canceled or crashed job to the pending
-// queue, resetting its terminal state. The job keeps its identity (and
-// SSE sequence), so watchers attached before the resubmit see the new
-// lifecycle continue. Callers hold s.mu.
+// queue, resetting its terminal state. The job keeps its identity; its
+// new lifecycle streams on a fresh event stream, which a client resuming
+// with an ID from the old one joins at the current status. Callers hold
+// s.mu.
 func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	select {
 	case s.queue <- j:
@@ -471,6 +476,7 @@ func (s *Service) resubmitLocked(j *job) (*job, submitOutcome) {
 	j.done, j.total = 0, 0
 	j.crashed = false
 	j.submitted = time.Now()
+	s.openEventsLocked(j)
 	s.reg.Counter("service.jobs.resubmitted").Inc()
 	s.store.Accepted(j.req)
 	s.cfg.Logger.Info("job resubmitted", "job", j.id, "queue_depth", len(s.queue))
@@ -592,7 +598,7 @@ func (s *Service) runJob(j *job) {
 	opts, schemes := j.req.options()
 	j.total = len(opts.Workloads) * len(schemes)
 	s.reg.Gauge("service.jobs.running").Observe(1)
-	s.broadcastLocked(j)
+	j.publishLocked()
 	s.mu.Unlock()
 	s.store.Started(j.req)
 	s.cfg.Logger.Info("job started", "job", j.id, "cells", j.total)
@@ -611,7 +617,7 @@ func (s *Service) runJob(j *job) {
 		// those reads also hold s.mu.
 		s.mu.Lock()
 		j.done, j.total = p.Done, p.Total
-		s.broadcastLocked(j)
+		j.publishLocked()
 		s.mu.Unlock()
 	}
 	if s.cfg.StallTimeout > 0 {
@@ -750,9 +756,10 @@ func classify(ctx context.Context, err error, abandoned bool, deadline time.Dura
 }
 
 // finishLocked moves a job to a terminal state, publishes the terminal
-// event, releases subscribers, and enters the job into the completed
-// LRU (possibly evicting the oldest completed job entirely). Callers
-// hold s.mu.
+// event and closes the job's event stream (ending every live stream
+// after that event), and enters the job into the completed LRU
+// (possibly evicting the oldest completed job entirely). Callers hold
+// s.mu.
 func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, crashed bool) {
 	j.state = state
 	j.errMsg = errMsg
@@ -774,11 +781,8 @@ func (s *Service) finishLocked(j *job, state, errMsg string, report []byte, cras
 		s.cfg.Logger.Info("job finished", "job", j.id, "state", state,
 			"elapsed", time.Since(j.submitted))
 	}
-	s.broadcastLocked(j)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
+	j.publishLocked()
+	j.events.Close()
 	s.lru = append(s.lru, j.id)
 	s.trimLRULocked()
 }
@@ -809,49 +813,6 @@ func (s *Service) touchLocked(id string) {
 			s.lru = append(s.lru[:i], s.lru[i+1:]...)
 			s.lru = append(s.lru, id)
 			return
-		}
-	}
-}
-
-// subscribe attaches an SSE subscriber to a job and returns its channel
-// plus the current status event (stamped with the job's latest event
-// ID, so reconnecting clients can tell whether they already saw it). A
-// terminal job returns a nil channel — the current event is the last
-// one. Channel sends never block: a subscriber that falls more than a
-// buffer behind loses intermediate progress events but always receives
-// the terminal one (the channel is drained by the handler until
-// closed).
-func (s *Service) subscribe(id string) (<-chan jobEvent, jobEvent, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, jobEvent{}, false
-	}
-	cur := jobEvent{id: j.seq, body: j.statusEvent()}
-	if j.state != StateQueued && j.state != StateRunning {
-		return nil, cur, true
-	}
-	ch := make(chan jobEvent, 64)
-	j.subs = append(j.subs, ch)
-	return ch, cur, true
-}
-
-// broadcastLocked pushes the job's current status event to every
-// subscriber, advancing the job's event sequence. Callers hold s.mu. A
-// full subscriber buffer drops the event — except terminal events,
-// which always land because the channel buffer (64) exceeds any backlog
-// a handler can leave while draining.
-func (s *Service) broadcastLocked(j *job) {
-	j.seq++
-	if len(j.subs) == 0 {
-		return
-	}
-	ev := jobEvent{id: j.seq, body: j.statusEvent()}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
 		}
 	}
 }
@@ -891,12 +852,21 @@ func (j *job) statusLocked() Status {
 	return st
 }
 
-// statusEvent marshals the job's status for SSE delivery.
-func (j *job) statusEvent() []byte {
+// openEventsLocked gives the job a fresh event stream whose first event
+// is its current status. Callers hold s.mu (or own the job exclusively).
+func (s *Service) openEventsLocked(j *job) {
+	j.events = introspect.NewBroker(s.cfg.SSEKeepalive)
+	j.publishLocked()
+}
+
+// publishLocked streams the job's current status to its subscribers, so
+// the stream's newest event is always the job's current state. Callers
+// hold s.mu (or own the job exclusively).
+func (j *job) publishLocked() {
 	b, err := json.Marshal(j.statusLocked())
 	if err != nil {
 		// Status is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("service: marshaling status: %v", err))
 	}
-	return b
+	j.events.Publish(b)
 }
