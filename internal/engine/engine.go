@@ -22,6 +22,11 @@
 // Under that contract every cycle the engine skips is provably a no-op
 // for every actor, so the event-driven run is cycle-identical to the
 // seed tick loop (pinned by the golden test in internal/sim).
+//
+// A processed cycle advances every actor, except that a DueOnly actor
+// (a core) is advanced only when it is due: at the cycle its last
+// NextEventAt answer named, or, while that answer is Horizon, at a cycle
+// after activity. It makes up the cycles in between itself.
 package engine
 
 // Horizon is the "nothing pending" sentinel: a cycle later than any a
@@ -58,18 +63,50 @@ type Actor interface {
 	Advance(now uint64) bool
 }
 
-// Engine drives an ordered set of actors through simulated time. Every
-// processed cycle advances *all* actors in registration order — the
-// ordering guarantee the cycle-identical refactor depends on — and the
-// pending cycle, the minimum of the actors' NextEventAt answers, decides
-// which cycles need processing at all.
-type Engine struct {
-	clock  Clock
-	actors []Actor
-	// next is the pending cycle: 0 after New, Horizon when nothing is
-	// pending. Every step recomputes it from the actors' fresh answers,
-	// each strictly after the processed cycle, so it never lies in the past.
+// DueOnly is an Actor whose Advance before its due cycle does nothing it
+// cannot make up later: a core inside an instruction gap retires one
+// instruction per cycle whatever its peers do, and applies the cycles it
+// was not advanced at in bulk at its next Advance. The engine advances
+// a DueOnly actor only at a processed cycle at or after the one its last
+// NextEventAt answer named, or, while that answer is Horizon, at a cycle
+// after activity (the previous cycle's, or an earlier actor's in the
+// same cycle). It asks the actor for its next event only after
+// advancing it, so peers' activity may change a DueOnly actor's answer
+// only while the answer is Horizon.
+type DueOnly interface {
+	Actor
+	// DueOnly marks the actor; the engine never calls it.
+	DueOnly()
+}
+
+// member is one registered actor and, for a DueOnly one, its last
+// NextEventAt answer.
+type member struct {
+	a       Actor
+	dueOnly bool
+	// next is the actor's last NextEventAt answer (0 before the first
+	// cycle), valid until the actor advances again.
 	next uint64
+	// advanced marks an actor advanced in the current cycle, whose
+	// answer the step must ask for afresh.
+	advanced bool
+}
+
+// Engine drives an ordered set of actors through simulated time. Every
+// processed cycle advances the actors in registration order — the
+// ordering guarantee the cycle-identical refactor depends on — skipping
+// DueOnly actors that are not due, and the pending cycle, the minimum of
+// the actors' NextEventAt answers, decides which cycles need processing
+// at all.
+type Engine struct {
+	clock   Clock
+	members []member
+	// next is the pending cycle: 0 after New, Horizon when nothing is
+	// pending. Every step recomputes it from the actors' answers, each
+	// strictly after the processed cycle, so it never lies in the past.
+	next uint64
+	// active records whether the last processed cycle had activity.
+	active bool
 
 	// hooks are the installed periodic callbacks (progress, observers),
 	// fired in installation order at the top of their boundary cycles.
@@ -94,8 +131,12 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Clock() *Clock { return &e.clock }
 
 // Add appends an actor. Registration order is advance order within each
-// processed cycle.
-func (e *Engine) Add(a Actor) { e.actors = append(e.actors, a) }
+// processed cycle. An actor implementing DueOnly is advanced only when
+// due.
+func (e *Engine) Add(a Actor) {
+	_, dueOnly := a.(DueOnly)
+	e.members = append(e.members, member{a: a, dueOnly: dueOnly})
+}
 
 // AddHook installs a periodic callback (a progress reporter, the
 // timeline epoch sampler): fn fires at the top of every cycle t with
@@ -118,11 +159,12 @@ func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 
 // Step processes the next cycle: the pending cycle, or an earlier hook
 // boundary (which leaves the pending cycle in place, so hooks keep
-// firing through long dead windows). Periodic hooks fire, then every
-// actor advances in order, then the pending cycle becomes the minimum of
-// the actors' fresh NextEventAt answers. Returns false when nothing is
-// pending — with live actors that means the simulation is deadlocked, as
-// a healthy system always has a next event.
+// firing through long dead windows). Periodic hooks fire, then the
+// actors advance in order (a DueOnly actor only when due), then the
+// pending cycle becomes the minimum of the actors' answers, fresh for
+// every actor advanced. Returns false when nothing is pending — with
+// live actors that means the simulation is deadlocked, as a healthy
+// system always has a next event.
 func (e *Engine) Step() bool {
 	t := e.next
 	if t == Horizon {
@@ -139,25 +181,36 @@ func (e *Engine) Step() bool {
 			e.hooks[i].fn(t)
 		}
 	}
+	woken := e.active
 	active := false
-	for _, a := range e.actors {
+	for i := range e.members {
+		m := &e.members[i]
 		// Re-read the clock: an actor may legitimately advance it (an
 		// embedded drain), and later actors must see the new time.
-		if a.Advance(e.clock.Now()) {
+		now := e.clock.Now()
+		if m.dueOnly && m.next > now && (m.next != Horizon || !woken && !active) {
+			continue
+		}
+		m.advanced = true
+		if m.a.Advance(now) {
 			active = true
 		}
 	}
 	now := e.clock.Now()
 	next := Horizon
-	for _, a := range e.actors {
-		if n := a.NextEventAt(now); n < next {
-			next = n
+	for i := range e.members {
+		m := &e.members[i]
+		if m.advanced || !m.dueOnly {
+			m.next = m.a.NextEventAt(now)
+			m.advanced = false
 		}
+		next = min(next, m.next)
 	}
 	if active && now+1 < next {
 		next = now + 1
 	}
 	e.next = next
+	e.active = active
 	for i := range e.hooks {
 		if h := &e.hooks[i]; h.next <= now {
 			h.next = ((now+1)/h.every+1)*h.every - 1

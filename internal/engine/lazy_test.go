@@ -180,3 +180,47 @@ func TestLazyActorsSeeEagerHistories(t *testing.T) {
 		}
 	}
 }
+
+// duePulse and dueWatcher are pulseActor and watcherActor marked
+// DueOnly.
+type (
+	duePulse   struct{ pulseActor }
+	dueWatcher struct{ watcherActor }
+)
+
+func (*duePulse) DueOnly()   {}
+func (*dueWatcher) DueOnly() {}
+
+// TestDueOnlyAdvancesWhenDue pins when a DueOnly actor advances: at the
+// cycle it named, and while blocked, at a cycle after the previous
+// cycle's activity or after an earlier actor's activity in the same
+// cycle — never at a peer's private event.
+func TestDueOnlyAdvancesWhenDue(t *testing.T) {
+	e := New()
+	lazy := &duePulse{pulseActor{busyUntil: 500}}
+	eager := &pulseActor{busyUntil: 1000}
+	private := &schedActor{w: &world{}, due: []uint64{300}, public: []bool{false}}
+	watcher := &dueWatcher{}
+	e.Add(lazy)
+	e.Add(eager)
+	e.Add(private)
+	e.Add(watcher)
+	for e.Step() {
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []uint64
+	}{
+		{"eager pulse", eager.advanced, []uint64{0, 300, 500, 501, 1000, 1001}},
+		// Cycle 1000's completion comes from a later actor, so the
+		// blocked lazy pulse sees it at 1001.
+		{"lazy pulse", lazy.advanced, []uint64{0, 500, 501, 1001}},
+		// The watcher registers after both pulses and sees each
+		// completion in its own cycle.
+		{"lazy watcher", watcher.advanced, []uint64{0, 500, 501, 1000, 1001}},
+	} {
+		if !equalCycles(c.got, c.want) {
+			t.Errorf("%s advanced at %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package memctrl
 import (
 	"testing"
 
-	"ladder/internal/circuit"
 	"ladder/internal/core"
 	"ladder/internal/energy"
 	"ladder/internal/metrics"
@@ -43,7 +42,7 @@ func BenchmarkControllerTick(b *testing.B) {
 // ticks (retrying a refused one on the next offer) and returns the
 // final write-queue length.
 func benchControllerTick(b *testing.B, writeEvery uint64) int {
-	tables, err := timing.NewTableSet(circuit.DefaultParams())
+	tables, err := timing.DefaultTableSet()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -97,7 +97,7 @@ type ReadReq struct {
 	Loc  reram.Location
 	// Core identifies the requesting core for demand reads.
 	Core int
-	// Target is the write-queue entry an SMB read feeds.
+	// Target is the write whose enqueue issued this SMB read.
 	Target *core.WriteRequest
 	// EnqueueTick timestamps arrival.
 	EnqueueTick uint64
@@ -108,14 +108,31 @@ type ReadReq struct {
 // busyOp is an operation occupying a bank.
 type busyOp struct {
 	finish uint64
-	read   *ReadReq
-	write  *core.WriteRequest
-	latNs  float64
+	// ins numbers the op's entry into the in-flight list; among ops with
+	// equal finish it is the completion order.
+	ins   uint64
+	bank  int
+	read  *ReadReq
+	write *core.WriteRequest
+	latNs float64
 	// retryRef is the tracing span of the escalated reissue pulse this op
 	// represents (0 for first-attempt pulses). The original write span
 	// stays open across the whole program-and-verify sequence.
 	retryRef uint64
 }
+
+// pick is one bank's candidate in a dispatch merge: its queue entry
+// under consideration, the entry before it in the bank's FIFO, and the
+// entry's arrival number.
+type pick struct {
+	bank      int
+	prev, idx int32
+	seq       uint64
+}
+
+// maxBanks is the bank-mask width: a channel's banks are bits of a
+// uint64.
+const maxBanks = 64
 
 // ReadDoneFunc is invoked when a demand read's data returns.
 type ReadDoneFunc func(req *ReadReq, now uint64)
@@ -127,18 +144,33 @@ type Controller struct {
 	scheme core.Scheme
 	meter  *energy.Meter
 
-	rdq        []*ReadReq
-	wrq        []*core.WriteRequest
+	// reads and writes are the RDQ and WRQ, one FIFO per bank (index
+	// rank × BanksPerRank + bank). Dispatch merges the free banks' FIFOs
+	// by arrival number, which visits entries in exactly the order one
+	// arrival-ordered queue would.
+	reads      bankQueue[*ReadReq]
+	writes     bankQueue[*core.WriteRequest]
+	picks      []pick               // dispatch-merge scratch, one per bank
 	auxPending []*ReadReq           // aux reads awaiting RDQ space
 	wbPending  []*core.WriteRequest // metadata writebacks awaiting WRQ space
-	bankBusy   []uint64             // busy-until tick per bank
-	inflight   []busyOp
 	writeMode  bool
+	drainAt    int // write-queue length that enters drain mode
 	onReadDone ReadDoneFunc
 
-	// nextFinish is the earliest in-flight finish (Horizon with nothing
-	// in flight), recomputed at the end of every full tick, the only
-	// place inflight changes.
+	// busy has bit b set while bank b has an operation in flight: from
+	// its dispatch to its completion, which Tick processes at the finish
+	// tick before it dispatches anything.
+	busy uint64
+
+	// inflight holds the operations in flight ordered by (finish, ins);
+	// insertions counts entries. A tick completes the due head of the
+	// list; due is its scratch.
+	inflight   []busyOp
+	insertions uint64
+	due        []busyOp
+
+	// nextFinish is the earliest in-flight finish, the head of inflight
+	// (Horizon with nothing in flight).
 	nextFinish uint64
 	// quiet marks a controller whose last full tick completed, moved
 	// and dispatched nothing. Until an enqueue clears it or nextFinish
@@ -167,10 +199,6 @@ type Controller struct {
 	// the program-and-verify retry loop. Nil keeps the datapath untouched
 	// (one pointer test per write completion).
 	inj *fault.Injector
-	// reissue buffers escalated retry pulses created while
-	// completeFinished iterates inflight; merged back after the loop so
-	// the in-place filter never observes appends.
-	reissue []busyOp
 	// faultErr latches the first unrecoverable fault (spare-row pool
 	// exhaustion); the simulation aborts on it.
 	faultErr error
@@ -291,12 +319,20 @@ func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.
 		return nil, fmt.Errorf("memctrl: controller needs a metrics registry (Env.Metrics is nil)")
 	}
 	nBanks := env.Geom.RanksPerChannel * env.Geom.BanksPerRank
+	if nBanks > maxBanks {
+		return nil, fmt.Errorf("memctrl: %d banks per channel exceed the controller's %d-bit bank masks", nBanks, maxBanks)
+	}
 	return &Controller{
 		cfg:          cfg,
 		env:          env,
 		scheme:       scheme,
 		meter:        meter,
-		bankBusy:     make([]uint64, nBanks),
+		reads:        newBankQueue[*ReadReq](cfg.RDQSize, nBanks),
+		writes:       newBankQueue[*core.WriteRequest](cfg.WRQSize, nBanks),
+		picks:        make([]pick, 0, nBanks),
+		drainAt:      int(math.Ceil(cfg.WriteHighFrac * float64(cfg.WRQSize))),
+		inflight:     make([]busyOp, 0, nBanks),
+		due:          make([]busyOp, 0, nBanks),
 		nextFinish:   engine.Horizon,
 		onReadDone:   onReadDone,
 		flips:        make(map[uint64]uint8),
@@ -334,22 +370,22 @@ func (c *Controller) newWriteReq() *core.WriteRequest {
 }
 
 // ReadQueueLen and WriteQueueLen expose occupancies (testing/diagnostics).
-func (c *Controller) ReadQueueLen() int  { return len(c.rdq) }
-func (c *Controller) WriteQueueLen() int { return len(c.wrq) }
+func (c *Controller) ReadQueueLen() int  { return c.reads.len }
+func (c *Controller) WriteQueueLen() int { return c.writes.len }
 
 // InWriteMode reports the scheduling mode.
 func (c *Controller) InWriteMode() bool { return c.writeMode }
 
 // Idle reports whether all queues and banks are drained.
 func (c *Controller) Idle() bool {
-	return len(c.rdq) == 0 && len(c.wrq) == 0 && len(c.auxPending) == 0 &&
+	return c.reads.len == 0 && c.writes.len == 0 && len(c.auxPending) == 0 &&
 		len(c.wbPending) == 0 && len(c.inflight) == 0
 }
 
 // EnqueueRead accepts a processor demand read; false means the queue is
 // full and the core must retry.
 func (c *Controller) EnqueueRead(coreID int, line uint64, now uint64) bool {
-	if len(c.rdq) >= c.cfg.RDQSize {
+	if c.reads.len >= c.cfg.RDQSize {
 		return false
 	}
 	loc, err := c.decode(line)
@@ -361,7 +397,7 @@ func (c *Controller) EnqueueRead(coreID int, line uint64, now uint64) bool {
 	if c.tr != nil {
 		r.TraceRef = c.tr.Begin(tracing.KindDataRead, c.trChannel, c.bankOf(loc), coreID, line, now)
 	}
-	c.rdq = append(c.rdq, r)
+	c.reads.push(c.bankOf(loc), r)
 	c.quiet = false
 	c.run.DataReads.Inc()
 	return true
@@ -370,7 +406,7 @@ func (c *Controller) EnqueueRead(coreID int, line uint64, now uint64) bool {
 // EnqueueWrite accepts a processor writeback; false means the write queue
 // is full.
 func (c *Controller) EnqueueWrite(line uint64, data bits.Line, now uint64) bool {
-	if len(c.wrq) >= c.cfg.WRQSize {
+	if c.writes.len >= c.cfg.WRQSize {
 		return false
 	}
 	loc, err := c.decode(line)
@@ -386,16 +422,18 @@ func (c *Controller) EnqueueWrite(line uint64, data bits.Line, now uint64) bool 
 		req.TraceRef = c.tr.Begin(tracing.KindDataWrite, c.trChannel, c.bankOf(loc), -1, line, now)
 	}
 	aux, wbs := c.scheme.Enqueue(req)
-	c.wrq = append(c.wrq, req)
+	c.writes.push(c.bankOf(loc), req)
 	c.quiet = false
 	c.run.DataWrites.Inc()
-	c.routeAux(aux, now)
+	c.routeAux(aux, req, now)
 	c.routeWritebacks(wbs, now)
 	return true
 }
 
-// routeAux queues auxiliary reads, respecting RDQ capacity.
-func (c *Controller) routeAux(aux []core.AuxRead, now uint64) {
+// routeAux queues auxiliary reads, respecting RDQ capacity. SMB reads
+// feed target, the write whose enqueue issued them (schemes issue SMB
+// reads only from Enqueue).
+func (c *Controller) routeAux(aux []core.AuxRead, target *core.WriteRequest, now uint64) {
 	for _, a := range aux {
 		kind := ReadSMB
 		if a.Kind == core.AuxMeta {
@@ -404,7 +442,7 @@ func (c *Controller) routeAux(aux []core.AuxRead, now uint64) {
 		r := c.newReadReq()
 		r.Kind, r.Line, r.Loc, r.EnqueueTick = kind, a.Key, a.Loc, now
 		if kind == ReadSMB {
-			r.Target = c.findWrite(a.Key)
+			r.Target = target
 		}
 		if c.tr != nil {
 			tk := tracing.KindSMBRead
@@ -415,17 +453,6 @@ func (c *Controller) routeAux(aux []core.AuxRead, now uint64) {
 		}
 		c.auxPending = append(c.auxPending, r)
 	}
-}
-
-// findWrite locates the youngest write-queue entry for a line (SMB reads
-// target the entry that requested them).
-func (c *Controller) findWrite(line uint64) *core.WriteRequest {
-	for i := len(c.wrq) - 1; i >= 0; i-- {
-		if c.wrq[i].Line == line && !c.wrq[i].IsMeta {
-			return c.wrq[i]
-		}
-	}
-	return nil
 }
 
 // routeWritebacks turns dirty metadata evictions into write-queue
@@ -462,8 +489,8 @@ func (c *Controller) routeWritebacks(wbs []core.MetaWriteback, now uint64) {
 // the occupancy sampling.
 func (c *Controller) Tick(now uint64) bool {
 	if c.instrumented && now&occupancySampleMask == 0 {
-		c.mRDQOcc.Observe(float64(len(c.rdq)))
-		c.mWRQOcc.Observe(float64(len(c.wrq)))
+		c.mRDQOcc.Observe(float64(c.reads.len))
+		c.mWRQOcc.Observe(float64(c.writes.len))
 	}
 	if c.quiet && now < c.nextFinish {
 		return false
@@ -474,10 +501,6 @@ func (c *Controller) Tick(now uint64) bool {
 	// updateMode looked, so the mode flips on the next tick: not quiet.
 	moved := c.drainPending()
 	issued := c.issue(now)
-	c.nextFinish = engine.Horizon
-	for _, op := range c.inflight {
-		c.nextFinish = min(c.nextFinish, op.finish)
-	}
 	c.quiet = !completed && !moved && !issued
 	return completed || issued
 }
@@ -504,17 +527,44 @@ func (c *Controller) NextEventAt(now uint64) uint64 {
 	return c.nextFinish
 }
 
-// completeFinished retires operations whose bank time elapsed, reporting
-// whether any did.
+// startOp enters an operation into the in-flight list, after every op
+// with an equal or earlier finish, and marks its bank busy.
+func (c *Controller) startOp(op busyOp) {
+	c.insertions++
+	op.ins = c.insertions
+	c.busy |= 1 << op.bank
+	i := len(c.inflight)
+	c.inflight = append(c.inflight, op)
+	for ; i > 0 && c.inflight[i-1].finish > op.finish; i-- {
+		c.inflight[i] = c.inflight[i-1]
+	}
+	c.inflight[i] = op
+	c.nextFinish = c.inflight[0].finish
+}
+
+// completeFinished retires operations whose bank time elapsed, in the
+// order they entered the in-flight list, reporting whether any did. A
+// verify reissue re-enters the list behind the operations still in
+// flight.
 func (c *Controller) completeFinished(now uint64) bool {
-	completed := false
-	kept := c.inflight[:0]
-	for _, op := range c.inflight {
-		if op.finish > now {
-			kept = append(kept, op)
-			continue
+	k := 0
+	for k < len(c.inflight) && c.inflight[k].finish <= now {
+		k++
+	}
+	if k == 0 {
+		return false
+	}
+	due := append(c.due[:0], c.inflight[:k]...)
+	c.inflight = c.inflight[:copy(c.inflight, c.inflight[k:])]
+	// Ops finishing at one tick are already in entry order; only a tick
+	// processed after several finishes needs the sort.
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].ins < due[j-1].ins; j-- {
+			due[j], due[j-1] = due[j-1], due[j]
 		}
-		completed = true
+	}
+	for _, op := range due {
+		c.busy &^= 1 << op.bank
 		if op.read != nil {
 			c.finishRead(op.read, now)
 			c.freeReads = append(c.freeReads, op.read)
@@ -522,14 +572,12 @@ func (c *Controller) completeFinished(now uint64) bool {
 			c.freeWrites = append(c.freeWrites, op.write)
 		}
 	}
-	c.inflight = kept
-	// finishWrite parks verify-failure reissues aside: kept aliases
-	// c.inflight's array, so appending mid-loop would corrupt the filter.
-	if len(c.reissue) > 0 {
-		c.inflight = append(c.inflight, c.reissue...)
-		c.reissue = c.reissue[:0]
+	c.due = due[:0]
+	c.nextFinish = engine.Horizon
+	if len(c.inflight) > 0 {
+		c.nextFinish = c.inflight[0].finish
 	}
-	return completed
+	return true
 }
 
 // finishRead delivers a completed read.
@@ -670,7 +718,6 @@ func (c *Controller) reissueWrite(op busyOp, now uint64) {
 	}
 	bank := c.bankOf(req.Loc)
 	dur := uint64(c.cfg.TRCD+c.cfg.TBurst) + uint64(math.Ceil(lat*TicksPerNs))
-	c.bankBusy[bank] = now + dur
 	var ref uint64
 	if c.tr != nil && req.TraceRef != 0 {
 		ref = c.tr.Begin(tracing.KindWriteRetry, c.trChannel, bank, -1, req.Line, now)
@@ -682,25 +729,24 @@ func (c *Controller) reissueWrite(op busyOp, now uint64) {
 			t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh), clrs, c.writeMode)
 	}
 	c.mRetryHist.Observe(lat)
-	c.reissue = append(c.reissue, busyOp{finish: now + dur, write: req, latNs: lat, retryRef: ref})
+	c.startOp(busyOp{finish: now + dur, bank: bank, write: req, latNs: lat, retryRef: ref})
 }
 
 // retrySpill lets the scheme re-attempt deferred metadata acquisitions.
 func (c *Controller) retrySpill(now uint64) {
 	aux, wbs := c.scheme.RetrySpill()
-	c.routeAux(aux, now)
+	c.routeAux(aux, nil, now)
 	c.routeWritebacks(wbs, now)
 }
 
 // updateMode manages the write-drain watermarks; the spill buffer is
 // retried at every mode switch (paper Section 3.3).
 func (c *Controller) updateMode(now uint64) {
-	high := int(math.Ceil(c.cfg.WriteHighFrac * float64(c.cfg.WRQSize)))
-	if !c.writeMode && len(c.wrq) >= high {
+	if !c.writeMode && c.writes.len >= c.drainAt {
 		c.writeMode = true
 		c.mDrains.Inc()
 		c.retrySpill(now)
-	} else if c.writeMode && len(c.wrq) <= c.cfg.WriteLowEntries {
+	} else if c.writeMode && c.writes.len <= c.cfg.WriteLowEntries {
 		c.writeMode = false
 		c.retrySpill(now)
 	}
@@ -709,18 +755,20 @@ func (c *Controller) updateMode(now uint64) {
 // drainPending moves deferred aux reads and metadata writebacks into the
 // queues as space opens, reporting whether it moved any.
 func (c *Controller) drainPending() bool {
-	moved := false
-	for len(c.auxPending) > 0 && len(c.rdq) < c.cfg.RDQSize {
-		c.rdq = append(c.rdq, c.auxPending[0])
-		c.auxPending = c.auxPending[1:]
-		moved = true
+	r := 0
+	for ; r < len(c.auxPending) && c.reads.len < c.cfg.RDQSize; r++ {
+		c.reads.push(c.bankOf(c.auxPending[r].Loc), c.auxPending[r])
 	}
-	for len(c.wbPending) > 0 && len(c.wrq) < c.cfg.WRQSize {
-		c.wrq = append(c.wrq, c.wbPending[0])
-		c.wbPending = c.wbPending[1:]
-		moved = true
+	w := 0
+	for ; w < len(c.wbPending) && c.writes.len < c.cfg.WRQSize; w++ {
+		c.writes.push(c.bankOf(c.wbPending[w].Loc), c.wbPending[w])
 	}
-	return moved
+	if r == 0 && w == 0 {
+		return false
+	}
+	c.auxPending = c.auxPending[:copy(c.auxPending, c.auxPending[r:])]
+	c.wbPending = c.wbPending[:copy(c.wbPending, c.wbPending[w:])]
+	return true
 }
 
 // issue starts operations on free banks, reporting whether any
@@ -741,94 +789,118 @@ func (c *Controller) issue(now uint64) bool {
 	} else {
 		issued = c.issueReads(now, false)
 		// Opportunistic drain when no reads are waiting.
-		if len(c.rdq) == 0 {
+		if c.reads.len == 0 {
 			issued = c.issueWrites(now) || issued
 		}
 	}
 	return issued
 }
 
-// issueReads dispatches queue-order reads to free banks; auxOnly
-// restricts to SMB/metadata reads (drain mode).
+// insertPick inserts p into picks, kept ascending by arrival number.
+func insertPick(picks []pick, p pick) []pick {
+	picks = append(picks, p)
+	i := len(picks) - 1
+	for ; i > 0 && picks[i-1].seq > p.seq; i-- {
+		picks[i] = picks[i-1]
+	}
+	picks[i] = p
+	return picks
+}
+
+// issueReads dispatches, on each free bank, its first queued read (with
+// auxOnly, its first SMB or metadata read), in arrival order — the
+// reads a walk of one arrival-ordered queue would dispatch, in its
+// order.
 func (c *Controller) issueReads(now uint64, auxOnly bool) bool {
-	issued := false
-	for i := 0; i < len(c.rdq); {
-		r := c.rdq[i]
-		if auxOnly && r.Kind == ReadData {
-			i++
-			continue
+	q := &c.reads
+	picks := c.picks[:0]
+	for m := q.banks &^ c.busy; m != 0; m &= m - 1 {
+		b := mathbits.TrailingZeros64(m)
+		prev, i := int32(none), q.head[b]
+		for auxOnly && i != none && q.entries[i].v.Kind == ReadData {
+			prev, i = i, q.entries[i].next
 		}
-		bank := c.bankOf(r.Loc)
-		if c.bankBusy[bank] > now {
-			i++
-			continue
+		if i != none {
+			picks = insertPick(picks, pick{bank: b, prev: prev, idx: i, seq: q.entries[i].seq})
 		}
+	}
+	for _, p := range picks {
+		r := q.remove(p.bank, p.prev, p.idx)
 		dur := uint64(c.cfg.TRCD+c.cfg.TCL+c.cfg.TBurst) + c.dec.PenaltyTicks(r.Loc)
-		c.bankBusy[bank] = now + dur
 		if c.tr != nil && r.TraceRef != 0 {
 			c.tr.Dispatch(r.TraceRef, now, float64(dur)/TicksPerNs, -1, -1, -1, c.writeMode)
 		}
-		c.inflight = append(c.inflight, busyOp{finish: now + dur, read: r})
-		c.rdq = append(c.rdq[:i], c.rdq[i+1:]...)
+		c.startOp(busyOp{finish: now + dur, bank: p.bank, read: r})
+	}
+	return len(picks) > 0
+}
+
+// issueWrites dispatches, on each free bank, its first ready write,
+// reporting whether any did. It merges the free banks' queues by
+// arrival number, so it asks the scheme whether a write is ready for
+// exactly the entries, and in exactly the order, that a walk of one
+// arrival-ordered queue skipping busy banks would: a bank leaves the
+// merge at its first ready write (it is busy from then on) or when its
+// queue runs out.
+func (c *Controller) issueWrites(now uint64) bool {
+	q := &c.writes
+	picks := c.picks[:0]
+	for m := q.banks &^ c.busy; m != 0; m &= m - 1 {
+		b := mathbits.TrailingZeros64(m)
+		picks = insertPick(picks, pick{bank: b, prev: none, idx: q.head[b], seq: q.entries[q.head[b]].seq})
+	}
+	issued := false
+	for len(picks) > 0 {
+		p := picks[0]
+		picks = picks[:copy(picks, picks[1:])]
+		req := q.entries[p.idx].v
+		if !req.IsMeta && !c.scheme.Ready(req) {
+			if p.prev, p.idx = p.idx, q.entries[p.idx].next; p.idx != none {
+				p.seq = q.entries[p.idx].seq
+				picks = insertPick(picks, p)
+			}
+			continue
+		}
+		q.remove(p.bank, p.prev, p.idx)
+		c.dispatchWrite(req, p.bank, now)
 		issued = true
 	}
 	return issued
 }
 
-// issueWrites dispatches ready writes in queue order to free banks,
-// reporting whether any did. The walk stops once every bank is busy,
-// and it asks the scheme whether a write is ready only when the write's
-// bank is free (both tests are pure, so their order does not matter).
-func (c *Controller) issueWrites(now uint64) bool {
-	issued := false
-	free := 0
-	for _, busy := range c.bankBusy {
-		if busy <= now {
-			free++
-		}
-	}
-	for i := 0; i < len(c.wrq) && free > 0; {
-		req := c.wrq[i]
-		bank := c.bankOf(req.Loc)
-		if c.bankBusy[bank] > now || !req.IsMeta && !c.scheme.Ready(req) {
-			i++
-			continue
-		}
-		var latNs float64
-		if req.IsMeta {
-			// Metadata blocks have no tracked counters; their writes use
-			// the location-dependent worst-content latency (Section 3.3).
-			latNs = c.env.Tables.WL.LocationOnly(req.Loc.WL, req.Loc.BLHigh)
-			c.mMetaIssued.Inc()
-		} else {
-			latNs = c.scheme.Latency(req)
-			// Attribute the RESET to its latency bucket and timing-table
-			// cell. Metadata writes are excluded so the histogram matches
-			// the paper's data-write latency distribution (Figure 7).
-			c.mResetHist.Observe(latNs)
-			if c.instrumented {
-				t := c.env.Tables.WL
-				c.mResetCells.Inc(t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh))
-			}
-		}
-		dur := uint64(c.cfg.TRCD+c.cfg.TBurst) + uint64(math.Ceil(latNs*TicksPerNs)) + c.dec.PenaltyTicks(req.Loc)
-		req.DispatchCycle = now
-		if c.tr != nil && req.TraceRef != 0 {
+// dispatchWrite programs one write on its bank: the scheme's latency
+// (the location-only worst case for metadata and maintenance writes),
+// the RESET instruments, and the op entering the in-flight list.
+func (c *Controller) dispatchWrite(req *core.WriteRequest, bank int, now uint64) {
+	var latNs float64
+	if req.IsMeta {
+		// Metadata blocks have no tracked counters; their writes use
+		// the location-dependent worst-content latency (Section 3.3).
+		latNs = c.env.Tables.WL.LocationOnly(req.Loc.WL, req.Loc.BLHigh)
+		c.mMetaIssued.Inc()
+	} else {
+		latNs = c.scheme.Latency(req)
+		// Attribute the RESET to its latency bucket and timing-table
+		// cell. Metadata writes are excluded so the histogram matches
+		// the paper's data-write latency distribution (Figure 7).
+		c.mResetHist.Observe(latNs)
+		if c.instrumented {
 			t := c.env.Tables.WL
-			clrs := -1
-			if req.Clrs >= 0 {
-				clrs = t.BucketOf(req.Clrs)
-			}
-			c.tr.Dispatch(req.TraceRef, now, latNs,
-				t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh), clrs, c.writeMode)
+			c.mResetCells.Inc(t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh))
 		}
-		c.bankBusy[bank] = now + dur
-		free--
-		c.inflight = append(c.inflight, busyOp{finish: now + dur, write: req, latNs: latNs})
-		c.wrq = append(c.wrq[:i], c.wrq[i+1:]...)
-		issued = true
 	}
-	return issued
+	dur := uint64(c.cfg.TRCD+c.cfg.TBurst) + uint64(math.Ceil(latNs*TicksPerNs)) + c.dec.PenaltyTicks(req.Loc)
+	req.DispatchCycle = now
+	if c.tr != nil && req.TraceRef != 0 {
+		t := c.env.Tables.WL
+		clrs := -1
+		if req.Clrs >= 0 {
+			clrs = t.BucketOf(req.Clrs)
+		}
+		c.tr.Dispatch(req.TraceRef, now, latNs,
+			t.BucketOf(req.Loc.WL), t.BucketOf(req.Loc.BLHigh), clrs, c.writeMode)
+	}
+	c.startOp(busyOp{finish: now + dur, bank: bank, write: req, latNs: latNs})
 }
 
 // ReadLineLogical performs an immediate functional read (no timing):

@@ -634,3 +634,23 @@ func TestNewControllerRequiresRegistry(t *testing.T) {
 		t.Fatal("NewController accepted an env without a metrics registry")
 	}
 }
+
+// TestNewControllerRejectsTooManyBanks pins the bank-mask width: a
+// channel with more banks than a uint64 has bits cannot be scheduled,
+// and NewController says so instead of aliasing banks.
+func TestNewControllerRejectsTooManyBanks(t *testing.T) {
+	env := testEnv(t)
+	meter, err := energy.NewMeter(energy.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Geom.RanksPerChannel, env.Geom.BanksPerRank = 8, 16
+	if _, err := NewController(DefaultConfig(), env, core.NewBaseline(env), meter, nil); err == nil ||
+		!strings.Contains(err.Error(), "128 banks") {
+		t.Fatalf("NewController with 128 banks per channel: err = %v, want a bank-mask error", err)
+	}
+	env.Geom.RanksPerChannel = 4
+	if _, err := NewController(DefaultConfig(), env, core.NewBaseline(env), meter, nil); err != nil {
+		t.Fatalf("NewController with 64 banks per channel: %v", err)
+	}
+}

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzDecodeEncode: over small valid geometries (each hierarchy dimension
 // at most 64, MatRows at most 1024), Decode and Encode are inverses on
-// [0, Lines()), RowLocation inverts GlobalRow up to the block slot, and
+// [0, Lines()), Channel agrees with Decode, RowLocation inverts GlobalRow
+// up to the block slot, and
 // Decode rejects the first address past capacity. The simulator decodes
 // a line once, where it enters, and keys every later step on the
 // Location, so the decoder must stay a bijection.
@@ -27,6 +28,9 @@ func FuzzDecodeEncode(f *testing.F) {
 		}
 		if got := g.Encode(loc); got != line {
 			t.Fatalf("%+v: Encode(Decode(%d)) = %d", g, line, got)
+		}
+		if got := g.Channel(line); got != loc.Channel {
+			t.Fatalf("%+v: Channel(%d) = %d, Decode says %d", g, line, got, loc.Channel)
 		}
 		row := g.RowLocation(g.GlobalRow(loc))
 		row.Slot, row.BLHigh = loc.Slot, loc.BLHigh

@@ -134,6 +134,12 @@ func (g Geometry) Decode(line uint64) (Location, error) {
 	return loc, nil
 }
 
+// Channel returns the channel Decode places line on, without decoding
+// the rest of its location. The caller keeps line below Lines().
+func (g Geometry) Channel(line uint64) int {
+	return int(line / BlocksPerRow % uint64(g.Channels))
+}
+
 // Encode is the inverse of Decode.
 func (g Geometry) Encode(loc Location) uint64 {
 	row := uint64(loc.Row)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -67,6 +68,18 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	cfg = testConfig(t, "astar", "nonesuch")
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown scheme should fail")
+	}
+}
+
+// TestRunRejectsTooManyBanks checks that a geometry with more banks per
+// channel than the controller's bank masks hold fails at build, with the
+// controller's error.
+func TestRunRejectsTooManyBanks(t *testing.T) {
+	cfg := testConfig(t, "astar", SchemeBaseline)
+	cfg.Geom.RanksPerChannel, cfg.Geom.BanksPerRank = 8, 16
+	cfg.Geom.MatGroupsPerBank = 1
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "bank masks") {
+		t.Fatalf("Run with 128 banks per channel: err = %v, want the controller's bank-mask error", err)
 	}
 }
 

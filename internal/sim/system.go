@@ -591,18 +591,20 @@ func (s *System) issue(coreID int, a trace.Access) bool {
 	if s.lineRemap != nil {
 		a.Line = s.lineRemap(a.Line)
 	}
-	loc, err := s.cfg.Geom.Decode(a.Line)
-	if err != nil {
+	if a.Line >= s.cfg.Geom.Lines() {
 		// Footprints are clamped to the memory, so this cannot happen;
 		// dropping silently would leak the core's MLP slots.
-		panic(fmt.Sprintf("sim: trace address %d outside memory: %v", a.Line, err))
+		panic(fmt.Sprintf("sim: trace address %d outside memory (%d lines)", a.Line, s.cfg.Geom.Lines()))
 	}
-	c := s.ctrls[loc.Channel]
+	c := s.ctrls[s.cfg.Geom.Channel(a.Line)]
 	if a.Write {
 		if !c.EnqueueWrite(a.Line, a.Data, now) {
 			return false
 		}
 		if s.dec.RecordWrite() {
+			// The gap move's maintenance write lands on the written
+			// line's logical location; the line is in range.
+			loc, _ := s.cfg.Geom.Decode(a.Line)
 			c.EnqueueMaintenance(loc, now)
 		}
 		if s.expected != nil {
@@ -720,11 +722,7 @@ func (s *System) drain() error {
 func (s *System) collect() (*Result, error) {
 	if s.expected != nil {
 		for line, want := range s.expected {
-			loc, err := s.cfg.Geom.Decode(line)
-			if err != nil {
-				continue
-			}
-			got, err := s.ctrls[loc.Channel].ReadLineLogical(line)
+			got, err := s.ctrls[s.cfg.Geom.Channel(line)].ReadLineLogical(line)
 			if err != nil {
 				return nil, fmt.Errorf("sim: verify read %d: %w", line, err)
 			}
@@ -775,10 +773,13 @@ func (s *System) collect() (*Result, error) {
 }
 
 // coreActor drives one core through the engine. It lazily applies the
-// cycles the engine skipped (Skip: bulk gap retirement or stall
-// accounting — both provably identical to ticking each cycle, because
-// the engine only skips cycles in which no controller changed state)
-// and then ticks the core at the processed cycle.
+// cycles it was not advanced at (Skip: bulk gap retirement or stall
+// accounting — both provably identical to ticking each cycle, because a
+// core inside a gap retires whatever the memory system does, and a
+// blocked core is advanced after every cycle in which a controller
+// changed state) and then ticks the core at the processed cycle. It is
+// engine.DueOnly: the engine advances it only at the cycles its
+// NextEventAt names and, while it is blocked, after activity.
 type coreActor struct {
 	sys *System
 	i   int
@@ -843,6 +844,9 @@ func (a *coreActor) traceStall(stalled bool, now uint64) {
 	}
 	a.stalling = stalled
 }
+
+// DueOnly marks the core actor engine.DueOnly.
+func (*coreActor) DueOnly() {}
 
 func (a *coreActor) NextEventAt(now uint64) uint64 {
 	if a.sys.finish[a.i] != 0 {
@@ -915,7 +919,9 @@ func (a *crashActor) NextEventAt(now uint64) uint64 {
 	if !s.crashPending {
 		return engine.Horizon
 	}
-	total := s.retired(now)
+	// Count cycle now in: the cores the engine did not advance at now
+	// have not applied it yet.
+	total := s.retired(now + 1)
 	if total >= s.cfg.CrashAtInstr {
 		return now + 1
 	}
