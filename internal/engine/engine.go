@@ -79,8 +79,7 @@ type DueOnly interface {
 	DueOnly()
 }
 
-// member is one registered actor and, for a DueOnly one, its last
-// NextEventAt answer.
+// member is one registered actor and its last NextEventAt answer.
 type member struct {
 	a       Actor
 	dueOnly bool
@@ -88,7 +87,7 @@ type member struct {
 	// cycle), valid until the actor advances again.
 	next uint64
 	// advanced marks an actor advanced in the current cycle, whose
-	// answer the step must ask for afresh.
+	// answer the step asks for afresh once every actor has advanced.
 	advanced bool
 }
 
@@ -188,6 +187,8 @@ func (e *Engine) Step() bool {
 		// Re-read the clock: an actor may legitimately advance it (an
 		// embedded drain), and later actors must see the new time.
 		now := e.clock.Now()
+		// A DueOnly actor not yet due waits; a blocked one (Horizon)
+		// advances once anything was active since its last answer.
 		if m.dueOnly && m.next > now && (m.next != Horizon || !woken && !active) {
 			continue
 		}
@@ -200,7 +201,7 @@ func (e *Engine) Step() bool {
 	next := Horizon
 	for i := range e.members {
 		m := &e.members[i]
-		if m.advanced || !m.dueOnly {
+		if m.advanced {
 			m.next = m.a.NextEventAt(now)
 			m.advanced = false
 		}

@@ -507,7 +507,7 @@ func (c *Controller) Tick(now uint64) bool {
 
 // NextEventAt returns the next cycle strictly after now at which this
 // controller's Tick can do something a no-op tick would not: the
-// earliest in-flight completion, as the last full tick cached it
+// earliest in-flight completion, the head of the in-flight list
 // (bank-free times coincide with completions, so dispatch
 // opportunities appear there too). A non-idle
 // controller with nothing in flight asks for the very next cycle — the
