@@ -76,7 +76,7 @@ func (*lazyRelay) DueOnly()    {}
 // random registration order, each marked DueOnly when lazy is set and its
 // coin says so; the draws do not depend on lazy, so the eager and the
 // lazy build of one seed are the same system.
-func newMixedSystem(rng *rand.Rand, limit int, lazy bool) (*world, []Actor) {
+func newMixedSystem(rng *rand.Rand, limit int, lazy bool) []Actor {
 	w := &world{}
 	var actors []Actor
 	for n := 1 + rng.Intn(4); n > 0; n-- {
@@ -109,7 +109,7 @@ func newMixedSystem(rng *rand.Rand, limit int, lazy bool) (*world, []Actor) {
 		}
 	}
 	rng.Shuffle(len(actors), func(i, j int) { actors[i], actors[j] = actors[j], actors[i] })
-	return w, actors
+	return actors
 }
 
 // history is what one actor observed in its Advance calls.
@@ -164,8 +164,8 @@ func TestLazyActorsSeeEagerHistories(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		const limit = 300
 		seed := int64(5000 + trial)
-		_, eager := newMixedSystem(rand.New(rand.NewSource(seed)), limit, false)
-		_, lazy := newMixedSystem(rand.New(rand.NewSource(seed)), limit, true)
+		eager := newMixedSystem(rand.New(rand.NewSource(seed)), limit, false)
+		lazy := newMixedSystem(rand.New(rand.NewSource(seed)), limit, true)
 		every := uint64(0)
 		if trial%3 == 0 {
 			every = 1 + uint64(trial%17)

@@ -1,14 +1,12 @@
 package memctrl_test
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"hash"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -364,16 +362,11 @@ func TestDispatchGolden(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(filepath.FromSlash(dispatchGolden))
+	b, err := os.ReadFile(dispatchGolden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
+	want := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d cases, run produced %d", len(want), len(got))
 	}
