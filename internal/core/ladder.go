@@ -56,7 +56,8 @@ func newLadderBase(env *Env, cacheCfg MetaCacheConfig) (*ladderBase, error) {
 // acquire secures all metadata lines for req: cache hits gain a sharer,
 // misses reserve a way and emit a metadata read, and saturated sets park
 // the request in the spill buffer (releasing any sharers it already
-// took, so spill retry re-runs the full acquisition).
+// took, so spill retry re-runs the full acquisition, but still emitting
+// the reads of the ways it reserved).
 func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []MetaWriteback) {
 	req.MetaKeys = keys
 	req.MetaPending = 0
@@ -79,7 +80,9 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 		if !ok {
 			// Roll back and spill: every key before this one gained a
 			// sharer (hit or successful reserve); the request retries
-			// atomically later.
+			// atomically later. The ways this call reserved stay
+			// filling, so their reads still go out: a later request
+			// that hits one waits on its fill.
 			for _, h := range keys[:i] {
 				b.cache.Release(h)
 			}
@@ -89,8 +92,9 @@ func (b *ladderBase) acquire(req *WriteRequest, keys []uint64) ([]AuxRead, []Met
 			req.WaitMeta = true
 			b.spill = append(b.spill, req)
 			b.run.SpillParks.Inc()
+			b.auxScratch = aux
 			b.wbScratch = wbs
-			return nil, wbs
+			return aux, wbs
 		}
 		if wb != nil {
 			wbs = append(wbs, *wb)

@@ -124,7 +124,7 @@ func (s *recScheme) WriteRetry(req *core.WriteRequest, attempt int) {
 // dispatchCase drives one controller over seeded random traffic and
 // returns its golden line: event counts and the digest of every scheme
 // call, every delivered read and every span's dispatch and completion.
-func dispatchCase(t *testing.T, scheme string, faulty bool) string {
+func dispatchCase(t *testing.T, scheme string, faulty bool, cache core.MetaCacheConfig) string {
 	t.Helper()
 	name := scheme
 	if faulty {
@@ -146,13 +146,6 @@ func dispatchCase(t *testing.T, scheme string, faulty bool) string {
 	store.SetColumnTracking(scheme == sim.SchemeBLP)
 	store.SetResident(2, 5)
 	env := &core.Env{Geom: geom, Store: store, Tables: goldenTables, Metrics: metrics.NewRegistry()}
-	// A 4 KB cache makes Est and Hybrid evict dirty metadata. LADDER-Basic
-	// gets 64 KB in 16 ways: with smaller or narrower caches this traffic
-	// wedges it on a metadata fill that never comes (ROADMAP item 10).
-	cache := core.MetaCacheConfig{SizeBytes: 4 << 10, Ways: 4, SpillSize: 16}
-	if scheme == sim.SchemeBasic {
-		cache = core.MetaCacheConfig{SizeBytes: 64 << 10, Ways: 16, SpillSize: 16}
-	}
 	inner, err := core.NewScheme(scheme, env, cache)
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +334,28 @@ func dispatchCase(t *testing.T, scheme string, faulty bool) string {
 	return b.String()
 }
 
+// goldenCache is the metadata cache each scheme's golden case runs
+// with. A 4 KB cache makes Est and Hybrid evict dirty metadata.
+// LADDER-Basic gets 64 KB in 16 ways, the setting its golden line was
+// recorded with (ROADMAP item 10).
+func goldenCache(scheme string) core.MetaCacheConfig {
+	if scheme == sim.SchemeBasic {
+		return core.MetaCacheConfig{SizeBytes: 64 << 10, Ways: 16, SpillSize: 16}
+	}
+	return core.MetaCacheConfig{SizeBytes: 4 << 10, Ways: 4, SpillSize: 16}
+}
+
+// TestBasicPaperCacheDrains runs LADDER-Basic with the paper's 64 KB
+// 4-way metadata cache over the golden cases' traffic. Its two-key
+// acquisitions spill half-reserved; the spill rollback once dropped the
+// fill reads of the ways it had reserved, and a later write hitting one
+// of them waited forever, so the controller never drained.
+func TestBasicPaperCacheDrains(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		dispatchCase(t, sim.SchemeBasic, faulty, core.DefaultMetaCacheConfig())
+	}
+}
+
 // TestDispatchGolden pins the controller's schedule: for each figure
 // scheme, with and without fault injection and the wear-leveling
 // decoder, seeded traffic that saturates both queues (backpressure,
@@ -353,7 +368,7 @@ func TestDispatchGolden(t *testing.T) {
 	var got []string
 	for _, scheme := range sim.FigureSchemes() {
 		for _, faulty := range []bool{false, true} {
-			got = append(got, dispatchCase(t, scheme, faulty))
+			got = append(got, dispatchCase(t, scheme, faulty, goldenCache(scheme)))
 		}
 	}
 	if *updateDispatch {
