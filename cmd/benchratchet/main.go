@@ -101,7 +101,10 @@ func run(glob string, threshold float64, runs int, instr uint64, seed int64, out
 // measure replays one anchor's configuration: a warm-up run (timing
 // tables, page cache) followed by `runs` measured runs, keeping the
 // fastest snapshot — the ratchet compares capability, not scheduler
-// luck, and a conservative fresh number only ever under-fails.
+// luck, and a conservative fresh number only ever under-fails. Each
+// measured run first drops the resident rows earlier runs of the same
+// workload and seed left behind, so it draws them cold, as the anchors
+// were measured.
 func measure(a Anchor, runs int, instr uint64, seed int64, label string) (*sim.BenchReport, error) {
 	if instr == 0 {
 		// Replay at the anchor's own scale so the measured window matches
@@ -126,6 +129,7 @@ func measure(a Anchor, runs int, instr uint64, seed int64, label string) (*sim.B
 	}
 	var best *sim.BenchReport
 	for i := 0; i < runs; i++ {
+		ladder.DropResidents()
 		res, err := ladder.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("benchratchet: measuring %s: %w", a.Doc.Name, err)

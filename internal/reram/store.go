@@ -185,7 +185,9 @@ func (s *Store) UseShiftedDatapath() { s.shifted = true }
 // typical, 3 ≈ sparse (integer/pointer-heavy). Level 0 disables prefill.
 //
 // The store builds each row privately and retains it only in its own
-// view; UseResident shares rows built once across stores instead.
+// view; UseResident shares rows built once across stores instead, and
+// is what every simulation run uses. SetResident serves code that
+// drives a lone store (benchmark probes, tests).
 func (s *Store) SetResident(level int, seed uint64) {
 	s.resident = nil
 	if level > 0 {

@@ -202,8 +202,9 @@ type Config struct {
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
 
 	// inputs shares resident rows and access streams among the cells of
-	// one grid or study (runCells); nil, as in a solo Run, draws both
-	// privately.
+	// one grid or study (runCells). Nil, as in a solo Run, takes resident
+	// rows from the process-wide registry (soloResidents) and draws
+	// access streams privately.
 	inputs *inputPool
 }
 
@@ -402,6 +403,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.releaseResidents()
 	if ctx != nil {
 		sys.ctx = ctx
 	}

@@ -78,6 +78,9 @@ type System struct {
 	// calls since the last poll.
 	ctx   context.Context
 	polls int
+	// solo is the registry entry whose rows a solo run views, nil in a
+	// grid cell and while the run holds none.
+	solo *soloResident
 }
 
 // newSystem is the build phase: it constructs every component — store,
@@ -468,21 +471,33 @@ const progressSpanCount = 64
 
 // warm is the warm phase: it configures resident data, which the store
 // prefills into each wordline group on first touch, so touched groups
-// carry realistic ones-density before the first write arrives. A grid
-// cell views row images from the grid's shared pool (built once per
-// grid); a solo run builds them privately.
+// carry realistic ones-density before the first write arrives. Every run
+// views shared row images: a grid cell the grid's pool's (built once per
+// grid), a solo run those of the process-wide registry (built once per
+// machine while recent runs of it retain them), held until
+// releaseResidents.
 func (s *System) warm() error {
 	cfg := s.cfg
 	if cfg.ResidentLevel <= 0 {
 		return nil
 	}
-	seed := uint64(cfg.Seed) + 0x5eed
+	k := residentKey{cfg.ResidentLevel, uint64(cfg.Seed) + 0x5eed}
 	if cfg.inputs != nil {
-		s.store.UseResident(cfg.inputs.resident(cfg.ResidentLevel, seed))
-	} else {
-		s.store.SetResident(cfg.ResidentLevel, seed)
+		s.store.UseResident(cfg.inputs.resident(k))
+		return nil
 	}
+	s.solo = soloResidents.acquire(soloKey{cfg.Workload, k})
+	s.store.UseResident(s.solo.rows)
 	return nil
+}
+
+// releaseResidents hands a solo run's registry entry back. RunCtx defers
+// it, so a run that fails, is canceled or panics releases its hold too.
+func (s *System) releaseResidents() {
+	if s.solo != nil {
+		soloResidents.release(s.solo)
+		s.solo = nil
+	}
 }
 
 // inputPool holds the pure inputs the cells of one grid or study share:
@@ -503,6 +518,8 @@ type inputPool struct {
 	tapes     map[streamKey]*sharedTape
 }
 
+// residentKey is the (effective level, seed) that fixes every row's
+// resident content.
 type residentKey struct {
 	level int
 	seed  uint64
@@ -515,18 +532,16 @@ type sharedTape struct {
 	readers int
 }
 
-// resident returns the pool's Resident for (level, seed), creating it on
-// first use.
-func (p *inputPool) resident(level int, seed uint64) *reram.Resident {
+// resident returns the pool's Resident for k, creating it on first use.
+func (p *inputPool) resident(k residentKey) *reram.Resident {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := residentKey{level, seed}
 	r := p.residents[k]
 	if r == nil {
 		if p.residents == nil {
 			p.residents = make(map[residentKey]*reram.Resident)
 		}
-		r = reram.NewResident(level, seed)
+		r = reram.NewResident(k.level, k.seed)
 		p.residents[k] = r
 	}
 	return r

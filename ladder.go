@@ -119,8 +119,14 @@ const (
 	SchemeHybrid     = sim.SchemeHybrid
 )
 
-// Run executes one simulation (see sim.Run).
+// Run executes one simulation (see sim.Run). Runs of the same workload
+// and seed share the resident row images they draw; the results are
+// the same as without sharing.
 func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
+
+// DropResidents frees the resident row images that recent runs left for
+// later runs of the same workload and seed (see sim.DropResidents).
+func DropResidents() { sim.DropResidents() }
 
 // NewReport freezes a run's Result into its serializable report form.
 func NewReport(res *Result) *Report { return sim.NewReport(res) }
