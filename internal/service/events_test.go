@@ -102,7 +102,8 @@ func TestEventStreamResumeReplaysGap(t *testing.T) {
 	// The job runs its cells one at a time, 8 per workload with the gate
 	// cell last, so the 10th gate cell starts 72 cells after the first.
 	// Each holds the job at its first channel's build until the test
-	// releases it.
+	// releases it. A cell starts only after the previous one finished,
+	// so the hook's counters need no lock.
 	const secondGate = 10
 	var (
 		gates   int

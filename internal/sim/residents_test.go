@@ -6,18 +6,17 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"ladder/internal/core"
+	"ladder/internal/chaos"
 )
 
-// soloEntry returns the registry's entry for a solo run of cfg, nil when
-// the registry holds none.
-func soloEntry(cfg Config) *soloResident {
+// soloEntry returns the registry's entry for solo runs of workload at
+// seed and the default resident level, nil when the registry holds none.
+func soloEntry(workload string, seed int64) *soloResident {
 	soloResidents.mu.Lock()
 	defer soloResidents.mu.Unlock()
-	return soloResidents.entries[soloKey{cfg.Workload, residentKey{cfg.ResidentLevel, uint64(cfg.Seed) + 0x5eed}}]
+	return soloResidents.entries[soloKey{workload, residentKey{2, uint64(seed) + 0x5eed}}]
 }
 
 // reportJSON renders a result's report with host timing stripped.
@@ -65,7 +64,7 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 			}
 			DropResidents()
 			cold := soloJSON(t, cfg)
-			if soloEntry(Config{Workload: c.workload, ResidentLevel: 2, Seed: cfg.Seed}) == nil {
+			if soloEntry(c.workload, cfg.Seed) == nil {
 				t.Fatalf("%s %s/%s: the registry kept nothing of the cold run", cc.name, c.workload, c.scheme)
 			}
 			warm := soloJSON(t, cfg)
@@ -117,7 +116,7 @@ func TestSoloRunsShareResidentsConcurrently(t *testing.T) {
 			t.Errorf("%s: a run sharing its rows with concurrent runs differs from its cold run", s)
 		}
 	}
-	e := soloEntry(Config{Workload: "mix-3", ResidentLevel: 2, Seed: 42})
+	e := soloEntry("mix-3", 42)
 	if e == nil || e.users != 0 {
 		t.Fatalf("after the runs the machine's entry is %+v, want one no run holds", e)
 	}
@@ -176,23 +175,6 @@ func TestResidentRegistryRetention(t *testing.T) {
 	}
 }
 
-// panicAfter counts down the Enqueue calls of midRunPanicScheme; the
-// call that brings it to zero panics.
-var panicAfter atomic.Int64
-
-const midRunPanicScheme = "test-panic-mid-run"
-
-// panicScheme is the baseline policy with a write path that panics once
-// panicAfter runs out, partway through a run.
-type panicScheme struct{ core.Scheme }
-
-func (p *panicScheme) Enqueue(req *core.WriteRequest) ([]core.AuxRead, []core.MetaWriteback) {
-	if panicAfter.Add(-1) == 0 {
-		panic("injected mid-run panic")
-	}
-	return p.Scheme.Enqueue(req)
-}
-
 // recoverRun runs cfg and returns what it panicked with, nil if it
 // returned.
 func recoverRun(cfg Config) (r any) {
@@ -202,21 +184,17 @@ func recoverRun(cfg Config) (r any) {
 }
 
 // TestInterruptedSoloRunLeavesRowsIntact interrupts solo runs partway,
-// once by cancellation and once by a panic in the scheme, and checks
+// once by cancellation and once by a panic in the scheme's first write
+// (after the controller drew that write's row), and checks
 // that each released its hold on the registry and that a later run
 // viewing the rows the interrupted run drew equals its cold run.
 func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 	defer DropResidents()
-	if _, err := core.SchemeName(midRunPanicScheme); err != nil {
-		core.RegisterScheme(midRunPanicScheme, func(env *core.Env, _ core.MetaCacheConfig) (core.Scheme, error) {
-			return &panicScheme{Scheme: core.NewBaseline(env)}, nil
-		})
-	}
+	registerChaosScheme()
 	base := testConfig(t, "lbm", SchemeHybrid)
 	base.InstrPerCore = 20_000
 	DropResidents()
 	cold := soloJSON(t, base)
-	entry := Config{Workload: base.Workload, ResidentLevel: 2, Seed: base.Seed}
 
 	interrupts := map[string]func(t *testing.T){
 		"canceled": func(t *testing.T) {
@@ -231,10 +209,11 @@ func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 			}
 		},
 		"panicked": func(t *testing.T) {
+			chaos.Arm("sim.scheme.enqueue", chaos.Action{Panic: "injected scheme bug", Times: 1})
+			defer chaos.Reset()
 			cfg := base
-			cfg.Scheme = midRunPanicScheme
-			panicAfter.Store(40)
-			if r := recoverRun(cfg); r != "injected mid-run panic" {
+			cfg.Scheme = chaosSchemeName
+			if r := recoverRun(cfg); r != "injected scheme bug" {
 				t.Fatalf("recovered %v, want the injected panic", r)
 			}
 		},
@@ -243,7 +222,7 @@ func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			DropResidents()
 			interrupt(t)
-			e := soloEntry(entry)
+			e := soloEntry(base.Workload, base.Seed)
 			if e == nil || e.users != 0 {
 				t.Fatalf("after the interrupted run the machine's entry is %+v, want one no run holds", e)
 			}
