@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,42 @@ func TestReliabilityRetryMaxZero(t *testing.T) {
 		if v != "0.000" {
 			t.Fatalf("-retry-max 0 reported %s retries per kwrite, want 0", v)
 		}
+	}
+}
+
+// TestUnknownExperiment: an -exp name that names no experiment fails the
+// command and lists the known names. It used to print nothing and exit 0.
+func TestUnknownExperiment(t *testing.T) {
+	var out strings.Builder
+	err := run(context.Background(), []string{"-exp", "fig99"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "fig12") || !strings.Contains(err.Error(), "lowrows") {
+		t.Fatalf("-exp fig99: error %v, want one listing the known experiments", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-exp fig99 printed %q", out.String())
+	}
+}
+
+// TestReportNeedsGridUpFront: -report and -timeline-out are checked
+// against the selected experiments before any cell runs, so a study with
+// no grid fails at once, printing no table and writing no file. The
+// check used to run after the whole study.
+func TestReportNeedsGridUpFront(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-exp", "crash", "-report", filepath.Join(dir, "r.json")},
+		{"-exp", "lifetime", "-timeline-interval", "1000", "-timeline-out", filepath.Join(dir, "t.json")},
+	} {
+		var out strings.Builder
+		err := run(context.Background(), append(args, "-instr", "5000"), &out)
+		if err == nil || !strings.Contains(err.Error(), "need a grid experiment") {
+			t.Errorf("%v: error %v, want a missing-grid error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v ran before failing:\n%s", args, out.String())
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("wrote %d files", len(files))
 	}
 }
