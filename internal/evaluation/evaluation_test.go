@@ -9,16 +9,17 @@ import (
 	"ladder"
 )
 
-// TestEveryExperiment runs every declared experiment at a small budget
-// on one session, as `-exp all` does. Each must produce non-empty tables
-// whose every row carries a finite value under every series (a label
-// that drifts from its study's keys shows up as a missing value), and
-// the printer must render each table under its title.
+// TestEveryExperiment runs every declared experiment at a small budget,
+// each on a fresh session. Each must produce non-empty tables whose every
+// row carries a finite value under every series (a label that drifts
+// from its study's keys shows up as a missing value), the printer must
+// render each table under its title, and an experiment must leave a
+// grid to report exactly when it is marked Grid.
 func TestEveryExperiment(t *testing.T) {
-	s := &Session{Ctx: context.Background(), Opts: ladder.Options{Instr: 5_000, Seed: 1, Jobs: 2},
-		GapPeriods: []int{64}, SpareGrid: []int{0, 16}}
 	for _, e := range Experiments {
 		t.Run(e.Name, func(t *testing.T) {
+			s := &Session{Ctx: context.Background(), Opts: ladder.Options{Instr: 5_000, Seed: 1, Jobs: 2},
+				GapPeriods: []int{64}, SpareGrid: []int{0, 16}}
 			tables, err := e.Run(s)
 			if err != nil {
 				t.Fatal(err)
@@ -43,6 +44,9 @@ func TestEveryExperiment(t *testing.T) {
 				if lines := strings.Count(out.String(), "\n"); !strings.HasPrefix(out.String(), "\n"+tb.Title+"\n") || lines < len(tb.Rows)+3 {
 					t.Errorf("printed table:\n%s", out.String())
 				}
+			}
+			if built := s.ReportGrid() != nil; built != e.Grid {
+				t.Errorf("left a grid to report: %v, but Grid is %v", built, e.Grid)
 			}
 		})
 	}
