@@ -1,6 +1,6 @@
 // Benchmark harness: BenchmarkEvaluation runs every experiment that
 // internal/evaluation declares as one sub-benchmark, printing the same
-// tables cmd/experiments prints, so `go test -run xxx -bench Evaluation .`
+// tables `laddersim -exp` prints, so `go test -run xxx -bench Evaluation .`
 // reproduces the whole evaluation. LADDER_BENCH_INSTR raises the
 // per-core instruction budget (default 60000). Each table's AVG row is
 // reported as metrics in units of <experiment>/<series>; an experiment

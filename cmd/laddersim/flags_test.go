@@ -6,47 +6,49 @@ import (
 	"testing"
 	"time"
 
+	"ladder"
 	"ladder/internal/cliflag"
 )
 
-// The validators live in internal/cliflag, shared with cmd/experiments;
-// these tables pin them over laddersim's full flag surface.
+// These tables pin the checks laddersim makes of its flags itself. The
+// ranges sim.Config holds (the fault rate's among them) are checked by
+// the simulator alone and tested in internal/sim.
 
 func TestValidateFlags(t *testing.T) {
 	type in struct {
 		sample, slowest int
-		rate            float64
 		retry, spares   int
 		penalty         float64
 	}
-	def := in{sample: 1, slowest: 0, rate: 0, retry: 3, spares: 32, penalty: 2}
+	def := in{sample: 1, slowest: 0, retry: 3, spares: 32, penalty: 2}
 	cases := []struct {
 		name    string
 		in      in
 		wantErr string // empty = valid
 	}{
 		{"defaults", def, ""},
-		{"typical injection", in{1, 5, 0.01, 3, 32, 2}, ""},
-		{"rate just below one", in{1, 0, 0.999, 1, 1, 2}, ""},
+		{"typical injection", in{1, 5, 3, 32, 2}, ""},
 		// Zero is an explicit "off", not an unset default: each of these
-		// must validate so the sentinel mapping in cliflag.Count/Ns can
+		// must validate so the sentinel mapping in cliflag.Off can
 		// carry the distinction into the simulator config.
-		{"zero retries disables reissues", in{1, 0, 0.01, 0, 32, 2}, ""},
-		{"zero spares disables remapping", in{1, 0, 0.01, 3, 0, 2}, ""},
-		{"zero penalty is free indirection", in{1, 0, 0.01, 3, 32, 0}, ""},
-		{"zero sample", in{0, 0, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative sample", in{-4, 0, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative slowest", in{1, -1, 0, 3, 32, 2}, "-trace-slowest"},
-		{"rate one", in{1, 0, 1, 3, 32, 2}, "-fault-rate"},
-		{"rate negative", in{1, 0, -0.5, 3, 32, 2}, "-fault-rate"},
-		{"negative retries", in{1, 0, 0.01, -1, 32, 2}, "-retry-max"},
-		{"negative spares", in{1, 0, 0.01, 3, -1, 2}, "-spare-rows"},
-		{"negative penalty", in{1, 0, 0.01, 3, 32, -2}, "-remap-penalty"},
+		{"zero retries disables reissues", in{1, 0, 0, 32, 2}, ""},
+		{"zero spares disables remapping", in{1, 0, 3, 0, 2}, ""},
+		{"zero penalty is free indirection", in{1, 0, 3, 32, 0}, ""},
+		{"zero sample", in{0, 0, 3, 32, 2}, "-trace-sample"},
+		{"negative sample", in{-4, 0, 3, 32, 2}, "-trace-sample"},
+		{"negative slowest", in{1, -1, 3, 32, 2}, "-trace-slowest"},
+		// A negative count would otherwise lower to Config's -1 "off"
+		// and alias an explicit 0.
+		{"negative retries", in{1, 0, -1, 32, 2}, "-retry-max"},
+		{"negative spares", in{1, 0, 3, -1, 2}, "-spare-rows"},
+		{"negative penalty", in{1, 0, 3, 32, -2}, "-remap-penalty"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := errors.Join(cliflag.Trace(c.in.sample, c.in.slowest), cliflag.Faults(c.in.rate, c.in.retry, c.in.spares),
-				cliflag.RemapPenalty(c.in.penalty))
+			_, errRetry := cliflag.Off("-retry-max", c.in.retry)
+			_, errSpares := cliflag.Off("-spare-rows", c.in.spares)
+			_, errPenalty := cliflag.Off("-remap-penalty", c.in.penalty)
+			err := errors.Join(cliflag.Trace(c.in.sample, c.in.slowest), errRetry, errSpares, errPenalty)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -65,20 +67,20 @@ func TestValidateFlags(t *testing.T) {
 
 // TestFlagSentinelMapping pins the translation between the CLI
 // convention (literal value, 0 = off) and sim.Config's convention
-// (0 = default, negative = off): an explicit flag zero must reach the
+// (0 = default, -1 = off): an explicit flag zero must reach the
 // simulator as "disabled", never as "use the default".
 func TestFlagSentinelMapping(t *testing.T) {
-	if got := cliflag.Count(0); got != -1 {
-		t.Errorf("cliflag.Count(0) = %d, want -1 (disabled)", got)
+	if got, err := cliflag.Off("-retry-max", 0); got != -1 || err != nil {
+		t.Errorf("cliflag.Off(0) = %d, %v, want -1 (disabled)", got, err)
 	}
-	if got := cliflag.Count(3); got != 3 {
-		t.Errorf("cliflag.Count(3) = %d, want 3", got)
+	if got, err := cliflag.Off("-retry-max", 3); got != 3 || err != nil {
+		t.Errorf("cliflag.Off(3) = %d, %v, want 3", got, err)
 	}
-	if got := cliflag.Ns(0); got != -1 {
-		t.Errorf("cliflag.Ns(0) = %v, want -1 (free)", got)
+	if got, err := cliflag.Off("-remap-penalty", 0.0); got != -1 || err != nil {
+		t.Errorf("cliflag.Off(0.0) = %v, %v, want -1 (free)", got, err)
 	}
-	if got := cliflag.Ns(2.5); got != 2.5 {
-		t.Errorf("cliflag.Ns(2.5) = %v, want 2.5", got)
+	if got, err := cliflag.Off("-remap-penalty", 2.5); got != 2.5 || err != nil {
+		t.Errorf("cliflag.Off(2.5) = %v, %v, want 2.5", got, err)
 	}
 }
 
@@ -107,7 +109,7 @@ func TestValidateServeFlags(t *testing.T) {
 		{"defaults", 0, 16, 64, 0, 0, ""},
 		{"explicit jobs", 8, 1, 1, 0, 0, ""},
 		{"timeouts on", 0, 16, 64, time.Minute, 10 * time.Second, ""},
-		{"negative jobs", -1, 16, 64, 0, 0, "-jobs"},
+		{"negative jobs", -1, 16, 64, 0, 0, "Jobs"},
 		{"zero queue", 0, 0, 64, 0, 0, "-queue-depth"},
 		{"negative queue", 0, -2, 64, 0, 0, "-queue-depth"},
 		{"zero cache", 0, 16, 0, 0, 0, "-cache-size"},
@@ -116,7 +118,9 @@ func TestValidateServeFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := errors.Join(cliflag.Jobs(c.jobs), cliflag.Serve(c.queueDepth, c.cacheSize, c.jobTimeout, c.stallTimeout))
+			// laddersim checks -jobs as the simulator's Options.Jobs, in
+			// every mode.
+			err := errors.Join(ladder.Options{Jobs: c.jobs}.Validate(), cliflag.Serve(c.queueDepth, c.cacheSize, c.jobTimeout, c.stallTimeout))
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

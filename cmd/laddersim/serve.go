@@ -3,51 +3,27 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
+	"io"
 	"time"
 
 	"ladder/internal/introspect"
 	"ladder/internal/service"
 )
 
-// serveConfig carries the -serve mode's resolved flags.
-type serveConfig struct {
-	addr         string
-	jobs         int
-	queueDepth   int
-	cacheSize    int
-	maxInstr     uint64
-	stateDir     string
-	jobTimeout   time.Duration
-	stallTimeout time.Duration
-	logger       *slog.Logger
-}
-
 // runServe turns the process into the long-running simulation service
 // (docs/SERVICE.md): the job-queue API mounted on the introspection
-// server — one listener carrying /jobs alongside /debug/pprof/, the
-// live /service and /metrics documents, and /stats — until the signal
-// context cancels. Returns the process exit code.
-func runServe(ctx context.Context, cfg serveConfig) int {
-	srv, err := introspect.New(cfg.addr)
+// server on addr — one listener carrying /jobs alongside /debug/pprof/,
+// the live /service and /metrics documents, and /stats — until the
+// signal context cancels.
+func runServe(ctx context.Context, stdout io.Writer, addr string, cfg service.Config) error {
+	srv, err := introspect.New(addr)
 	if err != nil {
-		cfg.logger.Error("introspection server failed", "addr", cfg.addr, "err", err)
-		return 1
+		return fmt.Errorf("introspection server on %s: %w", addr, err)
 	}
-	svc, err := service.New(service.Config{
-		QueueDepth:   cfg.queueDepth,
-		CacheSize:    cfg.cacheSize,
-		Jobs:         cfg.jobs,
-		MaxInstr:     cfg.maxInstr,
-		StateDir:     cfg.stateDir,
-		JobTimeout:   cfg.jobTimeout,
-		StallTimeout: cfg.stallTimeout,
-		Logger:       cfg.logger,
-	})
+	svc, err := service.New(cfg)
 	if err != nil {
-		cfg.logger.Error("service failed to start", "state_dir", cfg.stateDir, "err", err)
 		_ = srv.Close()
-		return 1
+		return fmt.Errorf("service failed to start (state dir %q): %w", cfg.StateDir, err)
 	}
 	for _, pattern := range svc.Routes() {
 		srv.Handle(pattern, svc.Handler())
@@ -58,10 +34,10 @@ func runServe(ctx context.Context, cfg serveConfig) int {
 	srv.PublishFunc("service", func() any { return svc.StatsSnapshot() })
 	srv.PublishFunc("metrics", func() any { return svc.MetricsSnapshot() })
 
-	fmt.Printf("laddersim service   http://%s/jobs (introspection at /, pprof under /debug/pprof/)\n", srv.Addr())
-	cfg.logger.Info("service listening", "addr", srv.Addr())
+	fmt.Fprintf(stdout, "laddersim service   http://%s/jobs (introspection at /, pprof under /debug/pprof/)\n", srv.Addr())
+	cfg.Logger.Info("service listening", "addr", srv.Addr())
 	<-ctx.Done()
-	cfg.logger.Info("shutting down", "reason", "signal", "drain", "in-flight job finishes its grid cells")
+	cfg.Logger.Info("shutting down", "reason", "signal", "drain", "in-flight job finishes its grid cells")
 
 	// Stop the executor first so no new job starts, then drain HTTP with
 	// a bounded grace period.
@@ -71,5 +47,5 @@ func runServe(ctx context.Context, cfg serveConfig) int {
 	if err := srv.Shutdown(sctx); err != nil {
 		_ = srv.Close()
 	}
-	return 0
+	return nil
 }

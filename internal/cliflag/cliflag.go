@@ -1,8 +1,9 @@
-// Package cliflag validates and lowers the numeric flags the ladder
-// commands share, so each knob is checked in one place. A bad sampling
-// rate or fault knob should fail fast with a clear message, not surface
-// minutes later from deep inside the simulator (or, worse, silently
-// disable the feature it was meant to tune).
+// Package cliflag checks and lowers what the ladder commands' flags mean
+// before they reach the simulator: the knobs sim.Config never sees (the
+// tracing flags, timeline export and -serve settings) and the lowering
+// of flags that take 0 as "off" onto Config's 0-means-default fields.
+// Every range Config holds is checked by the simulator itself (see
+// sim.Options.Validate), so no range is checked twice.
 package cliflag
 
 import (
@@ -21,45 +22,12 @@ func Trace(sample, slowest int) error {
 	return nil
 }
 
-// Faults rejects out-of-range fault-injection flags. Zero is a
-// meaningful value for -retry-max and -spare-rows — it disables the
-// feature outright rather than falling back to the default (see Count)
-// — so only negatives are rejected there.
-func Faults(rate float64, retryMax, spareRows int) error {
-	switch {
-	case rate < 0 || rate >= 1:
-		return fmt.Errorf("-fault-rate must be in [0, 1) (0 disables injection), got %g", rate)
-	case retryMax < 0:
-		return fmt.Errorf("-retry-max must be >= 0 (0 disables reissues), got %d", retryMax)
-	case spareRows < 0:
-		return fmt.Errorf("-spare-rows must be >= 0 (0 disables spare remapping), got %d", spareRows)
-	}
-	return nil
-}
-
-// RemapPenalty rejects a negative -remap-penalty; 0 makes remapped-row
-// indirection free (see Ns).
-func RemapPenalty(ns float64) error {
-	if ns < 0 {
-		return fmt.Errorf("-remap-penalty must be >= 0 ns (0 makes remapped-row indirection free), got %g", ns)
-	}
-	return nil
-}
-
 // Timeline rejects a -timeline-out with no sampling cadence: without
 // -timeline-interval the run records no epochs and the export would
 // silently write an empty document.
 func Timeline(interval uint64, out string) error {
 	if out != "" && interval == 0 {
 		return fmt.Errorf("-timeline-out requires -timeline-interval > 0 (no epochs are recorded otherwise)")
-	}
-	return nil
-}
-
-// Jobs rejects a negative worker count.
-func Jobs(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-jobs must be >= 0 (0 = one worker per CPU), got %d", n)
 	}
 	return nil
 }
@@ -81,20 +49,16 @@ func Serve(queueDepth, cacheSize int, jobTimeout, stallTimeout time.Duration) er
 	return nil
 }
 
-// Count maps the CLI convention (flag value is the literal setting;
-// 0 disables) onto sim.Config's backward-compatible convention (0 means
-// default, negative means disabled).
-func Count(v int) int {
-	if v == 0 {
-		return -1
+// Off lowers the flag named name from the CLI convention (the flag value
+// is the literal setting; 0 turns the feature off) onto sim.Config's
+// (0 means default, -1 means off). A negative flag value is an error,
+// not a second spelling of 0.
+func Off[T int | float64](name string, v T) (T, error) {
+	switch {
+	case v < 0:
+		return 0, fmt.Errorf("%s must be >= 0 (0 turns it off), got %v", name, v)
+	case v == 0:
+		return -1, nil
 	}
-	return v
-}
-
-// Ns is Count for nanosecond-valued float flags.
-func Ns(v float64) float64 {
-	if v == 0 {
-		return -1
-	}
-	return v
+	return v, nil
 }

@@ -41,11 +41,11 @@ var schemeRegistry struct {
 }
 
 // RegisterScheme adds a write scheme to the registry under its figure
-// label. The simulator, laddersim and experiments all resolve schemes
-// through this registry, so a registered scheme is immediately runnable
-// by name. Names resolve case-insensitively, so registering a name that
-// equals a registered one up to case panics: silently shadowing a policy
-// would corrupt cross-scheme comparisons.
+// label. The simulator, laddersim (single runs and -exp) and the service
+// all resolve schemes through this registry, so a registered scheme is
+// immediately runnable by name. Names resolve case-insensitively, so
+// registering a name that equals a registered one up to case panics:
+// silently shadowing a policy would corrupt cross-scheme comparisons.
 func RegisterScheme(name string, factory SchemeFactory) {
 	if name == "" || factory == nil {
 		panic("core: RegisterScheme requires a name and a factory")

@@ -21,8 +21,8 @@
 // Schemes are constructed by name through a registry (RegisterScheme /
 // NewScheme): the built-ins register at init in the paper's evaluation
 // order, and an externally registered SchemeFactory is immediately
-// runnable everywhere a built-in is — the simulator, laddersim and the
-// experiments driver all resolve Config.Scheme through NewScheme and
+// runnable everywhere a built-in is — the simulator, laddersim and its
+// -exp experiments all resolve Config.Scheme through NewScheme and
 // hold no scheme switch of their own.
 package core
 

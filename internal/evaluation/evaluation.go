@@ -1,6 +1,6 @@
 // Package evaluation declares the paper's evaluation once: every figure,
 // table and study this repository regenerates is a named Experiment that
-// returns titled tables. cmd/experiments and the root package's
+// returns titled tables. `laddersim -exp` and the root package's
 // BenchmarkEvaluation both loop over Experiments, so they cannot drift
 // apart.
 package evaluation
@@ -8,6 +8,7 @@ package evaluation
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -15,13 +16,14 @@ import (
 	"ladder"
 	"ladder/internal/bits"
 	"ladder/internal/core"
+	"ladder/internal/sim"
 	"ladder/internal/timing"
 	"ladder/internal/trace"
 )
 
 // An Experiment is one named figure, table or study.
 type Experiment struct {
-	// Name selects the experiment (cmd/experiments -exp) and names its
+	// Name selects the experiment (laddersim -exp) and names its
 	// sub-benchmark (BenchmarkEvaluation/<Name>).
 	Name string
 	// Grid marks an experiment that builds a scheme grid, the document
@@ -45,27 +47,31 @@ type Table struct {
 }
 
 // Session carries what one evaluation's experiments share: the options
-// every grid and study starts from, the sweep settings the command's
-// flags choose, and the grids built so far, so the 16×7 figure grid
-// behind Figures 12–17 runs once however many experiments read it.
+// every grid and study starts from, the lifetime sweep's axes, and the
+// grids built so far, so the 16×7 figure grid behind Figures 12–17 runs
+// once however many experiments read it.
 type Session struct {
 	// Ctx cancels the session's grids and studies; it must be set.
 	Ctx context.Context
-	// Opts scopes every grid and study. Experiments that run one of the
-	// paper's workload subsets replace Opts.Workloads.
+	// Opts scopes every grid and study, and Opts.Base reaches every cell
+	// (the reliability sweep sets each cell's FaultRate itself).
+	// Experiments that run one of the paper's workload subsets replace
+	// Opts.Workloads.
 	Opts ladder.Options
 	// GapPeriods and SpareGrid are the lifetime sweep's axes (nil = its
 	// defaults).
 	GapPeriods, SpareGrid []int
-	// FaultRates replaces the reliability sweep's fault rates when set.
-	FaultRates []float64
-	// FaultSeed, RetryMax and SpareRows configure the reliability
-	// sweep's cells in Config's convention (0 = default, negative = off).
-	FaultSeed           int64
-	RetryMax, SpareRows int
 	// Lifetime is the lifetime sweep's study once it has run.
 	Lifetime      *ladder.LifetimeStudy
 	figures, last *ladder.Grid
+}
+
+// Validate rejects a session no experiment could run: Options a grid or
+// study rejects, or a lifetime axis LifetimeSweep rejects. Each
+// experiment checks its own inputs before any cell runs; Validate lets a
+// front end fail before the first of several experiments prints.
+func (s *Session) Validate() error {
+	return errors.Join(s.Opts.Validate(), sim.ValidateLifetimeAxes(s.GapPeriods, s.SpareGrid))
 }
 
 // ReportGrid is the grid a report serializes: the figure grid when an
@@ -410,12 +416,12 @@ func cachesize(s *Session) ([]Table, error) {
 	return one("Section 6.3 — metadata cache size ablation (IPC vs default 64KB; paper <2% gain)", rows, err, labels("%dKB", sizesKB)...)
 }
 
+// reliability sweeps the session's fault rate when Opts.Base sets one,
+// and the default rates otherwise.
 func reliability(s *Session) ([]Table, error) {
-	opts := s.on(subset)
-	opts.Base.FaultSeed, opts.Base.RetryMax, opts.Base.SpareRows = s.FaultSeed, s.RetryMax, s.SpareRows
-	rates := s.FaultRates
-	if rates == nil {
-		rates = []float64{0.001, 0.01}
+	rates := []float64{0.001, 0.01}
+	if r := s.Opts.Base.FaultRate; r > 0 {
+		rates = []float64{r}
 	}
 	var series []string
 	for _, sc := range ladders {
@@ -423,7 +429,7 @@ func reliability(s *Session) ([]Table, error) {
 			series = append(series, fmt.Sprintf("%s@%g", sc, r))
 		}
 	}
-	rows, err := ladder.ReliabilitySweep(s.Ctx, opts, ladders, rates)
+	rows, err := ladder.ReliabilitySweep(s.Ctx, s.on(subset), ladders, rates)
 	return one("Reliability — program-and-verify retries per 1000 data writes (stale-margin effect; see docs/FAULTS.md)", rows, err, series...)
 }
 

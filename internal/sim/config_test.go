@@ -59,6 +59,8 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"shrink below 1", func(c *Config) { c.ShrinkRange = 0.5 }, "ShrinkRange"},
 		{"negative shrink", func(c *Config) { c.ShrinkRange = -2 }, "ShrinkRange"},
 		{"low rows below -1", func(c *Config) { c.HybridLowRows = -2 }, "HybridLowRows"},
+		{"retry max below -1, faults off", func(c *Config) { c.RetryMax = -2 }, "RetryMax"},
+		{"spare rows below -1, faults off", func(c *Config) { c.SpareRows = -2 }, "SpareRows"},
 		{"unknown VWL mode, leveling off", func(c *Config) { c.VWLMode = "diagonal" }, "VWLMode"},
 		{"unknown VWL mode, leveling on", func(c *Config) { c.VWLMode, c.WearLeveling = "diagonal", true }, "VWLMode"},
 		{"NaN remap penalty", func(c *Config) { c.RemapPenaltyNs = math.NaN() }, "RemapPenaltyNs"},
@@ -68,6 +70,8 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"shrink of 1", func(c *Config) { c.ShrinkRange = 1 }, ""},
 		{"fault rate just below 1", func(c *Config) { c.FaultRate = math.Nextafter(1, 0) }, ""},
 		{"low rows -1", func(c *Config) { c.HybridLowRows = -1 }, ""},
+		{"retry max -1", func(c *Config) { c.RetryMax = -1 }, ""},
+		{"spare rows -1", func(c *Config) { c.SpareRows = -1 }, ""},
 		{"line VWL mode, leveling off", func(c *Config) { c.VWLMode = "line" }, ""},
 		{"negative remap penalty", func(c *Config) { c.RemapPenaltyNs = -1 }, ""},
 	}

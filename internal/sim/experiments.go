@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -81,8 +82,14 @@ func (o Options) config(workload, scheme string) Config {
 	return cfg
 }
 
-// checkBase rejects a Base that sets a field the grid sets per cell.
-func (o Options) checkBase() error {
+// Validate rejects Options no grid or study can run: a negative Jobs, a
+// Base that sets a field the grid sets per cell, or a Base knob outside
+// its range (see Config). Every grid and study calls it before any cell
+// runs; a front end may call it earlier to fail before any output.
+func (o Options) Validate() error {
+	if o.Jobs < 0 {
+		return fmt.Errorf("sim: Options.Jobs must be >= 0 (0 = one worker per CPU), got %d", o.Jobs)
+	}
 	var set []string
 	for _, f := range []struct {
 		name string
@@ -101,7 +108,7 @@ func (o Options) checkBase() error {
 	if len(set) > 0 {
 		return fmt.Errorf("sim: Options.Base sets %s; a grid sets these per cell (see Options)", strings.Join(set, ", "))
 	}
-	return nil
+	return o.Base.validateKnobs()
 }
 
 // Grid holds results for every (workload, scheme) pair of an experiment.
@@ -216,7 +223,7 @@ func crossCells(workloads []string, variants []cell) []cell {
 // the last of them finishes. Options.Progress calls are serialized under
 // one mutex.
 func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell) ([]*Result, error) {
-	if err := opts.checkBase(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	cfgs := make([]Config, len(cells))
@@ -253,7 +260,7 @@ func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell
 		done       int
 		wg         sync.WaitGroup
 	)
-	if opts.Jobs <= 0 {
+	if opts.Jobs == 0 {
 		opts.Jobs = runtime.NumCPU()
 	}
 	sem := make(chan struct{}, opts.Jobs)
@@ -715,10 +722,13 @@ func relativeLifetime(geom reram.Geometry, base, res *Result, spares int) float6
 // short runs still exercise the retirement path. Reported per cell:
 // modeled relative lifetime and measured IPC ratio (the trade the paper
 // prices at ~3% write overhead), averaged across workloads. Nil period
-// and spare lists select the defaults. The leveled runs depend on the
-// baselines, so the study runs in two runCells stages that share one
-// input pool.
+// and spare lists select the defaults; ValidateLifetimeAxes rejects a bad
+// axis before any cell runs. The leveled runs depend on the baselines, so
+// the study runs in two runCells stages that share one input pool.
 func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
+	if err := ValidateLifetimeAxes(periods, spares); err != nil {
+		return nil, err
+	}
 	if len(periods) == 0 {
 		periods = []int{64, 128, 256}
 	}
@@ -782,6 +792,25 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 		}
 	}
 	return study, nil
+}
+
+// ValidateLifetimeAxes rejects LifetimeSweep axes whose cells would not
+// measure what they are labeled with: a gap-move period below 1 (Config
+// reads VWLPeriod 0 as the default period), a negative spare-pool size,
+// or a value listed twice (its cells would share one row or column key).
+func ValidateLifetimeAxes(periods, spares []int) error {
+	check := func(axis string, vals []int, least int) error {
+		for i, v := range vals {
+			if v < least {
+				return fmt.Errorf("sim: lifetime %s must be >= %d, got %d", axis, least, v)
+			}
+			if slices.Contains(vals[:i], v) {
+				return fmt.Errorf("sim: lifetime %s %d is listed twice", axis, v)
+			}
+		}
+		return nil
+	}
+	return errors.Join(check("gap period", periods, 1), check("spare-pool size", spares, 0))
 }
 
 // Series lists the sweep's printable column keys in cell order:

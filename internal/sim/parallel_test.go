@@ -127,6 +127,36 @@ func TestRunGridRejectsBaseIdentity(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectedBeforeAnyCell: a negative Jobs or an out-of-range
+// Base knob fails a grid or study before its first cell runs, naming
+// the field. A negative Jobs used to run one worker per CPU, and a bad
+// Base knob failed every cell separately.
+func TestOptionsRejectedBeforeAnyCell(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		edit  func(*Options)
+	}{
+		{"Jobs", func(o *Options) { o.Jobs = -1 }},
+		{"FaultRate", func(o *Options) { o.Base.FaultRate = 1 }},
+		{"RetryMax", func(o *Options) { o.Base.RetryMax = -2 }},
+	} {
+		opts := parallelGridOptions(t)
+		c.edit(&opts)
+		var cells atomic.Int32
+		opts.Progress = func(GridProgress) { cells.Add(1) }
+		_, gridErr := RunGridCtx(context.Background(), opts, []string{SchemeBaseline})
+		_, studyErr := WearLevelingImpact(context.Background(), opts, SchemeHybrid)
+		for _, err := range []error{opts.Validate(), gridErr, studyErr} {
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s out of range: err = %v, want a rejection naming it", c.field, err)
+			}
+		}
+		if n := cells.Load(); n != 0 {
+			t.Errorf("%s out of range: %d cells ran before the rejection", c.field, n)
+		}
+	}
+}
+
 // TestRunGridReportsEveryCellFailure: cells are independent, so one bad
 // cell must not mask another's error, and the joined error names each.
 func TestRunGridReportsEveryCellFailure(t *testing.T) {

@@ -173,11 +173,11 @@ type Config struct {
 	// FaultSeed seeds the injector's private PRNG stream (0 = reuse Seed).
 	FaultSeed int64
 	// RetryMax caps program-and-verify reissues per write (0 = default 3,
-	// negative = no reissues at all: transient failures remap directly).
+	// -1 = no reissues at all: transient failures remap directly).
 	RetryMax int
-	// SpareRows sizes each bank's spare-row pool (0 = default 32,
-	// negative = no spares). A run that exhausts a pool on the fault path
-	// fails with an error from Run.
+	// SpareRows sizes each bank's spare-row pool (0 = default 32, -1 = no
+	// spares). A run that exhausts a pool on the fault path fails with an
+	// error from Run.
 	SpareRows int
 	// RemapPenaltyNs is the address-decoder indirection latency charged
 	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
@@ -252,9 +252,9 @@ func (c *Config) applyDefaults() error {
 // range (NaN included). Without it a negative FaultRate or TraceSample,
 // a ShrinkRange below 1 or an unknown VWLMode would run with the feature
 // silently off, a negative TraceCapacity would run the default ring, a
-// HybridLowRows below -1 would act as -1, and a NaN or infinite
-// RemapPenaltyNs would charge every remapped access a meaningless tick
-// count.
+// HybridLowRows, RetryMax or SpareRows below -1 would act as -1, and a
+// NaN or infinite RemapPenaltyNs would charge every remapped access a
+// meaningless tick count.
 func (c *Config) validateKnobs() error {
 	switch {
 	case !(c.FaultRate >= 0 && c.FaultRate < 1):
@@ -267,6 +267,10 @@ func (c *Config) validateKnobs() error {
 		return fmt.Errorf("sim: ShrinkRange must be 0 (off) or >= 1, got %g", c.ShrinkRange)
 	case c.HybridLowRows < -1:
 		return fmt.Errorf("sim: HybridLowRows must be >= -1 (-1 disables the low-precision region), got %d", c.HybridLowRows)
+	case c.RetryMax < -1:
+		return fmt.Errorf("sim: RetryMax must be >= -1 (-1 disables reissues, 0 selects the default), got %d", c.RetryMax)
+	case c.SpareRows < -1:
+		return fmt.Errorf("sim: SpareRows must be >= -1 (-1 disables the spare pool, 0 selects the default), got %d", c.SpareRows)
 	case math.IsNaN(c.RemapPenaltyNs) || math.IsInf(c.RemapPenaltyNs, 0):
 		return fmt.Errorf("sim: RemapPenaltyNs must be finite (0 selects the default, negative makes indirection free), got %g", c.RemapPenaltyNs)
 	}

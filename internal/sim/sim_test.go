@@ -506,6 +506,34 @@ func TestLifetimeSweep(t *testing.T) {
 	}
 }
 
+// TestLifetimeSweepRejectsBadAxes: a gap period below 1, a negative
+// spare-pool size and a repeated entry fail the sweep before any cell
+// runs. Period 0 used to run Config's default period under a "0" label,
+// and a negative pool reached the lifetime model's spare factor.
+func TestLifetimeSweepRejectsBadAxes(t *testing.T) {
+	opts := Options{Instr: 5_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
+	cells := 0
+	opts.Progress = func(GridProgress) { cells++ }
+	for _, c := range []struct {
+		periods, spares []int
+		want            string
+	}{
+		{[]int{0}, nil, "gap period"},
+		{[]int{-64}, nil, "gap period"},
+		{[]int{64, 128, 64}, nil, "gap period"},
+		{nil, []int{-1}, "spare-pool size"},
+		{nil, []int{0, 16, 0}, "spare-pool size"},
+	} {
+		_, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, c.periods, c.spares)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("periods %v spares %v: err = %v, want a rejection naming the %s", c.periods, c.spares, err, c.want)
+		}
+	}
+	if cells != 0 {
+		t.Errorf("%d cells ran before the rejections", cells)
+	}
+}
+
 // TestLifetimeSweepUsesCellGeometry: the lifetime model counts start-gap
 // segments over the geometry the cells ran on, so a small Base.Geom must
 // reach it. The study's value is recomputed from solo runs of the same

@@ -275,7 +275,7 @@ func (s *System) buildControllers() error {
 
 // sentinelCount maps sim's zero-means-default convention for count
 // knobs (RetryMax, SpareRows) onto the fault/remap sentinel form:
-// 0 → UseDefault, negative → explicit zero (off), positive → as given.
+// 0 → UseDefault, -1 → explicit zero (off), positive → as given.
 func sentinelCount(v int) int {
 	switch {
 	case v == 0:
