@@ -10,45 +10,52 @@ import (
 	"ladder/internal/cliflag"
 )
 
-// These tables pin the checks laddersim makes of its flags itself. The
-// ranges sim.Config holds (the fault rate's among them) are checked by
-// the simulator alone and tested in internal/sim.
+// These tables pin the checks laddersim makes of its flags. The ranges
+// sim.Config holds (the fault rate's among them) are checked by the
+// simulator's Options.Validate, as laddersim calls it on the lowered
+// flags; their full tables are in internal/sim.
 
 func TestValidateFlags(t *testing.T) {
 	type in struct {
 		sample, slowest int
+		rate            float64
 		retry, spares   int
 		penalty         float64
 	}
-	def := in{sample: 1, slowest: 0, retry: 3, spares: 32, penalty: 2}
+	def := in{sample: 1, slowest: 0, rate: 0, retry: 3, spares: 32, penalty: 2}
 	cases := []struct {
 		name    string
 		in      in
 		wantErr string // empty = valid
 	}{
 		{"defaults", def, ""},
-		{"typical injection", in{1, 5, 3, 32, 2}, ""},
+		{"typical injection", in{1, 5, 0.01, 3, 32, 2}, ""},
+		{"rate just below one", in{1, 0, 0.999, 1, 1, 2}, ""},
 		// Zero is an explicit "off", not an unset default: each of these
 		// must validate so the sentinel mapping in cliflag.Off can
 		// carry the distinction into the simulator config.
-		{"zero retries disables reissues", in{1, 0, 0, 32, 2}, ""},
-		{"zero spares disables remapping", in{1, 0, 3, 0, 2}, ""},
-		{"zero penalty is free indirection", in{1, 0, 3, 32, 0}, ""},
-		{"zero sample", in{0, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative sample", in{-4, 0, 3, 32, 2}, "-trace-sample"},
-		{"negative slowest", in{1, -1, 3, 32, 2}, "-trace-slowest"},
+		{"zero retries disables reissues", in{1, 0, 0.01, 0, 32, 2}, ""},
+		{"zero spares disables remapping", in{1, 0, 0.01, 3, 0, 2}, ""},
+		{"zero penalty is free indirection", in{1, 0, 0.01, 3, 32, 0}, ""},
+		{"zero sample", in{0, 0, 0, 3, 32, 2}, "-trace-sample"},
+		{"negative sample", in{-4, 0, 0, 3, 32, 2}, "-trace-sample"},
+		{"negative slowest", in{1, -1, 0, 3, 32, 2}, "-trace-slowest"},
+		// The simulator names the Config field the flag sets.
+		{"rate one", in{1, 0, 1, 3, 32, 2}, "FaultRate"},
+		{"rate negative", in{1, 0, -0.5, 3, 32, 2}, "FaultRate"},
 		// A negative count would otherwise lower to Config's -1 "off"
 		// and alias an explicit 0.
-		{"negative retries", in{1, 0, -1, 32, 2}, "-retry-max"},
-		{"negative spares", in{1, 0, 3, -1, 2}, "-spare-rows"},
-		{"negative penalty", in{1, 0, 3, 32, -2}, "-remap-penalty"},
+		{"negative retries", in{1, 0, 0.01, -1, 32, 2}, "-retry-max"},
+		{"negative spares", in{1, 0, 0.01, 3, -1, 2}, "-spare-rows"},
+		{"negative penalty", in{1, 0, 0.01, 3, 32, -2}, "-remap-penalty"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, errRetry := cliflag.Off("-retry-max", c.in.retry)
-			_, errSpares := cliflag.Off("-spare-rows", c.in.spares)
-			_, errPenalty := cliflag.Off("-remap-penalty", c.in.penalty)
-			err := errors.Join(cliflag.Trace(c.in.sample, c.in.slowest), errRetry, errSpares, errPenalty)
+			retries, errRetry := cliflag.Off("-retry-max", c.in.retry)
+			spares, errSpares := cliflag.Off("-spare-rows", c.in.spares)
+			penalty, errPenalty := cliflag.Off("-remap-penalty", c.in.penalty)
+			opts := ladder.Options{Base: ladder.Config{FaultRate: c.in.rate, RetryMax: retries, SpareRows: spares, RemapPenaltyNs: penalty}}
+			err := errors.Join(cliflag.Trace(c.in.sample, c.in.slowest), errRetry, errSpares, errPenalty, opts.Validate())
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
