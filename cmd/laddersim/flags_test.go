@@ -8,6 +8,7 @@ import (
 
 	"ladder"
 	"ladder/internal/cliflag"
+	"ladder/internal/service"
 )
 
 // These tables pin the checks laddersim makes of its flags. The ranges
@@ -118,16 +119,52 @@ func TestValidateServeFlags(t *testing.T) {
 		{"timeouts on", 0, 16, 64, time.Minute, 10 * time.Second, ""},
 		{"negative jobs", -1, 16, 64, 0, 0, "Jobs"},
 		{"zero queue", 0, 0, 64, 0, 0, "-queue-depth"},
-		{"negative queue", 0, -2, 64, 0, 0, "-queue-depth"},
+		// The service names the Config field the flag sets.
+		{"negative queue", 0, -2, 64, 0, 0, "QueueDepth"},
 		{"zero cache", 0, 16, 0, 0, 0, "-cache-size"},
-		{"negative job timeout", 0, 16, 64, -time.Second, 0, "-job-timeout"},
-		{"negative stall timeout", 0, 16, 64, 0, -time.Second, "-stall-timeout"},
+		{"negative job timeout", 0, 16, 64, -time.Second, 0, "JobTimeout"},
+		{"negative stall timeout", 0, 16, 64, 0, -time.Second, "StallTimeout"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// laddersim checks -jobs as the simulator's Options.Jobs, in
-			// every mode.
-			err := errors.Join(ladder.Options{Jobs: c.jobs}.Validate(), cliflag.Serve(c.queueDepth, c.cacheSize, c.jobTimeout, c.stallTimeout))
+			// laddersim checks its service flags as the service.Config
+			// they set, in every mode; a typed 0 for a count whose field
+			// reads 0 as its default is the only check of its own.
+			svc := service.Config{QueueDepth: c.queueDepth, CacheSize: c.cacheSize, Jobs: c.jobs,
+				JobTimeout: c.jobTimeout, StallTimeout: c.stallTimeout}
+			err := errors.Join(cliflag.NonZero("-queue-depth", c.queueDepth), cliflag.NonZero("-cache-size", c.cacheSize), svc.Validate())
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %v does not name the offending flag %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestCheckModeFlags: a flag only one mode honours is an error in the
+// other, not silently ignored.
+func TestCheckModeFlags(t *testing.T) {
+	cases := []struct {
+		name    string
+		set     []string
+		exp     bool
+		wantErr string // empty = valid
+	}{
+		{"run with run flags", []string{"workload", "scheme", "metrics"}, false, ""},
+		{"exp with exp flags", []string{"gap-periods", "spare-grid", "instr"}, true, ""},
+		{"exp with workload", []string{"instr", "workload"}, true, "-workload"},
+		{"run with gap periods", []string{"workload", "gap-periods"}, false, "-gap-periods"},
+		{"run with spare grid", []string{"spare-grid"}, false, "-spare-grid"},
+		{"serve with spare grid", []string{"serve", "spare-grid"}, false, "-spare-grid"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := checkMode(c.set, c.exp)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

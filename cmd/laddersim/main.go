@@ -62,8 +62,28 @@ func main() {
 }
 
 // singleRunOnly are the flags only a single run honours; -exp rejects
-// them rather than silently ignoring them.
-var singleRunOnly = []string{"workload", "scheme", "trace", "trace-out", "trace-slowest", "bench", "metrics", "serve"}
+// them rather than silently ignoring them. expOnly are the flags only
+// -exp honours; every other mode rejects them.
+var (
+	singleRunOnly = []string{"workload", "scheme", "trace", "trace-out", "trace-slowest", "bench", "metrics", "serve"}
+	expOnly       = []string{"gap-periods", "spare-grid"}
+)
+
+// checkMode returns an error for each flag in set (the names of the
+// flags given on the command line) that the selected mode cannot
+// honour: exp is whether -exp is set.
+func checkMode(set []string, exp bool) error {
+	var errs []error
+	for _, name := range set {
+		switch {
+		case exp && slices.Contains(singleRunOnly, name):
+			errs = append(errs, fmt.Errorf("-%s is a single-run flag; -exp cannot honour it", name))
+		case !exp && slices.Contains(expOnly, name):
+			errs = append(errs, fmt.Errorf("-%s is an -exp flag; only -exp honours it", name))
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // run parses args and runs the selected mode, printing to stdout. Once
 // ctx is canceled (SIGINT/SIGTERM) a run stops at its next engine step,
@@ -131,15 +151,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	lg = l
-	var errs []error
-	fs.Visit(func(f *flag.Flag) {
-		if *exp != "" && slices.Contains(singleRunOnly, f.Name) {
-			errs = append(errs, fmt.Errorf("-%s is a single-run flag; -exp cannot honour it", f.Name))
-		}
-	})
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 
 	// Lower the flags once: every mode shares s.Opts, whose Base a single
-	// run completes with its identity and -exp runs every cell from.
+	// run completes with its identity and -exp runs every cell from;
+	// -serve runs svc.
 	retries, errRetry := cliflag.Off("-retry-max", *retryMax)
 	spares, errSpares := cliflag.Off("-spare-rows", *spareRows)
 	penalty, errPenalty := cliflag.Off("-remap-penalty", *remapPenalty)
@@ -158,11 +175,27 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			ProactiveWearLimit: *proactiveWear,
 			TimelineInterval:   *timelineInterval,
 		}}}
-	if err := errors.Join(append(errs, errRetry, errSpares, errPenalty, errPeriods, errSpareSizes,
+	svc := service.Config{
+		QueueDepth:   *queueDepth,
+		CacheSize:    *cacheSize,
+		Jobs:         *jobs,
+		MaxInstr:     *maxInstr,
+		StateDir:     *stateDir,
+		JobTimeout:   *jobTimeout,
+		StallTimeout: *stallTimeout,
+		Logger:       lg,
+	}
+	// s.Validate checks -jobs, as Options.Jobs; the service would check
+	// it again the same way.
+	svcKnobs := svc
+	svcKnobs.Jobs = 0
+	if err := errors.Join(checkMode(set, *exp != ""), errRetry, errSpares, errPenalty, errPeriods, errSpareSizes,
 		cliflag.Trace(*traceSample, *traceSlowest),
 		cliflag.Timeline(*timelineInterval, *timelineOut),
-		cliflag.Serve(*queueDepth, *cacheSize, *jobTimeout, *stallTimeout),
-		s.Validate())...,
+		cliflag.NonZero("-queue-depth", *queueDepth),
+		cliflag.NonZero("-cache-size", *cacheSize),
+		svcKnobs.Validate(),
+		s.Validate(),
 	); err != nil {
 		return err
 	}
@@ -174,16 +207,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "experiments:", strings.Join(names, " "), "all")
 		return nil
 	case *serve:
-		return runServe(ctx, stdout, cmp.Or(*httpAddr, ":8080"), service.Config{
-			QueueDepth:   *queueDepth,
-			CacheSize:    *cacheSize,
-			Jobs:         *jobs,
-			MaxInstr:     *maxInstr,
-			StateDir:     *stateDir,
-			JobTimeout:   *jobTimeout,
-			StallTimeout: *stallTimeout,
-			Logger:       lg,
-		})
+		return runServe(ctx, stdout, cmp.Or(*httpAddr, ":8080"), svc)
 	case *exp != "":
 		return runExperiments(s, stdout, *exp, *httpAddr, *report, *timelineOut)
 	}

@@ -140,6 +140,15 @@ func TestExpRejectsSingleRunFlags(t *testing.T) {
 	}
 }
 
+// TestSingleRunRejectsExpFlags: a flag only -exp honours is an error
+// without -exp, before the run starts, not silently ignored.
+func TestSingleRunRejectsExpFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range []string{"-gap-periods", "-spare-grid"} {
+		failsBeforeOutput(t, dir, []string{"-workload", "lbm", "-instr", "5000", "-report", filepath.Join(dir, "run.json"), flag + "=16"}, flag)
+	}
+}
+
 // TestExpChecksFlagsUpFront: an out-of-range simulation knob or lifetime
 // axis fails -exp all before its first table prints, though the
 // experiments that read it run last.

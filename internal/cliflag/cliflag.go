@@ -1,15 +1,14 @@
 // Package cliflag checks and lowers what the ladder commands' flags mean
 // before they reach the simulator: the knobs sim.Config never sees (the
-// tracing flags, timeline export and -serve settings) and the lowering
-// of flags that take 0 as "off" onto Config's 0-means-default fields.
-// Every range Config holds is checked by the simulator itself (see
-// sim.Options.Validate), so no range is checked twice.
+// tracing flags and timeline export), the lowering of flags that take 0
+// as "off" onto Config's 0-means-default fields, and the rejection of a
+// 0 typed for a flag whose field reads 0 as its default. Every range
+// sim.Config holds is checked by the simulator itself (see
+// sim.Options.Validate) and every range service.Config holds by the
+// service (service.Config.Validate), so no range is checked twice.
 package cliflag
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Trace rejects out-of-range tracing flags.
 func Trace(sample, slowest int) error {
@@ -32,19 +31,13 @@ func Timeline(interval uint64, out string) error {
 	return nil
 }
 
-// Serve rejects out-of-range service-mode knobs (see docs/SERVICE.md
-// for their semantics). The timeouts take 0 to disable; negatives would
-// silently behave like an already-expired deadline.
-func Serve(queueDepth, cacheSize int, jobTimeout, stallTimeout time.Duration) error {
-	switch {
-	case queueDepth < 1:
-		return fmt.Errorf("-queue-depth must be >= 1, got %d", queueDepth)
-	case cacheSize < 1:
-		return fmt.Errorf("-cache-size must be >= 1, got %d", cacheSize)
-	case jobTimeout < 0:
-		return fmt.Errorf("-job-timeout must be >= 0 (0 disables the deadline), got %v", jobTimeout)
-	case stallTimeout < 0:
-		return fmt.Errorf("-stall-timeout must be >= 0 (0 disables the watchdog), got %v", stallTimeout)
+// NonZero rejects a 0 for the flag named name, whose Config field reads
+// 0 as "use the default": the flag shows its default, so a typed 0 asks
+// for a setting the field cannot hold. Negatives are left to the
+// field's own range check.
+func NonZero(name string, v int) error {
+	if v == 0 {
+		return fmt.Errorf("%s must be >= 1, got 0", name)
 	}
 	return nil
 }

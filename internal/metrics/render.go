@@ -7,7 +7,7 @@ import (
 
 // Text renders the snapshot for humans: every instrument in sorted-name
 // order, one line each (grids get one line per nonzero row). It is the
-// body of laddersim's -metrics output and of Report.WriteText.
+// body of laddersim's -metrics output.
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	for _, name := range s.SortedNames() {

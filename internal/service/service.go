@@ -139,6 +139,30 @@ const abandonGraceDefault = 3 * time.Second
 // cells beat well inside any sane StallTimeout.
 const heartbeatCycles = 250_000
 
+// Validate checks every range Config holds, so that New fails up front
+// rather than a negative value failing later: the queue, cache and
+// timeout settings take 0 for their default or "off" and reject
+// negatives, and Jobs is checked as the sim.Options.Jobs it is
+// forwarded to.
+func (c Config) Validate() error {
+	var errs []error
+	for _, f := range []struct {
+		name, zero string
+		negative   bool
+		v          any
+	}{
+		{"QueueDepth", "16", c.QueueDepth < 0, c.QueueDepth},
+		{"CacheSize", "64", c.CacheSize < 0, c.CacheSize},
+		{"JobTimeout", "no deadline", c.JobTimeout < 0, c.JobTimeout},
+		{"StallTimeout", "no watchdog", c.StallTimeout < 0, c.StallTimeout},
+	} {
+		if f.negative {
+			errs = append(errs, fmt.Errorf("service: Config.%s must be >= 0 (0 = %s), got %v", f.name, f.zero, f.v))
+		}
+	}
+	return errors.Join(append(errs, sim.Options{Jobs: c.Jobs}.Validate())...)
+}
+
 func (c *Config) applyDefaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 16
@@ -208,9 +232,12 @@ type Service struct {
 // Config.StateDir set, the state directory is opened (created if
 // missing) and its jobs recovered before the executor starts, so
 // recovered reports are servable and re-queued jobs execute from the
-// first moment the handler is mounted. Opening the state dir is the
-// only failure mode; an in-memory service (empty StateDir) cannot fail.
+// first moment the handler is mounted. New fails on a Config that
+// Validate rejects and when the state dir cannot be opened.
 func New(cfg Config) (*Service, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{

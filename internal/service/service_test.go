@@ -97,6 +97,41 @@ func postJob(t *testing.T, url, body string) (*http.Response, submitResponse) {
 	return resp, sr
 }
 
+// TestNewRejectsNegativeConfig: New checks every Config range up front,
+// returning an error that names the field. A negative QueueDepth used to
+// panic in New and a negative Jobs to fail every job once it ran.
+func TestNewRejectsNegativeConfig(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"QueueDepth", Config{QueueDepth: -1}},
+		{"CacheSize", Config{CacheSize: -1}},
+		{"Jobs", Config{Jobs: -1}},
+		{"JobTimeout", Config{JobTimeout: -time.Second}},
+		{"StallTimeout", Config{StallTimeout: -time.Second}},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			var svc *Service
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("New panicked: %v", r)
+					}
+				}()
+				svc, err = New(c.cfg)
+			}()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				if svc != nil {
+					svc.Close()
+				}
+				t.Fatalf("New: error %v, want one naming %s", err, c.field)
+			}
+		})
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newIdleService(t, Config{MaxInstr: 10_000})
 	cases := []struct {

@@ -52,7 +52,7 @@ type ResetLatencySummary struct {
 // Report is the structured, serializable record of one simulation run:
 // identity, headline summary numbers, and the full metrics snapshot.
 // WriteJSON emits the stable machine-readable form (schema
-// "ladder.run-report/v3"); WriteText renders the same data for humans.
+// "ladder.run-report/v3"); laddersim prints the human summary.
 type Report struct {
 	Schema   string `json:"schema"`
 	Workload string `json:"workload"`
@@ -193,34 +193,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteText renders the report for humans: the headline summary followed
-// by every instrument in sorted-name order.
-func (r *Report) WriteText(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "run report (%s)\n", r.Schema)
-	fmt.Fprintf(&b, "  workload %s  scheme %s\n", r.Workload, r.Scheme)
-	fmt.Fprintf(&b, "  retired %d instr in %d ticks (IPC %.4f), wall clock %.1f ms\n",
-		r.InstructionsRetired, r.Ticks, r.AvgIPC, r.WallClockMS)
-	fmt.Fprintf(&b, "  traffic: %d data reads, %d data writes, %d meta reads, %d meta writes\n",
-		r.DataReads, r.DataWrites, r.MetaReads, r.MetaWrites)
-	fmt.Fprintf(&b, "  write service %.1f ns avg, read latency %.1f ns avg\n",
-		r.AvgWriteServiceNs, r.AvgReadLatencyNs)
-	rl := r.ResetLatency
-	fmt.Fprintf(&b, "  RESET latency (all channels, %d RESETs): mean %.1f p50 %.1f p95 %.1f p99 %.1f max %.1f ns\n",
-		rl.Count, rl.MeanNs, rl.P50Ns, rl.P95Ns, rl.P99Ns, rl.MaxNs)
-	if f := r.Faults; f != nil {
-		fmt.Fprintf(&b, "  faults: %d injected / %d checked, %d retries (mean %.1f ns), %d exhausted\n",
-			f.Injected, f.Checked, f.Retries, f.RetryLatency.MeanNs, f.Exhausted)
-	}
-	if m := r.Remap; m != nil {
-		fmt.Fprintf(&b, "  remap: %d gap moves, %d spare remaps (%d spares used), %d lookups, %d penalty ticks\n",
-			m.GapMoves, m.SpareRemaps, m.SparesUsed, m.Lookups, m.PenaltyTicks)
-	}
-	b.WriteString(r.Metrics.Text())
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // PerfSnapshot flattens the report into the name→value map stored in

@@ -5,25 +5,30 @@ import (
 	"sync"
 
 	"ladder/internal/reram"
+	"ladder/internal/trace"
 )
 
 // soloResidents lends solo runs (Run, RunCtx outside a grid) the resident
-// rows of recent runs of the same machine. A row's resident content is a
-// pure function of (level, seed, row), so a run that reads another run's
-// image reads exactly the content it would have drawn itself: comparing
-// schemes with one solo run each draws every row once, as a grid does.
+// rows and access streams of recent runs of the same machine. A row's
+// resident content is a pure function of (level, seed, row) and a stream
+// a pure function of its streamKey, so a run that reads another run's
+// image or tape reads exactly what it would have drawn itself: comparing
+// schemes with one solo run each draws every row and every stream once,
+// as a grid does.
 var soloResidents residentRegistry
 
 // keepReleased is how many machines no run holds the registry retains:
 // enough for a caller that runs a workload's schemes one after another,
-// or two workloads side by side, to find its rows again.
+// or two workloads side by side, to find its rows and streams again.
 const keepReleased = 2
 
 // residentRegistry maps each machine a solo run simulates to one shared
-// reram.Resident. An entry lives while any run holds it, and after its
-// last run releases it as long as it is one of the keepReleased most
-// recently released entries. So it retains the images of the runs in
-// flight plus those of two machines.
+// reram.Resident and the machine's trace.Tapes. An entry lives while any
+// run holds it, and after its last run releases it as long as it is one
+// of the keepReleased most recently released entries. So it retains the
+// images and tapes of the runs in flight plus those of two machines. A
+// retained tape keeps every access its longest run read (stored
+// compactly, see trace.Tape).
 type residentRegistry struct {
 	mu      sync.Mutex
 	entries map[soloKey]*soloResident
@@ -42,10 +47,34 @@ type soloKey struct {
 }
 
 // soloResident is one registry entry and the number of runs holding it.
+// Its tapes are keyed by streamKey, which also fixes the geometry-clamped
+// footprints, so runs of one machine on different geometries each get
+// their own streams.
 type soloResident struct {
 	key   soloKey
 	rows  *reram.Resident
 	users int
+
+	mu    sync.Mutex
+	tapes map[streamKey]*trace.Tape
+}
+
+// tape returns the entry's tape for k, creating it on first use.
+func (e *soloResident) tape(k streamKey) (*trace.Tape, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := e.tapes[k]
+	if t == nil {
+		var err error
+		if t, err = k.newTape(); err != nil {
+			return nil, err
+		}
+		if e.tapes == nil {
+			e.tapes = make(map[streamKey]*trace.Tape)
+		}
+		e.tapes[k] = t
+	}
+	return t, nil
 }
 
 // acquire returns k's entry, creating it on first use, with one more
@@ -85,7 +114,8 @@ func (g *residentRegistry) release(e *soloResident) {
 	}
 }
 
-// drop empties the registry. Runs in flight keep the images they hold.
+// drop empties the registry. Runs in flight keep the images and tapes
+// they hold.
 func (g *residentRegistry) drop() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -93,8 +123,9 @@ func (g *residentRegistry) drop() {
 }
 
 // DropResidents empties the process-wide registry through which solo
-// runs share resident row images, so the next solo run of any machine
-// draws its rows cold. Runs in flight keep the rows they hold. Results
-// never depend on it; it frees the retained images of a long-lived
-// process and lets a benchmark time a cold run.
+// runs share resident row images and access streams, so the next solo
+// run of any machine draws its rows and streams cold. Runs in flight
+// keep what they hold. Results never depend on it; it frees the
+// retained images and tapes of a long-lived process and lets a
+// benchmark time a cold run.
 func DropResidents() { soloResidents.drop() }

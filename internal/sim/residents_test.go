@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"ladder/internal/chaos"
+	"ladder/internal/trace"
 )
 
 // soloEntry returns the registry's entry for solo runs of workload at
@@ -17,6 +20,28 @@ func soloEntry(workload string, seed int64) *soloResident {
 	soloResidents.mu.Lock()
 	defer soloResidents.mu.Unlock()
 	return soloResidents.entries[soloKey{workload, residentKey{2, uint64(seed) + 0x5eed}}]
+}
+
+// soloTapes returns the tapes e holds for cfg's streams, in core order,
+// and fails the test unless e holds exactly one tape per stream.
+func soloTapes(t *testing.T, e *soloResident, cfg Config) []*trace.Tape {
+	t.Helper()
+	streams, err := coreStreams(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.tapes) != len(streams) {
+		t.Fatalf("%s: the entry holds %d tapes, want one per each of %d streams", cfg.Workload, len(e.tapes), len(streams))
+	}
+	tapes := make([]*trace.Tape, len(streams))
+	for i, k := range streams {
+		if tapes[i] = e.tapes[k]; tapes[i] == nil {
+			t.Fatalf("%s: the entry holds no tape for core %d's stream", cfg.Workload, i)
+		}
+	}
+	return tapes
 }
 
 // reportJSON renders a result's report with host timing stripped.
@@ -41,9 +66,10 @@ func soloJSON(t *testing.T, cfg Config) []byte {
 
 // TestGoldenSoloSharedResidents pins the registry's bit-identity: for
 // every workload and figure scheme, in the default and degraded cell
-// configurations, a solo run that draws its resident rows cold, a solo
-// run that views the rows the cold run left in the registry, and the
-// grid cell reading the grid's pool produce byte-identical reports.
+// configurations, a solo run that draws its resident rows and access
+// streams cold, a solo run that views the rows and replays the tapes
+// the cold run left in the registry, and the grid cell reading the
+// grid's pool produce byte-identical reports.
 func TestGoldenSoloSharedResidents(t *testing.T) {
 	defer DropResidents()
 	opts := Options{Instr: 20_000, Seed: 3000, Jobs: 2}
@@ -64,12 +90,17 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 			}
 			DropResidents()
 			cold := soloJSON(t, cfg)
-			if soloEntry(c.workload, cfg.Seed) == nil {
+			e := soloEntry(c.workload, cfg.Seed)
+			if e == nil {
 				t.Fatalf("%s %s/%s: the registry kept nothing of the cold run", cc.name, c.workload, c.scheme)
 			}
+			tapes := soloTapes(t, e, cfg)
 			warm := soloJSON(t, cfg)
+			if soloEntry(c.workload, cfg.Seed) != e || !slices.Equal(soloTapes(t, e, cfg), tapes) {
+				t.Fatalf("%s %s/%s: the second solo run did not replay the cold run's entry", cc.name, c.workload, c.scheme)
+			}
 			if !bytes.Equal(cold, warm) {
-				t.Errorf("%s %s/%s: a solo run on retained rows differs from its cold run", cc.name, c.workload, c.scheme)
+				t.Errorf("%s %s/%s: a solo run on retained rows and tapes differs from its cold run", cc.name, c.workload, c.scheme)
 			}
 			if !bytes.Equal(cold, reportJSON(t, grid[i])) {
 				t.Errorf("%s %s/%s: the grid cell differs from its cold solo run", cc.name, c.workload, c.scheme)
@@ -119,6 +150,124 @@ func TestSoloRunsShareResidentsConcurrently(t *testing.T) {
 	e := soloEntry("mix-3", 42)
 	if e == nil || e.users != 0 {
 		t.Fatalf("after the runs the machine's entry is %+v, want one no run holds", e)
+	}
+}
+
+// TestSoloRunsShareStreamsConcurrently runs every figure scheme of one
+// machine at once with resident data off, so that the runs share only
+// their access streams, each core's tape being drawn by whichever run
+// reads furthest while the others replay it. Each run must report as its
+// cold run does, and the machine's entry must hold one tape per stream,
+// which replays the stream a fresh generator draws. Under -race it
+// checks the entry's tape map and the tapes' chunk hand-off.
+func TestSoloRunsShareStreamsConcurrently(t *testing.T) {
+	defer DropResidents()
+	schemes := FigureSchemes()
+	cfgs := make([]Config, len(schemes))
+	cold := make([][]byte, len(schemes))
+	for i, s := range schemes {
+		cfgs[i] = testConfig(t, "mix-5", s)
+		cfgs[i].InstrPerCore = 8_000
+		cfgs[i].ResidentLevel = -1
+		DropResidents()
+		cold[i] = soloJSON(t, cfgs[i])
+	}
+	DropResidents()
+	shared := make([][]byte, len(schemes))
+	errs := make([]error, len(schemes))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Run(cfgs[i])
+			if errs[i] = err; err == nil {
+				shared[i], errs[i] = json.Marshal(NewReport(res).StripVolatile())
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range schemes {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", s, errs[i])
+		}
+		if !bytes.Equal(cold[i], shared[i]) {
+			t.Errorf("%s: a run sharing its streams with concurrent runs differs from its cold run", s)
+		}
+	}
+	soloResidents.mu.Lock()
+	e := soloResidents.entries[soloKey{"mix-5", cfgs[0].residentKey()}]
+	soloResidents.mu.Unlock()
+	if e == nil || e.users != 0 {
+		t.Fatalf("after the runs the machine's entry is %+v, want one no run holds", e)
+	}
+	streams, err := coreStreams(&cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tape := range soloTapes(t, e, cfgs[0]) {
+		k := streams[i]
+		gen, err := trace.NewGenerator(k.prof, k.seed, k.basePage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := tape.Cursor()
+		for n := 0; n < 2000; n++ {
+			if c.Next() != gen.Next() {
+				t.Fatalf("core %d: the shared tape diverges from a fresh generator at access %d", i, n)
+			}
+		}
+	}
+}
+
+// TestFailedBuildReleasesItsEntry checks that a solo run whose build
+// fails after it took its registry entry (here at the controllers, after
+// the cores were built on the entry's tapes) hands the entry back.
+func TestFailedBuildReleasesItsEntry(t *testing.T) {
+	defer DropResidents()
+	DropResidents()
+	cfg := testConfig(t, "astar", SchemeBaseline)
+	cfg.Geom.RanksPerChannel, cfg.Geom.BanksPerRank = 8, 16
+	cfg.Geom.MatGroupsPerBank = 1
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "bank masks") {
+		t.Fatalf("Run with 128 banks per channel: err = %v, want the controller's bank-mask error", err)
+	}
+	e := soloEntry(cfg.Workload, cfg.Seed)
+	if e == nil || e.users != 0 {
+		t.Fatalf("after the failed build the machine's entry is %+v, want one no run holds", e)
+	}
+}
+
+// TestSoloRunAfterDropRegeneratesStreams checks that DropResidents drops
+// a machine's tapes with its rows: the next solo run builds a new entry
+// with new tapes, and reports as the run before the drop did.
+func TestSoloRunAfterDropRegeneratesStreams(t *testing.T) {
+	defer DropResidents()
+	cfg := testConfig(t, "mix-2", SchemeHybrid)
+	cfg.InstrPerCore = 8_000
+	DropResidents()
+	before := soloJSON(t, cfg)
+	e := soloEntry(cfg.Workload, cfg.Seed)
+	if e == nil {
+		t.Fatal("the registry kept nothing of the first run")
+	}
+	old := soloTapes(t, e, cfg)
+	DropResidents()
+	if soloEntry(cfg.Workload, cfg.Seed) != nil {
+		t.Fatal("DropResidents left the machine's entry in the registry")
+	}
+	after := soloJSON(t, cfg)
+	fresh := soloEntry(cfg.Workload, cfg.Seed)
+	if fresh == nil || fresh == e {
+		t.Fatalf("the run after DropResidents used entry %p, want a new one (the dropped one was %p)", fresh, e)
+	}
+	for i, tape := range soloTapes(t, fresh, cfg) {
+		if tape == old[i] {
+			t.Fatalf("core %d replayed a tape DropResidents dropped", i)
+		}
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the run on regenerated streams differs from the run before DropResidents")
 	}
 }
 

@@ -202,9 +202,8 @@ type Config struct {
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
 
 	// inputs shares resident rows and access streams among the cells of
-	// one grid or study (runCells). Nil, as in a solo Run, takes resident
-	// rows from the process-wide registry (soloResidents) and draws
-	// access streams privately.
+	// one grid or study (runCells). Nil, as in a solo Run, takes both
+	// from the process-wide registry (soloResidents).
 	inputs *inputPool
 }
 

@@ -605,6 +605,7 @@ func TestTouchedRowsCountsWrittenRows(t *testing.T) {
 			}
 		}
 		res, err := sys.collect()
+		sys.releaseResidents()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,8 +78,9 @@ type System struct {
 	// calls since the last poll.
 	ctx   context.Context
 	polls int
-	// solo is the registry entry whose rows a solo run views, nil in a
-	// grid cell and while the run holds none.
+	// solo is the registry entry whose rows and tapes a solo run reads,
+	// nil in a grid cell, in a run with neither, and while the run holds
+	// none.
 	solo *soloResident
 }
 
@@ -87,6 +88,10 @@ type System struct {
 // metrics registry, energy meter, cores, per-channel controllers
 // with their private scheme instances, optional wear leveling — and the
 // event engine that will drive them, without simulating a single cycle.
+// A solo run takes its registry entry here, before its cores are built
+// on the entry's tapes, and hands it back itself if the build fails or
+// panics; once newSystem returns a System, the caller releases it with
+// releaseResidents.
 func newSystem(cfg Config) (*System, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -97,6 +102,15 @@ func newSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.inputs == nil && (len(streams) > 0 || cfg.ResidentLevel > 0) {
+		s.solo = soloResidents.acquire(soloKey{cfg.Workload, cfg.residentKey()})
+	}
+	built := false
+	defer func() {
+		if !built {
+			s.releaseResidents()
+		}
+	}()
 	s.tables = cfg.Tables
 	if cfg.ShrinkRange > 1 {
 		s.tables = shrunk(s.tables, cfg.ShrinkRange)
@@ -155,6 +169,7 @@ func newSystem(cfg Config) (*System, error) {
 		s.expected = make(map[uint64]bits.Line)
 	}
 	s.buildEngine()
+	built = true
 	return s, nil
 }
 
@@ -164,6 +179,11 @@ type streamKey struct {
 	prof     trace.Profile
 	seed     int64
 	basePage uint64
+}
+
+// newTape returns an empty tape over k's stream.
+func (k streamKey) newTape() (*trace.Tape, error) {
+	return trace.NewTape(k.prof, k.seed, k.basePage)
 }
 
 // coreStreams derives the generator arguments of each core cfg builds:
@@ -193,8 +213,9 @@ func coreStreams(cfg *Config) ([]streamKey, error) {
 }
 
 // buildCores creates one core per stream (or a single core replaying a
-// recorded trace). A grid cell's cores replay the grid's shared tapes; a
-// solo run's cores draw from private generators.
+// recorded trace). Every core reads its stream through a cursor on a
+// shared tape: the grid's pool's in a grid cell, the registry entry's in
+// a solo run. So a stream is drawn once however many runs replay it.
 func (s *System) buildCores(streams []streamKey) error {
 	cfg := s.cfg
 	if cfg.TraceFile != "" {
@@ -216,22 +237,17 @@ func (s *System) buildCores(streams []streamKey) error {
 	s.cores = make([]*cpu.Core, len(streams))
 	s.finish = make([]uint64, len(streams))
 	for i, k := range streams {
-		var src trace.Source
-		if cfg.inputs != nil {
-			tape, err := cfg.inputs.tape(k)
-			if err != nil {
-				return err
-			}
-			src = tape.Cursor()
-		} else {
-			gen, err := trace.NewGenerator(k.prof, k.seed, k.basePage)
-			if err != nil {
-				return err
-			}
-			src = gen
-		}
+		var tape *trace.Tape
 		var err error
-		s.cores[i], err = cpu.NewCore(i, src, cpu.DefaultMLP)
+		if cfg.inputs != nil {
+			tape, err = cfg.inputs.tape(k)
+		} else {
+			tape, err = s.solo.tape(k)
+		}
+		if err != nil {
+			return err
+		}
+		s.cores[i], err = cpu.NewCore(i, tape.Cursor(), cpu.DefaultMLP)
 		if err != nil {
 			return err
 		}
@@ -473,22 +489,25 @@ const progressSpanCount = 64
 // prefills into each wordline group on first touch, so touched groups
 // carry realistic ones-density before the first write arrives. Every run
 // views shared row images: a grid cell the grid's pool's (built once per
-// grid), a solo run those of the process-wide registry (built once per
-// machine while recent runs of it retain them), held until
-// releaseResidents.
+// grid), a solo run those of the registry entry newSystem took (built
+// once per machine while recent runs of it retain them).
 func (s *System) warm() error {
 	cfg := s.cfg
 	if cfg.ResidentLevel <= 0 {
 		return nil
 	}
-	k := residentKey{cfg.ResidentLevel, uint64(cfg.Seed) + 0x5eed}
 	if cfg.inputs != nil {
-		s.store.UseResident(cfg.inputs.resident(k))
+		s.store.UseResident(cfg.inputs.resident(cfg.residentKey()))
 		return nil
 	}
-	s.solo = soloResidents.acquire(soloKey{cfg.Workload, k})
 	s.store.UseResident(s.solo.rows)
 	return nil
+}
+
+// residentKey is the key of the run's resident rows; level 0 stands
+// for every level that turns resident data off.
+func (c *Config) residentKey() residentKey {
+	return residentKey{max(c.ResidentLevel, 0), uint64(c.Seed) + 0x5eed}
 }
 
 // releaseResidents hands a solo run's registry entry back. RunCtx defers
@@ -576,7 +595,7 @@ func (p *inputPool) tape(k streamKey) (*trace.Tape, error) {
 	defer p.mu.Unlock()
 	st := p.entry(k)
 	if st.tape == nil {
-		t, err := trace.NewTape(k.prof, k.seed, k.basePage)
+		t, err := k.newTape()
 		if err != nil {
 			return nil, err
 		}

@@ -1,12 +1,17 @@
 package trace
 
-import "sync"
+import (
+	"sync"
+
+	"ladder/internal/bits"
+)
 
 // tapeChunk is the number of accesses a tape generates and hands out at
 // a time. A grid's streams run to a few thousand accesses each, so a
 // small chunk keeps the accesses generated past a stream's last reader
 // to a few dozen, while a cursor still takes the tape's lock only once
-// per tapeChunk accesses.
+// per tapeChunk accesses. A chunk indexes its payloads with bytes, so
+// tapeChunk must stay below 256.
 const tapeChunk = 64
 
 // Tape is an append-only log of one Generator's accesses, shared by
@@ -18,7 +23,29 @@ const tapeChunk = 64
 type Tape struct {
 	mu     sync.Mutex
 	gen    *Generator
-	chunks []*[tapeChunk]Access
+	chunks []*tapeRecords
+	// written collects a chunk's data (see tapeRecords) while it is
+	// generated.
+	written []bits.Line
+}
+
+// tapeRecords is one chunk of a tape, stored compactly: a read keeps
+// only its gap and line, and only writes keep their 64-byte payload.
+// Reads are most of a stream, so a retained tape costs under half of
+// what a log of Access values would. Next still builds each Access
+// without a branch: a read's slot names the chunk's one zero line.
+type tapeRecords struct {
+	recs [tapeChunk]tapeRecord
+	// slot[i] indexes recs[i]'s payload in data: 0, a zero line, for a
+	// read, the write's own payload for a write.
+	slot [tapeChunk]uint8
+	data []bits.Line
+}
+
+// tapeRecord is an access without its write flag and payload.
+type tapeRecord struct {
+	gap  int
+	line uint64
 }
 
 // NewTape returns an empty tape over the stream NewGenerator(p, seed,
@@ -33,14 +60,21 @@ func NewTape(p Profile, seed int64, basePage uint64) (*Tape, error) {
 
 // chunk returns the tape's i-th chunk, generating the log up to it
 // first. A chunk never changes once appended.
-func (t *Tape) chunk(i int) *[tapeChunk]Access {
+func (t *Tape) chunk(i int) *tapeRecords {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.chunks) <= i {
-		c := new([tapeChunk]Access)
-		for j := range c {
-			c[j] = t.gen.Next()
+		c := new(tapeRecords)
+		t.written = append(t.written[:0], bits.Line{})
+		for j := range c.recs {
+			a := t.gen.Next()
+			c.recs[j] = tapeRecord{gap: a.Gap, line: a.Line}
+			if a.Write {
+				c.slot[j] = uint8(len(t.written))
+				t.written = append(t.written, a.Data)
+			}
 		}
+		c.data = append([]bits.Line(nil), t.written...)
 		t.chunks = append(t.chunks, c)
 	}
 	return t.chunks[i]
@@ -53,7 +87,7 @@ func (t *Tape) Cursor() *Cursor { return &Cursor{tape: t, pos: tapeChunk} }
 // belongs to one goroutine; only the tape is shared.
 type Cursor struct {
 	tape *Tape
-	cur  *[tapeChunk]Access
+	cur  *tapeRecords
 	// next is the index of the chunk after cur; pos is the position of
 	// the next access within cur (tapeChunk when cur is used up).
 	next, pos int
@@ -66,7 +100,7 @@ func (c *Cursor) Next() Access {
 		c.next++
 		c.pos = 0
 	}
-	a := c.cur[c.pos]
+	r, slot := &c.cur.recs[c.pos], c.cur.slot[c.pos]
 	c.pos++
-	return a
+	return Access{Gap: r.gap, Write: slot != 0, Line: r.line, Data: c.cur.data[slot]}
 }

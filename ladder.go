@@ -120,12 +120,13 @@ const (
 )
 
 // Run executes one simulation (see sim.Run). Runs of the same workload
-// and seed share the resident row images they draw; the results are
-// the same as without sharing.
+// and seed share the resident row images and access streams they draw;
+// the results are the same as without sharing.
 func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 
-// DropResidents frees the resident row images that recent runs left for
-// later runs of the same workload and seed (see sim.DropResidents).
+// DropResidents frees the resident row images and access streams that
+// recent runs left for later runs of the same workload and seed (see
+// sim.DropResidents).
 func DropResidents() { sim.DropResidents() }
 
 // NewReport freezes a run's Result into its serializable report form.
