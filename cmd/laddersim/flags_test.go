@@ -147,24 +147,38 @@ func TestValidateServeFlags(t *testing.T) {
 }
 
 // TestCheckModeFlags: a flag only one mode honours is an error in the
-// other, not silently ignored.
+// others, not silently ignored.
 func TestCheckModeFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		set     []string
-		exp     bool
+		m       mode
 		wantErr string // empty = valid
 	}{
-		{"run with run flags", []string{"workload", "scheme", "metrics"}, false, ""},
-		{"exp with exp flags", []string{"gap-periods", "spare-grid", "instr"}, true, ""},
-		{"exp with workload", []string{"instr", "workload"}, true, "-workload"},
-		{"run with gap periods", []string{"workload", "gap-periods"}, false, "-gap-periods"},
-		{"run with spare grid", []string{"spare-grid"}, false, "-spare-grid"},
-		{"serve with spare grid", []string{"serve", "spare-grid"}, false, "-spare-grid"},
+		{"run with run flags", []string{"workload", "scheme", "metrics"}, modeRun, ""},
+		{"exp with exp flags", []string{"gap-periods", "spare-grid", "instr"}, modeExp, ""},
+		{"exp with workload", []string{"instr", "workload"}, modeExp, "-workload"},
+		{"run with gap periods", []string{"workload", "gap-periods"}, modeRun, "-gap-periods"},
+		{"run with spare grid", []string{"spare-grid"}, modeRun, "-spare-grid"},
+		{"serve with spare grid", []string{"serve", "spare-grid"}, modeServe, "-spare-grid"},
+		{"serve with service flags", []string{"serve", "http", "jobs", "log-format", "queue-depth", "cache-size",
+			"max-instr", "state-dir", "job-timeout", "stall-timeout"}, modeServe, ""},
+		{"serve with fault rate", []string{"serve", "fault-rate"}, modeServe, "-fault-rate"},
+		{"serve with wear", []string{"serve", "wear"}, modeServe, "-wear"},
+		{"serve with retry max", []string{"serve", "retry-max"}, modeServe, "-retry-max"},
+		{"serve with timeline interval", []string{"serve", "timeline-interval"}, modeServe, "-timeline-interval"},
+		{"serve with instr", []string{"serve", "instr"}, modeServe, "-instr"},
+		{"serve with exp", []string{"serve", "exp"}, modeServe, "-exp"},
+		{"run with queue depth", []string{"workload", "queue-depth"}, modeRun, "-queue-depth"},
+		{"run with state dir", []string{"state-dir"}, modeRun, "-state-dir"},
+		{"exp with cache size", []string{"cache-size"}, modeExp, "-cache-size"},
+		{"exp with max instr", []string{"max-instr"}, modeExp, "-max-instr"},
+		{"exp with job timeout", []string{"job-timeout"}, modeExp, "-job-timeout"},
+		{"exp with stall timeout", []string{"stall-timeout"}, modeExp, "-stall-timeout"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := checkMode(c.set, c.exp)
+			err := checkMode(c.set, c.m)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

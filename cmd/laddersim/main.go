@@ -61,24 +61,41 @@ func main() {
 	}
 }
 
-// singleRunOnly are the flags only a single run honours; -exp rejects
-// them rather than silently ignoring them. expOnly are the flags only
-// -exp honours; every other mode rejects them.
+// mode is what one invocation does: one run, the -exp experiments, or
+// the -serve service.
+type mode int
+
+const (
+	modeRun mode = iota
+	modeExp
+	modeServe
+)
+
+// Each mode honours only some flags and rejects the rest rather than
+// silently ignoring them. singleRunOnly are the flags only a single run
+// honours, expOnly those only -exp honours, and serviceOnly those only
+// -serve honours. -serve honours nothing but serveFlags: its jobs take
+// their simulation knobs from each request.
 var (
-	singleRunOnly = []string{"workload", "scheme", "trace", "trace-out", "trace-slowest", "bench", "metrics", "serve"}
+	singleRunOnly = []string{"workload", "scheme", "trace", "trace-out", "trace-slowest", "bench", "metrics"}
 	expOnly       = []string{"gap-periods", "spare-grid"}
+	serviceOnly   = []string{"queue-depth", "cache-size", "max-instr", "state-dir", "job-timeout", "stall-timeout"}
+	serveFlags    = append([]string{"serve", "http", "jobs", "log-format"}, serviceOnly...)
 )
 
 // checkMode returns an error for each flag in set (the names of the
-// flags given on the command line) that the selected mode cannot
-// honour: exp is whether -exp is set.
-func checkMode(set []string, exp bool) error {
+// flags given on the command line) that mode m cannot honour.
+func checkMode(set []string, m mode) error {
 	var errs []error
 	for _, name := range set {
 		switch {
-		case exp && slices.Contains(singleRunOnly, name):
+		case m == modeServe && !slices.Contains(serveFlags, name):
+			errs = append(errs, fmt.Errorf("-%s is not a service flag; -serve jobs take their knobs from each request", name))
+		case m != modeServe && slices.Contains(serviceOnly, name):
+			errs = append(errs, fmt.Errorf("-%s is a service flag; only -serve honours it", name))
+		case m == modeExp && slices.Contains(singleRunOnly, name):
 			errs = append(errs, fmt.Errorf("-%s is a single-run flag; -exp cannot honour it", name))
-		case !exp && slices.Contains(expOnly, name):
+		case m == modeRun && slices.Contains(expOnly, name):
 			errs = append(errs, fmt.Errorf("-%s is an -exp flag; only -exp honours it", name))
 		}
 	}
@@ -153,6 +170,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	lg = l
 	var set []string
 	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	m := modeRun
+	switch {
+	case *serve:
+		m = modeServe
+	case *exp != "":
+		m = modeExp
+	}
 
 	// Lower the flags once: every mode shares s.Opts, whose Base a single
 	// run completes with its identity and -exp runs every cell from;
@@ -189,7 +213,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// it again the same way.
 	svcKnobs := svc
 	svcKnobs.Jobs = 0
-	if err := errors.Join(checkMode(set, *exp != ""), errRetry, errSpares, errPenalty, errPeriods, errSpareSizes,
+	if err := errors.Join(checkMode(set, m), errRetry, errSpares, errPenalty, errPeriods, errSpareSizes,
 		cliflag.Trace(*traceSample, *traceSlowest),
 		cliflag.Timeline(*timelineInterval, *timelineOut),
 		cliflag.NonZero("-queue-depth", *queueDepth),
@@ -206,9 +230,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "schemes:  ", strings.Join(ladder.SchemeNames(), " "))
 		fmt.Fprintln(stdout, "experiments:", strings.Join(names, " "), "all")
 		return nil
-	case *serve:
+	case m == modeServe:
 		return runServe(ctx, stdout, cmp.Or(*httpAddr, ":8080"), svc)
-	case *exp != "":
+	case m == modeExp:
 		return runExperiments(s, stdout, *exp, *httpAddr, *report, *timelineOut)
 	}
 

@@ -177,10 +177,6 @@ type Controller struct {
 	// arrives, every tick would repeat that no-op, so Tick skips it.
 	quiet bool
 
-	// flips is the device-side FNW bridge state: the stored flip mask per
-	// line address.
-	flips map[uint64]uint8
-
 	// freeReads/freeWrites recycle request objects: the controller retires
 	// requests strictly after their last reference drops (reads at
 	// delivery, writes after scheme completion), so the steady state
@@ -335,7 +331,6 @@ func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.
 		due:          make([]busyOp, 0, nBanks),
 		nextFinish:   engine.Horizon,
 		onReadDone:   onReadDone,
-		flips:        make(map[uint64]uint8),
 		banksPerRank: env.Geom.BanksPerRank,
 		run:          core.NewInstruments(env.Metrics),
 	}, nil
@@ -594,9 +589,7 @@ func (c *Controller) finishRead(r *ReadReq, now uint64) {
 		}
 	case ReadSMB:
 		if r.Target != nil {
-			stored := c.env.Store.Read(r.Loc)
-			bits.FNWDecode(&stored, c.flips[r.Line])
-			c.scheme.SMBArrived(r.Target, stored)
+			c.scheme.SMBArrived(r.Target, c.env.Store.ReadLogical(r.Loc))
 		}
 	case ReadMeta:
 		c.scheme.MetaArrived(r.Line)
@@ -638,8 +631,7 @@ func (c *Controller) finishWrite(op busyOp, now uint64) bool {
 	} else {
 		res = bits.ClassicFNW(&old, &enc)
 	}
-	c.flips[req.Line] = res.Flips
-	c.env.Store.WriteAt(req.Loc, enc)
+	c.env.Store.WriteFNW(req.Loc, enc, res.Flips)
 	c.run.BitChanges.Add(uint64(res.BitChanges))
 	c.run.FNWFlips.Add(uint64(mathbits.OnesCount8(res.Flips)))
 	c.run.FNWCanceled.Add(uint64(res.Canceled))
@@ -913,7 +905,5 @@ func (c *Controller) ReadLineLogical(line uint64) (bits.Line, error) {
 	if err != nil {
 		return bits.Line{}, err
 	}
-	stored := c.env.Store.Read(loc)
-	bits.FNWDecode(&stored, c.flips[line])
-	return c.scheme.DecodeRead(loc, stored), nil
+	return c.scheme.DecodeRead(loc, c.env.Store.ReadLogical(loc)), nil
 }

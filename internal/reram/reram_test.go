@@ -180,6 +180,47 @@ func TestStoreWriteReturnsOld(t *testing.T) {
 	}
 }
 
+// TestFlipMaskInRowView: WriteFNW keeps each block's flip mask next to
+// its content, keyed like the content; ReadLogical undoes it. A block
+// never written through WriteFNW reads back as stored (mask 0), and
+// WriteAt leaves a block's mask alone.
+func TestFlipMaskInRowView(t *testing.T) {
+	s, err := NewStore(DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logical bits.Line
+	for i := range logical {
+		logical[i] = byte(i*37 + 1)
+	}
+	const flips = 0xA5
+	stored := logical
+	bits.FNWDecode(&stored, flips) // the flips are an involution
+	loc, neighbor := decodeLine(t, s.geom, 70), decodeLine(t, s.geom, 71)
+	if got := s.ReadLogical(loc); got != (bits.Line{}) {
+		t.Fatalf("unwritten block reads %v, want zeros", got)
+	}
+	s.WriteFNW(loc, stored, flips)
+	if got := s.ReadLogical(loc); got != logical {
+		t.Fatalf("ReadLogical = %v, want the logical content %v", got, logical)
+	}
+	if got := s.Read(loc); got != stored {
+		t.Fatal("Read does not return the stored (flipped) content")
+	}
+	s.WriteAt(neighbor, stored)
+	if got := s.ReadLogical(neighbor); got != stored {
+		t.Fatal("a block written only through WriteAt must read back unflipped")
+	}
+	s.WriteAt(loc, stored)
+	if got := s.ReadLogical(loc); got != logical {
+		t.Fatal("WriteAt changed the block's flip mask")
+	}
+	s.WriteFNW(loc, logical, 0)
+	if got := s.ReadLogical(loc); got != logical {
+		t.Fatal("a zero mask must clear the block's flips")
+	}
+}
+
 // TestIncrementalCountersMatchRecount is the store's core invariant: after
 // any write sequence the incrementally maintained per-wordline counters
 // equal a recount from the stored data.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	mbits "math/bits"
+	"sync"
 
 	"ladder/internal/bits"
 	"ladder/internal/metrics"
@@ -26,6 +27,9 @@ type rowState struct {
 	// in a shifted store, so MaxRowCounterUnshifted (called on every
 	// Est/Hybrid dispatch) avoids re-deriving 64 reverse shifts per call.
 	unshifted [BlockSize]uint16
+	// flips holds each block's FNW flip mask as last written through
+	// WriteFNW (0 for a block never written that way: stored as is).
+	flips [BlocksPerRow]uint8
 	// writes counts block writes landing in this row (wear tracking).
 	writes uint64
 }
@@ -146,13 +150,32 @@ func NewStore(g Geometry) (*Store, error) {
 // reram.chC.rankR.bankB.writes from reg. Call before the first write; a
 // store never instrumented keeps only TotalWrites.
 func (s *Store) Instrument(reg *metrics.Registry) {
-	g := s.geom
-	for i := range s.bankWrites {
+	for i, name := range bankCounterNames(s.geom) {
+		s.bankWrites[i] = reg.Counter(name)
+	}
+}
+
+// bankNames memoizes bankCounterNames per bank hierarchy
+// ([channels, ranks, banks]): every run instruments a store, and the
+// names depend only on the hierarchy.
+var bankNames sync.Map
+
+// bankCounterNames returns the per-bank write counter names in dense
+// bank order (Geometry.GlobalRow's bank index).
+func bankCounterNames(g Geometry) []string {
+	key := [3]int{g.Channels, g.RanksPerChannel, g.BanksPerRank}
+	if names, ok := bankNames.Load(key); ok {
+		return names.([]string)
+	}
+	names := make([]string, g.Banks())
+	for i := range names {
 		bank := i % g.BanksPerRank
 		rank := (i / g.BanksPerRank) % g.RanksPerChannel
 		ch := i / (g.BanksPerRank * g.RanksPerChannel)
-		s.bankWrites[i] = reg.Counter(fmt.Sprintf("reram.ch%d.rank%d.bank%d.writes", ch, rank, bank))
+		names[i] = fmt.Sprintf("reram.ch%d.rank%d.bank%d.writes", ch, rank, bank)
 	}
+	actual, _ := bankNames.LoadOrStore(key, names)
+	return actual.([]string)
 }
 
 // SetColumnTracking switches per-bitline LRS maintenance on or off. It
@@ -288,6 +311,26 @@ func (s *Store) Read(loc Location) bits.Line {
 	return *r.block(loc.Slot)
 }
 
+// ReadLogical returns the block at loc as written to WriteFNW: the
+// stored content with its flip mask undone.
+func (s *Store) ReadLogical(loc Location) bits.Line {
+	r := s.row(s.geom.GlobalRow(loc))
+	if r == nil {
+		return bits.Line{}
+	}
+	stored := *r.block(loc.Slot)
+	bits.FNWDecode(&stored, r.flips[loc.Slot])
+	return stored
+}
+
+// WriteFNW stores FNW-encoded content at loc together with its flip
+// mask (see bits.ClassicFNW) and returns the previous stored content.
+func (s *Store) WriteFNW(loc Location, data bits.Line, flips uint8) (old bits.Line) {
+	r, old := s.write(loc, data)
+	r.flips[loc.Slot] = flips
+	return old
+}
+
 // Write stores new content at a line address and returns the previous
 // content: it decodes the address and delegates to WriteAt.
 func (s *Store) Write(line uint64, data bits.Line) (bits.Line, error) {
@@ -298,19 +341,36 @@ func (s *Store) Write(line uint64, data bits.Line) (bits.Line, error) {
 	return s.WriteAt(loc, data), nil
 }
 
-// WriteAt stores new content at loc and returns the previous content.
-// Per-wordline counters are updated incrementally.
+// WriteAt stores new content at loc and returns the previous content,
+// leaving the block's flip mask as it was. Per-wordline counters are
+// updated incrementally.
 func (s *Store) WriteAt(loc Location, data bits.Line) (old bits.Line) {
-	key := s.geom.GlobalRow(loc)
-	r := s.ensure(key)
-	old = *r.block(loc.Slot)
-	for m := 0; m < BlockSize; m++ {
-		if old[m] == data[m] {
+	_, old = s.write(loc, data)
+	return old
+}
+
+// addDelta adds, per wordline, the LRS cells next holds minus those old
+// held, 8 wordlines (one 8-byte word of the block) at a time.
+func addDelta(counters *[BlockSize]uint16, old, next *bits.Line) {
+	for w := 0; w < BlockSize; w += 8 {
+		o, n := binary.LittleEndian.Uint64(old[w:]), binary.LittleEndian.Uint64(next[w:])
+		if o == n {
 			continue
 		}
-		delta := mbits.OnesCount8(data[m]) - mbits.OnesCount8(old[m])
-		r.counters[m] = uint16(int(r.counters[m]) + delta)
+		po, pn := perBytePop(o), perBytePop(n)
+		for k := 0; k < 8; k++ {
+			// Wrapping uint16 arithmetic adds a negative delta exactly.
+			counters[w+k] += uint16(pn>>(8*k)&0xff) - uint16(po>>(8*k)&0xff)
+		}
 	}
+}
+
+// write is WriteAt, returning the row it wrote as well.
+func (s *Store) write(loc Location, data bits.Line) (r *rowState, old bits.Line) {
+	key := s.geom.GlobalRow(loc)
+	r = s.ensure(key)
+	old = *r.block(loc.Slot)
+	addDelta(&r.counters, &old, &data)
 	if s.trackCols {
 		// Update the selected bitlines' counts for the changed bits, once
 		// a readout has counted them.
@@ -331,13 +391,7 @@ func (s *Store) WriteAt(loc Location, data bits.Line) (old bits.Line) {
 	if s.shifted {
 		rawOld := bits.Unshifted(old, loc.Slot)
 		rawNew := bits.Unshifted(data, loc.Slot)
-		for m := 0; m < BlockSize; m++ {
-			if rawOld[m] == rawNew[m] {
-				continue
-			}
-			delta := mbits.OnesCount8(rawNew[m]) - mbits.OnesCount8(rawOld[m])
-			r.unshifted[m] = uint16(int(r.unshifted[m]) + delta)
-		}
+		addDelta(&r.unshifted, &rawOld, &rawNew)
 	}
 	if r.own[loc.Slot] == nil {
 		// The block's first write: the view stops reading the image.
@@ -350,7 +404,7 @@ func (s *Store) WriteAt(loc Location, data bits.Line) (old bits.Line) {
 	r.writes++
 	s.totalWrites++
 	s.bankWrites[(loc.Channel*s.geom.RanksPerChannel+loc.Rank)*s.geom.BanksPerRank+loc.Bank].Inc()
-	return old
+	return r, old
 }
 
 // MaxSelectedColCount returns the worst per-bitline LRS count among the

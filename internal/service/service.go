@@ -681,7 +681,7 @@ func (s *Service) runJob(j *job) {
 	if !abandoned && err == nil {
 		var gr *sim.GridReport
 		if gr, err = sim.NewGridReport(out.grid); err == nil {
-			report, err = json.MarshalIndent(gr, "", "  ")
+			report, err = sim.IndentedJSON(gr)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -190,9 +189,7 @@ func summarizeLatency(snap metrics.Snapshot, suffix string) ResetLatencySummary 
 
 // WriteJSON emits the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }
 
 // PerfSnapshot flattens the report into the name→value map stored in
@@ -253,9 +250,7 @@ func (r *Report) Bench(name string) *BenchReport {
 
 // WriteJSON emits the bench document as indented JSON.
 func (b *BenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+	return writeJSON(w, b)
 }
 
 // LifetimeReport serializes a LifetimeSweep: identity, the swept knob
@@ -286,9 +281,7 @@ func (s *LifetimeStudy) Report() *LifetimeReport {
 
 // WriteJSON emits the lifetime report as indented JSON.
 func (r *LifetimeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return writeJSON(w, r)
 }
 
 // GridCell is one (workload, scheme) run's headline numbers inside a
@@ -383,9 +376,7 @@ func NewGridReport(g *Grid) (*GridReport, error) {
 
 // WriteJSON emits the grid report as indented JSON.
 func (g *GridReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g)
+	return writeJSON(w, g)
 }
 
 // stripVolatileSnapshot removes host-timing artifacts from a metrics

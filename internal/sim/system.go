@@ -82,6 +82,9 @@ type System struct {
 	// nil in a grid cell, in a run with neither, and while the run holds
 	// none.
 	solo *soloResident
+	// lines is cfg.Geom.Lines(), the bound issue checks every access
+	// against.
+	lines uint64
 }
 
 // newSystem is the build phase: it constructs every component — store,
@@ -96,7 +99,7 @@ func newSystem(cfg Config) (*System, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, ctx: context.Background(), started: time.Now()}
+	s := &System{cfg: cfg, ctx: context.Background(), started: time.Now(), lines: cfg.Geom.Lines()}
 
 	streams, err := coreStreams(&cfg)
 	if err != nil {
@@ -625,10 +628,10 @@ func (s *System) issue(coreID int, a trace.Access) bool {
 	if s.lineRemap != nil {
 		a.Line = s.lineRemap(a.Line)
 	}
-	if a.Line >= s.cfg.Geom.Lines() {
+	if a.Line >= s.lines {
 		// Footprints are clamped to the memory, so this cannot happen;
 		// dropping silently would leak the core's MLP slots.
-		panic(fmt.Sprintf("sim: trace address %d outside memory (%d lines)", a.Line, s.cfg.Geom.Lines()))
+		panic(fmt.Sprintf("sim: trace address %d outside memory (%d lines)", a.Line, s.lines))
 	}
 	c := s.ctrls[s.cfg.Geom.Channel(a.Line)]
 	if a.Write {

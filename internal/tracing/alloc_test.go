@@ -4,18 +4,21 @@ package tracing
 
 import (
 	"io"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestSpanEmissionAllocFree pins the collector's hot-path contract from
-// the package comment: after construction, Begin/Dispatch/End allocate
-// nothing — spans land in the preallocated ring and the slowest-K digest
-// shifts in place instead of walking off its backing array. The race
-// detector instruments allocations, so the file is excluded under -race.
+// the package comment: once the ring has grown to its capacity,
+// Begin/Dispatch/End allocate nothing — spans overwrite ring slots and
+// the slowest-K digest shifts in place instead of walking off its
+// backing array. The race detector instruments allocations, so the file
+// is excluded under -race.
 func TestSpanEmissionAllocFree(t *testing.T) {
 	c := NewCollector(Config{SampleEvery: 1, Capacity: 1024, SlowestK: 16})
-	// Warm-up: fill the slowest-K digest so the measured iterations
-	// exercise the eviction path, not the initial growth.
+	// Warm-up: fill the ring and the slowest-K digest so the measured
+	// iterations exercise the wrap and eviction paths, not the growth.
 	now := uint64(0)
 	emit := func() {
 		ref := c.Begin(KindDataWrite, 0, 0, -1, 0x40, now)
@@ -24,7 +27,7 @@ func TestSpanEmissionAllocFree(t *testing.T) {
 		c.End(ref, now+20+now/8)
 		now += 32
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 1024; i++ {
 		emit()
 	}
 	if n := testing.AllocsPerRun(200, emit); n != 0 {
@@ -37,11 +40,15 @@ func TestSpanEmissionAllocFree(t *testing.T) {
 func TestStallSpanAllocFree(t *testing.T) {
 	c := NewCollector(Config{SampleEvery: 1, Capacity: 256})
 	now := uint64(0)
-	if n := testing.AllocsPerRun(200, func() {
+	stall := func() {
 		ref := c.Begin(KindCoreStall, -1, -1, 0, 0, now)
 		c.End(ref, now+5)
 		now += 8
-	}); n != 0 {
+	}
+	for i := 0; i < 256; i++ {
+		stall()
+	}
+	if n := testing.AllocsPerRun(200, stall); n != 0 {
 		t.Fatalf("stall span emission allocates %.0f per episode, want 0", n)
 	}
 }
@@ -56,5 +63,30 @@ func TestChromeTraceAllocs(t *testing.T) {
 	b := testing.AllocsPerRun(5, func() { _ = big.WriteChromeTrace(io.Discard) })
 	if b > a+8 {
 		t.Errorf("export allocates %.0f times for a full ring, %.0f for one span; want a constant per export", b, a)
+	}
+}
+
+// TestCollectorAllocGrowsWithSpans: a collector that records n spans,
+// far fewer than its capacity, allocates memory in proportion to n (the
+// ring doubles as it fills), not the whole ring up front.
+func TestCollectorAllocGrowsWithSpans(t *testing.T) {
+	const n = 551 // spans a degraded figure cell samples on average
+	spanSize := uint64(unsafe.Sizeof(Span{}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCollector(Config{SampleEvery: 1})
+	for i := uint64(0); i < n; i++ {
+		lifecycle(c, KindDataWrite, i, i+1, i+2+i%7)
+	}
+	runtime.ReadMemStats(&after)
+	if got := len(c.Spans()); got != n {
+		t.Fatalf("Spans() = %d, want %d", got, n)
+	}
+	// Doubling allocates at most 4n slots in all; the slowest-K digest
+	// and the collector itself fit in the 16 KB slack.
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := 4*n*spanSize + 16<<10; got > limit {
+		t.Errorf("recording %d spans allocated %d bytes, want at most %d (the full %d-span ring is %d bytes)",
+			n, got, limit, DefaultCapacity, DefaultCapacity*spanSize)
 	}
 }

@@ -11,14 +11,16 @@
 // Design constraints mirror package metrics, in order:
 //
 //   - Hot-path cost. A Collector is wired through the controller with a
-//     single nil check per site; recording is a few stores into a
-//     preallocated ring slot. Nothing allocates after construction, and
-//     spans never feed back into simulation state, so enabling tracing
-//     cannot perturb golden determinism.
-//   - Bounded memory. Spans live in a fixed-capacity ring; once it
-//     wraps, the oldest spans are overwritten (and counted as evicted).
-//     Updates addressed to an evicted span are dropped via an ID check,
-//     never misattributed to the slot's new tenant.
+//     single nil check per site; recording is a few stores into a ring
+//     slot. The ring grows on demand up to its capacity, so a run pays
+//     for the spans it samples rather than for the whole ring, and
+//     nothing allocates once it is full. Spans never feed back into
+//     simulation state, so enabling tracing cannot perturb golden
+//     determinism.
+//   - Bounded memory. Spans live in a ring of at most Capacity slots;
+//     once it wraps, the oldest spans are overwritten (and counted as
+//     evicted). Updates addressed to an evicted span are dropped via an
+//     ID check, never misattributed to the slot's new tenant.
 //   - Sampling. 1-in-N transaction sampling (deterministic, by arrival
 //     order) keeps multi-minute runs tractable; N=1 traces everything.
 //
@@ -138,7 +140,8 @@ func (s *Span) IsWrite() bool { return s.Kind == KindDataWrite || s.Kind == Kind
 type Config struct {
 	// SampleEvery traces one in every N transactions (<=1 = all).
 	SampleEvery int
-	// Capacity is the span ring size (0 = 65536).
+	// Capacity is the most spans the ring holds (0 = 65536); the ring
+	// grows to it on demand.
 	Capacity int
 	// SlowestK is how many slowest writes survive ring eviction for the
 	// end-of-run digest (0 = 16; negative disables).
@@ -158,7 +161,11 @@ const DefaultSlowestK = 16
 // un-traced embeddings pay one branch per site.
 type Collector struct {
 	sampleEvery uint64
-	ring        []Span
+	// ring holds span id at index (id-1) % capacity. It is appended to
+	// until it holds capacity spans, then wraps; an append can move it,
+	// so no *Span into it survives a Begin.
+	ring     []Span
+	capacity uint64
 
 	seen      uint64 // transactions offered (sampling denominator)
 	sampled   uint64 // spans begun
@@ -190,7 +197,7 @@ func NewCollector(cfg Config) *Collector {
 	}
 	return &Collector{
 		sampleEvery: uint64(cfg.SampleEvery),
-		ring:        make([]Span, cfg.Capacity),
+		capacity:    uint64(cfg.Capacity),
 		k:           k,
 		slowest:     make([]Span, 0, k),
 	}
@@ -250,11 +257,13 @@ func (c *Collector) Begin(kind Kind, channel, bank, core int, line uint64, now u
 	}
 	c.nextID++
 	id := c.nextID
-	slot := &c.ring[(id-1)%uint64(len(c.ring))]
-	if slot.ID != 0 {
+	i := (id - 1) % c.capacity
+	if i == uint64(len(c.ring)) {
+		c.grow()
+	} else {
 		c.evicted++
 	}
-	*slot = Span{
+	c.ring[i] = Span{
 		ID:         id,
 		Kind:       kind,
 		Channel:    int16(channel),
@@ -271,17 +280,28 @@ func (c *Collector) Begin(kind Kind, channel, bank, core int, line uint64, now u
 	return id
 }
 
+// grow adds one slot to a ring still filling, doubling its backing
+// array when full but never past the capacity.
+func (c *Collector) grow() {
+	if len(c.ring) == cap(c.ring) {
+		ring := make([]Span, len(c.ring), min(max(2*cap(c.ring), 64), int(c.capacity)))
+		copy(ring, c.ring)
+		c.ring = ring
+	}
+	c.ring = c.ring[:len(c.ring)+1]
+}
+
 // span resolves a reference, returning nil for unsampled, evicted or
-// foreign references.
+// foreign references. The pointer is valid until the next Begin.
 func (c *Collector) span(ref uint64) *Span {
 	if c == nil || ref == 0 {
 		return nil
 	}
-	s := &c.ring[(ref-1)%uint64(len(c.ring))]
-	if s.ID != ref {
+	i := (ref - 1) % c.capacity
+	if i >= uint64(len(c.ring)) || c.ring[i].ID != ref {
 		return nil
 	}
-	return s
+	return &c.ring[i]
 }
 
 // Dispatch stamps a span's dispatch cycle and resolved write parameters:
@@ -372,11 +392,11 @@ func (c *Collector) eachDone(fn func(*Span)) {
 		return
 	}
 	first := uint64(1)
-	if c.nextID > uint64(len(c.ring)) {
-		first = c.nextID - uint64(len(c.ring)) + 1
+	if c.nextID > c.capacity {
+		first = c.nextID - c.capacity + 1
 	}
 	for id := first; id <= c.nextID; id++ {
-		s := &c.ring[(id-1)%uint64(len(c.ring))]
+		s := &c.ring[(id-1)%c.capacity]
 		if s.ID == id && s.done {
 			fn(s)
 		}

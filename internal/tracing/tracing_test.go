@@ -3,6 +3,8 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -209,5 +211,116 @@ func TestKindJSONLabels(t *testing.T) {
 	}
 	if string(b) != `"smb-read"` {
 		t.Errorf("KindSMBRead marshals as %s", b)
+	}
+}
+
+// fixedRing is the collector's span ring as it was before it grew on
+// demand: all capacity slots allocated up front, an occupied slot
+// counted as evicted when a new span lands on it.
+type fixedRing struct {
+	ring    []Span
+	nextID  uint64
+	evicted uint64
+}
+
+func (r *fixedRing) begin(id uint64, s Span) {
+	slot := &r.ring[(id-1)%uint64(len(r.ring))]
+	if slot.ID != 0 {
+		r.evicted++
+	}
+	*slot = s
+	r.nextID = id
+}
+
+func (r *fixedRing) span(ref uint64) *Span {
+	s := &r.ring[(ref-1)%uint64(len(r.ring))]
+	if ref == 0 || s.ID != ref {
+		return nil
+	}
+	return s
+}
+
+func (r *fixedRing) spans() []Span {
+	var out []Span
+	first := uint64(1)
+	if r.nextID > uint64(len(r.ring)) {
+		first = r.nextID - uint64(len(r.ring)) + 1
+	}
+	for id := first; id <= r.nextID; id++ {
+		if s := r.ring[(id-1)%uint64(len(r.ring))]; s.ID == id && s.done {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestGrowingRingMatchesFixedRing drives a collector and the fixed
+// reference ring through the same random transactions — sampled and
+// not, completed out of order, some addressed to evicted spans — and
+// checks that wrap, eviction counts, Spans order and evicted-reference
+// lookups agree at every step, for capacities on both sides of each
+// growth step.
+func TestGrowingRingMatchesFixedRing(t *testing.T) {
+	for _, capacity := range []int{1, 3, 64, 65, 100, 1000} {
+		for _, every := range []int{1, 3} {
+			c := NewCollector(Config{SampleEvery: every, Capacity: capacity})
+			ref := &fixedRing{ring: make([]Span, capacity)}
+			rng := rand.New(rand.NewSource(int64(capacity*10 + every)))
+			var refs []uint64
+			for step := uint64(1); step <= uint64(12*capacity*every+300); step++ {
+				switch op := rng.Intn(3); {
+				case op == 0 || len(refs) == 0:
+					id := c.Begin(KindDataWrite, 0, 1, -1, step, step)
+					if id == 0 {
+						continue
+					}
+					ref.begin(id, Span{ID: id, Kind: KindDataWrite, Channel: 0, Bank: 1, Core: -1, Line: step,
+						Enqueue: step, Dispatch: step, WLBucket: -1, BLBucket: -1, ClrsBucket: -1})
+					refs = append(refs, id)
+				case op == 1:
+					id := refs[rng.Intn(len(refs))]
+					c.Dispatch(id, step, 50, 1, 2, 3, true)
+					if s := ref.span(id); s != nil {
+						s.Dispatch, s.LatNs, s.WLBucket, s.BLBucket, s.ClrsBucket, s.Drain = step, 50, 1, 2, 3, true
+					}
+				default:
+					id := refs[rng.Intn(len(refs))]
+					c.End(id, step)
+					if s := ref.span(id); s != nil {
+						s.Complete, s.done = step, true
+					}
+				}
+				for _, id := range []uint64{refs[0], refs[len(refs)-1]} {
+					if got, want := c.span(id) != nil, ref.span(id) != nil; got != want {
+						t.Fatalf("cap %d every %d step %d: span(%d) resolves %v, fixed ring %v", capacity, every, step, id, got, want)
+					}
+				}
+				if c.Evicted() != ref.evicted {
+					t.Fatalf("cap %d every %d step %d: Evicted() = %d, fixed ring %d", capacity, every, step, c.Evicted(), ref.evicted)
+				}
+				if step%17 != 0 {
+					continue
+				}
+				if got, want := c.Spans(), ref.spans(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Fatalf("cap %d every %d step %d: Spans() differ from the fixed ring:\n got %v\nwant %v", capacity, every, step, got, want)
+				}
+			}
+			if ref.evicted == 0 {
+				t.Fatalf("cap %d every %d: the run never wrapped the ring", capacity, every)
+			}
+		}
+	}
+}
+
+// BenchmarkCollectorRecord times one degraded figure cell's tracing: a
+// fresh 4096-slot collector and the Begin/Dispatch/End of the 551 spans
+// such a cell samples on average.
+func BenchmarkCollectorRecord(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := NewCollector(Config{Capacity: 4096})
+		for t := uint64(0); t < 551; t++ {
+			lifecycle(c, KindDataWrite, t, t+3, t+10+t%13)
+		}
 	}
 }
