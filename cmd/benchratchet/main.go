@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"time"
 
 	"ladder"
 	"ladder/internal/sim"
@@ -30,7 +31,7 @@ func main() {
 	var (
 		anchors   = flag.String("anchors", "BENCH_*.json", "glob of committed anchor snapshots")
 		threshold = flag.Float64("threshold", 0.10, "fractional regression budget (0.10 = fail below 90% of the anchor)")
-		runs      = flag.Int("runs", 3, "measured runs per anchor; the fastest counts (damps scheduler noise)")
+		runs      = flag.Int("runs", 3, "least measured runs per anchor, taken until they also cover 1 s; the fastest counts (damps scheduler noise)")
 		instr     = flag.Uint64("instr", 0, "instructions per core (0 = each anchor's own instructions_retired, so replays match the committed scale)")
 		seed      = flag.Int64("seed", 42, "simulation seed (matches the committed anchors)")
 		outDir    = flag.String("out", "", "write fresh snapshots into this directory (created if missing)")
@@ -98,13 +99,26 @@ func run(glob string, threshold float64, runs int, instr uint64, seed int64, out
 	return nil
 }
 
+// minMeasured is the least wall clock an anchor's measured runs cover
+// together. A single run of an anchor lasts about 0.1 s, shorter than a
+// shared host's noise, so `runs` of them alone let one anchor's best
+// read anywhere from 0.90× to 1.40× of its anchor between passes.
+const minMeasured = time.Second
+
+// enoughRuns is measure's stop rule: n measured runs that took elapsed
+// wall clock together suffice once there are at least runs of them and
+// they cover minMeasured.
+func enoughRuns(n, runs int, elapsed time.Duration) bool {
+	return n >= runs && elapsed >= minMeasured
+}
+
 // measure replays one anchor's configuration: a warm-up run (timing
-// tables, page cache) followed by `runs` measured runs, keeping the
-// fastest snapshot — the ratchet compares capability, not scheduler
-// luck, and a conservative fresh number only ever under-fails. Each
-// measured run first drops the resident rows earlier runs of the same
-// workload and seed left behind, so it draws them cold, as the anchors
-// were measured.
+// tables, page cache) followed by measured runs until enoughRuns holds,
+// keeping the fastest snapshot — the ratchet compares capability, not
+// scheduler luck, and a conservative fresh number only ever
+// under-fails. Each measured run first drops the resident rows and
+// streams earlier runs left behind, so it draws them cold, as the
+// anchors were measured.
 func measure(a Anchor, runs int, instr uint64, seed int64, label string) (*sim.BenchReport, error) {
 	if instr == 0 {
 		// Replay at the anchor's own scale so the measured window matches
@@ -128,9 +142,12 @@ func measure(a Anchor, runs int, instr uint64, seed int64, label string) (*sim.B
 		}
 	}
 	var best *sim.BenchReport
-	for i := 0; i < runs; i++ {
+	var elapsed time.Duration
+	for n := 0; !enoughRuns(n, runs, elapsed); n++ {
 		ladder.DropResidents()
+		start := time.Now()
 		res, err := ladder.Run(cfg)
+		elapsed += time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("benchratchet: measuring %s: %w", a.Doc.Name, err)
 		}

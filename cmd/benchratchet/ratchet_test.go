@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ladder/internal/sim"
 )
@@ -187,5 +188,28 @@ func TestTrajectoryTable(t *testing.T) {
 	}
 	if !strings.Contains(table, "REGRESSION") || !strings.Contains(table, "0.50x") {
 		t.Fatalf("table missing regression row:\n%s", table)
+	}
+}
+
+// TestEnoughRuns pins measure's stop rule: never fewer than -runs
+// measured runs, and more until they cover minMeasured of wall clock.
+func TestEnoughRuns(t *testing.T) {
+	for _, tc := range []struct {
+		n, runs int
+		elapsed time.Duration
+		want    bool
+	}{
+		{0, 3, 0, false},
+		{0, 1, 0, false},
+		{2, 3, 5 * time.Second, false}, // long runs still take -runs of them
+		{3, 3, 300 * time.Millisecond, false},
+		{9, 3, minMeasured - time.Nanosecond, false},
+		{10, 3, minMeasured, true},
+		{3, 3, minMeasured, true},
+		{1, 1, 2 * time.Second, true},
+	} {
+		if got := enoughRuns(tc.n, tc.runs, tc.elapsed); got != tc.want {
+			t.Errorf("enoughRuns(%d, %d, %v) = %v, want %v", tc.n, tc.runs, tc.elapsed, got, tc.want)
+		}
 	}
 }

@@ -145,7 +145,7 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 	for i, s := range schemes {
 		variants[i].scheme = s
 	}
-	res, err := runCells(ctx, opts, new(inputPool), crossCells(ws, variants))
+	res, err := runCells(ctx, opts, crossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -214,38 +214,30 @@ func crossCells(workloads []string, variants []cell) []cell {
 //
 // Determinism: each cell runs with its own metrics registry and memory
 // image, and results follow cell order regardless of completion order,
-// so they are independent of Options.Jobs and of scheduling. Cells read
-// their resident rows and access streams from inputs, each drawn once
-// per pool: a row's content depends only on the resident level, the
-// seed and the row, and a stream's only on its streamKey, so every
-// cell's result is bit-identical to its solo Run. Each stream's readers
-// are counted before the first cell runs, and its tape is released when
-// the last of them finishes. Options.Progress calls are serialized under
-// one mutex.
-func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell) ([]*Result, error) {
+// so they are independent of Options.Jobs and of scheduling. Cells take
+// their resident rows and access streams from the process-wide registry
+// (sharedInputs), as solo runs do: a row's content depends only on the
+// resident level, the seed and the row, and a stream's only on its
+// streamKey, so every cell's result is bit-identical to its solo Run.
+// Options.Progress calls are serialized under one mutex.
+func runCells(ctx context.Context, opts Options, cells []cell) ([]*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	cfgs := make([]Config, len(cells))
-	streams := make([][]streamKey, len(cells))
 	var layoutErrs []error
 	for i, c := range cells {
 		cfg := opts.config(c.workload, c.scheme)
 		if c.edit != nil {
 			c.edit(&cfg)
 		}
-		cfg.inputs = inputs
 		cfgs[i] = cfg
-		var err error
-		if streams[i], err = coreStreams(&cfg); err != nil {
+		if _, err := coreStreams(&cfg); err != nil {
 			layoutErrs = append(layoutErrs, fmt.Errorf("running %s/%s: %w", c.workload, c.scheme, err))
 		}
 	}
 	if err := errors.Join(layoutErrs...); err != nil {
 		return nil, err
-	}
-	for _, st := range streams {
-		inputs.expect(st)
 	}
 	results := make([]*Result, len(cells))
 	// A cell failure cancels runCtx so queued cells never dispatch; the
@@ -273,7 +265,6 @@ func runCells(ctx context.Context, opts Options, inputs *inputPool, cells []cell
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			res, err := runCell(runCtx, cfgs[i])
-			inputs.release(streams[i])
 			results[i] = res // each worker owns its slot; wg.Wait publishes it
 			mu.Lock()
 			done++
@@ -471,11 +462,11 @@ func (g *Grid) FNWCancellation() []Row {
 	}, false)
 }
 
-// studyRows runs every workload under each variant on one runCells pool
+// studyRows runs every workload under each variant in one runCells call
 // and reduces each workload's results, in variant order, to its Row.
 func studyRows(ctx context.Context, opts Options, variants []cell, reduce func(r []*Result) map[string]float64) ([]Row, error) {
 	ws := opts.workloads()
-	res, err := runCells(ctx, opts, new(inputPool), crossCells(ws, variants))
+	res, err := runCells(ctx, opts, crossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -724,7 +715,7 @@ func relativeLifetime(geom reram.Geometry, base, res *Result, spares int) float6
 // prices at ~3% write overhead), averaged across workloads. Nil period
 // and spare lists select the defaults; ValidateLifetimeAxes rejects a bad
 // axis before any cell runs. The leveled runs depend on the baselines, so
-// the study runs in two runCells stages that share one input pool.
+// the study runs in two runCells stages.
 func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
 	if err := ValidateLifetimeAxes(periods, spares); err != nil {
 		return nil, err
@@ -742,8 +733,7 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 		SpareRows:  spares,
 	}
 	geom := opts.Base.geometry()
-	inputs := new(inputPool)
-	bases, err := runCells(ctx, opts, inputs, crossCells(study.Workloads, []cell{{scheme: scheme}}))
+	bases, err := runCells(ctx, opts, crossCells(study.Workloads, []cell{{scheme: scheme}}))
 	if err != nil {
 		return nil, err
 	}
@@ -762,7 +752,7 @@ func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, sp
 			}
 		}
 	}
-	res, err := runCells(ctx, opts, inputs, cells)
+	res, err := runCells(ctx, opts, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -234,9 +234,12 @@ func TestRunGridMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// checkGridMatchesSolo runs opts as a grid and each cell as a solo Run,
-// requires equal cells and byte-equal grid reports, and returns the grid.
+// checkGridMatchesSolo runs opts as a grid and each cell as a cold solo
+// Run, requires equal cells and byte-equal grid reports, and returns the
+// grid. Each reference run drops the registry first, so it draws its
+// rows and streams itself rather than replaying the grid's.
 func checkGridMatchesSolo(t *testing.T, opts Options, schemes []string) *Grid {
+	defer DropResidents()
 	grid, err := RunGrid(opts, schemes)
 	if err != nil {
 		t.Fatalf("RunGrid: %v", err)
@@ -245,6 +248,7 @@ func checkGridMatchesSolo(t *testing.T, opts Options, schemes []string) *Grid {
 	for _, w := range opts.Workloads {
 		solo.Results[w] = map[string]*Result{}
 		for _, s := range schemes {
+			DropResidents()
 			res, err := Run(opts.config(w, s))
 			if err != nil {
 				t.Fatalf("Run(%s/%s): %v", w, s, err)

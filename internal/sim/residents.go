@@ -8,50 +8,68 @@ import (
 	"ladder/internal/trace"
 )
 
-// soloResidents lends solo runs (Run, RunCtx outside a grid) the resident
-// rows and access streams of recent runs of the same machine. A row's
-// resident content is a pure function of (level, seed, row) and a stream
-// a pure function of its streamKey, so a run that reads another run's
-// image or tape reads exactly what it would have drawn itself: comparing
-// schemes with one solo run each draws every row and every stream once,
-// as a grid does.
-var soloResidents residentRegistry
+// sharedInputs lends every run — a solo Run and each cell of a grid or
+// study alike — the resident rows and access streams of recent runs of
+// the same machine. A row's resident content is a pure function of
+// (level, seed, row) and a stream a pure function of its streamKey, so a
+// run that reads another run's image or tape reads exactly what it would
+// have drawn itself: a grid, or one solo run per scheme, draws every row
+// and every stream once.
+var sharedInputs inputRegistry
 
 // keepReleased is how many machines no run holds the registry retains:
 // enough for a caller that runs a workload's schemes one after another,
 // or two workloads side by side, to find its rows and streams again.
 const keepReleased = 2
 
-// residentRegistry maps each machine a solo run simulates to one shared
-// reram.Resident and the machine's trace.Tapes. An entry lives while any
-// run holds it, and after its last run releases it as long as it is one
-// of the keepReleased most recently released entries. So it retains the
-// images and tapes of the runs in flight plus those of two machines. A
-// retained tape keeps every access its longest run read (stored
-// compactly, see trace.Tape).
-type residentRegistry struct {
+// inputRegistry maps each machine a run simulates to the machine's
+// trace.Tapes and a reram.Resident shared by every machine of the same
+// (level, seed). An entry lives while any run holds it, and after its
+// last run releases it as long as it is one of the keepReleased most
+// recently released entries. So it retains the tapes of the machines
+// held plus those of two more, and one Resident per (level, seed) those
+// entries reference. A retained tape keeps every access its longest run
+// read (stored compactly, see trace.Tape).
+type inputRegistry struct {
 	mu      sync.Mutex
-	entries map[soloKey]*soloResident
+	entries map[machineKey]*machineInputs
 	// idle lists the entries no run holds, least recently released
 	// first.
-	idle []*soloResident
+	idle []*machineInputs
+	// rows holds the Resident of each (level, seed) some entry
+	// references.
+	rows map[residentKey]*sharedRows
 }
 
-// soloKey names a machine: the workload whose rows a run touches and the
-// (level, seed) that fixes their content. Keying by workload keeps one
-// entry to the rows one workload touches, so retention is bounded by
-// machines, not by the union of every workload run with a seed.
-type soloKey struct {
+// residentKey is the (effective level, seed) that fixes every row's
+// resident content.
+type residentKey struct {
+	level int
+	seed  uint64
+}
+
+// machineKey names a machine: the workload whose streams a run reads and
+// the (level, seed) that fixes its rows' content. Keying tapes by
+// workload bounds their retention by machines, not by the union of
+// every workload run with a seed.
+type machineKey struct {
 	workload string
 	residentKey
 }
 
-// soloResident is one registry entry and the number of runs holding it.
+// sharedRows is one (level, seed)'s Resident and the number of registry
+// entries referencing it.
+type sharedRows struct {
+	rows *reram.Resident
+	refs int
+}
+
+// machineInputs is one registry entry and the number of runs holding it.
 // Its tapes are keyed by streamKey, which also fixes the geometry-clamped
 // footprints, so runs of one machine on different geometries each get
 // their own streams.
-type soloResident struct {
-	key   soloKey
+type machineInputs struct {
+	key   machineKey
 	rows  *reram.Resident
 	users int
 
@@ -60,7 +78,7 @@ type soloResident struct {
 }
 
 // tape returns the entry's tape for k, creating it on first use.
-func (e *soloResident) tape(k streamKey) (*trace.Tape, error) {
+func (e *machineInputs) tape(k streamKey) (*trace.Tape, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := e.tapes[k]
@@ -79,19 +97,28 @@ func (e *soloResident) tape(k streamKey) (*trace.Tape, error) {
 
 // acquire returns k's entry, creating it on first use, with one more
 // user. The caller hands it back with release.
-func (g *residentRegistry) acquire(k soloKey) *soloResident {
+func (g *inputRegistry) acquire(k machineKey) *machineInputs {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e := g.entries[k]
 	switch {
 	case e == nil:
-		if g.entries == nil {
-			g.entries = make(map[soloKey]*soloResident)
+		r := g.rows[k.residentKey]
+		if r == nil {
+			if g.rows == nil {
+				g.rows = make(map[residentKey]*sharedRows)
+			}
+			r = &sharedRows{rows: reram.NewResident(k.level, k.seed)}
+			g.rows[k.residentKey] = r
 		}
-		e = &soloResident{key: k, rows: reram.NewResident(k.level, k.seed)}
+		r.refs++
+		if g.entries == nil {
+			g.entries = make(map[machineKey]*machineInputs)
+		}
+		e = &machineInputs{key: k, rows: r.rows}
 		g.entries[k] = e
 	case e.users == 0:
-		g.idle = slices.DeleteFunc(g.idle, func(x *soloResident) bool { return x == e })
+		g.idle = slices.DeleteFunc(g.idle, func(x *machineInputs) bool { return x == e })
 	}
 	e.users++
 	return e
@@ -99,9 +126,11 @@ func (g *residentRegistry) acquire(k soloKey) *soloResident {
 
 // release drops one user of e. An entry left without users joins the
 // idle list, and the least recently released idle entry beyond
-// keepReleased is dropped. An entry drop removed while in use is
-// forgotten when its last user releases it.
-func (g *residentRegistry) release(e *soloResident) {
+// keepReleased is evicted, freeing its Resident if no other entry
+// references it. An entry drop removed while in use is forgotten when
+// its last user releases it: it counts toward no Resident of the
+// registry.
+func (g *inputRegistry) release(e *machineInputs) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if e.users--; e.users > 0 || g.entries[e.key] != e {
@@ -109,23 +138,29 @@ func (g *residentRegistry) release(e *soloResident) {
 	}
 	g.idle = append(g.idle, e)
 	if len(g.idle) > keepReleased {
-		delete(g.entries, g.idle[0].key)
+		old := g.idle[0]
 		g.idle = slices.Delete(g.idle, 0, 1)
+		delete(g.entries, old.key)
+		r := g.rows[old.key.residentKey]
+		if r.refs--; r.refs == 0 {
+			delete(g.rows, old.key.residentKey)
+		}
 	}
 }
 
 // drop empties the registry. Runs in flight keep the images and tapes
 // they hold.
-func (g *residentRegistry) drop() {
+func (g *inputRegistry) drop() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.entries, g.idle = nil, nil
+	g.entries, g.idle, g.rows = nil, nil, nil
 }
 
-// DropResidents empties the process-wide registry through which solo
-// runs share resident row images and access streams, so the next solo
-// run of any machine draws its rows and streams cold. Runs in flight
-// keep what they hold. Results never depend on it; it frees the
-// retained images and tapes of a long-lived process and lets a
-// benchmark time a cold run.
-func DropResidents() { soloResidents.drop() }
+// DropResidents empties the process-wide registry through which every
+// run, solo or a grid's cell, shares resident row images and access
+// streams, so the next run of any machine draws its rows and streams
+// cold. It frees what recent solo runs and finished grids and studies
+// left behind; runs in flight keep what they hold. Results never depend
+// on it; it frees the retained images and tapes of a long-lived process
+// and lets a benchmark time a cold run.
+func DropResidents() { sharedInputs.drop() }

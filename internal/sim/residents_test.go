@@ -14,17 +14,17 @@ import (
 	"ladder/internal/trace"
 )
 
-// soloEntry returns the registry's entry for solo runs of workload at
+// machineEntry returns the registry's entry for runs of workload at
 // seed and the default resident level, nil when the registry holds none.
-func soloEntry(workload string, seed int64) *soloResident {
-	soloResidents.mu.Lock()
-	defer soloResidents.mu.Unlock()
-	return soloResidents.entries[soloKey{workload, residentKey{2, uint64(seed) + 0x5eed}}]
+func machineEntry(workload string, seed int64) *machineInputs {
+	sharedInputs.mu.Lock()
+	defer sharedInputs.mu.Unlock()
+	return sharedInputs.entries[machineKey{workload, residentKey{2, uint64(seed) + 0x5eed}}]
 }
 
-// soloTapes returns the tapes e holds for cfg's streams, in core order,
+// entryTapes returns the tapes e holds for cfg's streams, in core order,
 // and fails the test unless e holds exactly one tape per stream.
-func soloTapes(t *testing.T, e *soloResident, cfg Config) []*trace.Tape {
+func entryTapes(t *testing.T, e *machineInputs, cfg Config) []*trace.Tape {
 	t.Helper()
 	streams, err := coreStreams(&cfg)
 	if err != nil {
@@ -68,8 +68,8 @@ func soloJSON(t *testing.T, cfg Config) []byte {
 // every workload and figure scheme, in the default and degraded cell
 // configurations, a solo run that draws its resident rows and access
 // streams cold, a solo run that views the rows and replays the tapes
-// the cold run left in the registry, and the grid cell reading the
-// grid's pool produce byte-identical reports.
+// the cold run left in the registry, and the grid cell, which took its
+// inputs from the same registry, produce byte-identical reports.
 func TestGoldenSoloSharedResidents(t *testing.T) {
 	defer DropResidents()
 	opts := Options{Instr: 20_000, Seed: 3000, Jobs: 2}
@@ -79,7 +79,7 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 			variants = append(variants, cell{scheme: s, edit: cc.edit})
 		}
 		cells := crossCells(opts.workloads(), variants)
-		grid, err := runCells(context.Background(), opts, new(inputPool), cells)
+		grid, err := runCells(context.Background(), opts, cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)
 		}
@@ -90,13 +90,13 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 			}
 			DropResidents()
 			cold := soloJSON(t, cfg)
-			e := soloEntry(c.workload, cfg.Seed)
+			e := machineEntry(c.workload, cfg.Seed)
 			if e == nil {
 				t.Fatalf("%s %s/%s: the registry kept nothing of the cold run", cc.name, c.workload, c.scheme)
 			}
-			tapes := soloTapes(t, e, cfg)
+			tapes := entryTapes(t, e, cfg)
 			warm := soloJSON(t, cfg)
-			if soloEntry(c.workload, cfg.Seed) != e || !slices.Equal(soloTapes(t, e, cfg), tapes) {
+			if machineEntry(c.workload, cfg.Seed) != e || !slices.Equal(entryTapes(t, e, cfg), tapes) {
 				t.Fatalf("%s %s/%s: the second solo run did not replay the cold run's entry", cc.name, c.workload, c.scheme)
 			}
 			if !bytes.Equal(cold, warm) {
@@ -147,7 +147,7 @@ func TestSoloRunsShareResidentsConcurrently(t *testing.T) {
 			t.Errorf("%s: a run sharing its rows with concurrent runs differs from its cold run", s)
 		}
 	}
-	e := soloEntry("mix-3", 42)
+	e := machineEntry("mix-3", 42)
 	if e == nil || e.users != 0 {
 		t.Fatalf("after the runs the machine's entry is %+v, want one no run holds", e)
 	}
@@ -195,9 +195,9 @@ func TestSoloRunsShareStreamsConcurrently(t *testing.T) {
 			t.Errorf("%s: a run sharing its streams with concurrent runs differs from its cold run", s)
 		}
 	}
-	soloResidents.mu.Lock()
-	e := soloResidents.entries[soloKey{"mix-5", cfgs[0].residentKey()}]
-	soloResidents.mu.Unlock()
+	sharedInputs.mu.Lock()
+	e := sharedInputs.entries[machineKey{"mix-5", cfgs[0].residentKey()}]
+	sharedInputs.mu.Unlock()
 	if e == nil || e.users != 0 {
 		t.Fatalf("after the runs the machine's entry is %+v, want one no run holds", e)
 	}
@@ -205,7 +205,7 @@ func TestSoloRunsShareStreamsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tape := range soloTapes(t, e, cfgs[0]) {
+	for i, tape := range entryTapes(t, e, cfgs[0]) {
 		k := streams[i]
 		gen, err := trace.NewGenerator(k.prof, k.seed, k.basePage)
 		if err != nil {
@@ -232,7 +232,7 @@ func TestFailedBuildReleasesItsEntry(t *testing.T) {
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "bank masks") {
 		t.Fatalf("Run with 128 banks per channel: err = %v, want the controller's bank-mask error", err)
 	}
-	e := soloEntry(cfg.Workload, cfg.Seed)
+	e := machineEntry(cfg.Workload, cfg.Seed)
 	if e == nil || e.users != 0 {
 		t.Fatalf("after the failed build the machine's entry is %+v, want one no run holds", e)
 	}
@@ -247,21 +247,21 @@ func TestSoloRunAfterDropRegeneratesStreams(t *testing.T) {
 	cfg.InstrPerCore = 8_000
 	DropResidents()
 	before := soloJSON(t, cfg)
-	e := soloEntry(cfg.Workload, cfg.Seed)
+	e := machineEntry(cfg.Workload, cfg.Seed)
 	if e == nil {
 		t.Fatal("the registry kept nothing of the first run")
 	}
-	old := soloTapes(t, e, cfg)
+	old := entryTapes(t, e, cfg)
 	DropResidents()
-	if soloEntry(cfg.Workload, cfg.Seed) != nil {
+	if machineEntry(cfg.Workload, cfg.Seed) != nil {
 		t.Fatal("DropResidents left the machine's entry in the registry")
 	}
 	after := soloJSON(t, cfg)
-	fresh := soloEntry(cfg.Workload, cfg.Seed)
+	fresh := machineEntry(cfg.Workload, cfg.Seed)
 	if fresh == nil || fresh == e {
 		t.Fatalf("the run after DropResidents used entry %p, want a new one (the dropped one was %p)", fresh, e)
 	}
-	for i, tape := range soloTapes(t, fresh, cfg) {
+	for i, tape := range entryTapes(t, fresh, cfg) {
 		if tape == old[i] {
 			t.Fatalf("core %d replayed a tape DropResidents dropped", i)
 		}
@@ -273,11 +273,12 @@ func TestSoloRunAfterDropRegeneratesStreams(t *testing.T) {
 
 // TestResidentRegistryRetention checks the retention rule: an entry in
 // use is never dropped, at most keepReleased released entries are kept
-// (the most recently released), drop empties the registry, and an entry
-// dropped while in use is not resurrected by its release.
+// (the most recently released), the entries of one seed share one
+// counted Resident, drop empties the registry, and an entry dropped
+// while in use is not resurrected by its release.
 func TestResidentRegistryRetention(t *testing.T) {
-	var g residentRegistry
-	key := func(w string) soloKey { return soloKey{w, residentKey{2, 7}} }
+	var g inputRegistry
+	key := func(w string) machineKey { return machineKey{w, residentKey{2, 7}} }
 	held := func(want ...string) {
 		t.Helper()
 		if len(g.entries) != len(want) {
@@ -287,6 +288,12 @@ func TestResidentRegistryRetention(t *testing.T) {
 			if g.entries[key(w)] == nil {
 				t.Fatalf("registry lost %s; want %q", w, want)
 			}
+		}
+		// Every entry shares the seed's one Resident, counted once per
+		// entry and freed with the last of them.
+		wantRows := min(len(want), 1)
+		if r := g.rows[residentKey{2, 7}]; len(g.rows) != wantRows || r != nil && r.refs != len(want) {
+			t.Fatalf("registry holds Residents %v for entries %q", g.rows, want)
 		}
 	}
 
@@ -371,7 +378,7 @@ func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			DropResidents()
 			interrupt(t)
-			e := soloEntry(base.Workload, base.Seed)
+			e := machineEntry(base.Workload, base.Seed)
 			if e == nil || e.users != 0 {
 				t.Fatalf("after the interrupted run the machine's entry is %+v, want one no run holds", e)
 			}

@@ -200,11 +200,6 @@ type Config struct {
 	// live-streaming hook behind the introspection server's /timeline
 	// feed. Runs on the simulation goroutine, like Progress.
 	TimelineOnEpoch func(timeline.Epoch) `json:"-"`
-
-	// inputs shares resident rows and access streams among the cells of
-	// one grid or study (runCells). Nil, as in a solo Run, takes both
-	// from the process-wide registry (soloResidents).
-	inputs *inputPool
 }
 
 func (c *Config) applyDefaults() error {
@@ -406,7 +401,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sys.releaseResidents()
+	defer sys.releaseInputs()
 	if ctx != nil {
 		sys.ctx = ctx
 	}

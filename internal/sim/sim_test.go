@@ -605,7 +605,7 @@ func TestTouchedRowsCountsWrittenRows(t *testing.T) {
 			}
 		}
 		res, err := sys.collect()
-		sys.releaseResidents()
+		sys.releaseInputs()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	mathbits "math/bits"
-	"sync"
 	"time"
 
 	"ladder/internal/bits"
@@ -78,10 +77,9 @@ type System struct {
 	// calls since the last poll.
 	ctx   context.Context
 	polls int
-	// solo is the registry entry whose rows and tapes a solo run reads,
-	// nil in a grid cell, in a run with neither, and while the run holds
-	// none.
-	solo *soloResident
+	// inputs is the registry entry whose rows and tapes the run reads,
+	// nil in a run with neither and while the run holds none.
+	inputs *machineInputs
 	// lines is cfg.Geom.Lines(), the bound issue checks every access
 	// against.
 	lines uint64
@@ -91,10 +89,10 @@ type System struct {
 // metrics registry, energy meter, cores, per-channel controllers
 // with their private scheme instances, optional wear leveling — and the
 // event engine that will drive them, without simulating a single cycle.
-// A solo run takes its registry entry here, before its cores are built
-// on the entry's tapes, and hands it back itself if the build fails or
+// The run takes its registry entry here, before its cores are built on
+// the entry's tapes, and hands it back itself if the build fails or
 // panics; once newSystem returns a System, the caller releases it with
-// releaseResidents.
+// releaseInputs.
 func newSystem(cfg Config) (*System, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -105,13 +103,13 @@ func newSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.inputs == nil && (len(streams) > 0 || cfg.ResidentLevel > 0) {
-		s.solo = soloResidents.acquire(soloKey{cfg.Workload, cfg.residentKey()})
+	if len(streams) > 0 || cfg.ResidentLevel > 0 {
+		s.inputs = sharedInputs.acquire(machineKey{cfg.Workload, cfg.residentKey()})
 	}
 	built := false
 	defer func() {
 		if !built {
-			s.releaseResidents()
+			s.releaseInputs()
 		}
 	}()
 	s.tables = cfg.Tables
@@ -194,8 +192,7 @@ func (k streamKey) newTape() (*trace.Tape, error) {
 // with its footprint clamped to the region so every generated address
 // decodes (small test geometries compress footprints). A TraceFile run
 // has no generated streams. It reads only Workload, Seed, Geom and
-// TraceFile, so it gives the same keys before and after applyDefaults;
-// runCells counts a grid's stream readers with it.
+// TraceFile, so it gives the same keys before and after applyDefaults.
 func coreStreams(cfg *Config) ([]streamKey, error) {
 	if cfg.TraceFile != "" {
 		return nil, nil
@@ -217,8 +214,8 @@ func coreStreams(cfg *Config) ([]streamKey, error) {
 
 // buildCores creates one core per stream (or a single core replaying a
 // recorded trace). Every core reads its stream through a cursor on a
-// shared tape: the grid's pool's in a grid cell, the registry entry's in
-// a solo run. So a stream is drawn once however many runs replay it.
+// tape of the run's registry entry, so a stream is drawn once however
+// many runs replay it.
 func (s *System) buildCores(streams []streamKey) error {
 	cfg := s.cfg
 	if cfg.TraceFile != "" {
@@ -240,13 +237,7 @@ func (s *System) buildCores(streams []streamKey) error {
 	s.cores = make([]*cpu.Core, len(streams))
 	s.finish = make([]uint64, len(streams))
 	for i, k := range streams {
-		var tape *trace.Tape
-		var err error
-		if cfg.inputs != nil {
-			tape, err = cfg.inputs.tape(k)
-		} else {
-			tape, err = s.solo.tape(k)
-		}
+		tape, err := s.inputs.tape(k)
 		if err != nil {
 			return err
 		}
@@ -491,19 +482,12 @@ const progressSpanCount = 64
 // warm is the warm phase: it configures resident data, which the store
 // prefills into each wordline group on first touch, so touched groups
 // carry realistic ones-density before the first write arrives. Every run
-// views shared row images: a grid cell the grid's pool's (built once per
-// grid), a solo run those of the registry entry newSystem took (built
-// once per machine while recent runs of it retain them).
+// views the shared row images of the registry entry newSystem took,
+// built once per (level, seed) while recent runs retain them.
 func (s *System) warm() error {
-	cfg := s.cfg
-	if cfg.ResidentLevel <= 0 {
-		return nil
+	if s.cfg.ResidentLevel > 0 {
+		s.store.UseResident(s.inputs.rows)
 	}
-	if cfg.inputs != nil {
-		s.store.UseResident(cfg.inputs.resident(cfg.residentKey()))
-		return nil
-	}
-	s.store.UseResident(s.solo.rows)
 	return nil
 }
 
@@ -513,111 +497,12 @@ func (c *Config) residentKey() residentKey {
 	return residentKey{max(c.ResidentLevel, 0), uint64(c.Seed) + 0x5eed}
 }
 
-// releaseResidents hands a solo run's registry entry back. RunCtx defers
-// it, so a run that fails, is canceled or panics releases its hold too.
-func (s *System) releaseResidents() {
-	if s.solo != nil {
-		soloResidents.release(s.solo)
-		s.solo = nil
-	}
-}
-
-// inputPool holds the pure inputs the cells of one grid or study share:
-// resident rows and access streams. Neither depends on the scheme or on
-// any knob a study edits except the ones in its key, so every cell reads
-// the same rows and streams its solo Run would draw, drawn once. The
-// zero value is an empty pool.
-//
-// Resident rows (one reram.Resident per effective level and seed) live
-// as long as the pool. Tapes (one trace.Tape per streamKey) are
-// reference-counted: runCells counts each stream's readers when it lays
-// out its cells and releases a tape when its last reader finishes, so
-// the pool retains the streams of the cells in flight, not of the whole
-// grid.
-type inputPool struct {
-	mu        sync.Mutex
-	residents map[residentKey]*reram.Resident
-	tapes     map[streamKey]*sharedTape
-}
-
-// residentKey is the (effective level, seed) that fixes every row's
-// resident content.
-type residentKey struct {
-	level int
-	seed  uint64
-}
-
-// sharedTape is one pooled stream and the number of laid-out cells yet
-// to finish reading it.
-type sharedTape struct {
-	tape    *trace.Tape
-	readers int
-}
-
-// resident returns the pool's Resident for k, creating it on first use.
-func (p *inputPool) resident(k residentKey) *reram.Resident {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.residents[k]
-	if r == nil {
-		if p.residents == nil {
-			p.residents = make(map[residentKey]*reram.Resident)
-		}
-		r = reram.NewResident(k.level, k.seed)
-		p.residents[k] = r
-	}
-	return r
-}
-
-// entry returns k's pool entry, creating it on first use. The caller
-// holds p.mu.
-func (p *inputPool) entry(k streamKey) *sharedTape {
-	st := p.tapes[k]
-	if st == nil {
-		if p.tapes == nil {
-			p.tapes = make(map[streamKey]*sharedTape)
-		}
-		st = new(sharedTape)
-		p.tapes[k] = st
-	}
-	return st
-}
-
-// expect registers one more reader of each stream.
-func (p *inputPool) expect(streams []streamKey) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, k := range streams {
-		p.entry(k).readers++
-	}
-}
-
-// tape returns the pool's tape for k, creating it on first use.
-func (p *inputPool) tape(k streamKey) (*trace.Tape, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.entry(k)
-	if st.tape == nil {
-		t, err := k.newTape()
-		if err != nil {
-			return nil, err
-		}
-		st.tape = t
-	}
-	return st.tape, nil
-}
-
-// release drops one reader of each stream and frees each tape whose
-// last reader has finished.
-func (p *inputPool) release(streams []streamKey) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, k := range streams {
-		if st := p.tapes[k]; st != nil {
-			if st.readers--; st.readers <= 0 {
-				delete(p.tapes, k)
-			}
-		}
+// releaseInputs hands the run's registry entry back. RunCtx defers it,
+// so a run that fails, is canceled or panics releases its hold too.
+func (s *System) releaseInputs() {
+	if s.inputs != nil {
+		sharedInputs.release(s.inputs)
+		s.inputs = nil
 	}
 }
 

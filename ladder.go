@@ -119,14 +119,15 @@ const (
 	SchemeHybrid     = sim.SchemeHybrid
 )
 
-// Run executes one simulation (see sim.Run). Runs of the same workload
-// and seed share the resident row images and access streams they draw;
-// the results are the same as without sharing.
+// Run executes one simulation (see sim.Run). Runs of the same seed
+// share the resident row images they draw, and runs of the same
+// workload and seed their access streams too; the results are the same
+// as without sharing.
 func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 
 // DropResidents frees the resident row images and access streams that
-// recent runs left for later runs of the same workload and seed (see
-// sim.DropResidents).
+// recent runs, solo runs and the cells of finished grids and studies
+// alike, left for later runs of the same seed (see sim.DropResidents).
 func DropResidents() { sim.DropResidents() }
 
 // NewReport freezes a run's Result into its serializable report form.
