@@ -391,7 +391,7 @@ func runExperiments(s *evaluation.Session, stdout io.Writer, name, httpAddr, rep
 	}
 
 	if report != "" && lifetimeReport {
-		return writeReport(stdout, report, "lifetime report", s.Lifetime.Report().WriteJSON)
+		return writeReport(stdout, report, "lifetime report", s.Lifetime.WriteJSON)
 	}
 	if !needGrid {
 		return nil

@@ -11,12 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"ladder"
 	"ladder/internal/bits"
 	"ladder/internal/core"
-	"ladder/internal/sim"
 	"ladder/internal/timing"
 	"ladder/internal/trace"
 )
@@ -54,7 +54,9 @@ type Session struct {
 	// Ctx cancels the session's grids and studies; it must be set.
 	Ctx context.Context
 	// Opts scopes every grid and study, and Opts.Base reaches every cell
-	// (the reliability sweep sets each cell's FaultRate itself).
+	// except where a study's variant sets the knob the study sweeps
+	// (each reliability cell's FaultRate, the wear control's and the
+	// lifetime baselines' leveling, the ablation's ShrinkRange).
 	// Experiments that run one of the paper's workload subsets replace
 	// Opts.Workloads.
 	Opts ladder.Options
@@ -62,16 +64,35 @@ type Session struct {
 	// defaults).
 	GapPeriods, SpareGrid []int
 	// Lifetime is the lifetime sweep's study once it has run.
-	Lifetime      *ladder.LifetimeStudy
+	Lifetime      *LifetimeStudy
 	figures, last *ladder.Grid
 }
 
 // Validate rejects a session no experiment could run: Options a grid or
-// study rejects, or a lifetime axis LifetimeSweep rejects. Each
+// study rejects, or a lifetime axis the lifetime sweep rejects. Each
 // experiment checks its own inputs before any cell runs; Validate lets a
 // front end fail before the first of several experiments prints.
 func (s *Session) Validate() error {
-	return errors.Join(s.Opts.Validate(), sim.ValidateLifetimeAxes(s.GapPeriods, s.SpareGrid))
+	return errors.Join(s.Opts.Validate(), validateLifetimeAxes(s.GapPeriods, s.SpareGrid))
+}
+
+// validateLifetimeAxes rejects lifetime-sweep axes whose cells would not
+// measure what they are labeled with: a gap-move period below 1 (Config
+// reads VWLPeriod 0 as the default period), a negative spare-pool size,
+// or a value listed twice (its cells would share one row or column key).
+func validateLifetimeAxes(periods, spares []int) error {
+	check := func(axis string, vals []int, least int) error {
+		for i, v := range vals {
+			if v < least {
+				return fmt.Errorf("lifetime %s must be >= %d, got %d", axis, least, v)
+			}
+			if slices.Contains(vals[:i], v) {
+				return fmt.Errorf("lifetime %s %d is listed twice", axis, v)
+			}
+		}
+		return nil
+	}
+	return errors.Join(check("gap period", periods, 1), check("spare-pool size", spares, 0))
 }
 
 // ReportGrid is the grid a report serializes: the figure grid when an
@@ -135,14 +156,26 @@ var Experiments = []Experiment{
 	{Name: "fnw", Grid: true, Run: figure("Section 6.1 — FNW flip cancellations (fraction of units; paper <4%)", (*ladder.Grid).FNWCancellation, ladders...)},
 	{Name: "ideallife", Grid: true, Run: figure("Section 6.4 — relative lifetime under ideal wear leveling (data writes over all writes)", (*ladder.Grid).RelativeLifetime, ladders...)},
 	{Name: "fig15", Grid: true, Run: fig15},
-	{Name: "ablation", Run: ablation},
-	{Name: "wear", Run: wear},
+	{Name: "ablation", Run: func(s *Session) ([]Table, error) {
+		factor := 2.0
+		if f := s.Opts.Base.ShrinkRange; f > 1 {
+			factor = f // every shrunk cell would run at Base's factor
+		}
+		return ablation(ladder.SchemeEst, factor).run(s)
+	}},
+	{Name: "wear", Run: wear(ladder.SchemeHybrid).run},
 	{Name: "lifetime", Run: lifetime},
-	{Name: "vwlmode", Run: vwlmode},
-	{Name: "crash", Run: crash},
-	{Name: "cachesize", Run: cachesize},
-	{Name: "reliability", Run: reliability},
-	{Name: "lowrows", Run: lowrows},
+	{Name: "vwlmode", Run: vwlmode(ladder.SchemeEst).run},
+	{Name: "crash", Run: crash(ladder.SchemeEst).run},
+	{Name: "cachesize", Run: cachesize(ladder.SchemeHybrid, 16, 32, 64, 128, 256).run},
+	{Name: "reliability", Run: func(s *Session) ([]Table, error) {
+		rates := []float64{0.001, 0.01}
+		if r := s.Opts.Base.FaultRate; r > 0 {
+			rates = []float64{r} // every cell would run at Base's rate
+		}
+		return reliability(ladders, rates).run(s)
+	}},
+	{Name: "lowrows", Run: lowrows(0, 64, 128, 256, 512).run},
 }
 
 // Print renders tables as text: each under a blank line and its title,
@@ -375,66 +408,4 @@ func energyTotals(g *ladder.Grid) []ladder.Row {
 func fig15(s *Session) ([]Table, error) {
 	rows, err := s.view(s.Opts, []string{ladder.SchemeEstNoShift, ladder.SchemeEst}, (*ladder.Grid).CounterDiffs)
 	return one("Figure 15 — LRS-counter difference, LADDER-Est minus accurate", rows, err, "without-shift", "with-shift")
-}
-
-func ablation(s *Session) ([]Table, error) {
-	rows, err := ladder.RangeAblation(s.Ctx, s.Opts, ladder.SchemeEst, 2)
-	return one("Section 7 — benefit retained with 2x shrunk latency range (paper ≈85%)", rows, err, "gain-full", "gain-shrunk", "retained")
-}
-
-func wear(s *Session) ([]Table, error) {
-	rows, err := ladder.WearLevelingImpact(s.Ctx, s.Opts, ladder.SchemeHybrid)
-	return one("Section 6.4 — IPC with VWL enabled relative to without (paper ≈99%)", rows, err, "ipc-ratio", "gap-moves")
-}
-
-func lifetime(s *Session) ([]Table, error) {
-	study, err := ladder.LifetimeSweep(s.Ctx, s.on(subset), ladder.SchemeHybrid, s.GapPeriods, s.SpareGrid)
-	if err != nil {
-		return nil, err
-	}
-	s.Lifetime = study
-	t := perWorkload("Decoder lifetime sweep — relative lifetime and IPC ratio vs gap-move period × spare pool", study.Rows(), study.Series())
-	t.Label = "gap period"
-	return []Table{t}, nil
-}
-
-func vwlmode(s *Session) ([]Table, error) {
-	rows, err := ladder.VWLModeComparison(s.Ctx, s.Opts, ladder.SchemeEst)
-	return one("Section 6.4 — segment vs line VWL (metadata reads per data write, IPC)", rows, err,
-		"segment-metareads", "line-metareads", "segment-ipc", "line-ipc")
-}
-
-func crash(s *Session) ([]Table, error) {
-	rows, err := ladder.CrashRecoveryStudy(s.Ctx, s.Opts, ladder.SchemeEst)
-	return one("Section 7 — crash recovery with lazy conservative correction", rows, err,
-		"pre-service-ns", "post-service-ns", "post-counter-gap")
-}
-
-func cachesize(s *Session) ([]Table, error) {
-	sizesKB := []int{16, 32, 64, 128, 256}
-	rows, err := ladder.CacheSizeSweep(s.Ctx, s.on(subset), ladder.SchemeHybrid, sizesKB)
-	return one("Section 6.3 — metadata cache size ablation (IPC vs default 64KB; paper <2% gain)", rows, err, labels("%dKB", sizesKB)...)
-}
-
-// reliability sweeps the session's fault rate when Opts.Base sets one,
-// and the default rates otherwise.
-func reliability(s *Session) ([]Table, error) {
-	rates := []float64{0.001, 0.01}
-	if r := s.Opts.Base.FaultRate; r > 0 {
-		rates = []float64{r}
-	}
-	var series []string
-	for _, sc := range ladders {
-		for _, r := range rates {
-			series = append(series, fmt.Sprintf("%s@%g", sc, r))
-		}
-	}
-	rows, err := ladder.ReliabilitySweep(s.Ctx, s.on(subset), ladders, rates)
-	return one("Reliability — program-and-verify retries per 1000 data writes (stale-margin effect; see docs/FAULTS.md)", rows, err, series...)
-}
-
-func lowrows(s *Session) ([]Table, error) {
-	lowRows := []int{0, 64, 128, 256, 512}
-	rows, err := ladder.LowPrecisionSweep(s.Ctx, s.on(subset), lowRows)
-	return one("Section 4.2 — Hybrid precision-register ablation (avg write service ns)", rows, err, labels("rows=%d svc", lowRows)...)
 }

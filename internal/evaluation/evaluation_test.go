@@ -11,8 +11,9 @@ import (
 
 // TestEveryExperiment runs every declared experiment at a small budget,
 // each on a fresh session. Each must produce non-empty tables whose every
-// row carries a finite value under every series (a label that drifts
-// from its study's keys shows up as a missing value), the printer must
+// row carries a finite value under every series (a study declares its
+// series labels next to the reduce that returns their values in order,
+// so a missing value means a view or reduce left one out), the printer must
 // render each table under its title, and an experiment must leave a
 // grid to report exactly when it is marked Grid.
 func TestEveryExperiment(t *testing.T) {

@@ -48,12 +48,12 @@ func cellsGoldenText(t *testing.T, schemes []string) []byte {
 	opts := Options{Instr: 20_000, Seed: 3000, Jobs: 2}
 	var b bytes.Buffer
 	for _, cc := range cellConfigs {
-		variants := make([]cell, 0, len(schemes))
+		variants := make([]Cell, 0, len(schemes))
 		for _, s := range schemes {
-			variants = append(variants, cell{scheme: s, edit: cc.edit})
+			variants = append(variants, Cell{Scheme: s, Edit: cc.edit})
 		}
 		cells := crossCells(opts.workloads(), variants)
-		res, err := runCells(context.Background(), opts, cells)
+		res, err := RunCells(context.Background(), opts, cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)
 		}
@@ -66,7 +66,7 @@ func cellsGoldenText(t *testing.T, schemes []string) []byte {
 				retries = r.Faults.Retries
 			}
 			fmt.Fprintf(&b, "%s %s %s ticks=%d instr=%d store_writes=%d gap_moves=%d retries=%d\n",
-				cc.name, cells[i].workload, cells[i].scheme,
+				cc.name, cells[i].Workload, cells[i].Scheme,
 				r.Ticks, r.InstructionsRetired, r.TotalStoreWrites, gap, retries)
 		}
 	}

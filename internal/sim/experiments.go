@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 
 	"ladder/internal/core"
-	"ladder/internal/remap"
-	"ladder/internal/reram"
 	"ladder/internal/timing"
 	"ladder/internal/trace"
 )
@@ -52,8 +49,9 @@ type Options struct {
 	Base Config
 }
 
-// GridProgress reports one finished cell of a running grid or study. A
-// study that runs in stages (LifetimeSweep) counts each stage from zero.
+// GridProgress reports one finished cell of a running grid or study.
+// Done and Total count the cells of one RunCells call, so a study that
+// runs in stages (the lifetime sweep) counts each stage from zero.
 // Delivery is serialized (see Options.Progress): consumers never observe
 // two callbacks at once, and Done is monotonically increasing across
 // callbacks — though with Jobs > 1 the (Workload, Scheme) completion
@@ -126,7 +124,7 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 	return RunGridCtx(context.Background(), opts, schemes)
 }
 
-// RunGridCtx is RunGrid under a context, with runCells' cancellation,
+// RunGridCtx is RunGrid under a context, with RunCells' cancellation,
 // failure, panic-isolation and determinism guarantees: a canceled or
 // failed grid is returned as an error, never as a silently partial
 // result.
@@ -141,11 +139,11 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 	if err != nil {
 		return nil, err
 	}
-	variants := make([]cell, len(schemes))
+	variants := make([]Cell, len(schemes))
 	for i, s := range schemes {
-		variants[i].scheme = s
+		variants[i].Scheme = s
 	}
-	res, err := runCells(ctx, opts, crossCells(ws, variants))
+	res, err := RunCells(ctx, opts, crossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -178,27 +176,27 @@ func canonicalSchemes(names []string) ([]string, error) {
 	return out, nil
 }
 
-// cell is one simulation of a grid or study: a workload under a scheme,
+// Cell is one simulation of a grid or study: a workload under a scheme,
 // with an optional edit of the Config that Options derives for it.
-type cell struct {
-	workload, scheme string
-	edit             func(*Config)
+type Cell struct {
+	Workload, Scheme string
+	Edit             func(*Config)
 }
 
 // crossCells lays out every workload under every variant (a cell whose
 // workload is ignored), workload-major.
-func crossCells(workloads []string, variants []cell) []cell {
-	cells := make([]cell, 0, len(workloads)*len(variants))
+func crossCells(workloads []string, variants []Cell) []Cell {
+	cells := make([]Cell, 0, len(workloads)*len(variants))
 	for _, w := range workloads {
 		for _, v := range variants {
-			v.workload = w
+			v.Workload = w
 			cells = append(cells, v)
 		}
 	}
 	return cells
 }
 
-// runCells is the one way experiments simulate: it runs cells on a
+// RunCells is the one way experiments simulate: it runs cells on a
 // worker pool sized by Options.Jobs and returns their results in cell
 // order. Once ctx is canceled — or any cell fails — no further cell is
 // dispatched, already-running cells abort at their next engine step (see
@@ -220,20 +218,20 @@ func crossCells(workloads []string, variants []cell) []cell {
 // resident level, the seed and the row, and a stream's only on its
 // streamKey, so every cell's result is bit-identical to its solo Run.
 // Options.Progress calls are serialized under one mutex.
-func runCells(ctx context.Context, opts Options, cells []cell) ([]*Result, error) {
+func RunCells(ctx context.Context, opts Options, cells []Cell) ([]*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	cfgs := make([]Config, len(cells))
 	var layoutErrs []error
 	for i, c := range cells {
-		cfg := opts.config(c.workload, c.scheme)
-		if c.edit != nil {
-			c.edit(&cfg)
+		cfg := opts.config(c.Workload, c.Scheme)
+		if c.Edit != nil {
+			c.Edit(&cfg)
 		}
 		cfgs[i] = cfg
 		if _, err := coreStreams(&cfg); err != nil {
-			layoutErrs = append(layoutErrs, fmt.Errorf("running %s/%s: %w", c.workload, c.scheme, err))
+			layoutErrs = append(layoutErrs, fmt.Errorf("running %s/%s: %w", c.Workload, c.Scheme, err))
 		}
 	}
 	if err := errors.Join(layoutErrs...); err != nil {
@@ -274,13 +272,13 @@ func runCells(ctx context.Context, opts Options, cells []cell) ([]*Result, error
 				// one bad workload name should not mask another's error);
 				// errors.Join reports them all. The cancel stops queued
 				// cells from dispatching after the first failure.
-				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", c.workload, c.scheme, err))
+				runErrs = append(runErrs, fmt.Errorf("running %s/%s: %w", c.Workload, c.Scheme, err))
 				cancel()
 			}
 			mu.Unlock()
 			if opts.Progress != nil {
 				progressMu.Lock()
-				opts.Progress(GridProgress{Done: n, Total: len(cells), Workload: c.workload, Scheme: c.scheme, Failed: err != nil})
+				opts.Progress(GridProgress{Done: n, Total: len(cells), Workload: c.Workload, Scheme: c.Scheme, Failed: err != nil})
 				progressMu.Unlock()
 			}
 		}()
@@ -460,387 +458,4 @@ func (g *Grid) FNWCancellation() []Row {
 		}
 		return float64(r.Stats.FNWCanceled) / float64(r.Stats.FNWUnits)
 	}, false)
-}
-
-// studyRows runs every workload under each variant in one runCells call
-// and reduces each workload's results, in variant order, to its Row.
-func studyRows(ctx context.Context, opts Options, variants []cell, reduce func(r []*Result) map[string]float64) ([]Row, error) {
-	ws := opts.workloads()
-	res, err := runCells(ctx, opts, crossCells(ws, variants))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Row, 0, len(ws))
-	for i, w := range ws {
-		out = append(out, Row{Workload: w, Values: reduce(res[i*len(variants) : (i+1)*len(variants)])})
-	}
-	return out, nil
-}
-
-// RangeAblation runs Section 7's process-variation study: it reports the
-// fraction of a scheme's speedup retained when the timing tables' dynamic
-// range shrinks by `factor` (the paper: 2× shrink retains ~85% on
-// average).
-func RangeAblation(ctx context.Context, opts Options, scheme string, factor float64) ([]Row, error) {
-	shrink := func(c *Config) { c.ShrinkRange = factor }
-	variants := []cell{{scheme: SchemeBaseline}, {scheme: scheme}, {scheme: SchemeBaseline, edit: shrink}, {scheme: scheme, edit: shrink}}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		gainFull := r[1].WeightedSpeedup(r[0]) - 1
-		gainShr := r[3].WeightedSpeedup(r[2]) - 1
-		retained := 0.0
-		if gainFull > 0 {
-			retained = gainShr / gainFull
-		}
-		return map[string]float64{"gain-full": gainFull, "gain-shrunk": gainShr, "retained": retained}
-	})
-}
-
-// CrashRecoveryStudy runs Section 7's crash-consistency scenario: a power
-// failure halfway through the run loses cached LRS-metadata, the lazy
-// conservative correction overwrites the region with maximum values, and
-// execution resumes. Reported per workload: average write service before
-// and after the crash, and the post-crash counter gap (how conservative
-// the corrected metadata still is on average).
-func CrashRecoveryStudy(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	crash := func(c *Config) {
-		c.CrashAtInstr = c.InstrPerCore / 2
-		if c.CrashAtInstr == 0 {
-			c.CrashAtInstr = 100_000
-		}
-	}
-	return studyRows(ctx, opts, []cell{{scheme: scheme, edit: crash}}, func(r []*Result) map[string]float64 {
-		v := map[string]float64{}
-		if pre, post := r[0].PreCrashStats, r[0].PostCrashStats; pre != nil && post != nil {
-			v["pre-service-ns"] = pre.AvgWriteServiceNs()
-			v["post-service-ns"] = post.AvgWriteServiceNs()
-			v["post-counter-gap"] = post.AvgCounterDiff()
-		}
-		return v
-	})
-}
-
-// VWLModeComparison contrasts segment-based and line-based vertical wear
-// leveling under a LADDER scheme (Section 6.4's locality argument):
-// line-granularity scatter breaks the page→metadata-line association, so
-// metadata reads per data write rise and IPC falls.
-func VWLModeComparison(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	modes := []string{"segment", "line"}
-	variants := make([]cell, len(modes))
-	for i, mode := range modes {
-		variants[i] = cell{scheme: scheme, edit: func(c *Config) { c.WearLeveling, c.VWLMode = true, mode }}
-	}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		v := map[string]float64{}
-		for i, mode := range modes {
-			metaPerWrite := 0.0
-			if r[i].Stats.DataWrites > 0 {
-				metaPerWrite = float64(r[i].Stats.MetaReads) / float64(r[i].Stats.DataWrites)
-			}
-			v[mode+"-ipc"] = r[i].AvgIPC()
-			v[mode+"-metareads"] = metaPerWrite
-		}
-		return v
-	})
-}
-
-// CacheSizeSweep runs the metadata-cache ablation the paper mentions in
-// Section 6.3 ("marginal system performance gain when increasing cache
-// size (<2%)"): the scheme runs with a range of LRS-metadata cache sizes
-// and reports IPC relative to the default 64 KB configuration.
-func CacheSizeSweep(ctx context.Context, opts Options, scheme string, sizesKB []int) ([]Row, error) {
-	if len(sizesKB) == 0 {
-		sizesKB = []int{16, 32, 64, 128, 256}
-	}
-	variants := []cell{{scheme: scheme}}
-	for _, kb := range sizesKB {
-		variants = append(variants, cell{scheme: scheme, edit: func(c *Config) {
-			c.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
-		}})
-	}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		v := map[string]float64{}
-		for i, kb := range sizesKB {
-			rel := 0.0
-			if r[0].AvgIPC() > 0 {
-				rel = r[i+1].AvgIPC() / r[0].AvgIPC()
-			}
-			v[fmt.Sprintf("%dKB", kb)] = rel
-		}
-		return v
-	})
-}
-
-// LowPrecisionSweep ablates LADDER-Hybrid's precision control register:
-// how many driver-near rows use 1-bit counters. 0 degenerates to
-// LADDER-Est; MatRows makes everything low-precision. Reported: average
-// write service time (ns) and metadata reads per data write.
-func LowPrecisionSweep(ctx context.Context, opts Options, rows []int) ([]Row, error) {
-	if len(rows) == 0 {
-		rows = []int{0, 64, 128, 256, 512}
-	}
-	variants := make([]cell, len(rows))
-	for i, n := range rows {
-		variants[i] = cell{scheme: SchemeHybrid, edit: func(c *Config) {
-			c.HybridLowRows = n
-			if n == 0 {
-				c.HybridLowRows = -1
-			}
-		}}
-	}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		v := map[string]float64{}
-		for i, n := range rows {
-			v[fmt.Sprintf("rows=%d svc", n)] = r[i].Stats.AvgWriteServiceNs()
-		}
-		return v
-	})
-}
-
-// ReliabilitySweep runs the write-fault reliability study: every
-// workload runs under each scheme at each base fault rate (same fault
-// seed), and the reported value is program-and-verify retries per 1000
-// data writes, keyed "scheme@rate". The sweep exposes the stale-metadata
-// margin effect: LADDER-Est's conservative partial-counter bounds
-// program surplus latency margin, whose over-RESET stress draws more
-// verify failures than LADDER-Basic's exact zero-margin counters (see
-// docs/FAULTS.md). Nil schemes/rates select the defaults.
-func ReliabilitySweep(ctx context.Context, opts Options, schemes []string, rates []float64) ([]Row, error) {
-	if len(schemes) == 0 {
-		schemes = []string{SchemeBasic, SchemeEst, SchemeHybrid}
-	}
-	if len(rates) == 0 {
-		rates = []float64{0.001, 0.01}
-	}
-	var variants []cell
-	var keys []string
-	for _, s := range schemes {
-		for _, rate := range rates {
-			variants = append(variants, cell{scheme: s, edit: func(c *Config) { c.FaultRate = rate }})
-			keys = append(keys, fmt.Sprintf("%s@%g", s, rate))
-		}
-	}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		v := map[string]float64{}
-		for i, k := range keys {
-			v[k] = 0
-			if r[i].Faults != nil && r[i].Stats.DataWrites > 0 {
-				v[k] = 1000 * float64(r[i].Faults.Retries) / float64(r[i].Stats.DataWrites)
-			}
-		}
-		return v
-	})
-}
-
-// LifetimeCell is one (gap-move period, spare-pool size) combination's
-// outcome in a LifetimeSweep, averaged across the study's workloads.
-type LifetimeCell struct {
-	GapPeriod int `json:"gap_period"`
-	SpareRows int `json:"spare_rows"`
-	// RelativeLifetime is the modeled device lifetime relative to the
-	// unleveled, spare-less baseline (see relativeLifetime).
-	RelativeLifetime float64 `json:"relative_lifetime"`
-	// IPCRatio is measured performance relative to the baseline run:
-	// the cost side of the lifetime trade.
-	IPCRatio float64 `json:"ipc_ratio"`
-	// GapMoves and SpareRemaps total the decoder activity across the
-	// cell's workload runs.
-	GapMoves    uint64 `json:"gap_moves"`
-	SpareRemaps uint64 `json:"spare_remaps"`
-}
-
-// LifetimeStudy is the lifetime-vs-overhead sweep over the programmable
-// decoder's two sizing knobs: how often the start gap moves and how many
-// spare rows each bank holds.
-type LifetimeStudy struct {
-	Scheme     string
-	Workloads  []string
-	GapPeriods []int
-	SpareRows  []int
-	// Cells are ordered gap-period-major, spare-pool-minor.
-	Cells []LifetimeCell
-	// Remap merges the decoder accounting of every leveled run in the
-	// sweep.
-	Remap remap.Stats
-}
-
-// relativeLifetime is the study's first-order endurance model over
-// measured quantities. The simulator's vertical wear leveling is
-// timing-only — store writes stay keyed by logical line — so leveling
-// cannot be read off MaxRowWrites directly; instead the hottest row is
-// interpolated toward the mean by the fraction of completed start-gap
-// rotations:
-//
-//	rotations = gapMoves / (segments + 1)   // full map rotations
-//	leveled   = rotations / (rotations + 1) // asymptotically → 1
-//	effMax    = avgRow + (maxRow − avgRow)·(1 − leveled)
-//
-// Gap moves add maintenance write traffic (one segment copy per move,
-// charged as one maintenance write here), and the spare pool adds raw
-// row capacity the device fails over to, so the reported ratio is
-//
-//	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
-//
-// geom is the cells' geometry; segments count the decoder's start-gap
-// rotation units over it.
-func relativeLifetime(geom reram.Geometry, base, res *Result, spares int) float64 {
-	touched := float64(res.TouchedRows)
-	total := float64(res.TotalStoreWrites)
-	if touched == 0 || total == 0 {
-		return 1
-	}
-	segments := float64(geom.Rows()/vwlSegmentRows) + 1
-	gapMoves := 0.0
-	if res.Remap != nil {
-		gapMoves = float64(res.Remap.GapMoves)
-	}
-	rotations := gapMoves / (segments + 1)
-	leveled := rotations / (rotations + 1)
-	avgRow := total / touched
-	effMax := avgRow + (float64(res.MaxRowWrites)-avgRow)*(1-leveled)
-	if effMax <= 0 {
-		return 1
-	}
-	overhead := (total + gapMoves) / total
-	spareFactor := 1 + float64(spares)*float64(geom.Banks())/touched
-	return float64(base.MaxRowWrites) / effMax / overhead * spareFactor
-}
-
-// LifetimeSweep runs the lifetime study the decoder refactor enables:
-// every workload runs once without leveling (the endurance baseline)
-// and once per (gap period, spare pool) combination with segment VWL,
-// spare remapping and proactive wear-limit retirement enabled — the
-// limit auto-scaled to half the workload's observed hottest-row count so
-// short runs still exercise the retirement path. Reported per cell:
-// modeled relative lifetime and measured IPC ratio (the trade the paper
-// prices at ~3% write overhead), averaged across workloads. Nil period
-// and spare lists select the defaults; ValidateLifetimeAxes rejects a bad
-// axis before any cell runs. The leveled runs depend on the baselines, so
-// the study runs in two runCells stages.
-func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
-	if err := ValidateLifetimeAxes(periods, spares); err != nil {
-		return nil, err
-	}
-	if len(periods) == 0 {
-		periods = []int{64, 128, 256}
-	}
-	if len(spares) == 0 {
-		spares = []int{0, 16, 32}
-	}
-	study := &LifetimeStudy{
-		Scheme:     scheme,
-		Workloads:  opts.workloads(),
-		GapPeriods: periods,
-		SpareRows:  spares,
-	}
-	geom := opts.Base.geometry()
-	bases, err := runCells(ctx, opts, crossCells(study.Workloads, []cell{{scheme: scheme}}))
-	if err != nil {
-		return nil, err
-	}
-	var cells []cell
-	for _, p := range periods {
-		for _, sp := range spares {
-			for i, w := range study.Workloads {
-				limit := bases[i].MaxRowWrites/2 + 1
-				cells = append(cells, cell{workload: w, scheme: scheme, edit: func(c *Config) {
-					c.WearLeveling, c.VWLPeriod, c.ProactiveWearLimit = true, p, limit
-					c.SpareRows = sp
-					if sp == 0 {
-						c.SpareRows = -1 // explicit "no spares", not the default pool
-					}
-				}})
-			}
-		}
-	}
-	res, err := runCells(ctx, opts, cells)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, p := range periods {
-		for _, sp := range spares {
-			cell := LifetimeCell{GapPeriod: p, SpareRows: sp}
-			for _, base := range bases {
-				r := res[k]
-				k++
-				var st remap.Stats
-				if r.Remap != nil {
-					st = *r.Remap
-				}
-				study.Remap.Merge(st)
-				cell.GapMoves += st.GapMoves
-				cell.SpareRemaps += st.SpareRemaps
-				cell.RelativeLifetime += relativeLifetime(geom, base, r, sp)
-				if base.AvgIPC() > 0 {
-					cell.IPCRatio += r.AvgIPC() / base.AvgIPC()
-				}
-			}
-			n := float64(len(bases))
-			cell.RelativeLifetime /= n
-			cell.IPCRatio /= n
-			study.Cells = append(study.Cells, cell)
-		}
-	}
-	return study, nil
-}
-
-// ValidateLifetimeAxes rejects LifetimeSweep axes whose cells would not
-// measure what they are labeled with: a gap-move period below 1 (Config
-// reads VWLPeriod 0 as the default period), a negative spare-pool size,
-// or a value listed twice (its cells would share one row or column key).
-func ValidateLifetimeAxes(periods, spares []int) error {
-	check := func(axis string, vals []int, least int) error {
-		for i, v := range vals {
-			if v < least {
-				return fmt.Errorf("sim: lifetime %s must be >= %d, got %d", axis, least, v)
-			}
-			if slices.Contains(vals[:i], v) {
-				return fmt.Errorf("sim: lifetime %s %d is listed twice", axis, v)
-			}
-		}
-		return nil
-	}
-	return errors.Join(check("gap period", periods, 1), check("spare-pool size", spares, 0))
-}
-
-// Series lists the sweep's printable column keys in cell order:
-// "spares=N life" then "spares=N ipc" for each spare-pool size.
-func (s *LifetimeStudy) Series() []string {
-	out := make([]string, 0, 2*len(s.SpareRows))
-	for _, sp := range s.SpareRows {
-		out = append(out, fmt.Sprintf("spares=%d life", sp))
-	}
-	for _, sp := range s.SpareRows {
-		out = append(out, fmt.Sprintf("spares=%d ipc", sp))
-	}
-	return out
-}
-
-// Rows renders the study for the experiment text printer: one row per
-// gap period, columns per Series.
-func (s *LifetimeStudy) Rows() []Row {
-	out := make([]Row, 0, len(s.GapPeriods))
-	for i, p := range s.GapPeriods {
-		r := Row{Workload: fmt.Sprintf("gap=%d", p), Values: make(map[string]float64)}
-		for j, sp := range s.SpareRows {
-			c := s.Cells[i*len(s.SpareRows)+j]
-			r.Values[fmt.Sprintf("spares=%d life", sp)] = c.RelativeLifetime
-			r.Values[fmt.Sprintf("spares=%d ipc", sp)] = c.IPCRatio
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// WearLevelingImpact runs Section 6.4's performance check: the IPC cost
-// of enabling segment-based VWL under a LADDER scheme.
-func WearLevelingImpact(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	variants := []cell{{scheme: scheme}, {scheme: scheme, edit: func(c *Config) { c.WearLeveling = true }}}
-	return studyRows(ctx, opts, variants, func(r []*Result) map[string]float64 {
-		ratio := 0.0
-		if r[0].AvgIPC() > 0 {
-			ratio = r[1].AvgIPC() / r[0].AvgIPC()
-		}
-		return map[string]float64{"ipc-ratio": ratio, "gap-moves": float64(r[1].Remap.GapMoves)}
-	})
 }

@@ -49,7 +49,7 @@ func checkRegistry(t *testing.T) (held int) {
 }
 
 // TestStudyGeometryEditGetsOwnTapes runs one workload at two geometries
-// in one runCells call, as a study whose edit changes Geom would. The
+// in one RunCells call, as a study whose edit changes Geom would. The
 // clamped footprints and core regions differ, so the cells must read
 // different streams, which the workload's registry entry keeps apart,
 // and each cell must still equal its cold solo Run.
@@ -58,13 +58,13 @@ func TestStudyGeometryEditGetsOwnTapes(t *testing.T) {
 	opts := Options{Instr: 4_000, Seed: 9, Tables: smallTables(t), Workloads: []string{"mix-3"}, Jobs: 2}
 	opts.Base.Geom = smallGeometry()
 	half := func(c *Config) { c.Geom.MatGroupsPerBank /= 2 }
-	variants := []cell{{scheme: SchemeHybrid}, {scheme: SchemeHybrid, edit: half}, {scheme: SchemeBaseline, edit: half}}
+	variants := []Cell{{Scheme: SchemeHybrid}, {Scheme: SchemeHybrid, Edit: half}, {Scheme: SchemeBaseline, Edit: half}}
 	cells := crossCells(opts.Workloads, variants)
 	cfgs := make([]Config, len(cells))
 	for i, c := range cells {
-		cfgs[i] = opts.config(c.workload, c.scheme)
-		if c.edit != nil {
-			c.edit(&cfgs[i])
+		cfgs[i] = opts.config(c.Workload, c.Scheme)
+		if c.Edit != nil {
+			c.Edit(&cfgs[i])
 		}
 	}
 	full, err := coreStreams(&cfgs[0])
@@ -81,7 +81,7 @@ func TestStudyGeometryEditGetsOwnTapes(t *testing.T) {
 		}
 	}
 	DropResidents()
-	res, err := runCells(context.Background(), opts, cells)
+	res, err := RunCells(context.Background(), opts, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,8 @@ func TestOptionsRejectedBeforeAnyCell(t *testing.T) {
 		var cells atomic.Int32
 		opts.Progress = func(GridProgress) { cells.Add(1) }
 		_, gridErr := RunGridCtx(context.Background(), opts, []string{SchemeBaseline})
-		_, studyErr := WearLevelingImpact(context.Background(), opts, SchemeHybrid)
-		for _, err := range []error{opts.Validate(), gridErr, studyErr} {
+		_, cellsErr := RunCells(context.Background(), opts, []Cell{{Workload: "astar", Scheme: SchemeHybrid}})
+		for _, err := range []error{opts.Validate(), gridErr, cellsErr} {
 			if err == nil || !strings.Contains(err.Error(), c.field) {
 				t.Errorf("%s out of range: err = %v, want a rejection naming it", c.field, err)
 			}

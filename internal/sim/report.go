@@ -23,10 +23,6 @@ const BenchSchema = "ladder.bench/v1"
 // GridReportSchema versions the multi-run grid-report layout.
 const GridReportSchema = "ladder.grid-report/v3"
 
-// LifetimeReportSchema versions the lifetime-sweep report layout
-// (see LifetimeSweep in experiments.go).
-const LifetimeReportSchema = "ladder.lifetime-report/v1"
-
 // resetLatencySuffix is the per-channel RESET histogram name suffix; the
 // full names are "memctrl.ch<N>.reset_latency_ns" (docs/METRICS.md).
 const resetLatencySuffix = ".reset_latency_ns"
@@ -251,37 +247,6 @@ func (r *Report) Bench(name string) *BenchReport {
 // WriteJSON emits the bench document as indented JSON.
 func (b *BenchReport) WriteJSON(w io.Writer) error {
 	return writeJSON(w, b)
-}
-
-// LifetimeReport serializes a LifetimeSweep: identity, the swept knob
-// grids, per-combination cells and the merged decoder accounting (the
-// top-level "remap" object CI smoke checks assert against).
-type LifetimeReport struct {
-	Schema     string         `json:"schema"`
-	Scheme     string         `json:"scheme"`
-	Workloads  []string       `json:"workloads"`
-	GapPeriods []int          `json:"gap_periods"`
-	SpareRows  []int          `json:"spare_rows"`
-	Cells      []LifetimeCell `json:"cells"`
-	Remap      remap.Stats    `json:"remap"`
-}
-
-// Report freezes the study into its serializable form.
-func (s *LifetimeStudy) Report() *LifetimeReport {
-	return &LifetimeReport{
-		Schema:     LifetimeReportSchema,
-		Scheme:     s.Scheme,
-		Workloads:  append([]string(nil), s.Workloads...),
-		GapPeriods: append([]int(nil), s.GapPeriods...),
-		SpareRows:  append([]int(nil), s.SpareRows...),
-		Cells:      append([]LifetimeCell(nil), s.Cells...),
-		Remap:      s.Remap,
-	}
-}
-
-// WriteJSON emits the lifetime report as indented JSON.
-func (r *LifetimeReport) WriteJSON(w io.Writer) error {
-	return writeJSON(w, r)
 }
 
 // GridCell is one (workload, scheme) run's headline numbers inside a

@@ -74,36 +74,36 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 	defer DropResidents()
 	opts := Options{Instr: 20_000, Seed: 3000, Jobs: 2}
 	for _, cc := range cellConfigs {
-		variants := make([]cell, 0, len(FigureSchemes()))
+		variants := make([]Cell, 0, len(FigureSchemes()))
 		for _, s := range FigureSchemes() {
-			variants = append(variants, cell{scheme: s, edit: cc.edit})
+			variants = append(variants, Cell{Scheme: s, Edit: cc.edit})
 		}
 		cells := crossCells(opts.workloads(), variants)
-		grid, err := runCells(context.Background(), opts, cells)
+		grid, err := RunCells(context.Background(), opts, cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)
 		}
 		for i, c := range cells {
-			cfg := opts.config(c.workload, c.scheme)
-			if c.edit != nil {
-				c.edit(&cfg)
+			cfg := opts.config(c.Workload, c.Scheme)
+			if c.Edit != nil {
+				c.Edit(&cfg)
 			}
 			DropResidents()
 			cold := soloJSON(t, cfg)
-			e := machineEntry(c.workload, cfg.Seed)
+			e := machineEntry(c.Workload, cfg.Seed)
 			if e == nil {
-				t.Fatalf("%s %s/%s: the registry kept nothing of the cold run", cc.name, c.workload, c.scheme)
+				t.Fatalf("%s %s/%s: the registry kept nothing of the cold run", cc.name, c.Workload, c.Scheme)
 			}
 			tapes := entryTapes(t, e, cfg)
 			warm := soloJSON(t, cfg)
-			if machineEntry(c.workload, cfg.Seed) != e || !slices.Equal(entryTapes(t, e, cfg), tapes) {
-				t.Fatalf("%s %s/%s: the second solo run did not replay the cold run's entry", cc.name, c.workload, c.scheme)
+			if machineEntry(c.Workload, cfg.Seed) != e || !slices.Equal(entryTapes(t, e, cfg), tapes) {
+				t.Fatalf("%s %s/%s: the second solo run did not replay the cold run's entry", cc.name, c.Workload, c.Scheme)
 			}
 			if !bytes.Equal(cold, warm) {
-				t.Errorf("%s %s/%s: a solo run on retained rows and tapes differs from its cold run", cc.name, c.workload, c.scheme)
+				t.Errorf("%s %s/%s: a solo run on retained rows and tapes differs from its cold run", cc.name, c.Workload, c.Scheme)
 			}
 			if !bytes.Equal(cold, reportJSON(t, grid[i])) {
-				t.Errorf("%s %s/%s: the grid cell differs from its cold solo run", cc.name, c.workload, c.scheme)
+				t.Errorf("%s %s/%s: the grid cell differs from its cold solo run", cc.name, c.Workload, c.Scheme)
 			}
 		}
 	}

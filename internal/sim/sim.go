@@ -284,10 +284,11 @@ func (c *Config) geometry() reram.Geometry {
 	return c.Geom
 }
 
-// vwlSegmentRows is the segment-mode wear leveler's rotation unit: 256
+// VWLSegmentRows is the segment-mode wear leveler's rotation unit: 256
 // wordline groups (1 MB) move together, so a page keeps its metadata
-// line (Figure 18b).
-const vwlSegmentRows = 256
+// line (Figure 18b). The lifetime sweep's endurance model counts the
+// decoder's start-gap segments in it.
+const VWLSegmentRows = 256
 
 // Result reports one run's measurements.
 type Result struct {

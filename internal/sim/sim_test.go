@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -468,123 +467,6 @@ func TestTraceReplayRejectsOversizedTrace(t *testing.T) {
 	cfg.TraceFile = path
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("oversized trace should be rejected")
-	}
-}
-
-func TestLifetimeSweep(t *testing.T) {
-	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
-	study, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, []int{16, 64}, []int{0, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(study.Cells); got != 4 {
-		t.Fatalf("cells = %d, want 4 (2 periods x 2 spare sizes)", got)
-	}
-	for _, c := range study.Cells {
-		if c.RelativeLifetime <= 0 || c.IPCRatio <= 0 {
-			t.Fatalf("unpopulated cell: %+v", c)
-		}
-	}
-	if study.Remap.GapMoves == 0 {
-		t.Fatal("sweep recorded no gap moves; decoder rotation never ran")
-	}
-	rep := study.Report()
-	if rep.Schema != LifetimeReportSchema {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Cells) != 4 || rep.Remap.GapMoves != study.Remap.GapMoves {
-		t.Fatal("report does not mirror the study")
-	}
-	rows, series := study.Rows(), study.Series()
-	if len(rows) != 2 || len(series) != 4 {
-		t.Fatalf("rows = %d series = %d, want 2 and 4", len(rows), len(series))
-	}
-	for _, s := range series {
-		if _, ok := rows[0].Values[s]; !ok {
-			t.Fatalf("row missing series %q", s)
-		}
-	}
-}
-
-// TestLifetimeSweepRejectsBadAxes: a gap period below 1, a negative
-// spare-pool size and a repeated entry fail the sweep before any cell
-// runs. Period 0 used to run Config's default period under a "0" label,
-// and a negative pool reached the lifetime model's spare factor.
-func TestLifetimeSweepRejectsBadAxes(t *testing.T) {
-	opts := Options{Instr: 5_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
-	cells := 0
-	opts.Progress = func(GridProgress) { cells++ }
-	for _, c := range []struct {
-		periods, spares []int
-		want            string
-	}{
-		{[]int{0}, nil, "gap period"},
-		{[]int{-64}, nil, "gap period"},
-		{[]int{64, 128, 64}, nil, "gap period"},
-		{nil, []int{-1}, "spare-pool size"},
-		{nil, []int{0, 16, 0}, "spare-pool size"},
-	} {
-		_, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, c.periods, c.spares)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("periods %v spares %v: err = %v, want a rejection naming the %s", c.periods, c.spares, err, c.want)
-		}
-	}
-	if cells != 0 {
-		t.Errorf("%d cells ran before the rejections", cells)
-	}
-}
-
-// TestLifetimeSweepUsesCellGeometry: the lifetime model counts start-gap
-// segments over the geometry the cells ran on, so a small Base.Geom must
-// reach it. The study's value is recomputed from solo runs of the same
-// two cells and must differ from the default-geometry reading.
-func TestLifetimeSweepUsesCellGeometry(t *testing.T) {
-	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"},
-		Base: Config{Geom: smallGeometry()}}
-	const period, spares = 16, 16
-	study, err := LifetimeSweep(context.Background(), opts, SchemeHybrid, []int{period}, []int{spares})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(opts.config("astar", SchemeHybrid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := opts.config("astar", SchemeHybrid)
-	cfg.WearLeveling, cfg.VWLPeriod, cfg.ProactiveWearLimit, cfg.SpareRows = true, period, base.MaxRowWrites/2+1, spares
-	leveled, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leveled.Remap == nil || leveled.Remap.GapMoves == 0 {
-		t.Fatal("leveled run made no gap moves; the geometry would not matter")
-	}
-	got := study.Cells[0].RelativeLifetime
-	if want := relativeLifetime(smallGeometry(), base, leveled, spares); got != want {
-		t.Errorf("relative lifetime = %v, want %v from the cells' geometry", got, want)
-	}
-	if def := relativeLifetime(reram.DefaultGeometry(), base, leveled, spares); got == def {
-		t.Errorf("relative lifetime %v equals the default-geometry reading", got)
-	}
-}
-
-func TestCacheSizeSweepAndLowRows(t *testing.T) {
-	opts := Options{Instr: 15_000, Seed: 1, Tables: smallTables(t), Workloads: []string{"astar"}}
-	// Inject the small geometry through config? Options builds default
-	// geometry; use the tables' scale anyway via the public path.
-	rows, err := CacheSizeSweep(context.Background(), opts, SchemeHybrid, []int{16, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Values["64KB"] <= 0 {
-		t.Fatalf("cache sweep rows = %+v", rows)
-	}
-	lp, err := LowPrecisionSweep(context.Background(), opts, []int{0, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lp) != 1 || lp[0].Values["rows=128 svc"] <= 0 {
-		t.Fatalf("low-precision rows = %+v", lp)
 	}
 }
 

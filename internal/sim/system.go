@@ -340,7 +340,7 @@ func (s *System) buildDecoder() error {
 		ProactiveWearLimit: cfg.ProactiveWearLimit,
 	}
 	if needGap {
-		rc.GapSegmentRows = vwlSegmentRows
+		rc.GapSegmentRows = VWLSegmentRows
 		rc.GapPeriod = cfg.VWLPeriod
 	}
 	dec, err := remap.NewDecoder(rc)

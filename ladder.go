@@ -30,8 +30,10 @@
 //
 // The heavier machinery (circuit solvers, timing tables, schemes,
 // controller) lives in the internal packages; this package re-exports the
-// surface a downstream user needs. See DESIGN.md for the system map and
-// EXPERIMENTS.md for paper-vs-measured results.
+// surface a downstream user needs. The paper's figures, tables and
+// sensitivity studies are declared once, as entries of
+// internal/evaluation, and run with `laddersim -exp NAME`. See DESIGN.md
+// for the system map and EXPERIMENTS.md for paper-vs-measured results.
 package ladder
 
 import (
@@ -70,12 +72,6 @@ type (
 	Report = sim.Report
 	// GridReport serializes a whole experiment grid.
 	GridReport = sim.GridReport
-	// LifetimeStudy holds a LifetimeSweep's per-combination cells.
-	LifetimeStudy = sim.LifetimeStudy
-	// LifetimeCell is one (gap period, spare pool) combination's averages.
-	LifetimeCell = sim.LifetimeCell
-	// LifetimeReport serializes a lifetime study.
-	LifetimeReport = sim.LifetimeReport
 	// BenchReport is the BENCH_*.json perf-snapshot document.
 	BenchReport = sim.BenchReport
 	// BenchProvenance stamps a BenchReport with the toolchain and host
@@ -165,59 +161,6 @@ func Workloads() []string { return trace.AllWorkloads() }
 
 // SingleWorkloads lists the eight single-programmed workloads.
 func SingleWorkloads() []string { return append([]string(nil), trace.SingleWorkloads...) }
-
-// The studies below run their simulations the way RunGridCtx does: each
-// is a cell of a grid or study on one worker pool, so Options.Jobs,
-// Options.Progress and ctx cancellation apply, and a panicking cell
-// returns a *PanicError. Results do not depend on Options.Jobs.
-
-// RangeAblation runs the Section 7 dynamic-range study.
-func RangeAblation(ctx context.Context, opts Options, scheme string, factor float64) ([]Row, error) {
-	return sim.RangeAblation(ctx, opts, scheme, factor)
-}
-
-// WearLevelingImpact runs the Section 6.4 wear-leveling study.
-func WearLevelingImpact(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	return sim.WearLevelingImpact(ctx, opts, scheme)
-}
-
-// LifetimeSweep runs the decoder lifetime study: relative lifetime and
-// IPC overhead across a gap-move period × spare-pool grid. Pass nil for
-// the default grids. See docs/REMAP.md.
-func LifetimeSweep(ctx context.Context, opts Options, scheme string, periods, spares []int) (*LifetimeStudy, error) {
-	return sim.LifetimeSweep(ctx, opts, scheme, periods, spares)
-}
-
-// CrashRecoveryStudy runs the Section 7 crash-consistency scenario.
-func CrashRecoveryStudy(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	return sim.CrashRecoveryStudy(ctx, opts, scheme)
-}
-
-// VWLModeComparison contrasts segment- and line-based wear leveling
-// (Section 6.4's metadata-locality argument).
-func VWLModeComparison(ctx context.Context, opts Options, scheme string) ([]Row, error) {
-	return sim.VWLModeComparison(ctx, opts, scheme)
-}
-
-// ReliabilitySweep runs the write-fault reliability study: retries per
-// 1000 data writes for each scheme × base fault rate, keyed
-// "scheme@rate". Pass nil for the default schemes and rates. See
-// docs/FAULTS.md.
-func ReliabilitySweep(ctx context.Context, opts Options, schemes []string, rates []float64) ([]Row, error) {
-	return sim.ReliabilitySweep(ctx, opts, schemes, rates)
-}
-
-// CacheSizeSweep ablates the LRS-metadata cache size (Section 6.3's
-// "<2% gain beyond 64 KB" observation). Pass nil for the default sizes.
-func CacheSizeSweep(ctx context.Context, opts Options, scheme string, sizesKB []int) ([]Row, error) {
-	return sim.CacheSizeSweep(ctx, opts, scheme, sizesKB)
-}
-
-// LowPrecisionSweep ablates LADDER-Hybrid's precision control register.
-// Pass nil for the default row counts.
-func LowPrecisionSweep(ctx context.Context, opts Options, rows []int) ([]Row, error) {
-	return sim.LowPrecisionSweep(ctx, opts, rows)
-}
 
 // Timing-model surface.
 type (
