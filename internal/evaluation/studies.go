@@ -2,6 +2,7 @@ package evaluation
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -296,7 +297,7 @@ type LifetimeStudy struct {
 
 // WriteJSON emits the study as indented JSON.
 func (s *LifetimeStudy) WriteJSON(w io.Writer) error {
-	b, err := sim.IndentedJSON(s)
+	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}

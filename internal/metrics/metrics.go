@@ -376,9 +376,11 @@ func (g *Grid) Snapshot() GridSnapshot {
 	if g == nil {
 		return GridSnapshot{}
 	}
+	// The rows share one copy of the counts, each capped at its end.
+	flat := append([]uint64(nil), g.counts...)
 	s := GridSnapshot{Rows: g.rows, Cols: g.cols, Counts: make([][]uint64, g.rows)}
 	for r := 0; r < g.rows; r++ {
-		s.Counts[r] = append([]uint64(nil), g.counts[r*g.cols:(r+1)*g.cols]...)
+		s.Counts[r] = flat[r*g.cols : (r+1)*g.cols : (r+1)*g.cols]
 	}
 	return s
 }

@@ -3,9 +3,10 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strconv"
-	"strings"
+
+	"ladder/internal/jsonenc"
 )
 
 // PromLabel is one name="value" label pair attached to exported samples.
@@ -42,58 +43,64 @@ type PromSample struct {
 // metric name, so identical inputs render byte-identically. The result
 // passes promcheck.Lint; a test pins that.
 func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromSample) error {
-	var b strings.Builder
+	lab := appendLabels(make([]byte, 0, 128), labels, nil)
+	// leOpen opens a bucket sample's label set up to its le value.
+	leOpen := []byte(`{le="`)
+	if len(lab) > 0 {
+		leOpen = append(append(lab[:len(lab)-1:len(lab)-1], ','), `le="`...)
+	}
 
-	names := make([]string, 0, len(s.Counters))
+	// One pass over the names sizes the buffer, so the text is usually
+	// appended without growing it.
+	size, most := 0, max(len(s.Counters), len(s.Gauges), len(s.Histograms), len(s.Grids))
+	sizeOf := func(name string, lines int) { size += lines * (2*len(name) + len(leOpen) + 64) }
 	for n := range s.Counters {
-		names = append(names, n)
+		sizeOf(n, 1)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := promName(n) + "_total"
-		fmt.Fprintf(&b, "# TYPE %s counter\n", m)
-		fmt.Fprintf(&b, "%s%s %s\n", m, promLabels(labels, nil), promFloat(float64(s.Counters[n])))
-	}
-
-	names = names[:0]
 	for n := range s.Gauges {
-		names = append(names, n)
+		sizeOf(n, 1)
 	}
-	sort.Strings(names)
+	for n, h := range s.Histograms {
+		sizeOf(n, len(h.Bounds)+3)
+	}
+	for n := range s.Grids {
+		sizeOf(n, 1)
+	}
+	b := make([]byte, 0, size)
+	names := make([]string, 0, most)
+	m := make([]byte, 0, 128) // the current family's Prometheus name
+
+	names = jsonenc.SortedKeys(names, s.Counters)
 	for _, n := range names {
-		m := promName(n)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n", m)
-		fmt.Fprintf(&b, "%s%s %s\n", m, promLabels(labels, nil), promFloat(s.Gauges[n].Last))
+		m = append(appendPromName(m[:0], n), "_total"...)
+		b = appendSample(appendType(b, m, "counter"), m, "", lab, float64(s.Counters[n]))
 	}
 
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
+	names = jsonenc.SortedKeys(names[:0], s.Gauges)
+	for _, n := range names {
+		m = appendPromName(m[:0], n)
+		b = appendSample(appendType(b, m, "gauge"), m, "", lab, s.Gauges[n].Last)
 	}
-	sort.Strings(names)
+
+	names = jsonenc.SortedKeys(names[:0], s.Histograms)
 	for _, n := range names {
 		h := s.Histograms[n]
-		m := promName(n)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", m)
+		m = appendPromName(m[:0], n)
+		b = appendType(b, m, "histogram")
 		var cum uint64
 		for i, bound := range h.Bounds {
 			if i < len(h.Counts) {
 				cum += h.Counts[i]
 			}
-			le := PromLabel{Name: "le", Value: promFloat(bound)}
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", m, promLabels(labels, &le), cum)
+			b = appendBucket(b, m, leOpen, bound, cum)
 		}
-		le := PromLabel{Name: "le", Value: "+Inf"}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", m, promLabels(labels, &le), h.Count)
-		fmt.Fprintf(&b, "%s_sum%s %s\n", m, promLabels(labels, nil), promFloat(h.Sum))
-		fmt.Fprintf(&b, "%s_count%s %d\n", m, promLabels(labels, nil), h.Count)
+		b = appendBucket(b, m, leOpen, math.Inf(1), h.Count) // le="+Inf"
+		b = appendSample(b, m, "_sum", lab, h.Sum)
+		b = append(append(append(b, m...), "_count"...), lab...)
+		b = append(strconv.AppendUint(append(b, ' '), h.Count, 10), '\n')
 	}
 
-	names = names[:0]
-	for n := range s.Grids {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names = jsonenc.SortedKeys(names[:0], s.Grids)
 	for _, n := range names {
 		var total uint64
 		for _, row := range s.Grids[n].Counts {
@@ -101,9 +108,8 @@ func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromS
 				total += c
 			}
 		}
-		m := promName(n) + "_total"
-		fmt.Fprintf(&b, "# TYPE %s counter\n", m)
-		fmt.Fprintf(&b, "%s%s %s\n", m, promLabels(labels, nil), promFloat(float64(total)))
+		m = append(appendPromName(m[:0], n), "_total"...)
+		b = appendSample(appendType(b, m, "counter"), m, "", lab, float64(total))
 	}
 
 	// Extras may repeat a name with different labels (one series per
@@ -113,110 +119,116 @@ func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromS
 		if x.Type != "counter" && x.Type != "gauge" {
 			return fmt.Errorf("metrics: extra sample %q has type %q (want counter or gauge)", x.Name, x.Type)
 		}
-		m := promName(x.Name)
+		m = appendPromName(m[:0], x.Name)
 		if x.Type == "counter" {
-			m += "_total"
+			m = append(m, "_total"...)
 		}
-		if prev, ok := declared[m]; ok {
+		if prev, ok := declared[string(m)]; ok {
 			if prev != x.Type {
 				return fmt.Errorf("metrics: extra sample %q redeclared as %s (was %s)", x.Name, x.Type, prev)
 			}
 		} else {
 			if x.Help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", m, promEscapeHelp(x.Help))
+				b = append(append(append(b, "# HELP "...), m...), ' ')
+				b = append(appendPromEscaped(b, x.Help, false), '\n')
 			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", m, x.Type)
-			declared[m] = x.Type
+			b = appendType(b, m, x.Type)
+			declared[string(m)] = x.Type
 		}
-		fmt.Fprintf(&b, "%s%s %s\n", m, promLabels(append(append([]PromLabel{}, labels...), x.Labels...), nil), promFloat(x.Value))
+		b = appendSample(b, m, "", appendLabels(nil, labels, x.Labels), x.Value)
 	}
 
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
 }
 
-// promName maps a registry instrument name onto the Prometheus
+// appendType appends a family's "# TYPE" line.
+func appendType(b, m []byte, typ string) []byte {
+	b = append(append(append(b, "# TYPE "...), m...), ' ')
+	return append(append(b, typ...), '\n')
+}
+
+// appendSample appends one sample line: family name and suffix, label
+// set, and the value in the shortest round-trippable form.
+func appendSample(b, m []byte, suffix string, lab []byte, v float64) []byte {
+	b = append(append(append(append(b, m...), suffix...), lab...), ' ')
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+// appendBucket appends one cumulative bucket sample.
+func appendBucket(b, m, leOpen []byte, le float64, cum uint64) []byte {
+	b = strconv.AppendFloat(append(append(append(b, m...), "_bucket"...), leOpen...), le, 'g', -1, 64)
+	return append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
+}
+
+// appendPromName maps a registry instrument name onto the Prometheus
 // namespace: "ladder_" prefix, dots and any other character outside
 // [a-zA-Z0-9_] become underscores.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("ladder_")
+func appendPromName(b []byte, name string) []byte {
+	b = append(b, "ladder_"...)
 	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	return b.String()
+	return b
 }
 
-// promLabels renders a label set (plus an optional extra label, for
-// histogram "le") as {a="b",c="d"}, empty string for no labels.
-func promLabels(labels []PromLabel, extra *PromLabel) string {
-	if len(labels) == 0 && extra == nil {
-		return ""
+// appendLabels appends the label set of labels followed by more as
+// {a="b",c="d"}, or nothing for no labels.
+func appendLabels(b []byte, labels, more []PromLabel) []byte {
+	if len(labels)+len(more) == 0 {
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
+	b = append(b, '{')
+	for _, set := range [...][]PromLabel{labels, more} {
+		for _, l := range set {
+			if b[len(b)-1] != '{' {
+				b = append(b, ',')
+			}
+			b = appendPromLabelName(b, l.Name)
+			b = append(appendPromEscaped(append(b, `="`...), l.Value, true), '"')
 		}
-		b.WriteString(promLabelName(l.Name))
-		b.WriteString(`="`)
-		b.WriteString(promEscapeValue(l.Value))
-		b.WriteByte('"')
 	}
-	if extra != nil {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra.Name)
-		b.WriteString(`="`)
-		b.WriteString(promEscapeValue(extra.Value))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
-// promLabelName sanitizes a label name to [a-zA-Z_][a-zA-Z0-9_]*.
-func promLabelName(name string) string {
-	var b strings.Builder
+// appendPromLabelName sanitizes a label name to [a-zA-Z_][a-zA-Z0-9_]*.
+func appendPromLabelName(b []byte, name string) []byte {
+	if name == "" {
+		return append(b, '_')
+	}
 	for i, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		case r >= '0' && r <= '9' && i > 0:
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	if b.Len() == 0 {
-		return "_"
+	return b
+}
+
+// appendPromEscaped escapes a label value per the exposition format
+// (backslash, double quote and newline), or a HELP text when quote is
+// false (quotes are legal there).
+func appendPromEscaped(b []byte, v string, quote bool) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case c == '\\':
+			b = append(b, `\\`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '"' && quote:
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
 	}
-	return b.String()
-}
-
-// promEscapeValue escapes a label value per the exposition format:
-// backslash, double quote and newline.
-func promEscapeValue(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// promEscapeHelp escapes a HELP text: backslash and newline only (quotes
-// are legal there).
-func promEscapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// promFloat renders a sample value: shortest round-trippable form.
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return b
 }

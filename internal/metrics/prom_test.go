@@ -2,6 +2,7 @@ package metrics_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,3 +133,62 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		t.Error("identical snapshots rendered differently")
 	}
 }
+
+// runRegistry builds a registry with a figure cell's instrument catalog:
+// 64 counters (32 of them per-bank write counts), 4 gauges, 7
+// 17-bound histograms and two 8×8 grids, all observed.
+func runRegistry() *metrics.Registry {
+	reg := metrics.NewRegistry()
+	for ch := 0; ch < 2; ch++ {
+		for rank := 0; rank < 2; rank++ {
+			for bank := 0; bank < 8; bank++ {
+				reg.Counter(fmt.Sprintf("reram.ch%d.rank%d.bank%d.writes", ch, rank, bank)).Add(uint64(100*ch + 10*rank + bank))
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		reg.Counter(fmt.Sprintf("core.layer%d.events", i)).Add(uint64(i * 12345))
+	}
+	for i := 0; i < 4; i++ {
+		reg.Gauge(fmt.Sprintf("memctrl.ch%d.write_queue", i)).Observe(float64(i) + 0.5)
+	}
+	for i := 0; i < 7; i++ {
+		h := reg.Histogram(fmt.Sprintf("memctrl.ch%d.reset_latency_ns", i), metrics.LinearBounds(32, 40, 17))
+		for v := 0; v < 700; v += 7 {
+			h.Observe(float64(v) + 0.25)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		g := reg.Grid(fmt.Sprintf("memctrl.ch%d.reset_table_cells", i), 8, 8)
+		for r := 0; r < 8; r++ {
+			g.Inc(r, (r*3)%8)
+		}
+	}
+	return reg
+}
+
+// BenchmarkWritePrometheus times one scrape's exposition of a figure
+// cell's snapshot.
+func BenchmarkWritePrometheus(b *testing.B) {
+	snap := runRegistry().Snapshot()
+	labels := []metrics.PromLabel{{Name: "job", Value: "j1"}}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := metrics.WritePrometheus(&buf, snap, labels); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegistrySnapshot times freezing a figure cell's registry.
+func BenchmarkRegistrySnapshot(b *testing.B) {
+	reg := runRegistry()
+	b.ReportAllocs()
+	for b.Loop() {
+		promSink = reg.Snapshot()
+	}
+}
+
+var promSink metrics.Snapshot

@@ -183,17 +183,22 @@ func (r *Registry) Merge(o *Registry) error {
 // in run reports. A nil registry snapshots as empty (never nil maps), so
 // reports marshal uniformly.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]GaugeSnapshot{},
-		Histograms: map[string]HistogramSnapshot{},
-		Grids:      map[string]GridSnapshot{},
-	}
 	if r == nil {
-		return s
+		return Snapshot{
+			Counters:   map[string]uint64{},
+			Gauges:     map[string]GaugeSnapshot{},
+			Histograms: map[string]HistogramSnapshot{},
+			Grids:      map[string]GridSnapshot{},
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := Snapshot{
+		Counters:   make(map[string]uint64, len(r.counters)),
+		Gauges:     make(map[string]GaugeSnapshot, len(r.gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
+		Grids:      make(map[string]GridSnapshot, len(r.grids)),
+	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.v
 	}

@@ -63,6 +63,7 @@ import (
 
 	"ladder/internal/chaos"
 	"ladder/internal/introspect"
+	"ladder/internal/jsonenc"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
 	"ladder/internal/sim"
@@ -681,7 +682,7 @@ func (s *Service) runJob(j *job) {
 	if !abandoned && err == nil {
 		var gr *sim.GridReport
 		if gr, err = sim.NewGridReport(out.grid); err == nil {
-			report, err = sim.IndentedJSON(gr)
+			report, err = jsonenc.Marshal(gr.AppendJSON)
 		}
 	}
 

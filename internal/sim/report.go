@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"ladder/internal/fault"
+	"ladder/internal/jsonenc"
 	"ladder/internal/metrics"
 	"ladder/internal/remap"
 	"ladder/internal/timeline"
@@ -183,9 +184,10 @@ func summarizeLatency(snap metrics.Snapshot, suffix string) ResetLatencySummary 
 	}
 }
 
-// WriteJSON emits the report as indented JSON.
+// WriteJSON emits the report as indented JSON: json.MarshalIndent's
+// bytes and a newline.
 func (r *Report) WriteJSON(w io.Writer) error {
-	return writeJSON(w, r)
+	return jsonenc.Write(w, r.AppendJSON)
 }
 
 // PerfSnapshot flattens the report into the name→value map stored in
@@ -246,7 +248,7 @@ func (r *Report) Bench(name string) *BenchReport {
 
 // WriteJSON emits the bench document as indented JSON.
 func (b *BenchReport) WriteJSON(w io.Writer) error {
-	return writeJSON(w, b)
+	return jsonenc.Write(w, b.AppendJSON)
 }
 
 // GridCell is one (workload, scheme) run's headline numbers inside a
@@ -341,7 +343,7 @@ func NewGridReport(g *Grid) (*GridReport, error) {
 
 // WriteJSON emits the grid report as indented JSON.
 func (g *GridReport) WriteJSON(w io.Writer) error {
-	return writeJSON(w, g)
+	return jsonenc.Write(w, g.AppendJSON)
 }
 
 // stripVolatileSnapshot removes host-timing artifacts from a metrics

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"ladder/internal/circuit"
@@ -28,6 +29,24 @@ func goldenTableSet(ts *TableSet) []byte {
 	return b.Bytes()
 }
 
+// oneProc is the default table set generated at GOMAXPROCS 1, once per
+// test binary: TestTableSetGolden compares its text with the embedded
+// file and TestDefaultTableSetIsGenerated its every field with the
+// decoded set. Neither modifies it.
+var oneProc struct {
+	once sync.Once
+	ts   *TableSet
+	err  error
+}
+
+func generatedOneProc() (*TableSet, error) {
+	oneProc.once.Do(func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		oneProc.ts, oneProc.err = NewTableSet(circuit.DefaultParams())
+	})
+	return oneProc.ts, oneProc.err
+}
+
 // TestTableSetGolden pins the paper's Table 1 table set bit for bit, at
 // one and at several worker goroutines: the generator must reproduce the
 // embedded tables every run loads (DefaultTableSet), which feed every
@@ -38,8 +57,11 @@ func TestTableSetGolden(t *testing.T) {
 	const path = "tableset_default.txt"
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			ts, err := NewTableSet(circuit.DefaultParams())
+			ts, err := generatedOneProc()
+			if procs != 1 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				ts, err = NewTableSet(circuit.DefaultParams())
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +96,7 @@ func TestDefaultTableSetIsGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewTableSet(circuit.DefaultParams())
+	want, err := generatedOneProc()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,10 @@
 package timing
 
-import (
-	"testing"
-
-	"ladder/internal/circuit"
-)
+import "testing"
 
 // TestProbeTables dumps bucket latencies (diagnostic; -run ProbeTables -v).
 func TestProbeTables(t *testing.T) {
-	p := circuit.DefaultParams()
-	ts, err := NewTableSet(p)
+	ts, err := DefaultTableSet()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+
+	"ladder/internal/jsonenc"
 )
 
 // ticksPerUs converts engine cycles to the microseconds Chrome trace
@@ -203,7 +205,7 @@ func (e *chromeEncoder) span(s *Span) {
 		b = append(b, `,"drain":`...)
 		b = strconv.AppendBool(b, s.Drain)
 		b = append(b, `,"lat_ns":`...)
-		b = appendJSONFloat(b, s.LatNs)
+		b = jsonenc.AppendFloat(b, s.LatNs)
 		b = appendLineSpan(append(b, ','), s)
 		b = append(b, `,"wl_bucket":`...)
 		b = strconv.AppendInt(b, int64(s.WLBucket), 10)
@@ -223,14 +225,14 @@ func appendLineSpan(b []byte, s *Span) []byte {
 }
 
 // appendTicksUs appends ticks converted to microseconds, exactly as
-// appendJSONFloat(b, float64(ticks)/ticksPerUs) would. Below 4e13 ticks
+// jsonenc.AppendFloat(b, float64(ticks)/ticksPerUs) would. Below 4e13 ticks
 // the quotient is a decimal of at most 15 significant digits (10 before
 // the point, 5 after). float64 keeps every such decimal apart, so it is
 // the shortest decimal that rounds to the float64 quotient, which is
 // what strconv prints; it is written here from integer arithmetic.
 func appendTicksUs(b []byte, ticks uint64) []byte {
 	if ticks >= 4e13 {
-		return appendJSONFloat(b, float64(ticks)/ticksPerUs)
+		return jsonenc.AppendFloat(b, float64(ticks)/ticksPerUs)
 	}
 	b = strconv.AppendUint(b, ticks/ticksPerUs, 10)
 	frac := ticks % ticksPerUs * 25 // hundred-thousandths of a microsecond
@@ -247,23 +249,6 @@ func appendTicksUs(b []byte, ticks uint64) []byte {
 		n--
 	}
 	return append(b, d[:n]...)
-}
-
-// appendJSONFloat appends f as encoding/json formats a float64: the
-// shortest decimal in 'f' form, or in 'e' form below 1e-6 and from 1e21
-// up, with a one-digit negative exponent unpadded (1e-07 becomes 1e-7).
-// f must be finite.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // WriteSlowestDigest renders the slowest traced writes for humans: the

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ladder/internal/jsonenc"
 )
 
 // fuzzBytes hands out fuzz input a field at a time, zeros once it runs
@@ -85,8 +87,8 @@ func FuzzChromeTrace(f *testing.F) {
 	})
 }
 
-// TestAppendJSONFloat checks the float formatter against encoding/json
-// at the 'f'/'e' cutoffs, signed zeros, subnormals and exponent forms.
+// TestAppendJSONFloat checks the float formatter the Chrome writer
+// shares with the reports against encoding/json at the 'f'/'e' cutoffs, signed zeros, subnormals and exponent forms.
 func TestAppendJSONFloat(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-9,
 		-2.5e-10, 1e-100, 5e-324, 1e20, math.Nextafter(1e21, 0), 1e21, 1.2345e22, -1e21, 1e100,
@@ -96,8 +98,8 @@ func TestAppendJSONFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Errorf("appendJSONFloat(%v) = %s, want %s", v, got, want)
+		if got := jsonenc.AppendFloat(nil, v); string(got) != string(want) {
+			t.Errorf("AppendFloat(%v) = %s, want %s", v, got, want)
 		}
 	}
 }
@@ -106,7 +108,7 @@ func TestAppendJSONFloat(t *testing.T) {
 // path it replaces, densely at small ticks and across its cutoff.
 func TestAppendTicksUs(t *testing.T) {
 	check := func(ticks uint64) {
-		want := appendJSONFloat(nil, float64(ticks)/ticksPerUs)
+		want := jsonenc.AppendFloat(nil, float64(ticks)/ticksPerUs)
 		if got := appendTicksUs(nil, ticks); string(got) != string(want) {
 			t.Fatalf("appendTicksUs(%d) = %s, want %s", ticks, got, want)
 		}

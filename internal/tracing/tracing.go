@@ -32,9 +32,10 @@
 package tracing
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
+
+	"ladder/internal/jsonenc"
 )
 
 // Kind classifies a span.
@@ -60,30 +61,33 @@ const (
 	KindWriteRetry
 )
 
+// kindJSON holds each kind's label as a quoted JSON string, the last
+// entry for kinds without a label; String slices the quotes off.
+var kindJSON = [...]string{
+	KindDataWrite:      `"write"`,
+	KindMetaWrite:      `"meta-write"`,
+	KindDataRead:       `"read"`,
+	KindSMBRead:        `"smb-read"`,
+	KindMetaRead:       `"meta-read"`,
+	KindCoreStall:      `"stall"`,
+	KindWriteRetry:     `"write-retry"`,
+	KindWriteRetry + 1: `"unknown"`,
+}
+
+// quoted returns the kind's label as a quoted JSON string.
+func (k Kind) quoted() string {
+	return kindJSON[min(int(k), len(kindJSON)-1)]
+}
+
 // String returns the kind's track label.
 func (k Kind) String() string {
-	switch k {
-	case KindDataWrite:
-		return "write"
-	case KindMetaWrite:
-		return "meta-write"
-	case KindDataRead:
-		return "read"
-	case KindSMBRead:
-		return "smb-read"
-	case KindMetaRead:
-		return "meta-read"
-	case KindCoreStall:
-		return "stall"
-	case KindWriteRetry:
-		return "write-retry"
-	}
-	return "unknown"
+	q := k.quoted()
+	return q[1 : len(q)-1]
 }
 
 // MarshalJSON serializes the kind as its label, keeping /spans and
 // report output readable.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+func (k Kind) MarshalJSON() ([]byte, error) { return []byte(k.quoted()), nil }
 
 // Span is one recorded transaction lifecycle. Cycle fields are engine
 // clock values (CPU cycles at 4 GHz, 4 ticks per nanosecond); bucket
@@ -415,6 +419,45 @@ type Summary struct {
 	Evicted   uint64 `json:"evicted"`
 	// Slowest lists the slowest traced writes, slowest first.
 	Slowest []Span `json:"slowest,omitempty"`
+}
+
+// AppendJSON appends the summary as the object encoding/json makes of
+// it: fields in struct order, Slowest omitted when empty.
+func (s *Summary) AppendJSON(e *jsonenc.Encoder) {
+	e.Open('{')
+	e.Key("sample_every").Int(int64(s.SampleEvery))
+	e.Key("seen").Uint(s.Seen)
+	e.Key("sampled").Uint(s.Sampled)
+	e.Key("completed").Uint(s.Completed)
+	e.Key("evicted").Uint(s.Evicted)
+	if len(s.Slowest) > 0 {
+		e.Key("slowest").Open('[')
+		for i := range s.Slowest {
+			s.Slowest[i].appendJSON(e.Elem())
+		}
+		e.Close(']')
+	}
+	e.Close('}')
+}
+
+// appendJSON appends the span's exported fields in struct order.
+func (s *Span) appendJSON(e *jsonenc.Encoder) {
+	e.Open('{')
+	e.Key("id").Uint(s.ID)
+	e.Key("kind").String(s.Kind.String())
+	e.Key("channel").Int(int64(s.Channel))
+	e.Key("bank").Int(int64(s.Bank))
+	e.Key("core").Int(int64(s.Core))
+	e.Key("line").Uint(s.Line)
+	e.Key("enqueue_tick").Uint(s.Enqueue)
+	e.Key("dispatch_tick").Uint(s.Dispatch)
+	e.Key("complete_tick").Uint(s.Complete)
+	e.Key("lat_ns").Float(s.LatNs)
+	e.Key("wl_bucket").Int(int64(s.WLBucket))
+	e.Key("bl_bucket").Int(int64(s.BLBucket))
+	e.Key("clrs_bucket").Int(int64(s.ClrsBucket))
+	e.Key("drain").Bool(s.Drain)
+	e.Close('}')
 }
 
 // Summary freezes the collector's accounting.

@@ -204,6 +204,8 @@ func TestRecent(t *testing.T) {
 	}
 }
 
+// TestKindJSONLabels pins every kind's JSON bytes, and those of kinds
+// past the last, to encoding/json's encoding of its label.
 func TestKindJSONLabels(t *testing.T) {
 	b, err := json.Marshal(KindSMBRead)
 	if err != nil {
@@ -211,6 +213,22 @@ func TestKindJSONLabels(t *testing.T) {
 	}
 	if string(b) != `"smb-read"` {
 		t.Errorf("KindSMBRead marshals as %s", b)
+	}
+	for k := KindDataWrite; k <= KindWriteRetry+2; k++ {
+		want, err := json.Marshal(k.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := k.MarshalJSON()
+		if err != nil || string(got) != string(want) {
+			t.Errorf("Kind(%d).MarshalJSON() = %s, %v; want %s", k, got, err, want)
+		}
+		if k > KindWriteRetry && k.String() != "unknown" {
+			t.Errorf("Kind(%d).String() = %q, want unknown", k, k.String())
+		}
+	}
+	if got, _ := Kind(255).MarshalJSON(); string(got) != `"unknown"` {
+		t.Errorf("Kind(255) marshals as %s", got)
 	}
 }
 
