@@ -24,8 +24,8 @@ import (
 // Encoder appends one indented JSON document. Keys and values are
 // written in call order: Open and Close bracket an object or array,
 // Key starts an object member and Elem an array element, and the
-// scalar methods write one value. A non-finite float makes the
-// document fail: Err reports it, and Write and Marshal write nothing.
+// scalar methods write one value. A non-finite float fails the
+// document: Write and Marshal then return its error and write nothing.
 type Encoder struct {
 	buf   []byte
 	depth int
@@ -133,16 +133,12 @@ func array[T any](e *Encoder, s []T, appendValue func([]byte, T) []byte) {
 		e.buf = append(e.buf, '[', ']')
 		return
 	}
-	line := indent[:1+2*(e.depth+1)]
-	if e.depth+1 > (len(indent)-1)/2 {
-		line = string(appendNewline(nil, e.depth+1))
-	}
 	b := append(e.buf, '[')
 	for i, v := range s {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendValue(append(b, line...), v)
+		b = appendValue(appendNewline(b, e.depth+1), v)
 	}
 	e.buf = append(appendNewline(b, e.depth), ']')
 	e.empty = false
@@ -171,19 +167,40 @@ func (e *Encoder) Floats(s []float64) {
 // Strings writes a []string as an array (null when nil).
 func (e *Encoder) Strings(s []string) { array(e, s, AppendString) }
 
-// SortedKeys appends m's keys to dst in ascending order, the order
-// encoding/json writes map members in, and returns the extended slice.
-func SortedKeys[V any](dst []string, m map[string]V) []string {
-	n := len(dst)
-	for k := range m {
-		dst = append(dst, k)
+// Map writes m as an object of its members in sorted-key order, each
+// value written by appendValue, or null when m is nil. keys is scratch
+// space for the sorted keys; Map returns it for the next map.
+func Map[V any](e *Encoder, keys []string, m map[string]V, appendValue func(V, *Encoder)) []string {
+	if m == nil {
+		e.Null()
+		return keys
 	}
-	slices.Sort(dst[n:])
-	return dst
+	keys = SortedKeys(keys, m)
+	e.Open('{')
+	for _, k := range keys {
+		appendValue(m[k], e.Key(k))
+	}
+	e.Close('}')
+	return keys
 }
 
-// Err returns the error that failed the document, if any.
-func (e *Encoder) Err() error { return e.err }
+// UintValue and FloatValue are Map's value writers for maps of uint64
+// and float64.
+func UintValue(v uint64, e *Encoder) { e.Uint(v) }
+
+// FloatValue writes a float64 map member; see UintValue.
+func FloatValue(v float64, e *Encoder) { e.Float(v) }
+
+// SortedKeys returns m's keys in ascending order, the order
+// encoding/json writes map members in, reusing the storage of keys.
+func SortedKeys[V any](keys []string, m map[string]V) []string {
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // encoders recycles document buffers between writes; a report's buffer
 // is reused by the next report instead of growing again from empty.
@@ -270,27 +287,3 @@ func AppendString(b []byte, s string) []byte {
 	b = append(b, s...)
 	return append(b, '"')
 }
-
-// Map writes m as an object of its members in sorted-key order, each
-// value written by appendValue, or null when m is nil. keys is scratch
-// space for the sorted keys; Map returns it for the next map.
-func Map[V any](e *Encoder, keys []string, m map[string]V, appendValue func(V, *Encoder)) []string {
-	if m == nil {
-		e.Null()
-		return keys
-	}
-	keys = SortedKeys(keys[:0], m)
-	e.Open('{')
-	for _, k := range keys {
-		appendValue(m[k], e.Key(k))
-	}
-	e.Close('}')
-	return keys
-}
-
-// UintValue and FloatValue are Map's value writers for maps of uint64
-// and float64.
-func UintValue(v uint64, e *Encoder) { e.Uint(v) }
-
-// FloatValue writes a float64 map member; see UintValue.
-func FloatValue(v float64, e *Encoder) { e.Float(v) }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -100,4 +101,26 @@ func TestNonFiniteFloatsFail(t *testing.T) {
 	if !strings.Contains(string(AppendFloat(nil, 1e21)), "e+21") {
 		t.Error("1e21 is not in exponent form")
 	}
+}
+
+// TestConcurrentWrites encodes different documents from several
+// goroutines at once: each must get its own recycled buffer.
+func TestConcurrentWrites(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			doc := tree(g)
+			want, _ := json.MarshalIndent(doc, "", "  ")
+			for i := 0; i < 200; i++ {
+				var w bytes.Buffer
+				if err := Write(&w, func(e *Encoder) { appendAny(e, doc) }); err != nil || w.String() != string(want)+"\n" {
+					t.Errorf("goroutine %d, write %d: wrong document (%v)", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

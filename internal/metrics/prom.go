@@ -50,24 +50,14 @@ func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromS
 		leOpen = append(append(lab[:len(lab)-1:len(lab)-1], ','), `le="`...)
 	}
 
-	// One pass over the names sizes the buffer, so the text is usually
-	// appended without growing it.
-	size, most := 0, max(len(s.Counters), len(s.Gauges), len(s.Histograms), len(s.Grids))
-	sizeOf := func(name string, lines int) { size += lines * (2*len(name) + len(leOpen) + 64) }
-	for n := range s.Counters {
-		sizeOf(n, 1)
+	// Size the buffer for the lines ahead (names run to about 40 bytes),
+	// so the text is usually appended without growing it.
+	lines := 2 * (len(s.Counters) + len(s.Gauges) + len(s.Grids))
+	for _, h := range s.Histograms {
+		lines += len(h.Bounds) + 4
 	}
-	for n := range s.Gauges {
-		sizeOf(n, 1)
-	}
-	for n, h := range s.Histograms {
-		sizeOf(n, len(h.Bounds)+3)
-	}
-	for n := range s.Grids {
-		sizeOf(n, 1)
-	}
-	b := make([]byte, 0, size)
-	names := make([]string, 0, most)
+	b := make([]byte, 0, lines*(96+len(leOpen)))
+	names := make([]string, 0, max(len(s.Counters), len(s.Gauges), len(s.Histograms), len(s.Grids)))
 	m := make([]byte, 0, 128) // the current family's Prometheus name
 
 	names = jsonenc.SortedKeys(names, s.Counters)
@@ -76,13 +66,13 @@ func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromS
 		b = appendSample(appendType(b, m, "counter"), m, "", lab, float64(s.Counters[n]))
 	}
 
-	names = jsonenc.SortedKeys(names[:0], s.Gauges)
+	names = jsonenc.SortedKeys(names, s.Gauges)
 	for _, n := range names {
 		m = appendPromName(m[:0], n)
 		b = appendSample(appendType(b, m, "gauge"), m, "", lab, s.Gauges[n].Last)
 	}
 
-	names = jsonenc.SortedKeys(names[:0], s.Histograms)
+	names = jsonenc.SortedKeys(names, s.Histograms)
 	for _, n := range names {
 		h := s.Histograms[n]
 		m = appendPromName(m[:0], n)
@@ -100,7 +90,7 @@ func WritePrometheus(w io.Writer, s Snapshot, labels []PromLabel, extra ...PromS
 		b = append(strconv.AppendUint(append(b, ' '), h.Count, 10), '\n')
 	}
 
-	names = jsonenc.SortedKeys(names[:0], s.Grids)
+	names = jsonenc.SortedKeys(names, s.Grids)
 	for _, n := range names {
 		var total uint64
 		for _, row := range s.Grids[n].Counts {
