@@ -80,11 +80,16 @@ func (e *Encoder) Close(c byte) {
 	e.empty = false
 }
 
-// Key starts an object member: the separator, the key and its colon.
-// It returns e so the value can follow on the same line.
-func (e *Encoder) Key(k string) *Encoder {
+// Key starts an object member named by a struct field's JSON name:
+// the separator, the quoted name and its colon. Field names are
+// constants of plain ASCII, so they are copied without an escape check;
+// Map escapes the member names it takes from map keys. Key returns e so
+// the value can follow on the same line.
+func (e *Encoder) Key(field string) *Encoder {
 	e.next()
-	e.buf = append(AppendString(e.buf, k), ':', ' ')
+	b := append(e.buf, '"')
+	b = append(b, field...)
+	e.buf = append(b, '"', ':', ' ')
 	return e
 }
 
@@ -178,7 +183,9 @@ func Map[V any](e *Encoder, keys []string, m map[string]V, appendValue func(V, *
 	keys = SortedKeys(keys, m)
 	e.Open('{')
 	for _, k := range keys {
-		appendValue(m[k], e.Key(k))
+		e.next()
+		e.buf = append(AppendString(e.buf, k), ':', ' ')
+		appendValue(m[k], e)
 	}
 	e.Close('}')
 	return keys
