@@ -100,7 +100,7 @@ func (e *Encoder) Elem() *Encoder {
 }
 
 // String writes a string value.
-func (e *Encoder) String(s string) { e.buf = AppendString(e.buf, s) }
+func (e *Encoder) String(s string) { e.buf = appendString(e.buf, s) }
 
 // Uint writes an unsigned integer.
 func (e *Encoder) Uint(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
@@ -170,7 +170,7 @@ func (e *Encoder) Floats(s []float64) {
 }
 
 // Strings writes a []string as an array (null when nil).
-func (e *Encoder) Strings(s []string) { array(e, s, AppendString) }
+func (e *Encoder) Strings(s []string) { array(e, s, appendString) }
 
 // Map writes m as an object of its members in sorted-key order, each
 // value written by appendValue, or null when m is nil. keys is scratch
@@ -184,7 +184,7 @@ func Map[V any](e *Encoder, keys []string, m map[string]V, appendValue func(V, *
 	e.Open('{')
 	for _, k := range keys {
 		e.next()
-		e.buf = append(AppendString(e.buf, k), ':', ' ')
+		e.buf = append(appendString(e.buf, k), ':', ' ')
 		appendValue(m[k], e)
 	}
 	e.Close('}')
@@ -279,11 +279,11 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// AppendString appends s as a quoted JSON string, escaped exactly as
+// appendString appends s as a quoted JSON string, escaped exactly as
 // encoding/json escapes it. Strings of plain bytes (every instrument
 // name, label and schema string) are copied as they are; any other
 // string is handed to encoding/json.
-func AppendString(b []byte, s string) []byte {
+func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain[s[i]] {
 			q, _ := json.Marshal(s) // a string always marshals

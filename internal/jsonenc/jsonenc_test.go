@@ -14,8 +14,8 @@ import (
 func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	check := func(s string) {
 		want, _ := json.Marshal(s)
-		if got := AppendString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("AppendString(%q) = %s, want %s", s, got, want)
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("appendString(%q) = %s, want %s", s, got, want)
 		}
 	}
 	for a := 0; a < 256; a++ {
