@@ -469,30 +469,25 @@ func publishRun(srv *introspect.Server, cfg *ladder.Config) {
 	if cfg.TimelineInterval == 0 {
 		return
 	}
-	// Live timeline: every closed epoch appends to the /timeline document
-	// and streams to /timeline/events subscribers as SSE.
+	// Live timeline: every closed epoch appends to the /timeline document,
+	// which decimates exactly as the run's own timeline does, and streams
+	// to /timeline/events subscribers as SSE.
 	broker := introspect.NewBroker(0)
 	srv.Handle("GET /timeline/events", broker)
 	var tlMu sync.Mutex
-	var epochs []ladder.TimelineEpoch
+	live := timeline.New(cfg.TimelineInterval)
 	cfg.TimelineOnEpoch = func(e ladder.TimelineEpoch) {
 		tlMu.Lock()
-		epochs = append(epochs, e)
+		live.Append(e)
 		tlMu.Unlock()
 		if ev, err := json.Marshal(e); err == nil {
 			broker.Publish(ev)
 		}
 	}
-	interval := cfg.TimelineInterval
 	srv.PublishFunc("timeline", func() any {
 		tlMu.Lock()
 		defer tlMu.Unlock()
-		return ladder.Timeline{
-			Schema:            timeline.Schema,
-			Interval:          interval,
-			EffectiveInterval: interval,
-			Epochs:            append([]ladder.TimelineEpoch(nil), epochs...),
-		}
+		return live.Clone()
 	})
 }
 

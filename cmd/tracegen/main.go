@@ -85,7 +85,7 @@ func inspect(path string) {
 		pages[a.Line/reram.BlocksPerRow] = true
 		if a.Write {
 			writes++
-			ones += trace.CountLineOnes(&a.Data)
+			ones += a.Data.Ones()
 			if compress.Compressible(a.Data[:]) {
 				compressible++
 			}

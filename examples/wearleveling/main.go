@@ -2,8 +2,8 @@
 // metadata maintenance adds a few percent of write traffic, and once
 // segment-based vertical wear leveling spreads all writes across the
 // device, lifetime scales inversely with that traffic. The example runs
-// LADDER-Hybrid with and without Start-Gap VWL, then feeds the measured
-// write counts into the lifetime model.
+// LADDER-Hybrid with and without Start-Gap VWL, then reads the lifetime
+// off the measured write counts.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"ladder"
-	"ladder/internal/wear"
 )
 
 func main() {
@@ -44,10 +43,7 @@ func main() {
 	fmt.Printf("hybrid metadata writes   %d (+%.1f%%)\n",
 		hybrid.Stats.MetaWrites, 100*hybrid.Stats.ExtraWriteFraction())
 
-	model := wear.DefaultLifetime()
-	rel := model.RelativeLeveled(
-		base.Stats.DataWrites,
-		hybrid.Stats.DataWrites+hybrid.Stats.MetaWrites)
+	rel := hybrid.Stats.LeveledLifetime()
 	fmt.Printf("\nrelative lifetime under ideal wear leveling: %.1f%% of baseline\n", 100*rel)
 	fmt.Printf("(paper: LADDER-Hybrid retains 97.1%% with ~3%% extra writes)\n")
 

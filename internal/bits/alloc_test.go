@@ -17,14 +17,11 @@ func TestPopcountHelpersAllocFree(t *testing.T) {
 	for i := range l {
 		l[i] = byte(i * 37)
 	}
-	var dst [LineSize]int
 	steps := map[string]func(){
 		"Ones":          func() { sink = l.Ones() },
 		"CountOnes":     func() { sink = CountOnes(l[:]) },
 		"WorstByte":     func() { sink = WorstByte(l[:]) },
 		"Diff":          func() { sink = Diff(l[:], l[:LineSize]) },
-		"SetsAndResets": func() { a, b := SetsAndResets(l[:], l[:]); sink = a + b },
-		"OnesPerByte":   func() { sink = OnesPerByte(l[:], dst[:]) },
 		"EncodePartial": func() { sink = int(EncodePartial(&l)) },
 	}
 	for name, fn := range steps {

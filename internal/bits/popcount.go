@@ -116,45 +116,3 @@ func Diff(a, b []byte) int {
 	}
 	return d
 }
-
-// SetsAndResets counts bit transitions between stale content old and new
-// content neu. A SET is a 0→1 transition (HRS→LRS); a RESET is a 1→0
-// transition (LRS→HRS). RESETs are the latency-critical operation in
-// crossbar ReRAM.
-func SetsAndResets(old, neu []byte) (sets, resets int) {
-	n := len(old)
-	if len(neu) < n {
-		n = len(neu)
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		o := binary.LittleEndian.Uint64(old[i:])
-		w := binary.LittleEndian.Uint64(neu[i:])
-		changed := o ^ w
-		sets += bits.OnesCount64(changed & w)
-		resets += bits.OnesCount64(changed &^ w)
-	}
-	for ; i < n; i++ {
-		changed := old[i] ^ neu[i]
-		sets += bits.OnesCount8(changed & neu[i])
-		resets += bits.OnesCount8(changed &^ neu[i])
-	}
-	return sets, resets
-}
-
-// OnesPerByte fills dst with the popcount of every byte of p and returns the
-// number of entries written. dst must be at least len(p) long.
-func OnesPerByte(p []byte, dst []int) int {
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		lanes := perBytePop(binary.LittleEndian.Uint64(p[i:]))
-		for k := 0; k < 8; k++ {
-			dst[i+k] = int(lanes & 0xff)
-			lanes >>= 8
-		}
-	}
-	for ; i < len(p); i++ {
-		dst[i] = bits.OnesCount8(p[i])
-	}
-	return len(p)
-}

@@ -127,47 +127,18 @@ func TestDiffComplement(t *testing.T) {
 	}
 }
 
-func TestSetsAndResetsPartitionDiff(t *testing.T) {
-	f := func(a, b Line) bool {
-		sets, resets := SetsAndResets(a[:], b[:])
-		return sets+resets == Diff(a[:], b[:]) && sets >= 0 && resets >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSetsAndResetsDirections(t *testing.T) {
-	old := []byte{0b1010}
-	neu := []byte{0b0110}
-	sets, resets := SetsAndResets(old, neu)
-	if sets != 1 || resets != 1 {
-		t.Fatalf("got sets=%d resets=%d, want 1,1", sets, resets)
-	}
-}
-
 func TestOnesConservationUnderSetsResets(t *testing.T) {
-	// ones(new) = ones(old) + sets - resets
+	// ones(new) = ones(old) + sets - resets, where a SET is a 0→1
+	// transition and a RESET a 1→0 one.
 	f := func(a, b Line) bool {
-		sets, resets := SetsAndResets(a[:], b[:])
-		return b.Ones() == a.Ones()+sets-resets
+		var sets, resets Line
+		for i := range a {
+			sets[i] = b[i] &^ a[i]
+			resets[i] = a[i] &^ b[i]
+		}
+		return b.Ones() == a.Ones()+CountOnes(sets[:])-CountOnes(resets[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOnesPerByte(t *testing.T) {
-	p := []byte{0xff, 0x00, 0x01, 0x7e}
-	dst := make([]int, len(p))
-	n := OnesPerByte(p, dst)
-	if n != 4 {
-		t.Fatalf("n = %d, want 4", n)
-	}
-	want := []int{8, 0, 1, 6}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want[i])
-		}
 	}
 }

@@ -293,10 +293,3 @@ func backSubstitute(d, r []float64, ladders, lo int, s float64) {
 		}
 	}
 }
-
-// SolveWorstBL is a convenience that assumes worst-case bitline content
-// (all half-selected cells on the selected bitlines in LRS), which is what
-// the LADDER latency model does since bitline content is untracked.
-func (f *FastModel) SolveWorstBL(row int, cols []int, wlLRS int) (*Result, error) {
-	return f.Solve(FastOp{Row: row, Cols: cols, WLLRS: wlLRS, BLLRS: f.p.N - 1})
-}

@@ -197,24 +197,6 @@ func TestFastModelAgreesWithMNAFullContent(t *testing.T) {
 	}
 }
 
-func TestSolveWorstBLUsesMaxContent(t *testing.T) {
-	f, err := NewFastModel(smallParams(32, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, err := f.SolveWorstBL(31, []int{30, 31}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := f.Solve(FastOp{Row: 31, Cols: []int{30, 31}, WLLRS: 10, BLLRS: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(worst.MinVd-explicit.MinVd) > 1e-12 {
-		t.Fatalf("SolveWorstBL %v != explicit worst BL %v", worst.MinVd, explicit.MinVd)
-	}
-}
-
 // BenchmarkFastModelSolve times one reduced-model solve of the paper's
 // 512×512 crossbar at the table's worst corner (farthest wordline and
 // bitlines, all-LRS content) and at a mid-table bucket corner.

@@ -242,10 +242,3 @@ func (m *MNA) Solve(pat Pattern, op ResetOp) (*Result, error) {
 	finishResult(&res)
 	return &res, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -842,3 +842,14 @@ func TestRegisterSchemeRejectsCaseCollision(t *testing.T) {
 		t.Errorf("SchemeName of an unknown name: err = %v, want one naming it", err)
 	}
 }
+
+func TestLeveledLifetime(t *testing.T) {
+	// +3% writes -> ~97.1% lifetime (paper Section 6.4).
+	got := Stats{DataWrites: 1000, MetaWrites: 30}.LeveledLifetime()
+	if math.Abs(got-0.9709) > 0.001 {
+		t.Fatalf("relative lifetime = %v, want ≈0.971", got)
+	}
+	if (Stats{}).LeveledLifetime() != 1 {
+		t.Fatal("zero writes should return 1")
+	}
+}

@@ -277,6 +277,19 @@ func (s Stats) ExtraReadFraction() float64 {
 // writes (Figure 14b's metric).
 func (s Stats) ExtraWriteFraction() float64 { return ratio(float64(s.MetaWrites), s.DataWrites) }
 
+// LeveledLifetime returns device lifetime under ideal wear leveling
+// relative to the same data writes without metadata maintenance (paper
+// Section 6.4): leveling spreads every write evenly, so lifetime scales
+// inversely with total write traffic, and 3% extra writes keep
+// 1/1.03 ≈ 97.1%. A run with no writes keeps its whole lifetime.
+func (s Stats) LeveledLifetime() float64 {
+	total := s.DataWrites + s.MetaWrites
+	if total == 0 {
+		return 1
+	}
+	return float64(s.DataWrites) / float64(total)
+}
+
 // AvgWriteServiceNs returns the mean data-write service time.
 func (s Stats) AvgWriteServiceNs() float64 { return ratio(s.WriteServiceNs, s.DataWrites) }
 

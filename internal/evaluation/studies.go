@@ -322,17 +322,17 @@ func (s *LifetimeStudy) WriteJSON(w io.Writer) error {
 //
 //	(baseMax / effMax) / overhead · (1 + spares·banks/touchedRows)
 //
-// geom is the cells' geometry; segments count the decoder's start-gap
-// rotation units over it.
+// geom is the cells' geometry; remap.Rotations counts the turns over
+// the decoder's start-gap layout on it.
 func relativeLifetime(geom reram.Geometry, base, res *ladder.Result, spares int) float64 {
 	touched := float64(res.TouchedRows)
 	total := float64(res.TotalStoreWrites)
 	if touched == 0 || total == 0 {
 		return 1
 	}
-	segments := float64(geom.Rows()/sim.VWLSegmentRows) + 1
-	gapMoves := float64(remapStats(res).GapMoves)
-	rotations := gapMoves / (segments + 1)
+	moves := remapStats(res).GapMoves
+	gapMoves := float64(moves)
+	rotations := remap.Rotations(geom, sim.VWLSegmentRows, moves)
 	leveled := rotations / (rotations + 1)
 	avgRow := total / touched
 	effMax := avgRow + (float64(res.MaxRowWrites)-avgRow)*(1-leveled)

@@ -4,7 +4,7 @@
 // the timing-table requirement (under-provisioning risks incomplete
 // switching, over-provisioning risks over-RESET stress and disturb —
 // see probability), and permanent wear-out faults driven by effective
-// per-row write counts against the wear lifetime model. The injector
+// per-row write counts against a per-row endurance limit. The injector
 // issues verdicts only; row relocation — the spare-row pools, the remap
 // tables, and the indirection penalties failed rows pay afterward —
 // is owned by the programmable address decoder in package remap.
@@ -34,7 +34,7 @@ const (
 	// DefaultRetryMax is the program-and-verify reissue cap per write.
 	DefaultRetryMax = 3
 	// DefaultWearLimit is the per-row write count at which permanent
-	// stuck-at faults appear (the wear package's 1e8-cycle endurance).
+	// stuck-at faults appear (a ReRAM cell endurance of 1e8 cycles).
 	DefaultWearLimit = 100_000_000
 )
 

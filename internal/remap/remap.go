@@ -3,22 +3,17 @@
 // owns every logical→physical row translation the simulator performs —
 // start-gap vertical wear leveling, spare-row substitution after
 // unrecoverable write faults, and wear-limit-triggered proactive row
-// retirement. Before this package, wear leveling lived in internal/sim
-// (a per-controller remap closure over wear.StartGap) and spare-row
-// tables lived inside fault.Injector with their penalty charged ad hoc
-// in the memory controller; the decoder unifies both behind a single
-// Resolve call and a single penalty-accounting point.
+// retirement.
 //
 // Timing model: Resolve is called once per access at enqueue time and
 // applies the start-gap wordline shift (the gap position is latched when
-// the request enters the queue, exactly as the pre-decoder simulator
-// behaved). The spare-row indirection penalty — a small CAM lookup in
-// the bank periphery — is charged when the access dispatches, via
-// PenaltyTicks, because the remap table may have grown between enqueue
-// and dispatch. Both calls are nil-receiver safe; a nil *Decoder is the
-// disabled state and resolves every location to itself at zero cost, so
-// default-configuration runs stay cycle-identical to a build without
-// this package.
+// the request enters the queue). The spare-row indirection penalty — a
+// small CAM lookup in the bank periphery — is charged when the access
+// dispatches, via PenaltyTicks, because the remap table may have grown
+// between enqueue and dispatch. Both calls are nil-receiver safe; a nil
+// *Decoder is the disabled state and resolves every location to itself
+// at zero cost, so default-configuration runs stay cycle-identical to a
+// build without this package.
 //
 // Determinism contract: the decoder holds no randomness. Its state
 // advances only through RecordWrite, RemapSpare and MaybeRetire, all
@@ -32,7 +27,6 @@ import (
 
 	"ladder/internal/metrics"
 	"ladder/internal/reram"
-	"ladder/internal/wear"
 )
 
 // UseDefault is the sentinel distinguishing "unset, use the default"
@@ -169,7 +163,7 @@ type spareEntry struct {
 // call on it.
 type Decoder struct {
 	geom         reram.Geometry
-	gap          *wear.StartGap
+	gap          *StartGap
 	segRows      uint64
 	matRows      int
 	spareCap     int
@@ -199,9 +193,7 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 		spareUsed:    make(map[int]int),
 	}
 	if cfg.GapSegmentRows > 0 {
-		// N logical segments in N+1 slots: the +1 is the gap slot.
-		segments := int(cfg.Geom.Rows()/uint64(cfg.GapSegmentRows)) + 1
-		gap, err := wear.NewStartGap(segments, cfg.GapPeriod)
+		gap, err := NewStartGap(gapSegments(cfg.Geom, cfg.GapSegmentRows), cfg.GapPeriod)
 		if err != nil {
 			return nil, err
 		}

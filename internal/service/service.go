@@ -99,8 +99,8 @@ type Config struct {
 	// budget it expects.
 	MaxInstr uint64
 	// Tables overrides the timing tables every job simulates with
-	// (nil = the full default 512×512 set). Primarily a test seam: the
-	// default set takes tens of seconds to generate cold.
+	// (nil = the default 512×512 set, decoded from embedded data in
+	// milliseconds). A test seam for jobs on other tables.
 	Tables *timing.TableSet
 	// SSEKeepalive is the comment-frame cadence on idle event streams —
 	// proxies reap silent connections, so a queued job's subscribers get

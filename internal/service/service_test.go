@@ -24,8 +24,8 @@ var (
 	tablesErr  error
 )
 
-// smallTables builds a 128×128 table set once so service tests avoid the
-// full 512×512 generation (tens of seconds cold).
+// smallTables builds a 128×128 table set once, shared by the service
+// tests.
 func smallTables(t *testing.T) *timing.TableSet {
 	t.Helper()
 	tablesOnce.Do(func() {

@@ -436,17 +436,10 @@ func (g *Grid) CounterDiffs() []Row {
 	return out
 }
 
-// RelativeLifetime derives Section 6.4's lifetime comparison: lifetime
-// under ideal wear leveling scales inversely with total write traffic
-// (data + metadata maintenance).
+// RelativeLifetime derives Section 6.4's lifetime comparison: each
+// scheme's lifetime under ideal wear leveling (core.Stats.LeveledLifetime).
 func (g *Grid) RelativeLifetime() []Row {
-	return g.rows(func(r *Result) float64 {
-		total := float64(r.Stats.DataWrites + r.Stats.MetaWrites)
-		if total == 0 {
-			return 1
-		}
-		return float64(r.Stats.DataWrites) / total
-	}, false)
+	return g.rows(func(r *Result) float64 { return r.Stats.LeveledLifetime() }, false)
 }
 
 // FNWCancellation derives the Section 6.1 datum: the fraction of FNW

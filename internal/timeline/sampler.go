@@ -51,7 +51,7 @@ type Sampler struct {
 	start    uint64
 	prevSnap metrics.Snapshot
 	prevSc   Scalars
-	epochs   []Epoch
+	tl       *Timeline
 }
 
 // NewSampler builds a sampler; a zero interval returns nil (disabled).
@@ -59,7 +59,7 @@ func NewSampler(cfg Config) *Sampler {
 	if cfg.Interval == 0 {
 		return nil
 	}
-	return &Sampler{cfg: cfg, factor: 1}
+	return &Sampler{cfg: cfg, factor: 1, tl: New(cfg.Interval)}
 }
 
 // Interval returns the configured sampling period (0 on a nil sampler).
@@ -145,9 +145,7 @@ func (s *Sampler) close(now uint64) {
 	if s.cfg.OnEpoch != nil {
 		s.cfg.OnEpoch(cloneEpoch(ep))
 	}
-	s.epochs = append(s.epochs, ep)
-	if len(s.epochs) >= DefaultCapacity {
-		s.epochs = decimate(s.epochs)
+	if s.tl.Append(ep) {
 		s.factor *= 2
 		s.fires = 0
 	}
@@ -159,14 +157,5 @@ func (s *Sampler) Timeline() *Timeline {
 	if s == nil {
 		return nil
 	}
-	t := &Timeline{
-		Schema:            Schema,
-		Interval:          s.cfg.Interval,
-		EffectiveInterval: s.cfg.Interval * uint64(s.factor),
-	}
-	t.Epochs = make([]Epoch, len(s.epochs))
-	for i, e := range s.epochs {
-		t.Epochs[i] = cloneEpoch(e)
-	}
-	return t
+	return s.tl.Clone()
 }

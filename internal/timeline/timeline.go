@@ -85,8 +85,27 @@ type Timeline struct {
 	Epochs            []Epoch `json:"epochs"`
 }
 
-// clone deep-copies a timeline.
-func (t *Timeline) clone() *Timeline {
+// New returns an empty series sampled every interval cycles.
+func New(interval uint64) *Timeline {
+	return &Timeline{Schema: Schema, Interval: interval, EffectiveInterval: interval}
+}
+
+// Append adds a closed epoch to the series. Once the series reaches
+// DefaultCapacity, adjacent epochs merge pairwise and EffectiveInterval
+// doubles; Append reports whether that happened, so the sampler widens
+// its epochs at the source to match.
+func (t *Timeline) Append(e Epoch) bool {
+	t.Epochs = append(t.Epochs, e)
+	if len(t.Epochs) < DefaultCapacity {
+		return false
+	}
+	t.Epochs = decimate(t.Epochs)
+	t.EffectiveInterval *= 2
+	return true
+}
+
+// Clone deep-copies a timeline.
+func (t *Timeline) Clone() *Timeline {
 	out := &Timeline{Schema: t.Schema, Interval: t.Interval, EffectiveInterval: t.EffectiveInterval}
 	out.Epochs = make([]Epoch, len(t.Epochs))
 	for i, e := range t.Epochs {
@@ -174,10 +193,10 @@ func Merge(a, b *Timeline) (*Timeline, error) {
 		return nil, nil
 	}
 	if a == nil {
-		return b.clone(), nil
+		return b.Clone(), nil
 	}
 	if b == nil {
-		return a.clone(), nil
+		return a.Clone(), nil
 	}
 	if a.Interval != b.Interval {
 		return nil, fmt.Errorf("timeline: merging timelines with intervals %d vs %d", a.Interval, b.Interval)
@@ -186,7 +205,7 @@ func Merge(a, b *Timeline) (*Timeline, error) {
 		return nil, fmt.Errorf("timeline: merging timelines with effective intervals %d vs %d",
 			a.EffectiveInterval, b.EffectiveInterval)
 	}
-	a, b = a.clone(), b.clone()
+	a, b = a.Clone(), b.Clone()
 	for a.EffectiveInterval < b.EffectiveInterval {
 		a.Epochs = decimate(a.Epochs)
 		a.EffectiveInterval *= 2

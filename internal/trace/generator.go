@@ -98,7 +98,7 @@ func (g *Generator) jumpPage() uint64 {
 	if g.rng.Float64() < g.prof.HotTraffic {
 		return uint64(g.rng.Int63n(int64(g.hotPages)))
 	}
-	return g.hotPages + uint64(g.rng.Int63n(int64(maxU(uint64(g.prof.WorkingSetPages)-g.hotPages, 1))))
+	return g.hotPages + uint64(g.rng.Int63n(int64(max(uint64(g.prof.WorkingSetPages)-g.hotPages, 1))))
 }
 
 // nextWriteLine advances the bursty writeback stream: writes dwell on one
@@ -190,14 +190,3 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// CountLineOnes counts the '1' bits of a line (a convenience for trace
-// inspection tools, avoiding a bits import in package main).
-func CountLineOnes(l *bits.Line) int { return l.Ones() }
