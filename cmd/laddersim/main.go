@@ -439,11 +439,6 @@ func shutdown(ctx context.Context, srv *introspect.Server) {
 // into srv's live documents.
 func publishRun(srv *introspect.Server, cfg *ladder.Config) {
 	cfg.ProgressDetail = true
-	if cfg.ProgressEvery == 0 {
-		// Snapshot often enough that short runs are observable too; the
-		// default 5M-cycle period outlives many of them.
-		cfg.ProgressEvery = 250_000
-	}
 	// The latest progress snapshot doubles as the Prometheus scrape
 	// source: /metrics/prom serves it labeled with the run identity.
 	var promMu sync.Mutex

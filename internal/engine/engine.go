@@ -27,6 +27,10 @@
 // (a core) is advanced only when it is due: at the cycle its last
 // NextEventAt answer named, or, while that answer is Horizon, at a cycle
 // after activity. It makes up the cycles in between itself.
+//
+// Periodic hooks (progress, timeline) fire at their boundary cycles but
+// never add a processed cycle: the actors alone decide which cycles are
+// processed, so an observed run equals a plain one.
 package engine
 
 // Horizon is the "nothing pending" sentinel: a cycle later than any a
@@ -108,13 +112,13 @@ type Engine struct {
 	active bool
 
 	// hooks are the installed periodic callbacks (progress, observers),
-	// fired in installation order at the top of their boundary cycles.
+	// fired in boundary order before the cycle that reaches them.
 	hooks []periodicHook
 }
 
-// periodicHook is one installed periodic callback: fn fires at the top
-// of every cycle t with (t+1) divisible by every, before any actor
-// advances. next tracks the hook's next boundary cycle.
+// periodicHook is one installed periodic callback: fn(b) fires for every
+// boundary cycle b with (b+1) divisible by every. next is the hook's
+// next boundary cycle.
 type periodicHook struct {
 	every uint64
 	fn    func(now uint64)
@@ -138,17 +142,15 @@ func (e *Engine) Add(a Actor) {
 }
 
 // AddHook installs a periodic callback (a progress reporter, the
-// timeline epoch sampler): fn fires at the top of every cycle t with
-// (t+1) divisible by every — i.e. once per `every` cycles — before any
-// actor advances. A hook is NOT an actor: it schedules nothing and must
-// not mutate simulation state, so installing one cannot change which
-// cycles actors perceive or the order they advance in. Boundary cycles
-// are only forced while an actor's cycle is pending, so a hook never
-// keeps an otherwise-finished simulation alive, and the extra processed
-// cycles are dead ones (no actor acts), which the engine contract
-// already makes equivalent to skipping. Multiple hooks may coexist; at a
-// shared boundary they fire in installation order. A zero period or nil
-// callback installs nothing, so an unused hook costs nothing.
+// timeline epoch sampler): fn(b) fires for every boundary cycle b with
+// (b+1) divisible by every, before the actors advance at the first
+// processed cycle at or after b. Boundaries fire in cycle order, and at
+// a shared boundary in installation order. A hook is NOT an actor: it
+// schedules nothing, must not mutate simulation state, and reads its
+// boundary from its argument, never the clock. The engine processes only
+// the cycles the actors name, so installing a hook cannot change which
+// cycles actors perceive, and a hook never keeps a finished simulation
+// alive. A zero period or nil callback installs nothing.
 func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 	if every == 0 || fn == nil {
 		return
@@ -156,30 +158,31 @@ func (e *Engine) AddHook(every uint64, fn func(now uint64)) {
 	e.hooks = append(e.hooks, periodicHook{every: every, fn: fn, next: every - 1})
 }
 
-// Step processes the next cycle: the pending cycle, or an earlier hook
-// boundary (which leaves the pending cycle in place, so hooks keep
-// firing through long dead windows). Periodic hooks fire, then the
-// actors advance in order (a DueOnly actor only when due), then the
-// pending cycle becomes the minimum of the actors' answers, fresh for
-// every actor advanced. Returns false when nothing is pending — with
-// live actors that means the simulation is deadlocked, as a healthy
-// system always has a next event.
+// Step processes the pending cycle t. Every hook boundary at or before t
+// fires first, then the actors advance in order (a DueOnly actor only
+// when due), then the pending cycle becomes the minimum of the actors'
+// answers, fresh for every actor advanced. Returns false when nothing is
+// pending — with live actors that means the simulation is deadlocked, as
+// a healthy system always has a next event.
 func (e *Engine) Step() bool {
 	t := e.next
 	if t == Horizon {
 		return false
 	}
-	for i := range e.hooks {
-		if e.hooks[i].next < t {
-			t = e.hooks[i].next
+	for {
+		var h *periodicHook
+		for i := range e.hooks {
+			if c := &e.hooks[i]; c.next <= t && (h == nil || c.next < h.next) {
+				h = c
+			}
 		}
+		if h == nil {
+			break
+		}
+		h.fn(h.next)
+		h.next += h.every
 	}
 	e.clock.AdvanceTo(t)
-	for i := range e.hooks {
-		if (t+1)%e.hooks[i].every == 0 {
-			e.hooks[i].fn(t)
-		}
-	}
 	woken := e.active
 	active := false
 	for i := range e.members {
@@ -212,6 +215,7 @@ func (e *Engine) Step() bool {
 	}
 	e.next = next
 	e.active = active
+	// Boundaries an embedded drain jumped over are skipped.
 	for i := range e.hooks {
 		if h := &e.hooks[i]; h.next <= now {
 			h.next = ((now+1)/h.every+1)*h.every - 1

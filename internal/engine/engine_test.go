@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 // pulseActor models a bank-like component: busy until a completion time,
 // then idle. It records every cycle it was advanced at.
@@ -81,8 +85,8 @@ func TestEngineProgressHook(t *testing.T) {
 	e.AddHook(1000, func(now uint64) { fired = append(fired, now) })
 	for e.Step() {
 	}
-	// Boundaries at 999, 1999 fall in the dead window; the hook must force
-	// them to be processed anyway. 2999 is after the last event.
+	// Boundaries at 999, 1999 fall in the dead window; they fire before
+	// cycle 2500 is processed. 2999 is after the last event.
 	want := []uint64{999, 1999}
 	if len(fired) != len(want) || fired[0] != 999 || fired[1] != 1999 {
 		t.Fatalf("progress fired at %v, want %v", fired, want)
@@ -93,25 +97,25 @@ func TestEngineObserverHook(t *testing.T) {
 	e := New()
 	p := &pulseActor{busyUntil: 2500}
 	e.Add(p)
-	var progress, observer []uint64
-	e.AddHook(1000, func(now uint64) { progress = append(progress, now) })
-	e.AddHook(700, func(now uint64) { observer = append(observer, now) })
+	var fired []string
+	e.AddHook(1000, func(now uint64) { fired = append(fired, fmt.Sprint("progress@", now)) })
+	e.AddHook(700, func(now uint64) { fired = append(fired, fmt.Sprint("observer@", now)) })
 	for e.Step() {
 	}
-	// The observer's boundaries inside the live window: 699, 1399, 2099.
-	// 2799 is after the last real event, so it never fires — an observer
-	// must not keep a finished simulation alive.
-	wantObs := []uint64{699, 1399, 2099}
-	if len(observer) != len(wantObs) || observer[0] != 699 || observer[1] != 1399 || observer[2] != 2099 {
-		t.Fatalf("observer fired at %v, want %v", observer, wantObs)
+	// The observer's boundaries inside the live window are 699, 1399 and
+	// 2099, the progress hook's 999 and 1999; all fire in cycle order
+	// across the two hooks, each with its own boundary. 2799 is after the
+	// last real event, so it never fires: an observer must not keep a
+	// finished simulation alive.
+	want := []string{"observer@699", "progress@999", "observer@1399", "progress@1999", "observer@2099"}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("hooks fired %v, want %v", fired, want)
 	}
-	// The progress hook coexists, unchanged by the observer's presence.
-	if len(progress) != 2 || progress[0] != 999 || progress[1] != 1999 {
-		t.Fatalf("progress fired at %v, want [999 1999]", progress)
+	// Hook boundaries are not processed cycles: the pulse actor sees
+	// exactly the cycles it sees without hooks.
+	if !equalCycles(p.advanced, []uint64{0, 2500, 2501}) {
+		t.Fatalf("pulse advanced at %v, want [0 2500 2501]", p.advanced)
 	}
-	// Actor-visible cycles: observer boundaries are processed (dead)
-	// cycles, so the pulse actor sees them too — the contract is that dead
-	// cycles are state-neutral, not invisible.
 	if e.Clock().Now() != 2501 {
 		t.Fatalf("clock = %d, want 2501", e.Clock().Now())
 	}
@@ -178,7 +182,8 @@ func (j *jumpActor) Advance(now uint64) bool {
 // before it are asked for their next event at the new time, and no cycle
 // at or before the jump is processed afterwards: the completion the jump
 // skipped over (due at 50) lands on the first cycle after it, 101, and
-// is never replayed at 50.
+// is never replayed at 50. Hook boundaries the jump skipped over never
+// fire.
 func TestEngineExternalScheduleAndStaleDiscard(t *testing.T) {
 	e := New()
 	before := &pulseActor{busyUntil: 50}
@@ -186,7 +191,12 @@ func TestEngineExternalScheduleAndStaleDiscard(t *testing.T) {
 	e.Add(before)
 	e.Add(&jumpActor{clock: e.Clock(), at: 10, to: 100})
 	e.Add(after)
+	var fired []uint64
+	e.AddHook(5, func(now uint64) { fired = append(fired, now) })
 	for e.Step() {
+	}
+	if !equalCycles(fired, []uint64{4, 9}) {
+		t.Fatalf("hook fired at %v, want [4 9]", fired)
 	}
 	want := []uint64{0, 10, 101, 102}
 	if !equalCycles(before.advanced, want) {

@@ -137,8 +137,9 @@ func (s *randomSystem) logs() [][]event {
 // TestQueuePopOrderProperty checks the engine against a reference loop
 // that ticks every cycle, on random actor schedules: the engine's
 // processed cycles strictly increase, each is one some actor's
-// NextEventAt named, one after activity, or a hook boundary, and every
-// actor-visible observation and hook firing matches the reference.
+// NextEventAt named or one after activity (never a bare hook boundary),
+// and every actor-visible observation and hook firing matches the
+// reference.
 func TestQueuePopOrderProperty(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		const limit = 200
@@ -161,9 +162,8 @@ func TestQueuePopOrderProperty(t *testing.T) {
 			if step > 0 && now <= prev {
 				t.Fatalf("trial %d: processed cycle %d after %d", trial, now, prev)
 			}
-			boundary := sys.every != 0 && (now+1)%sys.every == 0
-			if !named[now] && !boundary {
-				t.Fatalf("trial %d: cycle %d was neither named, after activity, nor a hook boundary", trial, now)
+			if !named[now] {
+				t.Fatalf("trial %d: cycle %d was neither named nor after activity", trial, now)
 			}
 			prev = now
 			named = map[uint64]bool{}
@@ -207,9 +207,9 @@ func TestQueuePopOrderProperty(t *testing.T) {
 }
 
 // TestQueuePopIsAlwaysMin checks the pending-cycle rule step by step:
-// each processed cycle is the minimum of the previous step's NextEventAt
-// answers (now+1 after activity) and the next hook boundary, and Step
-// returns false exactly when no actor names a cycle.
+// each processed cycle is exactly the minimum of the previous step's
+// NextEventAt answers (now+1 after activity), whatever hook is
+// installed, and Step returns false exactly when no actor names a cycle.
 func TestQueuePopIsAlwaysMin(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sys := newRandomSystem(rand.New(rand.NewSource(1000+int64(trial))), 300)
@@ -222,12 +222,7 @@ func TestQueuePopIsAlwaysMin(t *testing.T) {
 		e.AddHook(sys.every, func(uint64) {})
 
 		pending := uint64(0)
-		hook := Horizon
-		if sys.every != 0 {
-			hook = sys.every - 1
-		}
 		for {
-			want := min(pending, hook)
 			ok := e.Step()
 			if pending == Horizon {
 				if ok {
@@ -239,8 +234,8 @@ func TestQueuePopIsAlwaysMin(t *testing.T) {
 				t.Fatalf("trial %d: Step false with cycle %d pending", trial, pending)
 			}
 			now := e.Clock().Now()
-			if now != want {
-				t.Fatalf("trial %d: processed %d, want min(%d, hook %d)", trial, now, pending, hook)
+			if now != pending {
+				t.Fatalf("trial %d: processed %d, want the pending cycle %d (hook period %d)", trial, now, pending, sys.every)
 			}
 			pending = Horizon
 			for _, r := range recs {
@@ -248,9 +243,6 @@ func TestQueuePopIsAlwaysMin(t *testing.T) {
 				if r.active {
 					pending = min(pending, now+1)
 				}
-			}
-			if sys.every != 0 {
-				hook = ((now+1)/sys.every+1)*sys.every - 1
 			}
 		}
 	}

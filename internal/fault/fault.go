@@ -33,8 +33,9 @@ const UseDefault = -1
 const (
 	// DefaultRetryMax is the program-and-verify reissue cap per write.
 	DefaultRetryMax = 3
-	// DefaultWearLimit is the per-row write count at which permanent
-	// stuck-at faults appear (a ReRAM cell endurance of 1e8 cycles).
+	// DefaultWearLimit is the effective per-row write count at or past
+	// which writes fail permanently until the row is remapped (stuck-at
+	// faults at a ReRAM cell endurance of 1e8 cycles).
 	DefaultWearLimit = 100_000_000
 )
 
@@ -58,18 +59,12 @@ type Config struct {
 	// selects DefaultRetryMax; an explicit 0 disables reissues entirely
 	// (every transient failure goes straight to the remap path).
 	RetryMax int
-	// WearLimit is the effective per-row write count beyond which writes
-	// fail permanently until the row is remapped (0 = default 1e8).
-	WearLimit uint64
 }
 
-// withDefaults fills unset fields, resolving the UseDefault sentinel.
+// withDefaults resolves the UseDefault sentinel.
 func (c Config) withDefaults() Config {
 	if c.RetryMax == UseDefault {
 		c.RetryMax = DefaultRetryMax
-	}
-	if c.WearLimit == 0 {
-		c.WearLimit = DefaultWearLimit
 	}
 	return c
 }
@@ -193,10 +188,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 // RetryMax returns the program-and-verify reissue cap.
 func (in *Injector) RetryMax() int { return in.cfg.RetryMax }
 
-// WearLimit returns the effective per-row write count at which writes
-// fail permanently.
-func (in *Injector) WearLimit() uint64 { return in.cfg.WearLimit }
-
 // Instrument fetches (creating on first use) the injector's counters
 // from reg. Call before the first CheckWrite; an injector never
 // instrumented counts nothing. Safe on nil (registers nothing).
@@ -256,7 +247,7 @@ func (in *Injector) probability(latNs, needNs float64) float64 {
 // transient check, keeping the stream aligned across reruns.
 func (in *Injector) CheckWrite(latNs, needNs float64, rowWrites uint64) Verdict {
 	in.checked.Inc()
-	if rowWrites >= in.cfg.WearLimit {
+	if rowWrites >= DefaultWearLimit {
 		in.permanent.Inc()
 		return Permanent
 	}

@@ -60,9 +60,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: 7}); in.RetryMax() != 7 {
 		t.Errorf("RetryMax(7) = %d, want 7", in.RetryMax())
 	}
-	if in := mustInjector(t, Config{Rate: 0.01}); in.WearLimit() != DefaultWearLimit {
-		t.Errorf("WearLimit = %d, want default %d", in.WearLimit(), DefaultWearLimit)
-	}
 }
 
 // TestSeededRateWithinTolerance checks that zero-margin injection hits
@@ -139,11 +136,11 @@ func TestDeterministicReplay(t *testing.T) {
 // write count the caller supplies (the decoder subtracts its remap
 // baseline before calling, so a fresh spare counts from zero).
 func TestWearPermanent(t *testing.T) {
-	in, reg := instrumented(t, Config{Rate: 0.001, Seed: 3, WearLimit: 100})
-	if v := in.CheckWrite(100, 100, 99); v != OK && v != Transient {
+	in, reg := instrumented(t, Config{Rate: 0.001, Seed: 3})
+	if v := in.CheckWrite(100, 100, DefaultWearLimit-1); v != OK && v != Transient {
 		t.Fatalf("pre-limit write got %v", v)
 	}
-	if v := in.CheckWrite(1e6, 100, 100); v != Permanent {
+	if v := in.CheckWrite(1e6, 100, DefaultWearLimit); v != Permanent {
 		t.Fatalf("at-limit write got %v, want Permanent (margin must not matter)", v)
 	}
 	st := StatsFrom(reg.Snapshot())
@@ -171,12 +168,12 @@ func TestNilInjectorSafe(t *testing.T) {
 // note lands in its named counter, and an uninstrumented injector
 // issues the same verdicts while counting nothing.
 func TestCountsLiveInRegistry(t *testing.T) {
-	cfg := Config{Rate: 0.3, Seed: 5, WearLimit: 10}
+	cfg := Config{Rate: 0.3, Seed: 5}
 	in, reg := instrumented(t, cfg)
 	plain := mustInjector(t, cfg)
 	var want Stats
 	for i := 0; i < 1000; i++ {
-		rowWrites := uint64(i % 12)
+		rowWrites := DefaultWearLimit - 10 + uint64(i%12)
 		v := in.CheckWrite(100, 100, rowWrites)
 		if pv := plain.CheckWrite(100, 100, rowWrites); pv != v {
 			t.Fatalf("check %d: instrumented verdict %v, plain %v", i, v, pv)

@@ -135,11 +135,6 @@ type Config struct {
 // microseconds; only a truly wedged cell hits the grace.
 const abandonGraceDefault = 3 * time.Second
 
-// heartbeatCycles is the per-cell progress cadence (engine cycles)
-// forwarded to the grid when the watchdog is armed, so long-running
-// cells beat well inside any sane StallTimeout.
-const heartbeatCycles = 250_000
-
 // Validate checks every range Config holds, so that New fails up front
 // rather than a negative value failing later: the queue, cache and
 // timeout settings take 0 for their default or "off" and reject
@@ -649,8 +644,8 @@ func (s *Service) runJob(j *job) {
 		s.mu.Unlock()
 	}
 	if s.cfg.StallTimeout > 0 {
-		// Every cell beats into the same atomic, concurrently.
-		opts.Base.ProgressEvery = heartbeatCycles
+		// Every cell beats into the same atomic, concurrently, at the
+		// default progress cadence.
 		opts.Base.Progress = func(sim.ProgressInfo) {
 			lastBeat.Store(time.Now().UnixNano())
 		}

@@ -41,14 +41,19 @@ func checkOracle(t *testing.T, v any, write func(io.Writer) error) {
 		t.Fatalf("%T: %v", v, err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		g, w := got.String(), string(want)
-		i := 0
-		for i < len(g) && i < len(w) && g[i] == w[i] {
-			i++
-		}
-		t.Fatalf("%T differs from json.MarshalIndent at byte %d:\n got …%q\nwant …%q",
-			v, i, g[max(i-80, 0):min(i+80, len(g))], w[max(i-80, 0):min(i+80, len(w))])
+		t.Fatalf("%T differs from json.MarshalIndent %s", v, byteDiff(got.Bytes(), want))
 	}
+}
+
+// byteDiff locates the first byte at which got and want differ and
+// quotes 80 bytes of each on either side of it.
+func byteDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	return fmt.Sprintf("at byte %d:\n got …%q\nwant …%q",
+		i, got[max(i-80, 0):min(i+80, len(got))], want[max(i-80, 0):min(i+80, len(want))])
 }
 
 // TestReportEncoderMatchesOracle encodes real reports of every figure

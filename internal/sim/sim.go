@@ -149,7 +149,8 @@ type Config struct {
 	// with Options.Jobs > 1 cells call it concurrently.
 	Progress func(ProgressInfo) `json:"-"`
 	// ProgressEvery is the progress-callback period in cycles (0 = every
-	// 5M cycles, i.e. 1.25 simulated milliseconds).
+	// 250k cycles, i.e. 62.5 simulated microseconds, often enough that
+	// short runs are observable and a stall watchdog hears a beat).
 	ProgressEvery uint64
 	// ProgressDetail additionally populates ProgressInfo.Metrics and
 	// ProgressInfo.Spans on every snapshot (the introspection server's
@@ -191,10 +192,10 @@ type Config struct {
 	// TimelineInterval enables the timeline epoch sampler: every
 	// TimelineInterval simulated cycles the run's registry and headline
 	// scalars are diffed into a per-epoch record (see package timeline
-	// and docs/TIMELINE.md). 0 — the default — disables sampling and
-	// keeps runs cycle-identical to a build without the sampler; enabling
-	// it is observer-only and must not perturb simulated cycles either
-	// (pinned by the golden determinism tests).
+	// and docs/TIMELINE.md). 0 — the default — disables sampling.
+	// Enabling it is observer-only: its engine hook adds no processed
+	// cycle, so the run's report apart from its timeline section is the
+	// same either way (pinned by TestTimelineObserverNeutral).
 	TimelineInterval uint64
 	// TimelineOnEpoch, when set, receives each epoch as it closes — the
 	// live-streaming hook behind the introspection server's /timeline

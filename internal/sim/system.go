@@ -399,7 +399,7 @@ func (s *System) buildEngine() {
 	if p := s.progressHook(); p != nil {
 		every := s.cfg.ProgressEvery
 		if every == 0 {
-			every = 5_000_000
+			every = 250_000
 		}
 		s.eng.AddHook(every, p)
 	}
@@ -419,6 +419,8 @@ func (s *System) buildEngine() {
 // loop would have seen, their skipped cycles are applied first. This is
 // idempotent with the cores' own catch-up, so observers (the crash
 // monitor, the timeline probe, the progress hook) stay cycle-neutral.
+// Catch-up only moves forward, so calls must come in cycle order, as
+// the engine fires hook boundaries.
 func (s *System) retired(now uint64) uint64 {
 	var total uint64
 	for i, c := range s.cores {
@@ -429,10 +431,10 @@ func (s *System) retired(now uint64) uint64 {
 }
 
 // timelineScalars is the sampler's probe: the run's live cumulative
-// quantities that are not registry counters, at an epoch boundary.
-func (s *System) timelineScalars() timeline.Scalars {
+// quantities that are not registry counters, at epoch boundary now.
+func (s *System) timelineScalars(now uint64) timeline.Scalars {
 	sc := timeline.Scalars{
-		Instructions: s.retired(s.clock.Now()),
+		Instructions: s.retired(now),
 		StoreWrites:  s.store.TotalWrites(),
 		ReadNJ:       s.meter.ReadNJ,
 		WriteNJ:      s.meter.WriteNJ,

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -123,50 +125,62 @@ func TestTimelineDeltasSumToAggregates(t *testing.T) {
 	}
 }
 
-// TestTimelineObserverNeutral is the golden half of the tentpole
-// contract: enabling the timeline must not perturb simulated cycles.
-// The sampler rides an observer hook whose extra processed cycles are
-// dead ones, so a timeline-on run is cycle-identical to the same run
-// with it off.
+// TestTimelineObserverNeutral pins the observer contract: enabling the
+// timeline or the progress callback must not perturb the run. Hooks never add a processed cycle, so an observed
+// run's report, with its timeline section cleared, is byte-identical
+// to the plain run's, occupancy gauges included.
 func TestTimelineObserverNeutral(t *testing.T) {
-	base := testConfig(t, "lbm", SchemeHybrid)
-	off, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+	report := func(t *testing.T, cfg Config) []byte {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.TimelineInterval > 0 && (res.Timeline == nil || len(res.Timeline.Epochs) == 0) {
+			t.Error("timeline-on run produced no epochs")
+		}
+		res.Timeline = nil
+		b, err := json.Marshal(NewReport(res).StripVolatile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	on := base
+	neutral := func(t *testing.T, base Config, periods ...uint64) {
+		want := report(t, base)
+		for _, p := range periods {
+			on := base
+			on.TimelineInterval = p
+			on.Progress = func(ProgressInfo) {}
+			on.ProgressEvery = p
+			if got := report(t, on); !bytes.Equal(got, want) {
+				t.Errorf("period %d: the observed run's report differs from the plain run's %s", p, byteDiff(got, want))
+			}
+		}
+	}
 	// A deliberately awkward interval: boundaries land mid-window, not on
 	// any natural period of the run.
-	on.TimelineInterval = 7_321
-	res, err := Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ko, kn := goldenKey(off), goldenKey(res); ko != kn {
-		t.Errorf("timeline run diverged from the plain run\n off: %s\n  on: %s", ko, kn)
-	}
-	if res.Timeline == nil || len(res.Timeline.Epochs) == 0 {
-		t.Error("timeline-on run produced no epochs")
-	}
-
-	// Same claim under wear leveling + fault injection, where the probe
-	// touches the decoder and injector accounting too.
-	fbase := testConfig(t, "mcf", SchemeEst)
-	fbase.WearLeveling = true
-	fbase.FaultRate = 0.02
-	fbase.FaultSeed = 7
-	foff, err := Run(fbase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fon := fbase
-	fon.TimelineInterval = 7_321
-	fres, err := Run(fon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ko, kn := goldenKey(foff), goldenKey(fres); ko != kn {
-		t.Errorf("fault-run timeline diverged\n off: %s\n  on: %s", ko, kn)
+	t.Run("lbm/Hybrid", func(t *testing.T) {
+		neutral(t, testConfig(t, "lbm", SchemeHybrid), 7_321)
+	})
+	// Wear leveling and fault injection, where the probe touches the
+	// decoder and injector accounting too.
+	t.Run("mcf/Est/faults", func(t *testing.T) {
+		cfg := testConfig(t, "mcf", SchemeEst)
+		cfg.WearLeveling = true
+		cfg.FaultRate = 0.02
+		cfg.FaultSeed = 7
+		neutral(t, cfg, 7_321)
+	})
+	// Frequent gap moves on the default tables and geometry: a moved
+	// writeback lifts the write queue over its watermark and the mode
+	// flips on the controller's next tick, so a hook boundary processed
+	// as a cycle of its own would move the flip and the gauge samples.
+	for _, scheme := range []string{SchemeBasic, SchemeOracle} {
+		t.Run("mix-7/"+scheme+"/vwl16", func(t *testing.T) {
+			cfg := Config{Workload: "mix-7", Scheme: scheme, InstrPerCore: 20_000, Seed: 3000, WearLeveling: true, VWLPeriod: 16}
+			neutral(t, cfg, 1, 3, 17)
+		})
 	}
 }
 

@@ -28,9 +28,10 @@ type Config struct {
 	// Registry is the run's instrument registry; its counters and
 	// histograms are diffed per epoch. May be nil (scalars only).
 	Registry *metrics.Registry
-	// Probe reads the run's live cumulative scalars; called once per
-	// closed epoch, on the simulation goroutine. May be nil.
-	Probe func() Scalars
+	// Probe reads the run's live cumulative scalars as of the top of
+	// cycle now, the closing epoch's boundary; called once per closed
+	// epoch, on the simulation goroutine. May be nil.
+	Probe func(now uint64) Scalars
 	// OnEpoch, when set, receives each epoch as it closes (live
 	// streaming), on the simulation goroutine.
 	OnEpoch func(Epoch)
@@ -70,7 +71,7 @@ func (s *Sampler) Interval() uint64 {
 	return s.cfg.Interval
 }
 
-// Sample is the engine observer callback, invoked at the top of each
+// Sample is the engine observer callback, invoked with each
 // epoch-boundary cycle. After decimation only every factor-th boundary
 // closes an epoch — intermediate boundaries just count, so widened
 // epochs accumulate at the source with no snapshot cost.
@@ -107,7 +108,7 @@ func (s *Sampler) close(now uint64) {
 	snap := s.cfg.Registry.Snapshot()
 	var sc Scalars
 	if s.cfg.Probe != nil {
-		sc = s.cfg.Probe()
+		sc = s.cfg.Probe(now)
 	}
 	d := snap.Sub(s.prevSnap)
 	ep := Epoch{

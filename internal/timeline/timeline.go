@@ -10,10 +10,11 @@
 // the end-of-run aggregates.
 //
 // Sampling is observer-only by construction: the sampler never mutates
-// simulation state and the engine hook it rides never changes which
-// cycles actors perceive, so a run with the timeline enabled is
-// cycle-identical to the same run without it (pinned by the golden
-// determinism tests in internal/sim). See docs/TIMELINE.md.
+// simulation state, and the engine hook it rides fires at epoch
+// boundaries without adding a processed cycle, so a run with the
+// timeline enabled is identical to the same run without it, gauges
+// included (pinned by TestTimelineObserverNeutral in internal/sim). See
+// docs/TIMELINE.md.
 package timeline
 
 import "fmt"

@@ -148,7 +148,7 @@ func TestDecimationPreservesSums(t *testing.T) {
 	s := NewSampler(Config{
 		Interval: 10,
 		Registry: reg,
-		Probe:    func() Scalars { return probe },
+		Probe:    func(uint64) Scalars { return probe },
 	})
 	// Three times the capacity: the series decimates twice.
 	const boundaries = 3 * DefaultCapacity

@@ -90,3 +90,23 @@ func TestCollectorAllocGrowsWithSpans(t *testing.T) {
 			n, got, limit, DefaultCapacity, DefaultCapacity*spanSize)
 	}
 }
+
+// TestRecentAllocs pins Recent's cost to the spans it returns: on a
+// full default ring, Recent(64) makes one allocation of at most 64
+// spans, not a copy of the ring.
+func TestRecentAllocs(t *testing.T) {
+	c := NewCollector(Config{SampleEvery: 1})
+	for i := uint64(0); i < DefaultCapacity+100; i++ {
+		lifecycle(c, KindDataWrite, i, i+1, i+2)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = c.Recent(64) }); n != 1 {
+		t.Errorf("Recent(64) allocates %.0f times, want 1", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = c.Recent(64)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(unsafe.Sizeof(Span{})); got > limit {
+		t.Errorf("Recent(64) allocated %d bytes, want at most %d", got, limit)
+	}
+}

@@ -33,6 +33,7 @@ package tracing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ladder/internal/jsonenc"
@@ -381,25 +382,33 @@ func (c *Collector) Spans() []Span {
 	return out
 }
 
-// Recent returns the newest n completed spans, oldest first.
+// Recent returns the newest n completed spans, oldest first. It walks
+// back from the newest id, so it copies at most n spans, not the ring.
 func (c *Collector) Recent(n int) []Span {
-	spans := c.Spans()
-	if len(spans) > n {
-		spans = spans[len(spans)-n:]
+	if c == nil {
+		return nil
 	}
-	return spans
+	out := make([]Span, 0, min(max(n, 0), len(c.ring)))
+	for id := c.nextID; id >= c.oldestID() && len(out) < cap(out); id-- {
+		if s := &c.ring[(id-1)%c.capacity]; s.ID == id && s.done {
+			out = append(out, *s)
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// oldestID is the id of the oldest span the ring can still hold.
+func (c *Collector) oldestID() uint64 {
+	if c.nextID > c.capacity {
+		return c.nextID - c.capacity + 1
+	}
+	return 1
 }
 
 // eachDone visits resident completed spans in ID (arrival) order.
 func (c *Collector) eachDone(fn func(*Span)) {
-	if c.nextID == 0 {
-		return
-	}
-	first := uint64(1)
-	if c.nextID > c.capacity {
-		first = c.nextID - c.capacity + 1
-	}
-	for id := first; id <= c.nextID; id++ {
+	for id := c.oldestID(); id <= c.nextID; id++ {
 		s := &c.ring[(id-1)%c.capacity]
 		if s.ID == id && s.done {
 			fn(s)

@@ -190,6 +190,9 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 }
 
+// TestRecent requires Recent(n) to be the newest n completed spans:
+// the last n of Spans() while the ring fills, wraps and holds open
+// spans between completed ones.
 func TestRecent(t *testing.T) {
 	c := NewCollector(Config{SampleEvery: 1, Capacity: 64})
 	for i := uint64(0); i < 10; i++ {
@@ -201,6 +204,22 @@ func TestRecent(t *testing.T) {
 	}
 	if r[0].Enqueue != 7 || r[2].Enqueue != 9 {
 		t.Errorf("Recent returned wrong window: enqueues %d..%d, want 7..9", r[0].Enqueue, r[2].Enqueue)
+	}
+
+	c = NewCollector(Config{SampleEvery: 1, Capacity: 16})
+	for i := uint64(0); i < 40; i++ {
+		if i%3 == 0 {
+			c.Begin(KindDataWrite, 0, 0, -1, i, i) // never completed
+		} else {
+			lifecycle(c, KindDataWrite, i, i+1, i+2)
+		}
+		all := c.Spans()
+		for _, n := range []int{0, 1, 5, 16, 100} {
+			want := all[len(all)-min(n, len(all)):]
+			if got := c.Recent(n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d spans, Recent(%d) = %v, want %v", i+1, n, got, want)
+			}
+		}
 	}
 }
 
