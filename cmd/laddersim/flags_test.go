@@ -8,6 +8,8 @@ import (
 
 	"ladder"
 	"ladder/internal/cliflag"
+	"ladder/internal/fault"
+	"ladder/internal/remap"
 	"ladder/internal/service"
 )
 
@@ -33,7 +35,7 @@ func TestValidateFlags(t *testing.T) {
 		{"typical injection", in{1, 5, 0.01, 3, 32, 2}, ""},
 		{"rate just below one", in{1, 0, 0.999, 1, 1, 2}, ""},
 		// Zero is an explicit "off", not an unset default: each of these
-		// must validate so the sentinel mapping in cliflag.Off can
+		// must validate so the lowering in cliflag.Off can
 		// carry the distinction into the simulator config.
 		{"zero retries disables reissues", in{1, 0, 0.01, 0, 32, 2}, ""},
 		{"zero spares disables remapping", in{1, 0, 0.01, 3, 0, 2}, ""},
@@ -74,21 +76,54 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestFlagSentinelMapping pins the translation between the CLI
-// convention (literal value, 0 = off) and sim.Config's convention
-// (0 = default, -1 = off): an explicit flag zero must reach the
-// simulator as "disabled", never as "use the default".
+// convention (literal value, 0 = off) and the one every layer below the
+// CLI shares (0 = default, -1 = off): an explicit flag zero must reach
+// the simulator, and the fault and remap configs it passes the value
+// to, as "disabled", never as "use the default".
 func TestFlagSentinelMapping(t *testing.T) {
-	if got, err := cliflag.Off("-retry-max", 0); got != -1 || err != nil {
-		t.Errorf("cliflag.Off(0) = %d, %v, want -1 (disabled)", got, err)
+	retries, err := cliflag.Off("-retry-max", 0)
+	if retries != -1 || err != nil {
+		t.Errorf("cliflag.Off(0) = %d, %v, want -1 (disabled)", retries, err)
+	}
+	in, err := fault.NewInjector(fault.Config{RetryMax: retries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.RetryMax() != 0 {
+		t.Errorf("-retry-max 0 reaches the injector as a cap of %d, want 0", in.RetryMax())
 	}
 	if got, err := cliflag.Off("-retry-max", 3); got != 3 || err != nil {
 		t.Errorf("cliflag.Off(3) = %d, %v, want 3", got, err)
 	}
-	if got, err := cliflag.Off("-remap-penalty", 0.0); got != -1 || err != nil {
-		t.Errorf("cliflag.Off(0.0) = %v, %v, want -1 (free)", got, err)
+	spares, err := cliflag.Off("-spare-rows", 0)
+	if spares != -1 || err != nil {
+		t.Errorf("cliflag.Off(0) = %d, %v, want -1 (disabled)", spares, err)
+	}
+	penalty, err := cliflag.Off("-remap-penalty", 0.0)
+	if penalty != -1 || err != nil {
+		t.Errorf("cliflag.Off(0.0) = %v, %v, want -1 (free)", penalty, err)
 	}
 	if got, err := cliflag.Off("-remap-penalty", 2.5); got != 2.5 || err != nil {
 		t.Errorf("cliflag.Off(2.5) = %v, %v, want 2.5", got, err)
+	}
+	geom := ladder.DefaultGeometry()
+	dec, err := remap.NewDecoder(remap.Config{Geom: geom, TicksPerNs: 4, SpareRows: spares})
+	if err != nil || dec.SpareCapacity() != 0 {
+		t.Fatalf("-spare-rows 0 reaches the decoder as a pool of %d (err %v), want 0", dec.SpareCapacity(), err)
+	}
+	dec, err = remap.NewDecoder(remap.Config{Geom: geom, TicksPerNs: 4, SpareRows: 1, PenaltyNs: penalty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := geom.Decode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.RemapSpare(0, geom.GlobalRow(loc), 0); err != nil {
+		t.Fatal(err)
+	}
+	if p := dec.PenaltyTicks(loc); p != 0 {
+		t.Errorf("-remap-penalty 0 charges %d ticks per remapped access, want 0 (free)", p)
 	}
 }
 

@@ -41,10 +41,13 @@ import (
 	"ladder/internal/cliflag"
 	"ladder/internal/core"
 	"ladder/internal/evaluation"
+	"ladder/internal/fault"
 	"ladder/internal/introspect"
 	"ladder/internal/logging"
 	"ladder/internal/metrics"
+	"ladder/internal/remap"
 	"ladder/internal/service"
+	"ladder/internal/sim"
 	"ladder/internal/timeline"
 )
 
@@ -116,7 +119,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		workload = fs.String("workload", "lbm", "benchmark or mix name (see -list)")
 		scheme   = fs.String("scheme", ladder.SchemeHybrid, "write scheme")
 		exp      = fs.String("exp", "", "run a declared experiment instead of one workload: "+strings.Join(names, " ")+" all")
-		instr    = fs.Uint64("instr", 200_000, "instructions per core, per run and per grid cell")
+		instr    = fs.Uint64("instr", sim.DefaultInstr, "instructions per core, per run and per grid cell")
 		seed     = fs.Int64("seed", 42, "simulation seed")
 		wear     = fs.Bool("wear", false, "enable segment-based vertical wear leveling")
 		shrink   = fs.Float64("shrink", 0, "shrink timing-table dynamic range by this factor (>1)")
@@ -138,9 +141,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 		faultRate     = fs.Float64("fault-rate", 0, "base transient write-fault probability in [0, 1); 0 disables injection; -exp reliability sweeps this one rate instead of its defaults (see docs/FAULTS.md)")
 		faultSeed     = fs.Int64("fault-seed", 0, "fault-injector PRNG seed (0 = reuse -seed)")
-		retryMax      = fs.Int("retry-max", 3, "program-and-verify reissue cap per write (0 disables reissues)")
-		spareRows     = fs.Int("spare-rows", 32, "per-bank spare-row pool for remapping failed rows (0 disables remapping)")
-		remapPenalty  = fs.Float64("remap-penalty", 2, "extra decoder-indirection latency in ns charged to accesses of remapped rows (0 = free; see docs/REMAP.md)")
+		retryMax      = fs.Int("retry-max", fault.DefaultRetryMax, "program-and-verify reissue cap per write (0 disables reissues)")
+		spareRows     = fs.Int("spare-rows", remap.DefaultSpareRows, "per-bank spare-row pool for remapping failed rows (0 disables remapping)")
+		remapPenalty  = fs.Float64("remap-penalty", remap.DefaultPenaltyNs, "extra decoder-indirection latency in ns charged to accesses of remapped rows (0 = free; see docs/REMAP.md)")
 		proactiveWear = fs.Uint64("proactive-wear", 0, "proactively retire rows whose effective write count reaches this limit (0 disables; see docs/REMAP.md)")
 
 		gapPeriods = fs.String("gap-periods", "", "comma-separated gap-move periods for -exp lifetime (empty = defaults)")
@@ -148,9 +151,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 		serve      = fs.Bool("serve", false, "run as a long-lived simulation service: HTTP job queue on -http (default :8080; see docs/SERVICE.md)")
 		jobs       = fs.Int("jobs", 0, "grid and study cells simulated concurrently under -exp, and per job under -serve (0 = one per CPU; 1 = sequential)")
-		queueDepth = fs.Int("queue-depth", 16, "pending-job bound in -serve mode; a full queue rejects submissions with 503")
-		cacheSize  = fs.Int("cache-size", 64, "completed jobs retained (LRU) in -serve mode")
-		maxInstr   = fs.Uint64("max-instr", 10_000_000, "largest per-core instruction budget a -serve request may ask for")
+		queueDepth = fs.Int("queue-depth", service.DefaultQueueDepth, "pending-job bound in -serve mode; a full queue rejects submissions with 503")
+		cacheSize  = fs.Int("cache-size", service.DefaultCacheSize, "completed jobs retained (LRU) in -serve mode")
+		maxInstr   = fs.Uint64("max-instr", service.DefaultMaxInstr, "largest per-core instruction budget a -serve request may ask for")
 
 		stateDir     = fs.String("state-dir", "", "persist -serve job state (one record per job + completed reports, fsync'd) under this directory and recover it on boot; empty = in-memory only (see docs/SERVICE.md)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "wall-clock deadline per -serve job; a job still running at the deadline fails with a structured error (0 disables)")

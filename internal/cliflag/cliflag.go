@@ -43,9 +43,9 @@ func NonZero(name string, v int) error {
 }
 
 // Off lowers the flag named name from the CLI convention (the flag value
-// is the literal setting; 0 turns the feature off) onto sim.Config's
-// (0 means default, -1 means off). A negative flag value is an error,
-// not a second spelling of 0.
+// is the literal setting; 0 turns the feature off) onto the one every
+// layer below the CLI shares (0 means default, -1 means off). A negative
+// flag value is an error, not a second spelling of 0.
 func Off[T int | float64](name string, v T) (T, error) {
 	switch {
 	case v < 0:

@@ -28,6 +28,19 @@ func DefaultMetaCacheConfig() MetaCacheConfig {
 	return MetaCacheConfig{SizeBytes: 64 << 10, Ways: 4, SpillSize: 16}
 }
 
+// Validate reports whether the configuration builds a cache: a whole,
+// positive number of sets and a positive spill buffer.
+func (cfg MetaCacheConfig) Validate() error {
+	lines := cfg.SizeBytes / MetaLineSize
+	if cfg.Ways <= 0 || lines <= 0 || lines%cfg.Ways != 0 {
+		return fmt.Errorf("core: bad metadata cache geometry (%d B, %d ways)", cfg.SizeBytes, cfg.Ways)
+	}
+	if cfg.SpillSize <= 0 {
+		return fmt.Errorf("core: spill buffer size must be positive")
+	}
+	return nil
+}
+
 // entryState tracks a way's lifecycle.
 type entryState int
 
@@ -79,14 +92,11 @@ func (c *MetaCache) SetInitializer(f func(key uint64) MetaLine) { c.init = f }
 
 // NewMetaCache builds a cache from the configuration.
 func NewMetaCache(cfg MetaCacheConfig) (*MetaCache, error) {
-	lines := cfg.SizeBytes / MetaLineSize
-	if cfg.Ways <= 0 || lines <= 0 || lines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("core: bad metadata cache geometry (%d B, %d ways)", cfg.SizeBytes, cfg.Ways)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.SpillSize <= 0 {
-		return nil, fmt.Errorf("core: spill buffer size must be positive")
-	}
-	return &MetaCache{cfg: cfg, sets: make([][]metaEntry, lines/cfg.Ways), backing: make(map[uint64]MetaLine)}, nil
+	sets := cfg.SizeBytes / MetaLineSize / cfg.Ways
+	return &MetaCache{cfg: cfg, sets: make([][]metaEntry, sets), backing: make(map[uint64]MetaLine)}, nil
 }
 
 // setOf returns key's set index.

@@ -39,15 +39,8 @@ func (st study) run(s *Session) ([]Table, error) {
 
 // rows runs the study over opts' workloads, one row per workload.
 func (st study) rows(ctx context.Context, opts ladder.Options) ([]ladder.Row, error) {
-	ws := workloads(opts)
-	cells := make([]sim.Cell, 0, len(ws)*len(st.variants))
-	for _, w := range ws {
-		for _, v := range st.variants {
-			v.Workload = w
-			cells = append(cells, v)
-		}
-	}
-	res, err := sim.RunCells(ctx, opts, cells)
+	ws := opts.WorkloadNames()
+	res, err := sim.RunCells(ctx, opts, sim.CrossCells(ws, st.variants))
 	if err != nil {
 		return nil, err
 	}
@@ -57,14 +50,6 @@ func (st study) rows(ctx context.Context, opts ladder.Options) ([]ladder.Row, er
 		out[i] = row(w, st.series, st.reduce(res[i*n:(i+1)*n])...)
 	}
 	return out, nil
-}
-
-// workloads is opts' workload list, all sixteen when it names none.
-func workloads(opts ladder.Options) []string {
-	if len(opts.Workloads) > 0 {
-		return opts.Workloads
-	}
-	return ladder.Workloads()
 }
 
 // each reduces every variant's result to one value.
@@ -190,7 +175,8 @@ func cachesize(scheme string, sizesKB ...int) study {
 	variants := []sim.Cell{{Scheme: scheme}}
 	for _, kb := range sizesKB {
 		variants = append(variants, sim.Cell{Scheme: scheme, Edit: func(c *ladder.Config) {
-			c.MetaCache = core.MetaCacheConfig{SizeBytes: kb << 10, Ways: 4, SpillSize: 16}
+			c.MetaCache = core.DefaultMetaCacheConfig()
+			c.MetaCache.SizeBytes = kb << 10
 		}})
 	}
 	return study{
@@ -382,14 +368,11 @@ func lifetimeSweep(ctx context.Context, opts ladder.Options, scheme string, peri
 	study := &LifetimeStudy{
 		Schema:     LifetimeReportSchema,
 		Scheme:     scheme,
-		Workloads:  workloads(opts),
+		Workloads:  opts.WorkloadNames(),
 		GapPeriods: periods,
 		SpareRows:  spares,
 	}
-	geom := opts.Base.Geom
-	if geom == (reram.Geometry{}) {
-		geom = ladder.DefaultGeometry()
-	}
+	geom := opts.Base.Geometry()
 	cells := make([]sim.Cell, len(study.Workloads))
 	for i, w := range study.Workloads {
 		cells[i] = sim.Cell{Workload: w, Scheme: scheme, Edit: unleveled}

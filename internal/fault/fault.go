@@ -19,15 +19,16 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 
 	"ladder/internal/metrics"
 )
 
-// UseDefault is the sentinel distinguishing "unset, use the default"
-// from an explicit zero: RetryMax = UseDefault selects DefaultRetryMax,
-// while RetryMax = 0 genuinely disables program-and-verify reissues.
-const UseDefault = -1
+// UseDefault is the zero value of a count knob, which selects the
+// knob's default: RetryMax = UseDefault selects DefaultRetryMax, while
+// RetryMax = -1 disables program-and-verify reissues.
+const UseDefault = 0
 
 // Default knobs; see Config.
 const (
@@ -55,28 +56,20 @@ type Config struct {
 	Rate float64
 	// Seed seeds the injector's private PRNG stream.
 	Seed int64
-	// RetryMax caps program-and-verify reissues per write. UseDefault
-	// selects DefaultRetryMax; an explicit 0 disables reissues entirely
-	// (every transient failure goes straight to the remap path).
+	// RetryMax caps program-and-verify reissues per write: 0 selects
+	// DefaultRetryMax, -1 disables reissues entirely (every transient
+	// failure goes straight to the remap path).
 	RetryMax int
 }
 
-// withDefaults resolves the UseDefault sentinel.
-func (c Config) withDefaults() Config {
-	if c.RetryMax == UseDefault {
-		c.RetryMax = DefaultRetryMax
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable (after the
-// UseDefault sentinel is resolved).
+// Validate reports whether the configuration is usable: the one range
+// check of each knob.
 func (c Config) Validate() error {
 	switch {
-	case c.Rate < 0 || c.Rate >= 1:
-		return fmt.Errorf("fault: rate %v out of [0, 1)", c.Rate)
-	case c.RetryMax < 0:
-		return fmt.Errorf("fault: retry cap %d must be non-negative", c.RetryMax)
+	case !(c.Rate >= 0 && c.Rate < 1):
+		return fmt.Errorf("fault: rate %v out of [0, 1) (0 disables injection)", c.Rate)
+	case c.RetryMax < -1:
+		return fmt.Errorf("fault: retry cap %d must be >= -1 (-1 disables reissues, 0 selects the default)", c.RetryMax)
 	}
 	return nil
 }
@@ -173,12 +166,13 @@ type Injector struct {
 	checked, transient, permanent, retries, exhausted *metrics.Counter
 }
 
-// NewInjector builds an injector, applying defaults then validating.
+// NewInjector validates cfg and builds an injector, resolving RetryMax's
+// 0 (the default) and -1 (no reissues).
 func NewInjector(cfg Config) (*Injector, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.RetryMax = max(cmp.Or(cfg.RetryMax, DefaultRetryMax), 0)
 	return &Injector{
 		cfg: cfg,
 		rng: splitmixState{x: uint64(cfg.Seed) ^ 0xfa017ab1e5},

@@ -33,11 +33,13 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", Config{}, true},
 		{"typical", Config{Rate: 0.01, Seed: 7, RetryMax: 3}, true},
-		{"sentinel retries", Config{Rate: 0.01, RetryMax: UseDefault}, true},
-		{"explicit zero retries", Config{Rate: 0.01, RetryMax: 0}, true},
+		{"default retries", Config{Rate: 0.01, RetryMax: UseDefault}, true},
+		{"no retries", Config{Rate: 0.01, RetryMax: -1}, true},
 		{"rate one", Config{Rate: 1}, false},
 		{"rate negative", Config{Rate: -0.1}, false},
-		{"retry below sentinel", Config{RetryMax: -2}, false},
+		{"rate NaN", Config{Rate: math.NaN()}, false},
+		{"rate infinite", Config{Rate: math.Inf(1)}, false},
+		{"retry below -1", Config{RetryMax: -2}, false},
 	}
 	for _, c := range cases {
 		_, err := NewInjector(c.cfg)
@@ -47,15 +49,18 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestDefaultsApplied pins the UseDefault sentinel semantics: only the
-// sentinel selects the default; an explicit zero means "no reissues" and
-// survives defaulting untouched.
+// TestDefaultsApplied pins RetryMax's convention: UseDefault, the zero
+// value, selects the default; -1 means "no reissues" and resolves to a
+// cap of 0.
 func TestDefaultsApplied(t *testing.T) {
+	if UseDefault != 0 {
+		t.Errorf("UseDefault = %d, want the zero value", UseDefault)
+	}
 	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: UseDefault}); in.RetryMax() != DefaultRetryMax {
 		t.Errorf("RetryMax(UseDefault) = %d, want default %d", in.RetryMax(), DefaultRetryMax)
 	}
-	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: 0}); in.RetryMax() != 0 {
-		t.Errorf("RetryMax(0) = %d, want 0 (reissues disabled, not defaulted)", in.RetryMax())
+	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: -1}); in.RetryMax() != 0 {
+		t.Errorf("RetryMax(-1) = %d, want 0 (reissues disabled, not defaulted)", in.RetryMax())
 	}
 	if in := mustInjector(t, Config{Rate: 0.01, RetryMax: 7}); in.RetryMax() != 7 {
 		t.Errorf("RetryMax(7) = %d, want 7", in.RetryMax())
@@ -69,7 +74,7 @@ func TestSeededRateWithinTolerance(t *testing.T) {
 		rate   = 0.02
 		trials = 200_000
 	)
-	in, reg := instrumented(t, Config{Rate: rate, Seed: 42})
+	in, reg := instrumented(t, Config{Rate: rate, Seed: 42, RetryMax: -1})
 	faults := 0
 	for i := 0; i < trials; i++ {
 		// Zero margin: programmed latency equals the requirement.
@@ -93,7 +98,7 @@ func TestSeededRateWithinTolerance(t *testing.T) {
 // probability toward certain incomplete switching, and a surplus raises
 // it too (over-RESET stress scaling with excess pulse time).
 func TestMarginShapesProbability(t *testing.T) {
-	in := mustInjector(t, Config{Rate: 0.05, Seed: 1})
+	in := mustInjector(t, Config{Rate: 0.05, Seed: 1, RetryMax: -1})
 	pZero := in.probability(100, 100)
 	pOver := in.probability(200, 100)
 	pFarOver := in.probability(400, 100)
@@ -117,7 +122,7 @@ func TestMarginShapesProbability(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []Verdict {
-		in := mustInjector(t, Config{Rate: 0.3, Seed: 99})
+		in := mustInjector(t, Config{Rate: 0.3, Seed: 99, RetryMax: -1})
 		out := make([]Verdict, 1000)
 		for i := range out {
 			out[i] = in.CheckWrite(100, 95+float64(i%11), 0)
@@ -136,7 +141,7 @@ func TestDeterministicReplay(t *testing.T) {
 // write count the caller supplies (the decoder subtracts its remap
 // baseline before calling, so a fresh spare counts from zero).
 func TestWearPermanent(t *testing.T) {
-	in, reg := instrumented(t, Config{Rate: 0.001, Seed: 3})
+	in, reg := instrumented(t, Config{Rate: 0.001, Seed: 3, RetryMax: -1})
 	if v := in.CheckWrite(100, 100, DefaultWearLimit-1); v != OK && v != Transient {
 		t.Fatalf("pre-limit write got %v", v)
 	}
@@ -168,7 +173,7 @@ func TestNilInjectorSafe(t *testing.T) {
 // note lands in its named counter, and an uninstrumented injector
 // issues the same verdicts while counting nothing.
 func TestCountsLiveInRegistry(t *testing.T) {
-	cfg := Config{Rate: 0.3, Seed: 5}
+	cfg := Config{Rate: 0.3, Seed: 5, RetryMax: -1}
 	in, reg := instrumented(t, cfg)
 	plain := mustInjector(t, cfg)
 	var want Stats

@@ -425,7 +425,8 @@ func TestDecoderGapShiftChangesTiming(t *testing.T) {
 			TicksPerNs:     TicksPerNs,
 			GapSegmentRows: segRows,
 			GapPeriod:      1,
-			SpareRows:      0,
+			SpareRows:      -1,
+			PenaltyNs:      -1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -172,6 +172,7 @@ func dispatchCase(t *testing.T, scheme string, faulty bool, cache core.MetaCache
 			GapSegmentRows: 16,
 			GapPeriod:      8,
 			SpareRows:      64,
+			PenaltyNs:      -1,
 		})
 		if err != nil {
 			t.Fatal(err)

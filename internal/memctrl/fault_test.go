@@ -28,6 +28,7 @@ func newFaultHarness(t *testing.T, mk func(*core.Env) core.Scheme, cfg fault.Con
 		Geom:       h.env.Geom,
 		TicksPerNs: TicksPerNs,
 		SpareRows:  spareRows,
+		PenaltyNs:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)

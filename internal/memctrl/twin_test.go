@@ -52,6 +52,7 @@ func newTwin(t *testing.T, mk func(*core.Env) (core.Scheme, error)) *twin {
 		GapSegmentRows: 16,
 		GapPeriod:      8,
 		SpareRows:      64,
+		PenaltyNs:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)

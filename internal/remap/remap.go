@@ -22,6 +22,7 @@
 package remap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -29,12 +30,12 @@ import (
 	"ladder/internal/reram"
 )
 
-// UseDefault is the sentinel distinguishing "unset, use the default"
-// from an explicit zero: SpareRows = UseDefault selects DefaultSpareRows
-// while SpareRows = 0 means no spare pool at all, and PenaltyNs =
-// UseDefault selects DefaultPenaltyNs while PenaltyNs = 0 models a free
+// UseDefault is the zero value of a knob, which selects the knob's
+// default: SpareRows = UseDefault selects DefaultSpareRows while
+// SpareRows = -1 means no spare pool at all, and PenaltyNs = UseDefault
+// selects DefaultPenaltyNs while a negative PenaltyNs models a free
 // indirection.
-const UseDefault = -1
+const UseDefault = 0
 
 // Default knobs; see Config.
 const (
@@ -59,11 +60,12 @@ type Config struct {
 	// GapPeriod is the number of recorded writes between gap moves
 	// (required positive when GapSegmentRows > 0).
 	GapPeriod int
-	// SpareRows sizes each bank's spare-row pool: UseDefault selects
-	// DefaultSpareRows, 0 disables spare substitution entirely.
+	// SpareRows sizes each bank's spare-row pool: 0 selects
+	// DefaultSpareRows, -1 disables spare substitution entirely.
 	SpareRows int
 	// PenaltyNs is the indirection latency charged on accesses to
-	// remapped rows: UseDefault selects DefaultPenaltyNs, 0 is free.
+	// remapped rows: 0 selects DefaultPenaltyNs, a negative value is
+	// free.
 	PenaltyNs float64
 	// ProactiveWearLimit, when positive, retires a row to a spare once
 	// its effective write count reaches the limit — before the fault
@@ -72,33 +74,23 @@ type Config struct {
 	ProactiveWearLimit uint64
 }
 
-// withDefaults resolves the UseDefault sentinels.
-func (c Config) withDefaults() Config {
-	if c.SpareRows == UseDefault {
-		c.SpareRows = DefaultSpareRows
-	}
-	if c.PenaltyNs == UseDefault {
-		c.PenaltyNs = DefaultPenaltyNs
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable (after the
-// UseDefault sentinels are resolved).
+// Validate reports whether the configuration is usable: the one range
+// check of each knob but Geom, which reram.Geometry.Validate checks.
 func (c Config) Validate() error {
+	if err := c.Geom.Validate(); err != nil {
+		return fmt.Errorf("remap: %w", err)
+	}
 	switch {
-	case c.Geom.Rows() == 0:
-		return fmt.Errorf("remap: geometry has no rows")
 	case !(c.TicksPerNs > 0) || math.IsInf(c.TicksPerNs, 1):
 		return fmt.Errorf("remap: ticks-per-ns %v must be positive and finite", c.TicksPerNs)
 	case c.GapSegmentRows < 0:
 		return fmt.Errorf("remap: gap segment rows %d must be non-negative", c.GapSegmentRows)
 	case c.GapSegmentRows > 0 && c.GapPeriod <= 0:
 		return fmt.Errorf("remap: gap-move period %d must be positive", c.GapPeriod)
-	case c.SpareRows < 0:
-		return fmt.Errorf("remap: spare-row pool %d must be non-negative", c.SpareRows)
-	case !(c.PenaltyNs >= 0) || math.IsInf(c.PenaltyNs, 1):
-		return fmt.Errorf("remap: penalty %v ns must be non-negative and finite", c.PenaltyNs)
+	case c.SpareRows < -1:
+		return fmt.Errorf("remap: spare-row pool %d must be >= -1 (-1 disables the pool, 0 selects the default)", c.SpareRows)
+	case math.IsNaN(c.PenaltyNs) || math.IsInf(c.PenaltyNs, 0):
+		return fmt.Errorf("remap: penalty %v ns must be finite (0 selects the default, negative makes indirection free)", c.PenaltyNs)
 	}
 	return nil
 }
@@ -177,17 +169,17 @@ type Decoder struct {
 	mGapMoves, mSpareRemaps, mLookups, mPenalty *metrics.Counter
 }
 
-// NewDecoder builds a decoder, resolving sentinels then validating.
+// NewDecoder validates cfg and builds a decoder, resolving SpareRows'
+// and PenaltyNs' 0 (the default) and negative values (off).
 func NewDecoder(cfg Config) (*Decoder, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Decoder{
 		geom:         cfg.Geom,
 		matRows:      cfg.Geom.MatRows,
-		spareCap:     cfg.SpareRows,
-		penaltyTicks: uint64(math.Ceil(cfg.PenaltyNs * cfg.TicksPerNs)),
+		spareCap:     max(cmp.Or(cfg.SpareRows, DefaultSpareRows), 0),
+		penaltyTicks: uint64(math.Ceil(max(cmp.Or(cfg.PenaltyNs, DefaultPenaltyNs), 0) * cfg.TicksPerNs)),
 		proactive:    cfg.ProactiveWearLimit,
 		remapped:     make(map[uint64]spareEntry),
 		spareUsed:    make(map[int]int),

@@ -38,8 +38,9 @@ func instrumented(t *testing.T, cfg Config) (*Decoder, *metrics.Registry) {
 	return d, reg
 }
 
+// baseConfig is a decoder with no spare pool and free indirection.
 func baseConfig() Config {
-	return Config{Geom: testGeometry(), TicksPerNs: 4}
+	return Config{Geom: testGeometry(), TicksPerNs: 4, SpareRows: -1, PenaltyNs: -1}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -50,16 +51,17 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"base", func(c *Config) {}, true},
 		{"gap leveling", func(c *Config) { c.GapSegmentRows = 64; c.GapPeriod = 16 }, true},
-		{"sentinel spares", func(c *Config) { c.SpareRows = UseDefault }, true},
-		{"sentinel penalty", func(c *Config) { c.PenaltyNs = UseDefault }, true},
+		{"default spares", func(c *Config) { c.SpareRows = UseDefault }, true},
+		{"default penalty", func(c *Config) { c.PenaltyNs = UseDefault }, true},
+		{"negative penalty is free", func(c *Config) { c.PenaltyNs = -2 }, true},
 		{"no geometry", func(c *Config) { c.Geom = reram.Geometry{} }, false},
 		{"zero ticks per ns", func(c *Config) { c.TicksPerNs = 0 }, false},
 		{"negative segment rows", func(c *Config) { c.GapSegmentRows = -1 }, false},
 		{"gap without period", func(c *Config) { c.GapSegmentRows = 64 }, false},
-		{"spares below sentinel", func(c *Config) { c.SpareRows = -2 }, false},
-		{"penalty below sentinel", func(c *Config) { c.PenaltyNs = -2 }, false},
+		{"spares below -1", func(c *Config) { c.SpareRows = -2 }, false},
 		{"NaN penalty", func(c *Config) { c.PenaltyNs = math.NaN() }, false},
 		{"infinite penalty", func(c *Config) { c.PenaltyNs = math.Inf(1) }, false},
+		{"negative infinite penalty", func(c *Config) { c.PenaltyNs = math.Inf(-1) }, false},
 		{"NaN ticks per ns", func(c *Config) { c.TicksPerNs = math.NaN() }, false},
 		{"infinite ticks per ns", func(c *Config) { c.TicksPerNs = math.Inf(1) }, false},
 	}
@@ -73,8 +75,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSentinelDefaults pins the UseDefault semantics: the sentinel
-// selects the default while an explicit zero disables the feature.
+// TestSentinelDefaults pins the UseDefault semantics: the zero value
+// selects the default while -1 disables the feature.
 func TestSentinelDefaults(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = UseDefault
@@ -82,10 +84,10 @@ func TestSentinelDefaults(t *testing.T) {
 		t.Errorf("SpareCapacity(UseDefault) = %d, want %d", d.SpareCapacity(), DefaultSpareRows)
 	}
 	cfg = baseConfig()
-	cfg.SpareRows = 0
+	cfg.SpareRows = -1
 	d := mustDecoder(t, cfg)
 	if d.SpareCapacity() != 0 {
-		t.Errorf("SpareCapacity(0) = %d, want 0 (disabled, not defaulted)", d.SpareCapacity())
+		t.Errorf("SpareCapacity(-1) = %d, want 0 (disabled, not defaulted)", d.SpareCapacity())
 	}
 	if err := d.RemapSpare(0, 1, 0); err == nil {
 		t.Error("remap into a zero-spare pool should fail")
@@ -104,6 +106,14 @@ func TestSentinelDefaults(t *testing.T) {
 	// Default 2 ns at 4 ticks/ns = 8 ticks.
 	if p := d.PenaltyTicks(loc); p != 8 {
 		t.Errorf("PenaltyTicks = %d, want 8 (default 2 ns x 4 ticks/ns)", p)
+	}
+	cfg.PenaltyNs = -1
+	d = mustDecoder(t, cfg)
+	if err := d.RemapSpare(0, testGeometry().GlobalRow(loc), 0); err != nil {
+		t.Fatal(err)
+	}
+	if p := d.PenaltyTicks(loc); p != 0 {
+		t.Errorf("PenaltyTicks(-1 ns) = %d, want 0 (free, not defaulted)", p)
 	}
 }
 

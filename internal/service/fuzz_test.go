@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ladder/internal/sim"
 )
 
 // FuzzNormalizeRequest fuzzes the submission path's parse+normalize
@@ -67,7 +69,7 @@ func FuzzNormalizeRequest(f *testing.F) {
 // in CorruptRecords exactly once, and must leave a directory the next
 // boot recovers the same jobs from without counting anything again.
 func FuzzOpenStateDir(f *testing.F) {
-	req := Request{Workloads: []string{"astar"}, Schemes: []string{"Baseline"}, Instr: DefaultInstr}
+	req := Request{Workloads: []string{"astar"}, Schemes: []string{"Baseline"}, Instr: sim.DefaultInstr}
 	id := req.id()
 	other := req
 	other.Seed = 1

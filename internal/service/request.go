@@ -12,10 +12,6 @@ import (
 	"ladder/internal/trace"
 )
 
-// DefaultInstr is the per-core instruction budget a request gets when it
-// leaves "instr" unset — the same default sim.Config applies.
-const DefaultInstr = 200_000
-
 // Request is the body of POST /jobs: one simulation grid, expressed as
 // the JSON-resolved form of sim.Options plus the scheme list. A single
 // run is a 1×1 grid. Zero-valued fields select the simulator's defaults,
@@ -30,7 +26,7 @@ type Request struct {
 	// (required). Names resolve case-insensitively against the scheme
 	// registry and normalize to the registered spelling.
 	Schemes []string `json:"schemes"`
-	// Instr is the per-core instruction budget (0 = 200000).
+	// Instr is the per-core instruction budget (0 = sim.DefaultInstr).
 	Instr uint64 `json:"instr,omitempty"`
 	// Seed makes the grid deterministic (identical seed + configuration
 	// ⇒ byte-identical report).
@@ -60,12 +56,13 @@ func (r *Request) normalize(maxInstr uint64) error {
 		r.Schemes[i] = canon
 	}
 	if r.Instr == 0 {
-		r.Instr = DefaultInstr
+		r.Instr = sim.DefaultInstr
 	}
 	if maxInstr > 0 && r.Instr > maxInstr {
 		return fmt.Errorf("instr %d exceeds this server's per-core budget cap %d", r.Instr, maxInstr)
 	}
-	return nil
+	opts, _ := r.options()
+	return opts.Validate()
 }
 
 // id content-hashes the normalized request: the job identifier, and the

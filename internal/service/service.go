@@ -83,20 +83,20 @@ const (
 type Config struct {
 	// QueueDepth bounds the number of jobs waiting to execute (running
 	// and completed jobs do not count). A submission that finds the
-	// queue full is rejected with 503. 0 = 16.
+	// queue full is rejected with 503. 0 = DefaultQueueDepth.
 	QueueDepth int
 	// CacheSize bounds the number of completed (done, failed or
 	// canceled) jobs retained, LRU by completion/last-hit order. An
 	// evicted job's report is forgotten; resubmitting its configuration
-	// re-simulates. 0 = 64.
+	// re-simulates. 0 = DefaultCacheSize.
 	CacheSize int
 	// Jobs is the per-grid worker-pool width forwarded to
 	// sim.Options.Jobs (0 = one worker per CPU).
 	Jobs int
 	// MaxInstr caps the per-core instruction budget a request may ask
-	// for, bounding the cost of any one job. 0 = 10M. There is no
-	// uncapped setting; a deployment that wants none sets a cap above any
-	// budget it expects.
+	// for, bounding the cost of any one job. 0 = DefaultMaxInstr. There
+	// is no uncapped setting; a deployment that wants none sets a cap
+	// above any budget it expects.
 	MaxInstr uint64
 	// Tables overrides the timing tables every job simulates with
 	// (nil = the default 512×512 set, decoded from embedded data in
@@ -128,6 +128,13 @@ type Config struct {
 	StallTimeout time.Duration
 }
 
+// Defaults of the Config fields left 0.
+const (
+	DefaultQueueDepth = 16
+	DefaultCacheSize  = 64
+	DefaultMaxInstr   = 10_000_000
+)
+
 // abandonGraceDefault is how long the supervisor waits, after canceling
 // a job, for its grid goroutine to unwind before abandoning it (marking
 // the job failed and letting the executor move on). Cancellation is
@@ -143,17 +150,18 @@ const abandonGraceDefault = 3 * time.Second
 func (c Config) Validate() error {
 	var errs []error
 	for _, f := range []struct {
-		name, zero string
-		negative   bool
-		v          any
+		name     string
+		zero     any
+		negative bool
+		v        any
 	}{
-		{"QueueDepth", "16", c.QueueDepth < 0, c.QueueDepth},
-		{"CacheSize", "64", c.CacheSize < 0, c.CacheSize},
+		{"QueueDepth", DefaultQueueDepth, c.QueueDepth < 0, c.QueueDepth},
+		{"CacheSize", DefaultCacheSize, c.CacheSize < 0, c.CacheSize},
 		{"JobTimeout", "no deadline", c.JobTimeout < 0, c.JobTimeout},
 		{"StallTimeout", "no watchdog", c.StallTimeout < 0, c.StallTimeout},
 	} {
 		if f.negative {
-			errs = append(errs, fmt.Errorf("service: Config.%s must be >= 0 (0 = %s), got %v", f.name, f.zero, f.v))
+			errs = append(errs, fmt.Errorf("service: Config.%s must be >= 0 (0 = %v), got %v", f.name, f.zero, f.v))
 		}
 	}
 	return errors.Join(append(errs, sim.Options{Jobs: c.Jobs}.Validate())...)
@@ -161,13 +169,13 @@ func (c Config) Validate() error {
 
 func (c *Config) applyDefaults() {
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 64
+		c.CacheSize = DefaultCacheSize
 	}
 	if c.MaxInstr == 0 {
-		c.MaxInstr = 10_000_000
+		c.MaxInstr = DefaultMaxInstr
 	}
 	if c.Logger == nil {
 		c.Logger = logging.Discard()

@@ -145,12 +145,21 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown scheme", `{"workloads":["astar"],"schemes":["nope"]}`, `unknown scheme "nope"`},
 		{"instr over cap", `{"workloads":["astar"],"schemes":["Baseline"],"instr":20000}`, "budget cap"},
 		{"removed fault field", `{"workloads":["astar"],"schemes":["Baseline"],"retry_max":3}`, "retry_max"},
+		{"repeated workload", `{"workloads":["lbm","astar","lbm"],"schemes":["Baseline"],"instr":5000}`, "Workloads"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, _ := postJob(t, ts.URL, c.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatalf("POST /jobs: %v", err)
+			}
+			defer resp.Body.Close()
+			var e apiError
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("decoding error document: %v", err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, c.wantErr) {
+				t.Fatalf("status = %d, error %q; want 400 naming %q", resp.StatusCode, e.Error, c.wantErr)
 			}
 		})
 	}
@@ -370,7 +379,7 @@ func TestRequestNormalizationHashing(t *testing.T) {
 		return req.id()
 	}
 	base := id(Request{Workloads: []string{"astar"}, Schemes: []string{"LADDER-Hybrid"}})
-	if got := id(Request{Workloads: []string{"astar"}, Schemes: []string{"ladder-hybrid"}, Instr: DefaultInstr}); got != base {
+	if got := id(Request{Workloads: []string{"astar"}, Schemes: []string{"ladder-hybrid"}, Instr: sim.DefaultInstr}); got != base {
 		t.Fatal("scheme spelling and explicit default instr should not change the job ID")
 	}
 	if got := id(Request{Workloads: []string{"astar"}, Schemes: []string{"LADDER-Hybrid"}, Seed: 1}); got == base {

@@ -52,7 +52,7 @@ func cellsGoldenText(t *testing.T, schemes []string) []byte {
 		for _, s := range schemes {
 			variants = append(variants, Cell{Scheme: s, Edit: cc.edit})
 		}
-		cells := crossCells(opts.workloads(), variants)
+		cells := CrossCells(opts.WorkloadNames(), variants)
 		res, err := RunCells(context.Background(), opts, cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ladder/internal/core"
 )
 
 // TestSchemeNameSpellingsRunAlike checks that a scheme name resolves the
@@ -66,6 +68,9 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"NaN remap penalty", func(c *Config) { c.RemapPenaltyNs = math.NaN() }, "RemapPenaltyNs"},
 		{"infinite remap penalty", func(c *Config) { c.RemapPenaltyNs = math.Inf(1) }, "RemapPenaltyNs"},
 		{"negative infinite remap penalty", func(c *Config) { c.RemapPenaltyNs = math.Inf(-1) }, "RemapPenaltyNs"},
+		{"negative VWL period, leveling on", func(c *Config) { c.WearLeveling, c.VWLPeriod = true, -5 }, "VWLPeriod"},
+		{"partial metadata cache", func(c *Config) { c.MetaCache = core.MetaCacheConfig{SizeBytes: 1000, Ways: 3} }, "MetaCache"},
+		{"negative mat rows", func(c *Config) { c.Geom.MatRows = -4 }, "Geom"},
 		{"zero knobs", func(c *Config) {}, ""},
 		{"shrink of 1", func(c *Config) { c.ShrinkRange = 1 }, ""},
 		{"fault rate just below 1", func(c *Config) { c.FaultRate = math.Nextafter(1, 0) }, ""},
@@ -74,6 +79,7 @@ func TestConfigRejectsOutOfRangeKnobs(t *testing.T) {
 		{"spare rows -1", func(c *Config) { c.SpareRows = -1 }, ""},
 		{"line VWL mode, leveling off", func(c *Config) { c.VWLMode = "line" }, ""},
 		{"negative remap penalty", func(c *Config) { c.RemapPenaltyNs = -1 }, ""},
+		{"negative VWL period, leveling off", func(c *Config) { c.VWLPeriod = -5 }, ""},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -15,13 +16,15 @@ import (
 
 // Options scopes an experiment run.
 type Options struct {
-	// Instr is the per-core instruction budget (0 = 200k).
+	// Instr is the per-core instruction budget (0 = DefaultInstr).
 	Instr uint64
 	// Seed makes the experiment deterministic.
 	Seed int64
 	// Tables overrides the timing tables (nil = full 512×512 set).
 	Tables *timing.TableSet
-	// Workloads restricts the workload list (nil = all sixteen).
+	// Workloads restricts the workload list (nil = all sixteen); a
+	// workload listed twice is rejected, as a grid keys its results by
+	// workload.
 	Workloads []string
 	// Jobs bounds how many cells simulate concurrently, where a cell is
 	// one run of a grid or study (0 = runtime.NumCPU()). Each cell is an
@@ -65,7 +68,9 @@ type GridProgress struct {
 	Failed bool
 }
 
-func (o Options) workloads() []string {
+// WorkloadNames is the workload list a grid or study runs: Workloads,
+// or all sixteen when it names none.
+func (o Options) WorkloadNames() []string {
 	if len(o.Workloads) > 0 {
 		return o.Workloads
 	}
@@ -81,12 +86,18 @@ func (o Options) config(workload, scheme string) Config {
 }
 
 // Validate rejects Options no grid or study can run: a negative Jobs, a
-// Base that sets a field the grid sets per cell, or a Base knob outside
-// its range (see Config). Every grid and study calls it before any cell
-// runs; a front end may call it earlier to fail before any output.
+// repeated workload, a Base that sets a field the grid sets per cell, or
+// a Base knob outside its range (see Config). Every grid and study calls
+// it before any cell runs; a front end may call it earlier to fail
+// before any output.
 func (o Options) Validate() error {
 	if o.Jobs < 0 {
 		return fmt.Errorf("sim: Options.Jobs must be >= 0 (0 = one worker per CPU), got %d", o.Jobs)
+	}
+	for i, w := range o.Workloads {
+		if slices.Contains(o.Workloads[:i], w) {
+			return fmt.Errorf("sim: Options.Workloads lists %q twice", w)
+		}
 	}
 	var set []string
 	for _, f := range []struct {
@@ -134,7 +145,7 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 // find SchemeBaseline however the caller spelled it. An unknown name,
 // or two names of one scheme, fails the grid before any cell runs.
 func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
-	ws := opts.workloads()
+	ws := opts.WorkloadNames()
 	schemes, err := canonicalSchemes(schemes)
 	if err != nil {
 		return nil, err
@@ -143,7 +154,7 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 	for i, s := range schemes {
 		variants[i].Scheme = s
 	}
-	res, err := RunCells(ctx, opts, crossCells(ws, variants))
+	res, err := RunCells(ctx, opts, CrossCells(ws, variants))
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +194,10 @@ type Cell struct {
 	Edit             func(*Config)
 }
 
-// crossCells lays out every workload under every variant (a cell whose
-// workload is ignored), workload-major.
-func crossCells(workloads []string, variants []Cell) []Cell {
+// CrossCells lays out every workload under every variant (a cell whose
+// workload is ignored), workload-major: cell i*len(variants)+j is
+// workload i under variant j.
+func CrossCells(workloads []string, variants []Cell) []Cell {
 	cells := make([]Cell, 0, len(workloads)*len(variants))
 	for _, w := range workloads {
 		for _, v := range variants {

@@ -59,7 +59,7 @@ func TestStudyGeometryEditGetsOwnTapes(t *testing.T) {
 	opts.Base.Geom = smallGeometry()
 	half := func(c *Config) { c.Geom.MatGroupsPerBank /= 2 }
 	variants := []Cell{{Scheme: SchemeHybrid}, {Scheme: SchemeHybrid, Edit: half}, {Scheme: SchemeBaseline, Edit: half}}
-	cells := crossCells(opts.Workloads, variants)
+	cells := CrossCells(opts.Workloads, variants)
 	cfgs := make([]Config, len(cells))
 	for i, c := range cells {
 		cfgs[i] = opts.config(c.Workload, c.Scheme)

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ladder/internal/core"
+	"ladder/internal/reram"
 )
 
 // parallelGridOptions is the shared fixture: a 2×2 grid small enough to
@@ -139,6 +142,12 @@ func TestOptionsRejectedBeforeAnyCell(t *testing.T) {
 		{"Jobs", func(o *Options) { o.Jobs = -1 }},
 		{"FaultRate", func(o *Options) { o.Base.FaultRate = 1 }},
 		{"RetryMax", func(o *Options) { o.Base.RetryMax = -2 }},
+		{"VWLPeriod", func(o *Options) { o.Base.WearLeveling, o.Base.VWLPeriod = true, -5 }},
+		{"MetaCache", func(o *Options) { o.Base.MetaCache = core.MetaCacheConfig{SizeBytes: 1000, Ways: 3} }},
+		{"Geom", func(o *Options) {
+			o.Base.Geom = reram.Geometry{Channels: 2, RanksPerChannel: 1, BanksPerRank: 1, MatGroupsPerBank: 1, MatRows: -4}
+		}},
+		{"Workloads", func(o *Options) { o.Workloads = []string{"lbm", "lbm"} }},
 	} {
 		opts := parallelGridOptions(t)
 		c.edit(&opts)

@@ -78,7 +78,7 @@ func TestGoldenSoloSharedResidents(t *testing.T) {
 		for _, s := range FigureSchemes() {
 			variants = append(variants, Cell{Scheme: s, Edit: cc.edit})
 		}
-		cells := crossCells(opts.workloads(), variants)
+		cells := CrossCells(opts.WorkloadNames(), variants)
 		grid, err := RunCells(context.Background(), opts, cells)
 		if err != nil {
 			t.Fatalf("%s: %v", cc.name, err)

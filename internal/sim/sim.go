@@ -11,13 +11,14 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"ladder/internal/core"
 	"ladder/internal/fault"
+	"ladder/internal/memctrl"
 	"ladder/internal/metrics"
 	"ladder/internal/remap"
 	"ladder/internal/reram"
@@ -93,11 +94,12 @@ type Config struct {
 	// Scheme selects the write policy (see Scheme constants; any name
 	// registered via core.RegisterScheme resolves).
 	Scheme string
-	// InstrPerCore is the per-core instruction budget.
+	// InstrPerCore is the per-core instruction budget (0 = DefaultInstr).
 	InstrPerCore uint64
 	// Seed makes the run deterministic.
 	Seed int64
-	// Geom is the memory geometry (zero value = paper default).
+	// Geom is the memory geometry (zero value = paper default); any
+	// other value must pass reram.Geometry.Validate.
 	Geom reram.Geometry
 	// Tables supplies the timing tables; nil loads the default 512×512
 	// set (embedded data, decoded once per process).
@@ -113,7 +115,8 @@ type Config struct {
 	// which distributes a page's blocks over different wordline groups —
 	// the case Section 6.4 warns deteriorates LRS-metadata locality).
 	VWLMode string
-	// VWLPeriod is the number of writes between gap moves (default 128).
+	// VWLPeriod is the number of writes between gap moves (0 =
+	// DefaultVWLPeriod).
 	VWLPeriod int
 	// ResidentLevel controls the synthetic resident-data density 2^-level
 	// prefilled into touched wordline groups (0 = default level 2 ≈ 0.25
@@ -129,8 +132,8 @@ type Config struct {
 	// of Section 7 runs before execution resumes.
 	CrashAtInstr uint64
 	// MetaCache overrides the LRS-metadata cache configuration (zero
-	// value = the paper's 64 KB 4-way cache). Used by the cache-size
-	// ablation.
+	// value = the paper's 64 KB 4-way cache); any other value must pass
+	// core.MetaCacheConfig.Validate. Used by the cache-size ablation.
 	MetaCache core.MetaCacheConfig
 	// HybridLowRows overrides LADDER-Hybrid's precision control register:
 	// the number of driver-near rows using 1-bit counters. 0 keeps the
@@ -173,16 +176,17 @@ type Config struct {
 	FaultRate float64
 	// FaultSeed seeds the injector's private PRNG stream (0 = reuse Seed).
 	FaultSeed int64
-	// RetryMax caps program-and-verify reissues per write (0 = default 3,
-	// -1 = no reissues at all: transient failures remap directly).
+	// RetryMax caps program-and-verify reissues per write (0 =
+	// fault.DefaultRetryMax, -1 = no reissues at all: transient failures
+	// remap directly).
 	RetryMax int
-	// SpareRows sizes each bank's spare-row pool (0 = default 32, -1 = no
-	// spares). A run that exhausts a pool on the fault path fails with an
-	// error from Run.
+	// SpareRows sizes each bank's spare-row pool (0 =
+	// remap.DefaultSpareRows, -1 = no spares). A run that exhausts a pool
+	// on the fault path fails with an error from Run.
 	SpareRows int
 	// RemapPenaltyNs is the address-decoder indirection latency charged
-	// on accesses to spare-remapped rows (0 = default 2 ns, negative =
-	// free indirection).
+	// on accesses to spare-remapped rows (0 = remap.DefaultPenaltyNs,
+	// negative = free indirection).
 	RemapPenaltyNs float64
 	// ProactiveWearLimit, when positive, retires rows to spares once
 	// their effective write count reaches the limit — wear-limit-
@@ -221,9 +225,9 @@ func (c *Config) applyDefaults() error {
 		return err
 	}
 	if c.InstrPerCore == 0 {
-		c.InstrPerCore = 200_000
+		c.InstrPerCore = DefaultInstr
 	}
-	c.Geom = c.geometry()
+	c.Geom = c.Geometry()
 	if c.Tables == nil {
 		ts, err := timing.DefaultTableSet()
 		if err != nil {
@@ -231,29 +235,22 @@ func (c *Config) applyDefaults() error {
 		}
 		c.Tables = ts
 	}
-	if c.VWLPeriod == 0 {
-		c.VWLPeriod = 128
-	}
 	if c.ResidentLevel == 0 {
 		c.ResidentLevel = 2
-	}
-	if c.MetaCache == (core.MetaCacheConfig{}) {
-		c.MetaCache = core.DefaultMetaCacheConfig()
 	}
 	return nil
 }
 
 // validateKnobs rejects knob values outside each knob's documented
-// range (NaN included). Without it a negative FaultRate or TraceSample,
-// a ShrinkRange below 1 or an unknown VWLMode would run with the feature
-// silently off, a negative TraceCapacity would run the default ring, a
-// HybridLowRows, RetryMax or SpareRows below -1 would act as -1, and a
-// NaN or infinite RemapPenaltyNs would charge every remapped access a
-// meaningless tick count.
+// range (NaN included). A knob another package consumes is checked by
+// that package's Validate, run here on the config newSystem builds from
+// it (Geometry, metaCache, faultConfig, remapConfig), so each range is
+// written once. The rest are sim's own: without them a negative
+// TraceSample, a ShrinkRange below 1 or an unknown VWLMode would run
+// with the feature silently off, a negative TraceCapacity would run the
+// default ring, and a HybridLowRows below -1 would act as -1.
 func (c *Config) validateKnobs() error {
 	switch {
-	case !(c.FaultRate >= 0 && c.FaultRate < 1):
-		return fmt.Errorf("sim: FaultRate must be in [0, 1) (0 disables injection), got %g", c.FaultRate)
 	case c.TraceSample < 0:
 		return fmt.Errorf("sim: TraceSample must be >= 0 (0 disables tracing), got %d", c.TraceSample)
 	case c.TraceCapacity < 0:
@@ -262,28 +259,73 @@ func (c *Config) validateKnobs() error {
 		return fmt.Errorf("sim: ShrinkRange must be 0 (off) or >= 1, got %g", c.ShrinkRange)
 	case c.HybridLowRows < -1:
 		return fmt.Errorf("sim: HybridLowRows must be >= -1 (-1 disables the low-precision region), got %d", c.HybridLowRows)
-	case c.RetryMax < -1:
-		return fmt.Errorf("sim: RetryMax must be >= -1 (-1 disables reissues, 0 selects the default), got %d", c.RetryMax)
-	case c.SpareRows < -1:
-		return fmt.Errorf("sim: SpareRows must be >= -1 (-1 disables the spare pool, 0 selects the default), got %d", c.SpareRows)
-	case math.IsNaN(c.RemapPenaltyNs) || math.IsInf(c.RemapPenaltyNs, 0):
-		return fmt.Errorf("sim: RemapPenaltyNs must be finite (0 selects the default, negative makes indirection free), got %g", c.RemapPenaltyNs)
+	case c.VWLMode != "" && c.VWLMode != "segment" && c.VWLMode != "line":
+		return fmt.Errorf("sim: unknown VWLMode %q (want segment or line)", c.VWLMode)
 	}
-	switch c.VWLMode {
-	case "", "segment", "line":
-		return nil
+	if err := c.Geometry().Validate(); err != nil {
+		return fmt.Errorf("sim: Geom: %w", err)
 	}
-	return fmt.Errorf("sim: unknown VWLMode %q (want segment or line)", c.VWLMode)
+	if err := c.metaCache().Validate(); err != nil {
+		return fmt.Errorf("sim: MetaCache: %w", err)
+	}
+	if err := c.faultConfig().Validate(); err != nil {
+		return fmt.Errorf("sim: FaultRate %g, RetryMax %d: %w", c.FaultRate, c.RetryMax, err)
+	}
+	if err := c.remapConfig().Validate(); err != nil {
+		return fmt.Errorf("sim: SpareRows %d, RemapPenaltyNs %g, VWLPeriod %d: %w", c.SpareRows, c.RemapPenaltyNs, c.VWLPeriod, err)
+	}
+	return nil
 }
 
-// geometry is the run's memory geometry: Geom, or the paper default when
+// Geometry is the run's memory geometry: Geom, or the paper default when
 // Geom is unset.
-func (c *Config) geometry() reram.Geometry {
+func (c *Config) Geometry() reram.Geometry {
 	if c.Geom == (reram.Geometry{}) {
 		return reram.DefaultGeometry()
 	}
 	return c.Geom
 }
+
+// metaCache is the LRS-metadata cache configuration every scheme
+// instance of the run builds: MetaCache, or the paper's when unset.
+func (c *Config) metaCache() core.MetaCacheConfig {
+	if c.MetaCache == (core.MetaCacheConfig{}) {
+		return core.DefaultMetaCacheConfig()
+	}
+	return c.MetaCache
+}
+
+// faultConfig is the write-fault injector configuration the run builds
+// when FaultRate > 0.
+func (c *Config) faultConfig() fault.Config {
+	return fault.Config{Rate: c.FaultRate, Seed: cmp.Or(c.FaultSeed, c.Seed), RetryMax: c.RetryMax}
+}
+
+// remapConfig is the address decoder configuration the run builds when
+// segment-mode wear leveling, fault injection or proactive retirement
+// needs indirection. Segment-mode leveling is the decoder's start-gap
+// rotation; line mode stays outside the decoder (buildLineVWL).
+func (c *Config) remapConfig() remap.Config {
+	rc := remap.Config{
+		Geom:               c.Geometry(),
+		TicksPerNs:         memctrl.TicksPerNs,
+		SpareRows:          c.SpareRows,
+		PenaltyNs:          c.RemapPenaltyNs,
+		ProactiveWearLimit: c.ProactiveWearLimit,
+	}
+	if c.WearLeveling && c.VWLMode != "line" {
+		rc.GapSegmentRows = VWLSegmentRows
+		rc.GapPeriod = cmp.Or(c.VWLPeriod, DefaultVWLPeriod)
+	}
+	return rc
+}
+
+// Defaults of Config.InstrPerCore (and Options.Instr) and of
+// Config.VWLPeriod.
+const (
+	DefaultInstr     = 200_000
+	DefaultVWLPeriod = 128
+)
 
 // VWLSegmentRows is the segment-mode wear leveler's rotation unit: 256
 // wordline groups (1 MB) move together, so a page keeps its metadata

@@ -140,15 +140,7 @@ func newSystem(cfg Config) (*System, error) {
 		})
 	}
 	if cfg.FaultRate > 0 {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		s.inj, err = fault.NewInjector(fault.Config{
-			Rate:     cfg.FaultRate,
-			Seed:     seed,
-			RetryMax: sentinelCount(cfg.RetryMax),
-		})
+		s.inj, err = fault.NewInjector(cfg.faultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +193,7 @@ func coreStreams(cfg *Config) ([]streamKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	regionPages := cfg.geometry().Lines() / reram.BlocksPerRow / uint64(len(profiles)+1)
+	regionPages := cfg.Geometry().Lines() / reram.BlocksPerRow / uint64(len(profiles)+1)
 	keys := make([]streamKey, len(profiles))
 	for i, p := range profiles {
 		if uint64(p.WorkingSetPages) > regionPages {
@@ -261,7 +253,7 @@ func (s *System) buildControllers() error {
 	s.ctrls = make([]*memctrl.Controller, cfg.Geom.Channels)
 	s.schemes = make([]core.Scheme, cfg.Geom.Channels)
 	for ch := range s.ctrls {
-		scheme, err := core.NewScheme(cfg.Scheme, s.env, cfg.MetaCache)
+		scheme, err := core.NewScheme(cfg.Scheme, s.env, cfg.metaCache())
 		if err != nil {
 			return err
 		}
@@ -283,65 +275,20 @@ func (s *System) buildControllers() error {
 	return nil
 }
 
-// sentinelCount maps sim's zero-means-default convention for count
-// knobs (RetryMax, SpareRows) onto the fault/remap sentinel form:
-// 0 → UseDefault, -1 → explicit zero (off), positive → as given.
-func sentinelCount(v int) int {
-	switch {
-	case v == 0:
-		return fault.UseDefault
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// sentinelNs does the same for the nanosecond penalty knob.
-func sentinelNs(v float64) float64 {
-	switch {
-	case v == 0:
-		return remap.UseDefault
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
 // buildDecoder configures the programmable address decoder: vertical
 // wear leveling (segment mode), the spare-row pool backing fault
 // remapping, and proactive wear-limit retirement all live behind it.
 // Line-mode VWL stays a plain address bijection applied before decode.
 func (s *System) buildDecoder() error {
 	cfg := s.cfg
-	needGap := false
-	if cfg.WearLeveling {
-		switch cfg.VWLMode {
-		case "", "segment":
-			// Segment-based Start-Gap: whole wordline groups move together,
-			// preserving the page→metadata-line association (Figure 18b).
-			// The decoder shifts crossbar rows; gap moves charge
-			// maintenance writes.
-			needGap = true
-		case "line":
-			if err := s.buildLineVWL(); err != nil {
-				return err
-			}
+	if cfg.WearLeveling && cfg.VWLMode == "line" {
+		if err := s.buildLineVWL(); err != nil {
+			return err
 		}
 	}
-	needSpares := cfg.FaultRate > 0 || cfg.ProactiveWearLimit > 0
-	if !needGap && !needSpares {
+	rc := cfg.remapConfig()
+	if rc.GapSegmentRows == 0 && cfg.FaultRate == 0 && cfg.ProactiveWearLimit == 0 {
 		return nil
-	}
-	rc := remap.Config{
-		Geom:               cfg.Geom,
-		TicksPerNs:         memctrl.TicksPerNs,
-		SpareRows:          sentinelCount(cfg.SpareRows),
-		PenaltyNs:          sentinelNs(cfg.RemapPenaltyNs),
-		ProactiveWearLimit: cfg.ProactiveWearLimit,
-	}
-	if needGap {
-		rc.GapSegmentRows = VWLSegmentRows
-		rc.GapPeriod = cfg.VWLPeriod
 	}
 	dec, err := remap.NewDecoder(rc)
 	if err != nil {
