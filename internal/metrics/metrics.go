@@ -14,9 +14,12 @@
 //     receiver, so a layer constructed without instrumentation (unit
 //     tests, library embedding) pays one predictable branch.
 //   - Mergeability. RunGrid executes independent runs on a worker pool;
-//     each run owns a private Registry and the grid merges them into one
-//     fleet-wide view afterwards (counters add, histograms add
-//     bucket-wise, gauges combine their sample moments).
+//     each run owns a private Registry and the grid merges their
+//     snapshots into one fleet-wide view afterwards (counters add,
+//     histograms add bucket-wise, gauges combine their sample moments).
+//
+// Instruments are write-only: a Snapshot is the one form anything reads
+// or merges.
 package metrics
 
 import (
@@ -43,17 +46,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// merge folds another counter in.
-func (c *Counter) merge(o *Counter) { c.v += o.v }
-
 // Gauge tracks a sampled instantaneous quantity (queue occupancy, depth)
 // through its sample moments: last, min, max, sum and sample count. The
 // mean over samples approximates the time-average when sampling is
@@ -79,51 +71,6 @@ func (g *Gauge) Observe(v float64) {
 	g.last = v
 	g.sum += v
 	g.n++
-}
-
-// Samples returns the number of observations (0 on a nil receiver).
-func (g *Gauge) Samples() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.n
-}
-
-// Mean returns the mean over samples (0 when empty or nil).
-func (g *Gauge) Mean() float64 {
-	if g == nil || g.n == 0 {
-		return 0
-	}
-	return g.sum / float64(g.n)
-}
-
-// Max returns the largest sample (0 when empty or nil).
-func (g *Gauge) Max() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
-// merge folds another gauge's moments in. The merged "last" keeps the
-// receiver's unless it had no samples (order across merged runs is not
-// meaningful).
-func (g *Gauge) merge(o *Gauge) {
-	if o.n == 0 {
-		return
-	}
-	if g.n == 0 {
-		*g = *o
-		return
-	}
-	if o.min < g.min {
-		g.min = o.min
-	}
-	if o.max > g.max {
-		g.max = o.max
-	}
-	g.sum += o.sum
-	g.n += o.n
 }
 
 // Histogram is a fixed-bucket distribution: bounds[i] is the inclusive
@@ -200,86 +147,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[len(h.bounds)]++ // overflow
 }
 
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observations (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean returns the mean observation (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Max returns the largest observation (0 when empty or nil).
-func (h *Histogram) Max() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Min returns the smallest observation (0 when empty or nil).
-func (h *Histogram) Min() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Quantile returns the p-quantile (p in [0,1], clamped), interpolating
-// linearly inside the containing bucket and clamping to the observed
-// min/max. Empty and nil histograms return 0.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Snapshot().Quantile(p)
-}
-
-// Merge folds another histogram with identical bounds into this one.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return fmt.Errorf("metrics: cannot merge nil histogram")
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("metrics: merging histograms with %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("metrics: merging histograms with mismatched bound %d (%v vs %v)", i, h.bounds[i], o.bounds[i])
-		}
-	}
-	if o.count == 0 {
-		return nil
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	return nil
-}
-
 // Snapshot freezes the histogram into its serializable form.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
@@ -335,40 +202,6 @@ func (g *Grid) Inc(r, c int) {
 		c = g.cols - 1
 	}
 	g.counts[r*g.cols+c]++
-}
-
-// At returns the count at (r, c), or 0 when out of range or nil.
-func (g *Grid) At(r, c int) uint64 {
-	if g == nil || r < 0 || r >= g.rows || c < 0 || c >= g.cols {
-		return 0
-	}
-	return g.counts[r*g.cols+c]
-}
-
-// Total returns the sum over all cells (0 on a nil receiver).
-func (g *Grid) Total() uint64 {
-	if g == nil {
-		return 0
-	}
-	var t uint64
-	for _, v := range g.counts {
-		t += v
-	}
-	return t
-}
-
-// Merge folds another grid of identical shape into this one.
-func (g *Grid) Merge(o *Grid) error {
-	if g == nil || o == nil {
-		return fmt.Errorf("metrics: cannot merge nil grid")
-	}
-	if g.rows != o.rows || g.cols != o.cols {
-		return fmt.Errorf("metrics: merging %d×%d grid into %d×%d", o.rows, o.cols, g.rows, g.cols)
-	}
-	for i := range g.counts {
-		g.counts[i] += o.counts[i]
-	}
-	return nil
 }
 
 // Snapshot freezes the grid into its serializable form.

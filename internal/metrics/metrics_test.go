@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -16,27 +17,31 @@ func mustHist(t *testing.T, bounds []float64) *Histogram {
 	return h
 }
 
+// mustMerge merges two snapshots, failing the test on an error.
+func mustMerge(t *testing.T, a, b Snapshot) Snapshot {
+	t.Helper()
+	m, err := a.Merge(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestNilInstrumentsAreSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
 	var g *Gauge
 	g.Observe(3)
-	if g.Samples() != 0 || g.Mean() != 0 || g.Max() != 0 {
-		t.Fatal("nil gauge should be empty")
-	}
 	var h *Histogram
 	h.Observe(3)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("nil histogram should be empty")
+	if s := h.Snapshot(); s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean != 0 || s.Bounds != nil {
+		t.Fatalf("nil histogram should snapshot empty: %+v", s)
 	}
 	var gr *Grid
 	gr.Inc(1, 1)
-	if gr.Total() != 0 || gr.At(1, 1) != 0 {
-		t.Fatal("nil grid should be empty")
+	if s := gr.Snapshot(); s.Rows != 0 || s.Counts != nil {
+		t.Fatalf("nil grid should snapshot empty: %+v", s)
 	}
 	var r *Registry
 	if r.Counter("x") != nil || r.Gauge("x") != nil ||
@@ -61,13 +66,12 @@ func TestHistogramBoundsValidation(t *testing.T) {
 }
 
 func TestHistogramEmptyQuantiles(t *testing.T) {
-	h := mustHist(t, LinearBounds(10, 10, 5))
+	s := mustHist(t, LinearBounds(10, 10, 5)).Snapshot()
 	for _, p := range []float64{0, 0.5, 0.99, 1} {
-		if q := h.Quantile(p); q != 0 {
+		if q := s.Quantile(p); q != 0 {
 			t.Fatalf("empty histogram quantile(%v) = %v, want 0", p, q)
 		}
 	}
-	s := h.Snapshot()
 	if s.Count != 0 || s.P50 != 0 || s.NonzeroBuckets() != 0 {
 		t.Fatalf("empty snapshot: %+v", s)
 	}
@@ -76,15 +80,16 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 func TestHistogramSingleSample(t *testing.T) {
 	h := mustHist(t, LinearBounds(10, 10, 5))
 	h.Observe(23)
+	s := h.Snapshot()
 	for _, p := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if q := h.Quantile(p); q != 23 {
+		if q := s.Quantile(p); q != 23 {
 			t.Fatalf("single-sample quantile(%v) = %v, want 23", p, q)
 		}
 	}
-	if h.Min() != 23 || h.Max() != 23 || h.Mean() != 23 {
-		t.Fatalf("single-sample stats: min=%v max=%v mean=%v", h.Min(), h.Max(), h.Mean())
+	if s.Min != 23 || s.Max != 23 || s.Mean != 23 {
+		t.Fatalf("single-sample stats: min=%v max=%v mean=%v", s.Min, s.Max, s.Mean)
 	}
-	if got := h.Snapshot().NonzeroBuckets(); got != 1 {
+	if got := s.NonzeroBuckets(); got != 1 {
 		t.Fatalf("nonzero buckets = %d, want 1", got)
 	}
 }
@@ -96,17 +101,18 @@ func TestHistogramQuantilesUniform(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
+	s := h.Snapshot()
 	cases := []struct{ p, want float64 }{
 		{0.50, 50}, {0.95, 95}, {0.99, 99}, {1, 100}, {0, 1},
 	}
 	for _, c := range cases {
-		got := h.Quantile(c.p)
+		got := s.Quantile(c.p)
 		if math.Abs(got-c.want) > 10 {
 			t.Fatalf("quantile(%v) = %v, want within 10 of %v", c.p, got, c.want)
 		}
 	}
-	if h.Quantile(1) != 100 {
-		t.Fatalf("p100 = %v, want exactly the max", h.Quantile(1))
+	if s.Quantile(1) != 100 {
+		t.Fatalf("p100 = %v, want exactly the max", s.Quantile(1))
 	}
 }
 
@@ -122,49 +128,50 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if s.Counts[2] != 1 {
 		t.Fatalf("overflow count = %d, want 1", s.Counts[2])
 	}
-	if q := h.Quantile(1); q != 999 {
+	if q := s.Quantile(1); q != 999 {
 		t.Fatalf("p100 = %v, want 999 (overflow clamps to observed max)", q)
 	}
 }
 
+// histSnapshot is a snapshot of a registry holding one histogram "h"
+// over bounds with the given observations.
+func histSnapshot(bounds []float64, vs ...float64) Snapshot {
+	r := NewRegistry()
+	h := r.Histogram("h", bounds)
+	for _, v := range vs {
+		h.Observe(v)
+	}
+	return r.Snapshot()
+}
+
 func TestHistogramMerge(t *testing.T) {
-	a := mustHist(t, LinearBounds(10, 10, 5))
-	b := mustHist(t, LinearBounds(10, 10, 5))
+	bounds := LinearBounds(10, 10, 5)
+	var lo, hi []float64
 	for i := 1; i <= 50; i++ {
-		a.Observe(float64(i))
+		lo = append(lo, float64(i))
+		hi = append(hi, float64(i+50))
 	}
-	for i := 51; i <= 100; i++ {
-		b.Observe(float64(i))
+	a := mustMerge(t, histSnapshot(bounds, lo...), histSnapshot(bounds, hi...))
+	h := a.Histograms["h"]
+	if h.Count != 100 || h.Min != 1 || h.Max != 100 {
+		t.Fatalf("merged stats: count=%d min=%v max=%v", h.Count, h.Min, h.Max)
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 100 || a.Min() != 1 || a.Max() != 100 {
-		t.Fatalf("merged stats: count=%d min=%v max=%v", a.Count(), a.Min(), a.Max())
-	}
-	if got := a.Quantile(0.5); math.Abs(got-50) > 10 {
+	if got := h.P50; math.Abs(got-50) > 10 {
 		t.Fatalf("merged p50 = %v", got)
 	}
 	// Merging an empty histogram must not disturb min/max.
-	if err := a.Merge(mustHist(t, LinearBounds(10, 10, 5))); err != nil {
-		t.Fatal(err)
-	}
-	if a.Min() != 1 || a.Count() != 100 {
+	if h := mustMerge(t, a, histSnapshot(bounds)).Histograms["h"]; h.Min != 1 || h.Count != 100 {
 		t.Fatal("empty merge changed stats")
 	}
 	// Merging into an empty histogram adopts the source's stats.
-	c := mustHist(t, LinearBounds(10, 10, 5))
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != 100 || c.Min() != 1 || c.Max() != 100 {
-		t.Fatalf("merge into empty: count=%d min=%v max=%v", c.Count(), c.Min(), c.Max())
+	if h := mustMerge(t, histSnapshot(bounds), a).Histograms["h"]; h.Count != 100 || h.Min != 1 || h.Max != 100 {
+		t.Fatalf("merge into empty: count=%d min=%v max=%v", h.Count, h.Min, h.Max)
 	}
 	// Shape mismatches must be rejected.
-	if err := a.Merge(mustHist(t, LinearBounds(10, 10, 3))); err == nil {
+	if _, err := a.Merge(histSnapshot(LinearBounds(10, 10, 3), 1)); err == nil {
 		t.Fatal("bound-count mismatch should fail")
 	}
-	if err := a.Merge(mustHist(t, LinearBounds(11, 10, 5))); err == nil {
+	if _, err := a.Merge(histSnapshot(LinearBounds(11, 10, 5), 1)); err == nil {
 		t.Fatal("bound-value mismatch should fail")
 	}
 }
@@ -190,43 +197,54 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
-func TestGaugeMoments(t *testing.T) {
-	g := &Gauge{}
-	for _, v := range []float64{3, 1, 4, 1, 5} {
+// gaugeSnapshot is a snapshot of a registry holding one gauge "g"
+// with the given samples.
+func gaugeSnapshot(vs ...float64) Snapshot {
+	r := NewRegistry()
+	g := r.Gauge("g")
+	for _, v := range vs {
 		g.Observe(v)
 	}
-	if g.Samples() != 5 || g.Max() != 5 || g.Mean() != 2.8 {
-		t.Fatalf("gauge: n=%d max=%v mean=%v", g.Samples(), g.Max(), g.Mean())
+	return r.Snapshot()
+}
+
+func TestGaugeMoments(t *testing.T) {
+	s := gaugeSnapshot(3, 1, 4, 1, 5)
+	if g := s.Gauges["g"]; g.Samples != 5 || g.Max != 5 || g.Mean != 2.8 {
+		t.Fatalf("gauge: n=%d max=%v mean=%v", g.Samples, g.Max, g.Mean)
 	}
-	o := &Gauge{}
-	o.Observe(10)
-	o.merge(g)
-	if o.Samples() != 6 || o.Max() != 10 {
-		t.Fatalf("merged gauge: n=%d max=%v", o.Samples(), o.Max())
+	g := mustMerge(t, gaugeSnapshot(10), s).Gauges["g"]
+	if g.Samples != 6 || g.Max != 10 || g.Min != 1 || g.Last != 10 {
+		t.Fatalf("merged gauge: %+v", g)
+	}
+	// The merged mean divides the exact sample sums, not the inputs'
+	// rounded means times their counts.
+	a, b := []float64{0.1, 0.2, 0.6}, []float64{0.1, 0.2}
+	sa, sb := a[0]+a[1]+a[2], b[0]+b[1]
+	g = mustMerge(t, gaugeSnapshot(a...), gaugeSnapshot(b...)).Gauges["g"]
+	if want := (sa + sb) / 5; g.Mean != want {
+		t.Fatalf("merged mean = %v, want %v", g.Mean, want)
 	}
 }
 
 func TestGridClampAndMerge(t *testing.T) {
-	g, err := NewGrid(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRegistry()
+	g := r.Grid("m", 2, 3)
 	g.Inc(0, 0)
 	g.Inc(5, 5) // clamps to (1, 2)
 	g.Inc(-1, -1)
-	if g.At(0, 0) != 2 || g.At(1, 2) != 1 || g.Total() != 3 {
-		t.Fatalf("grid counts: %+v total=%d", g.Snapshot(), g.Total())
+	s := r.Snapshot()
+	if got := fmt.Sprint(s.Grids["m"].Counts); got != "[[2 0 0] [0 0 1]]" {
+		t.Fatalf("grid counts: %s", got)
 	}
-	o, _ := NewGrid(2, 3)
-	o.Inc(1, 2)
-	if err := g.Merge(o); err != nil {
-		t.Fatal(err)
+	o := NewRegistry()
+	o.Grid("m", 2, 3).Inc(1, 2)
+	if got := mustMerge(t, s, o.Snapshot()).Grids["m"].Counts[1][2]; got != 2 {
+		t.Fatalf("merged grid cell = %d, want 2", got)
 	}
-	if g.At(1, 2) != 2 {
-		t.Fatal("grid merge failed")
-	}
-	bad, _ := NewGrid(3, 3)
-	if err := g.Merge(bad); err == nil {
+	bad := NewRegistry()
+	bad.Grid("m", 3, 3)
+	if _, err := s.Merge(bad.Snapshot()); err == nil {
 		t.Fatal("shape mismatch should fail")
 	}
 }
@@ -247,10 +265,7 @@ func TestRegistryGetOrCreateAndMerge(t *testing.T) {
 	o.Counter("only_o").Inc()
 	o.Histogram("h", LinearBounds(1, 1, 4)).Observe(3.5)
 	o.Grid("m", 2, 2).Inc(0, 1)
-	if err := r.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Snapshot()
+	s := mustMerge(t, r.Snapshot(), o.Snapshot())
 	if s.Counters["a"] != 5 || s.Counters["only_o"] != 1 || s.Counters["set"] != 42 {
 		t.Fatalf("merged counters: %+v", s.Counters)
 	}
@@ -263,7 +278,7 @@ func TestRegistryGetOrCreateAndMerge(t *testing.T) {
 	// Mismatched bounds across registries must surface an error.
 	bad := NewRegistry()
 	bad.Histogram("h", LinearBounds(2, 2, 4)).Observe(1)
-	if err := r.Merge(bad); err == nil {
+	if _, err := s.Merge(bad.Snapshot()); err == nil {
 		t.Fatal("mismatched histogram bounds should fail the merge")
 	}
 }
@@ -301,9 +316,9 @@ func TestBoundsHelpers(t *testing.T) {
 	}
 }
 
-// TestRegistryMergeDisjoint merges two registries with no instruments in
-// common: every instrument of each kind must appear in the receiver with
-// its values intact (grid-report aggregation relies on this when cells
+// TestRegistryMergeDisjoint merges snapshots of two registries with no
+// instruments in common: every instrument of each kind must appear in
+// the result with its values intact (grid-report aggregation relies on this when cells
 // instrument different subsystems).
 func TestRegistryMergeDisjoint(t *testing.T) {
 	r := NewRegistry()
@@ -315,10 +330,7 @@ func TestRegistryMergeDisjoint(t *testing.T) {
 	o.Gauge("right.g").Observe(9)
 	o.Histogram("right.h", LinearBounds(1, 1, 4)).Observe(2.5)
 	o.Grid("right.m", 2, 2).Inc(1, 1)
-	if err := r.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Snapshot()
+	s := mustMerge(t, r.Snapshot(), o.Snapshot())
 	if s.Counters["left.c"] != 2 || s.Counters["right.c"] != 7 {
 		t.Fatalf("disjoint counters: %+v", s.Counters)
 	}
@@ -334,7 +346,7 @@ func TestRegistryMergeDisjoint(t *testing.T) {
 }
 
 // TestRegistryMergeEmptyHistogram pins both directions of the
-// empty-histogram edge case at the registry level: an instrument that
+// empty-histogram edge case in merged registry snapshots: an instrument that
 // was created but never observed must neither poison the receiver's
 // stats nor block adoption of the source's.
 func TestRegistryMergeEmptyHistogram(t *testing.T) {
@@ -344,10 +356,7 @@ func TestRegistryMergeEmptyHistogram(t *testing.T) {
 	// Source has the histogram declared with zero observations.
 	o := NewRegistry()
 	o.Histogram("h", LinearBounds(10, 10, 5))
-	if err := r.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	h := r.Snapshot().Histograms["h"]
+	h := mustMerge(t, r.Snapshot(), o.Snapshot()).Histograms["h"]
 	if h.Count != 1 || h.Min != 15 || h.Max != 15 {
 		t.Fatalf("empty source disturbed stats: %+v", h)
 	}
@@ -355,10 +364,7 @@ func TestRegistryMergeEmptyHistogram(t *testing.T) {
 	// Receiver empty, source populated: stats adopt wholesale.
 	e := NewRegistry()
 	e.Histogram("h", LinearBounds(10, 10, 5))
-	if err := e.Merge(r); err != nil {
-		t.Fatal(err)
-	}
-	h = e.Snapshot().Histograms["h"]
+	h = mustMerge(t, e.Snapshot(), r.Snapshot()).Histograms["h"]
 	if h.Count != 1 || h.Min != 15 || h.Mean != 15 {
 		t.Fatalf("empty receiver did not adopt: %+v", h)
 	}
@@ -374,35 +380,81 @@ func TestRegistryMergeZeroSampleGauge(t *testing.T) {
 
 	o := NewRegistry()
 	o.Gauge("g") // zero samples
-	if err := r.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	g := r.Snapshot().Gauges["g"]
+	g := mustMerge(t, r.Snapshot(), o.Snapshot()).Gauges["g"]
 	if g.Samples != 2 || g.Min != 3 || g.Max != 5 || g.Mean != 4 {
 		t.Fatalf("zero-sample source disturbed gauge: %+v", g)
 	}
 
 	e := NewRegistry()
 	e.Gauge("g")
-	if err := e.Merge(r); err != nil {
-		t.Fatal(err)
-	}
-	g = e.Snapshot().Gauges["g"]
+	g = mustMerge(t, e.Snapshot(), r.Snapshot()).Gauges["g"]
 	if g.Samples != 2 || g.Min != 3 || g.Max != 5 {
 		t.Fatalf("zero-sample receiver did not adopt: %+v", g)
 	}
 }
 
-// TestRegistryMergeNil pins the nil-registry contract.
+// TestRegistryMergeNil pins the nil-registry contract: a nil registry
+// snapshots as empty, and an empty or zero snapshot merges as the
+// identity in either direction, into non-nil maps.
 func TestRegistryMergeNil(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Merge(nil); err == nil {
-		t.Fatal("merging a nil registry should fail")
-	}
+	r.Counter("c").Add(3)
+	r.Histogram("h", LinearBounds(1, 1, 4)).Observe(2)
 	var n *Registry
-	if err := n.Merge(r); err == nil {
-		t.Fatal("merging into a nil registry should fail")
+	for _, empty := range []Snapshot{n.Snapshot(), {}} {
+		for _, s := range []Snapshot{
+			mustMerge(t, r.Snapshot(), empty),
+			mustMerge(t, empty, r.Snapshot()),
+		} {
+			if s.Counters["c"] != 3 || s.Histograms["h"].Count != 1 || len(s.SortedNames()) != 2 {
+				t.Fatalf("empty merge changed the snapshot: %+v", s)
+			}
+		}
 	}
+	if s := mustMerge(t, Snapshot{}, Snapshot{}); s.Counters == nil || s.Gauges == nil ||
+		s.Histograms == nil || s.Grids == nil {
+		t.Fatalf("merged zero snapshots should have non-nil maps: %+v", s)
+	}
+}
+
+// TestSnapshotMergeEdges pins three contracts of Snapshot.Merge: an
+// instrument absent from one side is copied with its shape, histogram
+// bounds must match even when a side has no samples, and neither input
+// changes.
+func TestSnapshotMergeEdges(t *testing.T) {
+	bounds := LinearBounds(10, 10, 5)
+	t.Run("absent histogram keeps its bounds", func(t *testing.T) {
+		h := mustMerge(t, NewRegistry().Snapshot(), histSnapshot(bounds)).Histograms["h"]
+		if h.Count != 0 || fmt.Sprint(h.Bounds) != fmt.Sprint(bounds) || len(h.Counts) != len(bounds)+1 {
+			t.Fatalf("copied histogram = %+v, want empty over %v", h, bounds)
+		}
+	})
+	t.Run("mismatched bounds with an empty side", func(t *testing.T) {
+		empty, full := histSnapshot(LinearBounds(10, 10, 4)), histSnapshot(bounds, 15)
+		if _, err := empty.Merge(full); err == nil {
+			t.Fatal("empty receiver with other bounds should fail")
+		}
+		if _, err := full.Merge(empty); err == nil {
+			t.Fatal("empty source with other bounds should fail")
+		}
+	})
+	t.Run("inputs unchanged", func(t *testing.T) {
+		snap := func(v float64) Snapshot {
+			r := NewRegistry()
+			r.Counter("c").Add(uint64(v))
+			r.Gauge("g").Observe(v)
+			r.Histogram("h", bounds).Observe(v)
+			r.Grid("m", 2, 2).Inc(int(v)%2, 0)
+			return r.Snapshot()
+		}
+		a, b := snap(15), snap(42)
+		if _, err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, snap(15)) || !reflect.DeepEqual(b, snap(42)) {
+			t.Fatalf("merge changed an input:\n a = %+v\n b = %+v", a, b)
+		}
+	})
 }
 
 // TestSnapshotSub pins the snapshot difference: counters and histograms

@@ -10,7 +10,8 @@ import (
 // accessors are mutex-protected so setup can happen from any goroutine;
 // the instruments themselves are lock-free and must each be observed
 // from a single goroutine (one simulation run is single-threaded, and
-// RunGrid gives every run its own Registry, merging afterwards).
+// RunGrid gives every run its own Registry, merging their snapshots
+// afterwards).
 //
 // Naming convention: dot-separated "layer.subject.metric" with the unit
 // as the final suffix where one applies, e.g.
@@ -120,65 +121,6 @@ func (r *Registry) SetCounter(name string, v uint64) {
 	}
 }
 
-// Merge folds another registry into this one: counters add, gauges
-// combine their sample moments, histograms and grids add element-wise.
-// Shape mismatches (same name, different bounds) abort with an error;
-// the receiver may then hold a partial merge.
-func (r *Registry) Merge(o *Registry) error {
-	if r == nil || o == nil {
-		return fmt.Errorf("metrics: cannot merge nil registry")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for name, c := range o.counters {
-		mine, ok := r.counters[name]
-		if !ok {
-			mine = &Counter{}
-			r.counters[name] = mine
-		}
-		mine.merge(c)
-	}
-	for name, g := range o.gauges {
-		mine, ok := r.gauges[name]
-		if !ok {
-			mine = &Gauge{}
-			r.gauges[name] = mine
-		}
-		mine.merge(g)
-	}
-	for name, h := range o.histograms {
-		mine, ok := r.histograms[name]
-		if !ok {
-			var err error
-			mine, err = NewHistogram(h.bounds)
-			if err != nil {
-				return fmt.Errorf("metrics: merging histogram %q: %w", name, err)
-			}
-			r.histograms[name] = mine
-		}
-		if err := mine.Merge(h); err != nil {
-			return fmt.Errorf("metrics: merging histogram %q: %w", name, err)
-		}
-	}
-	for name, g := range o.grids {
-		mine, ok := r.grids[name]
-		if !ok {
-			var err error
-			mine, err = NewGrid(g.rows, g.cols)
-			if err != nil {
-				return fmt.Errorf("metrics: merging grid %q: %w", name, err)
-			}
-			r.grids[name] = mine
-		}
-		if err := mine.Merge(g); err != nil {
-			return fmt.Errorf("metrics: merging grid %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
 // Snapshot freezes every instrument into the serializable form embedded
 // in run reports. A nil registry snapshots as empty (never nil maps), so
 // reports marshal uniformly.
@@ -205,7 +147,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		gs := GaugeSnapshot{Samples: g.n}
 		if g.n > 0 {
-			gs.Last, gs.Min, gs.Max = g.last, g.min, g.max
+			gs.Last, gs.Min, gs.Max, gs.sum = g.last, g.min, g.max, g.sum
 			gs.Mean = g.sum / float64(g.n)
 		}
 		s.Gauges[name] = gs
@@ -226,6 +168,45 @@ type Snapshot struct {
 	Gauges     map[string]GaugeSnapshot     `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Grids      map[string]GridSnapshot      `json:"grids"`
+}
+
+// Merge returns the union of s and o, snapshots of two registries —
+// the fleet-wide view of a grid's runs. Counters add, gauges combine
+// their sample moments, histograms merge as HistogramSnapshot.Merge
+// does and grids add element-wise; an instrument in only one input is
+// copied. A histogram or grid whose shape differs between the inputs is
+// an error. Neither input changes, though the result may share slices
+// with them.
+func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
+	out := Snapshot{
+		Counters:   make(map[string]uint64, len(s.Counters)),
+		Gauges:     make(map[string]GaugeSnapshot, len(s.Gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
+		Grids:      make(map[string]GridSnapshot, len(s.Grids)),
+	}
+	for _, in := range [2]Snapshot{s, o} {
+		for name, v := range in.Counters {
+			out.Counters[name] += v
+		}
+		for name, g := range in.Gauges {
+			out.Gauges[name] = out.Gauges[name].merge(g)
+		}
+		for name, h := range in.Histograms {
+			m, err := out.Histograms[name].Merge(h)
+			if err != nil {
+				return Snapshot{}, fmt.Errorf("metrics: merging histogram %q: %w", name, err)
+			}
+			out.Histograms[name] = m
+		}
+		for name, g := range in.Grids {
+			m, err := out.Grids[name].merge(g)
+			if err != nil {
+				return Snapshot{}, fmt.Errorf("metrics: merging grid %q: %w", name, err)
+			}
+			out.Grids[name] = m
+		}
+	}
+	return out, nil
 }
 
 // Sub returns the activity between prev and s, two snapshots of one
@@ -254,6 +235,40 @@ type GaugeSnapshot struct {
 	Max     float64 `json:"max"`
 	Mean    float64 `json:"mean"`
 	Samples uint64  `json:"samples"`
+	// sum is the exact sample sum, so merged means are the ones the
+	// merged gauge would report. It is not serialized.
+	sum float64
+}
+
+// merge combines two gauges' sample moments. The merged Last keeps s's
+// unless s had no samples (order across merged runs is not
+// meaningful).
+func (s GaugeSnapshot) merge(o GaugeSnapshot) GaugeSnapshot {
+	if o.Samples == 0 {
+		return s
+	}
+	if s.Samples == 0 {
+		return o
+	}
+	if o.Min < s.Min {
+		s.Min = o.Min
+	}
+	if o.Max > s.Max {
+		s.Max = o.Max
+	}
+	s.sum = s.total() + o.total()
+	s.Samples += o.Samples
+	s.Mean = s.sum / float64(s.Samples)
+	return s
+}
+
+// total is the gauge's sample sum: the exact one a registry snapshot
+// carries, or the mean's when the snapshot was decoded from JSON.
+func (s GaugeSnapshot) total() float64 {
+	if s.sum == 0 {
+		return s.Mean * float64(s.Samples)
+	}
+	return s.sum
 }
 
 // HistogramSnapshot is a frozen Histogram: bucket bounds and counts plus
@@ -364,21 +379,29 @@ func (s HistogramSnapshot) NonzeroBuckets() int {
 
 // Merge adds another snapshot with identical bounds into this one and
 // recomputes the derived statistics — used to combine per-channel
-// histograms into a system-wide view at report time.
+// histograms into a system-wide view at report time. Bounds must match
+// even when a side has no samples; the zero value, which has no bounds,
+// merges as the identity.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
-	if o.Count == 0 {
-		return s, nil
-	}
-	if s.Count == 0 {
+	if s.Bounds == nil {
 		return o, nil
+	}
+	if o.Bounds == nil {
+		return s, nil
 	}
 	if len(s.Bounds) != len(o.Bounds) {
 		return s, fmt.Errorf("metrics: merging snapshots with %d vs %d bounds", len(s.Bounds), len(o.Bounds))
 	}
 	for i := range s.Bounds {
 		if s.Bounds[i] != o.Bounds[i] {
-			return s, fmt.Errorf("metrics: merging snapshots with mismatched bound %d", i)
+			return s, fmt.Errorf("metrics: merging snapshots with mismatched bound %d (%v vs %v)", i, s.Bounds[i], o.Bounds[i])
 		}
+	}
+	if o.Count == 0 {
+		return s, nil
+	}
+	if s.Count == 0 {
+		return o, nil
 	}
 	out := HistogramSnapshot{
 		Bounds: append([]float64(nil), s.Bounds...),
@@ -409,6 +432,25 @@ type GridSnapshot struct {
 	Rows   int        `json:"rows"`
 	Cols   int        `json:"cols"`
 	Counts [][]uint64 `json:"counts"`
+}
+
+// merge adds another grid of identical shape element-wise. The zero
+// value merges as the identity.
+func (g GridSnapshot) merge(o GridSnapshot) (GridSnapshot, error) {
+	if g.Rows == 0 {
+		return o, nil
+	}
+	if g.Rows != o.Rows || g.Cols != o.Cols {
+		return g, fmt.Errorf("metrics: merging %d×%d grid into %d×%d", o.Rows, o.Cols, g.Rows, g.Cols)
+	}
+	out := GridSnapshot{Rows: g.Rows, Cols: g.Cols, Counts: make([][]uint64, g.Rows)}
+	for r := range out.Counts {
+		out.Counts[r] = make([]uint64, g.Cols)
+		for c := range out.Counts[r] {
+			out.Counts[r][c] = g.Counts[r][c] + o.Counts[r][c]
+		}
+	}
+	return out, nil
 }
 
 // SortedNames returns the union of all instrument names in the snapshot,

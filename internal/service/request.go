@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ladder/internal/core"
 	"ladder/internal/sim"
 	"ladder/internal/trace"
 )
@@ -48,13 +47,11 @@ func (r *Request) normalize(maxInstr uint64) error {
 			return fmt.Errorf("unknown workload %q (known: %s)", w, strings.Join(trace.AllWorkloads(), " "))
 		}
 	}
-	for i, s := range r.Schemes {
-		canon, err := core.SchemeName(s)
-		if err != nil {
-			return err
-		}
-		r.Schemes[i] = canon
+	schemes, err := sim.CanonicalSchemes(r.Schemes)
+	if err != nil {
+		return err
 	}
+	r.Schemes = schemes
 	if r.Instr == 0 {
 		r.Instr = sim.DefaultInstr
 	}

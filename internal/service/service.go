@@ -253,6 +253,9 @@ func New(cfg Config) (*Service, error) {
 		baseCtx:      ctx,
 		stop:         cancel,
 	}
+	for _, c := range statsCounters {
+		s.reg.Counter(c.name)
+	}
 	if cfg.StateDir != "" {
 		store, rec, err := OpenStore(cfg.StateDir)
 		if err != nil {
@@ -393,39 +396,51 @@ type Stats struct {
 	DurabilityDegraded bool   `json:"durability_degraded,omitempty"`
 }
 
-// StatsSnapshot builds the GET /stats document. Safe for concurrent use.
+// statsCounters maps each counter GET /stats reports to its Stats
+// field. New creates every one, so /metrics lists them from boot.
+var statsCounters = []struct {
+	name  string
+	field func(*Stats) *uint64
+}{
+	{"service.jobs.submitted", func(st *Stats) *uint64 { return &st.Submitted }},
+	{"service.jobs.deduped", func(st *Stats) *uint64 { return &st.Deduped }},
+	{"service.jobs.rejected", func(st *Stats) *uint64 { return &st.Rejected }},
+	{"service.cache.hits", func(st *Stats) *uint64 { return &st.CacheHits }},
+	{"service.jobs.completed", func(st *Stats) *uint64 { return &st.Completed }},
+	{"service.jobs.failed", func(st *Stats) *uint64 { return &st.Failed }},
+	{"service.jobs.canceled", func(st *Stats) *uint64 { return &st.Canceled }},
+	{"service.cache.evictions", func(st *Stats) *uint64 { return &st.Evictions }},
+	{"service.jobs.resubmitted", func(st *Stats) *uint64 { return &st.Resubmitted }},
+	{"service.watchdog.kills", func(st *Stats) *uint64 { return &st.WatchdogKills }},
+	{"service.jobs.deadline_exceeded", func(st *Stats) *uint64 { return &st.DeadlineExceeded }},
+	{"service.jobs.panics", func(st *Stats) *uint64 { return &st.Panics }},
+	{"service.jobs.abandoned", func(st *Stats) *uint64 { return &st.Abandoned }},
+	{"service.recovered.reports", func(st *Stats) *uint64 { return &st.RecoveredReports }},
+	{"service.recovered.requeued", func(st *Stats) *uint64 { return &st.RecoveredRequeued }},
+	{"service.recovered.failed_by_crash", func(st *Stats) *uint64 { return &st.FailedByCrash }},
+	{"service.store.corrupt_records", func(st *Stats) *uint64 { return &st.StoreCorruptRecs }},
+}
+
+// StatsSnapshot builds the GET /stats document, its counters read from
+// one registry snapshot. Safe for concurrent use.
 func (s *Service) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := func(name string) uint64 { return s.reg.Counter(name).Value() }
-	return Stats{
-		QueueDepth: len(s.queue),
-		QueueCap:   s.cfg.QueueDepth,
-		Running:    s.running,
-		Jobs:       len(s.order),
-		Cached:     len(s.lru),
-		Submitted:  c("service.jobs.submitted"),
-		Deduped:    c("service.jobs.deduped"),
-		Rejected:   c("service.jobs.rejected"),
-		CacheHits:  c("service.cache.hits"),
-		Completed:  c("service.jobs.completed"),
-		Failed:     c("service.jobs.failed"),
-		Canceled:   c("service.jobs.canceled"),
-		Evictions:  c("service.cache.evictions"),
-
-		Resubmitted:        c("service.jobs.resubmitted"),
-		WatchdogKills:      c("service.watchdog.kills"),
-		DeadlineExceeded:   c("service.jobs.deadline_exceeded"),
-		Panics:             c("service.jobs.panics"),
-		Abandoned:          c("service.jobs.abandoned"),
-		RecoveredReports:   c("service.recovered.reports"),
-		RecoveredRequeued:  c("service.recovered.requeued"),
-		FailedByCrash:      c("service.recovered.failed_by_crash"),
+	st := Stats{
+		QueueDepth:         len(s.queue),
+		QueueCap:           s.cfg.QueueDepth,
+		Running:            s.running,
+		Jobs:               len(s.order),
+		Cached:             len(s.lru),
 		StoreWriteErrors:   s.store.WriteErrs(),
-		StoreCorruptRecs:   c("service.store.corrupt_records"),
 		StateDir:           s.cfg.StateDir,
 		DurabilityDegraded: s.store.Err() != nil,
 	}
+	counters := s.reg.Snapshot().Counters
+	for _, c := range statsCounters {
+		*c.field(&st) = counters[c.name]
+	}
+	return st
 }
 
 // submitOutcome tells the HTTP layer how a submission resolved.

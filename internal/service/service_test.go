@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +147,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"instr over cap", `{"workloads":["astar"],"schemes":["Baseline"],"instr":20000}`, "budget cap"},
 		{"removed fault field", `{"workloads":["astar"],"schemes":["Baseline"],"retry_max":3}`, "retry_max"},
 		{"repeated workload", `{"workloads":["lbm","astar","lbm"],"schemes":["Baseline"],"instr":5000}`, "Workloads"},
+		{"repeated scheme", `{"workloads":["astar"],"schemes":["Baseline","baseline"],"instr":5000}`, `"Baseline" and "baseline"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -384,6 +386,44 @@ func TestRequestNormalizationHashing(t *testing.T) {
 	}
 	if got := id(Request{Workloads: []string{"astar"}, Schemes: []string{"LADDER-Hybrid"}, Seed: 1}); got == base {
 		t.Fatal("different seed must produce a different job ID")
+	}
+}
+
+// TestMetricsStableFromBoot pins that every counter GET /stats reports
+// is in the registry from boot, so a /metrics scrape does not depend on
+// whether /stats was read first, and that each counter lands in its own
+// Stats field.
+func TestMetricsStableFromBoot(t *testing.T) {
+	svc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	before := svc.MetricsSnapshot()
+	svc.StatsSnapshot()
+	after := svc.MetricsSnapshot()
+	if !reflect.DeepEqual(before.Counters, after.Counters) || !reflect.DeepEqual(before.SortedNames(), after.SortedNames()) {
+		t.Fatalf("/stats changed the metrics:\nbefore %v\n after %v", before.Counters, after.Counters)
+	}
+	for _, c := range statsCounters {
+		if _, ok := before.Counters[c.name]; !ok {
+			t.Errorf("%s missing from the boot snapshot", c.name)
+		}
+	}
+	// Counter i holds bit i: the Stats counter fields sum to all bits
+	// only if every counter has a field of its own.
+	for i, c := range statsCounters {
+		svc.reg.SetCounter(c.name, 1<<i)
+	}
+	st := reflect.ValueOf(svc.StatsSnapshot())
+	var sum uint64
+	for i := range st.NumField() {
+		if f := st.Field(i); f.Kind() == reflect.Uint64 {
+			sum += f.Uint()
+		}
+	}
+	if want := uint64(1)<<len(statsCounters) - 1; sum != want {
+		t.Fatalf("Stats counter fields sum to %#x, want %#x", sum, want)
 	}
 }
 

@@ -146,7 +146,7 @@ func RunGrid(opts Options, schemes []string) (*Grid, error) {
 // or two names of one scheme, fails the grid before any cell runs.
 func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, error) {
 	ws := opts.WorkloadNames()
-	schemes, err := canonicalSchemes(schemes)
+	schemes, err := CanonicalSchemes(schemes)
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +168,10 @@ func RunGridCtx(ctx context.Context, opts Options, schemes []string) (*Grid, err
 	return g, nil
 }
 
-// canonicalSchemes resolves each name to its registered spelling,
-// rejecting unknown names and repeats of one scheme.
-func canonicalSchemes(names []string) ([]string, error) {
+// CanonicalSchemes resolves each name to its registered spelling,
+// rejecting unknown names and repeats of one scheme: the scheme-list
+// check RunGridCtx and the service's request validation share.
+func CanonicalSchemes(names []string) ([]string, error) {
 	out := make([]string, len(names))
 	for i, n := range names {
 		name, err := core.SchemeName(n)

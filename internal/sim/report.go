@@ -280,38 +280,44 @@ type GridReport struct {
 	Timeline *timeline.Timeline `json:"timeline,omitempty"`
 }
 
-// MergedMetrics folds every cell's registry into one snapshot. All cells
-// use identical instrument shapes, so the merge only fails on a grid
-// whose results were built outside Run.
+// MergedMetrics folds every cell's metrics snapshot into one, in
+// Workloads×Schemes order. All cells use identical instrument shapes,
+// so the merge only fails on a grid whose results were built outside
+// Run.
 func (g *Grid) MergedMetrics() (metrics.Snapshot, error) {
-	agg := metrics.NewRegistry()
+	merged := metrics.NewRegistry().Snapshot()
 	for _, w := range g.Workloads {
 		for _, s := range g.Schemes {
-			res := g.Results[w][s]
-			if res == nil || res.Metrics == nil {
-				continue
-			}
-			if err := agg.Merge(res.Metrics); err != nil {
-				return metrics.Snapshot{}, fmt.Errorf("sim: merging %s/%s metrics: %w", w, s, err)
+			if res := g.Results[w][s]; res != nil {
+				var err error
+				if merged, err = mergeCell(merged, w, s, res.Metrics.Snapshot()); err != nil {
+					return metrics.Snapshot{}, err
+				}
 			}
 		}
 	}
-	return agg.Snapshot(), nil
+	return merged, nil
+}
+
+// mergeCell folds the snapshot of cell (w, s) into merged.
+func mergeCell(merged metrics.Snapshot, w, s string, snap metrics.Snapshot) (metrics.Snapshot, error) {
+	m, err := merged.Merge(snap)
+	if err != nil {
+		return m, fmt.Errorf("sim: merging %s/%s metrics: %w", w, s, err)
+	}
+	return m, nil
 }
 
 // NewGridReport freezes an experiment grid into its report form. Cells
 // are ordered workload-major, scheme-minor, matching the grid's own
-// iteration order.
+// iteration order. Each cell's registry is snapshotted once, for both
+// the merged Metrics and the cell's ResetLatency.
 func NewGridReport(g *Grid) (*GridReport, error) {
-	merged, err := g.MergedMetrics()
-	if err != nil {
-		return nil, err
-	}
 	gr := &GridReport{
 		Schema:    GridReportSchema,
 		Workloads: append([]string(nil), g.Workloads...),
 		Schemes:   append([]string(nil), g.Schemes...),
-		Metrics:   merged,
+		Metrics:   metrics.NewRegistry().Snapshot(),
 	}
 	for _, w := range g.Workloads {
 		for _, s := range g.Schemes {
@@ -319,13 +325,17 @@ func NewGridReport(g *Grid) (*GridReport, error) {
 			if res == nil {
 				continue
 			}
+			snap := res.Metrics.Snapshot()
+			var err error
+			if gr.Metrics, err = mergeCell(gr.Metrics, w, s, snap); err != nil {
+				return nil, err
+			}
 			if res.Timeline != nil {
 				gr.Timeline, err = timeline.Merge(gr.Timeline, res.Timeline)
 				if err != nil {
 					return nil, fmt.Errorf("sim: merging %s/%s timeline: %w", w, s, err)
 				}
 			}
-			snap := res.Metrics.Snapshot()
 			gr.Cells = append(gr.Cells, GridCell{
 				Workload:            w,
 				Scheme:              s,
