@@ -235,8 +235,9 @@ type GaugeSnapshot struct {
 	Max     float64 `json:"max"`
 	Mean    float64 `json:"mean"`
 	Samples uint64  `json:"samples"`
-	// sum is the exact sample sum, so merged means are the ones the
-	// merged gauge would report. It is not serialized.
+	// sum is the exact sample sum, so a merged mean divides exact sums
+	// as a live gauge's does. It is not serialized: only snapshots taken
+	// from registries merge exactly.
 	sum float64
 }
 
@@ -256,19 +257,10 @@ func (s GaugeSnapshot) merge(o GaugeSnapshot) GaugeSnapshot {
 	if o.Max > s.Max {
 		s.Max = o.Max
 	}
-	s.sum = s.total() + o.total()
+	s.sum += o.sum
 	s.Samples += o.Samples
 	s.Mean = s.sum / float64(s.Samples)
 	return s
-}
-
-// total is the gauge's sample sum: the exact one a registry snapshot
-// carries, or the mean's when the snapshot was decoded from JSON.
-func (s GaugeSnapshot) total() float64 {
-	if s.sum == 0 {
-		return s.Mean * float64(s.Samples)
-	}
-	return s.sum
 }
 
 // HistogramSnapshot is a frozen Histogram: bucket bounds and counts plus
