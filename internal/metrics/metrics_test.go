@@ -438,6 +438,16 @@ func TestSnapshotMergeEdges(t *testing.T) {
 			t.Fatal("empty source with other bounds should fail")
 		}
 	})
+	t.Run("zero-value grid on either side is the identity", func(t *testing.T) {
+		r := NewRegistry()
+		r.Grid("m", 2, 2).Inc(1, 1)
+		full, zero := r.Snapshot(), Snapshot{Grids: map[string]GridSnapshot{"m": {}}}
+		for _, got := range []Snapshot{mustMerge(t, full, zero), mustMerge(t, zero, full)} {
+			if !reflect.DeepEqual(got.Grids["m"], full.Grids["m"]) {
+				t.Fatalf("merged grid = %+v, want %+v", got.Grids["m"], full.Grids["m"])
+			}
+		}
+	})
 	t.Run("inputs unchanged", func(t *testing.T) {
 		snap := func(v float64) Snapshot {
 			r := NewRegistry()

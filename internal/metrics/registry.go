@@ -177,6 +177,11 @@ type Snapshot struct {
 // copied. A histogram or grid whose shape differs between the inputs is
 // an error. Neither input changes, though the result may share slices
 // with them.
+//
+// Both inputs must come from Registry.Snapshot (or earlier Merges of
+// such snapshots): a gauge's merged Mean divides exact sample sums
+// that JSON-decoded or hand-built snapshots lack, so their gauge
+// means come out wrong.
 func (s Snapshot) Merge(o Snapshot) (Snapshot, error) {
 	out := Snapshot{
 		Counters:   make(map[string]uint64, len(s.Counters)),
@@ -236,8 +241,9 @@ type GaugeSnapshot struct {
 	Mean    float64 `json:"mean"`
 	Samples uint64  `json:"samples"`
 	// sum is the exact sample sum, so a merged mean divides exact sums
-	// as a live gauge's does. It is not serialized: only snapshots taken
-	// from registries merge exactly.
+	// as a live gauge's does. It is not serialized, so a decoded or
+	// hand-built snapshot has sum 0 and merges to a wrong Mean; see
+	// Snapshot.Merge.
 	sum float64
 }
 
@@ -427,10 +433,13 @@ type GridSnapshot struct {
 }
 
 // merge adds another grid of identical shape element-wise. The zero
-// value merges as the identity.
+// value, on either side, merges as the identity.
 func (g GridSnapshot) merge(o GridSnapshot) (GridSnapshot, error) {
 	if g.Rows == 0 {
 		return o, nil
+	}
+	if o.Rows == 0 {
+		return g, nil
 	}
 	if g.Rows != o.Rows || g.Cols != o.Cols {
 		return g, fmt.Errorf("metrics: merging %d×%d grid into %d×%d", o.Rows, o.Cols, g.Rows, g.Cols)

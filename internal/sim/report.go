@@ -280,34 +280,6 @@ type GridReport struct {
 	Timeline *timeline.Timeline `json:"timeline,omitempty"`
 }
 
-// MergedMetrics folds every cell's metrics snapshot into one, in
-// Workloads×Schemes order. All cells use identical instrument shapes,
-// so the merge only fails on a grid whose results were built outside
-// Run.
-func (g *Grid) MergedMetrics() (metrics.Snapshot, error) {
-	merged := metrics.NewRegistry().Snapshot()
-	for _, w := range g.Workloads {
-		for _, s := range g.Schemes {
-			if res := g.Results[w][s]; res != nil {
-				var err error
-				if merged, err = mergeCell(merged, w, s, res.Metrics.Snapshot()); err != nil {
-					return metrics.Snapshot{}, err
-				}
-			}
-		}
-	}
-	return merged, nil
-}
-
-// mergeCell folds the snapshot of cell (w, s) into merged.
-func mergeCell(merged metrics.Snapshot, w, s string, snap metrics.Snapshot) (metrics.Snapshot, error) {
-	m, err := merged.Merge(snap)
-	if err != nil {
-		return m, fmt.Errorf("sim: merging %s/%s metrics: %w", w, s, err)
-	}
-	return m, nil
-}
-
 // NewGridReport freezes an experiment grid into its report form. Cells
 // are ordered workload-major, scheme-minor, matching the grid's own
 // iteration order. Each cell's registry is snapshotted once, for both
@@ -327,8 +299,8 @@ func NewGridReport(g *Grid) (*GridReport, error) {
 			}
 			snap := res.Metrics.Snapshot()
 			var err error
-			if gr.Metrics, err = mergeCell(gr.Metrics, w, s, snap); err != nil {
-				return nil, err
+			if gr.Metrics, err = gr.Metrics.Merge(snap); err != nil {
+				return nil, fmt.Errorf("sim: merging %s/%s metrics: %w", w, s, err)
 			}
 			if res.Timeline != nil {
 				gr.Timeline, err = timeline.Merge(gr.Timeline, res.Timeline)
