@@ -13,7 +13,8 @@ import (
 // fresh default cache holds only its set index (256 nil sets) and an
 // empty backing map, so building one per scheme instance costs well
 // under the 160 KB its 1024 ways would take; a lookup in an untouched
-// set allocates nothing, and the first Reserve builds just that set.
+// set allocates nothing, and the first Reserve builds just that set. A
+// cache built on a recycled cache's storage allocates only itself.
 // The race detector instruments allocations, so the file is excluded
 // under -race.
 func TestMetaCacheAllocLazySets(t *testing.T) {
@@ -46,5 +47,23 @@ func TestMetaCacheAllocLazySets(t *testing.T) {
 	}
 	if built != 1 {
 		t.Errorf("%d sets built after one Reserve, want 1", built)
+	}
+
+	// A cache built on recycled storage reuses the set index, the built
+	// sets and the backing map: building one and filling a line costs
+	// the cache itself.
+	init := func(uint64) MetaLine { return MetaLine{1} }
+	c.Recycle()
+	if n := testing.AllocsPerRun(100, func() {
+		c, err := NewMetaCache(DefaultMetaCacheConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetInitializer(init)
+		c.Reserve(42, reram.Location{})
+		c.Fill(42)
+		c.Recycle()
+	}); n != 1 {
+		t.Errorf("a cache on recycled storage allocates %.0f per build, Reserve and Fill, want 1 (the cache)", n)
 	}
 }

@@ -14,6 +14,9 @@ import (
 // exact counter deltas.
 type Basic struct {
 	*ladderBase
+	// aux backs Enqueue's auxiliary reads, which the controller consumes
+	// before the next Enqueue (see ladderBase.auxScratch).
+	aux []AuxRead
 }
 
 // NewBasicCache builds the scheme over a metadata cache of the given
@@ -50,9 +53,9 @@ func (s *Basic) Enqueue(req *WriteRequest) ([]AuxRead, []MetaWriteback) {
 	req.Payload = payloadFor(req.Data, req.Loc.Slot, false)
 	req.WaitSMB = true
 	s.run.SMBReads.Inc()
-	aux := []AuxRead{{Kind: AuxSMB, Key: req.Line, Loc: req.Loc}}
 	metaAux, wbs := s.acquire(req, s.keys(req))
-	return append(aux, metaAux...), wbs
+	s.aux = append(append(s.aux[:0], AuxRead{Kind: AuxSMB, Key: req.Line, Loc: req.Loc}), metaAux...)
+	return s.aux, wbs
 }
 
 // SMBArrived implements Scheme.

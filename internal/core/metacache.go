@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ladder/internal/recycle"
 	"ladder/internal/reram"
 )
 
@@ -65,20 +66,36 @@ type metaEntry struct {
 	data    MetaLine
 }
 
-// MetaCache is the LRS-metadata cache plus the backing metadata memory
-// image (the reserved region's persisted contents).
-type MetaCache struct {
-	cfg MetaCacheConfig
+// cacheMemory is a cache's storage: its set index, its backing map, and
+// built sets no set holds. Recycle hands it to the next NewMetaCache
+// (cacheMemories), so a warm process builds caches and their sets
+// without allocating.
+type cacheMemory struct {
 	// sets holds each set's ways, built on the set's first Reserve: a
 	// cache is built per scheme instance and grid sweeps build many, most
 	// of whose sets a short run never touches. A nil set has no valid or
 	// filling way.
 	sets [][]metaEntry
-	tick uint64
+	// spare holds built sets for Reserve to reuse.
+	spare [][]metaEntry
 	// backing is the metadata region content as persisted in main
 	// memory; entries absent are synthesized by init (boot-time
 	// initialization from resident memory content) or read as zero.
 	backing map[uint64]MetaLine
+}
+
+// cacheMemories keeps recycled cache storage.
+var cacheMemories = recycle.NewPool[cacheMemory]()
+
+// MetaCache is the LRS-metadata cache plus the backing metadata memory
+// image (the reserved region's persisted contents).
+type MetaCache struct {
+	cfg MetaCacheConfig
+	// cacheMemory holds the sets and the backing map; mem is where
+	// Recycle returns it (nil once recycled).
+	cacheMemory
+	mem  *cacheMemory
+	tick uint64
 	// init synthesizes first-touch metadata lines; the host initializes
 	// the LRS-metadata region consistently with memory content at boot.
 	init func(key uint64) MetaLine
@@ -96,7 +113,37 @@ func NewMetaCache(cfg MetaCacheConfig) (*MetaCache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / MetaLineSize / cfg.Ways
-	return &MetaCache{cfg: cfg, sets: make([][]metaEntry, sets), backing: make(map[uint64]MetaLine)}, nil
+	mem := cacheMemories.Get()
+	if cap(mem.sets) < sets {
+		mem.sets = make([][]metaEntry, sets)
+	}
+	mem.sets = mem.sets[:sets]
+	clear(mem.sets)
+	if len(mem.spare) > 0 && len(mem.spare[0]) != cfg.Ways {
+		mem.spare = mem.spare[:0]
+	}
+	if mem.backing == nil {
+		mem.backing = make(map[uint64]MetaLine)
+	}
+	return &MetaCache{cfg: cfg, cacheMemory: *mem, mem: mem}, nil
+}
+
+// Recycle hands the cache's storage back for a later NewMetaCache to
+// reuse. The cache must not be used again: any call that reaches a set
+// or the backing map panics.
+func (c *MetaCache) Recycle() {
+	if c.mem == nil {
+		return
+	}
+	for _, set := range c.sets {
+		if set != nil {
+			c.spare = append(c.spare, set)
+		}
+	}
+	clear(c.backing)
+	*c.mem = c.cacheMemory
+	cacheMemories.Put(c.mem)
+	c.cacheMemory, c.mem = cacheMemory{}, nil
 }
 
 // setOf returns key's set index.
@@ -153,7 +200,7 @@ func (c *MetaCache) Release(key uint64) {
 func (c *MetaCache) Reserve(key uint64, loc reram.Location) (wb *MetaWriteback, ok bool) {
 	s := c.setOf(key)
 	if c.sets[s] == nil {
-		c.sets[s] = make([]metaEntry, c.cfg.Ways)
+		c.sets[s] = c.newSet()
 	}
 	set := c.sets[s]
 	var victim *metaEntry
@@ -181,6 +228,18 @@ func (c *MetaCache) Reserve(key uint64, loc reram.Location) (wb *MetaWriteback, 
 	c.tick++
 	*victim = metaEntry{key: key, state: entryFilling, sharers: 1, lastUse: c.tick, loc: loc}
 	return wb, true
+}
+
+// newSet returns an empty set of ways, reusing a spare one when it can.
+func (c *MetaCache) newSet() []metaEntry {
+	n := len(c.spare)
+	if n == 0 {
+		return make([]metaEntry, c.cfg.Ways)
+	}
+	set := c.spare[n-1]
+	c.spare = c.spare[:n-1]
+	clear(set)
+	return set
 }
 
 // Fill completes a metadata read: the way becomes valid with the backing

@@ -26,20 +26,24 @@ type queued[T any] struct {
 // none ends a FIFO and the free list.
 const none = -1
 
-func newBankQueue[T any](bound, banks int) bankQueue[T] {
-	q := bankQueue[T]{
-		entries: make([]queued[T], bound),
-		head:    make([]int32, banks),
-		tail:    make([]int32, banks),
+// reset empties q into a queue of bound entries over banks banks,
+// reusing its slices where they are large enough.
+func (q *bankQueue[T]) reset(bound, banks int) {
+	entries, head, tail := q.entries, q.head, q.tail
+	if cap(entries) < bound {
+		entries = make([]queued[T], bound)
 	}
+	if cap(head) < banks {
+		head, tail = make([]int32, banks), make([]int32, banks)
+	}
+	*q = bankQueue[T]{entries: entries[:bound], head: head[:banks], tail: tail[:banks]}
 	for b := range banks {
 		q.head[b], q.tail[b] = none, none
 	}
 	for i := range q.entries {
-		q.entries[i].next = int32(i + 1)
+		q.entries[i] = queued[T]{next: int32(i + 1)}
 	}
 	q.entries[bound-1].next = none
-	return q
 }
 
 // push appends v to bank b's FIFO. The caller keeps len below the bound.

@@ -23,6 +23,7 @@ import (
 	"ladder/internal/engine"
 	"ladder/internal/fault"
 	"ladder/internal/metrics"
+	"ladder/internal/recycle"
 	"ladder/internal/remap"
 	"ladder/internal/reram"
 	"ladder/internal/timing"
@@ -137,13 +138,11 @@ const maxBanks = 64
 // ReadDoneFunc is invoked when a demand read's data returns.
 type ReadDoneFunc func(req *ReadReq, now uint64)
 
-// Controller is one channel's memory controller.
-type Controller struct {
-	cfg    Config
-	env    *core.Env
-	scheme core.Scheme
-	meter  *energy.Meter
-
+// storage is a controller's memory: its queues, its in-flight list, its
+// scratch and its recycled requests. Recycle hands it to the next
+// NewController (storages), so a warm process builds controllers and
+// runs their transactions without allocating.
+type storage struct {
 	// reads and writes are the RDQ and WRQ, one FIFO per bank (index
 	// rank × BanksPerRank + bank). Dispatch merges the free banks' FIFOs
 	// by arrival number, which visits entries in exactly the order one
@@ -153,6 +152,50 @@ type Controller struct {
 	picks      []pick               // dispatch-merge scratch, one per bank
 	auxPending []*ReadReq           // aux reads awaiting RDQ space
 	wbPending  []*core.WriteRequest // metadata writebacks awaiting WRQ space
+
+	// inflight holds the operations in flight ordered by (finish, ins).
+	// A tick completes the due head of the list; due is its scratch.
+	inflight []busyOp
+	due      []busyOp
+
+	// freeReads/freeWrites recycle request objects: the controller retires
+	// requests strictly after their last reference drops (reads at
+	// delivery, writes after scheme completion), so the steady state
+	// allocates nothing per transaction.
+	freeReads  []*ReadReq
+	freeWrites []*core.WriteRequest
+}
+
+// storages keeps recycled controller storage.
+var storages = recycle.NewPool[storage]()
+
+// reset empties st for a controller with the given queue bounds and
+// banks. Recycled requests stay: newReadReq and newWriteReq reset them.
+func (st *storage) reset(cfg Config, banks int) {
+	st.reads.reset(cfg.RDQSize, banks)
+	st.writes.reset(cfg.WRQSize, banks)
+	st.auxPending, st.wbPending = st.auxPending[:0], st.wbPending[:0]
+	// Dispatch merges at most one pick per bank, and at most one op per
+	// bank is in flight, so these never grow.
+	if cap(st.picks) < banks {
+		st.picks = make([]pick, 0, banks)
+		st.inflight, st.due = make([]busyOp, 0, banks), make([]busyOp, 0, banks)
+	}
+	st.picks, st.inflight, st.due = st.picks[:0], st.inflight[:0], st.due[:0]
+}
+
+// Controller is one channel's memory controller.
+type Controller struct {
+	cfg    Config
+	env    *core.Env
+	scheme core.Scheme
+	meter  *energy.Meter
+
+	// storage holds the queues, the in-flight list and the recycled
+	// requests; mem is where Recycle returns it (nil once recycled).
+	storage
+	mem *storage
+
 	writeMode  bool
 	drainAt    int // write-queue length that enters drain mode
 	onReadDone ReadDoneFunc
@@ -162,12 +205,8 @@ type Controller struct {
 	// tick before it dispatches anything.
 	busy uint64
 
-	// inflight holds the operations in flight ordered by (finish, ins);
-	// insertions counts entries. A tick completes the due head of the
-	// list; due is its scratch.
-	inflight   []busyOp
+	// insertions counts entries into the in-flight list.
 	insertions uint64
-	due        []busyOp
 
 	// nextFinish is the earliest in-flight finish, the head of inflight
 	// (Horizon with nothing in flight).
@@ -176,13 +215,6 @@ type Controller struct {
 	// and dispatched nothing. Until an enqueue clears it or nextFinish
 	// arrives, every tick would repeat that no-op, so Tick skips it.
 	quiet bool
-
-	// freeReads/freeWrites recycle request objects: the controller retires
-	// requests strictly after their last reference drops (reads at
-	// delivery, writes after scheme completion), so the steady state
-	// allocates nothing per transaction.
-	freeReads  []*ReadReq
-	freeWrites []*core.WriteRequest
 
 	// dec, when set, is the programmable address decoder: the single
 	// logical→physical resolution point on the access path (vertical
@@ -318,22 +350,47 @@ func NewController(cfg Config, env *core.Env, scheme core.Scheme, meter *energy.
 	if nBanks > maxBanks {
 		return nil, fmt.Errorf("memctrl: %d banks per channel exceed the controller's %d-bit bank masks", nBanks, maxBanks)
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:          cfg,
 		env:          env,
 		scheme:       scheme,
 		meter:        meter,
-		reads:        newBankQueue[*ReadReq](cfg.RDQSize, nBanks),
-		writes:       newBankQueue[*core.WriteRequest](cfg.WRQSize, nBanks),
-		picks:        make([]pick, 0, nBanks),
 		drainAt:      int(math.Ceil(cfg.WriteHighFrac * float64(cfg.WRQSize))),
-		inflight:     make([]busyOp, 0, nBanks),
-		due:          make([]busyOp, 0, nBanks),
 		nextFinish:   engine.Horizon,
 		onReadDone:   onReadDone,
 		banksPerRank: env.Geom.BanksPerRank,
 		run:          core.NewInstruments(env.Metrics),
-	}, nil
+	}
+	c.adopt(storages.Get())
+	return c, nil
+}
+
+// adopt makes mem, emptied, the storage of a controller that has
+// dispatched nothing yet.
+func (c *Controller) adopt(mem *storage) {
+	mem.reset(c.cfg, c.env.Geom.RanksPerChannel*c.banksPerRank)
+	c.storage, c.mem = *mem, mem
+}
+
+// Recycle hands the controller's storage back for a later NewController
+// to reuse. The controller must not be used again: it keeps no queue, so
+// an enqueue panics, as does any call that reaches its environment or
+// scheme. Requests it delivered (a ReadDoneFunc's argument) are recycled
+// too and must not be retained.
+func (c *Controller) Recycle() {
+	if c.mem != nil {
+		storages.Put(c.takeStorage())
+	}
+}
+
+// takeStorage returns the controller's storage, leaving the controller
+// recycled.
+func (c *Controller) takeStorage() *storage {
+	mem := c.mem
+	*mem = c.storage
+	c.storage, c.mem = storage{}, nil
+	c.env, c.scheme, c.meter = nil, nil, nil
+	return mem
 }
 
 func (c *Controller) bankOf(loc reram.Location) int {

@@ -39,17 +39,55 @@ func BenchmarkStoreEnsureRow(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// Dropping the row, and its entry in its mat group's
-					// row list, keeps memory flat.
+					// Dropping the row, its view and its entry in its
+					// mat group's row list keeps memory flat.
 					key := uint64(i) % keys
 					s.ensure(key)
 					delete(s.rows, key)
+					s.mem.views.used--
 					if g := s.cols[key/uint64(s.geom.MatRows)]; g != nil {
 						g.rows = g.rows[:0]
 					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkResidentImage times building one row's image in a shared
+// Resident: raw (drawn) and shifted (derived from the raw image, which
+// the Resident already holds). One op is one image. Every 256 rows the
+// Resident is recycled and replaced, as the registry does with a grid's
+// rows, so builds take recycled images and allocate only the new
+// Resident's map.
+func BenchmarkResidentImage(b *testing.B) {
+	const rows = 256
+	for _, form := range []string{"raw", "shifted"} {
+		b.Run(form, func(b *testing.B) {
+			shifted := form == "shifted"
+			var r *Resident
+			fresh := func() {
+				r.Recycle()
+				r = NewResident(2, 1)
+				if shifted {
+					for row := uint64(0); row < rows; row++ {
+						r.image(row, false)
+					}
+				}
+			}
+			fresh()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row := uint64(i % rows)
+				if row == 0 && i > 0 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				r.image(row, shifted)
+			}
+		})
 	}
 }
 

@@ -27,6 +27,11 @@ func residentStore(t testing.TB, level int, seed uint64, mode string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return configure(s, level, seed, mode)
+}
+
+// configure sets s up as residentStore does.
+func configure(s *Store, level int, seed uint64, mode string) *Store {
 	s.SetResident(level, seed)
 	s.SetColumnTracking(mode == "columns")
 	if mode == "shifted" {
@@ -39,12 +44,12 @@ func residentStore(t testing.TB, level int, seed uint64, mode string) *Store {
 // bitlines, bitline slot*8+k holding bit k of every block in the slot.
 type colState [BlockSize][BlocksPerRow * 8]uint16
 
-// groupCols reads a mat group's full column state through its per-slot
-// counts.
-func groupCols(g *colGroup) *colState {
+// groupCols reads a mat group of s's full column state through its
+// per-slot counts.
+func groupCols(s *Store, g *colGroup) *colState {
 	var cs colState
 	for slot := 0; slot < BlocksPerRow; slot++ {
-		for mat, ks := range g.slot(slot) {
+		for mat, ks := range g.slot(slot, s.mem) {
 			for k, c := range ks {
 				cs[mat][slot*8+k] = c
 			}
@@ -89,7 +94,7 @@ func goldenResident(t *testing.T, newStore func(level int, mode string) *Store) 
 			sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
 			for _, g := range groups {
 				_ = binary.Write(cols, binary.LittleEndian, g)
-				_ = binary.Write(cols, binary.LittleEndian, groupCols(s.cols[g]))
+				_ = binary.Write(cols, binary.LittleEndian, groupCols(s, s.cols[g]))
 			}
 			fmt.Fprintf(&out, "level=%d mode=%s data=%x counters=%x unshifted=%x cols=%x\n",
 				level, mode, data.Sum(nil), counters.Sum(nil), unshifted.Sum(nil), cols.Sum(nil))

@@ -429,7 +429,7 @@ func TestResidentPrefillShiftedCounters(t *testing.T) {
 				}
 			}
 		}
-		if g := s.cols[0]; g == nil || *groupCols(g) != recount {
+		if g := s.cols[0]; g == nil || *groupCols(s, g) != recount {
 			t.Fatalf("level %d: column state diverges from a recount of the data", level)
 		}
 	}

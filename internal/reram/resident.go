@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ladder/internal/bits"
+	"ladder/internal/recycle"
 )
 
 // Resident supplies the synthetic resident content of one (level, seed):
@@ -18,23 +19,16 @@ import (
 // write an image: a store reads it through a row view that holds only
 // the blocks the store wrote (see rowState).
 //
-// A shared Resident (NewResident) retains every image it builds and is
-// safe for concurrent use. The private Resident behind Store.SetResident
-// retains nothing: it builds a fresh image for each row its store
-// touches.
+// A shared Resident (NewResident) retains every image it builds until
+// Recycle and is safe for concurrent use. The private Resident behind
+// Store.SetResident retains nothing: it builds a fresh image for each row
+// its store touches.
 type Resident struct {
 	level int
 	seed  uint64
 	mu    sync.Mutex
 	// images holds the retained images; nil for a private Resident.
-	images map[imageKey]*imageEntry
-}
-
-// imageEntry is a retained image, built once by its first requester while
-// later requesters wait.
-type imageEntry struct {
-	once sync.Once
-	img  *image
+	images map[imageKey]*image
 }
 
 // imageKey names one row in one stored form.
@@ -46,9 +40,13 @@ type imageKey struct {
 // image is one wordline group's resident content in one stored form,
 // with everything a store derives from content alone: the per-wordline
 // LRS counters and every block's partial-counter codes. It is never
-// written once built, apart from encoding its codes on first request.
+// written once built, apart from encoding its codes on first request,
+// until its Resident is recycled.
 type image struct {
-	data [BlocksPerRow]bits.Line
+	// built makes a retained image's first requester build it while
+	// later requesters wait.
+	built sync.Once
+	data  [BlocksPerRow]bits.Line
 	// counters[m] counts the LRS cells of wordline m over data.
 	counters [BlockSize]uint16
 	// unshifted holds, in a shifted image, the counters of the raw image
@@ -65,6 +63,9 @@ type image struct {
 
 // zeroImage is the content of a fresh all-HRS row, in either form.
 var zeroImage = new(image)
+
+// images keeps the images of recycled Residents for later builds.
+var images = recycle.NewPool[image]()
 
 // blockCodes returns every block's bits.EncodeLowPrecision codes when low
 // is set, its bits.EncodePartial codes otherwise.
@@ -88,7 +89,23 @@ func NewResident(level int, seed uint64) *Resident {
 	if level <= 0 {
 		return nil
 	}
-	return &Resident{level: level, seed: seed, images: make(map[imageKey]*imageEntry)}
+	return &Resident{level: level, seed: seed, images: make(map[imageKey]*image)}
+}
+
+// Recycle hands a shared Resident's images back for later builds. The
+// caller guarantees that no store views r's images any more. A recycled
+// Resident retains nothing: like a private one, it builds a fresh image
+// for every request.
+func (r *Resident) Recycle() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, img := range r.images {
+		images.Put(img)
+	}
+	r.images = nil
 }
 
 // image returns the row's image in the given form. A raw image is drawn;
@@ -97,23 +114,31 @@ func NewResident(level int, seed uint64) *Resident {
 // requesters of an image in construction wait for it.
 func (r *Resident) image(row uint64, shifted bool) *image {
 	if r.images == nil {
-		return r.build(row, shifted)
+		img := newImage()
+		r.build(img, row, shifted)
+		return img
 	}
 	k := imageKey{row, shifted}
 	r.mu.Lock()
-	e := r.images[k]
-	if e == nil {
-		e = new(imageEntry)
-		r.images[k] = e
+	img := r.images[k]
+	if img == nil {
+		img = newImage()
+		r.images[k] = img
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.img = r.build(row, shifted) })
-	return e.img
+	img.built.Do(func() { r.build(img, row, shifted) })
+	return img
 }
 
-// build draws and accounts a row's image in the given form.
-func (r *Resident) build(row uint64, shifted bool) *image {
-	img := new(image)
+// newImage returns a blank image, reusing a recycled one when it can.
+func newImage() *image {
+	img := images.Get()
+	*img = image{}
+	return img
+}
+
+// build draws and accounts a row's image in the given form into img.
+func (r *Resident) build(img *image, row uint64, shifted bool) {
 	if shifted {
 		raw := r.image(row, false)
 		for b := range img.data {
@@ -124,7 +149,6 @@ func (r *Resident) build(row uint64, shifted bool) *image {
 		drawRow(&img.data, r.level, r.seed, row)
 	}
 	img.counters = countRow(&img.data)
-	return img
 }
 
 // residentParams returns the per-level bit statistics: hotDraws is the

@@ -48,7 +48,7 @@ func imagesDigest(r *Resident) [sha256.Size]byte {
 	})
 	h := sha256.New()
 	for _, k := range keys {
-		img := r.images[k].img
+		img := r.images[k]
 		_ = binary.Write(h, binary.LittleEndian, k)
 		_ = binary.Write(h, binary.LittleEndian, img.data)
 		_ = binary.Write(h, binary.LittleEndian, img.counters)
@@ -84,7 +84,7 @@ func TestSharedResidentRowsImmutable(t *testing.T) {
 		for _, key := range residentGoldenKeys() {
 			r := plain.ensure(key)
 			for b := 0; b < BlocksPerRow; b++ {
-				if *r.block(b) != shared.images[imageKey{key, false}].img.data[b] {
+				if *r.block(b) != shared.images[imageKey{key, false}].data[b] {
 					t.Fatalf("level %d row %d: shared raw image differs from a private draw", level, key)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 
 	"ladder/internal/bits"
 	"ladder/internal/metrics"
+	"ladder/internal/recycle"
 )
 
 // rowState is one store's view of a wordline group: the resident image
@@ -88,11 +89,12 @@ func (g *colGroup) counted(slot int) *slotCols {
 }
 
 // slot returns the counts of a slot's bitlines, counting the group's rows
-// on first use.
-func (g *colGroup) slot(slot int) *slotCols {
+// on first use into counts taken from mem.
+func (g *colGroup) slot(slot int, mem *storeMemory) *slotCols {
 	sc := g.slots[slot]
 	if sc == nil {
-		sc = new(slotCols)
+		sc = mem.slots.next()
+		*sc = slotCols{}
 		for _, r := range g.rows {
 			sc.addBlock(r.block(slot))
 		}
@@ -101,11 +103,66 @@ func (g *colGroup) slot(slot int) *slotCols {
 	return sc
 }
 
+// slabChunk is how many values a slab allocates at a time.
+const slabChunk = 32
+
+// slab hands out values from chunks it keeps: reset makes every value
+// available again without freeing a chunk.
+type slab[T any] struct {
+	chunks [][]T
+	used   int
+}
+
+// next returns an unused value, holding whatever its last user left in
+// it: the caller resets it.
+func (s *slab[T]) next() *T {
+	c, i := s.used/slabChunk, s.used%slabChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, slabChunk))
+	}
+	s.used++
+	return &s.chunks[c][i]
+}
+
+// storeMemory is what a Store materializes rows into: its maps and the
+// slabs of its row views, written blocks, mat groups and bitline
+// counts. Recycle hands it to the next NewStore (storeMemories), so a
+// warm process materializes rows without allocating.
+type storeMemory struct {
+	rows   map[uint64]*rowState
+	cols   map[uint64]*colGroup
+	views  slab[rowState]
+	blocks slab[bits.Line]
+	groups slab[colGroup]
+	slots  slab[slotCols]
+}
+
+// storeMemories keeps recycled store memory.
+var storeMemories = recycle.NewPool[storeMemory]()
+
+// reset empties m. It also cuts the views' references to their images,
+// so memory waiting for its next store keeps no Resident reachable.
+func (m *storeMemory) reset() {
+	if m.rows == nil {
+		m.rows = make(map[uint64]*rowState)
+		m.cols = make(map[uint64]*colGroup)
+	}
+	for _, r := range m.rows {
+		r.img = nil
+	}
+	clear(m.rows)
+	clear(m.cols)
+	m.views.used, m.blocks.used, m.groups.used, m.slots.used = 0, 0, 0, 0
+}
+
 // Store is a sparse model of the ReRAM content: rows are materialized on
 // first touch. Untouched memory reads as zero (all HRS), which matches a
 // freshly initialized device, unless resident data is configured.
 type Store struct {
 	geom Geometry
+	// mem is the memory rows materialize into, nil once the store is
+	// recycled; rows and cols are its maps.
+	mem  *storeMemory
 	rows map[uint64]*rowState
 	// cols tracks per-bitline LRS counts, keyed by mat-group id
 	// (globalRow / MatRows), allocated lazily.
@@ -137,14 +194,43 @@ func NewStore(g Geometry) (*Store, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return newStore(g, storeMemories.Get()), nil
+}
+
+// newStore returns an empty store over g that materializes rows into
+// mem.
+func newStore(g Geometry, mem *storeMemory) *Store {
+	mem.reset()
 	return &Store{
 		geom:       g,
-		rows:       make(map[uint64]*rowState),
-		cols:       make(map[uint64]*colGroup),
+		mem:        mem,
+		rows:       mem.rows,
+		cols:       mem.cols,
 		bankWrites: make([]*metrics.Counter, g.Banks()),
 		trackCols:  true,
-	}, nil
+	}
 }
+
+// Recycle hands the store's rows back for a later NewStore to reuse.
+// The store must not be used again: Read, WriteAt and every other method
+// that reads or writes a row panic.
+func (s *Store) Recycle() {
+	if s.mem != nil {
+		storeMemories.Put(s.takeMemory())
+	}
+}
+
+// takeMemory empties the store and returns its memory, leaving the
+// store recycled.
+func (s *Store) takeMemory() *storeMemory {
+	m := s.mem
+	m.reset()
+	s.mem, s.rows, s.cols = nil, nil, nil
+	return m
+}
+
+// errRecycled is the panic of a recycled store's row access.
+const errRecycled = "reram: store used after Recycle"
 
 // Instrument fetches (creating on first use) the per-bank write counters
 // reram.chC.rankR.bankB.writes from reg. Call before the first write; a
@@ -276,16 +362,21 @@ func (s *Store) ensure(key uint64) *rowState {
 	if r := s.rows[key]; r != nil {
 		return r
 	}
+	if s.mem == nil {
+		panic(errRecycled)
+	}
 	img := zeroImage
 	if s.resident != nil {
 		img = s.resident.image(key, s.shifted)
 	}
-	r := &rowState{img: img, counters: img.counters, unshifted: img.unshifted}
+	r := s.mem.views.next()
+	*r = rowState{img: img, counters: img.counters, unshifted: img.unshifted}
 	s.rows[key] = r
 	if s.trackCols {
 		g := s.cols[s.matGroup(key)]
 		if g == nil {
-			g = new(colGroup)
+			g = s.mem.groups.next()
+			*g = colGroup{rows: g.rows[:0]}
 			s.cols[s.matGroup(key)] = g
 		}
 		g.add(r)
@@ -300,7 +391,13 @@ func (s *Store) matGroup(key uint64) uint64 { return key / uint64(s.geom.MatRows
 func (s *Store) Geometry() Geometry { return s.geom }
 
 // row fetches (without allocating) the state of a global row.
-func (s *Store) row(globalRow uint64) *rowState { return s.rows[globalRow] }
+func (s *Store) row(globalRow uint64) *rowState {
+	r := s.rows[globalRow]
+	if r == nil && s.mem == nil {
+		panic(errRecycled)
+	}
+	return r
+}
 
 // Read returns the stored content of the block at loc.
 func (s *Store) Read(loc Location) bits.Line {
@@ -395,7 +492,7 @@ func (s *Store) write(loc Location, data bits.Line) (r *rowState, old bits.Line)
 	}
 	if r.own[loc.Slot] == nil {
 		// The block's first write: the view stops reading the image.
-		r.own[loc.Slot] = new(bits.Line)
+		r.own[loc.Slot] = s.mem.blocks.next()
 	}
 	*r.own[loc.Slot] = data
 	if r.writes == 0 {
@@ -413,10 +510,13 @@ func (s *Store) write(loc Location, data bits.Line) (r *rowState, old bits.Line)
 func (s *Store) MaxSelectedColCount(loc Location) int {
 	g := s.cols[s.matGroup(s.geom.GlobalRow(loc))]
 	if g == nil {
+		if s.mem == nil {
+			panic(errRecycled)
+		}
 		return 0
 	}
 	m := uint16(0)
-	for _, mat := range g.slot(loc.Slot) {
+	for _, mat := range g.slot(loc.Slot, s.mem) {
 		for _, c := range mat {
 			if c > m {
 				m = c

@@ -134,7 +134,7 @@ func TestPrefillMatchesReference(t *testing.T) {
 					t.Fatalf("%d mat groups hold column state, reference %d", len(s.cols), len(refCols))
 				}
 				for g, want := range refCols {
-					if *groupCols(s.cols[g]) != *want {
+					if *groupCols(s, s.cols[g]) != *want {
 						t.Fatalf("mat group %d: column state differs from the reference", g)
 					}
 				}

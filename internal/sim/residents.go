@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"ladder/internal/recycle"
 	"ladder/internal/reram"
 	"ladder/internal/trace"
 )
@@ -126,10 +127,11 @@ func (g *inputRegistry) acquire(k machineKey) *machineInputs {
 
 // release drops one user of e. An entry left without users joins the
 // idle list, and the least recently released idle entry beyond
-// keepReleased is evicted, freeing its Resident if no other entry
-// references it. An entry drop removed while in use is forgotten when
-// its last user releases it: it counts toward no Resident of the
-// registry.
+// keepReleased is evicted: its tapes are recycled, and so is its
+// Resident if no other entry references it. An entry drop removed while
+// in use is forgotten when its last user releases it: it counts toward
+// no Resident of the registry, and nothing of it is recycled, as runs
+// that took it before the drop may still read it.
 func (g *inputRegistry) release(e *machineInputs) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -141,9 +143,13 @@ func (g *inputRegistry) release(e *machineInputs) {
 		old := g.idle[0]
 		g.idle = slices.Delete(g.idle, 0, 1)
 		delete(g.entries, old.key)
+		for _, t := range old.tapes {
+			t.Recycle()
+		}
 		r := g.rows[old.key.residentKey]
 		if r.refs--; r.refs == 0 {
 			delete(g.rows, old.key.residentKey)
+			r.rows.Recycle()
 		}
 	}
 }
@@ -159,8 +165,13 @@ func (g *inputRegistry) drop() {
 // DropResidents empties the process-wide registry through which every
 // run, solo or a grid's cell, shares resident row images and access
 // streams, so the next run of any machine draws its rows and streams
-// cold. It frees what recent solo runs and finished grids and studies
-// left behind; runs in flight keep what they hold. Results never depend
-// on it; it frees the retained images and tapes of a long-lived process
-// and lets a benchmark time a cold run.
-func DropResidents() { sharedInputs.drop() }
+// cold, and empties the pools through which runs recycle their storage,
+// so the next runs allocate it afresh. It frees what recent
+// solo runs and finished grids and studies left behind; runs in flight
+// keep what they hold. Results never depend on it; it frees the
+// retained images, tapes and storage of a long-lived process and lets a
+// benchmark time a cold run.
+func DropResidents() {
+	sharedInputs.drop()
+	recycle.Drop()
+}

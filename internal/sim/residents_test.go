@@ -343,7 +343,10 @@ func recoverRun(cfg Config) (r any) {
 // once by cancellation and once by a panic in the scheme's first write
 // (after the controller drew that write's row), and checks
 // that each released its hold on the registry and that a later run
-// viewing the rows the interrupted run drew equals its cold run.
+// viewing the rows the interrupted run drew equals its cold run. A run
+// the registry forgets partway (DropResidents) must equal its cold run
+// too, although runs started after the drop recycle their own rows and
+// tapes around it.
 func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 	defer DropResidents()
 	registerChaosScheme()
@@ -387,4 +390,28 @@ func TestInterruptedSoloRunLeavesRowsIntact(t *testing.T) {
 			}
 		})
 	}
+	t.Run("dropped", func(t *testing.T) {
+		DropResidents()
+		cfg := base
+		cfg.ProgressEvery = 20_000
+		dropped := false
+		cfg.Progress = func(ProgressInfo) {
+			if dropped {
+				return
+			}
+			dropped = true
+			DropResidents()
+			// Machines of the run's seed, then of another seed: the
+			// registry evicts every machine of the run's seed started
+			// after the drop and recycles their rows and tapes.
+			for i, w := range []string{"mcf", "astar", "mcf", "astar", "libq"} {
+				other := base
+				other.Workload, other.Seed = w, base.Seed+int64(i/2)
+				soloJSON(t, other)
+			}
+		}
+		if got := soloJSON(t, cfg); !dropped || !bytes.Equal(got, cold) {
+			t.Fatalf("a run the registry forgot partway (dropped %v) differs from its cold run", dropped)
+		}
+	})
 }

@@ -243,7 +243,7 @@ func (c *Config) applyDefaults() error {
 
 // validateKnobs rejects knob values outside each knob's documented
 // range (NaN included). A knob another package consumes is checked by
-// that package's Validate, run here on the config newSystem builds from
+// that package's Validate, run here on the config System.build builds from
 // it (Geometry, metaCache, faultConfig, remapConfig), so each range is
 // written once. The rest are sim's own: without them a negative
 // TraceSample, a ShrinkRange below 1 or an unknown VWLMode would run
@@ -440,14 +440,18 @@ func Run(cfg Config) (*Result, error) { return RunCtx(context.Background(), cfg)
 // run leaves no partial-cycle state behind (it returns no Result at
 // all). This is how service-mode deadlines and watchdogs stop a running
 // simulation.
+//
+// Every run, finished or not, ends at one release point (System.release)
+// that hands its storage to later runs; the Result is all that outlives
+// it.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	sys, err := newSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.releaseInputs()
+	sys := &System{ctx: context.Background()}
 	if ctx != nil {
 		sys.ctx = ctx
+	}
+	defer sys.release()
+	if err := sys.build(cfg); err != nil {
+		return nil, err
 	}
 	for _, phase := range []func() error{sys.warm, sys.execute, sys.drainRemaining} {
 		if err := phase(); err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -476,18 +477,19 @@ func TestTraceReplayRejectsOversizedTrace(t *testing.T) {
 // those rows must not count unless a write lands in them.
 func TestTouchedRowsCountsWrittenRows(t *testing.T) {
 	for _, w := range []string{"lbm", "mcf", "mix-3"} {
-		sys, err := newSystem(Config{Workload: w, Scheme: SchemeHybrid, InstrPerCore: 20_000, Seed: 3,
+		sys := &System{ctx: context.Background()}
+		err := sys.build(Config{Workload: w, Scheme: SchemeHybrid, InstrPerCore: 20_000, Seed: 3,
 			Tables: smallTables(t), Verify: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, phase := range []func() error{sys.warm, sys.execute, sys.drainRemaining} {
-			if err := phase(); err != nil {
-				t.Fatal(err)
+			if err == nil {
+				err = phase()
 			}
 		}
-		res, err := sys.collect()
-		sys.releaseInputs()
+		var res *Result
+		if err == nil {
+			res, err = sys.collect()
+		}
+		sys.release()
 		if err != nil {
 			t.Fatal(err)
 		}

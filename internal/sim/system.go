@@ -85,40 +85,33 @@ type System struct {
 	lines uint64
 }
 
-// newSystem is the build phase: it constructs every component — store,
+// build is the build phase: it constructs every component — store,
 // metrics registry, energy meter, cores, per-channel controllers
 // with their private scheme instances, optional wear leveling — and the
 // event engine that will drive them, without simulating a single cycle.
 // The run takes its registry entry here, before its cores are built on
-// the entry's tapes, and hands it back itself if the build fails or
-// panics; once newSystem returns a System, the caller releases it with
-// releaseInputs.
-func newSystem(cfg Config) (*System, error) {
+// the entry's tapes. A build that fails or panics leaves what it built
+// for release, like a finished run.
+func (s *System) build(cfg Config) error {
 	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+		return err
 	}
-	s := &System{cfg: cfg, ctx: context.Background(), started: time.Now(), lines: cfg.Geom.Lines()}
+	s.cfg, s.started, s.lines = cfg, time.Now(), cfg.Geom.Lines()
 
 	streams, err := coreStreams(&cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(streams) > 0 || cfg.ResidentLevel > 0 {
 		s.inputs = sharedInputs.acquire(machineKey{cfg.Workload, cfg.residentKey()})
 	}
-	built := false
-	defer func() {
-		if !built {
-			s.releaseInputs()
-		}
-	}()
 	s.tables = cfg.Tables
 	if cfg.ShrinkRange > 1 {
 		s.tables = shrunk(s.tables, cfg.ShrinkRange)
 	}
 	s.store, err = reram.NewStore(cfg.Geom)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Per-bitline LRS profiling feeds only the BLP baseline's readout;
 	// every other scheme skips that per-changed-bit bookkeeping.
@@ -130,7 +123,7 @@ func newSystem(cfg Config) (*System, error) {
 	s.env = &core.Env{Geom: cfg.Geom, Store: s.store, Tables: s.tables, Metrics: s.reg}
 	s.meter, err = energy.NewMeter(energy.DefaultParams())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.TraceSample > 0 {
 		s.tr = tracing.NewCollector(tracing.Config{
@@ -142,28 +135,27 @@ func newSystem(cfg Config) (*System, error) {
 	if cfg.FaultRate > 0 {
 		s.inj, err = fault.NewInjector(cfg.faultConfig())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.inj.Instrument(s.reg)
 	}
 
 	if err := s.buildCores(streams); err != nil {
-		return nil, err
+		return err
 	}
 	// The decoder is built before the controllers so Instrument sees it
 	// (like SetFaults, the hook must land before instruments are created).
 	if err := s.buildDecoder(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.buildControllers(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Verify {
 		s.expected = make(map[uint64]bits.Line)
 	}
 	s.buildEngine()
-	built = true
-	return s, nil
+	return nil
 }
 
 // streamKey is the exact argument set of one core's trace.Generator:
@@ -431,7 +423,7 @@ const progressSpanCount = 64
 // warm is the warm phase: it configures resident data, which the store
 // prefills into each wordline group on first touch, so touched groups
 // carry realistic ones-density before the first write arrives. Every run
-// views the shared row images of the registry entry newSystem took,
+// views the shared row images of the registry entry build took,
 // built once per (level, seed) while recent runs retain them.
 func (s *System) warm() error {
 	if s.cfg.ResidentLevel > 0 {
@@ -446,9 +438,26 @@ func (c *Config) residentKey() residentKey {
 	return residentKey{max(c.ResidentLevel, 0), uint64(c.Seed) + 0x5eed}
 }
 
-// releaseInputs hands the run's registry entry back. RunCtx defers it,
-// so a run that fails, is canceled or panics releases its hold too.
-func (s *System) releaseInputs() {
+// release hands the run's storage back for later runs to reuse: each
+// controller's queues and requests, each scheme's metadata cache and the
+// store's rows, then the run's hold on its registry entry (whose images
+// and tapes are recycled once the registry evicts the entry). RunCtx
+// defers it, so a run that fails, is canceled or panics releases too.
+// Only the Result outlives it: its registry, trace and timeline.
+func (s *System) release() {
+	for _, c := range s.ctrls {
+		if c != nil {
+			c.Recycle()
+		}
+	}
+	for _, sch := range s.schemes {
+		if c, ok := sch.(interface{ Cache() *core.MetaCache }); ok {
+			c.Cache().Recycle()
+		}
+	}
+	if s.store != nil {
+		s.store.Recycle()
+	}
 	if s.inputs != nil {
 		sharedInputs.release(s.inputs)
 		s.inputs = nil

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ladder/internal/bits"
+	"ladder/internal/recycle"
 )
 
 // tapeChunk is the number of accesses a tape generates and hands out at
@@ -24,9 +25,6 @@ type Tape struct {
 	mu     sync.Mutex
 	gen    *Generator
 	chunks []*tapeRecords
-	// written collects a chunk's data (see tapeRecords) while it is
-	// generated.
-	written []bits.Line
 }
 
 // tapeRecords is one chunk of a tape, stored compactly: a read keeps
@@ -64,20 +62,35 @@ func (t *Tape) chunk(i int) *tapeRecords {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.chunks) <= i {
-		c := new(tapeRecords)
-		t.written = append(t.written[:0], bits.Line{})
+		c := chunks.Get()
+		c.slot = [tapeChunk]uint8{}
+		c.data = append(c.data[:0], bits.Line{})
 		for j := range c.recs {
 			a := t.gen.Next()
 			c.recs[j] = tapeRecord{gap: a.Gap, line: a.Line}
 			if a.Write {
-				c.slot[j] = uint8(len(t.written))
-				t.written = append(t.written, a.Data)
+				c.slot[j] = uint8(len(c.data))
+				c.data = append(c.data, a.Data)
 			}
 		}
-		c.data = append([]bits.Line(nil), t.written...)
 		t.chunks = append(t.chunks, c)
 	}
 	return t.chunks[i]
+}
+
+// chunks keeps the chunks of recycled tapes for later tapes.
+var chunks = recycle.NewPool[tapeRecords]()
+
+// Recycle hands the tape's chunks back for later tapes to reuse. The
+// caller guarantees that no cursor reads t any more; t must not be used
+// again.
+func (t *Tape) Recycle() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range t.chunks {
+		chunks.Put(c)
+	}
+	t.chunks, t.gen = nil, nil
 }
 
 // Cursor returns a new reader positioned at the tape's first access.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -90,5 +91,41 @@ func TestNewTapeRejectsInvalidProfile(t *testing.T) {
 	p.WorkingSetPages = 0
 	if _, err := NewTape(p, 1, 0); err == nil {
 		t.Fatal("NewTape accepted a profile with no working set")
+	}
+}
+
+// TestRecycledTapeChunksReplayExactly builds each benchmark's tape on
+// the chunks of a recycled tape of another benchmark and seed, whose
+// chunks hold other numbers of write payloads, and requires its cursor
+// to read exactly a fresh Generator's stream.
+func TestRecycledTapeChunksReplayExactly(t *testing.T) {
+	const n = 1000
+	var names []string
+	for name := range Profiles {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for i, name := range names {
+		old, err := NewTape(Profiles[names[(i+1)%len(names)]], int64(i+100), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := old.Cursor()
+		for range n {
+			c.Next()
+		}
+		old.Recycle()
+
+		want := streamOf(t, Profiles[name], 11, 4096, n)
+		tape, err := NewTape(Profiles[name], 11, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = tape.Cursor()
+		for k := range want {
+			if got := c.Next(); got != want[k] {
+				t.Fatalf("%s: a tape on recycled chunks diverges at access %d", name, k)
+			}
+		}
 	}
 }

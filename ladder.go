@@ -123,7 +123,8 @@ func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
 
 // DropResidents frees the resident row images and access streams that
 // recent runs, solo runs and the cells of finished grids and studies
-// alike, left for later runs of the same seed (see sim.DropResidents).
+// alike, left for later runs of the same seed, and the storage runs
+// recycle for later runs (see sim.DropResidents).
 func DropResidents() { sim.DropResidents() }
 
 // NewReport freezes a run's Result into its serializable report form.
