@@ -108,8 +108,11 @@ func TestFlagSentinelMapping(t *testing.T) {
 	}
 	geom := ladder.DefaultGeometry()
 	dec, err := remap.NewDecoder(remap.Config{Geom: geom, TicksPerNs: 4, SpareRows: spares})
-	if err != nil || dec.SpareCapacity() != 0 {
-		t.Fatalf("-spare-rows 0 reaches the decoder as a pool of %d (err %v), want 0", dec.SpareCapacity(), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.RemapSpare(0, 1, 0); err == nil {
+		t.Fatal("-spare-rows 0 reaches the decoder with a spare pool, want none: a spare remap succeeded")
 	}
 	dec, err = remap.NewDecoder(remap.Config{Geom: geom, TicksPerNs: 4, SpareRows: 1, PenaltyNs: penalty})
 	if err != nil {

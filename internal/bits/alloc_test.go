@@ -19,9 +19,7 @@ func TestPopcountHelpersAllocFree(t *testing.T) {
 	}
 	steps := map[string]func(){
 		"Ones":          func() { sink = l.Ones() },
-		"CountOnes":     func() { sink = CountOnes(l[:]) },
 		"WorstByte":     func() { sink = WorstByte(l[:]) },
-		"Diff":          func() { sink = Diff(l[:], l[:LineSize]) },
 		"EncodePartial": func() { sink = int(EncodePartial(&l)) },
 	}
 	for name, fn := range steps {

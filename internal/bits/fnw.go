@@ -97,5 +97,3 @@ func init() {
 		onesTable[i] = uint8(bits.OnesCount8(uint8(i)))
 	}
 }
-
-func onesByte(b byte) int { return int(onesTable[b]) }

@@ -8,7 +8,7 @@ import (
 
 func TestClassicFNWNeverIncreasesChanges(t *testing.T) {
 	f := func(old, neu Line) bool {
-		plain := Diff(old[:], neu[:])
+		plain := diffBits(old[:], neu[:])
 		enc := neu
 		res := ClassicFNW(&old, &enc)
 		return res.BitChanges <= plain
@@ -20,7 +20,7 @@ func TestClassicFNWNeverIncreasesChanges(t *testing.T) {
 
 func TestConstrainedFNWNeverIncreasesChanges(t *testing.T) {
 	f := func(old, neu Line) bool {
-		plain := Diff(old[:], neu[:])
+		plain := diffBits(old[:], neu[:])
 		enc := neu
 		res := ConstrainedFNW(&old, &enc)
 		return res.BitChanges <= plain

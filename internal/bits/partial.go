@@ -20,10 +20,6 @@ const NumSubgroups = 4
 // SubgroupBytes is the number of bytes of one line that map to one subgroup.
 const SubgroupBytes = LineSize / NumSubgroups
 
-// PartialCounters holds the per-subgroup worst-byte bounds for one line.
-// Values are the decoded bounds (1, 3, 5 or 8), not raw worst-byte counts.
-type PartialCounters [NumSubgroups]uint8
-
 // partialEncode maps a worst-byte popcount (0..8) to its 2-bit code.
 // Codes represent the ranges 0-1, 2-3, 4-5 and 6-8 (paper Section 4.1).
 func partialEncode(worst int) uint8 {
@@ -52,26 +48,6 @@ func EncodePartial(l *Line) uint8 {
 		packed |= partialEncode(worst) << (2 * uint(g))
 	}
 	return packed
-}
-
-// DecodePartial expands a packed partial-counter byte into per-subgroup
-// decoded bounds.
-func DecodePartial(packed uint8) PartialCounters {
-	var pc PartialCounters
-	for g := 0; g < NumSubgroups; g++ {
-		pc[g] = partialBound[(packed>>(2*uint(g)))&3]
-	}
-	return pc
-}
-
-// WorstBytePerSubgroup returns the exact (unencoded) worst-byte popcount of
-// each subgroup of the line, i.e. S^{M_j}_i for j = 0..N-1.
-func WorstBytePerSubgroup(l *Line) PartialCounters {
-	var pc PartialCounters
-	for g := 0; g < NumSubgroups; g++ {
-		pc[g] = uint8(WorstByte(l[g*SubgroupBytes : (g+1)*SubgroupBytes]))
-	}
-	return pc
 }
 
 // partialSumTable maps a packed partial-counter byte to its four decoded
@@ -134,9 +110,9 @@ func EstimateCwLRS(packed []uint8) int {
 
 // WorstBytesN returns the exact worst-byte popcount of each of n equal
 // subgroups of the line (n must divide LineSize). It generalizes
-// WorstBytePerSubgroup for the subgroup-count ablation: the paper
-// empirically sets N = 4, trading estimation tightness (higher N) against
-// counter storage (lower N).
+// EncodePartial's four-subgroup split for the subgroup-count ablation:
+// the paper empirically sets N = 4, trading estimation tightness (higher
+// N) against counter storage (lower N).
 func WorstBytesN(l *Line, n int) []int {
 	if n <= 0 || LineSize%n != 0 {
 		return nil
@@ -214,11 +190,6 @@ func EncodeLowPrecision(l *Line) uint8 {
 		}
 	}
 	return packed
-}
-
-// DecodeLowPrecision expands a 2-bit low-precision pair into two bounds.
-func DecodeLowPrecision(packed uint8) [2]uint8 {
-	return [2]uint8{lowBound[packed&1], lowBound[(packed>>1)&1]}
 }
 
 // EstimateCwLRSLow derives the estimated wordline LRS count from 2-bit

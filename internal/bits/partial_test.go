@@ -1,10 +1,35 @@
 package bits
 
 import (
+	mbits "math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// PartialCounters holds the per-subgroup worst-byte bounds for one line.
+// Values are the decoded bounds (1, 3, 5 or 8), not raw worst-byte counts.
+type PartialCounters [NumSubgroups]uint8
+
+// DecodePartial expands a packed partial-counter byte into per-subgroup
+// decoded bounds.
+func DecodePartial(packed uint8) PartialCounters {
+	var pc PartialCounters
+	for g := 0; g < NumSubgroups; g++ {
+		pc[g] = partialBound[(packed>>(2*uint(g)))&3]
+	}
+	return pc
+}
+
+// WorstBytePerSubgroup returns the exact (unencoded) worst-byte popcount of
+// each subgroup of the line, i.e. S^{M_j}_i for j = 0..N-1.
+func WorstBytePerSubgroup(l *Line) PartialCounters {
+	var pc PartialCounters
+	for g := 0; g < NumSubgroups; g++ {
+		pc[g] = uint8(WorstByte(l[g*SubgroupBytes : (g+1)*SubgroupBytes]))
+	}
+	return pc
+}
 
 func TestPartialEncodeRanges(t *testing.T) {
 	wantCode := []uint8{0, 0, 1, 1, 2, 2, 3, 3, 3}
@@ -74,7 +99,7 @@ func TestEquation1(t *testing.T) {
 		for m := 0; m < LineSize; m++ {
 			c := 0
 			for b := 0; b < blocks; b++ {
-				c += onesByte(lines[b][m])
+				c += mbits.OnesCount8(lines[b][m])
 			}
 			if c > trueMax {
 				trueMax = c
@@ -106,7 +131,7 @@ func TestEquation1LowPrecision(t *testing.T) {
 		for m := 0; m < LineSize; m++ {
 			c := 0
 			for b := 0; b < blocks; b++ {
-				c += onesByte(lines[b][m])
+				c += mbits.OnesCount8(lines[b][m])
 			}
 			if c > trueMax {
 				trueMax = c
@@ -128,9 +153,12 @@ func TestDecodeLowPrecision(t *testing.T) {
 		{0b10, [2]uint8{5, 8}},
 		{0b11, [2]uint8{8, 8}},
 	}
+	// EstimateCwLRSLow reads the two decoded bounds from 16-bit lanes 0
+	// and 1 of lowSumTable.
 	for _, c := range cases {
-		if got := DecodeLowPrecision(c.packed); got != c.want {
-			t.Errorf("DecodeLowPrecision(%02b) = %v, want %v", c.packed, got, c.want)
+		lanes := lowSumTable[c.packed]
+		if got := [2]uint8{uint8(lanes), uint8(lanes >> 16)}; got != c.want {
+			t.Errorf("low-precision pair %02b decodes to %v, want %v", c.packed, got, c.want)
 		}
 	}
 }

@@ -26,9 +26,6 @@ const LineSize = 64
 // Line is a 64-byte memory block as seen by the memory controller.
 type Line [LineSize]byte
 
-// lineWords is the number of 64-bit words per line.
-const lineWords = LineSize / 8
-
 // perBytePop returns the popcount of every byte of x in the corresponding
 // byte lane of the result (each lane holds 0..8) — the first three steps of
 // the classic SWAR popcount, stopped before the lanes are summed.
@@ -67,19 +64,6 @@ func (l *Line) Ones() int {
 	return n
 }
 
-// CountOnes returns the number of '1' bits in an arbitrary byte slice.
-func CountOnes(p []byte) int {
-	n := 0
-	for len(p) >= 8 {
-		n += bits.OnesCount64(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	}
-	for _, b := range p {
-		n += bits.OnesCount8(b)
-	}
-	return n
-}
-
 // WorstByte returns the maximum per-byte popcount in p, i.e. S^M in the
 // paper's notation: the number of ones in the worst byte of the block.
 // It returns 0 for an empty slice.
@@ -96,23 +80,4 @@ func WorstByte(p []byte) int {
 		}
 	}
 	return m
-}
-
-// Diff counts positions where a and b differ (Hamming distance in bits).
-// Both slices must have equal length; extra bytes in the longer slice are
-// ignored.
-func Diff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	d := 0
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d += bits.OnesCount64(binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]))
-	}
-	for ; i < n; i++ {
-		d += bits.OnesCount8(a[i] ^ b[i])
-	}
-	return d
 }

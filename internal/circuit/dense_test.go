@@ -1,10 +1,82 @@
 package circuit
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// DenseSolve solves A·x = b by Gaussian elimination with partial pivoting,
+// where A is given in row-major order. It is O(n³) and meant for small
+// systems: an independent reference the iterative solver is validated
+// against.
+func DenseSolve(a []float64, b []float64) ([]float64, error) {
+	n := len(b)
+	if len(a) != n*n {
+		return nil, fmt.Errorf("circuit: dense matrix is %d entries, want %d", len(a), n*n)
+	}
+	// Work on copies: callers keep their inputs.
+	m := append([]float64(nil), a...)
+	x := append([]float64(nil), b...)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for col := 0; col < n; col++ {
+		// Partial pivot: the largest magnitude in this column.
+		pivot, pivotVal := col, math.Abs(m[col*n+col])
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(m[r*n+col]); v > pivotVal {
+				pivot, pivotVal = r, v
+			}
+		}
+		if pivotVal == 0 {
+			return nil, errors.New("circuit: singular matrix")
+		}
+		if pivot != col {
+			for k := 0; k < n; k++ {
+				m[col*n+k], m[pivot*n+k] = m[pivot*n+k], m[col*n+k]
+			}
+			x[col], x[pivot] = x[pivot], x[col]
+		}
+		inv := 1 / m[col*n+col]
+		for r := col + 1; r < n; r++ {
+			f := m[r*n+col] * inv
+			if f == 0 {
+				continue
+			}
+			m[r*n+col] = 0
+			for k := col + 1; k < n; k++ {
+				m[r*n+k] -= f * m[col*n+k]
+			}
+			x[r] -= f * x[col]
+		}
+	}
+	for r := n - 1; r >= 0; r-- {
+		s := x[r]
+		for k := r + 1; k < n; k++ {
+			s -= m[r*n+k] * x[k]
+		}
+		x[r] = s / m[r*n+r]
+	}
+	return x, nil
+}
+
+// Dense converts the CSR matrix to row-major dense form for DenseSolve.
+func (m *CSR) Dense() []float64 {
+	out := make([]float64, m.n*m.n)
+	for r := 0; r < m.n; r++ {
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			out[r*m.n+m.colIdx[k]] = m.values[k]
+		}
+	}
+	return out
+}
+
+// Size returns the system dimension.
+func (m *CSR) Size() int { return m.n }
 
 func TestDenseSolveKnown(t *testing.T) {
 	// [[2,1],[1,3]] x = [3,5] -> x = [0.8, 1.4]

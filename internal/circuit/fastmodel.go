@@ -86,27 +86,6 @@ func spreadLRS(n, count int, skip func(int) bool) []bool {
 	return lrs
 }
 
-// DebugResult extends Result with internal node voltages for diagnostics
-// and tests.
-type DebugResult struct {
-	Result
-	// VWL is the solved selected-wordline node voltage profile.
-	VWL []float64
-	// VBLTarget is the solved bitline voltage at the target row, per
-	// selected column.
-	VBLTarget []float64
-}
-
-// SolveDebug runs Solve and additionally exposes the solved line
-// profiles.
-func (f *FastModel) SolveDebug(op FastOp) (*DebugResult, error) {
-	res, vWL, vBL, err := f.solve(op)
-	if err != nil {
-		return nil, err
-	}
-	return &DebugResult{Result: *res, VWL: vWL, VBLTarget: vBL}, nil
-}
-
 // Solve computes the per-target voltage drops for the reduced model.
 func (f *FastModel) Solve(op FastOp) (*Result, error) {
 	res, _, _, err := f.solve(op)
@@ -114,11 +93,11 @@ func (f *FastModel) Solve(op FastOp) (*Result, error) {
 }
 
 // solve runs the damped fixed-point loop. Each ladder is a tridiagonal
-// system solved by the Thomas algorithm of SolveTridiagonal, with the
-// constant off-diagonal -gWire and the same floating-point operations in
-// the same order, so the results are bit-identical to building every
-// system in full and calling SolveTridiagonal on it (the reference test
-// does exactly that). Two things make it cheaper: the selected
+// system solved by the Thomas algorithm, with the constant off-diagonal
+// -gWire and the same floating-point operations in the same order as
+// SolveTridiagonal, so the results are bit-identical to building every
+// system in full and solving it with that test reference (the reference
+// test does exactly that). Two things make it cheaper: the selected
 // bitlines are independent given last iteration's state, so their
 // ladders are eliminated together row by row (their division chains
 // overlap instead of running one after another), and a bitline is read

@@ -8,6 +8,27 @@ import (
 	"testing"
 )
 
+// DebugResult extends Result with internal node voltages for diagnostics
+// and tests.
+type DebugResult struct {
+	Result
+	// VWL is the solved selected-wordline node voltage profile.
+	VWL []float64
+	// VBLTarget is the solved bitline voltage at the target row, per
+	// selected column.
+	VBLTarget []float64
+}
+
+// SolveDebug runs Solve and additionally exposes the solved line
+// profiles.
+func (f *FastModel) SolveDebug(op FastOp) (*DebugResult, error) {
+	res, vWL, vBL, err := f.solve(op)
+	if err != nil {
+		return nil, err
+	}
+	return &DebugResult{Result: *res, VWL: vWL, VBLTarget: vBL}, nil
+}
+
 // referenceSolve is the reduced ladder model written the plain way: every
 // iteration rebuilds each tridiagonal system in full and solves the
 // wordline and then each selected bitline with SolveTridiagonal, one after

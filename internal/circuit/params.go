@@ -124,11 +124,14 @@ func (p Params) gamma() float64 {
 	return math.Log2(p.Nonlinearity)
 }
 
-// CellCurrent returns the current (amps) through a 1S1R cell with the given
-// state resistance when v volts are applied across it.
+// CellConductance returns the effective conductance I(v)/v of a 1S1R
+// cell when v volts are applied across it, as used in the fixed-point
+// linearization. It never vanishes, keeping the nodal systems well
+// conditioned.
 //
-// The selector I–V law is piecewise, continuous, and satisfies the
-// datasheet definition I(VWrite)/I(VWrite/2) = K exactly:
+// The cell current I(v) follows the selector I–V law, which is
+// piecewise, continuous, and satisfies the datasheet definition
+// I(VWrite)/I(VWrite/2) = K exactly:
 //
 //   - |v| ≤ VWrite/4: ohmic leakage with conductance 4/(R·K);
 //   - VWrite/4 < |v| ≤ VWrite/2: a constant-current plateau at the
@@ -139,34 +142,6 @@ func (p Params) gamma() float64 {
 //     first-order content effect, per the paper's Figure 4b);
 //   - |v| > VWrite/2: the power law I = (VWrite/R)·(|v|/VWrite)^γ with
 //     γ = log2(K), reaching the nominal state resistance at full voltage.
-func (p Params) CellCurrent(v float64, lrs bool) float64 {
-	r := p.RHRS
-	if lrs {
-		r = p.RLRS
-	}
-	return p.cellCurrentR(v, r)
-}
-
-func (p Params) cellCurrentR(v, r float64) float64 {
-	mag := math.Abs(v) / p.VWrite
-	var i float64
-	switch {
-	case mag <= 0.25:
-		i = math.Abs(v) * 4 / (r * p.Nonlinearity)
-	case mag <= 0.5:
-		i = p.VWrite / (r * p.Nonlinearity)
-	default:
-		i = p.VWrite / r * math.Pow(mag, p.gamma())
-	}
-	if v < 0 {
-		return -i
-	}
-	return i
-}
-
-// CellConductance returns the effective conductance I(v)/v used in the
-// fixed-point linearization. It never vanishes, keeping the nodal systems
-// well conditioned.
 func (p Params) CellConductance(v float64, lrs bool) float64 {
 	r := p.RHRS
 	if lrs {

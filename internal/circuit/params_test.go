@@ -55,10 +55,16 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// cellCurrent is the current I(v) = v·CellConductance(v) through a cell,
+// the selector I–V law the conductance linearizes.
+func cellCurrent(p Params, v float64, lrs bool) float64 {
+	return v * p.CellConductance(v, lrs)
+}
+
 func TestCellCurrentNonlinearity(t *testing.T) {
 	p := DefaultParams()
-	full := p.CellCurrent(p.VWrite, true)
-	half := p.CellCurrent(p.VWrite/2, true)
+	full := cellCurrent(p, p.VWrite, true)
+	half := cellCurrent(p, p.VWrite/2, true)
 	if ratio := full / half; math.Abs(ratio-p.Nonlinearity) > 1e-6*p.Nonlinearity {
 		t.Fatalf("I(V)/I(V/2) = %v, want %v", ratio, p.Nonlinearity)
 	}
@@ -66,10 +72,10 @@ func TestCellCurrentNonlinearity(t *testing.T) {
 
 func TestCellCurrentFullVoltage(t *testing.T) {
 	p := DefaultParams()
-	if got, want := p.CellCurrent(p.VWrite, true), p.VWrite/p.RLRS; math.Abs(got-want) > 1e-12 {
+	if got, want := cellCurrent(p, p.VWrite, true), p.VWrite/p.RLRS; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("LRS full-voltage current = %v, want %v", got, want)
 	}
-	if got, want := p.CellCurrent(p.VWrite, false), p.VWrite/p.RHRS; math.Abs(got-want) > 1e-15 {
+	if got, want := cellCurrent(p, p.VWrite, false), p.VWrite/p.RHRS; math.Abs(got-want) > 1e-15 {
 		t.Fatalf("HRS full-voltage current = %v, want %v", got, want)
 	}
 }
@@ -77,7 +83,7 @@ func TestCellCurrentFullVoltage(t *testing.T) {
 func TestCellCurrentOddSymmetry(t *testing.T) {
 	p := DefaultParams()
 	for _, v := range []float64{0.3, 1.0, 2.4} {
-		if got := p.CellCurrent(-v, true); math.Abs(got+p.CellCurrent(v, true)) > 1e-15 {
+		if got := cellCurrent(p, -v, true); math.Abs(got+cellCurrent(p, v, true)) > 1e-15 {
 			t.Fatalf("current not odd at %v: %v", v, got)
 		}
 	}
@@ -89,7 +95,7 @@ func TestCellCurrentMonotone(t *testing.T) {
 	p := DefaultParams()
 	prev := 0.0
 	for v := 0.01; v <= p.VWrite; v += 0.01 {
-		i := p.CellCurrent(v, true)
+		i := cellCurrent(p, v, true)
 		if i < prev-1e-15 {
 			t.Fatalf("current not monotone at %v: %v < %v", v, i, prev)
 		}
@@ -100,8 +106,8 @@ func TestCellCurrentMonotone(t *testing.T) {
 func TestCellCurrentContinuous(t *testing.T) {
 	p := DefaultParams()
 	for _, knot := range []float64{p.VWrite / 4, p.VWrite / 2} {
-		lo := p.CellCurrent(knot-1e-9, true)
-		hi := p.CellCurrent(knot+1e-9, true)
+		lo := cellCurrent(p, knot-1e-9, true)
+		hi := cellCurrent(p, knot+1e-9, true)
 		if math.Abs(hi-lo) > 1e-6*math.Abs(hi) {
 			t.Fatalf("current discontinuous at %v: %v vs %v", knot, lo, hi)
 		}

@@ -191,21 +191,3 @@ func (m *CSR) SolveCG(rhs, x0 []float64, opt CGOptions) ([]float64, error) {
 	}
 	return x, ErrNoConvergence
 }
-
-// SolveTridiagonal solves a tridiagonal system in place with the Thomas
-// algorithm: sub, diag, sup are the three diagonals (sub[0] and
-// sup[n-1] are ignored), rhs is overwritten with the solution. The inputs
-// diag and rhs are modified.
-func SolveTridiagonal(sub, diag, sup, rhs []float64) []float64 {
-	n := len(diag)
-	for i := 1; i < n; i++ {
-		w := sub[i] / diag[i-1]
-		diag[i] -= w * sup[i-1]
-		rhs[i] -= w * rhs[i-1]
-	}
-	rhs[n-1] /= diag[n-1]
-	for i := n - 2; i >= 0; i-- {
-		rhs[i] = (rhs[i] - sup[i]*rhs[i+1]) / diag[i]
-	}
-	return rhs
-}

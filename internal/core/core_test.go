@@ -77,8 +77,8 @@ func TestMetaCacheGeometry(t *testing.T) {
 	if len(c.sets) != 256 {
 		t.Fatalf("sets = %d, want 256 (64KB / 64B / 4 ways)", len(c.sets))
 	}
-	if c.SpillCapacity() != 16 {
-		t.Fatalf("spill capacity = %d, want 16", c.SpillCapacity())
+	if c.cfg.SpillSize != 16 {
+		t.Fatalf("spill capacity = %d, want 16", c.cfg.SpillSize)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestMetaCacheMissReserveFill(t *testing.T) {
 	if _, valid := c.Lookup(42); !valid {
 		t.Fatal("filled line should be valid")
 	}
-	if got := c.Sharers(42); got != 1 {
-		t.Fatalf("sharers = %d, want 1 (from Reserve)", got)
+	if e := c.find(42); e == nil || e.sharers != 1 {
+		t.Fatalf("sharers = %+v, want 1 (from Reserve)", e)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestMetaCacheDirtyDataPersists(t *testing.T) {
 	if _, ok := c.Reserve(11, reram.Location{}); !ok {
 		t.Fatal("reserve 11")
 	}
-	if got := c.Backing(10); got[5] != 0xaa {
+	if got := c.backing[10]; got[5] != 0xaa {
 		t.Fatalf("backing[5] = %#x, want 0xaa", got[5])
 	}
 	// Refetching returns the persisted content.
@@ -671,8 +671,8 @@ func TestHybridSharedLineAcrossPages(t *testing.T) {
 	if reqA.MetaKeys[0] != reqB.MetaKeys[0] {
 		t.Fatal("pages must share the key")
 	}
-	if got := s.Cache().Sharers(reqA.MetaKeys[0]); got != 2 {
-		t.Fatalf("sharers = %d, want 2", got)
+	if e := s.cache.find(reqA.MetaKeys[0]); e == nil || e.sharers != 2 {
+		t.Fatalf("sharers = %+v, want 2", e)
 	}
 }
 
@@ -721,8 +721,8 @@ func TestSpillAndRetry(t *testing.T) {
 	if len(auxB) != 0 || !reqB.Spilled || !reqB.WaitMeta {
 		t.Fatalf("second request should spill: aux=%v spilled=%v", auxB, reqB.Spilled)
 	}
-	if s.SpillDepth() != 1 {
-		t.Fatalf("spill depth = %d", s.SpillDepth())
+	if len(s.spill) != 1 {
+		t.Fatalf("spill depth = %d", len(s.spill))
 	}
 	if n := envStats(env).SpillParks; n != 1 {
 		t.Fatalf("spill parks = %d", n)
@@ -731,7 +731,7 @@ func TestSpillAndRetry(t *testing.T) {
 	if aux, _ := s.RetrySpill(); len(aux) != 0 {
 		t.Fatal("retry should fail while the way is held")
 	}
-	if s.SpillDepth() != 1 {
+	if len(s.spill) != 1 {
 		t.Fatal("request must remain parked")
 	}
 	// Complete reqA: the way frees, retry succeeds.
@@ -741,7 +741,7 @@ func TestSpillAndRetry(t *testing.T) {
 	if len(aux) != 1 {
 		t.Fatalf("retry should issue the deferred metadata read, got %v", aux)
 	}
-	if s.SpillDepth() != 0 || reqB.Spilled {
+	if len(s.spill) != 0 || reqB.Spilled {
 		t.Fatal("request should leave the spill buffer")
 	}
 	s.MetaArrived(aux[0].Key)

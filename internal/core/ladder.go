@@ -180,7 +180,8 @@ func (b *ladderBase) release(req *WriteRequest) {
 	}
 }
 
-// Cache exposes the metadata cache (testing/diagnostics).
+// Cache exposes the metadata cache: a run's release recycles it and
+// its evictions are exported as a run metric.
 func (b *ladderBase) Cache() *MetaCache { return b.cache }
 
 // RetryAware is implemented by schemes that must reconcile volatile
@@ -233,9 +234,6 @@ func (b *ladderBase) CrashRecover() {
 // UseConstrainedFNW implements Scheme: every LADDER scheme requires the
 // ones-bounded FNW so counting stays sound.
 func (b *ladderBase) UseConstrainedFNW() bool { return true }
-
-// SpillDepth returns the current number of parked requests.
-func (b *ladderBase) SpillDepth() int { return len(b.spill) }
 
 // payloadFor applies the controller datapath: LADDER-Est/Hybrid shift the
 // line; Basic stores it as-is.

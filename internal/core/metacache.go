@@ -279,20 +279,6 @@ func (c *MetaCache) MarkDirty(key uint64) {
 // and clean alike; dirty ones additionally produced writebacks).
 func (c *MetaCache) Evictions() uint64 { return c.evictions }
 
-// Sharers returns the sharer count (testing/diagnostics).
-func (c *MetaCache) Sharers(key uint64) int {
-	if e := c.find(key); e != nil {
-		return e.sharers
-	}
-	return 0
-}
-
-// Backing returns the persisted copy of a metadata line.
-func (c *MetaCache) Backing(key uint64) MetaLine { return c.backing[key] }
-
-// SpillCapacity returns the spill buffer bound.
-func (c *MetaCache) SpillCapacity() int { return c.cfg.SpillSize }
-
 // Crash models an abrupt power failure: every cached line — including
 // dirty LRS-metadata that never reached the NVM — is lost. The backing
 // image keeps only what was persisted. The controller must be quiescent

@@ -35,7 +35,6 @@ type Core struct {
 	pending     trace.Access
 	gapLeft     int
 	retired     uint64
-	stallCycles uint64
 	// stalled records whether the most recent Tick failed to retire: a
 	// stalled core cannot make progress until the memory system changes
 	// state, so the event engine parks it (NextEventAt = Horizon) until
@@ -63,14 +62,8 @@ func (c *Core) fetch() {
 	c.gapLeft = c.pending.Gap
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
 // Retired returns the number of instructions retired.
 func (c *Core) Retired() uint64 { return c.retired }
-
-// StallCycles returns how many cycles the core spent unable to retire.
-func (c *Core) StallCycles() uint64 { return c.stallCycles }
 
 // Stalled reports whether the most recent Tick failed to retire (stall
 // attribution for the tracing layer).
@@ -101,12 +94,10 @@ func (c *Core) Tick(issue IssueFunc) bool {
 	a := &c.pending
 	if !a.Write {
 		if c.outstanding >= c.mlp {
-			c.stallCycles++
 			c.stalled = true
 			return false
 		}
 		if !issue(c.id, *a) {
-			c.stallCycles++
 			c.stalled = true
 			return false
 		}
@@ -117,7 +108,6 @@ func (c *Core) Tick(issue IssueFunc) bool {
 		return true
 	}
 	if !issue(c.id, *a) {
-		c.stallCycles++
 		c.stalled = true
 		return false
 	}
@@ -146,9 +136,7 @@ func (c *Core) Skip(cycles uint64) {
 		c.gapLeft -= int(cycles)
 		c.retired += cycles
 		c.stalled = false
-		return
 	}
-	c.stallCycles += cycles
 }
 
 // NextEventAt returns the next cycle strictly after now at which this

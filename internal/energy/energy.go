@@ -71,6 +71,3 @@ func (m *Meter) Write(pulseNs float64, bitsChanged int) {
 	m.WriteNJ += m.p.WritePulsePerNsNJ*pulseNs + m.p.PerBitChangeNJ*float64(bitsChanged)
 	m.Writes++
 }
-
-// TotalNJ returns the accumulated dynamic energy.
-func (m *Meter) TotalNJ() float64 { return m.ReadNJ + m.WriteNJ }

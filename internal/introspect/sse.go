@@ -114,16 +114,6 @@ func (b *Broker) Close() {
 	}
 }
 
-// Subscribers reports the current subscriber count.
-func (b *Broker) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // LastEventID reports the most recently assigned event ID (0 before the
 // first publish).
 func (b *Broker) LastEventID() uint64 {

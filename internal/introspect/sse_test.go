@@ -35,6 +35,13 @@ func sseOpen(t *testing.T, srv *Server, path string) (*bufio.Reader, func()) {
 	return bufio.NewReader(resp.Body), func() { resp.Body.Close() }
 }
 
+// subscribers reports the broker's current subscriber count.
+func subscribers(b *Broker) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs)
+}
+
 func TestBrokerStreamsEvents(t *testing.T) {
 	srv := newTestServer(t)
 	b := NewBroker(-1) // no keepalives: the data frames are the test
@@ -43,10 +50,10 @@ func TestBrokerStreamsEvents(t *testing.T) {
 	r, done := sseOpen(t, srv, "/timeline/events")
 	defer done()
 	// Subscription happens inside the handler goroutine; wait for it.
-	for i := 0; i < 200 && b.Subscribers() == 0; i++ {
+	for i := 0; i < 200 && subscribers(b) == 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if b.Subscribers() != 1 {
+	if subscribers(b) != 1 {
 		t.Fatal("subscriber never registered")
 	}
 
@@ -97,14 +104,14 @@ func TestBrokerUnsubscribeOnDisconnect(t *testing.T) {
 	srv.Handle("/events", b)
 
 	_, done := sseOpen(t, srv, "/events")
-	for i := 0; i < 200 && b.Subscribers() == 0; i++ {
+	for i := 0; i < 200 && subscribers(b) == 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
 	done()
-	for i := 0; i < 200 && b.Subscribers() != 0; i++ {
+	for i := 0; i < 200 && subscribers(b) != 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := b.Subscribers(); n != 0 {
+	if n := subscribers(b); n != 0 {
 		t.Fatalf("%d subscribers after disconnect", n)
 	}
 	// Publishing with no subscribers is a no-op, and a nil broker is safe.
@@ -196,7 +203,7 @@ func TestBrokerLastEventIDResume(t *testing.T) {
 func TestBrokerDropsSlowSubscriber(t *testing.T) {
 	b := NewBroker(-1)
 	ch, _ := b.subscribe(0)
-	if b.Subscribers() != 1 {
+	if subscribers(b) != 1 {
 		t.Fatal("subscriber not registered")
 	}
 	// Fill the buffer and one more: the overflow publish must drop the
@@ -213,7 +220,7 @@ func TestBrokerDropsSlowSubscriber(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
 	}
-	if n := b.Subscribers(); n != 0 {
+	if n := subscribers(b); n != 0 {
 		t.Fatalf("slow subscriber still registered (%d)", n)
 	}
 	// The channel is closed after its buffered backlog: drain to the end.

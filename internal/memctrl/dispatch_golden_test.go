@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -263,8 +264,8 @@ func dispatchCase(t *testing.T, scheme string, faulty bool, cache core.MetaCache
 	if err := ctrl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Evicted() != 0 {
-		t.Fatalf("span ring evicted %d spans; raise its capacity", tr.Evicted())
+	if n := tr.Summary().Evicted; n != 0 {
+		t.Fatalf("span ring evicted %d spans; raise its capacity", n)
 	}
 
 	// Spans give every transaction's dispatch and completion; within a
@@ -276,7 +277,7 @@ func dispatchCase(t *testing.T, scheme string, faulty bool, cache core.MetaCache
 		s        tracing.Span
 	}
 	var evs []spanEvent
-	for _, s := range tr.Spans() {
+	for _, s := range tr.Recent(math.MaxInt) {
 		evs = append(evs, spanEvent{s.Dispatch, false, s}, spanEvent{s.Complete, true, s})
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -337,11 +338,10 @@ func dispatchCase(t *testing.T, scheme string, faulty bool, cache core.MetaCache
 
 // goldenCache is the metadata cache each scheme's golden case runs
 // with. A 4 KB cache makes Est and Hybrid evict dirty metadata.
-// LADDER-Basic gets 64 KB in 16 ways, the setting its golden line was
-// recorded with (ROADMAP item 10).
+// LADDER-Basic runs with the paper's 64 KB 4-way cache.
 func goldenCache(scheme string) core.MetaCacheConfig {
 	if scheme == sim.SchemeBasic {
-		return core.MetaCacheConfig{SizeBytes: 64 << 10, Ways: 16, SpillSize: 16}
+		return core.DefaultMetaCacheConfig()
 	}
 	return core.MetaCacheConfig{SizeBytes: 4 << 10, Ways: 4, SpillSize: 16}
 }

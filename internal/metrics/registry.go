@@ -364,17 +364,6 @@ func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 	return d
 }
 
-// NonzeroBuckets counts buckets holding at least one observation.
-func (s HistogramSnapshot) NonzeroBuckets() int {
-	n := 0
-	for _, c := range s.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Merge adds another snapshot with identical bounds into this one and
 // recomputes the derived statistics — used to combine per-channel
 // histograms into a system-wide view at report time. Bounds must match

@@ -300,16 +300,6 @@ func (d *Decoder) SpareBaseWrites(globalRow uint64) uint64 {
 	return d.remapped[globalRow].baseWrites
 }
 
-// IsRemapped reports whether a global row has been relocated to a
-// spare. Safe on nil.
-func (d *Decoder) IsRemapped(globalRow uint64) bool {
-	if d == nil {
-		return false
-	}
-	_, ok := d.remapped[globalRow]
-	return ok
-}
-
 // ProactiveEnabled reports whether wear-limit-triggered retirement is
 // configured. Safe on nil; controllers gate the per-write row-wear
 // lookup on it so disabled runs pay one branch.
@@ -336,12 +326,4 @@ func (d *Decoder) MaybeRetire(bank int, globalRow uint64, rowWrites uint64) bool
 	d.remapped[globalRow] = spareEntry{baseWrites: rowWrites}
 	d.mSpareRemaps.Inc()
 	return true
-}
-
-// SpareCapacity returns the per-bank spare pool size.
-func (d *Decoder) SpareCapacity() int {
-	if d == nil {
-		return 0
-	}
-	return d.spareCap
 }

@@ -80,14 +80,14 @@ func TestConfigValidate(t *testing.T) {
 func TestSentinelDefaults(t *testing.T) {
 	cfg := baseConfig()
 	cfg.SpareRows = UseDefault
-	if d := mustDecoder(t, cfg); d.SpareCapacity() != DefaultSpareRows {
-		t.Errorf("SpareCapacity(UseDefault) = %d, want %d", d.SpareCapacity(), DefaultSpareRows)
+	if d := mustDecoder(t, cfg); d.spareCap != DefaultSpareRows {
+		t.Errorf("spare pool (UseDefault) = %d, want %d", d.spareCap, DefaultSpareRows)
 	}
 	cfg = baseConfig()
 	cfg.SpareRows = -1
 	d := mustDecoder(t, cfg)
-	if d.SpareCapacity() != 0 {
-		t.Errorf("SpareCapacity(-1) = %d, want 0 (disabled, not defaulted)", d.SpareCapacity())
+	if d.spareCap != 0 {
+		t.Errorf("spare pool (-1) = %d, want 0 (disabled, not defaulted)", d.spareCap)
 	}
 	if err := d.RemapSpare(0, 1, 0); err == nil {
 		t.Error("remap into a zero-spare pool should fail")
@@ -272,13 +272,13 @@ func TestSpareBaseWrites(t *testing.T) {
 	cfg.SpareRows = 2
 	d, reg := instrumented(t, cfg)
 	const row = 7
-	if d.SpareBaseWrites(row) != 0 || d.IsRemapped(row) {
+	if _, remapped := d.remapped[row]; d.SpareBaseWrites(row) != 0 || remapped {
 		t.Fatal("fresh row should carry no baseline")
 	}
 	if err := d.RemapSpare(0, row, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsRemapped(row) {
+	if _, remapped := d.remapped[row]; !remapped {
 		t.Fatal("row not marked remapped")
 	}
 	if got := d.SpareBaseWrites(row); got != 100 {
@@ -347,7 +347,7 @@ func TestMaybeRetire(t *testing.T) {
 	if !d.MaybeRetire(0, 9, 50) {
 		t.Fatal("row at the wear limit should retire")
 	}
-	if !d.IsRemapped(9) {
+	if _, remapped := d.remapped[9]; !remapped {
 		t.Fatal("retired row not in the remap table")
 	}
 	// Effective wear resets: the same lifetime count no longer triggers.
@@ -374,9 +374,8 @@ func TestNilDecoderSafe(t *testing.T) {
 	if got, p := d.Resolve(loc); got != loc || p != 0 {
 		t.Fatal("nil decoder must resolve to identity at zero cost")
 	}
-	if d.PenaltyTicks(loc) != 0 || d.RecordWrite() || d.IsRemapped(0) ||
-		d.SpareBaseWrites(0) != 0 || d.ProactiveEnabled() || d.MaybeRetire(0, 0, 1<<62) ||
-		d.SpareCapacity() != 0 {
+	if d.PenaltyTicks(loc) != 0 || d.RecordWrite() ||
+		d.SpareBaseWrites(0) != 0 || d.ProactiveEnabled() || d.MaybeRetire(0, 0, 1<<62) {
 		t.Fatal("nil decoder must be inert")
 	}
 	if err := d.RemapSpare(0, 0, 0); err == nil {

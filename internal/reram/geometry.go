@@ -78,9 +78,6 @@ func (g Geometry) Rows() uint64 {
 // Lines returns the total number of 64-byte memory blocks.
 func (g Geometry) Lines() uint64 { return g.Rows() * BlocksPerRow }
 
-// CapacityBytes returns the total capacity in bytes.
-func (g Geometry) CapacityBytes() uint64 { return g.Lines() * BlockSize }
-
 // Location is a fully decoded physical position of one memory block.
 type Location struct {
 	Channel int
@@ -147,21 +144,4 @@ func (g Geometry) Encode(loc Location) uint64 {
 	row = row*uint64(g.RanksPerChannel) + uint64(loc.Rank)
 	row = row*uint64(g.Channels) + uint64(loc.Channel)
 	return row*BlocksPerRow + uint64(loc.Slot)
-}
-
-// RowLocation inverts GlobalRow: the Location of slot 0 of the given
-// global wordline group.
-func (g Geometry) RowLocation(globalRow uint64) Location {
-	row := int(globalRow % uint64(g.RowsPerBank()))
-	bank := int(globalRow / uint64(g.RowsPerBank()))
-	loc := Location{
-		Channel: bank / (g.RanksPerChannel * g.BanksPerRank),
-		Rank:    bank / g.BanksPerRank % g.RanksPerChannel,
-		Bank:    bank % g.BanksPerRank,
-		Row:     row,
-		Slot:    0,
-		WL:      row % g.MatRows,
-		BLHigh:  7,
-	}
-	return loc
 }

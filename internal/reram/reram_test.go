@@ -13,7 +13,7 @@ func TestDefaultGeometryCapacity(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.CapacityBytes(); got != 16<<30 {
+	if got := g.Lines() * BlockSize; got != 16<<30 {
 		t.Fatalf("capacity = %d bytes, want 16 GiB", got)
 	}
 	if got := g.Banks(); got != 32 {
@@ -300,7 +300,7 @@ func TestMaxSelectedColCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := s.Geometry()
+	g := s.geom
 	slot0, slot5 := decodeLine(t, g, 0), decodeLine(t, g, 5)
 	// Unwritten memory: zero.
 	if got := s.MaxSelectedColCount(slot0); got != 0 {
@@ -340,6 +340,23 @@ func TestMaxSelectedColCount(t *testing.T) {
 	}
 }
 
+// RowLocation inverts GlobalRow: the Location of slot 0 of the given
+// global wordline group.
+func (g Geometry) RowLocation(globalRow uint64) Location {
+	row := int(globalRow % uint64(g.RowsPerBank()))
+	bank := int(globalRow / uint64(g.RowsPerBank()))
+	loc := Location{
+		Channel: bank / (g.RanksPerChannel * g.BanksPerRank),
+		Rank:    bank / g.BanksPerRank % g.RanksPerChannel,
+		Bank:    bank % g.BanksPerRank,
+		Row:     row,
+		Slot:    0,
+		WL:      row % g.MatRows,
+		BLHigh:  7,
+	}
+	return loc
+}
+
 func TestRowLocationInvertsGlobalRow(t *testing.T) {
 	g := DefaultGeometry()
 	f := func(raw uint64) bool {
@@ -375,7 +392,7 @@ func TestResidentPrefillDensityAndCounters(t *testing.T) {
 	loc := s.geom.RowLocation(0)
 	for loc.Slot = 0; loc.Slot < BlocksPerRow; loc.Slot++ {
 		l := s.Read(loc)
-		ones += bits.CountOnes(l[:])
+		ones += l.Ones()
 	}
 	// Structured level-2 resident data: one dense byte (p≈0.375) per
 	// 8-byte word plus sparse background → overall density ≈ 0.06.
@@ -473,7 +490,7 @@ func TestStoreErrorsOnBadAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []uint64{s.Geometry().Lines(), s.Geometry().Lines() + 1} {
+	for _, line := range []uint64{s.geom.Lines(), s.geom.Lines() + 1} {
 		if _, err := s.Write(line, bits.Line{}); err == nil {
 			t.Fatalf("Write at line %d, beyond capacity, should fail", line)
 		}

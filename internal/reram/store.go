@@ -387,9 +387,6 @@ func (s *Store) ensure(key uint64) *rowState {
 // matGroup returns the mat group of a global row.
 func (s *Store) matGroup(key uint64) uint64 { return key / uint64(s.geom.MatRows) }
 
-// Geometry returns the store's geometry.
-func (s *Store) Geometry() Geometry { return s.geom }
-
 // row fetches (without allocating) the state of a global row.
 func (s *Store) row(globalRow uint64) *rowState {
 	r := s.rows[globalRow]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,8 +53,8 @@ func chromeGoldenText(t *testing.T) []byte {
 		if err := res.Trace.WriteChromeTrace(&out); err != nil {
 			t.Fatalf("%s/%s: WriteChromeTrace: %v", cc.workload, cc.scheme, err)
 		}
-		wrapped = wrapped || res.Trace.Evicted() > 0
-		for _, s := range res.Trace.Spans() {
+		wrapped = wrapped || res.Trace.Summary().Evicted > 0
+		for _, s := range res.Trace.Recent(math.MaxInt) {
 			retried = retried || s.Kind == tracing.KindWriteRetry
 			stalled = stalled || s.Kind == tracing.KindCoreStall
 		}

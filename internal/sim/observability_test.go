@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"ladder/internal/tracing"
@@ -40,7 +41,7 @@ func TestGoldenWithTracing(t *testing.T) {
 	// At least one dispatched data write must carry a fully resolved
 	// timing-table cell: LADDER-Hybrid knows WL, BL and C_lrs.
 	resolved := false
-	for _, s := range res.Trace.Spans() {
+	for _, s := range res.Trace.Recent(math.MaxInt) {
 		if s.Enqueue > s.Dispatch || s.Dispatch > s.Complete {
 			t.Fatalf("span %d has a non-monotone lifecycle: %+v", s.ID, s)
 		}

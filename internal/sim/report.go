@@ -348,13 +348,3 @@ func (g *GridReport) StripVolatile() *GridReport {
 	stripVolatileSnapshot(&g.Metrics)
 	return g
 }
-
-// StripVolatile is the single-run counterpart of
-// GridReport.StripVolatile: it zeroes WallClockMS and removes the
-// wall-clock counter from the metrics snapshot, leaving only
-// seed-deterministic fields. Returns the receiver.
-func (r *Report) StripVolatile() *Report {
-	r.WallClockMS = 0
-	stripVolatileSnapshot(&r.Metrics)
-	return r
-}

@@ -12,6 +12,17 @@ import (
 	"ladder/internal/metrics"
 )
 
+// StripVolatile is the single-run counterpart of
+// GridReport.StripVolatile, for tests that compare single-run reports
+// byte for byte: it zeroes WallClockMS and removes the wall-clock
+// counter from the metrics snapshot, leaving only seed-deterministic
+// fields. Returns the receiver.
+func (r *Report) StripVolatile() *Report {
+	r.WallClockMS = 0
+	stripVolatileSnapshot(&r.Metrics)
+	return r
+}
+
 // TestReportEndToEnd runs a short simulation and checks the structured
 // report: schema-valid JSON, a RESET-latency histogram with mass spread
 // over more than one bucket (the location/content spread the timing
@@ -84,9 +95,13 @@ func TestReportEndToEnd(t *testing.T) {
 	for name, h := range snap.Histograms {
 		if strings.HasPrefix(name, "memctrl.") && strings.HasSuffix(name, resetLatencySuffix) {
 			found = true
-			if n := h.NonzeroBuckets(); n > nonzero {
-				nonzero = n
+			n := 0
+			for _, c := range h.Counts {
+				if c > 0 {
+					n++
+				}
 			}
+			nonzero = max(nonzero, n)
 			if h.Count > 0 && h.P50 > h.P99 {
 				t.Fatalf("%s: p50 %.1f > p99 %.1f", name, h.P50, h.P99)
 			}

@@ -120,8 +120,9 @@ type Config struct {
 	VWLPeriod int
 	// ResidentLevel controls the synthetic resident-data density 2^-level
 	// prefilled into touched wordline groups (0 = default level 2 ≈ 0.25
-	// ones-density; negative = fresh all-HRS device). See
-	// reram.Store.SetResident.
+	// ones-density; negative = fresh all-HRS device). A run's store reads
+	// the rows through the shared-input registry's reram.Resident (see
+	// reram.Store.UseResident).
 	ResidentLevel int
 	// Verify checks end-of-run read-back correctness for every written
 	// line (shift/FNW round trip through the device).

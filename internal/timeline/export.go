@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -97,19 +96,6 @@ func (h HistStat) appendJSON(e *jsonenc.Encoder) {
 	e.Close('}')
 }
 
-// ReadJSON parses a timeline written by WriteJSON, rejecting unknown
-// schemas.
-func ReadJSON(r io.Reader) (*Timeline, error) {
-	var t Timeline
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("timeline: decoding JSON: %w", err)
-	}
-	if t.Schema != Schema {
-		return nil, fmt.Errorf("timeline: unknown schema %q (want %q)", t.Schema, Schema)
-	}
-	return &t, nil
-}
-
 // WriteCSV emits the headline epoch series as CSV, one row per epoch.
 func (t *Timeline) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -136,54 +122,4 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a timeline written by WriteCSV. Only the headline
-// fields round-trip (the CSV form carries neither the counter maps nor
-// the interval metadata); re-exporting a ReadCSV result through
-// WriteCSV is byte-identical to the original.
-func ReadCSV(r io.Reader) (*Timeline, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("timeline: reading CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("timeline: empty CSV")
-	}
-	if len(rows[0]) != len(csvHeader) {
-		return nil, fmt.Errorf("timeline: CSV header has %d columns, want %d", len(rows[0]), len(csvHeader))
-	}
-	for i, want := range csvHeader {
-		if rows[0][i] != want {
-			return nil, fmt.Errorf("timeline: CSV column %d is %q, want %q", i, rows[0][i], want)
-		}
-	}
-	t := &Timeline{Schema: Schema}
-	for n, row := range rows[1:] {
-		var e Epoch
-		fields := []struct {
-			col int
-			u   *uint64
-			f   *float64
-		}{
-			{col: 1, u: &e.Start}, {col: 2, u: &e.End},
-			{col: 3, u: &e.Instructions}, {col: 4, f: &e.IPC},
-			{col: 5, u: &e.StoreWrites}, {col: 6, u: &e.Retries},
-			{col: 7, u: &e.GapMoves}, {col: 8, u: &e.SpareRemaps},
-			{col: 9, f: &e.ReadNJ}, {col: 10, f: &e.WriteNJ},
-		}
-		for _, fd := range fields {
-			if fd.u != nil {
-				*fd.u, err = strconv.ParseUint(row[fd.col], 10, 64)
-			} else {
-				*fd.f, err = strconv.ParseFloat(row[fd.col], 64)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("timeline: CSV row %d column %q: %w", n+1, csvHeader[fd.col], err)
-			}
-		}
-		t.Epochs = append(t.Epochs, e)
-	}
-	return t, nil
 }

@@ -63,14 +63,6 @@ func NewSampler(cfg Config) *Sampler {
 	return &Sampler{cfg: cfg, factor: 1, tl: New(cfg.Interval)}
 }
 
-// Interval returns the configured sampling period (0 on a nil sampler).
-func (s *Sampler) Interval() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Interval
-}
-
 // Sample is the engine observer callback, invoked with each
 // epoch-boundary cycle. After decimation only every factor-th boundary
 // closes an epoch — intermediate boundaries just count, so widened

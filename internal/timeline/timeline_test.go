@@ -2,6 +2,10 @@ package timeline
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"slices"
+	"strconv"
 	"testing"
 
 	"ladder/internal/fault"
@@ -300,8 +304,8 @@ func TestOnEpochCallback(t *testing.T) {
 	}
 }
 
-// TestCSVRoundTrip pins the -timeline-out CSV exporter: write → read →
-// write reproduces the bytes exactly.
+// TestCSVRoundTrip pins the -timeline-out CSV exporter: encoding/csv
+// reads back the header and, per epoch, every headline value exactly.
 func TestCSVRoundTrip(t *testing.T) {
 	tl := &Timeline{Schema: Schema, Interval: 10, EffectiveInterval: 10, Epochs: []Epoch{
 		{Start: 0, End: 10, Instructions: 42, IPC: 4.2, StoreWrites: 7, Retries: 1, ReadNJ: 0.125, WriteNJ: 3.5},
@@ -311,20 +315,26 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tl.WriteCSV(&first); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ReadCSV(bytes.NewReader(first.Bytes()))
+	rows, err := csv.NewReader(&first).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second bytes.Buffer
-	if err := parsed.WriteCSV(&second); err != nil {
-		t.Fatal(err)
+	if len(rows) != len(tl.Epochs)+1 || !slices.Equal(rows[0], csvHeader) {
+		t.Fatalf("CSV has %d rows and header %q, want %d and %q", len(rows), rows[0], len(tl.Epochs)+1, csvHeader)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("CSV round trip drifted:\nfirst:\n%s\nsecond:\n%s", first.String(), second.String())
+	for i, e := range tl.Epochs {
+		want := []float64{float64(i), float64(e.Start), float64(e.End), float64(e.Instructions), e.IPC,
+			float64(e.StoreWrites), float64(e.Retries), float64(e.GapMoves), float64(e.SpareRemaps), e.ReadNJ, e.WriteNJ}
+		for col, cell := range rows[i+1] {
+			if got, err := strconv.ParseFloat(cell, 64); err != nil || got != want[col] {
+				t.Errorf("epoch %d column %q = %q, want %v", i, csvHeader[col], cell, want[col])
+			}
+		}
 	}
 }
 
-// TestJSONRoundTrip pins the JSON exporter, including the schema check.
+// TestJSONRoundTrip pins the JSON exporter: encoding/json reads back the
+// schema, the interval and every epoch with its counters.
 func TestJSONRoundTrip(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := NewSampler(Config{Interval: 100, Registry: reg})
@@ -337,9 +347,12 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := tl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var got Timeline
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
+	}
+	if got.Schema != Schema {
+		t.Errorf("round trip: schema %q, want %q", got.Schema, Schema)
 	}
 	if got.Interval != tl.Interval || len(got.Epochs) != len(tl.Epochs) {
 		t.Errorf("round trip: got interval %d / %d epochs, want %d / %d",
@@ -347,9 +360,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if got.Epochs[0].Counters["w"] != 3 {
 		t.Errorf("round trip lost counters: %v", got.Epochs[0].Counters)
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`{"schema":"bogus/v9"}`))); err == nil {
-		t.Errorf("ReadJSON accepted an unknown schema")
 	}
 }
 
@@ -361,7 +371,7 @@ func TestNilSampler(t *testing.T) {
 	}
 	s.Sample(10)
 	s.Finalize(20)
-	if s.Interval() != 0 || s.Timeline() != nil {
+	if s.Timeline() != nil {
 		t.Errorf("nil sampler leaked state")
 	}
 }

@@ -48,19 +48,16 @@ func (m Model) Latency(vd float64) float64 {
 	return t
 }
 
-// PhysicalK is the RESET-law exponent from device characterization: the
-// paper quotes a 10× latency increase per 0.4 V of lost drive
-// (Govoreanu et al., IEDM 2011), so k = ln(10)/0.4 ≈ 5.76 /V.
-var PhysicalK = math.Log(10) / 0.4
-
 // Calibrate fits a Model to the crossbar described by p: it evaluates the
 // best and worst bucket corners of the table domain with the reduced
 // circuit model and solves C and K so the first table entry maps to
 // MinLatencyNs and the last to MaxLatencyNs — the published tWR window
-// (Table 2). Fitting K to the array's own Vd range (rather than pinning
-// the physical PhysicalK) keeps the full window usable for any crossbar
-// size; for the paper's 512×512 mat the fitted K lands in the same
-// regime as the device law.
+// (Table 2). Fitting K to the array's own Vd range, rather than pinning
+// the device law's exponent, keeps the full window usable for any
+// crossbar size; for the paper's 512×512 mat the fitted K lands in the
+// same regime as that law. The paper quotes a 10× latency increase per
+// 0.4 V of lost drive (Govoreanu et al., IEDM 2011), so the device law's
+// k = ln(10)/0.4 ≈ 5.76 /V.
 func Calibrate(p circuit.Params) (Model, error) {
 	if err := p.Validate(); err != nil {
 		return Model{}, err

@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // The SPD ROM image (Section 6.3): the memory-module manufacturer
 // programs the write-timing table into a Serial Presence Detect ROM, one
@@ -39,23 +36,4 @@ func (t *Table) EncodeSPD() [SPDBytes]byte {
 		}
 	}
 	return out
-}
-
-// DecodeSPD reconstructs a (conservatively quantized) table from a ROM
-// image.
-func DecodeSPD(spd [SPDBytes]byte, granularity int, content ContentDim) (*Table, error) {
-	if granularity <= 0 {
-		return nil, fmt.Errorf("timing: granularity %d must be positive", granularity)
-	}
-	t := &Table{Granularity: granularity, Content: content}
-	i := 0
-	for wb := 0; wb < Buckets; wb++ {
-		for bb := 0; bb < Buckets; bb++ {
-			for cb := 0; cb < Buckets; cb++ {
-				t.LatNs[wb][bb][cb] = spdNs(int(spd[i]))
-				i++
-			}
-		}
-	}
-	return t, nil
 }

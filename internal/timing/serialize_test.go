@@ -1,6 +1,28 @@
 package timing
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// DecodeSPD reconstructs a (conservatively quantized) table from a ROM
+// image.
+func DecodeSPD(spd [SPDBytes]byte, granularity int, content ContentDim) (*Table, error) {
+	if granularity <= 0 {
+		return nil, fmt.Errorf("timing: granularity %d must be positive", granularity)
+	}
+	t := &Table{Granularity: granularity, Content: content}
+	i := 0
+	for wb := 0; wb < Buckets; wb++ {
+		for bb := 0; bb < Buckets; bb++ {
+			for cb := 0; cb < Buckets; cb++ {
+				t.LatNs[wb][bb][cb] = spdNs(int(spd[i]))
+				i++
+			}
+		}
+	}
+	return t, nil
+}
 
 func TestSPDRoundTripConservative(t *testing.T) {
 	ts, err := NewTableSet(testParams())

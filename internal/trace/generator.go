@@ -64,9 +64,6 @@ func NewGenerator(p Profile, seed int64, basePage uint64) (*Generator, error) {
 	}, nil
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // Next produces the next access in the stream.
 func (g *Generator) Next() Access {
 	var a Access

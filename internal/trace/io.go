@@ -50,9 +50,6 @@ func (w *Writer) Append(a Access) error {
 	return nil
 }
 
-// Count returns the number of accesses written.
-func (w *Writer) Count() uint64 { return w.count }
-
 // Record captures n accesses from a source into w.
 func Record(w io.Writer, src Source, workload string, seed int64, n uint64) error {
 	tw, err := NewWriter(w, workload, seed, n)

@@ -338,8 +338,8 @@ func TestReplayerMaxLine(t *testing.T) {
 	if err := w.Append(Access{Line: 123}); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 2 {
-		t.Fatalf("count = %d", w.Count())
+	if w.count != 2 {
+		t.Fatalf("count = %d", w.count)
 	}
 	rep, err := Load(&buf)
 	if err != nil {

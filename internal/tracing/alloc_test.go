@@ -79,8 +79,8 @@ func TestCollectorAllocGrowsWithSpans(t *testing.T) {
 		lifecycle(c, KindDataWrite, i, i+1, i+2+i%7)
 	}
 	runtime.ReadMemStats(&after)
-	if got := len(c.Spans()); got != n {
-		t.Fatalf("Spans() = %d, want %d", got, n)
+	if got := len(resident(c)); got != n {
+		t.Fatalf("resident spans = %d, want %d", got, n)
 	}
 	// Doubling allocates at most 4n slots in all; the slowest-K digest
 	// and the collector itself fit in the 16 KB slack.

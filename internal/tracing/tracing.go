@@ -216,36 +216,12 @@ func (c *Collector) SampleEvery() int {
 	return int(c.sampleEvery)
 }
 
-// Seen returns the number of transactions offered to the collector.
-func (c *Collector) Seen() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.seen
-}
-
 // Sampled returns the number of spans begun.
 func (c *Collector) Sampled() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.sampled
-}
-
-// Completed returns the number of spans that reached completion.
-func (c *Collector) Completed() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.completed
-}
-
-// Evicted returns how many spans the ring overwrote.
-func (c *Collector) Evicted() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.evicted
 }
 
 // Begin offers one transaction to the collector and, when the sampling
@@ -368,17 +344,6 @@ func (c *Collector) Slowest() []Span {
 	for i, s := range c.slowest {
 		out[len(out)-1-i] = s
 	}
-	return out
-}
-
-// Spans returns every completed span still resident in the ring, oldest
-// first.
-func (c *Collector) Spans() []Span {
-	if c == nil {
-		return nil
-	}
-	out := make([]Span, 0, len(c.ring))
-	c.eachDone(func(s *Span) { out = append(out, *s) })
 	return out
 }
 

@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// resident returns every completed span still in c's ring, oldest
+// first, as the Chrome export walks them.
+func resident(c *Collector) []Span {
+	out := []Span{}
+	c.eachDone(func(s *Span) { out = append(out, *s) })
+	return out
+}
+
 // lifecycle records one full transaction through the collector.
 func lifecycle(c *Collector, kind Kind, enq, disp, done uint64) uint64 {
 	ref := c.Begin(kind, 0, 1, -1, 42, enq)
@@ -23,9 +31,9 @@ func TestSpanLifecycle(t *testing.T) {
 	if ref == 0 {
 		t.Fatal("Begin returned 0 with SampleEvery=1")
 	}
-	spans := c.Spans()
+	spans := c.Recent(8)
 	if len(spans) != 1 {
-		t.Fatalf("Spans() = %d spans, want 1", len(spans))
+		t.Fatalf("Recent(8) = %d spans, want 1", len(spans))
 	}
 	s := spans[0]
 	if s.QueueTicks() != 20 || s.ServiceTicks() != 440 || s.TotalTicks() != 460 {
@@ -51,8 +59,8 @@ func TestSampling(t *testing.T) {
 	if sampled != 25 {
 		t.Errorf("sampled %d of 100 with 1-in-4 sampling, want 25", sampled)
 	}
-	if c.Seen() != 100 || c.Sampled() != 25 {
-		t.Errorf("seen/sampled = %d/%d, want 100/25", c.Seen(), c.Sampled())
+	if s := c.Summary(); s.Seen != 100 || s.Sampled != 25 {
+		t.Errorf("seen/sampled = %d/%d, want 100/25", s.Seen, s.Sampled)
 	}
 }
 
@@ -65,16 +73,16 @@ func TestRingEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		lifecycle(c, KindDataWrite, 100, 110, 120)
 	}
-	if c.Evicted() == 0 {
+	if c.Summary().Evicted == 0 {
 		t.Fatal("full wrap evicted nothing")
 	}
 	// A stale End must not complete (or corrupt) the new tenant.
-	before := c.Completed()
+	before := c.Summary().Completed
 	c.End(first, 999)
-	if c.Completed() != before {
+	if c.Summary().Completed != before {
 		t.Error("End on an evicted reference was not dropped")
 	}
-	for _, s := range c.Spans() {
+	for _, s := range c.Recent(4) {
 		if s.Complete == 999 {
 			t.Error("stale End mutated a re-tenanted slot")
 		}
@@ -107,8 +115,11 @@ func TestOpenSpansExcluded(t *testing.T) {
 	c := NewCollector(Config{SampleEvery: 1, Capacity: 8})
 	c.Begin(KindDataWrite, 0, 0, -1, 1, 1) // never completed
 	lifecycle(c, KindDataWrite, 2, 3, 4)
-	if got := len(c.Spans()); got != 1 {
-		t.Errorf("Spans() = %d, want 1 (open span leaked)", got)
+	if got := len(c.Recent(8)); got != 1 {
+		t.Errorf("Recent(8) = %d, want 1 (open span leaked)", got)
+	}
+	if got := len(resident(c)); got != 1 {
+		t.Errorf("the export walk visits %d spans, want 1 (open span leaked)", got)
 	}
 }
 
@@ -119,7 +130,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	}
 	c.Dispatch(1, 0, 0, 0, 0, 0, false)
 	c.End(1, 0)
-	if c.Spans() != nil || c.Recent(5) != nil || c.Slowest() != nil {
+	if c.Recent(5) != nil || c.Slowest() != nil {
 		t.Error("nil accessors returned data")
 	}
 	if s := c.Summary(); s.Seen != 0 {
@@ -213,7 +224,7 @@ func TestRecent(t *testing.T) {
 		} else {
 			lifecycle(c, KindDataWrite, i, i+1, i+2)
 		}
-		all := c.Spans()
+		all := resident(c)
 		for _, n := range []int{0, 1, 5, 16, 100} {
 			want := all[len(all)-min(n, len(all)):]
 			if got := c.Recent(n); !reflect.DeepEqual(got, want) {
@@ -332,14 +343,14 @@ func TestGrowingRingMatchesFixedRing(t *testing.T) {
 						t.Fatalf("cap %d every %d step %d: span(%d) resolves %v, fixed ring %v", capacity, every, step, id, got, want)
 					}
 				}
-				if c.Evicted() != ref.evicted {
-					t.Fatalf("cap %d every %d step %d: Evicted() = %d, fixed ring %d", capacity, every, step, c.Evicted(), ref.evicted)
+				if got := c.Summary().Evicted; got != ref.evicted {
+					t.Fatalf("cap %d every %d step %d: Summary().Evicted = %d, fixed ring %d", capacity, every, step, got, ref.evicted)
 				}
 				if step%17 != 0 {
 					continue
 				}
-				if got, want := c.Spans(), ref.spans(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("cap %d every %d step %d: Spans() differ from the fixed ring:\n got %v\nwant %v", capacity, every, step, got, want)
+				if got, want := resident(c), ref.spans(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Fatalf("cap %d every %d step %d: resident spans differ from the fixed ring:\n got %v\nwant %v", capacity, every, step, got, want)
 				}
 			}
 			if ref.evicted == 0 {

@@ -66,7 +66,7 @@ func TestPublicOverheads(t *testing.T) {
 }
 
 func TestPublicGeometryAndParams(t *testing.T) {
-	if got := ladder.DefaultGeometry().CapacityBytes(); got != 16<<30 {
+	if got := ladder.DefaultGeometry().Lines() * reram.BlockSize; got != 16<<30 {
 		t.Fatalf("capacity = %d", got)
 	}
 	p := ladder.DefaultCrossbarParams()
