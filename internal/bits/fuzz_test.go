@@ -69,3 +69,17 @@ func FuzzPartialDominates(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLowFromPartial: the low-precision code derived from a line's
+// partial-counter code equals the one EncodeLowPrecision takes from the
+// line itself.
+func FuzzLowFromPartial(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x3f, 0x00, 0x7f, 0xff, 0x1f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := lineFrom(data)
+		if got, want := LowFromPartial(EncodePartial(&l)), EncodeLowPrecision(&l); got != want {
+			t.Fatalf("LowFromPartial(%08b) = %02b, EncodeLowPrecision %02b", EncodePartial(&l), got, want)
+		}
+	})
+}

@@ -192,6 +192,16 @@ func EncodeLowPrecision(l *Line) uint8 {
 	return packed
 }
 
+// LowFromPartial returns the EncodeLowPrecision code of a line from its
+// EncodePartial code: a half's bit is set exactly when one of its two
+// subgroups has code 3, since both encodings test the worst byte
+// against 5. A line encoded both ways then scans its bytes once.
+func LowFromPartial(partial uint8) uint8 {
+	x := partial & (partial >> 1) & 0x55 // bit 2g: subgroup g has code 3
+	x |= x >> 2                          // bit 0: subgroup 0 or 1; bit 4: 2 or 3
+	return x&1 | x>>3&2
+}
+
 // EstimateCwLRSLow derives the estimated wordline LRS count from 2-bit
 // low-precision counters of every block in the wordline group (analogue of
 // EstimateCwLRS for bottom rows).

@@ -231,3 +231,33 @@ func TestSubgroupTightnessMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestLowFromPartialExhaustive builds, for every packed partial-counter
+// code, a line whose subgroups carry those codes, then random lines, and
+// checks that the low-precision code derived from the partial code is
+// EncodeLowPrecision's.
+func TestLowFromPartialExhaustive(t *testing.T) {
+	byCode := [4]byte{0x00, 0x03, 0x0f, 0xff} // worst bytes 0, 2, 4 and 8
+	for p := 0; p < 256; p++ {
+		var l Line
+		for g := 0; g < NumSubgroups; g++ {
+			l[g*SubgroupBytes+g] = byCode[p>>(2*g)&3]
+		}
+		if got := EncodePartial(&l); got != uint8(p) {
+			t.Fatalf("test line for code %08b encodes to %08b", p, got)
+		}
+		if got, want := LowFromPartial(uint8(p)), EncodeLowPrecision(&l); got != want {
+			t.Fatalf("LowFromPartial(%08b) = %02b, EncodeLowPrecision %02b", p, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		var l Line
+		for i := range l {
+			l[i] = byte(r.Intn(256) & r.Intn(256))
+		}
+		if got, want := LowFromPartial(EncodePartial(&l)), EncodeLowPrecision(&l); got != want {
+			t.Fatalf("trial %d: derived %02b, EncodeLowPrecision %02b", trial, got, want)
+		}
+	}
+}

@@ -23,6 +23,14 @@ import (
 type Hybrid struct {
 	*ladderBase
 	shifting bool
+	// pending maps a low-precision key to the quarters of its line left
+	// deferred when the line was last synthesized (bit q for quarter q):
+	// quarters whose wordline group the store did not hold, so that they
+	// stand for the group's resident image codes. A deferred quarter is
+	// filled in from the image the first time the scheme reads or
+	// modifies it (line), in the cached and the persisted copy alike, so
+	// the set survives eviction and refill.
+	pending map[uint64]uint8
 }
 
 // NewHybridCache builds LADDER-Hybrid (the paper's 128 low-precision
@@ -44,18 +52,17 @@ func newHybrid(env *Env, lowRows int, shifting bool, cacheCfg MetaCacheConfig) (
 		return nil, err
 	}
 	b.layout.LowPrecisionRows = lowRows
+	s := &Hybrid{ladderBase: b, shifting: shifting}
 	// Boot-time metadata: partial counters of the resident blocks the key
 	// covers, at whichever precision it selects.
-	b.cache.SetInitializer(func(key uint64) MetaLine {
-		return hybridInitLine(env, b.layout, key)
-	})
+	b.cache.SetInitializer(s.initLine)
 	if shifting {
 		// Data resident from before the simulation window was stored
 		// through the same shifting datapath, and every dispatch samples
 		// the unshifted-layout C^w_lrs (Figure 15).
 		env.Store.UseShiftedDatapath()
 	}
-	return &Hybrid{ladderBase: b, shifting: shifting}, nil
+	return s, nil
 }
 
 // estInitLine synthesizes an Est-layout metadata line from the stored
@@ -67,26 +74,89 @@ func estInitLine(env *Env, globalRow uint64) MetaLine {
 	return ml
 }
 
-// hybridInitLine synthesizes a metadata line from stored content: Est
-// layout for high-precision keys, packed 1-bit counters of the four
-// covered pages for low-precision keys. Used at boot-time initialization
-// and to reconcile after a verify failure.
-func hybridInitLine(env *Env, layout Layout, key uint64) MetaLine {
+// initLine synthesizes a metadata line from stored content: Est layout
+// for high-precision keys, packed 1-bit counters of the four covered
+// pages for low-precision keys. Used at boot-time initialization and to
+// reconcile after a verify failure. A quarter whose wordline group the
+// store does not hold is left deferred (see pending): the group still
+// holds its resident image, so reading the image's codes later gives
+// what reading them now would, without drawing a row no write may reach.
+func (s *Hybrid) initLine(key uint64) MetaLine {
 	if key&hybridLowKeyBit == 0 {
-		return estInitLine(env, key)
+		return estInitLine(s.env, key)
 	}
 	var ml MetaLine
-	for q, base := range layout.LowGroupLines(key) {
-		loc, err := env.Geom.Decode(base)
-		if err != nil {
+	var deferred uint8
+	for q := range 4 {
+		row, ok := s.quarterRow(key, q)
+		if !ok {
 			continue // a group past the end of memory
 		}
-		for slot, c := range env.Store.RowCodes(env.Geom.GlobalRow(loc), true) {
-			bi, sh := lowSlotBits(q, slot)
-			ml[bi] |= (c & 3) << sh
+		if !s.env.Store.Holds(row) {
+			deferred |= 1 << q
+			continue
 		}
+		setQuarter(&ml, q, s.env.Store.RowCodes(row, true))
 	}
+	if deferred == 0 {
+		delete(s.pending, key)
+		return ml
+	}
+	if s.pending == nil {
+		s.pending = make(map[uint64]uint8)
+	}
+	s.pending[key] = deferred
 	return ml
+}
+
+// quarterRow returns the global wordline group of a low-precision key's
+// quarter q, false for a group past the end of memory.
+func (s *Hybrid) quarterRow(key uint64, q int) (uint64, bool) {
+	loc, err := s.env.Geom.Decode(s.layout.LowGroupLines(key)[q])
+	if err != nil {
+		return 0, false
+	}
+	return s.env.Geom.GlobalRow(loc), true
+}
+
+// setQuarter packs a page's 1-bit counter pairs into quarter q of a
+// low-precision line.
+func setQuarter(ml *MetaLine, q int, codes [reram.BlocksPerRow]uint8) {
+	for slot, c := range codes {
+		bi, sh := lowSlotBits(q, slot)
+		ml[bi] |= (c & 3) << sh
+	}
+}
+
+// line returns the cached metadata line of req, nil while it is absent
+// or filling, with req's quarter filled in when the line is
+// low-precision and that quarter is deferred. Every read or update of a
+// low-precision line's counters goes through it.
+func (s *Hybrid) line(req *WriteRequest) *MetaLine {
+	key := req.MetaKeys[0]
+	line := s.cache.Data(key)
+	if line == nil || key&hybridLowKeyBit == 0 {
+		return line
+	}
+	q := s.layout.LowGroupIndex(req.Line)
+	if s.pending[key]&(1<<q) == 0 {
+		return line
+	}
+	row, _ := s.quarterRow(key, q)
+	var quarter MetaLine
+	setQuarter(&quarter, q, s.env.Store.ImageCodes(row, true))
+	s.cache.Amend(key, 16*q, quarter[16*q:16*q+16]) // see lowSlotBits
+	if s.pending[key] &^= 1 << q; s.pending[key] == 0 {
+		delete(s.pending, key)
+	}
+	return line
+}
+
+// CrashRecover implements CrashRecoverable: the conservative correction
+// saturates every line, deferred quarters included.
+func (s *Hybrid) CrashRecover() {
+	s.ladderBase.CrashRecover()
+	clear(s.pending)
 }
 
 // SetLowPrecisionRows overrides the precision control register (the
@@ -139,7 +209,7 @@ func lowSlotBits(quarter, slot int) (byteIdx int, shift uint) {
 // fresh counters for its own slot (the write changes that block's
 // contribution).
 func (s *Hybrid) estimate(req *WriteRequest) (int, bool) {
-	line := s.cache.Data(req.MetaKeys[0])
+	line := s.line(req)
 	if line == nil {
 		return 0, false
 	}
@@ -172,7 +242,7 @@ func (s *Hybrid) Latency(req *WriteRequest) float64 {
 // Complete implements Scheme: store the block's fresh partial counters in
 // the metadata line.
 func (s *Hybrid) Complete(req *WriteRequest, old, stored bits.Line) []MetaWriteback {
-	if line := s.cache.Data(req.MetaKeys[0]); line != nil {
+	if line := s.line(req); line != nil {
 		if s.lowPrecision(req) {
 			quarter := s.layout.LowGroupIndex(req.Line)
 			b, sh := lowSlotBits(quarter, req.Loc.Slot)
@@ -204,7 +274,7 @@ func (s *Hybrid) DecodeRead(loc reram.Location, payload bits.Line) bits.Line {
 func (s *Hybrid) WriteRetry(req *WriteRequest, attempt int) {
 	key := req.MetaKeys[0]
 	if line := s.cache.Data(key); line != nil {
-		*line = hybridInitLine(s.env, s.layout, key)
+		*line = s.initLine(key)
 		s.cache.MarkDirty(key)
 	}
 }

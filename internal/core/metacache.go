@@ -268,6 +268,20 @@ func (c *MetaCache) Data(key uint64) *MetaLine {
 	return &e.data
 }
 
+// Amend writes part at byte offset off of key's line, in the valid
+// cached copy and in the persisted copy alike, without dirtying the
+// line: it fills in content both copies already stand for, such as a
+// deferred part of a synthesized line.
+func (c *MetaCache) Amend(key uint64, off int, part []byte) {
+	if e := c.find(key); e != nil && e.state == entryValid {
+		copy(e.data[off:], part)
+	}
+	if ml, ok := c.backing[key]; ok {
+		copy(ml[off:], part)
+		c.backing[key] = ml
+	}
+}
+
 // MarkDirty flags a line as modified.
 func (c *MetaCache) MarkDirty(key uint64) {
 	if e := c.find(key); e != nil {

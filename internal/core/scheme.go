@@ -189,6 +189,15 @@ type Instruments struct {
 	WriteServiceNs, ReadLatencyNs, CounterGap              *metrics.Histogram
 }
 
+// Bucket bounds of the run-level histograms, built once: every histogram
+// of every run retains its bounds, and neither histograms, their
+// snapshots nor merges write them.
+var (
+	writeServiceBounds = metrics.LinearBounds(32, 32, 24)
+	readLatencyBounds  = metrics.ExponentialBounds(1, 2, 24)
+	counterGapBounds   = metrics.LinearBounds(-512, 64, 17)
+)
+
 // NewInstruments fetches (creating on first use) the run-level
 // instruments from reg.
 func NewInstruments(reg *metrics.Registry) Instruments {
@@ -205,9 +214,9 @@ func NewInstruments(reg *metrics.Registry) Instruments {
 		FNWCanceled:     reg.Counter(MetricFNWCanceled),
 		FNWUnits:        reg.Counter(MetricFNWUnits),
 		BitChanges:      reg.Counter(MetricBitChanges),
-		WriteServiceNs:  reg.Histogram(MetricWriteServiceNs, metrics.LinearBounds(32, 32, 24)),
-		ReadLatencyNs:   reg.Histogram(MetricReadLatencyNs, metrics.ExponentialBounds(1, 2, 24)),
-		CounterGap:      reg.Histogram(MetricCounterGap, metrics.LinearBounds(-512, 64, 17)),
+		WriteServiceNs:  reg.Histogram(MetricWriteServiceNs, writeServiceBounds),
+		ReadLatencyNs:   reg.Histogram(MetricReadLatencyNs, readLatencyBounds),
+		CounterGap:      reg.Histogram(MetricCounterGap, counterGapBounds),
 	}
 }
 

@@ -261,8 +261,11 @@ const occupancySampleMask = 255
 // ResetLatencyBounds returns the bucket upper edges for RESET-latency
 // histograms: 32 ns resolution across the paper's 29–658 ns tWR window
 // (Section 2; Figure 7 plots this distribution), plus an overflow bucket
-// for shrunk-range or custom-crossbar runs that exceed it.
-func ResetLatencyBounds() []float64 { return metrics.LinearBounds(32, 32, 21) }
+// for shrunk-range or custom-crossbar runs that exceed it. Every caller
+// shares one slice, built once, which no caller may write.
+func ResetLatencyBounds() []float64 { return resetLatencyBounds }
+
+var resetLatencyBounds = metrics.LinearBounds(32, 32, 21)
 
 // Instrument creates the controller's per-channel instruments in the
 // env's registry as channel `channel`. Call once, before the first Tick;

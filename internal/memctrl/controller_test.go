@@ -3,6 +3,7 @@ package memctrl
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -653,5 +654,26 @@ func TestNewControllerRejectsTooManyBanks(t *testing.T) {
 	env.Geom.RanksPerChannel = 4
 	if _, err := NewController(DefaultConfig(), env, core.NewBaseline(env), meter, nil); err != nil {
 		t.Fatalf("NewController with 64 banks per channel: %v", err)
+	}
+}
+
+// TestResetLatencyBoundsStayFixed instruments a controller, runs it,
+// snapshots its registry and overwrites the snapshot's bounds: the one
+// bound slice every RESET-latency histogram shares must still hold the
+// bounds it was built with.
+func TestResetLatencyBoundsStayFixed(t *testing.T) {
+	h := newHarness(t, func(env *core.Env) core.Scheme { return core.NewBaseline(env) })
+	h.ctrl.Instrument(0)
+	for i := uint64(0); i < 32; i++ {
+		h.ctrl.EnqueueWrite(i*reram.BlocksPerRow, bits.Line{byte(i)}, h.now)
+	}
+	h.runUntilIdle(t, 1_000_000)
+	for _, hist := range h.env.Metrics.Snapshot().Histograms {
+		for i := range hist.Bounds {
+			hist.Bounds[i] = -1
+		}
+	}
+	if got, want := ResetLatencyBounds(), metrics.LinearBounds(32, 32, 21); !slices.Equal(got, want) {
+		t.Fatalf("RESET-latency bounds changed to %v", got)
 	}
 }

@@ -346,17 +346,6 @@ func goldenCache(scheme string) core.MetaCacheConfig {
 	return core.MetaCacheConfig{SizeBytes: 4 << 10, Ways: 4, SpillSize: 16}
 }
 
-// TestBasicPaperCacheDrains runs LADDER-Basic with the paper's 64 KB
-// 4-way metadata cache over the golden cases' traffic. Its two-key
-// acquisitions spill half-reserved; the spill rollback once dropped the
-// fill reads of the ways it had reserved, and a later write hitting one
-// of them waited forever, so the controller never drained.
-func TestBasicPaperCacheDrains(t *testing.T) {
-	for _, faulty := range []bool{false, true} {
-		dispatchCase(t, sim.SchemeBasic, faulty, core.DefaultMetaCacheConfig())
-	}
-}
-
 // TestDispatchGolden pins the controller's schedule: for each figure
 // scheme, with and without fault injection and the wear-leveling
 // decoder, seeded traffic that saturates both queues (backpressure,

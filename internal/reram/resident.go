@@ -2,6 +2,7 @@ package reram
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"ladder/internal/bits"
@@ -56,7 +57,8 @@ type image struct {
 	// codes and lowCodes hold each block's bits.EncodePartial and
 	// bits.EncodeLowPrecision codes, encoded on first request
 	// (blockCodes): only Est and Hybrid read them, so most raw images
-	// never pay for them.
+	// never pay for them. Each block is scanned once: its low code is
+	// derived from its partial code.
 	encode          sync.Once
 	codes, lowCodes [BlocksPerRow]uint8
 }
@@ -73,7 +75,7 @@ func (img *image) blockCodes(low bool) *[BlocksPerRow]uint8 {
 	img.encode.Do(func() {
 		for b := range img.data {
 			img.codes[b] = bits.EncodePartial(&img.data[b])
-			img.lowCodes[b] = bits.EncodeLowPrecision(&img.data[b])
+			img.lowCodes[b] = bits.LowFromPartial(img.codes[b])
 		}
 	})
 	if low {
@@ -106,6 +108,22 @@ func (r *Resident) Recycle() {
 		images.Put(img)
 	}
 	r.images = nil
+}
+
+// String summarizes the Resident: its level and seed, and how many
+// images of each stored form it retains.
+func (r *Resident) String() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var raw, shifted int
+	for k := range r.images {
+		if k.shifted {
+			shifted++
+		} else {
+			raw++
+		}
+	}
+	return fmt.Sprintf("reram.Resident{level: %d, seed: %d, raw: %d, shifted: %d}", r.level, r.seed, raw, shifted)
 }
 
 // image returns the row's image in the given form. A raw image is drawn;
@@ -203,8 +221,10 @@ func residentHotByte(x uint64, hotDraws int) (state, hot uint64) {
 // per 8-byte word position, fixed per row and aligned across blocks (the
 // page-repetitive pattern real data shows); then, block by block and byte
 // by byte, either the dense byte's draws or a cold-byte draw followed, when
-// the cold byte is nonzero, by a bit-position draw. It returns the final
-// stream state, so tests can tell a changed draw count.
+// the cold byte is nonzero, by a bit-position draw. A word draws its cold
+// bytes below the dense one, the dense one, then its cold bytes above, so
+// no byte tests whether it is the dense one. It returns the final stream
+// state, so tests can tell a changed draw count.
 func drawRow(dst *[BlocksPerRow]bits.Line, level int, seed, key uint64) uint64 {
 	x := seed ^ key*splitmixGamma
 	var v uint64
@@ -217,17 +237,21 @@ func drawRow(dst *[BlocksPerRow]bits.Line, level int, seed, key uint64) uint64 {
 	}
 	for b := range dst {
 		blk := &dst[b]
-		for w := 0; w < BlockSize/8; w++ {
-			var word uint64
-			for k := 0; k < 8; k++ {
-				var c uint64
-				if k == hotK[w] {
-					x, c = residentHotByte(x, hotDraws)
-				} else if x, v = splitmix64(x); v&coldMask == 0 {
+		for w, hk := range hotK {
+			var word, c uint64
+			for k := 0; k < hk; k++ {
+				if x, v = splitmix64(x); v&coldMask == 0 {
 					x, v = splitmix64(x)
-					c = 1 << (v & 7)
+					word |= 1 << (8*k + int(v&7))
 				}
-				word |= c << (8 * k)
+			}
+			x, c = residentHotByte(x, hotDraws)
+			word |= c << (8 * hk)
+			for k := hk + 1; k < 8; k++ {
+				if x, v = splitmix64(x); v&coldMask == 0 {
+					x, v = splitmix64(x)
+					word |= 1 << (8*k + int(v&7))
+				}
 			}
 			binary.LittleEndian.PutUint64(blk[w*8:], word)
 		}

@@ -365,10 +365,7 @@ func (s *Store) ensure(key uint64) *rowState {
 	if s.mem == nil {
 		panic(errRecycled)
 	}
-	img := zeroImage
-	if s.resident != nil {
-		img = s.resident.image(key, s.shifted)
-	}
+	img := s.image(key)
 	r := s.mem.views.next()
 	*r = rowState{img: img, counters: img.counters, unshifted: img.unshifted}
 	s.rows[key] = r
@@ -383,6 +380,19 @@ func (s *Store) ensure(key uint64) *rowState {
 	}
 	return r
 }
+
+// image returns the row's resident image in the store's stored form.
+func (s *Store) image(key uint64) *image {
+	if s.resident == nil {
+		return zeroImage
+	}
+	return s.resident.image(key, s.shifted)
+}
+
+// Holds reports whether the store has materialized a global wordline
+// group (EnsureRow, a write, RowCodes). A row it does not hold stores
+// exactly its resident image.
+func (s *Store) Holds(globalRow uint64) bool { return s.row(globalRow) != nil }
 
 // matGroup returns the mat group of a global row.
 func (s *Store) matGroup(key uint64) uint64 { return key / uint64(s.geom.MatRows) }
@@ -598,6 +608,18 @@ func (s *Store) RowCodes(globalRow uint64, low bool) [BlocksPerRow]uint8 {
 		}
 	}
 	return codes
+}
+
+// ImageCodes returns the partial-counter codes of a global wordline
+// group's resident image, the codes RowCodes returns until the store
+// writes the row, without materializing the row: a scheme that defers
+// reading an unwritten row's codes reads them here, whatever the store
+// has written to the row since.
+func (s *Store) ImageCodes(globalRow uint64, low bool) [BlocksPerRow]uint8 {
+	if s.mem == nil {
+		panic(errRecycled)
+	}
+	return *s.image(globalRow).blockCodes(low)
 }
 
 // MaxRowCounter returns the exact worst-wordline LRS count C^w_lrs of a

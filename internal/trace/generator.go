@@ -25,9 +25,17 @@ const BlocksPerPage = 64
 
 // Generator produces a deterministic access stream for one benchmark.
 type Generator struct {
-	prof     Profile
-	rng      *rand.Rand
-	seed     int64
+	prof Profile
+	// rng makes the stream's occasional draws; synthesize makes a written
+	// line's per-bit draws from its source src directly.
+	rng  *rand.Rand
+	src  *source
+	seed int64
+	// compressBelow, hotBelow and coldBelow are the Bernoulli thresholds
+	// of synthesize's draws on src (see below): the profile's
+	// compressibility and the ones densities of hot and cold bytes.
+	compressBelow, hotBelow, coldBelow uint64
+
 	basePage uint64
 	hotPages uint64
 	curPage  uint64
@@ -53,15 +61,29 @@ func NewGenerator(p Profile, seed int64, basePage uint64) (*Generator, error) {
 	if hot == 0 {
 		hot = 1
 	}
+	src := newSource(seed)
+	dHot, dCold := densities(p)
 	return &Generator{
-		prof:     p,
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     seed,
-		basePage: basePage,
-		hotPages: hot,
-		meanGap:  1000 / (p.RPKI + p.WPKI),
-		writeP:   p.WPKI / (p.RPKI + p.WPKI),
+		prof:          p,
+		rng:           rand.New(src),
+		src:           src,
+		seed:          seed,
+		compressBelow: below(p.Compressibility),
+		hotBelow:      below(dHot),
+		coldBelow:     below(dCold),
+		basePage:      basePage,
+		hotPages:      hot,
+		meanGap:       1000 / (p.RPKI + p.WPKI),
+		writeP:        p.WPKI / (p.RPKI + p.WPKI),
 	}, nil
+}
+
+// densities returns the ones densities of a profile's hot and cold bytes
+// in non-compressible lines. Hot bytes saturate around 0.55: real dense
+// bytes (FP exponents, pointer prefixes) carry 3–5 ones, not 7–8.
+func densities(p Profile) (hot, cold float64) {
+	d, c := p.OnesDensity, p.Clustering
+	return max(d+(0.55-d)*c, d), d * (1 - 0.9*c)
 }
 
 // Next produces the next access in the stream.
@@ -120,10 +142,12 @@ func (g *Generator) nextWriteLine() uint64 {
 // pattern parameters. Patterns are page-correlated: the hot byte
 // positions are a deterministic function of the page number, so
 // consecutive lines of a page repeat the same clustered layout (the
-// phenomenon Section 4.1's shifting exploits).
+// phenomenon Section 4.1's shifting exploits). Each Bernoulli draw
+// compares one uniform draw with its threshold, exactly as comparing
+// rng.Float64() with the density would.
 func (g *Generator) synthesize(page uint64) bits.Line {
 	var l bits.Line
-	if g.rng.Float64() < g.prof.Compressibility {
+	if g.src.uniform() < g.compressBelow {
 		// FPC-friendly content: sparse small integers, zero runs.
 		for w := 0; w < bits.LineSize/4; w++ {
 			switch g.rng.Intn(4) {
@@ -137,30 +161,23 @@ func (g *Generator) synthesize(page uint64) bits.Line {
 		}
 		return l
 	}
-	d := g.prof.OnesDensity
-	c := g.prof.Clustering
-	// Hot bytes saturate around 0.55 — real dense bytes (FP exponents,
-	// pointer prefixes) carry 3–5 ones, not 7–8.
-	dHot := d + (0.55-d)*c
-	if dHot < d {
-		dHot = d
-	}
-	dCold := d * (1 - 0.9*c)
 	hot := pageHotPositions(page, g.seed)
 	for j := 0; j < bits.LineSize; j++ {
-		density := dCold
+		thr := g.coldBelow
 		if hot[j] {
-			density = dHot
+			thr = g.hotBelow
 		}
 		// Branch-free Bernoulli draws: a taken/not-taken branch on each
 		// bit would mispredict on a density-sized share of the 512 bits.
+		// Draws and threshold are below 2^63, so the difference's sign
+		// bit is the comparison. The draw is src.uniform's, inlined.
 		var b byte
 		for k := 0; k < 8; k++ {
-			var one byte
-			if g.rng.Float64() < density {
-				one = 1
+			n := g.src.Uint64() &^ (1 << 63)
+			if n >= drawLimit {
+				n = g.src.redraw()
 			}
-			b |= one << k
+			b |= byte((n-thr)>>63) << k
 		}
 		l[j] = b
 	}
