@@ -167,19 +167,7 @@ func (g *Generator) synthesize(page uint64) bits.Line {
 		if hot[j] {
 			thr = g.hotBelow
 		}
-		// Branch-free Bernoulli draws: a taken/not-taken branch on each
-		// bit would mispredict on a density-sized share of the 512 bits.
-		// Draws and threshold are below 2^63, so the difference's sign
-		// bit is the comparison. The draw is src.uniform's, inlined.
-		var b byte
-		for k := 0; k < 8; k++ {
-			n := g.src.Uint64() &^ (1 << 63)
-			if n >= drawLimit {
-				n = g.src.redraw()
-			}
-			b |= byte((n-thr)>>63) << k
-		}
-		l[j] = b
+		l[j] = g.src.byteBelow(thr)
 	}
 	return l
 }

@@ -129,21 +129,48 @@ const drawLimit = 1<<63 - 512
 // uniform returns the Int63 draw behind one rand.Float64 call on this
 // source, drawing again where Float64 does.
 func (s *source) uniform() uint64 {
-	n := s.Uint64() &^ (1 << 63)
-	if n >= drawLimit {
-		n = s.redraw()
-	}
-	return n
-}
-
-// redraw draws until a draw falls below drawLimit: uniform's rare path,
-// out of line so that a loop can inline uniform's body by hand.
-func (s *source) redraw() uint64 {
 	for {
 		if n := s.Uint64() &^ (1 << 63); n < drawLimit {
 			return n
 		}
 	}
+}
+
+// byteBelow makes eight Bernoulli draws, uniform() < thr, and returns
+// them as a byte, draw k in bit k. Draws and threshold are below 2^63,
+// so a difference's sign bit is its comparison: a branch on each bit
+// would mispredict on a density-sized share of them. Away from the ends
+// of the state, the eight draws are eight sums in one pass, since each
+// draw reads a tap word 273 places from the word it feeds and so none
+// reads a word another writes. A draw at or past drawLimit, which
+// uniform draws again, undoes the pass and takes uniform's path.
+func (s *source) byteBelow(thr uint64) byte {
+	var b byte
+	if s.feed >= 8 && s.tap >= 8 {
+		feed := (*[8]int64)(s.vec[s.feed-8 : s.feed])
+		tap := (*[8]int64)(s.vec[s.tap-8 : s.tap])
+		var over uint64
+		for k := 0; k < 8; k++ {
+			x := feed[7-k] + tap[7-k]
+			feed[7-k] = x
+			n := uint64(x) &^ (1 << 63)
+			over |= n + (1<<63 - drawLimit) // bit 63: n >= drawLimit
+			b |= byte((n-thr)>>63) << k
+		}
+		if over>>63 == 0 {
+			s.feed -= 8
+			s.tap -= 8
+			return b
+		}
+		for k := range feed {
+			feed[k] -= tap[k]
+		}
+		b = 0
+	}
+	for k := 0; k < 8; k++ {
+		b |= byte((s.uniform()-thr)>>63) << k
+	}
+	return b
 }
 
 // below returns the smallest Int63 draw n whose rand.Float64 value,

@@ -93,3 +93,43 @@ func TestBelowEdges(t *testing.T) {
 			f(drawLimit-1), f(drawLimit), f(1<<63-1))
 	}
 }
+
+// TestByteBelowMatchesUniform checks byteBelow against eight uniform
+// draws on a copy of the source, across every position of the state,
+// for thresholds at both ends and between, and with a draw at or past
+// drawLimit planted at each place in a pass, where uniform draws again.
+func TestByteBelowMatchesUniform(t *testing.T) {
+	slow := func(s *source, thr uint64) byte {
+		var b byte
+		for k := 0; k < 8; k++ {
+			if s.uniform() < thr {
+				b |= 1 << k
+			}
+		}
+		return b
+	}
+	check := func(s *source, thr uint64, what string) {
+		t.Helper()
+		ref := *s
+		if got, want := s.byteBelow(thr), slow(&ref, thr); got != want || *s != ref {
+			t.Fatalf("%s, threshold %#x: byteBelow %08b, uniform %08b, same state %v", what, thr, got, want, *s == ref)
+		}
+	}
+	thrs := []uint64{0, 1, below(0.1875), 1 << 62, drawLimit - 1, drawLimit}
+	s := newSource(42)
+	for i := 0; i < 3*rngLen; i++ {
+		check(s, thrs[i%len(thrs)], "plain draws")
+	}
+	for k := 0; k < 8; k++ {
+		for _, past := range []int64{drawLimit, 1<<63 - 1, -1} {
+			s := newSource(int64(k))
+			for s.feed < 8 || s.tap < 8 {
+				s.Uint64()
+			}
+			// Draw k of the next pass sums feed word feed-1-k and tap
+			// word tap-1-k: make it past.
+			s.vec[s.feed-1-k] = past - s.vec[s.tap-1-k]
+			check(s, below(0.5), "a planted draw past drawLimit")
+		}
+	}
+}
