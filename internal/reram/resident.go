@@ -2,7 +2,6 @@ package reram
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 
 	"ladder/internal/bits"
@@ -108,22 +107,6 @@ func (r *Resident) Recycle() {
 		images.Put(img)
 	}
 	r.images = nil
-}
-
-// String summarizes the Resident: its level and seed, and how many
-// images of each stored form it retains.
-func (r *Resident) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var raw, shifted int
-	for k := range r.images {
-		if k.shifted {
-			shifted++
-		} else {
-			raw++
-		}
-	}
-	return fmt.Sprintf("reram.Resident{level: %d, seed: %d, raw: %d, shifted: %d}", r.level, r.seed, raw, shifted)
 }
 
 // image returns the row's image in the given form. A raw image is drawn;

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -323,7 +324,9 @@ func newEagerShadow(t *testing.T, cfg Config, shifted bool) *eagerShadow {
 }
 
 // residentImages returns how many raw and shifted row images the
-// registry's Resident of seed (at the default level) retains.
+// registry's Resident of seed (at the default level) retains. It counts
+// the Resident's image map by reflection, since no program code needs
+// the count.
 func residentImages(t *testing.T, seed int64) (raw, shifted int) {
 	t.Helper()
 	cfg := Config{Seed: seed, ResidentLevel: 2}
@@ -333,9 +336,16 @@ func residentImages(t *testing.T, seed int64) (raw, shifted int) {
 	if rows == nil {
 		t.Fatalf("the registry kept no Resident of seed %d", seed)
 	}
-	var level, rseed uint64
-	if _, err := fmt.Sscanf(rows.rows.String(), "reram.Resident{level: %d, seed: %d, raw: %d, shifted: %d}", &level, &rseed, &raw, &shifted); err != nil {
-		t.Fatal(err)
+	images := reflect.ValueOf(rows.rows).Elem().FieldByName("images")
+	if images.Kind() != reflect.Map {
+		t.Fatal("reram.Resident has no image map to count")
+	}
+	for _, k := range images.MapKeys() {
+		if k.FieldByName("shifted").Bool() {
+			shifted++
+		} else {
+			raw++
+		}
 	}
 	return raw, shifted
 }
